@@ -39,9 +39,9 @@ pub mod preset;
 pub mod report;
 pub mod runner;
 pub mod sim;
+pub mod simtrace;
 pub mod theory;
 pub mod trace;
-pub mod tracer;
 
 pub use experiment::{aggregate, Agg, CellResult, Executor, ExperimentSpec, ResultsStore};
 pub use json::Json;

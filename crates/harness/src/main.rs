@@ -6,16 +6,16 @@
 //!          [--engine eager|lazy]
 //! ```
 //!
-//! Commands: `fig2 fig3 fig4 fig5 theory sim trace simtrace ablation
-//! metrics all list run <workload> validate`. Tables print to stdout and
-//! are also written as CSV into `--out` (default `results/`); experiment
-//! commands additionally maintain a machine-readable `--out/results.json`
-//! that doubles as a checkpoint — re-running with the same `--out` skips
-//! every already-completed cell. `sim` sweeps the discrete-event
-//! scenarios (paper-shaped and distributed) against the verdict-latency
-//! grid through the same engine; `trace` runs instrumented cells and
-//! writes Chrome-trace JSON (Perfetto-loadable) into `--out`; `simtrace`
-//! is the T4 window-simulator schedule trace.
+//! Commands: `fig2 fig3 fig4 fig34 fig5 theory sim trace simtrace
+//! ablation metrics all list run <workload> validate`. Tables print to
+//! stdout and are also written as CSV into `--out` (default `results/`);
+//! experiment commands additionally maintain a machine-readable
+//! `--out/results.json` that doubles as a checkpoint — re-running with
+//! the same `--out` skips every already-completed cell. `sim` sweeps the
+//! discrete-event scenarios (paper-shaped and distributed) against the
+//! verdict-latency grid through the same engine; `trace` runs
+//! instrumented cells and writes Chrome-trace JSON (Perfetto-loadable)
+//! into `--out`; `simtrace` is the T4 window-simulator schedule trace.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,13 +29,13 @@ use wtm_harness::preset::Preset;
 use wtm_harness::report::Table;
 use wtm_harness::runner::StopRule;
 use wtm_harness::sim::sim_tables;
+use wtm_harness::simtrace::trace_tables;
 use wtm_harness::theory::makespan_tables;
-use wtm_harness::trace::trace_tables;
-use wtm_harness::tracer::trace_report;
+use wtm_harness::trace::trace_report;
 use wtm_harness::{all_manager_names, comparison_manager_names};
 
 const COMMANDS: &str =
-    "fig2 fig3 fig4 fig5 theory sim trace simtrace ablation metrics all list run validate";
+    "fig2 fig3 fig4 fig34 fig5 theory sim trace simtrace ablation metrics all list run validate";
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -79,7 +79,7 @@ fn list_registered() {
     println!("  window-based: {}", wtm_window::window_names().join(", "));
     println!(
         "  classic:      {}",
-        wtm_managers::classic_names().join(", ")
+        wtm_stm::managers::classic_names().join(", ")
     );
     println!(
         "\nwindow managers accept parameter suffixes: \

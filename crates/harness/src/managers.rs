@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use wtm_sim::{ParamError, Params};
 use wtm_stm::{CmDispatch, ContentionManager};
 use wtm_window::{WindowConfig, WindowManager};
 
@@ -53,7 +54,7 @@ impl BuiltManager {
 /// first (Fig. 2 order), then the classic managers.
 pub fn all_manager_names() -> Vec<&'static str> {
     let mut v = wtm_window::window_names();
-    v.extend_from_slice(wtm_managers::classic_names());
+    v.extend_from_slice(wtm_stm::managers::classic_names());
     v
 }
 
@@ -110,68 +111,13 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// A parsed `Base@key=value,…` manager name.
-struct ParsedName<'a> {
-    base: &'a str,
-    phi: Option<f64>,
-    c_init: Option<f64>,
-    window_n: Option<usize>,
-}
-
-impl ParsedName<'_> {
-    fn has_params(&self) -> bool {
-        self.phi.is_some() || self.c_init.is_some() || self.window_n.is_some()
-    }
-}
-
-fn parse_name(name: &str) -> Result<ParsedName<'_>, String> {
-    let Some((base, params)) = name.split_once('@') else {
-        return Ok(ParsedName {
-            base: name,
-            phi: None,
-            c_init: None,
-            window_n: None,
-        });
-    };
-    let mut parsed = ParsedName {
-        base,
-        phi: None,
-        c_init: None,
-        window_n: None,
-    };
-    for kv in params.split(',') {
-        let Some((k, v)) = kv.split_once('=') else {
-            return Err(format!("`{kv}` is not a `key=value` pair"));
-        };
-        let (k, v) = (k.trim(), v.trim());
-        // Each key may appear at most once: `phi=2,phi=3` is almost
-        // certainly a typo, and silently letting the last value win
-        // would corrupt a sweep without any visible symptom.
-        let duplicate = |prev: bool| {
-            if prev {
-                Err(format!("duplicate parameter key `{k}`"))
-            } else {
-                Ok(())
-            }
-        };
-        let bad_value = |e: &dyn std::fmt::Display| format!("invalid value for `{k}`: {e} (`{v}`)");
-        match k {
-            "phi" => {
-                duplicate(parsed.phi.is_some())?;
-                parsed.phi = Some(v.parse().map_err(|e| bad_value(&e))?);
-            }
-            "c" => {
-                duplicate(parsed.c_init.is_some())?;
-                parsed.c_init = Some(v.parse().map_err(|e| bad_value(&e))?);
-            }
-            "n" => {
-                duplicate(parsed.window_n.is_some())?;
-                parsed.window_n = Some(v.parse().map_err(|e| bad_value(&e))?);
-            }
-            _ => return Err(format!("unknown parameter key `{k}`")),
+impl From<ParamError> for BuildError {
+    fn from(e: ParamError) -> Self {
+        BuildError::BadParams {
+            name: e.spec,
+            reason: e.reason,
         }
     }
-    Ok(parsed)
 }
 
 /// Build a manager by name for `threads` workers. Window managers use a
@@ -182,54 +128,42 @@ fn parse_name(name: &str) -> Result<ParsedName<'_>, String> {
 /// ([`BuildError::UnknownName`]) from a malformed or misapplied
 /// parameter suffix ([`BuildError::BadParams`]) — the latter includes
 /// duplicate keys, unparsable values, unknown keys, and parameters
-/// attached to a classic manager (which takes none).
+/// attached to a classic manager (which takes none). An unknown base
+/// stays `UnknownName` even with a broken suffix: the missing manager is
+/// the more fundamental problem.
 pub fn build_manager(
     name: &str,
     threads: usize,
     window_n: usize,
     seed: u64,
 ) -> Result<BuiltManager, BuildError> {
-    let parsed = parse_name(name).map_err(|reason| {
-        // A malformed suffix on an unknown base is still reported as an
-        // unknown name if the base itself doesn't exist.
-        let base = name.split_once('@').map_or(name, |(b, _)| b);
-        if wtm_managers::make_dispatch(base, threads).is_some()
-            || wtm_window::window_names().contains(&base)
-        {
-            BuildError::BadParams {
-                name: name.to_string(),
-                reason,
-            }
-        } else {
-            BuildError::UnknownName(base.to_string())
-        }
-    })?;
-    if let Some(cm) = wtm_managers::make_dispatch(parsed.base, threads) {
-        if parsed.has_params() {
-            return Err(BuildError::BadParams {
-                name: name.to_string(),
-                reason: format!(
-                    "`{}` is a classic manager and takes no window parameters",
-                    parsed.base
-                ),
-            });
+    let (base, params) = Params::split(name);
+    if let Some(cm) = wtm_stm::managers::make_dispatch(base, threads) {
+        let p = params?;
+        if !p.is_empty() {
+            let reason = format!("`{base}` is a classic manager and takes no window parameters");
+            return Err(p.error(reason).into());
         }
         return Ok(BuiltManager { cm, window: None });
     }
-    let mut cfg = WindowConfig::new(threads, parsed.window_n.unwrap_or(window_n)).with_seed(seed);
-    if let Some(phi) = parsed.phi {
+    let unknown = || BuildError::UnknownName(base.to_string());
+    if !wtm_window::window_names().contains(&base) {
+        return Err(unknown());
+    }
+    let mut p = params?;
+    let mut cfg = WindowConfig::new(threads, p.get("n")?.unwrap_or(window_n)).with_seed(seed);
+    if let Some(phi) = p.get("phi")? {
         cfg.phi_factor = phi;
     }
-    if let Some(c) = parsed.c_init {
+    if let Some(c) = p.get("c")? {
         cfg = cfg.with_c_init(c);
     }
-    match wtm_window::make_window_manager(parsed.base, cfg) {
-        Some(wm) => Ok(BuiltManager {
-            cm: CmDispatch::Dyn(wm.clone() as Arc<dyn ContentionManager>),
-            window: Some(wm),
-        }),
-        None => Err(BuildError::UnknownName(parsed.base.to_string())),
-    }
+    p.finish()?;
+    let wm = wtm_window::make_window_manager(base, cfg).ok_or_else(unknown)?;
+    Ok(BuiltManager {
+        cm: CmDispatch::Dyn(wm.clone() as Arc<dyn ContentionManager>),
+        window: Some(wm),
+    })
 }
 
 #[cfg(test)]

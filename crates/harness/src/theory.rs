@@ -16,12 +16,9 @@
 //!   bound `τ·max(N, clique)` (Theorems 2.2/2.4 predict growth roughly
 //!   linear in `s`... bounded by `O(s + log MN)`).
 
+use wtm_sim::build_sim_scheduler;
 use wtm_sim::engine::{simulate, SimConfig};
 use wtm_sim::graph::ConflictGraph;
-use wtm_sim::sched::{
-    FreeRandomizedScheduler, GreedyTimestampScheduler, OfflineWindowScheduler, OneShotScheduler,
-    OnlineWindowScheduler, PolkaProgressScheduler, WindowMode,
-};
 
 use crate::preset::Preset;
 use crate::report::Table;
@@ -29,79 +26,50 @@ use crate::report::Table;
 const TAU: u32 = 4;
 const SEEDS: [u64; 3] = [11, 29, 47];
 
-fn mean_makespan(
-    graph: &ConflictGraph,
-    cfg: &SimConfig,
-    mk: impl Fn(u64) -> Box<dyn wtm_sim::sched::SimScheduler>,
-) -> f64 {
-    let mut total = 0.0;
-    for seed in SEEDS {
-        let mut s = mk(seed);
-        let out = simulate(graph, cfg, s.as_mut());
-        assert!(out.all_committed, "{} did not finish", s.name());
-        total += out.makespan as f64;
-    }
-    total / SEEDS.len() as f64
+/// T1's columns: every registered scheduler, `Offline` first because the
+/// bound ratio is taken against it.
+const T1_SCHEDULERS: [&str; 8] = [
+    "Offline",
+    "Online",
+    "Online-Dynamic",
+    "Adaptive-Dynamic",
+    "OneShot",
+    "Greedy",
+    "Polka",
+    "RandomizedRounds",
+];
+
+/// What [`mean_makespan`] averages over its seeds.
+pub(crate) struct MeanOutcome {
+    pub makespan: f64,
+    pub aborts_per_commit: f64,
 }
 
-/// Seed → boxed scheduler constructor.
-type SchedulerCtor<'a> = Box<dyn Fn(u64) -> Box<dyn wtm_sim::sched::SimScheduler> + 'a>;
-
-/// All scheduler constructors used by the theory tables.
-fn schedulers<'a>(
-    cfg: &'a SimConfig,
-    graph: &'a ConflictGraph,
-) -> Vec<(&'static str, SchedulerCtor<'a>)> {
-    vec![
-        (
-            "Offline",
-            Box::new(move |s| Box::new(OfflineWindowScheduler::new(cfg, graph, s))),
-        ),
-        (
-            "Online",
-            Box::new(move |s| {
-                Box::new(OnlineWindowScheduler::new(
-                    cfg,
-                    graph,
-                    WindowMode::Static,
-                    s,
-                ))
-            }),
-        ),
-        (
-            "Online-Dynamic",
-            Box::new(move |s| {
-                Box::new(OnlineWindowScheduler::new(
-                    cfg,
-                    graph,
-                    WindowMode::Dynamic,
-                    s,
-                ))
-            }),
-        ),
-        (
-            "Adaptive",
-            Box::new(move |s| {
-                Box::new(OnlineWindowScheduler::adaptive(cfg, WindowMode::Dynamic, s))
-            }),
-        ),
-        (
-            "OneShot",
-            Box::new(move |s| Box::new(OneShotScheduler::new(cfg, s))),
-        ),
-        (
-            "Greedy",
-            Box::new(move |_| Box::new(GreedyTimestampScheduler::new(cfg))),
-        ),
-        (
-            "Polka",
-            Box::new(move |s| Box::new(PolkaProgressScheduler::new(cfg, s))),
-        ),
-        (
-            "RandomizedRounds",
-            Box::new(move |s| Box::new(FreeRandomizedScheduler::new(cfg, s))),
-        ),
-    ]
+/// Schedule `graph` with the registry scheduler `name` once per seed (the
+/// one way T1–T4 turn a scheduler name into numbers) and average.
+pub(crate) fn mean_makespan(
+    graph: &ConflictGraph,
+    cfg: &SimConfig,
+    name: &str,
+    seeds: &[u64],
+) -> MeanOutcome {
+    let mut sum = MeanOutcome {
+        makespan: 0.0,
+        aborts_per_commit: 0.0,
+    };
+    for &seed in seeds {
+        let mut s = build_sim_scheduler(name, cfg, graph, seed)
+            .expect("the theory tables name registered schedulers");
+        let out = simulate(graph, cfg, s.as_mut());
+        assert!(out.all_committed, "{name} did not finish");
+        sum.makespan += out.makespan as f64;
+        sum.aborts_per_commit += out.aborts_per_commit();
+    }
+    let n = seeds.len() as f64;
+    MeanOutcome {
+        makespan: sum.makespan / n,
+        aborts_per_commit: sum.aborts_per_commit / n,
+    }
 }
 
 /// T1: makespan vs `N` on complete columns; plus the Theorem 2.1 reference
@@ -117,16 +85,7 @@ pub fn t1_makespan_scaling(preset: &Preset) -> Table {
     .into_iter()
     .filter(|&n| n >= 2)
     .collect();
-    let mut cols: Vec<String> = vec![
-        "Offline".into(),
-        "Online".into(),
-        "Online-Dynamic".into(),
-        "Adaptive".into(),
-        "OneShot".into(),
-        "Greedy".into(),
-        "Polka".into(),
-        "RandomizedRounds".into(),
-    ];
+    let mut cols: Vec<String> = T1_SCHEDULERS.iter().map(|s| s.to_string()).collect();
     cols.push("bound τ(C+N·lnMN)".into());
     cols.push("Offline/bound".into());
     let mut t = Table::new(
@@ -137,10 +96,10 @@ pub fn t1_makespan_scaling(preset: &Preset) -> Table {
     for n in n_sweep {
         let graph = ConflictGraph::complete_columns(m, n);
         let cfg = SimConfig::new(m, n, TAU);
-        let mut row = Vec::new();
-        for (_, mk) in schedulers(&cfg, &graph) {
-            row.push(mean_makespan(&graph, &cfg, |s| mk(s)));
-        }
+        let mut row: Vec<f64> = T1_SCHEDULERS
+            .iter()
+            .map(|name| mean_makespan(&graph, &cfg, name, &SEEDS).makespan)
+            .collect();
         let c = graph.contention() as f64;
         let bound = TAU as f64 * (c + n as f64 * cfg.ln_mn());
         let offline = row[0];
@@ -159,46 +118,22 @@ pub fn t2_window_vs_oneshot(preset: &Preset) -> Table {
         .into_iter()
         .filter(|&m| m <= preset.sim_m.max(8))
         .collect();
+    let versus = ["Offline", "Online-Dynamic", "Adaptive-Dynamic", "Greedy"];
+    let mut cols = vec!["OneShot".to_string()];
+    cols.extend(versus.iter().map(|name| format!("{name}/OneShot")));
     let mut t = Table::new(
         format!("T2: makespan relative to one-shot (clustered conflicts, N={n}, tau={TAU})"),
         "M",
-        vec![
-            "OneShot".into(),
-            "Offline/OneShot".into(),
-            "Online-Dynamic/OneShot".into(),
-            "Adaptive/OneShot".into(),
-            "Greedy/OneShot".into(),
-        ],
+        cols,
     );
     for m in m_sweep {
         let graph = ConflictGraph::clustered(m, n, 0.9, 0.05, 1234 + m as u64);
         let cfg = SimConfig::new(m, n, TAU);
-        let one = mean_makespan(&graph, &cfg, |s| Box::new(OneShotScheduler::new(&cfg, s)));
-        let off = mean_makespan(&graph, &cfg, |s| {
-            Box::new(OfflineWindowScheduler::new(&cfg, &graph, s))
-        });
-        let dynw = mean_makespan(&graph, &cfg, |s| {
-            Box::new(OnlineWindowScheduler::new(
-                &cfg,
-                &graph,
-                WindowMode::Dynamic,
-                s,
-            ))
-        });
-        let ada = mean_makespan(&graph, &cfg, |s| {
-            Box::new(OnlineWindowScheduler::adaptive(
-                &cfg,
-                WindowMode::Dynamic,
-                s,
-            ))
-        });
-        let gre = mean_makespan(&graph, &cfg, |_| {
-            Box::new(GreedyTimestampScheduler::new(&cfg))
-        });
-        t.push_row(
-            m.to_string(),
-            vec![one, off / one, dynw / one, ada / one, gre / one],
-        );
+        let mean = |name| mean_makespan(&graph, &cfg, name, &SEEDS).makespan;
+        let one = mean("OneShot");
+        let mut row = vec![one];
+        row.extend(versus.iter().map(|name| mean(name) / one));
+        t.push_row(m.to_string(), row);
     }
     t
 }
@@ -208,36 +143,25 @@ pub fn t2_window_vs_oneshot(preset: &Preset) -> Table {
 pub fn t3_competitive_vs_s(preset: &Preset) -> Table {
     let m = preset.sim_m.min(16);
     let n = preset.sim_n.min(24);
+    let versus = ["Offline", "Online-Dynamic", "OneShot"];
+    let mut cols = vec!["C (max conflicts)".to_string()];
+    cols.extend(versus.iter().map(|name| format!("{name}/LB")));
     let mut t = Table::new(
         format!("T3: makespan / lower bound vs shared resources s (M={m}, N={n}, tau={TAU})"),
         "s",
-        vec![
-            "C (max conflicts)".into(),
-            "Offline/LB".into(),
-            "Online-Dynamic/LB".into(),
-            "OneShot/LB".into(),
-        ],
+        cols,
     );
     for s_resources in [4usize, 16, 64, 256] {
         let graph = ConflictGraph::from_resources(m, n, s_resources, 4, 0.5, 777);
         let cfg = SimConfig::new(m, n, TAU);
         let lb = (TAU as f64) * (n.max(graph.column_clique_bound()) as f64);
-        let off = mean_makespan(&graph, &cfg, |sd| {
-            Box::new(OfflineWindowScheduler::new(&cfg, &graph, sd))
-        });
-        let dynw = mean_makespan(&graph, &cfg, |sd| {
-            Box::new(OnlineWindowScheduler::new(
-                &cfg,
-                &graph,
-                WindowMode::Dynamic,
-                sd,
-            ))
-        });
-        let one = mean_makespan(&graph, &cfg, |sd| Box::new(OneShotScheduler::new(&cfg, sd)));
-        t.push_row(
-            s_resources.to_string(),
-            vec![graph.contention() as f64, off / lb, dynw / lb, one / lb],
+        let mut row = vec![graph.contention() as f64];
+        row.extend(
+            versus
+                .iter()
+                .map(|name| mean_makespan(&graph, &cfg, name, &SEEDS).makespan / lb),
         );
+        t.push_row(s_resources.to_string(), row);
     }
     t
 }
@@ -266,6 +190,15 @@ mod tests {
                 "Offline should sit within a small constant of the bound, got {ratio}"
             );
         }
+    }
+
+    #[test]
+    fn t1_covers_the_scheduler_registry() {
+        let mut ours = T1_SCHEDULERS.to_vec();
+        let mut registry = wtm_sim::SIM_SCHEDULER_NAMES.to_vec();
+        ours.sort_unstable();
+        registry.sort_unstable();
+        assert_eq!(ours, registry);
     }
 
     #[test]

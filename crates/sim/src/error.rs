@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use crate::params::ParamError;
+
 /// Everything that can go wrong building or replaying a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
@@ -56,6 +58,15 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+impl From<ParamError> for SimError {
+    fn from(e: ParamError) -> Self {
+        SimError::BadParams {
+            name: e.spec,
+            reason: e.reason,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

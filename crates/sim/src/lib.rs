@@ -24,7 +24,8 @@
 //!    assumption, bit-identical to the old discrete-time stepper),
 //!    [`FixedLatency`], and [`SeededJitter`] with optional message drop.
 //! 3. **Scenario layer** ([`scenario`]) — registry-named, `@k=v`-
-//!    parameterized setups: the paper-shaped graphs ([`graph`]) plus
+//!    parameterized setups ([`params`] is the one `name@k=v,…` parser,
+//!    shared with the network spec and the harness's manager names): the paper-shaped graphs ([`graph`]) plus
 //!    beyond-paper distributed scenarios (multi-node windows with skew,
 //!    K-way replicated transactions with commit-ack gating, participant
 //!    crash/recovery mid-window), all runnable through one
@@ -81,6 +82,7 @@ pub mod error;
 pub mod event;
 pub mod graph;
 pub mod net;
+pub mod params;
 pub mod scenario;
 pub mod sched;
 
@@ -92,6 +94,7 @@ pub use graph::ConflictGraph;
 pub use net::{
     CrashEvent, FixedLatency, NetSpec, NetworkModel, NodeId, SeededJitter, Topology, ZeroLatency,
 };
+pub use params::{ParamError, Params};
 pub use scenario::{
     build_scenario, build_sim_scheduler, record_run, replay, run_sim, scenario_infos, Scenario,
     ScenarioInfo, SimRun, SimRunSpec, SIM_SCHEDULER_NAMES,

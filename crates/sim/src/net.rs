@@ -26,6 +26,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::SimError;
+use crate::params::{ParamError, Params};
 
 /// Node index inside a [`Topology`].
 pub type NodeId = usize;
@@ -195,26 +196,23 @@ impl NetSpec {
             return Ok(NetSpec::Fixed(steps));
         }
         if let Some(rest) = s.strip_prefix("jitter:") {
-            let mut parts = rest.split(',');
-            let base = parts
-                .next()
-                .and_then(|p| p.parse::<u64>().ok())
-                .ok_or_else(|| bad("jitter needs an integer base latency"))?;
-            let mut jitter = 0u64;
-            let mut drop_permille = 0u32;
-            for p in parts {
-                if let Some(v) = p.strip_prefix("j=") {
-                    jitter = v.parse().map_err(|_| bad("j= must be an integer"))?;
-                } else if let Some(v) = p.strip_prefix("drop=") {
-                    drop_permille = v
-                        .parse()
-                        .map_err(|_| bad("drop= must be an integer permille"))?;
-                    if drop_permille > 1000 {
-                        return Err(bad("drop= is permille, max 1000"));
-                    }
-                } else {
-                    return Err(bad("unknown jitter parameter (want j= or drop=)"));
-                }
+            let (base, list) = match rest.split_once(',') {
+                Some((base, list)) => (base, Some(list)),
+                None => (rest, None),
+            };
+            let base = base
+                .parse::<u64>()
+                .map_err(|_| bad("jitter needs an integer base latency"))?;
+            let suffix = || -> Result<(u64, u32), ParamError> {
+                let mut p = Params::list(s, list)?;
+                let jitter = p.u64_or("j", 0)?;
+                let drop_permille = p.get("drop")?.unwrap_or(0);
+                p.finish()?;
+                Ok((jitter, drop_permille))
+            };
+            let (jitter, drop_permille) = suffix().map_err(|e| bad(&e.reason))?;
+            if drop_permille > 1000 {
+                return Err(bad("drop= is permille, max 1000"));
             }
             return Ok(NetSpec::Jitter {
                 base,
@@ -300,11 +298,36 @@ mod tests {
             "fixed:",
             "jitter:",
             "jitter:1,x=2",
+            "jitter:1,j",
+            "jitter:1,",
+            "jitter:1,j=abc",
             "jitter:1,drop=2000",
             "",
         ] {
             let e = NetSpec::parse(s).unwrap_err();
             assert!(matches!(e, SimError::BadNetSpec { .. }), "{s}: {e}");
+        }
+    }
+
+    #[test]
+    fn netspec_rejects_duplicate_suffix_keys() {
+        // Regression: `j=1,j=9` used to silently keep the last value, the
+        // same last-wins defect manager names once had.
+        for (s, key) in [
+            ("jitter:2,j=1,j=9", "`j`"),
+            ("jitter:2,drop=5,drop=50", "`drop`"),
+            ("jitter:2,j=1,drop=5,j=1", "`j`"),
+        ] {
+            match NetSpec::parse(s) {
+                Err(SimError::BadNetSpec { spec, reason }) => {
+                    assert_eq!(spec, s);
+                    assert!(
+                        reason.contains("duplicate") && reason.contains(key),
+                        "{s}: reason was {reason:?}"
+                    );
+                }
+                other => panic!("{s}: expected BadNetSpec, got {other:?}"),
+            }
         }
     }
 

@@ -28,6 +28,7 @@ use crate::error::SimError;
 use crate::event::EventLog;
 use crate::graph::{ConflictGraph, TxnId};
 use crate::net::{CrashEvent, NetSpec, Topology};
+use crate::params::Params;
 use crate::sched::{
     FreeRandomizedScheduler, GreedyTimestampScheduler, OfflineWindowScheduler, OneShotScheduler,
     OnlineWindowScheduler, PolkaProgressScheduler, SimScheduler, WindowMode,
@@ -153,83 +154,6 @@ pub struct Scenario {
     pub beyond_paper: bool,
 }
 
-/// Split `name@k=v,…`, rejecting duplicate keys.
-type ParsedParams<'a> = (&'a str, Vec<(String, String)>);
-
-fn parse_params(spec: &str) -> Result<ParsedParams<'_>, SimError> {
-    let (base, rest) = match spec.split_once('@') {
-        Some((b, r)) => (b, r),
-        None => return Ok((spec, Vec::new())),
-    };
-    let mut params = Vec::new();
-    for part in rest.split(',') {
-        let (k, v) = part.split_once('=').ok_or_else(|| SimError::BadParams {
-            name: spec.to_string(),
-            reason: format!("parameter {part:?} is not k=v"),
-        })?;
-        if params.iter().any(|(pk, _)| pk == k) {
-            return Err(SimError::BadParams {
-                name: spec.to_string(),
-                reason: format!("duplicate parameter {k:?}"),
-            });
-        }
-        params.push((k.to_string(), v.to_string()));
-    }
-    Ok((base, params))
-}
-
-struct Params<'a> {
-    spec: &'a str,
-    entries: Vec<(String, String)>,
-    used: Vec<bool>,
-}
-
-impl<'a> Params<'a> {
-    fn get(&mut self, key: &str) -> Option<&str> {
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            if k == key {
-                self.used[i] = true;
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn u64_or(&mut self, key: &str, default: u64) -> Result<u64, SimError> {
-        let spec = self.spec.to_string();
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| SimError::BadParams {
-                name: spec,
-                reason: format!("{key}= must be an integer, got {v:?}"),
-            }),
-        }
-    }
-
-    fn pct_or(&mut self, key: &str, default: u64) -> Result<f64, SimError> {
-        let v = self.u64_or(key, default)?;
-        if v > 100 {
-            return Err(SimError::BadParams {
-                name: self.spec.to_string(),
-                reason: format!("{key}= is a percentage, max 100 (got {v})"),
-            });
-        }
-        Ok(v as f64 / 100.0)
-    }
-
-    fn finish(self) -> Result<(), SimError> {
-        for (i, (k, _)) in self.entries.iter().enumerate() {
-            if !self.used[i] {
-                return Err(SimError::BadParams {
-                    name: self.spec.to_string(),
-                    reason: format!("unknown parameter {k:?}"),
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Replicate `base` K times: replica r's copy of thread i is thread
 /// `r·m + i`, and conflict edges exist only *within* a replica (each
 /// replica re-executes the same window against its own node's state).
@@ -257,13 +181,8 @@ pub fn build_scenario(spec: &str, m: usize, n: usize, seed: u64) -> Result<Scena
             reason: format!("scenario dimensions must be >= 1, got m={m} n={n}"),
         });
     }
-    let (base, entries) = parse_params(spec)?;
-    let used = vec![false; entries.len()];
-    let mut p = Params {
-        spec,
-        entries,
-        used,
-    };
+    let (base, params) = Params::split(spec);
+    let mut p = params?;
     let info = scenario_infos()
         .iter()
         .find(|i| i.name == base)

@@ -21,9 +21,8 @@
 //!   open enough objects, then compete by age, with randomized backoff
 //!   after every abort.
 //!
-//! The managers live *inside* `wtm-stm` (they moved here from the old
-//! `wtm-managers` crate, which now just re-exports this module) so the
-//! engine can dispatch to them through the monomorphic
+//! The managers live *inside* `wtm-stm` so the engine can dispatch to
+//! them through the monomorphic
 //! [`CmDispatch`](crate::dispatch::CmDispatch) enum instead of a virtual
 //! call per conflict — see `crate::dispatch` for the dispatch table.
 //!

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use wtm_managers::{Priority, RandomizedRounds, Timestamp};
+use wtm_stm::managers::{Priority, RandomizedRounds, Timestamp};
 use wtm_stm::{ConflictKind, ContentionManager, Resolution, TxState};
 
 fn state(attempt_id: u64, txn_id: u64, thread: usize, ts: u64, attempt: u32) -> Arc<TxState> {

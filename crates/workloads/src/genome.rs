@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn concurrent_assembly_matches_ground_truth() {
         let g = Genome::new(200, 2, 23);
-        let stm = Stm::new(Arc::new(wtm_managers::Greedy), 3);
+        let stm = Stm::new(Arc::new(wtm_stm::managers::Greedy), 3);
         g.run(&stm);
         g.verify_chain(&stm);
     }

@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn concurrent_disjoint_inserts_under_greedy() {
-        let stm = Stm::new(Arc::new(wtm_managers::Greedy), 3);
+        let stm = Stm::new(Arc::new(wtm_stm::managers::Greedy), 3);
         let set = Arc::new(TxHashSet::new(32));
         std::thread::scope(|s| {
             for t in 0..3usize {

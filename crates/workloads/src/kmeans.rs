@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn concurrent_assignment_loses_no_points() {
         let km = Arc::new(KMeans::new(4, 120, 13));
-        let stm = Stm::new(Arc::new(wtm_managers::Greedy), 3);
+        let stm = Stm::new(Arc::new(wtm_stm::managers::Greedy), 3);
         std::thread::scope(|s| {
             for t in 0..3usize {
                 let ctx = stm.thread(t);

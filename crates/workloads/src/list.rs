@@ -211,7 +211,7 @@ mod tests {
     fn concurrent_disjoint_inserts_all_land() {
         // Greedy guarantees progress (pending-commit property), so this
         // cannot livelock even on a single hardware thread.
-        let stm = Stm::new(StdArc::new(wtm_managers::Greedy), 4);
+        let stm = Stm::new(StdArc::new(wtm_stm::managers::Greedy), 4);
         let list = StdArc::new(TxList::new());
         std::thread::scope(|s| {
             for t in 0..4usize {

@@ -835,7 +835,7 @@ mod tests {
     #[test]
     fn concurrent_mixed_ops_under_greedy() {
         use rand::{Rng, SeedableRng};
-        let stm = Stm::new(StdArc::new(wtm_managers::Greedy), 3);
+        let stm = Stm::new(StdArc::new(wtm_stm::managers::Greedy), 3);
         let t = StdArc::new(TxRBTree::new(512));
         std::thread::scope(|s| {
             for tid in 0..3usize {

@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn concurrent_inserts_under_greedy() {
-        let stm = Stm::new(StdArc::new(wtm_managers::Greedy), 3);
+        let stm = Stm::new(StdArc::new(wtm_stm::managers::Greedy), 3);
         let sl = StdArc::new(TxSkipList::new());
         std::thread::scope(|s| {
             for t in 0..3usize {

@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn concurrent_workload_keeps_consistency() {
         let v = Arc::new(Vacation::new(small_cfg()));
-        let stm = Stm::new(Arc::new(wtm_managers::Greedy), 3);
+        let stm = Stm::new(Arc::new(wtm_stm::managers::Greedy), 3);
         std::thread::scope(|s| {
             for t in 0..3usize {
                 let ctx = stm.thread(t);

@@ -18,9 +18,9 @@
 //! `EXPERIMENTS.md` for paper-vs-measured results.
 
 pub use wtm_harness as harness;
-pub use wtm_managers as managers;
 pub use wtm_sim as sim;
 pub use wtm_stm as stm;
+pub use wtm_stm::managers;
 pub use wtm_window as window;
 pub use wtm_workloads as workloads;
 

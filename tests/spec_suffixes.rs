@@ -1,0 +1,64 @@
+//! One `k=v,…` parser, three builders: the same malformed suffixes must
+//! come back as each builder's typed error, never as a silently accepted
+//! value.
+
+use windowtm::harness::{build_manager, BuildError};
+use windowtm::sim::{build_scenario, NetSpec, SimError};
+
+#[test]
+fn malformed_suffixes_are_typed_errors_in_every_builder() {
+    // (what is wrong, scenario spec, network spec, manager name, reason)
+    let table = [
+        (
+            "x@",
+            "clustered@",
+            "jitter:2,",
+            "Online-Dynamic@",
+            "not a `key=value` pair",
+        ),
+        (
+            "x@k",
+            "clustered@pin",
+            "jitter:2,j",
+            "Online-Dynamic@phi",
+            "not a `key=value` pair",
+        ),
+        (
+            "x@k=1,k=2",
+            "clustered@pin=1,pin=2",
+            "jitter:2,j=1,j=2",
+            "Online-Dynamic@phi=1,phi=2",
+            "duplicate parameter key",
+        ),
+        (
+            "x@bogus=1",
+            "clustered@bogus=1",
+            "jitter:2,bogus=1",
+            "Online-Dynamic@bogus=1",
+            "unknown parameter key `bogus`",
+        ),
+    ];
+    for (what, scenario, net, manager, want) in table {
+        match build_scenario(scenario, 4, 4, 1) {
+            Err(SimError::BadParams { name, reason }) => {
+                assert_eq!(name, scenario);
+                assert!(reason.contains(want), "{what}: scenario said {reason:?}");
+            }
+            other => panic!("{what}: scenario gave {other:?}"),
+        }
+        match NetSpec::parse(net) {
+            Err(SimError::BadNetSpec { spec, reason }) => {
+                assert_eq!(spec, net);
+                assert!(reason.contains(want), "{what}: net said {reason:?}");
+            }
+            other => panic!("{what}: net gave {other:?}"),
+        }
+        match build_manager(manager, 2, 8, 1) {
+            Err(BuildError::BadParams { name, reason }) => {
+                assert_eq!(name, manager);
+                assert!(reason.contains(want), "{what}: manager said {reason:?}");
+            }
+            other => panic!("{what}: manager gave {other:?}"),
+        }
+    }
+}
