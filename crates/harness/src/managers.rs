@@ -179,6 +179,24 @@ mod tests {
     }
 
     #[test]
+    fn exactly_the_timestamp_ordered_managers_draw_timestamps() {
+        // The engine skips the logical clock where this answers `false`,
+        // so a manager that reads `ts`/`attempt_ts` must be in this list —
+        // and one that does not should stay out of it, or it pays a
+        // shared `fetch_add` per transaction for nothing.
+        let names = all_manager_names();
+        assert_eq!(names.len(), 19, "the registry grew: classify the newcomer");
+        for name in names {
+            let b = build_manager(name, 2, 8, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                b.cm.uses_timestamps(),
+                matches!(name, "Greedy" | "Priority" | "Timestamp" | "ATS"),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn window_managers_expose_handle() {
         let b = build_manager("Online-Dynamic", 2, 8, 1).unwrap();
         assert!(b.window.is_some());

@@ -125,10 +125,15 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
 
     let stop = AtomicBool::new(false);
     let truncated = AtomicBool::new(false);
-    let remaining = AtomicI64::new(match spec.stop {
-        StopRule::Budget(b) => b.min(i64::MAX as u64) as i64,
-        StopRule::Timed(_) => i64::MAX,
-    });
+    // The shared commit budget exists only under `StopRule::Budget`, where
+    // one shared decrement per transaction is the definition of a global
+    // budget. A timed run has nothing to count down: a counter here would
+    // be a cache line every worker writes once per transaction, contention
+    // the measuring loop itself injects into what it measures.
+    let remaining = match spec.stop {
+        StopRule::Budget(b) => Some(AtomicI64::new(b.min(i64::MAX as u64) as i64)),
+        StopRule::Timed(_) => None,
+    };
     // Budget runs used to have no deadline at all: if the budget was
     // unreachable, the harness hung silently forever. The safety deadline
     // bounds them; hitting it marks the outcome as truncated.
@@ -136,7 +141,6 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
         StopRule::Timed(d) => Some(d),
         StopRule::Budget(_) => Some(spec.safety_deadline),
     };
-    let budget_rule = matches!(spec.stop, StopRule::Budget(_));
     let start_barrier = Barrier::new(spec.threads + 1);
 
     if spec.trace {
@@ -150,7 +154,7 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
             let ctx = stm.thread(t);
             let stop = &stop;
             let truncated = &truncated;
-            let remaining = &remaining;
+            let remaining = remaining.as_ref();
             let start_barrier = &start_barrier;
             let workload = &workload;
             let built = &built;
@@ -165,16 +169,18 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
                     }
                     if let Some(dl) = deadline {
                         if Instant::now() >= dl {
-                            if budget_rule {
+                            if remaining.is_some() {
                                 truncated.store(true, Ordering::Relaxed);
                             }
                             stop.store(true, Ordering::Relaxed);
                             break;
                         }
                     }
-                    if remaining.fetch_sub(1, Ordering::Relaxed) <= 0 {
-                        stop.store(true, Ordering::Relaxed);
-                        break;
+                    if let Some(budget) = remaining {
+                        if budget.fetch_sub(1, Ordering::Relaxed) <= 0 {
+                            stop.store(true, Ordering::Relaxed);
+                            break;
+                        }
                     }
                     stream.step(&ctx);
                 }

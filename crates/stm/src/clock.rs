@@ -3,9 +3,28 @@
 //! Contention managers such as Greedy and Priority order transactions by
 //! *age*. Wall-clock timestamps are not monotone across threads and too
 //! coarse to break ties, so the engine hands out strictly increasing logical
-//! timestamps from a single shared counter. One fetch-add per transaction
-//! (not per attempt — Greedy requires the timestamp to survive retries) is
-//! cheap enough to be invisible next to the cost of an object open.
+//! timestamps from a single shared counter: one `fetch_add` per transaction
+//! (not per attempt — Greedy requires the timestamp to survive retries),
+//! plus one per retry for the managers that order by *attempt* age.
+//!
+//! ## Who pays the `fetch_add`
+//!
+//! The counter is one cache line every worker writes, so the `fetch_add`
+//! is a cross-core line transfer per transaction — on a ~0.3 µs
+//! transaction it is one of the few things two threads still synchronise
+//! on (EXPERIMENTS.md, O-series). Only a manager whose verdict *reads* a
+//! timestamp pays it: [`ContentionManager::uses_timestamps`] is read once
+//! when the engine is built, and where it is `false` every attempt gets
+//! `ts = attempt_ts = 0`, the "no timestamp" value, without touching the
+//! clock. Greedy and Priority must pay: their pending-commit and
+//! starvation-freedom arguments need a *total* order on live transactions
+//! that is fixed at the first attempt and agreed on by every thread, which
+//! thread-local counters or the coarse nanosecond clock cannot give.
+//! Timestamp and ATS order attempts the same way. Out-of-tree managers
+//! behind [`CmDispatch::Dyn`] default to `true` (conservative).
+//!
+//! [`ContentionManager::uses_timestamps`]: crate::ContentionManager::uses_timestamps
+//! [`CmDispatch::Dyn`]: crate::CmDispatch::Dyn
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,6 +41,8 @@ impl LogicalClock {
     /// Next unique timestamp. Strictly increasing across all threads.
     #[inline]
     pub fn next(&self) -> u64 {
+        #[cfg(debug_assertions)]
+        crate::probe::count_logical_clock_rmw();
         self.0.fetch_add(1, Ordering::Relaxed)
     }
 

@@ -69,6 +69,17 @@ pub trait ContentionManager: Send + Sync {
     /// This attempt aborted (self- or enemy-initiated).
     fn on_abort(&self, _tx: &TxState) {}
 
+    /// Whether any hook reads [`TxState::ts`] or [`TxState::attempt_ts`].
+    /// Read once when the engine is built: where it is `false` the engine
+    /// hands every attempt `ts = attempt_ts = 0` ("no timestamp") instead
+    /// of a `fetch_add` on the shared [`crate::LogicalClock`] line per
+    /// transaction. The default is the conservative `true`; a manager
+    /// that answers `false` and still compares timestamps sees all-zero
+    /// ones.
+    fn uses_timestamps(&self) -> bool {
+        true
+    }
+
     /// Human-readable policy name (used in experiment reports).
     fn name(&self) -> &str;
 }

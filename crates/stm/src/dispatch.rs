@@ -25,6 +25,12 @@
 //! fallback implement it, so for every other manager it compiles down to
 //! a two-way branch and a pair of no-op arms.
 //!
+//! `uses_timestamps` is not a hook but a property the engine reads once
+//! at construction: `true` for Greedy, Priority, Timestamp and ATS (the
+//! four whose `resolve` compares `ts`/`attempt_ts`), the manager's own
+//! answer for `Dyn`, `false` for everyone else — who then run without the
+//! per-transaction `fetch_add` on the shared logical clock.
+//!
 //! Stateful managers sit behind an `Arc` inside their variant, so cloning
 //! a `CmDispatch` shares manager state exactly like cloning the old
 //! `Arc<dyn ContentionManager>` did.
@@ -153,6 +159,21 @@ impl CmDispatch {
             CmDispatch::StoTimid(m) => m.on_abort(tx),
             CmDispatch::Dyn(m) => m.on_abort(tx),
             _ => {}
+        }
+    }
+
+    /// Whether the engine must draw logical timestamps for this manager
+    /// (see [`ContentionManager::uses_timestamps`]): only the four
+    /// built-ins whose `resolve` compares `ts`/`attempt_ts`, and whatever
+    /// a `Dyn` manager answers (`true` unless it overrides the default).
+    pub fn uses_timestamps(&self) -> bool {
+        match self {
+            CmDispatch::Greedy
+            | CmDispatch::Priority
+            | CmDispatch::Timestamp(_)
+            | CmDispatch::Ats(_) => true,
+            CmDispatch::Dyn(m) => m.uses_timestamps(),
+            _ => false,
         }
     }
 

@@ -22,14 +22,26 @@
 //!   while a reader pinned at `>= r + 1` is ordered after the unlink by
 //!   the `SeqCst` fences in [`pin`] and `retire` and can only see the new
 //!   pointer.
-//! * Freeing is amortized: [`quiesce`] runs at transaction boundaries
-//!   (the engine is trivially quiescent there), tries one advance, and
-//!   drains the front of the bag. Steady-state cost is one *active-set*
-//!   scan — a `SeqCst` load per 64-slot shard mask plus one slot load per
-//!   allocated slot, O(active threads) rather than O(capacity) — and a
-//!   couple of `VecDeque` operations; no allocation (the bag's capacity
-//!   is reserved up front), no lock, which is what keeps the
-//!   `write_path_allocs` and `lockstat` gates green.
+//! * Freeing is amortized twice over: [`quiesce`] runs at every attempt
+//!   boundary (the engine is trivially quiescent there), but only every
+//!   [`QUIESCE_STRIDE`]-th call of a thread tries an advance and drains
+//!   the front of the bag; the others bump a thread-local counter and
+//!   return. The advance CAS lands on the one line every thread CASes, so
+//!   paying it per attempt made two threads re-synchronise on it once per
+//!   ~0.3 µs transaction (EXPERIMENTS.md, O-series). A collecting call
+//!   costs one *active-set* scan — a `SeqCst` load per 64-slot shard mask
+//!   plus one slot load per allocated slot, O(active threads) rather than
+//!   O(capacity) — one CAS and a few `VecDeque` operations; no allocation
+//!   (the bag's capacity is reserved up front), no lock, which is what
+//!   keeps the `write_path_allocs` and `lockstat` gates green. The stride
+//!   changes *how often* an advance is attempted, never *when a free is
+//!   legal*: the `r + 2` rule, the pin recheck and the mask filter are as
+//!   above. What it does change is how long garbage waits — an item now
+//!   drains two to three strides of attempts after its retire instead of
+//!   two attempts — which the `TxState` ring in [`crate::stm`] is sized
+//!   for (a compile-time assertion there ties its capacity to the
+//!   stride), and `retire`'s `COLLECT_THRESHOLD` back-pressure still
+//!   collects on every retire once a bag backs up.
 //!
 //! ## Thread exit
 //!
@@ -53,6 +65,12 @@ use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::stats::ShardedU64;
+
+/// One call of [`quiesce`] in this many (per thread) attempts an epoch
+/// advance and drains the bag; the rest return after a thread-local
+/// increment. Well under `COLLECT_THRESHOLD`, so a thread retiring once per
+/// attempt never reaches the back-pressure path in steady state.
+pub const QUIESCE_STRIDE: usize = 8;
 
 /// Upper bound on threads with fast-path epoch slots; later threads fall
 /// back to the advance-blocking global pin counter (correct, cold).
@@ -215,8 +233,10 @@ struct BagItem {
 unsafe impl Send for BagItem {}
 
 impl BagItem {
-    fn free(self) {
-        FREED.add(0, 1);
+    /// Drop the allocation, accounting it on `FREED`'s shard `shard` (the
+    /// draining participant's index, so the hot path bumps its own line).
+    fn free(self, shard: usize) {
+        FREED.add(shard, 1);
         // SAFETY: `ptr`/`aux` were produced together with `drop_fn` by one
         // of the retire_* constructors and are consumed exactly once.
         unsafe { (self.drop_fn)(self.ptr, self.aux) }
@@ -256,7 +276,7 @@ fn drain_orphans(global: u64) {
         out
     };
     for it in eligible {
-        it.free();
+        it.free(0); // cold, one drainer at a time: any shard will do
     }
 }
 
@@ -268,11 +288,18 @@ const BAG_RESERVE: usize = 64;
 /// Once the bag backs up this far (readers stalling the advance), every
 /// further retire also attempts a collection.
 const COLLECT_THRESHOLD: usize = 64;
+const _: () = assert!(
+    4 * QUIESCE_STRIDE <= COLLECT_THRESHOLD,
+    "a steady one-retire-per-quiesce loop (backlog <= 3 strides) must stay under the threshold"
+);
 
 struct Participant {
     idx: usize,
     /// Pin nesting depth; the slot is cleared at the outermost unpin.
     depth: Cell<usize>,
+    /// Unpinned [`quiesce`] calls so far; every [`QUIESCE_STRIDE`]-th
+    /// collects.
+    quiesces: Cell<usize>,
     bag: RefCell<VecDeque<BagItem>>,
 }
 
@@ -293,6 +320,7 @@ thread_local! {
     static PARTICIPANT: Participant = Participant {
         idx: alloc_index(),
         depth: Cell::new(0),
+        quiesces: Cell::new(0),
         bag: RefCell::new(VecDeque::with_capacity(BAG_RESERVE)),
     };
 }
@@ -429,6 +457,8 @@ pub fn try_advance() -> u64 {
             }
         }
     }
+    #[cfg(debug_assertions)]
+    crate::probe::count_epoch_cas();
     match GLOBAL.compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst) {
         Ok(_) => cur + 1,
         Err(seen) => seen,
@@ -506,22 +536,30 @@ fn collect_local(p: &Participant) {
             }
         };
         match item {
-            Some(it) => it.free(),
+            Some(it) => it.free(p.idx),
             None => break,
         }
     }
 }
 
-/// Transaction-boundary hook: the calling thread holds no pins and no
-/// shared raw pointers, so try one epoch advance and free whatever became
-/// eligible. Steady-state cost: one advance scan (one mask load per
-/// shard plus one slot load per *allocated* slot) and a couple of deque
-/// ops; no lock unless orphans exist, no allocation.
+/// Attempt-boundary hook: the calling thread holds no pins and no shared
+/// raw pointers. Every [`QUIESCE_STRIDE`]-th call of a thread tries one
+/// epoch advance and frees whatever became eligible — one advance scan
+/// (one mask load per shard plus one slot load per *allocated* slot), one
+/// CAS on the global epoch and a few deque ops; no lock unless orphans
+/// exist, no allocation. The calls in between touch nothing shared: a
+/// thread-local increment and out. Callers that need garbage gone (tests,
+/// teardown) loop until their condition holds.
 pub fn quiesce() {
     let _ = PARTICIPANT.try_with(|p| {
         if p.depth.get() != 0 {
             // Called under an active pin (reentrant engine path): epochs
             // only advance at genuine quiescence, skip.
+            return;
+        }
+        let n = p.quiesces.get().wrapping_add(1);
+        p.quiesces.set(n);
+        if n % QUIESCE_STRIDE != 0 {
             return;
         }
         collect_local(p);
@@ -533,7 +571,7 @@ pub fn quiesce() {
 
 /// Hand this thread's whole bag to the orphan list immediately, so
 /// survivors can free it without waiting for this thread's TLS
-/// destructors (used by the `TxState` pool's drop hook — robust to any
+/// destructors (used by the `TxState` ring's drop hook — robust to any
 /// TLS destructor ordering).
 pub(crate) fn flush_thread() {
     let _ = PARTICIPANT.try_with(|p| {
@@ -743,6 +781,69 @@ mod tests {
             loads <= (MAX_EPOCH_THREADS / 4) as u64,
             "advance scan must be O(active threads), not O(capacity): {loads} slot loads"
         );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn only_every_stride_th_quiesce_attempts_an_advance() {
+        // Sibling tests advance the epoch too, so count this thread's own
+        // CAS attempts rather than watching the global. (That the stride
+        // delays collection without starving it is what every
+        // `quiesce_until` in this module shows.)
+        crate::probe::take_epoch_cases();
+        for _ in 0..4 * QUIESCE_STRIDE {
+            quiesce();
+        }
+        assert!(
+            crate::probe::take_epoch_cases() <= 4,
+            "at most one advance CAS per QUIESCE_STRIDE quiesce calls"
+        );
+    }
+
+    #[test]
+    fn freed_is_counted_whichever_shard_the_drainer_bumps() {
+        // Two threads (two participant indices, so two `FREED` shards)
+        // retire and quiesce in a loop, then exit, which flushes what is
+        // left to the orphan list (drained on shard 0). Every one of their
+        // frees must show in the folded count. Sibling unit tests retire
+        // concurrently in this process, so the deltas are bounded from
+        // below here; `tests/epoch_stress.rs`, alone in its process,
+        // reconciles the two counters exactly.
+        const PER_THREAD: usize = 200;
+        let retired_before = retired_count();
+        let freed_before = freed_count();
+        let drops = Arc::new(AtomicUsize::new(0));
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait(); // both participants live at once
+                    for _ in 0..PER_THREAD {
+                        retire_arc(Arc::new(Counted(Arc::clone(&drops))));
+                        quiesce();
+                    }
+                });
+            }
+        });
+        assert!(
+            quiesce_until(|| drops.load(Ordering::SeqCst) == 2 * PER_THREAD),
+            "every retired item must be freed by its thread or by a survivor"
+        );
+        let freed = freed_count() - freed_before;
+        let retired = retired_count() - retired_before;
+        assert!(retired >= 2 * PER_THREAD as u64);
+        assert!(
+            freed >= 2 * PER_THREAD as u64,
+            "{freed} frees counted for {} drops",
+            2 * PER_THREAD
+        );
+        assert!(freed_count() <= retired_count());
     }
 
     #[test]

@@ -69,6 +69,7 @@ impl Ats {
 
 impl ContentionManager for Ats {
     fn resolve(&self, me: &TxState, enemy: &TxState, _kind: ConflictKind) -> Resolution {
+        super::debug_assert_stamped("ATS", me, enemy);
         // Free-running conflicts: older attempt wins (Timestamp rule).
         if (me.attempt_ts, me.attempt_id) < (enemy.attempt_ts, enemy.attempt_id) {
             Resolution::AbortEnemy

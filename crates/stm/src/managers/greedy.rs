@@ -31,6 +31,7 @@ pub struct Greedy;
 
 impl ContentionManager for Greedy {
     fn resolve(&self, me: &TxState, enemy: &TxState, _kind: ConflictKind) -> Resolution {
+        super::debug_assert_stamped("Greedy", me, enemy);
         // Tie-break equal timestamps by attempt id so the relation stays a
         // total order (equal ts can only happen across engines in practice).
         let i_am_older = (me.ts, me.txn_id) < (enemy.ts, enemy.txn_id);

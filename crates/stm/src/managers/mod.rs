@@ -62,6 +62,19 @@ pub use simple::{Aggressive, Timid};
 pub use sto_timid::StoTimid;
 pub use timestamp::Timestamp;
 
+/// Debug check of the managers that order by logical timestamp (Greedy,
+/// Priority, Timestamp, ATS): the engine stamps attempts only where
+/// [`ContentionManager::uses_timestamps`](crate::ContentionManager::uses_timestamps)
+/// says so, and ordering the all-zero "no timestamp" would silently
+/// degrade to ordering by id.
+#[inline]
+fn debug_assert_stamped(manager: &str, me: &crate::TxState, enemy: &crate::TxState) {
+    debug_assert!(
+        me.ts != 0 && enemy.ts != 0,
+        "{manager} orders by timestamp but a party has none (uses_timestamps() answered false?)"
+    );
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use std::sync::Arc;

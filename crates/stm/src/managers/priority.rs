@@ -17,6 +17,7 @@ pub struct Priority;
 
 impl ContentionManager for Priority {
     fn resolve(&self, me: &TxState, enemy: &TxState, _kind: ConflictKind) -> Resolution {
+        super::debug_assert_stamped("Priority", me, enemy);
         if (me.ts, me.txn_id) < (enemy.ts, enemy.txn_id) {
             Resolution::AbortEnemy
         } else {

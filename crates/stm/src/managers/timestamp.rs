@@ -36,6 +36,7 @@ impl Timestamp {
 
 impl ContentionManager for Timestamp {
     fn resolve(&self, me: &TxState, enemy: &TxState, _kind: ConflictKind) -> Resolution {
+        super::debug_assert_stamped("Timestamp", me, enemy);
         if (me.attempt_ts, me.attempt_id) < (enemy.attempt_ts, enemy.attempt_id) {
             return Resolution::AbortEnemy;
         }

@@ -1,13 +1,16 @@
 //! Debug-build hot-path operation counters.
 //!
 //! The scan-free claims of the sharded registries ("`try_advance` and
-//! `conflicting_reader` are O(active threads), not O(capacity)") and the
+//! `conflicting_reader` are O(active threads), not O(capacity)"), the
 //! lazy clock ("read-only and blind-write commits perform zero
-//! `VERSION_CLOCK` RMW ops") are asserted by unit tests that count the
-//! actual operations, not by inspection. The counters are thread-local
-//! `Cell`s — tests in one binary run concurrently, and a process-global
-//! counter would make every assertion racy — and exist only under
-//! `debug_assertions`, so release hot paths carry zero probe cost.
+//! `VERSION_CLOCK` RMW ops") and the fixed path's shared-line budget ("no
+//! logical-clock `fetch_add` unless the manager orders by timestamp, at
+//! most one global-epoch CAS per quiesce stride") are asserted by unit
+//! tests that count the actual operations, not by inspection. The
+//! counters are thread-local `Cell`s — tests in one binary run
+//! concurrently, and a process-global counter would make every assertion
+//! racy — and exist only under `debug_assertions`, so release hot paths
+//! carry zero probe cost.
 //!
 //! Each `take_*` returns the calling thread's count since its previous
 //! `take_*` call (read-and-reset), which is the natural shape for a
@@ -19,6 +22,8 @@ thread_local! {
     static EPOCH_SLOT_LOADS: Cell<u64> = const { Cell::new(0) };
     static READER_SLOT_LOADS: Cell<u64> = const { Cell::new(0) };
     static CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
+    static LOGICAL_CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
+    static EPOCH_CASES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Record one epoch-slot load performed by [`crate::epoch::try_advance`].
@@ -39,6 +44,18 @@ pub(crate) fn count_clock_rmw() {
     let _ = CLOCK_RMWS.try_with(|c| c.set(c.get() + 1));
 }
 
+/// Record one `fetch_add` on an engine's [`crate::LogicalClock`].
+#[inline]
+pub(crate) fn count_logical_clock_rmw() {
+    let _ = LOGICAL_CLOCK_RMWS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Record one CAS on the global epoch by [`crate::epoch::try_advance`].
+#[inline]
+pub(crate) fn count_epoch_cas() {
+    let _ = EPOCH_CASES.try_with(|c| c.set(c.get() + 1));
+}
+
 /// Epoch-slot loads by this thread since the last call; resets to 0.
 pub fn take_epoch_slot_loads() -> u64 {
     EPOCH_SLOT_LOADS.with(|c| c.replace(0))
@@ -52,4 +69,14 @@ pub fn take_reader_slot_loads() -> u64 {
 /// Version-clock RMW ops by this thread since the last call; resets to 0.
 pub fn take_clock_rmws() -> u64 {
     CLOCK_RMWS.with(|c| c.replace(0))
+}
+
+/// Logical-clock RMW ops by this thread since the last call; resets to 0.
+pub fn take_logical_clock_rmws() -> u64 {
+    LOGICAL_CLOCK_RMWS.with(|c| c.replace(0))
+}
+
+/// Global-epoch CAS attempts by this thread since the last call; resets to 0.
+pub fn take_epoch_cases() -> u64 {
+    EPOCH_CASES.with(|c| c.replace(0))
 }

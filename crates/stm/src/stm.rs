@@ -9,21 +9,36 @@
 //! it then immediately restarts and attempts to commit again", §II-A).
 //!
 //! The retry loop is allocation-lean: the `TxState` allocation is recycled
-//! through a per-thread pool whenever nothing else still references the
-//! previous attempt (`Arc::get_mut` proves exclusivity — a locator or
-//! registry clone in flight forces a fresh allocation, so recycling can
-//! never resurrect an attempt some competitor still sees). The registry's
-//! reference to a finished attempt is retired through [`crate::epoch`] by
-//! the next attempt's republish and released after two epoch advances;
-//! each attempt start calls [`crate::epoch::quiesce`] (the thread is
-//! trivially quiescent there), so a steady loop cycles through the three
-//! pool slots without ever allocating. Attempt ids come from the
+//! through a per-thread FIFO ring whenever nothing else still references
+//! the attempt it last served (`Arc::get_mut` proves exclusivity — a
+//! locator or registry clone in flight forces a fresh allocation, so
+//! recycling can never resurrect an attempt some competitor still sees).
+//! The registry's reference to a finished attempt is retired through
+//! [`crate::epoch`] by the next attempt's republish and released after two
+//! epoch advances; each attempt start calls [`crate::epoch::quiesce`] (the
+//! thread is trivially quiescent there), which attempts an advance every
+//! [`crate::epoch::QUIESCE_STRIDE`]-th call, so a released state turns
+//! exclusive two to three strides later and a steady loop cycles that many
+//! ring entries without ever allocating (the ring's capacity is tied to
+//! the stride by a compile-time assertion). Attempt ids come from the
 //! process-global source in [`crate::slots`] — never reused, so recycled
 //! records are indistinguishable from fresh ones. Timestamps use the
 //! coarse [`crate::clockns`] clock: one call at transaction start and one
 //! per attempt end instead of several `Instant::now()` syscalls.
+//!
+//! ## Shared-line budget of a committed transaction
+//!
+//! A committed transaction performs no read-modify-write on a cache line
+//! another thread also RMWs unless its contention manager's ordering needs
+//! one: the logical clock's `fetch_add` is drawn only where
+//! [`CmDispatch::uses_timestamps`] says the manager reads it, the global
+//! epoch CAS happens once per stride of attempts, the epoch layer's
+//! retired/freed tallies land on the caller's shard, and attempt ids come
+//! from thread-local blocks. The debug `probe` counters pin the first two
+//! (`fixed_path_shared_rmw_budget` below).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -42,6 +57,9 @@ pub struct Stm {
     cm: CmDispatch,
     engine: EngineKind,
     clock: LogicalClock,
+    /// [`CmDispatch::uses_timestamps`] of `cm`, read once at construction:
+    /// when false no attempt touches `clock`.
+    timestamps: bool,
     threads: Box<[Arc<ThreadStats>]>,
     /// Bumped by every [`Stm::reset_stats`]. Thread contexts stamp their
     /// pending (GV5 lazily-settled) commits with the epoch they were
@@ -76,8 +94,10 @@ impl Stm {
         // Make sure TVars created from here on carry a fast-path reader
         // slot for every worker this engine will run.
         slots::reserve_reader_slots(num_threads);
+        let cm = cm.into();
         Stm {
-            cm: cm.into(),
+            timestamps: cm.uses_timestamps(),
+            cm,
             engine,
             clock: LogicalClock::new(),
             threads: (0..num_threads)
@@ -152,58 +172,117 @@ impl Stm {
         }
     }
 
-    /// The engine's logical clock (timestamps for Greedy/Priority).
+    /// The engine's logical clock (timestamps for Greedy/Priority). Only
+    /// advanced when the installed manager
+    /// [uses timestamps](CmDispatch::uses_timestamps).
     pub fn clock(&self) -> &LogicalClock {
         &self.clock
     }
+
+    /// A logical timestamp for a starting attempt, or 0 ("no timestamp")
+    /// when the manager never reads one — sparing the `fetch_add` on a
+    /// line every worker writes.
+    #[inline]
+    fn next_ts(&self) -> u64 {
+        if self.timestamps {
+            self.clock.next()
+        } else {
+            0
+        }
+    }
 }
 
-/// Recycled `TxState` allocations for one OS thread. Three slots, not
-/// one, because a released state can still be shared for a while: the
-/// registry's reference is retired into the epoch bag by the *next*
-/// transaction's republish and released two epoch advances later, and a
-/// multi-object committer stays installed in each written locator until a
-/// later access collapses it. A state parks here until those references
-/// drain (with one quiescence per transaction boundary: exactly two
-/// transactions later) while the other slots serve the interim
-/// transactions — steady-state loops, including ones that interleave
-/// single- and multi-object writers, then cycle a bounded set of
-/// allocations and never touch the heap (see the `write_path_allocs`
-/// integration test).
-struct StatePool {
-    slots: [std::cell::Cell<Option<Arc<TxState>>>; 3],
+/// Capacity of the per-thread [`StateRing`].
+const STATE_RING_CAP: usize = 32;
+
+// A released state stays shared until the registry reference the *next*
+// attempt's republish retires has drained, and the epoch layer collects
+// only every `QUIESCE_STRIDE`-th attempt: an item retired right after one
+// collection waits for the next two (2 strides + 1 attempts), and one
+// advance lost to a competitor pinned an epoch behind adds a stride. Four
+// strides of parked states keep that whole lag inside the ring, so a
+// steady loop never finds a shared head with no exclusive state behind it.
+const _: () = assert!(
+    STATE_RING_CAP >= 4 * crate::epoch::QUIESCE_STRIDE,
+    "the TxState ring must cover the epoch layer's drain lag (3 strides) with a stride to spare"
+);
+
+/// Recycled `TxState` allocations for one OS thread: a fixed-capacity
+/// FIFO of released states, oldest first.
+///
+/// A released state can still be shared for a while: the registry's
+/// reference is retired into the epoch bag by the *next* attempt's
+/// republish and released two epoch advances later — two to three
+/// [`crate::epoch::QUIESCE_STRIDE`]s of attempts — and a multi-object
+/// committer stays installed in each written locator until a later access
+/// collapses it. States are released in the order their registry
+/// references were retired, which is the order the bag drains, so the
+/// *oldest* parked state is the first to turn exclusive and
+/// [`recycle_oldest`](Self::recycle_oldest) looks at nothing else: one
+/// `Arc::get_mut` (a locked op) per attempt however many states are
+/// parked. A head that is still shared (a lazily collapsed locator, a
+/// stalled epoch) rotates to the back so it cannot block the states
+/// behind it, and the attempt allocates; its state joins the ring on
+/// release, so the ring grows to the depth the loop's lag needs — at most
+/// [`STATE_RING_CAP`], tied to the stride by the assertion above — and a
+/// steady loop, including one that interleaves single- and multi-object
+/// writers, then cycles it without touching the heap (see the
+/// `write_path_allocs` integration test).
+struct StateRing(RefCell<VecDeque<Arc<TxState>>>);
+
+impl StateRing {
+    fn new() -> Self {
+        // Reserved up front and never exceeded (`park`): steady loops
+        // must not touch the heap.
+        StateRing(RefCell::new(VecDeque::with_capacity(STATE_RING_CAP)))
+    }
+
+    /// The oldest parked state, reinitialised by `reset`, if nothing else
+    /// references it. A locator (or a scanner's transient clone) that
+    /// still holds it must keep seeing the old attempt's terminal status,
+    /// so a shared head is not reused *yet*: it moves to the back of the
+    /// queue and the caller allocates.
+    fn recycle_oldest(&self, reset: impl FnOnce(&mut TxState)) -> Option<Arc<TxState>> {
+        let mut parked = self.0.borrow_mut();
+        let mut arc = parked.pop_front()?;
+        if let Some(st) = Arc::get_mut(&mut arc) {
+            reset(st);
+            return Some(arc);
+        }
+        parked.push_back(arc);
+        None
+    }
+
+    /// Park a finished attempt's state at the back. A full ring (deep
+    /// retry chains, a long-stalled epoch) drops it instead.
+    fn park(&self, state: Arc<TxState>) {
+        let mut parked = self.0.borrow_mut();
+        if parked.len() < STATE_RING_CAP {
+            parked.push_back(state);
+        }
+    }
 }
 
-impl Drop for StatePool {
+impl Drop for StateRing {
     fn drop(&mut self) {
-        // Thread exit. Drop the pooled references first (each is just a
+        // Thread exit. Drop the parked references first (each is just a
         // strong-count decrement — any still-shared state stays alive via
         // its registry/epoch-bag reference), then hand this thread's
         // epoch bag to the global orphan list so surviving threads can
         // release the deferred registry references instead of leaking
         // them — regardless of the order TLS destructors run in (the
         // drop-order regression test exercises exactly this).
-        for slot in &self.slots {
-            drop(slot.take());
-        }
+        self.0.get_mut().clear();
         crate::epoch::flush_thread();
     }
 }
 
 thread_local! {
-    static STATE_POOL: StatePool = const {
-        StatePool {
-            slots: [
-                std::cell::Cell::new(None),
-                std::cell::Cell::new(None),
-                std::cell::Cell::new(None),
-            ],
-        }
-    };
+    static STATE_RING: StateRing = StateRing::new();
 }
 
-/// A `TxState` for the next attempt: the pooled allocation reset in place
-/// when nothing else references it, a fresh allocation otherwise.
+/// A `TxState` for the next attempt: the oldest parked allocation reset in
+/// place when nothing else references it, a fresh allocation otherwise.
 #[allow(clippy::too_many_arguments)]
 fn state_for_attempt(
     attempt_id: u64,
@@ -215,62 +294,39 @@ fn state_for_attempt(
     first_start_ns: u64,
     karma: u64,
 ) -> Arc<TxState> {
-    let pooled = STATE_POOL.with(|p| {
-        for slot in &p.slots {
-            if let Some(mut arc) = slot.take() {
-                if Arc::get_mut(&mut arc).is_some() {
-                    return Some(arc);
-                }
-                // A locator (or a scanner's transient clone) still holds
-                // this attempt: it must keep seeing the attempt's terminal
-                // status, so the allocation cannot be reused *yet*. Leave
-                // it parked until those references drain.
-                slot.set(Some(arc));
-            }
-        }
-        None
-    });
-    if let Some(mut arc) = pooled {
-        let st = Arc::get_mut(&mut arc).expect("pooled state became shared");
-        st.reset_for_attempt(
-            attempt_id,
-            txn_id,
-            thread_id,
-            attempt,
-            ts,
-            attempt_ts,
-            first_start_ns,
-            karma,
-        );
-        return arc;
-    }
-    Arc::new(TxState::new(
-        attempt_id,
-        txn_id,
-        thread_id,
-        attempt,
-        ts,
-        attempt_ts,
-        first_start_ns,
-        karma,
-    ))
+    STATE_RING
+        .with(|ring| {
+            ring.recycle_oldest(|st| {
+                st.reset_for_attempt(
+                    attempt_id,
+                    txn_id,
+                    thread_id,
+                    attempt,
+                    ts,
+                    attempt_ts,
+                    first_start_ns,
+                    karma,
+                )
+            })
+        })
+        .unwrap_or_else(|| {
+            Arc::new(TxState::new(
+                attempt_id,
+                txn_id,
+                thread_id,
+                attempt,
+                ts,
+                attempt_ts,
+                first_start_ns,
+                karma,
+            ))
+        })
 }
 
-/// Return a finished attempt's state to this thread's pool.
+/// Return a finished attempt's state to this thread's ring.
 fn release_state(state: Arc<TxState>) {
-    // `try_with`: during thread teardown the pool may already be gone.
-    let _ = STATE_POOL.try_with(|p| {
-        let mut state = Some(state);
-        for slot in &p.slots {
-            let cur = slot.take();
-            if cur.is_none() {
-                slot.set(state.take());
-                break;
-            }
-            slot.set(cur);
-        }
-        // Every slot parked (deep retry chains): drop the extra state.
-    });
+    // `try_with`: during thread teardown the ring may already be gone.
+    let _ = STATE_RING.try_with(|ring| ring.park(state));
 }
 
 /// Per-worker execution context; cheap to construct, one per worker
@@ -482,7 +538,7 @@ impl<'a> ThreadCtx<'a> {
         body: &mut impl FnMut(&mut Txn) -> TxResult<R>,
         mut trace: Option<&mut Vec<(u64, bool)>>,
     ) -> Option<R> {
-        let ts = self.stm.clock.next();
+        let ts = self.stm.next_ts();
         let first_start_ns = clockns::now();
         // A clock read is in hand: account any earlier commits whose
         // commit-time read was elided.
@@ -495,16 +551,12 @@ impl<'a> ThreadCtx<'a> {
         let mut attempt: u32 = 0;
         loop {
             // Attempt boundary: this thread holds no pins and no shared
-            // raw pointers, so let the epoch layer advance and release
-            // retired registry references — which is what turns the
-            // pool's parked states exclusive again (quiesce *before* the
-            // pool scan below).
+            // raw pointers, so let the epoch layer (every stride-th
+            // call) advance and release retired registry references —
+            // which is what turns the ring's parked states exclusive
+            // again (quiesce *before* the ring is consulted below).
             crate::epoch::quiesce();
-            let attempt_ts = if attempt == 0 {
-                ts
-            } else {
-                self.stm.clock.next()
-            };
+            let attempt_ts = if attempt == 0 { ts } else { self.stm.next_ts() };
             let attempt_id = slots::next_attempt_id();
             if attempt == 0 {
                 txn_id = attempt_id;
@@ -553,9 +605,8 @@ impl<'a> ThreadCtx<'a> {
                     // The committed attempt stays published: this thread's
                     // next transaction withdraws it as part of its own
                     // republish, saving a full guard-drain + swap here. The
-                    // parked state stays shared for one extra transaction
-                    // (the pool holds two slots exactly so this costs no
-                    // allocation).
+                    // parked state stays shared for one extra transaction,
+                    // which the ring's depth absorbs.
                     if let Some(sink) = trace.as_deref_mut() {
                         *sink = txn.take_footprint();
                     }
@@ -715,25 +766,25 @@ mod tests {
 
     #[test]
     fn concurrent_counter_no_lost_updates_abort_self() {
-        concurrent_counter(Arc::new(AbortSelfManager));
+        concurrent_counter(Arc::new(AbortSelfManager), 4, 200);
     }
 
     #[test]
     fn concurrent_counter_no_lost_updates_abort_enemy() {
-        concurrent_counter(Arc::new(AbortEnemyManager));
+        concurrent_counter(Arc::new(AbortEnemyManager), 4, 200);
     }
 
-    fn concurrent_counter(cm: Arc<dyn ContentionManager>) {
-        const THREADS: usize = 4;
-        const PER_THREAD: u64 = 200;
-        let stm = Stm::new(cm, THREADS);
+    /// `threads` workers increment one shared counter `per_thread` times
+    /// each under `cm`; nothing may be lost.
+    fn concurrent_counter(cm: Arc<dyn ContentionManager>, threads: usize, per_thread: u64) {
+        let stm = Stm::new(cm, threads);
         let tv: TVar<u64> = TVar::new(0);
         std::thread::scope(|s| {
-            for i in 0..THREADS {
+            for i in 0..threads {
                 let ctx = stm.thread(i);
                 let tv = tv.clone();
                 s.spawn(move || {
-                    for _ in 0..PER_THREAD {
+                    for _ in 0..per_thread {
                         ctx.atomic(|tx| {
                             let v = *tx.read(&tv)?;
                             tx.write(&tv, v + 1)
@@ -742,9 +793,9 @@ mod tests {
                 });
             }
         });
-        assert_eq!(*tv.sample(), THREADS as u64 * PER_THREAD);
+        assert_eq!(*tv.sample(), threads as u64 * per_thread);
         let snap = stm.aggregate();
-        assert_eq!(snap.commits, THREADS as u64 * PER_THREAD);
+        assert_eq!(snap.commits, threads as u64 * per_thread);
     }
 
     #[test]
@@ -783,52 +834,53 @@ mod tests {
         assert_eq!(runs0, 1);
     }
 
-    /// Run `txns` transactions via `body` and count distinct `TxState`
-    /// allocations, retrying a few rounds: a transient epoch pin from a
-    /// concurrently running test can delay a bag drain and legitimately
-    /// force an extra allocation in one round, but a quiet round must
-    /// cycle within the pool bound.
-    fn assert_pool_cycles(
-        ctx: &ThreadCtx<'_>,
-        bound: usize,
-        mut body: impl FnMut(&mut Txn, &mut Vec<usize>) -> TxResult<()>,
-    ) {
+    /// Prime the ring with `4 × STATE_RING_CAP` transactions of `body`,
+    /// then run as many again and count the distinct `TxState`
+    /// allocations they touch, retrying a few rounds: a transient epoch
+    /// pin from a concurrently running test can delay a bag drain and
+    /// legitimately force extra allocations in one round, but a quiet
+    /// round must cycle within the ring's capacity.
+    fn assert_ring_cycles(ctx: &ThreadCtx<'_>, mut body: impl FnMut(&mut Txn) -> TxResult<()>) {
+        const TXNS: usize = 4 * STATE_RING_CAP;
+        for _ in 0..TXNS {
+            ctx.atomic(&mut body);
+        }
         let mut best = usize::MAX;
         for _ in 0..5 {
             let mut ptrs = Vec::new();
-            for _ in 0..8 {
+            for _ in 0..TXNS {
                 ctx.atomic(|tx| {
                     ptrs.push(Arc::as_ptr(tx.state()) as usize);
-                    body(tx, &mut ptrs)
+                    body(tx)
                 });
             }
             ptrs.sort_unstable();
             ptrs.dedup();
             best = best.min(ptrs.len());
-            if best <= bound {
+            if best <= STATE_RING_CAP {
                 return;
             }
         }
-        panic!("TxStates must be recycled (best round saw {best} distinct allocations in 8 txns)");
+        panic!(
+            "TxStates must be recycled (best round saw {best} distinct allocations \
+             in {TXNS} txns, ring capacity {STATE_RING_CAP})"
+        );
     }
 
     #[test]
     fn txstate_pool_recycles_read_only_states() {
         // After a read-only commit the TxState is referenced only by the
-        // pool, the registry, and (for one epoch lag) the epoch bag, so a
-        // steady loop must cycle through the three pool slots: the
-        // registry reference retired at transaction k drains at k + 2.
-        // Cover every slot index so the read takes the fast path
+        // ring, the registry, and (for the epoch lag) the epoch bag, so a
+        // steady loop must cycle within the ring: the registry reference
+        // retired at transaction k drains two to three quiesce strides
+        // later. Cover every slot index so the read takes the fast path
         // regardless of which harness thread runs this test (the overflow
         // list would hold a `Weak` and legitimately block recycling).
         slots::reserve_reader_slots(slots::MAX_SLOTS);
         let stm = Stm::new(Arc::new(AbortSelfManager), 1);
         let tv: TVar<u64> = TVar::new(7);
         let ctx = stm.thread(0);
-        for _ in 0..6 {
-            ctx.atomic(|tx| tx.read(&tv).map(|v| *v)); // prime the pool
-        }
-        assert_pool_cycles(&ctx, 3, |tx, _| tx.read(&tv).map(|_| ()));
+        assert_ring_cycles(&ctx, |tx| tx.read(&tv).map(|_| ()));
     }
 
     #[test]
@@ -854,20 +906,245 @@ mod tests {
         // The fused single-object commit collapses the locator (dropping
         // its TxState reference) and the registry's reference is retired
         // by the next transaction's republish, draining through the epoch
-        // bag one transaction later — so a steady loop of write
-        // transactions cycles through the three pool slots instead of
-        // allocating per transaction.
+        // bag two to three quiesce strides later — so a steady loop of
+        // write transactions cycles within the ring instead of allocating
+        // per transaction.
         let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
         let tv: TVar<u64> = TVar::new(0);
         let ctx = stm.thread(0);
-        for i in 0..6 {
-            ctx.atomic(|tx| tx.write(&tv, i)); // prime the pool
-        }
         let mut i = 0u64;
-        assert_pool_cycles(&ctx, 3, move |tx, _| {
+        assert_ring_cycles(&ctx, move |tx| {
             i += 1;
             tx.write(&tv, i)
         });
+    }
+
+    /// A state for attempt `id` from this thread's ring (or the heap).
+    fn ring_state(id: u64) -> Arc<TxState> {
+        state_for_attempt(id, id, 0, 0, 0, 0, 0, 0)
+    }
+
+    #[test]
+    fn shared_ring_head_rotates_to_the_back_and_is_reused_on_its_next_turn() {
+        // A thread of its own: an empty ring, whatever libtest ran before.
+        std::thread::spawn(|| {
+            let a = ring_state(1);
+            let b = ring_state(2);
+            let (pa, pb) = (Arc::as_ptr(&a), Arc::as_ptr(&b));
+            let held = Arc::clone(&a); // a locator still pointing at `a`
+            release_state(a);
+            release_state(b);
+            // Head `a` is shared: only it is inspected (exclusive `b`
+            // right behind it is not taken), the attempt allocates, and
+            // `a` moves behind `b`.
+            let c = ring_state(3);
+            let pc = Arc::as_ptr(&c);
+            assert!(pc != pa && pc != pb, "a shared head forces a fresh state");
+            assert_eq!(held.attempt_id, 1, "a shared state is never reset");
+            let d = ring_state(4);
+            assert_eq!(Arc::as_ptr(&d), pb, "`b` is now the head");
+            // Ring: [a]. Released, `a` is reused when its turn comes round.
+            drop(held);
+            release_state(c);
+            let e = ring_state(5);
+            assert_eq!(Arc::as_ptr(&e), pa, "`a` went to the back, ahead of `c`");
+            assert_eq!(e.attempt_id, 5);
+            let f = ring_state(6);
+            assert_eq!(Arc::as_ptr(&f), pc);
+        })
+        .join()
+        .expect("ring test thread");
+    }
+
+    #[test]
+    fn full_ring_drops_the_extra_state() {
+        std::thread::spawn(|| {
+            let held: Vec<Arc<TxState>> = (0..STATE_RING_CAP as u64).map(ring_state).collect();
+            for st in &held {
+                release_state(Arc::clone(st)); // every entry stays shared
+            }
+            let extra = ring_state(100);
+            let weak = Arc::downgrade(&extra);
+            release_state(extra);
+            assert!(
+                weak.upgrade().is_none(),
+                "a full ring drops what it cannot park"
+            );
+        })
+        .join()
+        .expect("ring test thread");
+    }
+
+    /// Commit `TXNS` single-thread transactions on `stm` and return this
+    /// thread's (logical-clock RMWs, global-epoch CASes) over them.
+    #[cfg(debug_assertions)]
+    fn fixed_path_rmws(stm: &Stm) -> (u64, u64) {
+        let tv: TVar<u64> = TVar::new(0);
+        let ctx = stm.thread(0);
+        crate::probe::take_logical_clock_rmws();
+        crate::probe::take_epoch_cases();
+        for _ in 0..BUDGET_TXNS {
+            ctx.atomic(|tx| {
+                let v = *tx.read(&tv)?;
+                tx.write(&tv, v + 1)
+            });
+        }
+        assert_eq!(stm.aggregate().aborts, 0, "one thread never retries");
+        (
+            crate::probe::take_logical_clock_rmws(),
+            crate::probe::take_epoch_cases(),
+        )
+    }
+
+    #[cfg(debug_assertions)]
+    const BUDGET_TXNS: u64 = 256;
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn fixed_path_shared_rmw_budget() {
+        let named = |name| crate::managers::make_dispatch(name, 1).expect("registered");
+        // One advance CAS per collecting quiesce, one collecting quiesce
+        // per stride; +2 for the stride phase this thread starts in and a
+        // `COLLECT_THRESHOLD` collection if a sibling test's pin stalls
+        // the epoch for a while.
+        let cas_bound = BUDGET_TXNS / crate::epoch::QUIESCE_STRIDE as u64 + 2;
+        for (cm, clock_rmws) in [
+            (CmDispatch::AbortSelf, 0),
+            (named("Polka"), 0),
+            (CmDispatch::Greedy, BUDGET_TXNS),
+            (named("Timestamp"), BUDGET_TXNS),
+        ] {
+            let stm = Stm::with_dispatch(cm, 1);
+            let name = stm.cm().name();
+            let (clock, cas) = fixed_path_rmws(&stm);
+            assert_eq!(
+                clock, clock_rmws,
+                "{name}: logical-clock RMWs over {BUDGET_TXNS} committed transactions"
+            );
+            assert!(
+                cas <= cas_bound,
+                "{name}: {cas} global-epoch CASes over {BUDGET_TXNS} transactions (bound {cas_bound})"
+            );
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_retry_draws_one_more_timestamp_only_where_the_manager_reads_it() {
+        for (cm, expected) in [(CmDispatch::Priority, 3), (CmDispatch::AbortSelf, 0)] {
+            let stm = Stm::with_dispatch(cm, 1);
+            let ctx = stm.thread(0);
+            let mut runs = 0;
+            let mut stamps = Vec::new();
+            crate::probe::take_logical_clock_rmws();
+            ctx.atomic(|tx| {
+                runs += 1;
+                stamps.push((tx.state().ts, tx.state().attempt_ts));
+                if runs < 3 {
+                    return Err(tx.abort_self());
+                }
+                Ok(())
+            });
+            assert_eq!(
+                crate::probe::take_logical_clock_rmws(),
+                expected,
+                "{}: one for the transaction, one per retry",
+                stm.cm().name()
+            );
+            if expected == 0 {
+                assert_eq!(stamps, [(0, 0); 3], "no timestamp is the documented 0");
+            } else {
+                let (ts, first) = stamps[0];
+                assert!(ts != 0 && first == ts, "ts survives retries: {stamps:?}");
+                assert!(stamps.iter().all(|&(t, _)| t == ts));
+                assert!(stamps[0].1 < stamps[1].1 && stamps[1].1 < stamps[2].1);
+            }
+        }
+    }
+
+    /// Forwards every hook to `inner` and records the timestamps each
+    /// attempt begins with. `uses_timestamps` is left at the trait's
+    /// default, as an out-of-tree manager would.
+    struct RecordingCm {
+        inner: CmDispatch,
+        /// (ts, attempt_ts, is_retry) per attempt.
+        begun: std::sync::Mutex<Vec<(u64, u64, bool)>>,
+    }
+
+    impl ContentionManager for RecordingCm {
+        fn resolve(
+            &self,
+            me: &TxState,
+            enemy: &TxState,
+            kind: crate::ConflictKind,
+        ) -> crate::Resolution {
+            self.inner.resolve(me, enemy, kind)
+        }
+        fn on_begin(&self, tx: &Arc<TxState>, is_retry: bool) {
+            self.begun
+                .lock()
+                .unwrap()
+                .push((tx.ts, tx.attempt_ts, is_retry));
+            self.inner.on_begin(tx, is_retry);
+        }
+        fn on_open(&self, tx: &TxState) {
+            self.inner.on_open(tx);
+        }
+        fn on_commit(&self, tx: &TxState) {
+            self.inner.on_commit(tx);
+        }
+        fn on_abort(&self, tx: &TxState) {
+            self.inner.on_abort(tx);
+        }
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+    }
+
+    #[test]
+    fn timestamp_ordered_managers_run_on_distinct_nonzero_timestamps() {
+        // The hazard of eliding the clock is a timestamp manager silently
+        // ordering all-zero timestamps. Two threads fight over one counter
+        // under each manager that reads them (their `resolve` also
+        // debug-asserts both parties are stamped at every real conflict).
+        const THREADS: usize = 2;
+        const PER_THREAD: u64 = 1_000;
+        for name in ["Greedy", "Priority", "Timestamp", "ATS"] {
+            let inner = crate::managers::make_dispatch(name, THREADS).expect("registered");
+            assert!(inner.uses_timestamps(), "{name}");
+            let cm = Arc::new(RecordingCm {
+                inner,
+                begun: std::sync::Mutex::new(Vec::new()),
+            });
+            concurrent_counter(cm.clone(), THREADS, PER_THREAD);
+            let begun = cm.begun.lock().unwrap();
+            assert!(
+                begun.iter().all(|&(ts, ats, _)| ts != 0 && ats != 0),
+                "{name}: an attempt began without a timestamp"
+            );
+            let distinct = |stamps: Vec<u64>| {
+                let n = stamps.len();
+                stamps
+                    .into_iter()
+                    .collect::<std::collections::HashSet<_>>()
+                    .len()
+                    == n
+            };
+            let first_attempts: Vec<u64> = begun
+                .iter()
+                .filter(|&&(_, _, is_retry)| !is_retry)
+                .map(|&(ts, _, _)| ts)
+                .collect();
+            assert_eq!(first_attempts.len(), (THREADS as u64 * PER_THREAD) as usize);
+            assert!(
+                distinct(first_attempts),
+                "{name}: two transactions share a ts"
+            );
+            assert!(
+                distinct(begun.iter().map(|&(_, ats, _)| ats).collect()),
+                "{name}: two attempts share an attempt_ts"
+            );
+        }
     }
 
     #[test]

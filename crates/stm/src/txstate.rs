@@ -15,8 +15,9 @@
 //! `Aborted`/`Committed`, exactly as if the record were freshly allocated.
 //! The reader registry's reference ([`crate::slots`]) is the one that
 //! outlives the attempt: it is *retired* through [`crate::epoch`] when the
-//! owner republishes its next attempt, and drains at a later quiesce —
-//! which is why the pool holds three slots, not one.
+//! owner republishes its next attempt, and drains at a later collecting
+//! quiesce — which is why the pool is a ring a few quiesce strides deep,
+//! not one slot.
 //!
 //! Fields that must *survive* retries of the same logical transaction (the
 //! Greedy timestamp, Karma's accumulated priority) are seeded from the

@@ -5,13 +5,20 @@
 //! matter which side asks first — otherwise two symmetric `resolve`
 //! calls could kill both transactions (progress loss) or neither
 //! (livelock by construction).
+//!
+//! The engine draws logical timestamps only for managers that declare
+//! `uses_timestamps()`; everyone else runs on `ts = attempt_ts = 0`. The
+//! last property checks the declaration against behaviour: a decider
+//! that says `false` must return the same verdict whatever the
+//! timestamps, and the ones that say `true` must change theirs when the
+//! timestamps swap (so the check can tell a reader from a non-reader).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use wtm_stm::managers::{Priority, RandomizedRounds, Timestamp};
-use wtm_stm::{ConflictKind, ContentionManager, Resolution, TxState};
+use wtm_stm::{CmDispatch, ConflictKind, ContentionManager, Resolution, TxState};
 
 fn state(attempt_id: u64, txn_id: u64, thread: usize, ts: u64, attempt: u32) -> Arc<TxState> {
     Arc::new(TxState::new(
@@ -24,6 +31,32 @@ fn state(attempt_id: u64, txn_id: u64, thread: usize, ts: u64, attempt: u32) -> 
         wtm_stm::clockns::now(),
         0,
     ))
+}
+
+/// The deciders whose `resolve` answers without (practically) waiting,
+/// as the engine dispatches them. A new non-waiting manager belongs here.
+fn deciders() -> Vec<CmDispatch> {
+    vec![
+        CmDispatch::AbortSelf,
+        CmDispatch::Aggressive,
+        CmDispatch::RandomizedRounds(Arc::new(RandomizedRounds::new(16))),
+        CmDispatch::Priority,
+        CmDispatch::Timestamp(Arc::new(Timestamp::with_patience(
+            std::time::Duration::from_micros(1),
+        ))),
+    ]
+}
+
+/// Two conflicting parties that differ between calls only in their
+/// `(ts, attempt_ts)` stamps: ids, threads, rank, karma and status fixed.
+fn stamped_pair(stamps: [(u64, u64); 2], ranks: [u32; 2], karma: [u64; 2]) -> [Arc<TxState>; 2] {
+    [0, 1].map(|i| {
+        let id = i as u64 + 1;
+        let (ts, attempt_ts) = stamps[i];
+        let st = TxState::new(id, id, i, 0, ts, attempt_ts, 0, karma[i]);
+        st.set_rank(ranks[i]);
+        Arc::new(st)
+    })
 }
 
 fn kinds() -> [ConflictKind; 3] {
@@ -107,5 +140,46 @@ proptest! {
         for kind in kinds() {
             prop_assert_eq!(Priority.resolve(&a, &b, kind), first);
         }
+    }
+
+    #[test]
+    fn verdicts_read_timestamps_exactly_where_the_manager_declares_it(
+        s in (1u64..1000, 1u64..1000, 1u64..1000, 1u64..1000),
+        s2 in (1u64..1000, 1u64..1000, 1u64..1000, 1u64..1000),
+        ranks in (1u32..16, 1u32..16),
+        karma in (0u64..64, 0u64..64),
+    ) {
+        let (x, y, x2, y2) = ((s.0, s.1), (s.2, s.3), (s2.0, s2.1), (s2.2, s2.3));
+        let (ranks, karma) = ([ranks.0, ranks.1], [karma.0, karma.1]);
+        let verdict = |cm: &CmDispatch, stamps, kind| {
+            let [me, enemy] = stamped_pair(stamps, ranks, karma);
+            cm.resolve(&me, &enemy, kind)
+        };
+        let mut readers = Vec::new();
+        for cm in deciders() {
+            for kind in kinds() {
+                if !cm.uses_timestamps() {
+                    // Declared blind: any two stampings, same verdict.
+                    prop_assert_eq!(
+                        verdict(&cm, [x, y], kind),
+                        verdict(&cm, [x2, y2], kind),
+                        "{} answered uses_timestamps() == false but its verdict moved \
+                         with the timestamps", cm.name()
+                    );
+                } else if x.0 != y.0 && x.1 != y.1 {
+                    // Negative control: a declared reader attacks from
+                    // exactly one side of a swap of the two stamps.
+                    prop_assert_ne!(
+                        verdict(&cm, [x, y], kind) == Resolution::AbortEnemy,
+                        verdict(&cm, [y, x], kind) == Resolution::AbortEnemy,
+                        "{} must order by timestamp", cm.name()
+                    );
+                }
+            }
+            if cm.uses_timestamps() {
+                readers.push(cm.name().to_string());
+            }
+        }
+        prop_assert_eq!(readers, ["Priority", "Timestamp"]);
     }
 }

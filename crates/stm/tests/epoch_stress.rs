@@ -47,6 +47,17 @@ impl Drop for Canary {
     }
 }
 
+/// Releases the readers when the writer is done — or has panicked: a
+/// failed writer assertion used to leave them spinning forever, turning a
+/// test failure into a hang with its message swallowed.
+struct StopReaders<'a>(&'a AtomicBool);
+
+impl Drop for StopReaders<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
 #[test]
 fn readers_never_observe_reclaimed_canaries() {
     const WRITES: usize = 20_000;
@@ -93,6 +104,7 @@ fn readers_never_observe_reclaimed_canaries() {
             });
         }
 
+        let _stop = StopReaders(&done);
         let retired_before = epoch::retired_count();
         let freed_before = epoch::freed_count();
         for seq in 1..=WRITES as u64 {
@@ -106,7 +118,12 @@ fn readers_never_observe_reclaimed_canaries() {
                 // so the backlog is allowed to spike — but it must drain
                 // once the writer yields, because readers unpin around
                 // every dereference. Only a genuinely stuck pin keeps the
-                // backlog high through 10k yields.
+                // backlog high through 10k advance attempts — and only
+                // every `QUIESCE_STRIDE`-th quiesce is one. (A yield that
+                // finds nothing better to run returns in well under a
+                // microsecond, so the bound is a few scheduler timeslices,
+                // not seconds: 10k bare quiesce calls went by inside one
+                // preempted reader's wait about once in 200 debug runs.)
                 let backlog = || {
                     (epoch::retired_count() - retired_before)
                         .saturating_sub(epoch::freed_count() - freed_before)
@@ -117,7 +134,7 @@ fn readers_never_observe_reclaimed_canaries() {
                     std::thread::yield_now();
                     patience += 1;
                     assert!(
-                        patience < 10_000,
+                        patience < 10_000 * epoch::QUIESCE_STRIDE,
                         "garbage backlog stuck at {} after {} retires",
                         backlog(),
                         seq
@@ -125,7 +142,6 @@ fn readers_never_observe_reclaimed_canaries() {
                 }
             }
         }
-        done.store(true, Ordering::Release);
     });
 
     // Reconciliation: every canary except the still-published last one
@@ -139,6 +155,10 @@ fn readers_never_observe_reclaimed_canaries() {
         std::thread::yield_now();
     }
     assert_eq!(DROPS.load(Ordering::SeqCst), WRITES);
+    // Alone in this process, the folded accounting is exact: every retire
+    // and every free was counted once, whichever shard took the bump.
+    assert_eq!(epoch::retired_count(), WRITES as u64);
+    assert_eq!(epoch::freed_count(), epoch::retired_count());
 
     // Drop the final publication and confirm the total: no canary was
     // leaked, none was dropped twice (the Drop impl asserts the magic).

@@ -541,6 +541,12 @@ impl ContentionManager for WindowManager {
         );
     }
 
+    /// Window priorities are (frame, rank π₂, attempt id): no hook reads a
+    /// logical timestamp, so the engine need not draw one.
+    fn uses_timestamps(&self) -> bool {
+        false
+    }
+
     fn name(&self) -> &str {
         self.variant.name()
     }
