@@ -514,11 +514,43 @@ impl CellResult {
     }
 }
 
+/// A stored cell and its bytes in `results.json`.
+struct Stored {
+    result: CellResult,
+    /// `"<key>": {…}` as a member of the document's `cells` object,
+    /// rendered once: a checkpoint concatenates these, so a suite formats
+    /// each cell once, not once per cell that finishes after it.
+    fragment: String,
+}
+
+impl Stored {
+    fn new(key: &str, result: CellResult) -> Self {
+        let fragment = format!(
+            "    {}: {}",
+            Json::Str(key.to_string()).render(),
+            result.to_json().render_pretty_at(2)
+        );
+        Stored { result, fragment }
+    }
+}
+
+/// The document around the cells, in the committed schema.
+fn document(cells: Json) -> Json {
+    Json::Obj(vec![
+        ("schema_version".into(), Json::Num(RESULTS_SCHEMA_VERSION)),
+        (
+            "generator".into(),
+            Json::Str(format!("windowtm {}", env!("CARGO_PKG_VERSION"))),
+        ),
+        ("cells".into(), cells),
+    ])
+}
+
 /// The `results.json` store: a key → [`CellResult`] map persisted next to
 /// the CSV reports; doubles as the resume checkpoint.
 pub struct ResultsStore {
     path: PathBuf,
-    cells: BTreeMap<String, CellResult>,
+    cells: BTreeMap<String, Stored>,
     /// Cells found on disk at open time (resume candidates).
     pub loaded: usize,
 }
@@ -539,7 +571,7 @@ impl ResultsStore {
                     if let Some(members) = doc.get("cells").and_then(Json::as_obj) {
                         for (key, v) in members {
                             if let Some(r) = CellResult::from_json(v) {
-                                cells.insert(key.clone(), r);
+                                cells.insert(key.clone(), Stored::new(key, r));
                             }
                         }
                     }
@@ -561,7 +593,7 @@ impl ResultsStore {
     }
 
     pub fn get(&self, key: &str) -> Option<&CellResult> {
-        self.cells.get(key)
+        self.cells.get(key).map(|s| &s.result)
     }
 
     pub fn len(&self) -> usize {
@@ -572,40 +604,55 @@ impl ResultsStore {
         self.cells.is_empty()
     }
 
-    /// The full document in the committed schema.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema_version".into(), Json::Num(RESULTS_SCHEMA_VERSION)),
-            (
-                "generator".into(),
-                Json::Str(format!("windowtm {}", env!("CARGO_PKG_VERSION"))),
-            ),
-            (
-                "cells".into(),
-                Json::Obj(
-                    self.cells
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json()))
-                        .collect(),
-                ),
-            ),
-        ])
+    /// The full document as a [`Json`] tree: the reference
+    /// [`save`](Self::save)'s bytes are tested against.
+    #[cfg(test)]
+    fn to_json(&self) -> Json {
+        document(Json::Obj(
+            self.cells
+                .iter()
+                .map(|(k, v)| (k.clone(), v.result.to_json()))
+                .collect(),
+        ))
     }
 
     /// Insert one result and rewrite `results.json` (checkpoint after
     /// every cell, so an interrupted suite loses at most the in-flight
     /// cell).
     pub fn insert_and_save(&mut self, key: String, result: CellResult) -> std::io::Result<()> {
-        self.cells.insert(key, result);
+        let stored = Stored::new(&key, result);
+        self.cells.insert(key, stored);
         self.save()
     }
 
-    /// Rewrite `results.json` from the current map.
+    /// Rewrite `results.json` from the current map: the document frame
+    /// around the cells' cached fragments. Written beside the file and
+    /// renamed over it, so a run killed mid-write leaves the previous
+    /// checkpoint, not a torn one that [`open`](Self::open) would discard.
     pub fn save(&self) -> std::io::Result<()> {
         if let Some(dir) = self.path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        std::fs::write(&self.path, self.to_json().render_pretty())
+        let frame = document(Json::Obj(Vec::new())).render_pretty();
+        let (head, tail) = frame
+            .rsplit_once("{}")
+            .expect("an empty cells object renders as {}");
+        let fragments: usize = self.cells.values().map(|s| s.fragment.len() + 2).sum();
+        let mut doc = String::with_capacity(frame.len() + fragments + 4);
+        doc.push_str(head);
+        if self.cells.is_empty() {
+            doc.push_str("{}");
+        } else {
+            for (i, stored) in self.cells.values().enumerate() {
+                doc.push_str(if i == 0 { "{\n" } else { ",\n" });
+                doc.push_str(&stored.fragment);
+            }
+            doc.push_str("\n  }");
+        }
+        doc.push_str(tail);
+        let tmp = self.path.with_extension("json.tmp");
+        std::fs::write(&tmp, doc)?;
+        std::fs::rename(&tmp, &self.path)
     }
 
     pub fn path(&self) -> &Path {
@@ -878,6 +925,7 @@ mod tests {
         assert_eq!(r1.len(), 2);
         assert_eq!(first.skipped, 0);
         let json_text = std::fs::read_to_string(dir.join("results.json")).unwrap();
+        assert_eq!(json_text, first.store().to_json().render_pretty());
         let doc = Json::parse(&json_text).unwrap();
         crate::json::validate_results(&doc).expect("committed schema");
 
@@ -905,6 +953,116 @@ mod tests {
         let mut third = Executor::new(&dir);
         third.run(&reseeded);
         assert_eq!(third.skipped, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A result as `from_outcomes` / `from_sim_outcomes` shape it, without
+    /// running anything; an aggregate of no samples is NaN.
+    fn result(net: Option<&str>, metrics: &[(&str, f64, f64)]) -> CellResult {
+        CellResult {
+            workload: "List \"quoted\"".into(),
+            manager: "Online-Dynamic@phi=2".into(),
+            threads: 4,
+            update_pct: 20,
+            key_range: 64,
+            window_n: 8,
+            engine: if net.is_some() { "sim" } else { "eager" }.into(),
+            reps: 2,
+            seed: 0xFEED_FACE_0123_4567,
+            stop: if net.is_some() { "sim" } else { "timed:0.04" }.into(),
+            truncated: false,
+            net: net.map(str::to_string),
+            metrics: metrics
+                .iter()
+                .map(|&(name, mean, sd)| (name.to_string(), Agg { mean, sd }))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn save_writes_the_bytes_the_json_tree_renders() {
+        let dir = std::env::temp_dir().join(format!("wtm_store_bytes_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let on_disk = |store: &ResultsStore| std::fs::read_to_string(store.path()).unwrap();
+
+        let mut store = ResultsStore::open(&dir);
+        store.save().unwrap();
+        assert_eq!(on_disk(&store), store.to_json().render_pretty(), "no cells");
+        // Inserted out of key order, one key needing escapes, STM and sim
+        // cells, finite, fractional and NaN aggregates.
+        let cells = [
+            (
+                "v3|wl=b",
+                result(None, &[("throughput", 1234.5, 0.1 + 0.2)]),
+            ),
+            (
+                "v3|sim|sc=a\\\"b\"|net=fixed:4",
+                result(Some("fixed:4"), &[("makespan", 40.0, 0.0)]),
+            ),
+            (
+                "v3|wl=a",
+                result(None, &[("commits", f64::NAN, f64::NAN), ("x", 1e21, -0.0)]),
+            ),
+            ("v3|sim|sc=c|net=zero", result(Some("zero"), &[])),
+        ];
+        for (n, (key, r)) in cells.into_iter().enumerate() {
+            store.insert_and_save(key.to_string(), r).unwrap();
+            assert_eq!(on_disk(&store), store.to_json().render_pretty(), "{key}");
+            assert_eq!(store.len(), n + 1);
+        }
+        let written = on_disk(&store);
+        validate_and_count(&written, 4);
+
+        // A reopened store renders what it loaded to the same bytes, and
+        // keeps doing so after taking a new cell.
+        let mut reopened = ResultsStore::open(&dir);
+        assert_eq!(reopened.loaded, 4);
+        reopened.save().unwrap();
+        assert_eq!(on_disk(&reopened), written);
+        assert_eq!(written, reopened.to_json().render_pretty());
+        reopened
+            .insert_and_save("v3|wl=0".into(), result(None, &[("commits", 7.0, 0.0)]))
+            .unwrap();
+        assert_eq!(on_disk(&reopened), reopened.to_json().render_pretty());
+        validate_and_count(&on_disk(&reopened), 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn validate_and_count(text: &str, cells: usize) {
+        let doc = Json::parse(text).unwrap();
+        crate::json::validate_results(&doc).expect("committed schema");
+        assert_eq!(doc.get("cells").unwrap().as_obj().unwrap().len(), cells);
+    }
+
+    #[test]
+    fn save_goes_through_a_tmp_file_that_open_never_reads() {
+        let dir = std::env::temp_dir().join(format!("wtm_store_tmp_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = dir.join("results.json.tmp");
+
+        // A run killed before its first checkpoint was renamed: only a
+        // partial .tmp exists. Nothing is loaded from it.
+        std::fs::write(&tmp, "{\n  \"schema_version\": 3,\n  \"cells\": {").unwrap();
+        let mut store = ResultsStore::open(&dir);
+        assert_eq!(store.loaded, 0);
+        store
+            .insert_and_save("k1".into(), result(None, &[("commits", 1.0, 0.0)]))
+            .unwrap();
+        assert!(!tmp.exists(), "the save renamed its .tmp over results.json");
+        let good = std::fs::read_to_string(store.path()).unwrap();
+
+        // Killed mid-write of a later checkpoint: results.json still holds
+        // the previous one whole, whatever the .tmp beside it holds.
+        std::fs::write(&tmp, &good[..good.len() / 2]).unwrap();
+        let mut resumed = ResultsStore::open(&dir);
+        assert_eq!(resumed.loaded, 1, "the torn .tmp cost no finished cell");
+        assert!(resumed.get("k1").is_some());
+        resumed
+            .insert_and_save("k2".into(), result(Some("zero"), &[]))
+            .unwrap();
+        assert!(!tmp.exists());
+        assert_eq!(ResultsStore::open(&dir).loaded, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -966,6 +1124,7 @@ mod tests {
             assert!(r.metric("makespan").sd.is_finite());
         }
         let json_text = std::fs::read_to_string(dir.join("results.json")).unwrap();
+        assert_eq!(json_text, first.store().to_json().render_pretty());
         let doc = Json::parse(&json_text).unwrap();
         crate::json::validate_results(&doc).expect("committed schema");
 

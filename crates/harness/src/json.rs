@@ -83,9 +83,17 @@ impl Json {
 
     /// Pretty rendering with 2-space indentation and a trailing newline.
     pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        let mut out = self.render_pretty_at(0);
         out.push('\n');
+        out
+    }
+
+    /// [`render_pretty`](Self::render_pretty)'s bytes for this value where
+    /// it sits `depth` levels inside a document: what follows its key, up
+    /// to and excluding the `,` or newline after it.
+    pub fn render_pretty_at(&self, depth: usize) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(2), depth);
         out
     }
 

@@ -92,12 +92,21 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Where a delivery sits in the pop order among deliveries:
+/// `(time, tiebreak, seq)`, [`Event`]'s ordering with the class left out.
+pub type DeliveryKey = (u64, u64, u64);
+
+/// The [`DeliveryKey`] that sorts after every real one: "no verdict is
+/// queued against this attempt".
+pub const NO_VERDICT: DeliveryKey = (u64::MAX, u64::MAX, u64::MAX);
+
 /// Deterministic priority queue over [`Event`]s.
 #[derive(Debug)]
 pub struct EventQueue {
     heap: BinaryHeap<Event>,
     seed: u64,
     next_seq: u64,
+    elided: u64,
 }
 
 impl EventQueue {
@@ -108,19 +117,59 @@ impl EventQueue {
             heap: BinaryHeap::new(),
             seed,
             next_seq: 0,
+            elided: 0,
         }
     }
 
-    pub fn push(&mut self, time: u64, class: u8, kind: EventKind) {
+    /// Take the next insertion index: `(tiebreak, seq)`.
+    fn next_slot(&mut self) -> (u64, u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        (splitmix64(seq ^ self.seed), seq)
+    }
+
+    pub fn push(&mut self, time: u64, class: u8, kind: EventKind) {
+        let (tiebreak, seq) = self.next_slot();
         self.heap.push(Event {
             time,
             class,
             kind,
-            tiebreak: splitmix64(seq ^ self.seed),
+            tiebreak,
             seq,
         });
+    }
+
+    /// Queue a verdict against `attempt` of `txn`, unless it can only
+    /// arrive stale. `first` is the smallest key among the verdicts
+    /// already queued against that attempt ([`NO_VERDICT`] when there is
+    /// none; the caller resets it when the attempt ends).
+    ///
+    /// A verdict that sorts after `first` pops after it, and by then the
+    /// attempt is over: the earlier verdict aborted it, or something else
+    /// already had, and it cannot have committed with a verdict pending.
+    /// Popping a stale verdict does nothing, so such a verdict is not
+    /// queued. It still takes its insertion index: every later event's
+    /// tiebreak is a function of its own index, and must not move.
+    pub fn push_verdict(&mut self, time: u64, txn: TxnId, attempt: u32, first: &mut DeliveryKey) {
+        let (tiebreak, seq) = self.next_slot();
+        let key = (time, tiebreak, seq);
+        if key > *first {
+            self.elided += 1;
+            return;
+        }
+        *first = key;
+        self.heap.push(Event {
+            time,
+            class: CLASS_DELIVERY,
+            kind: EventKind::Verdict { txn, attempt },
+            tiebreak,
+            seq,
+        });
+    }
+
+    /// Verdicts [`push_verdict`](Self::push_verdict) left out so far.
+    pub fn elided(&self) -> u64 {
+        self.elided
     }
 
     pub fn pop(&mut self) -> Option<Event> {
@@ -258,9 +307,11 @@ impl EventLog {
 
     /// Lowercase hex of the whole log (the on-disk replay format).
     pub fn hex(&self) -> String {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(self.bytes.len() * 2);
-        for b in &self.bytes {
-            s.push_str(&format!("{b:02x}"));
+        for &b in &self.bytes {
+            s.push(DIGITS[(b >> 4) as usize] as char);
+            s.push(DIGITS[(b & 0xf) as usize] as char);
         }
         s
     }
@@ -273,10 +324,18 @@ impl EventLog {
         self.bytes.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn push(&mut self, r: Record) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            self.encode(r);
         }
+    }
+
+    /// Out of line and cold: an unlogged run pays one predicted branch per
+    /// record and no call.
+    #[cold]
+    #[inline(never)]
+    fn encode(&mut self, r: Record) {
         self.records += 1;
         match r {
             Record::Issue { step, txn } => {
@@ -414,6 +473,77 @@ mod tests {
             run(8),
             "distinct seeds permute simultaneous deliveries"
         );
+    }
+
+    fn verdict(txn: TxnId) -> EventKind {
+        EventKind::Verdict { txn, attempt: 0 }
+    }
+
+    /// Pop everything: `(time, kind)` in pop order.
+    fn drain(q: &mut EventQueue) -> Vec<(u64, EventKind)> {
+        std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time, e.kind))
+            .collect()
+    }
+
+    #[test]
+    fn elided_verdict_still_takes_its_insertion_index() {
+        // The same pushes through `push` and through `push_verdict`: the
+        // second verdict against the attempt is left out, and the acks
+        // pushed after it tie-break exactly as if it had been queued.
+        for seed in [0u64, 7, 0xDEAD_BEEF] {
+            let mut plain = EventQueue::new(seed);
+            plain.push(5, CLASS_DELIVERY, verdict(1));
+            plain.push(9, CLASS_DELIVERY, verdict(1));
+            let mut eliding = EventQueue::new(seed);
+            let mut first = NO_VERDICT;
+            eliding.push_verdict(5, 1, 0, &mut first);
+            eliding.push_verdict(9, 1, 0, &mut first);
+            for q in [&mut plain, &mut eliding] {
+                for t in 0..8u32 {
+                    q.push(9, CLASS_DELIVERY, EventKind::Ack { txn: t });
+                }
+            }
+            assert_eq!(eliding.elided(), 1);
+            assert_eq!(eliding.len() + 1, plain.len());
+            let mut want = drain(&mut plain);
+            want.retain(|&(time, kind)| (time, kind) != (9, verdict(1)));
+            assert_eq!(drain(&mut eliding), want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn earlier_arriving_verdict_replaces_the_recorded_first() {
+        let mut q = EventQueue::new(3);
+        let mut first = NO_VERDICT;
+        q.push_verdict(9, 4, 0, &mut first);
+        assert_eq!((first.0, q.len(), q.elided()), (9, 1, 0));
+        // Jitter can deliver a later duel's verdict sooner: it is queued
+        // and becomes the one the others are compared with.
+        q.push_verdict(5, 4, 0, &mut first);
+        assert_eq!((first.0, q.len(), q.elided()), (5, 2, 0));
+        q.push_verdict(7, 4, 0, &mut first);
+        assert_eq!((first.0, q.len(), q.elided()), (5, 2, 1));
+        // Same arrival step: the tiebreak decides, as it does in the heap,
+        // so `first` stays the key of the verdict that pops first.
+        q.push_verdict(5, 4, 0, &mut first);
+        assert_eq!(q.len() as u64 + q.elided(), 4);
+        let head = q.pop().unwrap();
+        assert_eq!((head.time, head.tiebreak, head.seq), first);
+        // Another attempt's verdicts are compared with their own first.
+        let mut other = NO_VERDICT;
+        q.push_verdict(20, 4, 0, &mut other);
+        assert_eq!(other.0, 20);
+    }
+
+    #[test]
+    fn hex_is_two_lowercase_digits_per_byte() {
+        let mut log = EventLog::recording();
+        log.push(Record::Commit {
+            step: 0x0123_4567_89ab_cdef,
+            txn: 0xf00d_face,
+        });
+        assert_eq!(log.hex(), "06efcdab8967452301cefa0df0");
     }
 
     #[test]

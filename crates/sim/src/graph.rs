@@ -44,6 +44,19 @@ impl ConflictGraph {
         }
     }
 
+    /// Empty graph whose adjacency lists are reserved, once, for the
+    /// `degree(i, j)` neighbours a generator expects to push to each.
+    pub(crate) fn with_degrees(m: usize, n: usize, degree: impl Fn(usize, usize) -> usize) -> Self {
+        assert!(m >= 1 && n >= 1);
+        ConflictGraph {
+            m,
+            n,
+            adj: (0..m * n)
+                .map(|t| Vec::with_capacity(degree(t / n, t % n)))
+                .collect(),
+        }
+    }
+
     /// Threads.
     pub fn m(&self) -> usize {
         self.m
@@ -85,6 +98,18 @@ impl ConflictGraph {
         }
     }
 
+    /// [`add_edge`](Self::add_edge) for a caller whose loops visit every
+    /// unordered pair once: the edge is new, so the O(degree) scan that
+    /// keeps `add_edge` idempotent is skipped. Same list order.
+    pub(crate) fn push_new_edge(&mut self, a: TxnId, b: TxnId) {
+        debug_assert!(
+            a != b && !self.conflicts(a, b),
+            "generator visited the pair ({a}, {b}) twice"
+        );
+        self.adj[a as usize].push(b);
+        self.adj[b as usize].push(a);
+    }
+
     /// Neighbours of `t`.
     pub fn neighbors(&self, t: TxnId) -> &[TxnId] {
         &self.adj[t as usize]
@@ -124,32 +149,43 @@ impl ConflictGraph {
 
     // ---- generators -------------------------------------------------------
 
-    /// Edges only inside columns, each pair with probability `p`.
-    pub fn per_column_random(m: usize, n: usize, p: f64, seed: u64) -> Self {
-        let mut g = Self::empty(m, n);
+    /// Each same-column pair with probability `p`.
+    fn push_column_edges(&mut self, p: f64, seed: u64) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        for j in 0..n {
-            for a in 0..m {
-                for b in (a + 1)..m {
-                    if rng.random_bool(p.clamp(0.0, 1.0)) {
-                        g.add_edge(g.id(a, j), g.id(b, j));
+        for j in 0..self.n {
+            for a in 0..self.m {
+                for b in (a + 1)..self.m {
+                    if rng.random_bool(p) {
+                        self.push_new_edge(self.id(a, j), self.id(b, j));
                     }
                 }
             }
         }
+    }
+
+    /// Edges only inside columns, each pair with probability `p`.
+    pub fn per_column_random(m: usize, n: usize, p: f64, seed: u64) -> Self {
+        let p = p.clamp(0.0, 1.0);
+        let degree = expected_degree(p, m);
+        let mut g = Self::with_degrees(m, n, |_, _| degree);
+        g.push_column_edges(p, seed);
         g
     }
 
     /// Dense inside columns (`p_in`), sparse across adjacent columns
     /// (`p_cross`).
     pub fn clustered(m: usize, n: usize, p_in: f64, p_cross: f64, seed: u64) -> Self {
-        let mut g = Self::per_column_random(m, n, p_in, seed);
+        let (p_in, p_cross) = (p_in.clamp(0.0, 1.0), p_cross.clamp(0.0, 1.0));
+        // An inner column has a cross pair towards each side, each way.
+        let degree = expected_degree(p_in + 2.0 * p_cross, m);
+        let mut g = Self::with_degrees(m, n, |_, _| degree);
+        g.push_column_edges(p_in, seed);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xC105_7E2D);
         for j in 0..n.saturating_sub(1) {
             for a in 0..m {
                 for b in 0..m {
-                    if a != b && rng.random_bool(p_cross.clamp(0.0, 1.0)) {
-                        g.add_edge(g.id(a, j), g.id(b, j + 1));
+                    if a != b && rng.random_bool(p_cross) {
+                        g.push_new_edge(g.id(a, j), g.id(b, j + 1));
                     }
                 }
             }
@@ -266,6 +302,12 @@ impl ConflictGraph {
         }
         best
     }
+}
+
+/// Mean degree of a node whose candidate pairs with any one of the other
+/// `m − 1` threads have edge probabilities summing to `per_peer`.
+fn expected_degree(per_peer: f64, m: usize) -> usize {
+    (per_peer * (m - 1) as f64).ceil() as usize
 }
 
 #[cfg(test)]
@@ -388,6 +430,73 @@ mod tests {
         for t in 0..a.len() as TxnId {
             assert_eq!(a.neighbors(t), b.neighbors(t));
         }
+    }
+
+    /// `per_column_random` as it was written against idempotent
+    /// `add_edge`: the reference for the generators' list order.
+    fn per_column_by_add_edge(m: usize, n: usize, p: f64, seed: u64) -> ConflictGraph {
+        let mut g = ConflictGraph::empty(m, n);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for j in 0..n {
+            for a in 0..m {
+                for b in (a + 1)..m {
+                    if rng.random_bool(p.clamp(0.0, 1.0)) {
+                        g.add_edge(g.id(a, j), g.id(b, j));
+                    }
+                }
+            }
+        }
+        g
+    }
+
+    /// `clustered`, likewise.
+    fn clustered_by_add_edge(
+        m: usize,
+        n: usize,
+        p_in: f64,
+        p_cross: f64,
+        seed: u64,
+    ) -> ConflictGraph {
+        let mut g = per_column_by_add_edge(m, n, p_in, seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xC105_7E2D);
+        for j in 0..n.saturating_sub(1) {
+            for a in 0..m {
+                for b in 0..m {
+                    if a != b && rng.random_bool(p_cross.clamp(0.0, 1.0)) {
+                        g.add_edge(g.id(a, j), g.id(b, j + 1));
+                    }
+                }
+            }
+        }
+        g
+    }
+
+    proptest::proptest! {
+        /// The generators push without `add_edge`'s scan; every adjacency
+        /// list must still equal, in order, the one `add_edge` builds
+        /// (the engine duels in list order, so order is behaviour).
+        #[test]
+        fn generators_build_the_lists_add_edge_would(
+            m in 1usize..10,
+            n in 1usize..7,
+            p_in in -0.1f64..1.2,
+            p_cross in -0.1f64..0.7,
+            seed in 0u64..1_000_000,
+        ) {
+            let fast = ConflictGraph::per_column_random(m, n, p_in, seed);
+            assert_eq!(fast.adj, per_column_by_add_edge(m, n, p_in, seed).adj);
+            let fast = ConflictGraph::clustered(m, n, p_in, p_cross, seed);
+            assert_eq!(fast.adj, clustered_by_add_edge(m, n, p_in, p_cross, seed).adj);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "visited the pair (2, 0) twice")]
+    fn push_new_edge_checks_its_claim_in_debug_builds() {
+        let mut g = ConflictGraph::empty(2, 2);
+        g.push_new_edge(0, 2);
+        g.push_new_edge(2, 0);
     }
 
     #[test]

@@ -159,14 +159,14 @@ pub struct Scenario {
 /// replica re-executes the same window against its own node's state).
 fn replicate_graph(base: &ConflictGraph, k: usize) -> ConflictGraph {
     let (bm, n) = (base.m(), base.n());
-    let mut g = ConflictGraph::empty(bm * k, n);
+    let mut g = ConflictGraph::with_degrees(bm * k, n, |i, j| base.degree(base.id(i % bm, j)));
     for r in 0..k {
         for a in 0..base.len() as TxnId {
             let (i, j) = base.coords(a);
             for &b in base.neighbors(a) {
                 if b > a {
                     let (i2, j2) = base.coords(b);
-                    g.add_edge(g.id(r * bm + i, j), g.id(r * bm + i2, j2));
+                    g.push_new_edge(g.id(r * bm + i, j), g.id(r * bm + i2, j2));
                 }
             }
         }
@@ -521,6 +521,37 @@ mod tests {
                 down: 9
             }]
         );
+    }
+
+    proptest::proptest! {
+        /// `replicate_graph` pushes each base edge once per replica
+        /// without `add_edge`'s scan: same lists, same order.
+        #[test]
+        fn replicated_lists_equal_those_add_edge_builds(
+            m in 1usize..7,
+            n in 1usize..6,
+            k in 1usize..4,
+            seed in 0u64..1_000_000,
+        ) {
+            // Clustered: its lists are not sorted, unlike per-column ones.
+            let base = ConflictGraph::clustered(m, n, 0.6, 0.3, seed);
+            let mut want = ConflictGraph::empty(m * k, n);
+            for r in 0..k {
+                for a in 0..base.len() as TxnId {
+                    let (i, j) = base.coords(a);
+                    for &b in base.neighbors(a) {
+                        if b > a {
+                            let (i2, j2) = base.coords(b);
+                            want.add_edge(want.id(r * m + i, j), want.id(r * m + i2, j2));
+                        }
+                    }
+                }
+            }
+            let got = replicate_graph(&base, k);
+            for t in 0..want.len() as TxnId {
+                assert_eq!(got.neighbors(t), want.neighbors(t), "txn {t}");
+            }
+        }
     }
 
     #[test]
