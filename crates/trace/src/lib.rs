@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// | `Abort` | wasted attempt duration | txn id | abort reason (`ABORT_*`) |
 /// | `Conflict` | 0 | enemy thread id | packed kind/verdict/killed ([`pack_conflict`]) |
 /// | `Wait` | time blocked in the CM | enemy thread id | 0 |
-/// | `BarrierWait` | time parked at the window barrier | phase (0 = entry, 1 = post-registration) | outcome (`BARRIER_*`) |
+/// | `BarrierWait` | time at the window barrier, polling and parked | always 0: a window has one barrier (the word was its phase when there were two) | outcome (`BARRIER_*`) |
 /// | `FrameAssign` | 0 | assigned frame | rank π₂ |
 /// | `WindowStart` | 0 | window generation | random delay q |
 /// | `FrameAdvance` | 0 | new frame index | high-water mark |

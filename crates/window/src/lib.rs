@@ -77,7 +77,7 @@ pub mod run;
 pub mod thread;
 
 pub use config::{AdaptiveMode, WindowConfig};
-pub use manager::WindowManager;
+pub use manager::{BoundaryCounts, WindowManager};
 pub use registry::{make_window_manager, window_names};
 pub use run::WindowRun;
 

@@ -3,12 +3,15 @@
 //! Implements [`wtm_stm::ContentionManager`] for all five variants of the
 //! paper. The moving parts:
 //!
-//! * **window boundaries** — all `M` threads synchronize on a cancellable
-//!   barrier before each window, roll their random delays `qᵢ`, register
-//!   their frame assignments with the shared [`WindowRun`] frame clock,
-//!   then synchronize again and start executing. (The barrier cost is real
-//!   and intentional: it is the "execution window overhead" the paper
-//!   measures in Fig. 5.)
+//! * **window boundaries** — a thread that finishes window g rolls its
+//!   random delay `qᵢ` for window g+1 and registers its frame assignments
+//!   with that window's [`WindowRun`] frame clock *on the way to* the one
+//!   cancellable barrier all `M` threads meet at, then seals the clock and
+//!   starts executing. Registering early is invisible: no transaction
+//!   reads run g+1's clock until its thread has passed the barrier, and by
+//!   then every thread has registered. (The wait for the slowest thread is
+//!   real and intentional: it is the "execution window overhead" the paper
+//!   measures in Fig. 5; see DESIGN.md "Window boundary".)
 //! * **priorities** — `resolve` compares the vectors `(π₁, π₂)`
 //!   lexicographically; π₁ is derived from the frame clock and the
 //!   transaction's assigned frame, π₂ is the RandomizedRounds rank
@@ -106,6 +109,24 @@ pub struct WindowManager {
     free_run: Arc<WindowRun>,
     /// First barrier-timeout diagnostic, kept for callers to surface.
     last_error: Mutex<Option<String>>,
+    /// Boundary-only event counters for [`Self::boundary_counts`].
+    barrier_timeouts: AtomicU64,
+    free_mode_entries: AtomicU64,
+}
+
+/// What the window boundaries of one manager have done so far
+/// ([`WindowManager::boundary_counts`]). A healthy run has no timeouts and
+/// one free-mode entry per thread, at shutdown.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BoundaryCounts {
+    /// Windows whose barrier released all `m` threads.
+    pub windows_started: u64,
+    /// Barrier waits that outlasted the polling budget and slept.
+    pub barrier_parks: u64,
+    /// Barrier waits that ran into `cfg.barrier_timeout`.
+    pub barrier_timeouts: u64,
+    /// Threads that left the window protocol for free mode.
+    pub free_mode_entries: u64,
 }
 
 impl WindowManager {
@@ -135,8 +156,14 @@ impl WindowManager {
                 generation: 0,
                 run: initial_run,
             }),
-            free_run: Arc::new(WindowRun::new(false, 1, 1)),
+            free_run: {
+                let run = WindowRun::new(false, 1, 1);
+                run.seal_registration(); // its clock runs from here on
+                Arc::new(run)
+            },
             last_error: Mutex::new(None),
+            barrier_timeouts: AtomicU64::new(0),
+            free_mode_entries: AtomicU64::new(0),
             cfg,
             variant,
         }
@@ -166,6 +193,17 @@ impl WindowManager {
     pub fn window_error(&self) -> Option<String> {
         lockstat::bump();
         self.last_error.lock().clone()
+    }
+
+    /// Window-boundary event counts (diagnostics/tests): reads of atomics
+    /// that only boundaries write, nothing per transaction.
+    pub fn boundary_counts(&self) -> BoundaryCounts {
+        BoundaryCounts {
+            windows_started: self.barrier.generation(),
+            barrier_parks: self.barrier.parks(),
+            barrier_timeouts: self.barrier_timeouts.load(Ordering::Relaxed),
+            free_mode_entries: self.free_mode_entries.load(Ordering::Relaxed),
+        }
     }
 
     /// Current contention estimate of a thread (diagnostics/tests; reads
@@ -220,14 +258,12 @@ impl WindowManager {
         Arc::clone(&slot.run)
     }
 
-    /// One barrier phase of the window protocol, with a deadline. A thread
-    /// that waits out `cfg.barrier_timeout` concludes the window is
-    /// misconfigured (`cfg.m` ≠ number of running threads), records a
-    /// descriptive error, and cancels the barrier so the remaining parked
-    /// threads fail fast too instead of hanging until their own deadlines.
-    fn window_barrier(&self, thread_id: usize, phase: u64) -> BarrierWait {
-        #[cfg(not(feature = "trace"))]
-        let _ = (thread_id, phase);
+    /// The window barrier, with a deadline. A thread that waits out
+    /// `cfg.barrier_timeout` concludes the window is misconfigured
+    /// (`cfg.m` ≠ number of running threads), records a descriptive error,
+    /// and cancels the barrier so the remaining waiters fail fast too
+    /// instead of hanging until their own deadlines.
+    fn window_barrier(&self, thread_id: usize) -> BarrierWait {
         #[cfg(feature = "trace")]
         let t0 = wtm_stm::clockns::now();
         let res = self.barrier.wait_timeout(self.cfg.barrier_timeout);
@@ -244,25 +280,26 @@ impl WindowManager {
                 now,
                 now.saturating_sub(t0),
                 thread_id as u32,
-                phase,
+                0, // phase word: a window has one barrier
                 outcome,
             ));
         }
         if res == BarrierWait::TimedOut {
-            self.fail_window(thread_id, phase);
+            self.fail_window(thread_id);
         }
         res
     }
 
     /// Record the barrier-timeout diagnostic (first one wins) and cancel
     /// the window machinery so every thread degrades to free mode.
-    fn fail_window(&self, thread_id: usize, phase: u64) {
+    fn fail_window(&self, thread_id: usize) {
+        self.barrier_timeouts.fetch_add(1, Ordering::Relaxed);
         // We already withdrew our own arrival; count ourselves back in for
         // the message. Racing timeouts make this approximate — it is a
         // diagnostic, not an invariant.
         let arrived = (self.barrier.arrived() + 1).min(self.cfg.m);
         let msg = format!(
-            "window barrier timed out after {:?} (thread {thread_id}, phase {phase}): \
+            "window barrier timed out after {:?} (thread {thread_id}): \
              only {arrived} of m = {} threads reached the window boundary. \
              WindowConfig.m must equal the number of threads running transactions; \
              continuing in free mode (RandomizedRounds).",
@@ -279,17 +316,17 @@ impl WindowManager {
         self.barrier.cancel();
     }
 
-    /// Window-boundary protocol: barrier → roll `qᵢ`, register assignments
-    /// → barrier → go.
+    /// Window-boundary protocol: roll `qᵢ`, register assignments into the
+    /// next generation's run → barrier → seal → go. Registration comes
+    /// *before* the one barrier: the next run is a fresh object no
+    /// transaction reads until its thread is past that barrier, by which
+    /// time every thread has registered, so the dynamic frame clock still
+    /// sees the complete pending table before it first moves.
     fn begin_window(&self, cell: &ThreadCell, tw: &mut ThreadWindow) {
-        if tw.free_mode || self.window_barrier(tw.id, 0) != BarrierWait::Released {
+        if tw.free_mode {
             self.enter_free_mode(cell, tw);
             return;
         }
-        tw.windows_done += 1;
-        tw.j = 0;
-        tw.j_base = 0;
-        tw.base = 0;
         // Refresh the contention estimate for this window.
         match self.variant.adaptive_mode() {
             AdaptiveMode::Known => tw.c = self.cfg.c_init,
@@ -300,31 +337,39 @@ impl WindowManager {
         }
         let alpha = self.cfg.alpha_for(tw.c);
         tw.q = tw.rng.random_range(0..alpha);
-        let run = self.run_for_generation(tw.windows_done);
+        let run = self.run_for_generation(tw.windows_done + 1);
         // Whole schedule segment in one wait-free batch (one high-water
         // publication instead of N).
         run.register_all((0..self.cfg.n as u64).map(|j| tw.q + j));
-        // Second phase: nobody executes until everyone registered, so the
-        // dynamic frame clock sees the complete pending table.
-        let released = self.window_barrier(tw.id, 1) == BarrierWait::Released;
+        if self.window_barrier(tw.id) != BarrierWait::Released {
+            // Our registrations stay behind in a run nobody will execute:
+            // a failed barrier is cancelled, so every thread ends up here.
+            self.enter_free_mode(cell, tw);
+            return;
+        }
+        // Everyone registered: start the clock (static) or skip leading
+        // empty frames (dynamic).
         run.seal_registration();
+        tw.windows_done += 1;
+        tw.j = 0;
+        tw.j_base = 0;
+        tw.base = 0;
         tw.run = Some(run);
         cell.publish_boundary(tw.run.clone(), tw.c, tw.windows_done - 1);
-        if !released {
-            self.enter_free_mode(cell, tw);
-        } else {
-            #[cfg(feature = "trace")]
-            wtm_trace::emit(wtm_trace::Event::instant(
-                wtm_trace::EventKind::WindowStart,
-                wtm_stm::clockns::now(),
-                tw.id as u32,
-                tw.windows_done,
-                tw.q,
-            ));
-        }
+        #[cfg(feature = "trace")]
+        wtm_trace::emit(wtm_trace::Event::instant(
+            wtm_trace::EventKind::WindowStart,
+            wtm_stm::clockns::now(),
+            tw.id as u32,
+            tw.windows_done,
+            tw.q,
+        ));
     }
 
     fn enter_free_mode(&self, cell: &ThreadCell, tw: &mut ThreadWindow) {
+        if !tw.free_mode {
+            self.free_mode_entries.fetch_add(1, Ordering::Relaxed);
+        }
         tw.free_mode = true;
         tw.j = 0;
         tw.j_base = 0;
@@ -825,6 +870,70 @@ mod tests {
             err.contains("timed out"),
             "error must say what happened: {err}"
         );
+    }
+
+    #[test]
+    fn barrier_failure_after_registration_enters_free_mode_cleanly() {
+        // A thread registers into run g+1 *before* the window barrier. If
+        // that barrier then fails, the registrations stay behind in a run
+        // nobody executes and the thread carries on in free mode.
+        let n = 2;
+        let cfg = WindowConfig::new(2, n)
+            .with_fixed_tau(Duration::from_micros(10))
+            .with_barrier_timeout(Duration::from_millis(50));
+        let wm = WindowManager::new(WindowVariant::OnlineDynamic, cfg);
+        let run_txn = |thread: usize, id: u64| {
+            let tx = state_on(thread, id);
+            wm.on_begin(&tx, false);
+            assert_ne!(tx.assigned_frame(), NOT_WINDOWED);
+            tx.try_commit();
+            wm.on_commit(&tx);
+        };
+        // Window 1 on both threads: a healthy boundary.
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                let run_txn = &run_txn;
+                s.spawn(move || (0..n as u64).for_each(|i| run_txn(t, 10 * t as u64 + i + 1)));
+            }
+        });
+        assert_eq!(wm.boundary_counts().windows_started, 1);
+        assert_eq!(wm.window_error(), None);
+        // Thread 1 stops; thread 0 goes on to window 2 alone.
+        run_txn(0, 100);
+        let counts = wm.boundary_counts();
+        assert_eq!(
+            (
+                counts.windows_started,
+                counts.barrier_timeouts,
+                counts.free_mode_entries
+            ),
+            (1, 1, 1)
+        );
+        assert!(
+            counts.barrier_parks >= 1,
+            "a 50 ms wait outlasts the polling"
+        );
+        assert!(wm.window_error().expect("recorded").contains("timed out"));
+        let abandoned = Arc::clone(&wm.runs.lock().run);
+        assert_eq!(abandoned.outstanding(), n as u64, "registered, never run");
+        assert_eq!(abandoned.current_frame(), 0, "never sealed");
+        let free = wm.current_run(0).expect("free-mode clock");
+        assert!(Arc::ptr_eq(&free, &wm.free_run));
+        // Free mode never waits again (several boundaries' worth of
+        // transactions, no new park or timeout), and a late thread 1 finds
+        // the barrier cancelled and joins it at once.
+        (101..110).for_each(|id| run_txn(0, id));
+        run_txn(1, 200);
+        let after = wm.boundary_counts();
+        assert_eq!(after.free_mode_entries, 2);
+        assert_eq!(
+            (after.barrier_parks, after.barrier_timeouts),
+            (counts.barrier_parks, 1)
+        );
+        // Thread 1 registered into the same run on its way to the
+        // cancelled barrier; nothing ever completes there.
+        assert_eq!(abandoned.outstanding(), 2 * n as u64);
+        assert_eq!(abandoned.current_frame(), 0);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! One window execution: the frame clock.
 //!
-//! A [`WindowRun`] is created once per window (per barrier generation) and
-//! shared by all M threads. It answers the single question the conflict
-//! resolver needs — *what is the current frame?* — under one of two
-//! drivers:
+//! A [`WindowRun`] is created once per window (per barrier generation) by
+//! the first thread to finish the window before, registered into by every
+//! thread on its way to the window barrier, and *sealed* by each thread
+//! right after it. It is shared by all M threads and answers the single
+//! question the conflict resolver needs — *what is the current frame?* —
+//! under one of two drivers:
 //!
-//! * **static**: frame = elapsed time / frame length. The paper's base
-//!   algorithms, where frames are fixed at Θ(ln MN) transaction
+//! * **static**: frame = time since the seal / frame length. The paper's
+//!   base algorithms, where frames are fixed at Θ(ln MN) transaction
 //!   durations. Elapsed time comes from the engine's coarse
 //!   [`wtm_stm::clockns`] clock (a calibrated `rdtsc` on x86_64), not
 //!   `Instant::elapsed()` — one vDSO `clock_gettime` per conflict was a
@@ -54,9 +56,11 @@
 //! ### Orderings and the no-skip invariant
 //!
 //! Counter increments are `Release` and the advance loop's reads are
-//! `Acquire`, so a registration published before the registration barrier
-//! is always seen by any later advance: the clock cannot pass a frame
-//! that still has base-schedule work. `reassign` increments the new frame
+//! `Acquire`, so a registration published before the window barrier is
+//! always seen by any later advance — and the first advance is the seal,
+//! which every thread runs after that barrier: nothing reads or moves the
+//! cursor of a run while threads are still registering into it, so the
+//! clock cannot pass a frame that still has base-schedule work. `reassign` increments the new frame
 //! *before* decrementing the old one — the transient state double-counts,
 //! which can only delay contraction, never wrongly advance it. The one
 //! benign race left is a reassign targeting the frame the cursor is
@@ -95,8 +99,11 @@ const GROWTH_SEGMENTS: usize = 32;
 
 /// Shared frame clock for one window execution.
 pub struct WindowRun {
-    /// Coarse-clock timestamp at creation (static driver origin).
-    start_ns: u64,
+    /// Static driver origin: the coarse-clock timestamp of the first
+    /// [`Self::seal_registration`], 0 until then. Stamped when the window
+    /// starts, not when the run is created, so the time threads spend at
+    /// the window barrier is not charged to frame 0.
+    start_ns: AtomicU64,
     frame_len_ns: u64,
     dynamic: bool,
     /// The dynamic frame cursor; advanced only by [`Self::try_advance`].
@@ -132,7 +139,7 @@ impl WindowRun {
     pub fn new(dynamic: bool, frame_len_ns: u64, frames_hint: usize) -> Self {
         let base_cap = frames_hint.max(2).next_power_of_two();
         WindowRun {
-            start_ns: clockns::now(),
+            start_ns: AtomicU64::new(0),
             frame_len_ns: frame_len_ns.max(1),
             dynamic,
             cur: AtomicU64::new(0),
@@ -155,12 +162,15 @@ impl WindowRun {
 
     /// The current frame index. One atomic load (dynamic) or one coarse
     /// clock read (static) — the whole conflict-resolution clock cost.
+    /// A static run reads frame 0 until it is sealed.
     #[inline]
     pub fn current_frame(&self) -> u64 {
         if self.dynamic {
-            self.cur.load(Ordering::Acquire)
-        } else {
-            clockns::now().saturating_sub(self.start_ns) / self.frame_len_ns
+            return self.cur.load(Ordering::Acquire);
+        }
+        match self.start_ns.load(Ordering::Relaxed) {
+            0 => 0,
+            start => clockns::now().saturating_sub(start) / self.frame_len_ns,
         }
     }
 
@@ -377,14 +387,24 @@ impl WindowRun {
         }
     }
 
-    /// Recompute contraction after batch registration (call once all
-    /// threads have registered, to skip leading empty frames).
+    /// The window starts: call once all threads have registered, every
+    /// thread before its first transaction of the window. A dynamic run
+    /// recomputes contraction (skipping leading empty frames); a static
+    /// run starts its clock, the first sealer's timestamp winning.
     pub fn seal_registration(&self) {
-        if !self.dynamic {
-            return;
+        if self.dynamic {
+            let _pin = wtm_stm::epoch::pin();
+            self.try_advance();
+        } else if self.start_ns.load(Ordering::Relaxed) == 0 {
+            // Relaxed: the origin publishes no other data, and each thread
+            // seals before it reads, so it never sees its own window at 0.
+            let _ = self.start_ns.compare_exchange(
+                0,
+                clockns::now().max(1),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            );
         }
-        let _pin = wtm_stm::epoch::pin();
-        self.try_advance();
     }
 
     /// Total outstanding transactions (diagnostics).
@@ -465,6 +485,7 @@ mod tests {
     #[test]
     fn static_run_advances_with_time() {
         let run = WindowRun::new(false, 1_000_000, 8); // 1 ms frames
+        run.seal_registration();
         assert_eq!(run.current_frame(), 0);
         std::thread::sleep(Duration::from_millis(3));
         assert!(run.current_frame() >= 2);
@@ -475,6 +496,7 @@ mod tests {
         // The static driver reads the coarse rdtsc-calibrated clock; the
         // derived frame index must never move backwards on one thread.
         let run = WindowRun::new(false, 500, 4); // 500 ns frames: ticks often
+        run.seal_registration();
         let mut prev = run.current_frame();
         for _ in 0..50_000 {
             let f = run.current_frame();
@@ -482,6 +504,22 @@ mod tests {
             prev = f;
         }
         assert!(prev > 0, "500 ns frames must tick during the loop");
+    }
+
+    #[test]
+    fn static_clock_starts_at_seal_not_at_creation() {
+        // The run of window g+1 is created and registered into while
+        // threads still wait at the window barrier; that wait must not eat
+        // frame 0 (1 ms frames, 5 ms idle: creation-stamped reads frame 5).
+        let run = WindowRun::new(false, 1_000_000, 8);
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(run.current_frame(), 0, "unsealed static run is at frame 0");
+        run.seal_registration();
+        assert_eq!(run.current_frame(), 0, "the clock starts at the seal");
+        // Later sealers (the other threads of the window) do not restart it.
+        std::thread::sleep(Duration::from_millis(3));
+        run.seal_registration();
+        assert!(run.current_frame() >= 2, "first sealer wins");
     }
 
     #[test]

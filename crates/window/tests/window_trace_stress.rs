@@ -1,7 +1,8 @@
 //! Multi-thread stress of the lock-free dynamic frame clock, checked
 //! through the trace layer: contraction must never close a frame that
 //! still has pending registrants, the window barrier must never time out
-//! when `m` matches the thread count, and the who-killed-whom accounting
+//! when `m` matches the thread count and is waited at once per window per
+//! thread, and the who-killed-whom accounting
 //! must balance (every contention-manager kill recorded in the conflict
 //! stream corresponds to exactly one abort of the matching reason).
 #![cfg(feature = "trace")]
@@ -107,6 +108,28 @@ fn online_dynamic_contraction_and_kill_accounting_under_contention() {
         .filter(|e| e.kind == EventKind::BarrierWait && e.b == wtm_trace::BARRIER_TIMED_OUT)
         .count();
     assert_eq!(timed_out, 0, "no BARRIER_TIMED_OUT events expected");
+
+    // A window boundary is one barrier: each thread waited exactly once
+    // per window it started, with the phase word at 0, and the manager's
+    // own boundary counters tell the same story.
+    let windows = TXNS_PER_THREAD / N as u64;
+    for t in 0..M as u32 {
+        let of = |kind| events.iter().filter(move |e| e.kind == kind && e.tid == t);
+        assert_eq!(of(EventKind::WindowStart).count() as u64, windows);
+        assert_eq!(
+            of(EventKind::BarrierWait).count() as u64,
+            windows,
+            "thread {t}: one BarrierWait span per window"
+        );
+        assert!(of(EventKind::BarrierWait).all(|e| e.a == 0 && e.b == wtm_trace::BARRIER_RELEASED));
+    }
+    let counts = wm.boundary_counts();
+    assert_eq!(counts.windows_started, windows);
+    assert_eq!(counts.barrier_timeouts, 0);
+    assert_eq!(
+        counts.free_mode_entries, 0,
+        "nobody began a txn after cancel"
+    );
 
     // The dynamic clock advanced and said so.
     let advances = events

@@ -60,6 +60,27 @@ fn every_variant_completes_multiple_windows() {
 }
 
 #[test]
+fn every_variant_crosses_window_boundaries_at_one_two_and_eight_threads() {
+    // One thread (a barrier of one), as many threads as this host has
+    // CPUs, and four times as many: the polling barrier must hand the CPU
+    // to the thread it waits for. Four windows each, so three boundaries
+    // are crossed with a window's transactions on both sides.
+    for &variant in WindowVariant::all() {
+        for m in [1, 2, 8] {
+            let wm = drive_windows(variant, m, 4, 4);
+            let what = format!("{} at m = {m}", variant.name());
+            assert_eq!(wm.window_error(), None, "{what}");
+            for t in 0..m {
+                assert!(wm.windows_completed(t) >= 3, "{what}: thread {t}");
+            }
+            let counts = wm.boundary_counts();
+            assert_eq!(counts.windows_started, 4, "{what}");
+            assert_eq!(counts.barrier_timeouts, 0, "{what}");
+        }
+    }
+}
+
+#[test]
 fn single_thread_window_degenerates_gracefully() {
     // M = 1: no contention, barrier of one party, q drawn from α(C)≥1.
     drive_windows(WindowVariant::OnlineDynamic, 1, 10, 4);
