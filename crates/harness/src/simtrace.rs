@@ -33,7 +33,7 @@ use crate::theory::mean_makespan;
 /// registered workload works: the registry builds it and its per-thread
 /// streams supply traced footprints.
 pub fn capture_window_graph(workload: &str, m: usize, n: usize, seed: u64) -> ConflictGraph {
-    let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+    let stm = Stm::new(CmDispatch::AbortSelf, 1);
     let ctx = stm.thread(0);
     let params = WorkloadParams {
         key_range: 0, // registry default

@@ -207,6 +207,12 @@ impl From<Arc<dyn ContentionManager>> for CmDispatch {
     }
 }
 
+impl<M: ContentionManager + 'static> From<Arc<M>> for CmDispatch {
+    fn from(cm: Arc<M>) -> Self {
+        CmDispatch::Dyn(cm)
+    }
+}
+
 impl From<AbortSelfManager> for CmDispatch {
     fn from(_: AbortSelfManager) -> Self {
         CmDispatch::AbortSelf
@@ -236,21 +242,25 @@ mod tests {
 
     #[test]
     fn enum_verdicts_match_trait_verdicts() {
-        // Every classic manager must behave identically whether reached
-        // through its enum variant or through the Dyn fallback.
-        for name in crate::managers::classic_names() {
+        use crate::managers::{Aggressive, Timid};
+        // The stateless managers must decide identically whether reached
+        // through their enum variant or through the Dyn fallback, on a
+        // clear-cut case: an old transaction (ts=1) vs a young one (ts=1000).
+        let behind_dyn: [(&str, CmDispatch); 4] = [
+            ("Greedy", Arc::new(Greedy).into()),
+            ("Priority", Arc::new(Priority).into()),
+            ("Aggressive", Arc::new(Aggressive).into()),
+            ("Timid", Arc::new(Timid).into()),
+        ];
+        for (name, dynamic) in behind_dyn {
             let dispatch = crate::managers::make_dispatch(name, 4).unwrap();
-            let dynamic = CmDispatch::Dyn(crate::managers::make_manager(name, 4).unwrap());
+            assert!(!matches!(dispatch, CmDispatch::Dyn(_)), "{name}");
             assert_eq!(dispatch.name(), dynamic.name(), "{name}");
-            // Deterministic managers must agree on a clear-cut case:
-            // an old transaction (ts=1) vs a young one (ts=1000).
-            if matches!(*name, "Greedy" | "Priority" | "Aggressive" | "Timid") {
-                let old = state(1, 1);
-                let young = state(2, 1000);
-                let via_enum = dispatch.resolve(&old, &young, ConflictKind::WriteWrite);
-                let via_dyn = dynamic.resolve(&old, &young, ConflictKind::WriteWrite);
-                assert_eq!(via_enum, via_dyn, "{name}");
-            }
+            let old = state(1, 1);
+            let young = state(2, 1000);
+            let via_enum = dispatch.resolve(&old, &young, ConflictKind::WriteWrite);
+            let via_dyn = dynamic.resolve(&old, &young, ConflictKind::WriteWrite);
+            assert_eq!(via_enum, via_dyn, "{name}");
         }
     }
 
@@ -277,5 +287,9 @@ mod tests {
         ));
         let dynamic: Arc<dyn ContentionManager> = Arc::new(AbortEnemyManager);
         assert!(matches!(CmDispatch::from(dynamic), CmDispatch::Dyn(_)));
+        assert!(matches!(
+            CmDispatch::from(Arc::new(AbortEnemyManager)),
+            CmDispatch::Dyn(_)
+        ));
     }
 }

@@ -119,7 +119,6 @@ fn read_committed<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<Ar
                 // Earlier reads exist: this snapshot may be inconsistent
                 // with them. Abort and retry with a fresh watermark.
                 txn.state.abort();
-                #[cfg(feature = "trace")]
                 txn.set_abort_reason(wtm_trace::ABORT_VALIDATION);
                 return Err(TxError::Aborted);
             }
@@ -148,7 +147,6 @@ fn read_committed<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<Ar
 /// Abort `txn` for a failed commit-time read validation.
 fn validation_abort(txn: &Txn<'_>) -> TxError {
     txn.state.abort();
-    #[cfg(feature = "trace")]
     txn.set_abort_reason(wtm_trace::ABORT_VALIDATION);
     TxError::Aborted
 }
@@ -287,7 +285,7 @@ impl Engine for LazyEngine {
 
     fn commit(txn: &mut Txn<'_>) -> TxResult<()> {
         txn.check_alive()?;
-        if txn.writes.len() == 0 {
+        if txn.writes.is_empty() {
             // Read-only: every read was validated against the watermark
             // when it happened, so the snapshot is already consistent —
             // only the status CAS (racing enemy aborts) remains.

@@ -64,7 +64,6 @@ pub mod cm;
 pub mod dispatch;
 pub mod engine;
 pub mod epoch;
-mod inline_vec;
 pub mod managers;
 /// Debug-build hot-path operation counters (scan/RMW cost assertions).
 #[cfg(debug_assertions)]

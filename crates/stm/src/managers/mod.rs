@@ -57,7 +57,7 @@ pub use polite::Polite;
 pub use polka::Polka;
 pub use priority::Priority;
 pub use randomized::RandomizedRounds;
-pub use registry::{classic_names, make_dispatch, make_manager};
+pub use registry::{classic_names, make_dispatch};
 pub use simple::{Aggressive, Timid};
 pub use sto_timid::StoTimid;
 pub use timestamp::Timestamp;

@@ -2,15 +2,13 @@
 
 use std::sync::Arc;
 
-use crate::ContentionManager;
-
 use crate::dispatch::CmDispatch;
 use crate::managers::{
-    Aggressive, Ats, Backoff, Eruption, Greedy, Karma, Kindergarten, Polite, Polka, Priority,
-    RandomizedRounds, StoTimid, Timestamp, Timid,
+    Ats, Backoff, Eruption, Karma, Kindergarten, Polite, Polka, RandomizedRounds, StoTimid,
+    Timestamp,
 };
 
-/// The classic manager names [`make_manager`] understands
+/// The classic manager names [`make_dispatch`] understands
 /// (the window-based managers live in `wtm-window` and have their own
 /// registry entry points in the harness).
 pub fn classic_names() -> &'static [&'static str] {
@@ -32,34 +30,11 @@ pub fn classic_names() -> &'static [&'static str] {
     ]
 }
 
-/// Construct a classic contention manager by name.
-///
-/// `num_threads` parameterizes managers that need the thread count
-/// (RandomizedRounds' rank range). Returns `None` for unknown names.
-pub fn make_manager(name: &str, num_threads: usize) -> Option<Arc<dyn ContentionManager>> {
-    Some(match name {
-        "Polka" => Arc::new(Polka::default()),
-        "Greedy" => Arc::new(Greedy),
-        "Priority" => Arc::new(Priority),
-        "Karma" => Arc::new(Karma::default()),
-        "Backoff" => Arc::new(Backoff::default()),
-        "Polite" => Arc::new(Polite::default()),
-        "Aggressive" => Arc::new(Aggressive),
-        "Timid" => Arc::new(Timid),
-        "Timestamp" => Arc::new(Timestamp::default()),
-        "RandomizedRounds" => Arc::new(RandomizedRounds::new(num_threads)),
-        "Eruption" => Arc::new(Eruption::default()),
-        "Kindergarten" => Arc::new(Kindergarten::new(num_threads)),
-        "ATS" => Arc::new(Ats::new(num_threads)),
-        "STO-Timid" => Arc::new(StoTimid::new(num_threads)),
-        _ => return None,
-    })
-}
-
 /// Construct a classic contention manager by name as a [`CmDispatch`],
 /// so the engine's hot hooks dispatch monomorphically (no virtual calls).
 ///
-/// Same name set as [`make_manager`]; returns `None` for unknown names.
+/// `num_threads` parameterizes managers that need the thread count
+/// (RandomizedRounds' rank range). Returns `None` for unknown names.
 pub fn make_dispatch(name: &str, num_threads: usize) -> Option<CmDispatch> {
     Some(match name {
         "Polka" => CmDispatch::Polka(Arc::new(Polka::default())),
@@ -89,13 +64,13 @@ mod tests {
     #[test]
     fn every_listed_name_constructs() {
         for name in classic_names() {
-            let cm = make_manager(name, 4).unwrap_or_else(|| panic!("{name} should construct"));
+            let cm = make_dispatch(name, 4).unwrap_or_else(|| panic!("{name} should construct"));
             assert_eq!(cm.name(), *name);
         }
     }
 
     #[test]
     fn unknown_name_is_none() {
-        assert!(make_manager("NoSuchManager", 4).is_none());
+        assert!(make_dispatch("NoSuchManager", 4).is_none());
     }
 }

@@ -8,21 +8,14 @@
 //! implements: wasted work, repeat conflicts, average committed-transaction
 //! duration, and average response time.
 //!
-//! ## Staged counters
+//! ## Single-writer counters
 //!
-//! The per-attempt counters (commits, aborts, opens, duration sums) are
-//! not bumped with one atomic RMW each at every attempt end. Instead the
-//! engine *stages* them into a private pending block with plain
-//! single-writer load/store pairs (only the owning worker writes them)
-//! and folds the block into the canonical fields every
-//! [`STATS_FLUSH_EVERY`] attempts — replacing five `lock xadd`s per
-//! transaction with five unlocked stores plus an amortized flush.
-//! [`ThreadStats::snapshot`] always folds the pending block in, so an
-//! aggregate taken at *any* time — mid-run, at a `StopRule::Budget`
-//! safety deadline, after a truncated run — is never short by the staged
-//! remainder. (A snapshot racing a concurrent flush on a *live* worker
-//! can transiently double-count up to one flush window; every quiescent
-//! read — the only kind the harness and tests perform — is exact.)
+//! Only the owning worker writes its [`ThreadStats`], so every update is a
+//! relaxed `load + store` pair on the counter itself — no `lock xadd`, no
+//! staging block to fold. [`ThreadStats::snapshot`] is eleven relaxed loads
+//! and may be taken from any thread at any time: each field it returns is a
+//! value the owner really stored, never ahead of the owner and never less
+//! than an earlier sample of the same field.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -110,12 +103,12 @@ impl Default for ShardedU64 {
     }
 }
 
-/// Per-thread metric counters. All updates are `Relaxed`: the counters are
-/// only aggregated after the worker threads have been joined.
+/// Per-thread metric counters, written by the owning worker only (see the
+/// module docs) and loaded `Relaxed` by whoever aggregates.
 ///
 /// Cache-line-aligned: the engine allocates one per worker, and the
-/// alignment keeps a worker's staged-counter traffic off its neighbours'
-/// lines regardless of how the allocator packs them.
+/// alignment keeps a worker's counter traffic off its neighbours' lines
+/// regardless of how the allocator packs them.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 pub struct ThreadStats {
@@ -144,33 +137,6 @@ pub struct ThreadStats {
     pub opens: AtomicU64,
     /// Logical transaction id of the last conflict's enemy (repeat detection).
     last_enemy: AtomicU64,
-    /// Staged per-attempt deltas, folded into the canonical fields every
-    /// [`STATS_FLUSH_EVERY`] attempts (see the module docs).
-    pending: PendingStats,
-}
-
-/// How many attempts may stage their deltas before the worker folds them
-/// into the canonical counters. Amortizes the atomic-RMW cost; snapshots
-/// fold the remainder in regardless, so the value only trades flush
-/// frequency against the worst-case transient skew of a mid-run snapshot.
-pub(crate) const STATS_FLUSH_EVERY: u64 = 32;
-
-/// The staged counter block. Written exclusively by the owning worker
-/// (plain load+store — no RMW); concurrently loaded by `snapshot`.
-/// Aligned to its own cache line inside [`ThreadStats`] so the owner's
-/// per-attempt stores never contend with a concurrent snapshot walking
-/// the canonical fields.
-#[repr(align(128))]
-#[derive(Debug, Default)]
-struct PendingStats {
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    opens: AtomicU64,
-    committed_ns: AtomicU64,
-    response_ns: AtomicU64,
-    wasted_ns: AtomicU64,
-    /// Attempts staged since the last fold.
-    staged: AtomicU64,
 }
 
 impl ThreadStats {
@@ -179,22 +145,8 @@ impl ThreadStats {
         Self::default()
     }
 
-    #[inline]
-    pub(crate) fn record_conflict(&self, kind: crate::cm::ConflictKind, enemy_txn: u64) {
-        use crate::cm::ConflictKind::*;
-        match kind {
-            WriteWrite => self.conflicts_ww.fetch_add(1, Ordering::Relaxed),
-            ReadWrite => self.conflicts_rw.fetch_add(1, Ordering::Relaxed),
-            WriteRead => self.conflicts_wr.fetch_add(1, Ordering::Relaxed),
-        };
-        let prev = self.last_enemy.swap(enemy_txn, Ordering::Relaxed);
-        if prev == enemy_txn {
-            self.repeat_conflicts.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Single-writer bump of a staged cell: only the owning worker writes
-    /// these, so `load + store` replaces an atomic RMW.
+    /// Single-writer bump: only the owning worker writes these cells, so
+    /// `load + store` replaces an atomic RMW.
     #[inline]
     fn bump(cell: &AtomicU64, v: u64) {
         cell.store(
@@ -203,108 +155,65 @@ impl ThreadStats {
         );
     }
 
-    /// Stage a committed attempt's deltas. Returns `true` when the staged
-    /// block is due for a fold (every [`STATS_FLUSH_EVERY`] attempts).
     #[inline]
-    pub(crate) fn stage_commit(&self, opens: u64, committed_ns: u64, response_ns: u64) -> bool {
-        let p = &self.pending;
-        Self::bump(&p.commits, 1);
-        if opens > 0 {
-            Self::bump(&p.opens, opens);
+    pub(crate) fn record_conflict(&self, kind: crate::cm::ConflictKind, enemy_txn: u64) {
+        use crate::cm::ConflictKind::*;
+        match kind {
+            WriteWrite => Self::bump(&self.conflicts_ww, 1),
+            ReadWrite => Self::bump(&self.conflicts_rw, 1),
+            WriteRead => Self::bump(&self.conflicts_wr, 1),
+        };
+        if self.last_enemy.load(Ordering::Relaxed) == enemy_txn {
+            Self::bump(&self.repeat_conflicts, 1);
         }
-        // Elided-clock commits stage zero durations (settled lazily via
-        // `stage_lazy_durations`): skip the dead stores.
-        if committed_ns > 0 {
-            Self::bump(&p.committed_ns, committed_ns);
-        }
-        if response_ns > 0 {
-            Self::bump(&p.response_ns, response_ns);
-        }
-        Self::bump(&p.staged, 1);
-        p.staged.load(Ordering::Relaxed) >= STATS_FLUSH_EVERY
+        self.last_enemy.store(enemy_txn, Ordering::Relaxed);
     }
 
-    /// Stage an aborted attempt's deltas. Returns `true` when the staged
-    /// block is due for a fold.
+    /// Account a committed attempt.
     #[inline]
-    pub(crate) fn stage_abort(&self, opens: u64, wasted_ns: u64) -> bool {
-        let p = &self.pending;
-        Self::bump(&p.aborts, 1);
-        if opens > 0 {
-            Self::bump(&p.opens, opens);
-        }
-        Self::bump(&p.wasted_ns, wasted_ns);
-        Self::bump(&p.staged, 1);
-        p.staged.load(Ordering::Relaxed) >= STATS_FLUSH_EVERY
+    pub(crate) fn record_commit(&self, opens: u64, committed_ns: u64, response_ns: u64) {
+        Self::bump(&self.commits, 1);
+        Self::bump(&self.opens, opens);
+        Self::bump(&self.committed_ns, committed_ns);
+        Self::bump(&self.response_ns, response_ns);
     }
 
-    /// Lazily account committed/response time for commits whose
-    /// commit-time clock read was elided (see the engine's deferred
-    /// duration accounting). Owner-thread only.
+    /// Account an aborted attempt.
     #[inline]
-    pub(crate) fn stage_lazy_durations(&self, committed_ns: u64, response_ns: u64) {
-        Self::bump(&self.pending.committed_ns, committed_ns);
-        Self::bump(&self.pending.response_ns, response_ns);
+    pub(crate) fn record_abort(&self, opens: u64, wasted_ns: u64) {
+        Self::bump(&self.aborts, 1);
+        Self::bump(&self.opens, opens);
+        Self::bump(&self.wasted_ns, wasted_ns);
     }
 
-    /// Fold the staged block into the canonical counters. Called by the
-    /// owning worker every [`STATS_FLUSH_EVERY`] attempts and when its
-    /// context is dropped; a no-op when nothing is staged.
-    pub(crate) fn flush_pending(&self) {
-        let p = &self.pending;
-        if p.staged.load(Ordering::Relaxed) == 0
-            && p.committed_ns.load(Ordering::Relaxed) == 0
-            && p.response_ns.load(Ordering::Relaxed) == 0
-        {
-            return;
-        }
-        p.staged.store(0, Ordering::Relaxed);
-        // fetch_add then zero the staged cell: a snapshot racing this fold
-        // may transiently double-count (never under-count) — see module docs.
-        for (canonical, staged) in [
-            (&self.commits, &p.commits),
-            (&self.aborts, &p.aborts),
-            (&self.opens, &p.opens),
-            (&self.committed_ns, &p.committed_ns),
-            (&self.response_ns, &p.response_ns),
-            (&self.wasted_ns, &p.wasted_ns),
-        ] {
-            let v = staged.load(Ordering::Relaxed);
-            if v != 0 {
-                canonical.fetch_add(v, Ordering::Relaxed);
-                staged.store(0, Ordering::Relaxed);
-            }
-        }
+    /// Account time spent blocked inside a contention-manager wait.
+    #[inline]
+    pub(crate) fn record_wait(&self, wait_ns: u64) {
+        Self::bump(&self.wait_ns, wait_ns);
     }
 
-    /// Fold this thread's counters into an aggregate snapshot. Includes
-    /// the staged pending block, so the result is complete even while the
-    /// worker is between flushes (e.g. a run truncated by a budget
-    /// deadline).
+    /// This thread's counters as of now; callable from any thread.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let p = &self.pending;
         StatsSnapshot {
-            commits: self.commits.load(Ordering::Relaxed) + p.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed) + p.aborts.load(Ordering::Relaxed),
+            commits: self.commits.load(Ordering::Relaxed),
+            aborts: self.aborts.load(Ordering::Relaxed),
             conflicts_ww: self.conflicts_ww.load(Ordering::Relaxed),
             conflicts_rw: self.conflicts_rw.load(Ordering::Relaxed),
             conflicts_wr: self.conflicts_wr.load(Ordering::Relaxed),
             repeat_conflicts: self.repeat_conflicts.load(Ordering::Relaxed),
-            wasted_ns: self.wasted_ns.load(Ordering::Relaxed) + p.wasted_ns.load(Ordering::Relaxed),
-            committed_ns: self.committed_ns.load(Ordering::Relaxed)
-                + p.committed_ns.load(Ordering::Relaxed),
-            response_ns: self.response_ns.load(Ordering::Relaxed)
-                + p.response_ns.load(Ordering::Relaxed),
+            wasted_ns: self.wasted_ns.load(Ordering::Relaxed),
+            committed_ns: self.committed_ns.load(Ordering::Relaxed),
+            response_ns: self.response_ns.load(Ordering::Relaxed),
             wait_ns: self.wait_ns.load(Ordering::Relaxed),
-            opens: self.opens.load(Ordering::Relaxed) + p.opens.load(Ordering::Relaxed),
+            opens: self.opens.load(Ordering::Relaxed),
             wall: Duration::ZERO,
         }
     }
 
     /// Zero all counters (between experiment repetitions). Only call at
-    /// quiescence: this writes the staged block, which live workers own.
+    /// quiescence: a live owner's `load + store` bump would write back the
+    /// count it loaded before the reset.
     pub fn reset(&self) {
-        let p = &self.pending;
         for c in [
             &self.commits,
             &self.aborts,
@@ -318,13 +227,6 @@ impl ThreadStats {
             &self.wait_ns,
             &self.opens,
             &self.last_enemy,
-            &p.commits,
-            &p.aborts,
-            &p.opens,
-            &p.committed_ns,
-            &p.response_ns,
-            &p.wasted_ns,
-            &p.staged,
         ] {
             c.store(0, Ordering::Relaxed);
         }
@@ -499,12 +401,13 @@ mod tests {
     }
 
     #[test]
-    fn staged_deltas_are_visible_in_snapshot_before_any_flush() {
-        // The Budget-truncation guarantee: counters staged but not yet
-        // folded must still appear in a snapshot.
+    fn recorded_attempts_are_in_the_next_snapshot() {
+        // The Budget-truncation guarantee: whatever an attempt recorded is
+        // in every later snapshot, however short the run.
         let t = ThreadStats::new();
-        assert!(!t.stage_commit(3, 100, 200));
-        assert!(!t.stage_abort(1, 50));
+        t.record_commit(3, 100, 200);
+        t.record_abort(1, 50);
+        t.record_wait(7);
         let s = t.snapshot();
         assert_eq!(s.commits, 1);
         assert_eq!(s.aborts, 1);
@@ -512,27 +415,77 @@ mod tests {
         assert_eq!(s.committed_ns, 100);
         assert_eq!(s.response_ns, 200);
         assert_eq!(s.wasted_ns, 50);
-        // The canonical fields are still untouched.
-        assert_eq!(t.commits.load(Ordering::Relaxed), 0);
+        assert_eq!(s.wait_ns, 7);
     }
 
     #[test]
-    fn flush_fires_every_k_attempts_and_folds_exactly_once() {
-        let t = ThreadStats::new();
-        let mut flushes = 0;
-        for i in 0..(3 * STATS_FLUSH_EVERY) {
-            if t.stage_commit(1, 10, 10) {
-                t.flush_pending();
-                flushes += 1;
-            }
-            // Snapshot mid-stream is always complete.
-            assert_eq!(t.snapshot().commits, i + 1);
+    fn snapshot_from_another_thread_is_monotone_and_never_ahead() {
+        const COMMITS: u64 = 200_000;
+        const ABORTS: u64 = 100_000;
+        fn fields(s: &StatsSnapshot) -> [u64; 6] {
+            [
+                s.commits,
+                s.aborts,
+                s.opens,
+                s.committed_ns,
+                s.response_ns,
+                s.wasted_ns,
+            ]
         }
-        assert_eq!(flushes, 3);
-        assert_eq!(t.commits.load(Ordering::Relaxed), 3 * STATS_FLUSH_EVERY);
-        // Nothing staged after a flush-aligned boundary.
-        t.flush_pending();
-        assert_eq!(t.snapshot().commits, 3 * STATS_FLUSH_EVERY);
+        let t = ThreadStats::new();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let started = std::sync::Barrier::new(2);
+        // The sampler checks each sample against the one before and hands
+        // back its last (so largest) one.
+        let (samples, largest) = std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                started.wait();
+                let (mut samples, mut prev) = (0u64, [0u64; 6]);
+                while !done.load(Ordering::Acquire) {
+                    let sample = fields(&t.snapshot());
+                    for f in 0..6 {
+                        assert!(
+                            prev[f] <= sample[f],
+                            "field {f} went back from {} to {}",
+                            prev[f],
+                            sample[f]
+                        );
+                    }
+                    prev = sample;
+                    samples += 1;
+                }
+                (samples, prev)
+            });
+            started.wait();
+            for i in 0..COMMITS {
+                t.record_commit(2, 10, 20);
+                if i < ABORTS {
+                    t.record_abort(1, 5);
+                }
+            }
+            done.store(true, Ordering::Release);
+            sampler.join().expect("sampler thread")
+        });
+        let totals = fields(&t.snapshot());
+        assert_eq!(
+            totals,
+            [
+                COMMITS,
+                ABORTS,
+                2 * COMMITS + ABORTS,
+                10 * COMMITS,
+                20 * COMMITS,
+                5 * ABORTS
+            ]
+        );
+        for f in 0..6 {
+            assert!(
+                largest[f] <= totals[f],
+                "field {f}: a live sample read {} of a final {} ({samples} samples)",
+                largest[f],
+                totals[f]
+            );
+        }
     }
 
     #[test]
@@ -564,14 +517,5 @@ mod tests {
             }
         });
         assert_eq!(c.sum(), 1000 * ShardedU64::SHARDS as u64);
-    }
-
-    #[test]
-    fn reset_clears_staged_deltas_too() {
-        let t = ThreadStats::new();
-        t.stage_commit(1, 10, 10);
-        t.stage_lazy_durations(5, 5);
-        t.reset();
-        assert_eq!(t.snapshot(), StatsSnapshot::default());
     }
 }

@@ -39,18 +39,17 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::clock::LogicalClock;
 use crate::clockns;
-use crate::cm::ContentionManager;
 use crate::dispatch::CmDispatch;
 use crate::engine::{EngineKind, LazyRead};
 use crate::slots;
 use crate::stats::{StatsSnapshot, ThreadStats};
 use crate::txn::{TxError, TxResult, Txn};
 use crate::txstate::TxState;
+use crate::writeset::WriteEntry;
 
 /// The STM engine: one per experiment run.
 pub struct Stm {
@@ -61,28 +60,17 @@ pub struct Stm {
     /// when false no attempt touches `clock`.
     timestamps: bool,
     threads: Box<[Arc<ThreadStats>]>,
-    /// Bumped by every [`Stm::reset_stats`]. Thread contexts stamp their
-    /// pending (GV5 lazily-settled) commits with the epoch they were
-    /// queued under; a settle that observes a newer epoch discards them
-    /// instead of leaking pre-reset durations into the new window.
-    reset_epoch: AtomicU64,
 }
 
 impl Stm {
     /// Build an engine for `num_threads` workers using contention policy
-    /// `cm`, dispatched virtually (the extensibility path — any
-    /// [`ContentionManager`] works). Built-in managers run faster through
-    /// [`Stm::with_dispatch`], which dispatches monomorphically.
-    pub fn new(cm: Arc<dyn ContentionManager>, num_threads: usize) -> Self {
-        Self::with_dispatch(CmDispatch::Dyn(cm), num_threads)
-    }
-
-    /// Build an engine for `num_threads` workers with a [`CmDispatch`]
-    /// contention policy: built-in managers are called directly on the hot
-    /// hooks (no virtual dispatch). Use [`crate::managers::make_dispatch`]
-    /// to construct one by name. Runs the eager (paper-default) protocol;
-    /// use [`Stm::with_engine`] to choose.
-    pub fn with_dispatch(cm: impl Into<CmDispatch>, num_threads: usize) -> Self {
+    /// `cm`, running the eager (paper-default) protocol; use
+    /// [`Stm::with_engine`] to choose. A [`CmDispatch`] — one of its
+    /// variants, or [`crate::managers::make_dispatch`] by name — has its
+    /// hot hooks called directly; an `Arc` of any other
+    /// [`ContentionManager`](crate::ContentionManager) is dispatched
+    /// virtually through [`CmDispatch::Dyn`].
+    pub fn new(cm: impl Into<CmDispatch>, num_threads: usize) -> Self {
         Self::with_engine(cm, num_threads, EngineKind::Eager)
     }
 
@@ -103,7 +91,6 @@ impl Stm {
             threads: (0..num_threads)
                 .map(|_| Arc::new(ThreadStats::new()))
                 .collect(),
-            reset_epoch: AtomicU64::new(0),
         }
     }
 
@@ -132,12 +119,9 @@ impl Stm {
         ThreadCtx {
             stm: self,
             thread_id,
-            pend_commits: Cell::new(0),
-            pend_t0_sum: Cell::new(0),
-            pend_first_sum: Cell::new(0),
-            pend_epoch: Cell::new(self.reset_epoch.load(Ordering::Relaxed)),
             trace_buf: Cell::new(None),
             reads_buf: Cell::new(None),
+            writes_buf: Cell::new(None),
             #[cfg(debug_assertions)]
             read_versions_buf: Cell::new(None),
         }
@@ -156,20 +140,6 @@ impl Stm {
             total.merge(&t.snapshot());
         }
         total
-    }
-
-    /// Zero all metrics (between repetitions).
-    ///
-    /// Also invalidates every thread context's *pending* commits — the
-    /// ones whose commit-time clock read was elided (the GV5 lazy settle).
-    /// Without the epoch bump those would settle their durations at the
-    /// thread's next clock read, *after* this reset, silently leaking
-    /// pre-reset work into the new measurement window.
-    pub fn reset_stats(&self) {
-        self.reset_epoch.fetch_add(1, Ordering::SeqCst);
-        for t in self.threads.iter() {
-            t.reset();
-        }
     }
 
     /// The engine's logical clock (timestamps for Greedy/Priority). Only
@@ -334,37 +304,34 @@ fn release_state(state: Arc<TxState>) {
 pub struct ThreadCtx<'a> {
     stm: &'a Stm,
     thread_id: usize,
-    /// Commits whose commit-time clock read was elided: count plus the
-    /// sums of their attempt-start and first-start stamps. Settled into
-    /// the stats at this thread's next clock read (the next transaction's
-    /// start, or the next abort) or at context drop — a TL2 "GV5"-style
-    /// lazy bump that trades one clock read per commit for a small,
-    /// bounded overestimate of their durations (the inter-transaction
-    /// gap). Tracing builds never pend: events need exact stamps.
-    pend_commits: Cell<u64>,
-    pend_t0_sum: Cell<u64>,
-    pend_first_sum: Cell<u64>,
-    /// The engine's reset epoch the queued commits were pended under. A
-    /// settle that finds [`Stm::reset_stats`] has bumped the epoch since
-    /// then drops them: their durations belong to the previous window.
-    pend_epoch: Cell<u64>,
     /// Pooled footprint buffer for traced attempts: an aborted attempt's
     /// buffer comes back here and the next attempt reuses its capacity.
     trace_buf: Cell<Option<Vec<(u64, bool)>>>,
     /// Pooled read-set buffer for the lazy engine (stays `None`-cycling
     /// with zero capacity under the eager engine, which never reads it).
     reads_buf: Cell<Option<Vec<LazyRead>>>,
+    /// Pooled write-set buffer: a transaction wider than any before it
+    /// grows it once, and every later attempt reuses the capacity.
+    writes_buf: Cell<Option<Vec<WriteEntry>>>,
     /// Pooled buffer for the debug-only opacity self-check in `Txn`.
     #[cfg(debug_assertions)]
     read_versions_buf: Cell<Option<Vec<(u64, usize, bool)>>>,
 }
 
-impl Drop for ThreadCtx<'_> {
-    fn drop(&mut self) {
-        if self.pend_commits.get() > 0 {
-            self.settle_pending_commits(clockns::now());
-        }
-        self.stats().flush_pending();
+/// Take a pooled per-attempt buffer (empty), or a fresh one.
+fn take_buf<T>(pool: &Cell<Option<Vec<T>>>) -> Vec<T> {
+    let mut buf = pool.take().unwrap_or_default();
+    buf.clear();
+    buf
+}
+
+/// Return a per-attempt buffer to its pool for the next attempt. Cleared
+/// here (not just on take) so pooled entries don't pin the objects they
+/// name between attempts.
+fn put_buf<T>(pool: &Cell<Option<Vec<T>>>, mut buf: Vec<T>) {
+    buf.clear();
+    if buf.capacity() > 0 {
+        pool.set(Some(buf));
     }
 }
 
@@ -387,109 +354,42 @@ impl<'a> ThreadCtx<'a> {
         &self.stm.threads[self.thread_id]
     }
 
-    /// Queue a commit for lazy duration accounting (its commit-time clock
-    /// read was elided). Trace builds read the clock eagerly at every
-    /// commit (events need real timestamps), so nothing pends there.
-    #[cfg_attr(feature = "trace", allow(dead_code))]
-    #[inline]
-    fn pend_commit(&self, t0: u64, first_start_ns: u64) {
-        if self.pend_commits.get() == 0 {
-            // First pend of a batch: remember which measurement window
-            // (reset epoch) it belongs to.
-            self.pend_epoch.set(
-                self.stm
-                    .reset_epoch
-                    .load(std::sync::atomic::Ordering::Relaxed),
-            );
-        }
-        self.pend_commits.set(self.pend_commits.get() + 1);
-        self.pend_t0_sum.set(self.pend_t0_sum.get() + t0);
-        self.pend_first_sum
-            .set(self.pend_first_sum.get() + first_start_ns);
-    }
-
-    /// Account all queued commits as if they committed at `now` — unless
-    /// a stats reset intervened, in which case their durations belong to
-    /// the zeroed window and are discarded.
-    #[inline]
-    fn settle_pending_commits(&self, now: u64) {
-        let n = self.pend_commits.get();
-        if n == 0 {
-            return;
-        }
-        self.pend_commits.set(0);
-        let t0_sum = self.pend_t0_sum.replace(0);
-        let first_sum = self.pend_first_sum.replace(0);
-        if self.pend_epoch.get()
-            != self
-                .stm
-                .reset_epoch
-                .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            return;
-        }
-        let committed = (n * now).saturating_sub(t0_sum);
-        let response = (n * now).saturating_sub(first_sum);
-        self.stats().stage_lazy_durations(committed, response);
-    }
-
-    /// Take the pooled footprint buffer (cleared), or a fresh one.
+    /// The pooled footprint buffer of traced attempts.
     pub(crate) fn take_trace_buf(&self) -> Vec<(u64, bool)> {
-        match self.trace_buf.take() {
-            Some(mut v) => {
-                v.clear();
-                v
-            }
-            None => Vec::new(),
-        }
+        take_buf(&self.trace_buf)
     }
 
-    /// Return a footprint buffer to the pool for the next attempt.
     pub(crate) fn put_trace_buf(&self, buf: Vec<(u64, bool)>) {
-        if buf.capacity() > 0 {
-            self.trace_buf.set(Some(buf));
-        }
+        put_buf(&self.trace_buf, buf);
     }
 
-    /// Take the pooled lazy read-set buffer (cleared), or a fresh one.
+    /// The pooled lazy read-set buffer.
     pub(crate) fn take_reads_buf(&self) -> Vec<LazyRead> {
-        match self.reads_buf.take() {
-            Some(mut v) => {
-                v.clear();
-                v
-            }
-            None => Vec::new(),
-        }
+        take_buf(&self.reads_buf)
     }
 
-    /// Return a read-set buffer to the pool for the next attempt. Cleared
-    /// here (not just on take) so pooled entries don't pin their source
-    /// objects' `Arc`s between attempts.
-    pub(crate) fn put_reads_buf(&self, mut buf: Vec<LazyRead>) {
-        buf.clear();
-        if buf.capacity() > 0 {
-            self.reads_buf.set(Some(buf));
-        }
+    pub(crate) fn put_reads_buf(&self, buf: Vec<LazyRead>) {
+        put_buf(&self.reads_buf, buf);
     }
 
-    /// Take the pooled opacity-check buffer (cleared), or a fresh one.
+    /// The pooled write-set buffer.
+    pub(crate) fn take_writes_buf(&self) -> Vec<WriteEntry> {
+        take_buf(&self.writes_buf)
+    }
+
+    pub(crate) fn put_writes_buf(&self, buf: Vec<WriteEntry>) {
+        put_buf(&self.writes_buf, buf);
+    }
+
+    /// The pooled buffer of the debug-only opacity self-check.
     #[cfg(debug_assertions)]
     pub(crate) fn take_read_versions_buf(&self) -> Vec<(u64, usize, bool)> {
-        match self.read_versions_buf.take() {
-            Some(mut v) => {
-                v.clear();
-                v
-            }
-            None => Vec::new(),
-        }
+        take_buf(&self.read_versions_buf)
     }
 
-    /// Return an opacity-check buffer to the pool for the next attempt.
     #[cfg(debug_assertions)]
     pub(crate) fn put_read_versions_buf(&self, buf: Vec<(u64, usize, bool)>) {
-        if buf.capacity() > 0 {
-            self.read_versions_buf.set(Some(buf));
-        }
+        put_buf(&self.read_versions_buf, buf);
     }
 
     /// Run `body` as a transaction, retrying until it commits, and return
@@ -540,9 +440,6 @@ impl<'a> ThreadCtx<'a> {
     ) -> Option<R> {
         let ts = self.stm.next_ts();
         let first_start_ns = clockns::now();
-        // A clock read is in hand: account any earlier commits whose
-        // commit-time read was elided.
-        self.settle_pending_commits(first_start_ns);
         let slot_idx = slots::my_slot_index();
         // The logical-transaction id is simply the first attempt's id:
         // globally unique, and saves a second id counter on the hot path.
@@ -583,7 +480,6 @@ impl<'a> ThreadCtx<'a> {
             // bag and installing the new attempt with one pointer swap.
             slots::republish(slot_idx, &state);
             let t0 = state.attempt_start_ns;
-            #[cfg(feature = "trace")]
             wtm_trace::emit(wtm_trace::Event::instant(
                 wtm_trace::EventKind::TxBegin,
                 t0,
@@ -612,37 +508,20 @@ impl<'a> ThreadCtx<'a> {
                     }
                     txn.release_buffers();
                     drop(txn);
-                    let stats = self.stats();
-                    // Elide the commit-time clock read: the durations are
-                    // settled lazily at this thread's next clock read (a
-                    // TL2 GV5-style deferred bump). Tracing builds keep
-                    // the eager read for exact event stamps.
-                    #[cfg(not(feature = "trace"))]
-                    let flush_due = {
-                        self.pend_commit(t0, first_start_ns);
-                        stats.stage_commit(opens, 0, 0)
-                    };
-                    #[cfg(feature = "trace")]
-                    let flush_due = {
-                        let now = clockns::now();
-                        self.settle_pending_commits(now);
-                        wtm_trace::emit(wtm_trace::Event::span(
-                            wtm_trace::EventKind::Commit,
-                            now,
-                            now.saturating_sub(t0),
-                            self.thread_id as u32,
-                            txn_id,
-                            attempt as u64,
-                        ));
-                        stats.stage_commit(
-                            opens,
-                            now.saturating_sub(t0),
-                            now.saturating_sub(first_start_ns),
-                        )
-                    };
-                    if flush_due {
-                        stats.flush_pending();
-                    }
+                    let now = clockns::now();
+                    wtm_trace::emit(wtm_trace::Event::span(
+                        wtm_trace::EventKind::Commit,
+                        now,
+                        now.saturating_sub(t0),
+                        self.thread_id as u32,
+                        txn_id,
+                        attempt as u64,
+                    ));
+                    self.stats().record_commit(
+                        opens,
+                        now.saturating_sub(t0),
+                        now.saturating_sub(first_start_ns),
+                    );
                     self.stm.cm.on_commit(&state);
                     release_state(state);
                     return Some(r);
@@ -653,27 +532,19 @@ impl<'a> ThreadCtx<'a> {
                     let engine_bail = state.abort();
                     // `engine_bail` = nobody else aborted us and the body
                     // returned a bare `Err`: a user bail-out by taxonomy.
-                    #[cfg(feature = "trace")]
                     let reason = if engine_bail {
                         wtm_trace::ABORT_USER
                     } else {
                         txn.abort_reason()
                     };
-                    #[cfg(not(feature = "trace"))]
-                    let _ = engine_bail;
                     // Roll back eagerly: fold the abort into every still-
                     // owned locator so enemies stop seeing this attempt
                     // and its allocation can recycle.
                     txn.release_write_set();
                     txn.release_buffers();
                     drop(txn);
-                    let stats = self.stats();
                     let now = clockns::now();
-                    self.settle_pending_commits(now);
-                    if stats.stage_abort(opens, now.saturating_sub(t0)) {
-                        stats.flush_pending();
-                    }
-                    #[cfg(feature = "trace")]
+                    self.stats().record_abort(opens, now.saturating_sub(t0));
                     wtm_trace::emit(wtm_trace::Event::span(
                         wtm_trace::EventKind::Abort,
                         now,
@@ -705,7 +576,7 @@ impl<'a> ThreadCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cm::{AbortEnemyManager, AbortSelfManager};
+    use crate::cm::{AbortEnemyManager, AbortSelfManager, ContentionManager};
     use crate::tvar::TVar;
 
     #[test]
@@ -884,17 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_reset_between_runs() {
-        let stm = Stm::new(Arc::new(AbortSelfManager), 1);
-        let tv: TVar<u64> = TVar::new(0);
-        let ctx = stm.thread(0);
-        ctx.atomic(|tx| tx.write(&tv, 1));
-        assert_eq!(stm.aggregate().commits, 1);
-        stm.reset_stats();
-        assert_eq!(stm.aggregate().commits, 0);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn thread_id_out_of_range_panics() {
         let stm = Stm::new(Arc::new(AbortSelfManager), 1);
@@ -909,7 +769,7 @@ mod tests {
         // bag two to three quiesce strides later — so a steady loop of
         // write transactions cycles within the ring instead of allocating
         // per transaction.
-        let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+        let stm = Stm::new(CmDispatch::AbortSelf, 1);
         let tv: TVar<u64> = TVar::new(0);
         let ctx = stm.thread(0);
         let mut i = 0u64;
@@ -1014,7 +874,7 @@ mod tests {
             (CmDispatch::Greedy, BUDGET_TXNS),
             (named("Timestamp"), BUDGET_TXNS),
         ] {
-            let stm = Stm::with_dispatch(cm, 1);
+            let stm = Stm::new(cm, 1);
             let name = stm.cm().name();
             let (clock, cas) = fixed_path_rmws(&stm);
             assert_eq!(
@@ -1032,7 +892,7 @@ mod tests {
     #[test]
     fn a_retry_draws_one_more_timestamp_only_where_the_manager_reads_it() {
         for (cm, expected) in [(CmDispatch::Priority, 3), (CmDispatch::AbortSelf, 0)] {
-            let stm = Stm::with_dispatch(cm, 1);
+            let stm = Stm::new(cm, 1);
             let ctx = stm.thread(0);
             let mut runs = 0;
             let mut stamps = Vec::new();
@@ -1154,7 +1014,7 @@ mod tests {
         // aborted attempt's footprint returns to the pool and the retry
         // must pick up the very same allocation — as must the committed
         // footprint handed back to the caller.
-        let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+        let stm = Stm::new(CmDispatch::AbortSelf, 1);
         let ctx = stm.thread(0);
         let seed: Vec<(u64, bool)> = Vec::with_capacity(64);
         let seed_ptr = seed.as_ptr() as usize;
@@ -1184,7 +1044,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn read_versions_pool_clears_on_take() {
-        let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+        let stm = Stm::new(CmDispatch::AbortSelf, 1);
         let ctx = stm.thread(0);
         let mut seed: Vec<(u64, usize, bool)> = Vec::with_capacity(32);
         seed.push((1, 2, true)); // stale content must not leak into reuse
@@ -1197,50 +1057,23 @@ mod tests {
     }
 
     #[test]
-    fn pending_commit_durations_do_not_survive_reset_stats() {
-        // Regression: commits whose commit-time clock read was elided
-        // (GV5 lazy settle) used to settle their durations at the
-        // thread's next clock read even if `reset_stats` had zeroed the
-        // window in between — leaking pre-reset work into the new window.
-        let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+    fn committed_duration_excludes_the_gap_between_transactions() {
+        let stm = Stm::new(CmDispatch::AbortSelf, 1);
         let tv: TVar<u64> = TVar::new(0);
         let ctx = stm.thread(0);
-        ctx.atomic(|tx| tx.write(&tv, 1)); // pends its durations
-        stm.reset_stats();
-        // The next transaction's start settles the pending batch; with
-        // the epoch bump it must be discarded, not staged.
+        ctx.atomic(|tx| tx.write(&tv, 1));
+        std::thread::sleep(std::time::Duration::from_millis(200));
         ctx.atomic(|tx| tx.write(&tv, 2));
-        let mut body = |tx: &mut Txn| -> TxResult<()> { Err(tx.abort_self()) };
-        let _ = ctx.atomic_with_budget(1, &mut body); // abort settles + flushes
         drop(ctx);
         let snap = stm.aggregate();
-        assert_eq!(snap.commits, 1, "only the post-reset commit counts");
-        // Every remaining pending duration belongs to the post-reset
-        // commit, whose settle happened at the abort's clock read: the
-        // pre-reset commit's (much earlier) start stamp must be gone.
-        // With the leak, committed_ns would include `now - t0` of the
-        // *first* commit as well, i.e. be roughly twice the span. We can
-        // only assert the structural part deterministically:
+        assert_eq!(snap.commits, 2);
         assert!(
-            snap.committed_ns <= snap.response_ns,
-            "committed duration cannot exceed response time for first-try commits"
+            snap.committed_ns < 100_000_000 && snap.response_ns < 100_000_000,
+            "two one-write commits took {} ns committed, {} ns response: \
+             the 200 ms the thread slept between them is not transaction time",
+            snap.committed_ns,
+            snap.response_ns
         );
-
-        // Direct check of the discard: pend, reset, settle via drop —
-        // nothing may be staged.
-        let stm2 = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
-        let tv2: TVar<u64> = TVar::new(0);
-        let ctx2 = stm2.thread(0);
-        ctx2.atomic(|tx| tx.write(&tv2, 1));
-        stm2.reset_stats();
-        drop(ctx2); // settles pending commits at drop time
-        let snap2 = stm2.aggregate();
-        assert_eq!(snap2.commits, 0);
-        assert_eq!(
-            snap2.committed_ns, 0,
-            "durations pended before reset_stats must not leak into the new window"
-        );
-        assert_eq!(snap2.response_ns, 0);
     }
 
     #[test]
@@ -1331,26 +1164,26 @@ mod tests {
     }
 
     #[test]
-    fn staged_stats_are_exact_when_budget_truncates_below_flush_k() {
-        // StopRule::Budget regression: a run shorter than the flush batch
-        // (k = STATS_FLUSH_EVERY) must still report exact counts, because
-        // snapshot() folds the staged deltas in.
-        let n = (crate::stats::STATS_FLUSH_EVERY / 2).max(1);
-        let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+    fn stats_are_exact_while_the_context_is_live() {
+        // StopRule::Budget regression: an aggregate taken while the worker
+        // context is still alive (a run truncated at its safety deadline)
+        // must report every attempt that ended, however few.
+        const N: u64 = 16;
+        let stm = Stm::new(CmDispatch::AbortSelf, 1);
         let tv: TVar<u64> = TVar::new(0);
         let ctx = stm.thread(0);
-        for _ in 0..n {
+        for _ in 0..N {
             ctx.atomic(|tx| {
                 let v = *tx.read(&tv)?;
                 tx.write(&tv, v + 1)
             });
         }
-        // One aborted attempt under budget exhaustion stages an abort too.
         let mut body = |tx: &mut Txn| -> TxResult<()> { Err(tx.abort_self()) };
         assert!(ctx.atomic_with_budget(1, &mut body).is_none());
         let snap = stm.aggregate();
-        assert_eq!(snap.commits, n, "commits staged below k must be visible");
-        assert_eq!(snap.aborts, 1, "aborts staged below k must be visible");
-        assert_eq!(*tv.sample(), n);
+        assert_eq!(snap.commits, N);
+        assert_eq!(snap.aborts, 1);
+        assert_eq!(snap.opens, 2 * N);
+        assert_eq!(*tv.sample(), N);
     }
 }

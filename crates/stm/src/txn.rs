@@ -17,7 +17,6 @@ use crate::cm::{ConflictKind, Resolution};
 use crate::engine::eager::EagerEngine;
 use crate::engine::lazy::LazyEngine;
 use crate::engine::{Engine, EngineKind, LazyRead};
-use crate::inline_vec::InlineVec;
 use crate::stm::ThreadCtx;
 use crate::tvar::TVar;
 use crate::txstate::TxState;
@@ -51,7 +50,8 @@ pub type TxResult<T> = Result<T, TxError>;
 /// `&mut Txn` inside the atomic closure.
 pub struct Txn<'a> {
     pub(crate) state: Arc<TxState>,
-    pub(crate) writes: InlineVec<WriteEntry>,
+    /// The write set, in open order (a pooled buffer, like `reads`).
+    pub(crate) writes: Vec<WriteEntry>,
     pub(crate) ctx: &'a ThreadCtx<'a>,
     /// Which protocol this attempt runs under (copied from the engine
     /// handle once, so the dispatch match reads a local field).
@@ -80,7 +80,6 @@ pub struct Txn<'a> {
     /// Trace taxonomy of how this attempt died. Defaults to "killed by an
     /// enemy"; refined at the abort site (CM self-abort, user bail-out,
     /// lazy validation failure).
-    #[cfg(feature = "trace")]
     abort_reason: std::cell::Cell<u64>,
 }
 
@@ -89,7 +88,7 @@ impl<'a> Txn<'a> {
         let engine = ctx.stm().engine();
         Txn {
             state,
-            writes: InlineVec::new(),
+            writes: ctx.take_writes_buf(),
             ctx,
             engine,
             slot_idx,
@@ -102,7 +101,6 @@ impl<'a> Txn<'a> {
             footprint: None,
             #[cfg(debug_assertions)]
             read_versions: ctx.take_read_versions_buf(),
-            #[cfg(feature = "trace")]
             abort_reason: std::cell::Cell::new(wtm_trace::ABORT_KILLED),
         }
     }
@@ -115,19 +113,18 @@ impl<'a> Txn<'a> {
             self.ctx.put_trace_buf(fp);
         }
         self.ctx.put_reads_buf(std::mem::take(&mut self.reads));
+        self.ctx.put_writes_buf(std::mem::take(&mut self.writes));
         #[cfg(debug_assertions)]
         self.ctx
             .put_read_versions_buf(std::mem::take(&mut self.read_versions));
     }
 
     /// How this attempt aborted (trace taxonomy; see `wtm_trace::ABORT_*`).
-    #[cfg(feature = "trace")]
     pub(crate) fn abort_reason(&self) -> u64 {
         self.abort_reason.get()
     }
 
     /// Refine the abort taxonomy at the abort site.
-    #[cfg(feature = "trace")]
     pub(crate) fn set_abort_reason(&self, reason: u64) {
         self.abort_reason.set(reason);
     }
@@ -238,7 +235,6 @@ impl<'a> Txn<'a> {
     /// benchmark). The engine will retry the atomic closure.
     pub fn abort_self(&self) -> TxError {
         self.state.abort();
-        #[cfg(feature = "trace")]
         self.abort_reason.set(wtm_trace::ABORT_USER);
         TxError::Aborted
     }
@@ -246,7 +242,7 @@ impl<'a> Txn<'a> {
     pub(crate) fn find_write(&self, id: u64) -> Option<usize> {
         // Write sets are small (a handful of objects); linear scan beats a
         // hash map here.
-        self.writes.position(|w| w.tvar_id() == id)
+        self.writes.iter().position(|w| w.tvar_id() == id)
     }
 
     /// Apply the contention manager to one discovered conflict.
@@ -263,30 +259,21 @@ impl<'a> Txn<'a> {
         let res = self.ctx.cm().resolve(&self.state, enemy, kind);
         let waited = clockns::now().saturating_sub(t0);
         if waited > 0 {
-            stats
-                .wait_ns
-                .fetch_add(waited, std::sync::atomic::Ordering::Relaxed);
+            stats.record_wait(waited);
         }
         match res {
             Resolution::AbortEnemy => {
                 let killed = enemy.abort();
-                #[cfg(not(feature = "trace"))]
-                let _ = killed;
-                #[cfg(feature = "trace")]
                 self.trace_conflict(enemy, kind, wtm_trace::VERDICT_ABORT_ENEMY, killed, waited);
                 Ok(())
             }
             Resolution::AbortSelf => {
                 self.state.abort();
-                #[cfg(feature = "trace")]
-                {
-                    self.abort_reason.set(wtm_trace::ABORT_CM_SELF);
-                    self.trace_conflict(enemy, kind, wtm_trace::VERDICT_ABORT_SELF, true, waited);
-                }
+                self.abort_reason.set(wtm_trace::ABORT_CM_SELF);
+                self.trace_conflict(enemy, kind, wtm_trace::VERDICT_ABORT_SELF, true, waited);
                 Err(TxError::Aborted)
             }
             Resolution::Retry => {
-                #[cfg(feature = "trace")]
                 self.trace_conflict(enemy, kind, wtm_trace::VERDICT_RETRY, false, waited);
                 if enemy.is_active() {
                     std::thread::yield_now();
@@ -298,7 +285,6 @@ impl<'a> Txn<'a> {
 
     /// Emit the conflict (and, for non-trivial waits, the wait span) of
     /// one `handle_conflict` resolution.
-    #[cfg(feature = "trace")]
     fn trace_conflict(
         &self,
         enemy: &Arc<TxState>,

@@ -1,28 +1,33 @@
 //! Write-set entries with inline value storage.
 //!
-//! A write-set entry used to be a `Box<dyn ErasedWrite>`: one heap
-//! allocation per written object per attempt, plus a virtual call for
-//! every write-set scan and publish. [`WriteEntry`] removes both for the
-//! common case: values whose payload fits [`INLINE_BUF_BYTES`] (any `T`
-//! with size ≤ 24 bytes and alignment ≤ 8 — every List/RBTree/SkipList
-//! node payload and counter in the paper's workloads) are stored *in the
-//! entry itself*, next to the object handle, with monomorphized
-//! publish/drop fn pointers taking the place of the vtable. Larger or
-//! over-aligned types spill to the old boxed representation.
+//! One `Box<dyn ErasedWrite>` per written object per attempt would be one
+//! heap allocation each. [`WriteEntry`] avoids it for the common case:
+//! values whose payload fits [`INLINE_BUF_BYTES`] (any `T` with size ≤ 24
+//! bytes and alignment ≤ 8 — every List/RBTree/SkipList node payload and
+//! counter in the paper's workloads) are stored *in the entry itself*,
+//! next to the object handle. Larger or over-aligned types are boxed.
+//!
+//! Both representations are one erasure: the inline payload and the boxed
+//! [`TypedWrite`] each implement [`ErasedWrite`], and an entry derefs to
+//! `dyn ErasedWrite`, so every engine operation on an entry is one virtual
+//! call. An inline entry carries a single fn pointer, which turns its
+//! untyped buffer back into that trait object.
 //!
 //! At commit, an inline entry publishes through
 //! `TVarInner::publish_value`, which recycles the object's retired
 //! version `Arc` (the `spare` slot of the locator) instead of allocating
-//! a fresh one — so a steady-state small-value commit performs **zero**
+//! a fresh one, and the entries themselves sit in a `Vec` pooled by the
+//! thread context — so a steady-state small-value commit performs **zero**
 //! heap allocations end to end (asserted by the `write_path_allocs`
 //! integration test).
 //!
 //! The id of the written object is hoisted into the entry header, so
 //! write-set lookups (`Txn::find_write`) scan a plain `u64` field instead
-//! of making one virtual `tvar_id()` call per entry.
+//! of making one virtual call per entry.
 
-use std::any::TypeId;
+use std::any::Any;
 use std::mem::{align_of, size_of, MaybeUninit};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use crate::tvar::{ErasedWrite, TVar, TypedWrite};
@@ -45,119 +50,119 @@ struct InlinePayload<T: TxObject> {
     value: T,
 }
 
-/// An entry of a transaction's write set.
+impl<T: TxObject> ErasedWrite for InlinePayload<T> {
+    fn publish(&self, me: &TxState) {
+        self.tvar.inner().publish_value(&self.value, me);
+    }
+
+    fn release(&self, me: &TxState) {
+        self.tvar.inner().collapse_terminal(me);
+    }
+
+    fn commit_fused(&self, me: &TxState) -> bool {
+        self.tvar.inner().commit_value_fused(&self.value, me)
+    }
+
+    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<(u64, u64)> {
+        self.tvar.inner().lazy_try_lock(slot_idx, attempt_id)
+    }
+
+    fn lazy_owner(&self) -> Option<Arc<TxState>> {
+        self.tvar.inner().lazy_owner()
+    }
+
+    fn collapse_eager_leftover(&self) -> bool {
+        self.tvar.inner().collapse_eager_leftover()
+    }
+
+    fn lazy_unlock(&self) {
+        self.tvar.inner().lazy_unlock();
+    }
+
+    fn lazy_writeback(&self, wv: u64) {
+        self.tvar.inner().lazy_writeback_value(&self.value, wv);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// An entry of a transaction's write set. Derefs to [`ErasedWrite`] for
+/// the engines' untyped operations (publish, release, lock, write back).
 pub(crate) struct WriteEntry {
     tvar_id: u64,
     kind: EntryKind,
 }
+
+// A write set is scanned on every open, and copied when its `Vec` grows.
+const _: () = assert!(size_of::<WriteEntry>() <= 48);
 
 enum EntryKind {
     Inline(InlineWrite),
     Boxed(Box<dyn ErasedWrite>),
 }
 
-/// A type-erased inline entry: the monomorphized operations plus the raw
-/// payload bytes. The fn pointers are the "vtable", stored flat in the
-/// entry (no static to indirect through).
+/// A type-erased inline entry: the raw payload bytes, plus the one
+/// monomorphized fn that knows what they are.
 struct InlineWrite {
-    /// Identity of the payload type, for checked downcasts. A fn pointer
-    /// rather than a stored `TypeId` value so the entry stays `const`-free.
-    type_id: fn() -> TypeId,
-    /// Publish the inline value as the locator's `new` version.
-    publish: unsafe fn(*const InlineBuf, &TxState),
-    /// Fold the transaction's terminal outcome into the locator.
-    release: unsafe fn(*const InlineBuf, &TxState),
-    /// Single-entry fused commit: publish + status CAS + collapse under
-    /// one object lock.
-    commit_fused: unsafe fn(*const InlineBuf, &TxState) -> bool,
-    /// Lazy engine: try to take the object's commit lock.
-    lazy_lock: unsafe fn(*const InlineBuf, usize, u64) -> Option<(u64, u64)>,
-    /// Lazy engine: the live commit-lock holder, if resolvable.
-    lazy_owner: unsafe fn(*const InlineBuf) -> Option<Arc<TxState>>,
-    /// Lazy engine: fold an eager run's leftover terminal writer.
-    collapse_eager_leftover: unsafe fn(*const InlineBuf) -> bool,
-    /// Lazy engine: release the commit lock without writing.
-    lazy_unlock: unsafe fn(*const InlineBuf),
-    /// Lazy engine: write back the inline value under the held lock.
-    lazy_writeback: unsafe fn(*const InlineBuf, u64),
-    /// Drop the payload in place.
-    drop_in_place: unsafe fn(*mut InlineBuf),
+    /// `buf` as the `InlinePayload<T>` it holds, behind its vtable.
+    erase: fn(*mut InlineBuf) -> *mut dyn ErasedWrite,
     buf: InlineBuf,
 }
 
-// SAFETY: the payload is always an `InlinePayload<T>` with `T: TxObject`
-// (so `TVar<T>` and `T` are both `Send`); the fn pointers carry no state.
+fn erase<T: TxObject>(buf: *mut InlineBuf) -> *mut dyn ErasedWrite {
+    buf.cast::<InlinePayload<T>>()
+}
+
+// SAFETY: `buf` always holds an `InlinePayload<T>` with `T: TxObject` (so
+// `TVar<T>` and `T` are both `Send`); the fn pointer carries no state.
 unsafe impl Send for InlineWrite {}
 
 impl Drop for InlineWrite {
     fn drop(&mut self) {
-        // SAFETY: `buf` holds a valid `InlinePayload` of the type these
-        // monomorphized fns were instantiated with; after this the entry
-        // is gone, so nothing reads the buffer again.
-        unsafe { (self.drop_in_place)(&mut self.buf) };
+        // SAFETY: `buf` holds a live `InlinePayload` of the type `erase`
+        // was instantiated with; after this the entry is gone, so nothing
+        // reads the buffer again.
+        unsafe { std::ptr::drop_in_place((self.erase)(&mut self.buf)) };
     }
 }
 
-unsafe fn publish_impl<T: TxObject>(buf: *const InlineBuf, me: &TxState) {
-    // SAFETY (caller): `buf` holds a live `InlinePayload<T>`.
-    let payload = unsafe { &*buf.cast::<InlinePayload<T>>() };
-    payload.tvar.inner().publish_value(&payload.value, me);
+impl Deref for WriteEntry {
+    type Target = dyn ErasedWrite;
+
+    #[inline]
+    fn deref(&self) -> &Self::Target {
+        match &self.kind {
+            // SAFETY: `buf` holds a live `InlinePayload` of the type
+            // `erase` was instantiated with, borrowed for as long as
+            // `self`; the pointer is only made `*mut` to share `erase`
+            // with `deref_mut`, nothing is written through it.
+            EntryKind::Inline(iw) => unsafe {
+                &*(iw.erase)(std::ptr::from_ref(&iw.buf).cast_mut())
+            },
+            EntryKind::Boxed(b) => &**b,
+        }
+    }
 }
 
-unsafe fn release_impl<T: TxObject>(buf: *const InlineBuf, me: &TxState) {
-    // SAFETY (caller): `buf` holds a live `InlinePayload<T>`.
-    let payload = unsafe { &*buf.cast::<InlinePayload<T>>() };
-    payload.tvar.inner().collapse_terminal(me);
+impl DerefMut for WriteEntry {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match &mut self.kind {
+            // SAFETY: as in `deref`, and `&mut self` makes the borrow
+            // exclusive.
+            EntryKind::Inline(iw) => unsafe { &mut *(iw.erase)(&mut iw.buf) },
+            EntryKind::Boxed(b) => &mut **b,
+        }
+    }
 }
 
-unsafe fn commit_fused_impl<T: TxObject>(buf: *const InlineBuf, me: &TxState) -> bool {
-    // SAFETY (caller): `buf` holds a live `InlinePayload<T>`.
-    let payload = unsafe { &*buf.cast::<InlinePayload<T>>() };
-    payload.tvar.inner().commit_value_fused(&payload.value, me)
-}
-
-unsafe fn lazy_lock_impl<T: TxObject>(
-    buf: *const InlineBuf,
-    slot_idx: usize,
-    attempt_id: u64,
-) -> Option<(u64, u64)> {
-    // SAFETY (caller): `buf` holds a live `InlinePayload<T>`.
-    let payload = unsafe { &*buf.cast::<InlinePayload<T>>() };
-    payload.tvar.inner().lazy_try_lock(slot_idx, attempt_id)
-}
-
-unsafe fn lazy_owner_impl<T: TxObject>(buf: *const InlineBuf) -> Option<Arc<TxState>> {
-    // SAFETY (caller): `buf` holds a live `InlinePayload<T>`.
-    let payload = unsafe { &*buf.cast::<InlinePayload<T>>() };
-    payload.tvar.inner().lazy_owner()
-}
-
-unsafe fn collapse_eager_leftover_impl<T: TxObject>(buf: *const InlineBuf) -> bool {
-    // SAFETY (caller): `buf` holds a live `InlinePayload<T>`.
-    let payload = unsafe { &*buf.cast::<InlinePayload<T>>() };
-    payload.tvar.inner().collapse_eager_leftover()
-}
-
-unsafe fn lazy_unlock_impl<T: TxObject>(buf: *const InlineBuf) {
-    // SAFETY (caller): `buf` holds a live `InlinePayload<T>`.
-    let payload = unsafe { &*buf.cast::<InlinePayload<T>>() };
-    payload.tvar.inner().lazy_unlock();
-}
-
-unsafe fn lazy_writeback_impl<T: TxObject>(buf: *const InlineBuf, wv: u64) {
-    // SAFETY (caller): `buf` holds a live `InlinePayload<T>`.
-    let payload = unsafe { &*buf.cast::<InlinePayload<T>>() };
-    payload
-        .tvar
-        .inner()
-        .lazy_writeback_value(&payload.value, wv);
-}
-
-unsafe fn drop_impl<T: TxObject>(buf: *mut InlineBuf) {
-    // SAFETY (caller): `buf` holds a live `InlinePayload<T>`, never read
-    // again after this call.
-    unsafe { std::ptr::drop_in_place(buf.cast::<InlinePayload<T>>()) };
-}
+const TYPE_MISMATCH: &str = "write-set entry type mismatch";
 
 impl WriteEntry {
     /// Whether values of type `T` are stored inline (true iff the payload
@@ -168,15 +173,14 @@ impl WriteEntry {
             && align_of::<InlinePayload<T>>() <= INLINE_ALIGN
     }
 
-    /// Build an inline entry. Caller must have checked
-    /// [`fits_inline`](Self::fits_inline).
+    /// Build an inline entry. `T` must [fit](Self::fits_inline).
     pub(crate) fn new_inline<T: TxObject>(tvar: TVar<T>, value: T) -> Self {
-        debug_assert!(Self::fits_inline::<T>());
+        assert!(Self::fits_inline::<T>());
         let tvar_id = tvar.id();
         let mut buf: InlineBuf = MaybeUninit::uninit();
-        // SAFETY: fits_inline guarantees size and alignment; the buffer is
-        // exclusively ours and the payload is dropped exactly once (in
-        // `InlineWrite::drop` or when replaced).
+        // SAFETY: the assertion guarantees size and alignment; the buffer
+        // is exclusively ours and the payload is dropped exactly once (in
+        // `InlineWrite::drop`).
         unsafe {
             buf.as_mut_ptr()
                 .cast::<InlinePayload<T>>()
@@ -185,24 +189,16 @@ impl WriteEntry {
         WriteEntry {
             tvar_id,
             kind: EntryKind::Inline(InlineWrite {
-                type_id: TypeId::of::<T>,
-                publish: publish_impl::<T>,
-                release: release_impl::<T>,
-                commit_fused: commit_fused_impl::<T>,
-                lazy_lock: lazy_lock_impl::<T>,
-                lazy_owner: lazy_owner_impl::<T>,
-                collapse_eager_leftover: collapse_eager_leftover_impl::<T>,
-                lazy_unlock: lazy_unlock_impl::<T>,
-                lazy_writeback: lazy_writeback_impl::<T>,
-                drop_in_place: drop_impl::<T>,
+                erase: erase::<T>,
                 buf,
             }),
         }
     }
 
-    /// Build a boxed entry for a type too large (or over-aligned) to
-    /// store inline.
+    /// Build a boxed entry, for a type too large (or over-aligned) to store
+    /// inline: the typed accessors pick the representation by `T` alone.
     pub(crate) fn new_boxed<T: TxObject>(tvar: TVar<T>, shadow: Arc<T>) -> Self {
+        debug_assert!(!Self::fits_inline::<T>());
         WriteEntry {
             tvar_id: tvar.id(),
             kind: EntryKind::Boxed(Box::new(TypedWrite { tvar, shadow })),
@@ -221,30 +217,6 @@ impl WriteEntry {
         matches!(self.kind, EntryKind::Inline(_))
     }
 
-    /// The inline payload, if this entry is inline *and* of type `T`.
-    #[inline]
-    fn payload<T: TxObject>(&self) -> Option<&InlinePayload<T>> {
-        match &self.kind {
-            EntryKind::Inline(iw) if (iw.type_id)() == TypeId::of::<T>() => {
-                // SAFETY: the type-id check proves the buffer holds an
-                // `InlinePayload<T>`.
-                Some(unsafe { &*iw.buf.as_ptr().cast::<InlinePayload<T>>() })
-            }
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn payload_mut<T: TxObject>(&mut self) -> Option<&mut InlinePayload<T>> {
-        match &mut self.kind {
-            EntryKind::Inline(iw) if (iw.type_id)() == TypeId::of::<T>() => {
-                // SAFETY: as in `payload`, plus we hold `&mut self`.
-                Some(unsafe { &mut *iw.buf.as_mut_ptr().cast::<InlinePayload<T>>() })
-            }
-            _ => None,
-        }
-    }
-
     /// Read-your-writes: a stable snapshot of the value this entry holds.
     ///
     /// For a boxed entry this is the shadow `Arc` itself; for an inline
@@ -253,157 +225,36 @@ impl WriteEntry {
     /// never changes under the caller: later writes to the object go to
     /// the inline value or clone-on-write through `Arc::make_mut`.
     pub(crate) fn read_snapshot<T: TxObject>(&self) -> Arc<T> {
-        if let Some(p) = self.payload::<T>() {
-            return Arc::new(p.value.clone());
+        let any = self.as_any();
+        if Self::fits_inline::<T>() {
+            let p = any.downcast_ref::<InlinePayload<T>>();
+            Arc::new(p.expect(TYPE_MISMATCH).value.clone())
+        } else {
+            let tw = any.downcast_ref::<TypedWrite<T>>();
+            Arc::clone(&tw.expect(TYPE_MISMATCH).shadow)
         }
-        match &self.kind {
-            EntryKind::Boxed(b) => Arc::clone(
-                &b.as_any()
-                    .downcast_ref::<TypedWrite<T>>()
-                    .expect("write-set entry type mismatch")
-                    .shadow,
-            ),
-            EntryKind::Inline(_) => panic!("write-set entry type mismatch"),
+    }
+
+    /// The entry's value, for writing in place.
+    fn value_mut<T: TxObject>(&mut self) -> &mut T {
+        let any = self.as_any_mut();
+        if Self::fits_inline::<T>() {
+            let p = any.downcast_mut::<InlinePayload<T>>();
+            &mut p.expect(TYPE_MISMATCH).value
+        } else {
+            let tw = any.downcast_mut::<TypedWrite<T>>();
+            Arc::make_mut(&mut tw.expect(TYPE_MISMATCH).shadow)
         }
     }
 
     /// Replace the entry's value.
     pub(crate) fn set_value<T: TxObject>(&mut self, value: T) {
-        if let Some(p) = self.payload_mut::<T>() {
-            p.value = value;
-            return;
-        }
-        match &mut self.kind {
-            EntryKind::Boxed(b) => {
-                let tw = b
-                    .as_any_mut()
-                    .downcast_mut::<TypedWrite<T>>()
-                    .expect("write-set entry type mismatch");
-                *Arc::make_mut(&mut tw.shadow) = value;
-            }
-            EntryKind::Inline(_) => panic!("write-set entry type mismatch"),
-        }
+        *self.value_mut() = value;
     }
 
     /// Mutate the entry's value in place.
     pub(crate) fn modify_value<T: TxObject>(&mut self, f: impl FnOnce(&mut T)) {
-        if let Some(p) = self.payload_mut::<T>() {
-            f(&mut p.value);
-            return;
-        }
-        match &mut self.kind {
-            EntryKind::Boxed(b) => {
-                let tw = b
-                    .as_any_mut()
-                    .downcast_mut::<TypedWrite<T>>()
-                    .expect("write-set entry type mismatch");
-                f(Arc::make_mut(&mut tw.shadow));
-            }
-            EntryKind::Inline(_) => panic!("write-set entry type mismatch"),
-        }
-    }
-
-    /// Install the entry's value as the locator's `new` version, iff the
-    /// committing transaction still owns the object.
-    #[inline]
-    pub(crate) fn publish(&self, me: &TxState) {
-        match &self.kind {
-            // SAFETY: `buf` holds a live `InlinePayload` of the type the
-            // fn was instantiated with.
-            EntryKind::Inline(iw) => unsafe { (iw.publish)(&iw.buf, me) },
-            EntryKind::Boxed(b) => b.publish(me),
-        }
-    }
-
-    /// Fold the (terminal) transaction's outcome into the locator:
-    /// [`crate::tvar::TVarInner::collapse_terminal`]. Called once per entry
-    /// right after the owner's status CAS on the abort rollback path.
-    #[inline]
-    pub(crate) fn release(&self, me: &TxState) {
-        match &self.kind {
-            // SAFETY: `buf` holds a live `InlinePayload` of the type the
-            // fn was instantiated with.
-            EntryKind::Inline(iw) => unsafe { (iw.release)(&iw.buf, me) },
-            EntryKind::Boxed(b) => b.release(me),
-        }
-    }
-
-    /// Single-entry fused commit: publish this entry's value, perform the
-    /// transaction's status CAS, and collapse the locator, all under one
-    /// acquisition of the object lock
-    /// ([`crate::tvar::TVarInner::commit_value_fused`]). Only sound when
-    /// this entry is the transaction's entire write set. Returns the CAS
-    /// verdict.
-    #[inline]
-    pub(crate) fn commit_fused(&self, me: &TxState) -> bool {
-        match &self.kind {
-            // SAFETY: `buf` holds a live `InlinePayload` of the type the
-            // fn was instantiated with.
-            EntryKind::Inline(iw) => unsafe { (iw.commit_fused)(&iw.buf, me) },
-            EntryKind::Boxed(b) => b.commit_fused(me),
-        }
-    }
-
-    /// Lazy engine: try to take this object's commit lock
-    /// ([`crate::tvar::TVarInner::lazy_try_lock`]).
-    #[inline]
-    pub(crate) fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<(u64, u64)> {
-        match &self.kind {
-            // SAFETY: `buf` holds a live `InlinePayload` of the type the
-            // fn was instantiated with.
-            EntryKind::Inline(iw) => unsafe { (iw.lazy_lock)(&iw.buf, slot_idx, attempt_id) },
-            EntryKind::Boxed(b) => b.lazy_lock(slot_idx, attempt_id),
-        }
-    }
-
-    /// Lazy engine: the live holder of this object's commit lock, if the
-    /// registry can still name it.
-    #[inline]
-    pub(crate) fn lazy_owner(&self) -> Option<Arc<TxState>> {
-        match &self.kind {
-            // SAFETY: `buf` holds a live `InlinePayload` of the type the
-            // fn was instantiated with.
-            EntryKind::Inline(iw) => unsafe { (iw.lazy_owner)(&iw.buf) },
-            EntryKind::Boxed(b) => b.lazy_owner(),
-        }
-    }
-
-    /// Lazy engine: fold an eager run's leftover terminal writer into
-    /// this object's locator ([`TVarInner::collapse_eager_leftover`]
-    /// (crate::tvar::TVarInner::collapse_eager_leftover)). Returns `true`
-    /// if a leftover was collapsed.
-    #[inline]
-    pub(crate) fn collapse_eager_leftover(&self) -> bool {
-        match &self.kind {
-            // SAFETY: `buf` holds a live `InlinePayload` of the type the
-            // fn was instantiated with.
-            EntryKind::Inline(iw) => unsafe { (iw.collapse_eager_leftover)(&iw.buf) },
-            EntryKind::Boxed(b) => b.collapse_eager_leftover(),
-        }
-    }
-
-    /// Lazy engine: release the commit lock without writing (failed
-    /// commit).
-    #[inline]
-    pub(crate) fn lazy_unlock(&self) {
-        match &self.kind {
-            // SAFETY: `buf` holds a live `InlinePayload` of the type the
-            // fn was instantiated with.
-            EntryKind::Inline(iw) => unsafe { (iw.lazy_unlock)(&iw.buf) },
-            EntryKind::Boxed(b) => b.lazy_unlock(),
-        }
-    }
-
-    /// Lazy engine: write this entry's value back as the committed
-    /// version under the held lock, stamping write version `wv`.
-    #[inline]
-    pub(crate) fn lazy_writeback(&self, wv: u64) {
-        match &self.kind {
-            // SAFETY: `buf` holds a live `InlinePayload` of the type the
-            // fn was instantiated with.
-            EntryKind::Inline(iw) => unsafe { (iw.lazy_writeback)(&iw.buf, wv) },
-            EntryKind::Boxed(b) => b.lazy_writeback(wv),
-        }
+        f(self.value_mut());
     }
 }
 

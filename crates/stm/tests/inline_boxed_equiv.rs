@@ -51,7 +51,7 @@ fn decode(kind: u8, v: u64) -> Op {
 /// attempt aborts after running its steps) and return every observable:
 /// each in-transaction read and each post-commit value.
 fn observe<const N: usize>(ops: &[(u8, u64)]) -> Vec<u64> {
-    let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+    let stm = Stm::new(CmDispatch::AbortSelf, 1);
     let ctx = stm.thread(0);
     let tv: TVar<Pad<N>> = TVar::new(Pad::new(0));
     let mut obs: Vec<u64> = Vec::new();
@@ -106,7 +106,7 @@ proptest! {
 #[test]
 fn aborted_writes_are_invisible_on_both_representations() {
     fn check<const N: usize>() {
-        let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+        let stm = Stm::new(CmDispatch::AbortSelf, 1);
         let ctx = stm.thread(0);
         let tv: TVar<Pad<N>> = TVar::new(Pad::new(1));
         let mut first = true;

@@ -31,7 +31,7 @@ fn drain_until(cond: impl Fn() -> bool) -> bool {
 
 #[test]
 fn exiting_thread_hands_its_deferred_states_to_survivors() {
-    let stm = Arc::new(Stm::with_dispatch(CmDispatch::AbortSelf, 2));
+    let stm = Arc::new(Stm::new(CmDispatch::AbortSelf, 2));
     let tv: TVar<u64> = TVar::new(0);
 
     // The worker returns a Weak for every attempt it ran; it exits

@@ -4,62 +4,66 @@
 //! allocator and proves that, after warmup, transactions writing
 //! `u64`-sized values perform **zero** heap allocations and deallocations:
 //!
-//! * write-set entries are stored inline (no `Box<dyn ErasedWrite>`),
+//! * write-set entries store their values inline (no `Box<dyn ErasedWrite>`)
+//!   in a `Vec` the thread context pools, however wide the write set,
 //! * published `Arc` versions are recycled through `ObjState::spare`,
 //! * `TxState` attempts come from the per-thread pool,
-//! * stats are staged in pre-existing atomics.
+//! * stats are bumped in pre-existing atomics.
 //!
 //! The counters are per-thread, so the libtest harness running other
 //! tests concurrently cannot pollute the measurement — but this file
 //! intentionally contains a single `#[test]` anyway so the assertion
 //! failure output is unambiguous.
 
-use wtm_stm::{CmDispatch, Stm, TVar};
+use wtm_stm::{CmDispatch, Stm, TVar, ThreadCtx, TxResult, Txn};
 
 #[global_allocator]
 static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
+/// The three measured shapes, in turn: read + write on one object
+/// (`increment_txn`), a two-object write, and a read + write of every
+/// object of `wide`.
+fn run_mix(ctx: &ThreadCtx<'_>, a: &TVar<u64>, b: &TVar<u64>, wide: &[TVar<u64>]) {
+    ctx.atomic(|tx| {
+        let v = *tx.read(a)?;
+        tx.write(a, v + 1)
+    });
+    ctx.atomic(|tx| {
+        let v = *tx.read(a)?;
+        tx.write(a, v)?;
+        tx.write(b, v)
+    });
+    ctx.atomic(|tx: &mut Txn| -> TxResult<()> {
+        for tv in wide {
+            let v = *tx.read(tv)?;
+            tx.write(tv, v + 1)?;
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn write_commit_path_is_allocation_free_for_small_values() {
-    let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+    let stm = Stm::new(CmDispatch::AbortSelf, 1);
     let ctx = stm.thread(0);
     let a: TVar<u64> = TVar::new(0);
     let b: TVar<u64> = TVar::new(0);
+    let wide: Vec<TVar<u64>> = (0..12).map(|_| TVar::new(0)).collect();
 
     // Warmup: populate the TxState pool, the per-object spare-Arc slots,
     // write-set capacity, and the lazily-initialised clock. The warmup
     // runs the *same* transaction mix as the measured region so the pool
     // reaches the mix's own steady-state rotation (a released state stays
     // shared until the registry republish and any lazy locator collapses
-    // drain, so the rotation depends on the interleaving). 96 pairs also
-    // cross the stats flush threshold several times so the flush path
-    // itself is inside the measured region's steady state.
+    // drain, so the rotation depends on the interleaving).
     for _ in 0..96 {
-        ctx.atomic(|tx| {
-            let v = *tx.read(&a)?;
-            tx.write(&a, v + 1)
-        });
-        ctx.atomic(|tx| {
-            let v = *tx.read(&a)?;
-            tx.write(&a, v)?;
-            tx.write(&b, v)
-        });
+        run_mix(&ctx, &a, &b, &wide);
     }
 
     counting_alloc::reset();
     const N: u64 = 1_000;
     for _ in 0..N {
-        // increment_txn shape: read + write on one object...
-        ctx.atomic(|tx| {
-            let v = *tx.read(&a)?;
-            tx.write(&a, v + 1)
-        });
-        // ...and a two-object write txn for the multi-entry write set.
-        ctx.atomic(|tx| {
-            let v = *tx.read(&a)?;
-            tx.write(&a, v)?;
-            tx.write(&b, v)
-        });
+        run_mix(&ctx, &a, &b, &wide);
     }
     let allocs = counting_alloc::allocs();
     let deallocs = counting_alloc::deallocs();
@@ -68,9 +72,10 @@ fn write_commit_path_is_allocation_free_for_small_values() {
         (allocs, deallocs),
         (0, 0),
         "write/commit path allocated: {allocs} allocs / {deallocs} deallocs \
-         over {N} read+write transaction pairs (expected zero after warmup)"
+         over {N} rounds of the three-transaction mix (expected zero after warmup)"
     );
 
     // The transactions above really ran.
     assert_eq!(ctx.atomic(|tx| tx.read(&a).map(|v| *v)), 96 + N);
+    assert_eq!(ctx.atomic(|tx| tx.read(&wide[11]).map(|v| *v)), 96 + N);
 }

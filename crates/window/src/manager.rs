@@ -264,10 +264,8 @@ impl WindowManager {
     /// and cancels the barrier so the remaining waiters fail fast too
     /// instead of hanging until their own deadlines.
     fn window_barrier(&self, thread_id: usize) -> BarrierWait {
-        #[cfg(feature = "trace")]
         let t0 = wtm_stm::clockns::now();
         let res = self.barrier.wait_timeout(self.cfg.barrier_timeout);
-        #[cfg(feature = "trace")]
         if wtm_trace::enabled() {
             let now = wtm_stm::clockns::now();
             let outcome = match res {
@@ -356,7 +354,6 @@ impl WindowManager {
         tw.base = 0;
         tw.run = Some(run);
         cell.publish_boundary(tw.run.clone(), tw.c, tw.windows_done - 1);
-        #[cfg(feature = "trace")]
         wtm_trace::emit(wtm_trace::Event::instant(
             wtm_trace::EventKind::WindowStart,
             wtm_stm::clockns::now(),
@@ -491,7 +488,6 @@ impl ContentionManager for WindowManager {
             // and after every abort").
             let rank = tw.rng.random_range(1..=self.cfg.m as u32);
             tx.set_rank(rank);
-            #[cfg(feature = "trace")]
             if !is_retry {
                 wtm_trace::emit(wtm_trace::Event::instant(
                     wtm_trace::EventKind::FrameAssign,

@@ -370,7 +370,6 @@ impl WindowRun {
                     if self.count(cur) != 0 {
                         self.skipped_pending.fetch_add(1, Ordering::Relaxed);
                     }
-                    #[cfg(feature = "trace")]
                     if wtm_trace::enabled() {
                         wtm_trace::emit(wtm_trace::Event::instant(
                             wtm_trace::EventKind::FrameAdvance,

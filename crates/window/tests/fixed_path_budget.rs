@@ -21,7 +21,7 @@ fn online_dynamic_transactions_draw_no_logical_timestamp() {
         WindowConfig::new(1, 50).with_seed(7),
     ));
     assert!(!wm.uses_timestamps());
-    let stm = Stm::with_dispatch(CmDispatch::Dyn(wm), 1);
+    let stm = Stm::new(CmDispatch::Dyn(wm), 1);
     let tv: TVar<u64> = TVar::new(0);
     let ctx = stm.thread(0);
     probe::take_logical_clock_rmws();

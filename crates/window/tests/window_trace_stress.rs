@@ -5,7 +5,6 @@
 //! thread, and the who-killed-whom accounting
 //! must balance (every contention-manager kill recorded in the conflict
 //! stream corresponds to exactly one abort of the matching reason).
-#![cfg(feature = "trace")]
 
 use std::sync::Arc;
 

@@ -459,7 +459,7 @@ mod tests {
             };
             let w = build_workload(info.name, &params).unwrap();
             assert_eq!(w.name(), info.name);
-            let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+            let stm = Stm::new(CmDispatch::AbortSelf, 1);
             let ctx = stm.thread(0);
             w.prepopulate(&ctx);
             let mut s = w.stream(0);
@@ -487,7 +487,7 @@ mod tests {
                 threads: 2,
             };
             let w = build_workload("List", &params).unwrap();
-            let stm = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+            let stm = Stm::new(CmDispatch::AbortSelf, 1);
             let ctx = stm.thread(0);
             w.prepopulate(&ctx);
             let mut s = w.stream(thread);

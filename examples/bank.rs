@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use windowtm::managers;
-use windowtm::stm::{ContentionManager, Stm, TVar};
+use windowtm::stm::{CmDispatch, Stm, TVar};
 use windowtm::window::{WindowConfig, WindowManager, WindowVariant};
 
 const ACCOUNTS: usize = 16;
@@ -18,7 +18,8 @@ const THREADS: usize = 4;
 const TRANSFERS_PER_THREAD: usize = 400;
 const INITIAL_BALANCE: i64 = 1_000;
 
-fn run(manager: Arc<dyn ContentionManager>, window: Option<Arc<WindowManager>>) {
+fn run(manager: impl Into<CmDispatch>, window: Option<Arc<WindowManager>>) {
+    let manager = manager.into();
     let name = manager.name().to_string();
     let stm = Stm::new(manager, THREADS);
     let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL_BALANCE)).collect();
@@ -82,7 +83,7 @@ fn main() {
     );
     // Classic managers.
     for name in ["Polka", "Greedy", "Priority", "Karma", "Aggressive"] {
-        let cm = managers::make_manager(name, THREADS).expect("classic manager");
+        let cm = managers::make_dispatch(name, THREADS).expect("classic manager");
         run(cm, None);
     }
     // Window-based managers.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use windowtm::managers;
-use windowtm::stm::{ContentionManager, Stm, TVar};
+use windowtm::stm::{CmDispatch, Stm, TVar};
 use windowtm::window::{WindowConfig, WindowManager, WindowVariant};
 
 const PHILOSOPHERS: usize = 5;
@@ -20,7 +20,8 @@ const MEALS_EACH: usize = 200;
 /// A fork is free (`None`) or held by philosopher `id` (`Some(id)`).
 type Fork = TVar<Option<usize>>;
 
-fn dine(cm: Arc<dyn ContentionManager>, window: Option<Arc<WindowManager>>) {
+fn dine(cm: impl Into<CmDispatch>, window: Option<Arc<WindowManager>>) {
+    let cm = cm.into();
     let name = cm.name().to_string();
     let stm = Stm::new(cm, PHILOSOPHERS);
     let forks: Vec<Fork> = (0..PHILOSOPHERS).map(|_| TVar::new(None)).collect();
@@ -80,7 +81,7 @@ fn main() {
         "dining philosophers: {PHILOSOPHERS} philosophers × {MEALS_EACH} meals, atomic two-fork pickup\n"
     );
     for name in ["Greedy", "Polka", "Priority", "Timestamp"] {
-        dine(managers::make_manager(name, PHILOSOPHERS).unwrap(), None);
+        dine(managers::make_dispatch(name, PHILOSOPHERS).unwrap(), None);
     }
     let wm = Arc::new(WindowManager::new(
         WindowVariant::OnlineDynamic,

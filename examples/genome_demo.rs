@@ -24,7 +24,7 @@ fn main() {
     );
     for name in ["Greedy", "Polka", "RandomizedRounds", "ATS"] {
         let g = Genome::new(LENGTH, DUPLICATION, 77);
-        let cm = managers::make_manager(name, THREADS).unwrap();
+        let cm = managers::make_dispatch(name, THREADS).unwrap();
         let stm = Stm::new(cm, THREADS);
         let t0 = Instant::now();
         let uniques = g.run(&stm);

@@ -25,7 +25,7 @@ fn main() {
 
     for name in ["Polka", "Greedy", "Priority"] {
         let km = KMeans::new(K, POINTS, 99);
-        let cm = managers::make_manager(name, THREADS).unwrap();
+        let cm = managers::make_dispatch(name, THREADS).unwrap();
         let stm = Stm::new(cm, THREADS);
         let t0 = Instant::now();
         let inertia = km.run(&stm, ITERS);

@@ -27,9 +27,9 @@ fn every_registered_workload_survives_two_thread_abortself_smoke() {
             threads: THREADS,
         };
         let w = build_workload(name, &params).expect(name);
-        let stm = Stm::with_dispatch(CmDispatch::AbortSelf, THREADS);
+        let stm = Stm::new(CmDispatch::AbortSelf, THREADS);
         {
-            let prep = Stm::with_dispatch(CmDispatch::AbortSelf, 1);
+            let prep = Stm::new(CmDispatch::AbortSelf, 1);
             w.prepopulate(&prep.thread(0));
         }
         std::thread::scope(|s| {

@@ -21,7 +21,7 @@ fn vacation_consistent(manager: &str, level: ContentionLevel) {
         seed: 7,
     };
     let built = build_manager(manager, THREADS, 8, 3).expect(manager);
-    let stm = Stm::with_dispatch(built.cm.clone(), THREADS);
+    let stm = Stm::new(built.cm.clone(), THREADS);
     let v = Arc::new(Vacation::new(cfg));
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -84,7 +84,7 @@ fn kmeans_under_window_manager_converges() {
 #[test]
 fn kmeans_under_ats_converges() {
     let km = KMeans::new(4, 120, 5);
-    let cm = windowtm::managers::make_manager("ATS", 3).unwrap();
+    let cm = windowtm::managers::make_dispatch("ATS", 3).unwrap();
     let stm = Stm::new(cm, 3);
     let before = km.inertia();
     let after = km.run(&stm, 2);
@@ -97,7 +97,7 @@ fn hashset_concurrent_oracle_under_several_managers() {
     for manager in ["Polka", "Greedy", "Online-Dynamic", "ATS"] {
         const THREADS: usize = 3;
         let built = build_manager(manager, THREADS, 8, 9).expect(manager);
-        let stm = Stm::with_dispatch(built.cm.clone(), THREADS);
+        let stm = Stm::new(built.cm.clone(), THREADS);
         let set = Arc::new(TxHashSet::new(16));
         std::thread::scope(|s| {
             for t in 0..THREADS {
@@ -134,7 +134,7 @@ fn genome_assembly_under_comparison_managers() {
     use windowtm::workloads::Genome;
     for manager in ["Greedy", "Polka", "RandomizedRounds"] {
         let g = Genome::new(300, 2, 31);
-        let cm = windowtm::managers::make_manager(manager, 3).unwrap();
+        let cm = windowtm::managers::make_dispatch(manager, 3).unwrap();
         let stm = Stm::new(cm, 3);
         g.run(&stm);
         g.verify_chain(&stm);
