@@ -5,11 +5,16 @@
 //! (outside the object lock) and its verdict applied.
 //!
 //! Reads take the lock-free path in [`crate::tvar`] first: register in the
-//! object's reader-slot word, then clone the seqlock-guarded snapshot. The
-//! object mutex is only taken when a writer is installed (the contended
-//! case, where the contention manager gets involved anyway) or the thread
-//! has no slot. Either way the read is *visible* before the value is
-//! returned, so the eager conflict semantics are identical on both paths.
+//! object's reader-slot word — the one write a visible read cannot do
+//! without, to a word only this reader writes — then load the seqlock word
+//! and the snapshot's address. The object mutex is only taken when a
+//! writer is installed (the contended case, where the contention manager
+//! gets involved anyway) or the thread has no slot. Either way the read is
+//! *visible* before the value is returned, so the eager conflict semantics
+//! are identical on both paths, and either way the value is returned as a
+//! plain borrow: no count of the version is taken. What keeps the borrow
+//! valid until the body is over is the writers' side of the same
+//! visibility — see "The borrowed-read invariant" in [`crate::tvar`].
 //!
 //! ## Correctness argument (opacity)
 //!
@@ -31,7 +36,7 @@ use std::sync::Arc;
 use super::Engine;
 use crate::cm::ConflictKind;
 use crate::tvar::TVar;
-use crate::txn::{TxError, TxResult, Txn};
+use crate::txn::{ReadRef, TxError, TxResult, Txn};
 use crate::writeset::WriteEntry;
 use crate::TxObject;
 
@@ -39,31 +44,39 @@ use crate::TxObject;
 pub(crate) struct EagerEngine;
 
 impl Engine for EagerEngine {
-    fn open_for_read<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<Arc<T>> {
+    fn open_for_read<'a, T: TxObject>(
+        txn: &mut Txn<'a>,
+        tvar: &TVar<T>,
+    ) -> TxResult<ReadRef<'a, T>> {
         txn.check_alive()?;
         if let Some(idx) = txn.find_write(tvar.id()) {
-            return Ok(txn.writes[idx].read_snapshot::<T>());
+            return Ok(ReadRef::counted(txn.writes[idx].read_snapshot::<T>()));
         }
-        // Lock-free fast path: slot registration + guarded snapshot clone.
+        // Lock-free fast path: slot registration + snapshot address.
         if let Some(val) = tvar.inner().fast_read(txn.slot_idx, txn.state.attempt_id) {
             // Doomed-reader validation: an enemy writer aborts us *before*
             // committing over our read set, so being Active *after* the
-            // snapshot clone proves `val` is consistent with every earlier
-            // read. Without this, an abort landing between the entry
-            // `check_alive` and the clone lets a doomed transaction mix
-            // pre- and post-commit versions (a zombie read).
+            // snapshot load proves `val` is the current version, consistent
+            // with every earlier read. Without this, an abort landing
+            // between the entry `check_alive` and the load lets a doomed
+            // transaction mix pre- and post-commit versions (a zombie
+            // read) — or, now that no count is taken, follow an address
+            // whose version is already gone.
             txn.check_alive()?;
-            txn.note_open();
-            if let Some(fp) = &mut txn.footprint {
-                fp.push((tvar.id(), false));
-            }
-            #[cfg(debug_assertions)]
-            txn.check_read_version(tvar, &val, true);
-            return Ok(val);
+            txn.note_read(tvar, val, true);
+            // SAFETY: we registered on the object before loading `val` and
+            // were still Active after, so no writer has installed since the
+            // registration and `val` is the current version, alive now.
+            // From here every displacement of it lends a count to this
+            // attempt until its body is over, which `'a` does not outlive
+            // (the borrowed-read invariant in `crate::tvar`).
+            return Ok(unsafe { ReadRef::borrowed(val) });
         }
         loop {
             txn.check_alive()?;
             let enemy = {
+                #[cfg(debug_assertions)]
+                crate::probe::count_read_shared_rmws(1); // the object lock
                 let mut st = tvar.inner().state.lock();
                 match &st.writer {
                     Some(w) if w.is_active() && w.attempt_id != txn.state.attempt_id => {
@@ -85,21 +98,19 @@ impl Engine for EagerEngine {
                                 st.retire(orphan);
                             }
                         }
-                        let val = Arc::clone(&st.old);
+                        let val = Arc::as_ptr(&st.old);
                         tvar.inner()
                             .register_reader_locked(&mut st, txn.slot_idx, &txn.state);
                         drop(st);
                         // Doomed-reader validation (see fast path above): the
                         // entry `check_alive` races with an enemy's abort, so
-                        // re-validate now that the value is in hand.
+                        // re-validate now that the address is in hand.
                         txn.check_alive()?;
-                        txn.note_open();
-                        if let Some(fp) = &mut txn.footprint {
-                            fp.push((tvar.id(), false));
-                        }
-                        #[cfg(debug_assertions)]
-                        txn.check_read_version(tvar, &val, false);
-                        return Ok(val);
+                        txn.note_read(tvar, val, false);
+                        // SAFETY: as on the fast path — registered (under
+                        // the lock that named `val` the current version)
+                        // before, Active after.
+                        return Ok(unsafe { ReadRef::borrowed(val) });
                     }
                 }
             };

@@ -84,7 +84,7 @@ use std::sync::Arc;
 use super::{Engine, LazyRead};
 use crate::cm::ConflictKind;
 use crate::tvar::TVar;
-use crate::txn::{TxError, TxResult, Txn};
+use crate::txn::{ReadRef, TxError, TxResult, Txn};
 use crate::writeset::WriteEntry;
 use crate::TxObject;
 
@@ -226,19 +226,17 @@ fn lock_and_validate(txn: &mut Txn<'_>, locked: &mut Vec<(usize, u64)>) -> TxRes
 }
 
 impl Engine for LazyEngine {
-    fn open_for_read<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<Arc<T>> {
+    fn open_for_read<'a, T: TxObject>(
+        txn: &mut Txn<'a>,
+        tvar: &TVar<T>,
+    ) -> TxResult<ReadRef<'a, T>> {
         txn.check_alive()?;
         if let Some(idx) = txn.find_write(tvar.id()) {
-            return Ok(txn.writes[idx].read_snapshot::<T>());
+            return Ok(ReadRef::counted(txn.writes[idx].read_snapshot::<T>()));
         }
         let val = read_committed(txn, tvar)?;
-        txn.note_open();
-        if let Some(fp) = &mut txn.footprint {
-            fp.push((tvar.id(), false));
-        }
-        #[cfg(debug_assertions)]
-        txn.check_read_version(tvar, &val, true);
-        Ok(val)
+        txn.note_read(tvar, Arc::as_ptr(&val), true);
+        Ok(ReadRef::counted(val))
     }
 
     fn open_for_modify<T: TxObject>(

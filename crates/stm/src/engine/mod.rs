@@ -35,7 +35,7 @@ pub(crate) mod lazy;
 use std::sync::Arc;
 
 use crate::tvar::{LazySource, TVar};
-use crate::txn::{TxResult, Txn};
+use crate::txn::{ReadRef, TxResult, Txn};
 use crate::TxObject;
 
 /// Which concurrency-control protocol a run uses. An axis of experiment
@@ -102,7 +102,10 @@ impl std::str::FromStr for EngineKind {
 pub(crate) trait Engine {
     /// Open `tvar` for reading; return a stable snapshot consistent with
     /// every earlier read of this attempt.
-    fn open_for_read<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<Arc<T>>;
+    fn open_for_read<'a, T: TxObject>(
+        txn: &mut Txn<'a>,
+        tvar: &TVar<T>,
+    ) -> TxResult<ReadRef<'a, T>>;
 
     /// Open `tvar` for writing and return the write-set entry index.
     /// `Some(value)` replaces the object wholesale; `None` bases the
@@ -126,6 +129,37 @@ pub(crate) trait Engine {
 pub(crate) struct LazyRead {
     pub(crate) src: Arc<dyn LazySource>,
     pub(crate) seq: u64,
+}
+
+/// Number of live eager-engine [`Stm`](crate::Stm)s in the process.
+///
+/// Driving one `TVar` from both engines at once is unsupported (module
+/// docs), but it has to stay memory-safe: eager reads are uncounted
+/// borrows that only a displacer's loan keeps valid ("The borrowed-read
+/// invariant" in [`crate::tvar`]), and a lazy commit scans for no readers.
+/// So a lazy write-back lends to the object's registered readers whenever
+/// this count says an eager engine exists, and pays nothing — one load of
+/// a line nobody writes — in a run that has none.
+static EAGER_STMS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+/// An `Stm` of kind `engine` was created (`+1`) or dropped (`-1`).
+pub(crate) fn count_stm(engine: EngineKind, created: bool) {
+    use std::sync::atomic::Ordering::SeqCst;
+    if engine == EngineKind::Eager {
+        if created {
+            EAGER_STMS.fetch_add(1, SeqCst);
+        } else {
+            EAGER_STMS.fetch_sub(1, SeqCst);
+        }
+    }
+}
+
+/// Whether an eager reader can exist. `SeqCst` on both sides orders a
+/// `false` here before the creation of any eager engine, hence before its
+/// readers' `seq` loads: they meet the caller's commit lock or its result,
+/// never the version it displaces.
+pub(crate) fn eager_readers_possible() -> bool {
+    EAGER_STMS.load(std::sync::atomic::Ordering::SeqCst) != 0
 }
 
 /// The lazy engine's global version clock.

@@ -87,7 +87,7 @@ pub use stats::{ShardedU64, StatsSnapshot, ThreadStats};
 pub use status::TxStatus;
 pub use stm::{Stm, ThreadCtx};
 pub use tvar::TVar;
-pub use txn::{TxError, TxResult, Txn};
+pub use txn::{ReadRef, TxError, TxResult, Txn};
 pub use txstate::TxState;
 
 /// Marker trait for values that can live inside a [`TVar`].

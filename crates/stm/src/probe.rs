@@ -5,7 +5,10 @@
 //! lazy clock ("read-only and blind-write commits perform zero
 //! `VERSION_CLOCK` RMW ops") and the fixed path's shared-line budget ("no
 //! logical-clock `fetch_add` unless the manager orders by timestamp, at
-//! most one global-epoch CAS per quiesce stride") are asserted by unit
+//! most one global-epoch CAS per quiesce stride") and the eager read path
+//! ("a first open is one store to the reader's own slot word and no
+//! read-modify-write on a line other readers write; a re-open stores
+//! nothing") are asserted by unit
 //! tests that count the actual operations, not by inspection. The
 //! counters are thread-local `Cell`s — tests in one binary run
 //! concurrently, and a process-global counter would make every assertion
@@ -24,6 +27,8 @@ thread_local! {
     static CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
     static LOGICAL_CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
     static EPOCH_CASES: Cell<u64> = const { Cell::new(0) };
+    static READ_SLOT_STORES: Cell<u64> = const { Cell::new(0) };
+    static READ_SHARED_RMWS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Record one epoch-slot load performed by [`crate::epoch::try_advance`].
@@ -56,6 +61,21 @@ pub(crate) fn count_epoch_cas() {
     let _ = EPOCH_CASES.try_with(|c| c.set(c.get() + 1));
 }
 
+/// Record one store of a reader's attempt id into its slot word of an
+/// object (the registration of a visible read).
+#[inline]
+pub(crate) fn count_read_slot_store() {
+    let _ = READ_SLOT_STORES.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Record `n` read-modify-writes a transactional read performs on lines
+/// every reader of the object writes: the `guards` counter, a version's
+/// strong count, the object lock.
+#[inline]
+pub(crate) fn count_read_shared_rmws(n: u64) {
+    let _ = READ_SHARED_RMWS.try_with(|c| c.set(c.get() + n));
+}
+
 /// Epoch-slot loads by this thread since the last call; resets to 0.
 pub fn take_epoch_slot_loads() -> u64 {
     EPOCH_SLOT_LOADS.with(|c| c.replace(0))
@@ -79,4 +99,16 @@ pub fn take_logical_clock_rmws() -> u64 {
 /// Global-epoch CAS attempts by this thread since the last call; resets to 0.
 pub fn take_epoch_cases() -> u64 {
     EPOCH_CASES.with(|c| c.replace(0))
+}
+
+/// Reader-slot registration stores by this thread since the last call;
+/// resets to 0.
+pub fn take_read_slot_stores() -> u64 {
+    READ_SLOT_STORES.with(|c| c.replace(0))
+}
+
+/// Shared-line RMWs of transactional reads by this thread since the last
+/// call; resets to 0.
+pub fn take_read_shared_rmws() -> u64 {
+    READ_SHARED_RMWS.with(|c| c.replace(0))
 }

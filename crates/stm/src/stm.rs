@@ -47,7 +47,7 @@ use crate::dispatch::CmDispatch;
 use crate::engine::{EngineKind, LazyRead};
 use crate::slots;
 use crate::stats::{StatsSnapshot, ThreadStats};
-use crate::txn::{TxError, TxResult, Txn};
+use crate::txn::{TxError, TxResult, Txn, Unwound};
 use crate::txstate::TxState;
 use crate::writeset::WriteEntry;
 
@@ -83,6 +83,7 @@ impl Stm {
         // slot for every worker this engine will run.
         slots::reserve_reader_slots(num_threads);
         let cm = cm.into();
+        crate::engine::count_stm(engine, true);
         Stm {
             timestamps: cm.uses_timestamps(),
             cm,
@@ -159,6 +160,12 @@ impl Stm {
         } else {
             0
         }
+    }
+}
+
+impl Drop for Stm {
+    fn drop(&mut self) {
+        crate::engine::count_stm(self.engine, false);
     }
 }
 
@@ -299,6 +306,37 @@ fn release_state(state: Arc<TxState>) {
     let _ = STATE_RING.try_with(|ring| ring.park(state));
 }
 
+thread_local! {
+    /// Set while this OS thread is inside [`ThreadCtx::atomic`].
+    static IN_ATOMIC: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks this OS thread as inside an `atomic` call until dropped — by
+/// return or by a panicking body's unwind.
+struct InAtomic;
+
+impl InAtomic {
+    fn enter() -> Self {
+        // One registry record per OS thread: an inner transaction's
+        // republish would withdraw the outer attempt from under its
+        // running body. Writers would stop seeing its reads (silently
+        // wrong) and take its body for finished (its borrowed reads would
+        // dangle).
+        assert!(
+            !IN_ATOMIC.replace(true),
+            "nested `atomic` on one thread: a transaction is already running here \
+             (start the inner one on another thread, or do its work in the outer closure)"
+        );
+        InAtomic
+    }
+}
+
+impl Drop for InAtomic {
+    fn drop(&mut self) {
+        IN_ATOMIC.set(false);
+    }
+}
+
 /// Per-worker execution context; cheap to construct, one per worker
 /// (each worker must use its own `thread_id`).
 pub struct ThreadCtx<'a> {
@@ -396,6 +434,16 @@ impl<'a> ThreadCtx<'a> {
     /// its result. The greedy retry loop of the paper: no inter-attempt
     /// delay is added by the engine itself; back-off, random window delays,
     /// and the like are entirely the contention manager's business.
+    ///
+    /// # Panics
+    ///
+    /// If called from inside another `atomic` closure on the same OS
+    /// thread, whichever [`Stm`] either belongs to: a thread publishes one
+    /// running attempt, and the inner transaction would displace the
+    /// outer's while its body still runs. A panic of `body` itself unwinds
+    /// through here after the attempt is aborted and withdrawn — its
+    /// writes are undone, nobody waits for it, and the context stays
+    /// usable.
     pub fn atomic<R>(&self, mut body: impl FnMut(&mut Txn) -> TxResult<R>) -> R {
         match self.atomic_with_budget(usize::MAX, &mut body) {
             Some(r) => r,
@@ -438,6 +486,7 @@ impl<'a> ThreadCtx<'a> {
         body: &mut impl FnMut(&mut Txn) -> TxResult<R>,
         mut trace: Option<&mut Vec<(u64, bool)>>,
     ) -> Option<R> {
+        let _in_atomic = InAtomic::enter();
         let ts = self.stm.next_ts();
         let first_start_ns = clockns::now();
         let slot_idx = slots::my_slot_index();
@@ -491,7 +540,10 @@ impl<'a> ThreadCtx<'a> {
             if trace.is_some() {
                 txn.enable_tracing();
             }
-            let outcome = match body(&mut txn) {
+            let unwound = Unwound(&mut txn);
+            let returned = body(unwound.0);
+            std::mem::forget(unwound);
+            let outcome = match returned {
                 Ok(r) => txn.commit().map(|()| r),
                 Err(e) => Err(e),
             };
@@ -543,6 +595,11 @@ impl<'a> ThreadCtx<'a> {
                     txn.release_write_set();
                     txn.release_buffers();
                     drop(txn);
+                    // The body is over and its borrows with it: let go of
+                    // the versions competitors lent to keep them valid.
+                    // (A committed attempt needs no such step: `Committed`
+                    // tells every scanner the same.)
+                    state.finish_body();
                     let now = clockns::now();
                     self.stats().record_abort(opens, now.saturating_sub(t0));
                     wtm_trace::emit(wtm_trace::Event::span(
@@ -919,6 +976,136 @@ mod tests {
                 assert!(stamps.iter().all(|&(t, _)| t == ts));
                 assert!(stamps[0].1 < stamps[1].1 && stamps[1].1 < stamps[2].1);
             }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn eager_read_writes_one_word_its_reader_owns() {
+        const OBJECTS: u64 = 32;
+        slots::reserve_reader_slots(slots::MAX_SLOTS); // fast path on any harness thread
+        let tvs: Vec<TVar<u64>> = (0..OBJECTS).map(TVar::new).collect();
+        let mut read_all_twice = |tx: &mut Txn| {
+            crate::probe::take_read_slot_stores();
+            crate::probe::take_read_shared_rmws();
+            let mut sum = 0;
+            for tv in &tvs {
+                sum += *tx.read(tv)?;
+            }
+            let first = (
+                crate::probe::take_read_slot_stores(),
+                crate::probe::take_read_shared_rmws(),
+            );
+            for tv in &tvs {
+                sum += *tx.read(tv)?;
+            }
+            let again = (
+                crate::probe::take_read_slot_stores(),
+                crate::probe::take_read_shared_rmws(),
+            );
+            assert_eq!(sum, OBJECTS * (OBJECTS - 1));
+            Ok((first, again))
+        };
+        let stm = Stm::new(CmDispatch::AbortSelf, 1);
+        let (first, again) = stm.thread(0).atomic(&mut read_all_twice);
+        assert_eq!(
+            first,
+            (OBJECTS, 0),
+            "a first open is one store to the reader's slot word and no RMW on a shared line"
+        );
+        assert_eq!(again, (0, 0), "a re-open stores nothing");
+        // The counter is live: the lazy engine's invisible read pays a
+        // guard up, a version count and a guard down, and registers nowhere.
+        let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, EngineKind::Lazy);
+        let (first, again) = stm.thread(0).atomic(&mut read_all_twice);
+        assert_eq!((first, again), ((0, 3 * OBJECTS), (0, 3 * OBJECTS)));
+    }
+
+    #[test]
+    #[should_panic(expected = "nested `atomic` on one thread")]
+    fn nested_atomic_on_one_thread_panics() {
+        // Slot indices are per OS thread, so a second `Stm` is no way out.
+        let (outer, inner) = (
+            Stm::new(CmDispatch::AbortSelf, 1),
+            Stm::new(CmDispatch::AbortSelf, 1),
+        );
+        let (outer, inner) = (outer.thread(0), inner.thread(0));
+        outer.atomic(|_| {
+            inner.atomic(|_| Ok(()));
+            Ok(())
+        });
+    }
+
+    /// A manager nobody may have to ask.
+    struct NoConflictExpected;
+
+    impl ContentionManager for NoConflictExpected {
+        fn resolve(
+            &self,
+            _: &TxState,
+            enemy: &TxState,
+            _: crate::ConflictKind,
+        ) -> crate::Resolution {
+            panic!(
+                "conflict with attempt {} of a panicked body",
+                enemy.attempt_id
+            )
+        }
+        fn name(&self) -> &str {
+            "NoConflictExpected"
+        }
+    }
+
+    #[test]
+    fn a_panicking_body_is_aborted_rolled_back_and_withdrawn() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for engine in EngineKind::ALL {
+            let stm = Stm::with_engine(Arc::new(NoConflictExpected), 2, engine);
+            let (read, written): (TVar<u64>, TVar<u64>) = (TVar::new(1), TVar::new(10));
+            let ctx = stm.thread(0);
+            let mut seen = None;
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                ctx.atomic(|tx| {
+                    let v = *tx.read(&read)?;
+                    tx.write(&written, v + 10)?;
+                    seen = Some((slots::my_slot_index(), Arc::clone(tx.state())));
+                    if v == 1 {
+                        panic!("body gives up");
+                    }
+                    Ok(())
+                })
+            }));
+            assert!(unwound.is_err(), "{engine}: the panic reaches the caller");
+            let (slot, state) = seen.expect("the body ran");
+            assert_eq!(state.status(), crate::TxStatus::Aborted, "{engine}");
+            assert!(state.body_over(), "{engine}: its borrows are dead");
+            assert!(
+                slots::live_reader(slot, state.attempt_id).is_none(),
+                "{engine}: the attempt is withdrawn from the registry"
+            );
+            // A second thread opens both objects for writing: no owner to
+            // fight, no reader to abort, no contention-manager round.
+            std::thread::scope(|s| {
+                let ctx = stm.thread(1);
+                let (read, written) = (&read, &written);
+                s.spawn(move || {
+                    ctx.atomic(|tx| {
+                        tx.write(read, 2)?;
+                        tx.modify(written, |w| *w += 1)
+                    })
+                });
+            });
+            assert_eq!((*read.sample(), *written.sample()), (2, 11), "{engine}");
+            // And the thread that panicked is not stuck "inside" `atomic`.
+            ctx.atomic(|tx| tx.write(&read, 3));
+            let snap = stm.aggregate();
+            assert_eq!(snap.commits, 2, "{engine}");
+            assert_eq!(snap.aborts, 1, "{engine}: the unwound attempt is an abort");
+            assert_eq!(
+                snap.conflicts_ww + snap.conflicts_rw + snap.conflicts_wr,
+                0,
+                "{engine}"
+            );
         }
     }
 

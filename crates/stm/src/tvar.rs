@@ -36,16 +36,49 @@
 //!   before the thread appeared) use the mutex-protected overflow list —
 //!   slower, never wrong.
 //!
-//! * **A guarded seqlock snapshot.** `seq` is even exactly while no writer
-//!   is installed, and then `snapshot` points at the same version as the
-//!   locator's `old` (the cell owns one strong count of it). A fast read
-//!   checks `seq`, raises `guards`, re-checks `seq`, and only then clones
-//!   the snapshot `Arc`. A writer flips `seq` odd *before* it may swap the
-//!   snapshot and spins until `guards` drains to zero, so it can never
-//!   drop the strong count a reader is in the middle of cloning (a plain
-//!   seqlock retry-loop would: `Arc::clone` dereferences the count). The
-//!   odd period lasts for the writer's whole ownership; the next
-//!   locator-collapse restores the even state.
+//! * **A seqlock snapshot.** `seq` is even exactly while no writer is
+//!   installed, and then `snapshot` points at the same version as the
+//!   locator's `old` (the cell owns one strong count of it). The odd
+//!   period lasts for the writer's whole ownership; the next
+//!   locator-collapse restores the even state. An eager read is slot-word
+//!   store → `seq` load → `snapshot` load and takes the version *by
+//!   address*: it writes the one word its reader owns and nothing else.
+//!   Readers that do not register — the lazy engine's invisible reads and
+//!   [`TVar::sample`] — clone the snapshot `Arc` instead, between a raise
+//!   and a drop of `guards`, which a writer drains right after flipping
+//!   `seq` odd so it never drops a count somebody is in the middle of
+//!   bumping.
+//!
+//! ## The borrowed-read invariant
+//!
+//! An eager read holds no count of the version it returns, so the version
+//! must outlive the reader's *body* (the closure run of one attempt) some
+//! other way. The invariant, kept entirely inside this crate:
+//!
+//! > Whoever displaces the current version of an object first gives a
+//! > count of it ([`TxState::lend`]) to every registered attempt whose
+//! > body may still be running.
+//!
+//! A version is displaced by a writer's commit, and a writer installs only
+//! after [`TVarInner::conflicting_reader`] — slot words *and* the overflow
+//! list — found no other `Active` reader. What the scan does find is
+//! `Committed` (the status CAS comes after the body, so the body is over),
+//! an attempt the registry no longer names (its thread has moved on), or
+//! `Aborted`: a body that may still be running until its next open notices.
+//! That last one is lent the current version; the owner drops what it was
+//! lent when its body is over ([`TxState::finish_body`], called on the
+//! abort arm of the retry loop right after the `Txn` is dropped). A read
+//! returns its borrow only after a final `check_alive`, so the reader was `Active` — and no writer got past it —
+//! from its registration to that check, and the version it holds is the
+//! one every later scan lends. An aborted attempt never gets a new borrow
+//! (the same check fails), so one loan per object is enough and the scan
+//! clears the word it served. The three displacements that are not a
+//! writer's install — [`TVar::store_direct`], a lazy-engine write-back
+//! while an eager engine exists (driving one object from both at once is
+//! unsupported, but it must stay memory-safe) and the drop of the
+//! object's last handle — lend to `Active` readers
+//! too. Recycling through `spare` needs no change: `Arc::get_mut` refuses
+//! a version that is on loan.
 //!
 //! Lock discipline: each object has one short `parking_lot::Mutex`; the
 //! engine never calls a contention manager, blocks, or takes another
@@ -121,9 +154,10 @@ pub(crate) struct TVarInner<T: TxObject> {
     /// Seqlock word: even ⇔ no writer installed ∧ `snapshot` matches the
     /// locator's `old`. Flipped only under the object mutex.
     seq: AtomicU64,
-    /// Number of fast readers currently between their `seq` re-check and
-    /// the completion of their snapshot clone. A writer drains this to
-    /// zero right after flipping `seq` odd.
+    /// Number of unregistered readers ([`Self::lazy_read`],
+    /// [`TVar::sample`]) currently between their `seq` re-check and the
+    /// completion of their snapshot clone. A writer drains this to zero
+    /// right after flipping `seq` odd. Eager reads never touch it.
     guards: AtomicU64,
     /// One owned strong count of the version fast readers clone.
     /// Valid (never null) for the whole life of the object.
@@ -147,6 +181,10 @@ pub(crate) struct TVarInner<T: TxObject> {
 
 impl<T: TxObject> Drop for TVarInner<T> {
     fn drop(&mut self) {
+        // The last handle is gone, but a body that read the object through
+        // one (a node just unlinked, a handle local to the closure) may
+        // still hold its borrow: the version outlives the object.
+        self.state.get_mut().lend_to_readers(&self.reader_slots);
         // Release the snapshot cell's strong count.
         let p = *self.snapshot.get_mut();
         // SAFETY: `snapshot` always holds a pointer produced by
@@ -188,11 +226,17 @@ impl<T: TxObject> ObjState<T> {
         }
     }
 
-    /// Drop overflow entries whose transactions are no longer active.
+    /// Drop overflow entries whose bodies are over. An `Aborted` attempt
+    /// whose body is still running stays: the next displacement of the
+    /// version it borrowed has to find it (module docs, "The borrowed-read
+    /// invariant").
     pub(crate) fn prune_readers(&mut self) {
         self.readers.retain(|r| {
-            r.tx.upgrade()
-                .is_some_and(|tx| tx.status() == TxStatus::Active)
+            r.tx.upgrade().is_some_and(|tx| match tx.status() {
+                TxStatus::Active => true,
+                TxStatus::Committed => false,
+                TxStatus::Aborted => !tx.body_over(),
+            })
         });
     }
 
@@ -229,91 +273,21 @@ impl<T: TxObject> ObjState<T> {
         }
     }
 
-    /// First active overflow reader that is not `me`, if any.
-    fn conflicting_overflow_reader(&mut self, me: &TxState) -> Option<Arc<TxState>> {
-        self.prune_readers();
-        self.readers
-            .iter()
-            .filter(|r| r.attempt_id != me.attempt_id)
-            .find_map(|r| r.tx.upgrade().filter(|tx| tx.status() == TxStatus::Active))
-    }
-}
-
-impl<T: TxObject> TVarInner<T> {
-    /// Lock-free read attempt for the reader on slot `slot_idx` running
-    /// attempt `attempt_id`. Registers the reader and, if no writer is
-    /// installed, returns the current version. `None` means "take the
-    /// mutex path" (writer installed, snapshot mid-swap, or no slot).
-    #[inline]
-    pub(crate) fn fast_read(&self, slot_idx: usize, attempt_id: u64) -> Option<Arc<T>> {
-        let slot = self.reader_slots.get(slot_idx)?;
-        // Register. Skipping the store when our id is already in place is
-        // sound: the first store performed the Dekker handshake, and the
-        // word can only have been overwritten by a *later* event that a
-        // writer's scan orders correctly anyway.
-        if slot.load(Ordering::Relaxed) != attempt_id {
-            slot.store(attempt_id, Ordering::SeqCst);
-        }
-        let s = self.seq.load(Ordering::SeqCst);
-        if s & 1 != 0 {
-            return None; // writer installed → mutex path
-        }
-        self.guards.fetch_add(1, Ordering::SeqCst);
-        let result = if self.seq.load(Ordering::SeqCst) == s {
-            let p = self.snapshot.load(Ordering::Acquire);
-            // SAFETY: `seq` was even at the re-check while our guard was
-            // raised, so any writer that wants to swap/drop the snapshot
-            // is still spinning on `guards` — the pointee and its strong
-            // count stay alive until our `fetch_sub` below.
-            unsafe {
-                Arc::increment_strong_count(p);
-                Some(Arc::from_raw(p))
-            }
-        } else {
-            None
-        };
-        self.guards.fetch_sub(1, Ordering::SeqCst);
-        result
-    }
-
-    /// Begin a writer period: flip `seq` odd and wait out in-flight fast
-    /// readers. Caller must hold the object mutex and `seq` must be even
-    /// (i.e. no writer currently installed).
-    pub(crate) fn lock_snapshot(&self) {
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        while self.guards.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-    }
-
-    /// End a writer period: point the snapshot at `val` (the locator's
-    /// freshly collapsed `old`) and flip `seq` back to even. Caller must
-    /// hold the object mutex and `seq` must be odd.
-    pub(crate) fn unlock_snapshot(&self, val: &Arc<T>) {
-        let fresh = Arc::into_raw(Arc::clone(val)).cast_mut();
-        let prev = self.snapshot.swap(fresh, Ordering::AcqRel);
-        // SAFETY: guards drained to zero when this odd period began and
-        // fast readers re-checking `seq` while it is odd never touch the
-        // pointer, so nobody else can be cloning `prev` now.
-        unsafe { drop(Arc::from_raw(prev)) };
-        self.seq.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Abandon a just-started writer period without having installed a
-    /// writer (conflict found): flip `seq` back to even, snapshot intact.
-    pub(crate) fn unlock_snapshot_unchanged(&self) {
-        self.seq.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// First live reader that is not `me`: scans the slot words of
-    /// *currently allocated* slot indices, then the overflow list. Caller
-    /// must hold the object mutex, and — for the Dekker handshake with
-    /// [`Self::fast_read`] — must have flipped `seq` odd first.
-    /// Verifiably stale slot words are cleared along the way.
+    /// Walk every registered reader — the words of `slots` at *currently
+    /// allocated* slot indices, then the overflow list — for a caller that
+    /// is about to displace the current version. Returns the first
+    /// `Active` reader other than attempt `me` when `stop_at_active` (a
+    /// writer's conflict scan), nothing otherwise. On the way it lends the
+    /// current version to each reader that is `Aborted` — and, without
+    /// `stop_at_active`, `Active` — which keeps what that reader's body
+    /// borrowed alive (module docs, "The borrowed-read invariant"), and
+    /// clears the registrations it has served or found stale. Caller holds
+    /// the object mutex (or `&mut` to the object), and — for the Dekker
+    /// handshake with [`TVarInner::fast_read`] — has `seq` odd.
     ///
-    /// The scan iterates set bits of the global allocation shard masks
-    /// ([`slots::shard_mask`]): one `SeqCst` load decides 64 indices, so
-    /// the cost is O(active threads), not O(capacity).
+    /// The slot part iterates set bits of the global allocation shard
+    /// masks ([`slots::shard_mask`]): one `SeqCst` load decides 64
+    /// indices, so the cost is O(active threads), not O(capacity).
     ///
     /// ## Why filtering by mask preserves the Dekker handshake
     ///
@@ -332,12 +306,26 @@ impl<T: TxObject> TVarInner<T> {
     /// the mutex this writer is holding, and is found by a later scan or
     /// blocks until the writer is done. Either the writer sees the
     /// reader, or the reader sees the writer — never neither.
-    pub(crate) fn conflicting_reader(
-        &self,
-        st: &mut ObjState<T>,
-        me: &TxState,
+    fn scan_readers(
+        &mut self,
+        slots: &[AtomicU64],
+        me: u64,
+        stop_at_active: bool,
     ) -> Option<Arc<TxState>> {
-        let cap = self.reader_slots.len();
+        // The version on loan, cloned at the first reader that needs it.
+        let mut cur: Option<Arc<T>> = None;
+        // `true`: `tx` is the conflict to report. Otherwise `tx` has been
+        // served and its registration can go.
+        let mut conflicts = |st: &Self, tx: &TxState| match tx.status() {
+            TxStatus::Active if stop_at_active => true,
+            // The status CAS comes after the body: nothing left to protect.
+            TxStatus::Committed => false,
+            _ => {
+                tx.lend(cur.get_or_insert_with(|| st.effective()));
+                false
+            }
+        };
+        let cap = slots.len();
         let shards = cap.div_ceil(slots::SHARD_SLOTS).min(slots::SLOT_SHARDS);
         for s in 0..shards {
             let mut mask = slots::shard_mask(s);
@@ -353,24 +341,134 @@ impl<T: TxObject> TVarInner<T> {
                 let idx = base | bit;
                 #[cfg(debug_assertions)]
                 crate::probe::count_reader_slot_load();
-                let slot = &self.reader_slots[idx];
+                let slot = &slots[idx];
                 let a = slot.load(Ordering::SeqCst);
-                if a == 0 || a == me.attempt_id {
+                if a == 0 || a == me {
                     continue;
                 }
-                match slots::live_reader(idx, a) {
-                    Some(tx) if tx.is_active() => return Some(tx),
-                    _ => {
-                        // Attempt `a` is over (or no longer on this slot):
-                        // clear the word so future scans stay cheap. CAS
-                        // so a newly arrived reader's store is never
-                        // wiped.
-                        let _ = slot.compare_exchange(a, 0, Ordering::SeqCst, Ordering::SeqCst);
+                // `None`: attempt `a` is no longer the one running on this
+                // slot, so its body is over.
+                if let Some(tx) = slots::live_reader(idx, a) {
+                    if conflicts(self, &tx) {
+                        return Some(tx);
+                    }
+                    if tx.is_active() {
+                        // A loan without `stop_at_active`: the reader goes
+                        // on, and so does its registration.
+                        continue;
                     }
                 }
+                // Served or stale: clear the word so future scans stay
+                // cheap. CAS so a newly arrived reader's store is never
+                // wiped.
+                let _ = slot.compare_exchange(a, 0, Ordering::SeqCst, Ordering::SeqCst);
             }
         }
-        st.conflicting_overflow_reader(me)
+        if self.readers.is_empty() {
+            return None;
+        }
+        let mut readers = std::mem::take(&mut self.readers);
+        let mut enemy = None;
+        readers.retain(|r| {
+            let Some(tx) = r.tx.upgrade() else {
+                return false;
+            };
+            if r.attempt_id == me || enemy.is_some() {
+                return true;
+            }
+            if conflicts(self, &tx) {
+                enemy = Some(tx);
+                return true;
+            }
+            tx.is_active() // as for the slot words
+        });
+        self.readers = readers;
+        enemy
+    }
+
+    /// Lend the current version to every registered reader whose body may
+    /// still be running, `Active` ones included: for the displacements
+    /// that no conflict scan precedes.
+    fn lend_to_readers(&mut self, slots: &[AtomicU64]) {
+        self.scan_readers(slots, 0, false);
+    }
+}
+
+impl<T: TxObject> TVarInner<T> {
+    /// Lock-free read attempt for the reader on slot `slot_idx` running
+    /// attempt `attempt_id`. Registers the reader and, if no writer is
+    /// installed, returns the address of the current version. `None` means
+    /// "take the mutex path" (writer installed, or no slot).
+    ///
+    /// The address is only a candidate: a writer may have installed,
+    /// committed and let go of the version between the `seq` load and the
+    /// `snapshot` load. The caller dereferences it only if its attempt is
+    /// still `Active` *after* this returns — a writer cannot get past a
+    /// registered `Active` reader, so then the version is the current one,
+    /// and from there the borrowed-read invariant (module docs) covers it.
+    #[inline]
+    pub(crate) fn fast_read(&self, slot_idx: usize, attempt_id: u64) -> Option<*const T> {
+        let slot = self.reader_slots.get(slot_idx)?;
+        // Register. Skipping the store when our id is already in place is
+        // sound: the first store performed the Dekker handshake, and the
+        // word can only have been overwritten by a *later* event that a
+        // writer's scan orders correctly anyway (a scan clears the word of
+        // an attempt it found aborted; that attempt's next read fails its
+        // final `check_alive` whatever it registers).
+        if slot.load(Ordering::Relaxed) != attempt_id {
+            #[cfg(debug_assertions)]
+            crate::probe::count_read_slot_store();
+            slot.store(attempt_id, Ordering::SeqCst);
+        }
+        if self.seq.load(Ordering::SeqCst) & 1 != 0 {
+            return None; // writer installed → mutex path
+        }
+        Some(self.snapshot.load(Ordering::Acquire))
+    }
+
+    /// Begin a writer period: flip `seq` odd and wait out the guarded
+    /// readers in flight ([`TVar::sample`]; eager reads raise no guard).
+    /// Caller must hold the object mutex and `seq` must be even (i.e. no
+    /// writer currently installed).
+    pub(crate) fn lock_snapshot(&self) {
+        self.seq.fetch_add(1, Ordering::SeqCst);
+        while self.guards.load(Ordering::SeqCst) != 0 {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// End a writer period: point the snapshot at `val` (the locator's
+    /// freshly collapsed `old`) and flip `seq` back to even. Caller must
+    /// hold the object mutex and `seq` must be odd.
+    pub(crate) fn unlock_snapshot(&self, val: &Arc<T>) {
+        let fresh = Arc::into_raw(Arc::clone(val)).cast_mut();
+        let prev = self.snapshot.swap(fresh, Ordering::AcqRel);
+        // SAFETY: guards drained to zero when this odd period began and
+        // guarded readers re-checking `seq` while it is odd never touch
+        // the pointer, so nobody else can be cloning `prev` now. Eager
+        // readers may still hold `prev`'s address, never its count: what
+        // they read through it is covered by the loans of the scan that
+        // let this period's writer in (module docs).
+        unsafe { drop(Arc::from_raw(prev)) };
+        self.seq.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Abandon a just-started writer period without having installed a
+    /// writer (conflict found): flip `seq` back to even, snapshot intact.
+    pub(crate) fn unlock_snapshot_unchanged(&self) {
+        self.seq.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// First `Active` reader that is not `me`, with the current version
+    /// lent to the aborted-but-running readers met on the way
+    /// ([`ObjState::scan_readers`]). Caller must hold the object mutex,
+    /// and must have flipped `seq` odd first.
+    pub(crate) fn conflicting_reader(
+        &self,
+        st: &mut ObjState<T>,
+        me: &TxState,
+    ) -> Option<Arc<TxState>> {
+        st.scan_readers(&self.reader_slots, me.attempt_id, true)
     }
 
     /// Diagnostic snapshot of the hot-path state for opacity-violation
@@ -515,6 +613,8 @@ impl<T: TxObject> TVarInner<T> {
     ) {
         if let Some(slot) = self.reader_slots.get(slot_idx) {
             if slot.load(Ordering::Relaxed) != tx.attempt_id {
+                #[cfg(debug_assertions)]
+                crate::probe::count_read_slot_store();
                 slot.store(tx.attempt_id, Ordering::SeqCst);
             }
         } else {
@@ -549,15 +649,18 @@ impl<T: TxObject> TVarInner<T> {
         if s & 1 != 0 {
             return None;
         }
+        #[cfg(debug_assertions)]
+        crate::probe::count_read_shared_rmws(3); // guard up, count, guard down
         self.guards.fetch_add(1, Ordering::SeqCst);
         let result = if self.seq.load(Ordering::SeqCst) == s {
             let version = self.version.load(Ordering::SeqCst);
             let p = self.snapshot.load(Ordering::Acquire);
-            // SAFETY: as in `fast_read` — the word was even at the
-            // re-check while our guard was raised, so a committer that
-            // wants to swap/drop the snapshot is still draining `guards`;
-            // and it stores `version` only after that drain, so the
-            // version we just loaded belongs to this snapshot.
+            // SAFETY: the word was even at the re-check while our guard
+            // was raised, so a committer that wants to swap/drop the
+            // snapshot is still draining `guards` — the pointee and its
+            // strong count stay alive until our `fetch_sub` below; and it
+            // stores `version` only after that drain, so the version we
+            // just loaded belongs to this snapshot.
             unsafe {
                 Arc::increment_strong_count(p);
                 Some((Arc::from_raw(p), s, version))
@@ -678,6 +781,12 @@ impl<T: TxObject> TVarInner<T> {
     }
 
     fn finish_writeback(&self, st: &mut ObjState<T>, arc: Arc<T>, wv: u64) {
+        // No conflict scan precedes a lazy commit. Its own readers are
+        // counted; an eager engine's driven over the same object (never
+        // supported, see above) are not.
+        if crate::engine::eager_readers_possible() {
+            st.lend_to_readers(&self.reader_slots);
+        }
         let prev = std::mem::replace(&mut st.old, arc);
         st.new = None;
         self.version.store(wv, Ordering::SeqCst);
@@ -719,13 +828,14 @@ impl<T: TxObject> TVar<T> {
         Self::with_slot_count(value, slots::slot_capacity())
     }
 
-    /// Test-only: a TVar whose fast-path slot array has exactly
-    /// `slot_count` entries regardless of the global capacity. Threads
-    /// with higher slot indices are forced onto the mutex/overflow path,
-    /// which is what production code hits when the thread count exceeds
-    /// the slot capacity a TVar was created under.
-    #[cfg(test)]
-    pub(crate) fn new_with_slots_for_test(value: T, slot_count: usize) -> Self {
+    /// For tests (this crate's and `tests/borrowed_read_stress.rs`): a TVar
+    /// whose fast-path slot array has exactly `slot_count` entries
+    /// regardless of the global capacity. Threads with higher slot indices
+    /// are forced onto the mutex/overflow path, which is what production
+    /// code hits when the thread count exceeds the slot capacity a TVar
+    /// was created under.
+    #[doc(hidden)]
+    pub fn new_with_slots_for_test(value: T, slot_count: usize) -> Self {
         Self::with_slot_count(value, slot_count)
     }
 
@@ -770,7 +880,7 @@ impl<T: TxObject> TVar<T> {
             inner.guards.fetch_add(1, Ordering::SeqCst);
             let r = if inner.seq.load(Ordering::SeqCst) == s {
                 let p = inner.snapshot.load(Ordering::Acquire);
-                // SAFETY: same argument as in `fast_read`.
+                // SAFETY: same argument as in `lazy_read`.
                 unsafe {
                     Arc::increment_strong_count(p);
                     Some(Arc::from_raw(p))
@@ -790,7 +900,8 @@ impl<T: TxObject> TVar<T> {
     /// initialization and between-run resets; it discards any in-flight
     /// writer by overwriting the locator wholesale and wipes all reader
     /// registrations (in-flight readers are *not* aborted — don't race
-    /// this against live transactions).
+    /// this against live transactions: what they already read stays
+    /// valid memory, but no longer one consistent snapshot).
     pub fn store_direct(&self, value: T) {
         let inner = &*self.inner;
         let mut st = inner.state.lock();
@@ -800,6 +911,7 @@ impl<T: TxObject> TVar<T> {
             // odd from its acquire — unlock below folds both cases.)
             inner.lock_snapshot();
         }
+        st.lend_to_readers(&inner.reader_slots);
         st.writer = None;
         st.old = Arc::new(value);
         st.new = None;
@@ -835,7 +947,11 @@ impl<T: TxObject> TVar<T> {
             })
             .count();
         st.prune_readers();
-        live_slots + st.readers.len()
+        let live_overflow = st
+            .readers
+            .iter()
+            .filter(|r| r.tx.upgrade().is_some_and(|tx| tx.is_active()));
+        live_slots + live_overflow.count()
     }
 }
 
@@ -973,6 +1089,13 @@ mod tests {
         (idx, st)
     }
 
+    /// The value a fast read points at.
+    fn fast_value(tv: &TVar<u32>, idx: usize, attempt_id: u64) -> Option<u32> {
+        // SAFETY: the calling test holds `tv` and displaces nothing while
+        // this runs.
+        tv.inner().fast_read(idx, attempt_id).map(|p| unsafe { *p })
+    }
+
     /// TVars created by these tests must cover every possible slot index,
     /// or fast-path assertions would depend on which worker thread the
     /// test harness runs them on.
@@ -1031,11 +1154,8 @@ mod tests {
     fn fast_read_registers_and_returns_snapshot() {
         let tv = covered_tvar(33);
         let (idx, st) = published_state();
-        let v = tv
-            .inner()
-            .fast_read(idx, st.attempt_id)
-            .expect("no writer installed → fast path must succeed");
-        assert_eq!(*v, 33);
+        let v = fast_value(&tv, idx, st.attempt_id);
+        assert_eq!(v, Some(33), "no writer installed → fast path must succeed");
         assert_eq!(tv.reader_count(), 1, "fast read must register visibly");
         // Re-reading does not double-register.
         let _ = tv.inner().fast_read(idx, st.attempt_id);
@@ -1067,7 +1187,7 @@ mod tests {
             let cur = Arc::clone(&obj.old);
             tv.inner().unlock_snapshot(&cur);
         }
-        assert_eq!(*tv.inner().fast_read(idx, st.attempt_id).unwrap(), 5);
+        assert_eq!(fast_value(&tv, idx, st.attempt_id), Some(5));
         slots::unpublish(idx);
     }
 
@@ -1172,7 +1292,7 @@ mod tests {
     }
 
     #[test]
-    fn overflow_registration_is_idempotent_and_pruned() {
+    fn overflow_registration_is_idempotent_and_pruned_once_the_body_is_over() {
         let tv: TVar<u32> = TVar::new(0);
         let r = state(1);
         {
@@ -1185,8 +1305,151 @@ mod tests {
         {
             let mut st = tv.inner().state.lock();
             st.prune_readers();
+            assert_eq!(
+                st.readers.len(),
+                1,
+                "aborted under a running body: the next writer must still find it"
+            );
+        }
+        assert_eq!(tv.reader_count(), 0, "but it is no live reader");
+        r.finish_body();
+        {
+            let mut st = tv.inner().state.lock();
+            st.prune_readers();
             assert_eq!(st.readers.len(), 0);
         }
+        let done = state(2);
+        {
+            let mut st = tv.inner().state.lock();
+            st.register_reader(&done);
+            done.try_commit();
+            st.prune_readers();
+            assert_eq!(st.readers.len(), 0, "committed means the body is over");
+        }
+    }
+
+    /// Install-scan `tv` as a fresh writer and return the conflict found.
+    fn writer_scan(tv: &TVar<u32>) -> Option<u64> {
+        let me = state(slots::next_attempt_id());
+        let mut st = tv.inner().state.lock();
+        tv.inner().lock_snapshot();
+        let enemy = tv.inner().conflicting_reader(&mut st, &me);
+        tv.inner().unlock_snapshot_unchanged();
+        enemy.map(|e| e.attempt_id)
+    }
+
+    /// Strong counts of `tv`'s current version beyond the locator's and
+    /// the snapshot cell's.
+    fn counts_on_loan(tv: &TVar<u32>) -> usize {
+        Arc::strong_count(&tv.inner().state.lock().old) - 2
+    }
+
+    #[test]
+    fn scan_lends_the_version_to_an_aborted_reader_whose_body_still_runs() {
+        for slot_count in [MAX_SLOTS, 0] {
+            // 0: the same through the overflow list.
+            crate::slots::reserve_reader_slots(MAX_SLOTS);
+            let tv = TVar::new_with_slots_for_test(9u32, slot_count);
+            let (idx, reader) = published_state();
+            {
+                let mut st = tv.inner().state.lock();
+                tv.inner().register_reader_locked(&mut st, idx, &reader);
+            }
+            assert_eq!(
+                writer_scan(&tv),
+                Some(reader.attempt_id),
+                "Active: a conflict"
+            );
+            assert_eq!((reader.lent_len(), counts_on_loan(&tv)), (0, 0));
+
+            reader.abort();
+            assert_eq!(writer_scan(&tv), None, "aborted: the writer may install");
+            assert_eq!(
+                (reader.lent_len(), counts_on_loan(&tv)),
+                (1, 1),
+                "slots={slot_count}: the version it may be reading is now its own"
+            );
+            // One loan is enough: an aborted attempt gets no new borrow.
+            assert_eq!(writer_scan(&tv), None);
+            assert_eq!((reader.lent_len(), counts_on_loan(&tv)), (1, 1));
+
+            reader.finish_body();
+            assert_eq!((reader.lent_len(), counts_on_loan(&tv)), (0, 0));
+            slots::unpublish(idx);
+        }
+    }
+
+    #[test]
+    fn scan_lends_nothing_to_committed_finished_or_departed_readers() {
+        for slot_count in [MAX_SLOTS, 0] {
+            crate::slots::reserve_reader_slots(MAX_SLOTS);
+            let register = |tv: &TVar<u32>, idx: usize, tx: &Arc<TxState>| {
+                let mut st = tv.inner().state.lock();
+                tv.inner().register_reader_locked(&mut st, idx, tx);
+            };
+
+            // Committed: the status CAS comes after the body.
+            let tv = TVar::new_with_slots_for_test(1u32, slot_count);
+            let (idx, committed) = published_state();
+            register(&tv, idx, &committed);
+            committed.try_commit();
+            assert_eq!(writer_scan(&tv), None);
+            assert_eq!((committed.lent_len(), counts_on_loan(&tv)), (0, 0));
+            slots::unpublish(idx);
+
+            // Aborted and finished: the owner has dropped its borrows.
+            let (idx, finished) = published_state();
+            register(&tv, idx, &finished);
+            finished.abort();
+            finished.finish_body();
+            assert_eq!(writer_scan(&tv), None);
+            assert_eq!((finished.lent_len(), counts_on_loan(&tv)), (0, 0));
+            slots::unpublish(idx);
+
+            // Aborted, never marked finished, but its thread already runs
+            // the next attempt (slot readers only: the registry is what
+            // says so).
+            if slot_count > 0 {
+                let (idx, departed) = published_state();
+                register(&tv, idx, &departed);
+                departed.abort();
+                let next = state(slots::next_attempt_id());
+                slots::republish(idx, &next);
+                assert_eq!(writer_scan(&tv), None);
+                assert_eq!((departed.lent_len(), counts_on_loan(&tv)), (0, 0));
+                slots::unpublish(idx);
+            }
+        }
+    }
+
+    #[test]
+    fn displacements_without_a_conflict_scan_lend_to_active_readers_too() {
+        // A lazy write-back looks for eager readers only while an eager
+        // engine exists.
+        let _eager = crate::Stm::new(crate::CmDispatch::AbortSelf, 1);
+        let tv = covered_tvar(4);
+        let (idx, reader) = published_state();
+        assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(4));
+        let v4 = Arc::clone(&tv.inner().state.lock().old);
+        tv.store_direct(5);
+        assert_eq!(reader.lent_len(), 1, "store_direct");
+        assert_eq!(Arc::strong_count(&v4), 2, "ours and the reader's");
+
+        assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(5));
+        let v5 = Arc::clone(&tv.inner().state.lock().old);
+        assert_eq!(tv.inner().lazy_try_lock(idx, 1).map(|(_, v)| v), Some(0));
+        tv.inner().lazy_writeback_value(&6, 1);
+        assert_eq!(reader.lent_len(), 2, "lazy write-back");
+        assert!(Arc::strong_count(&v5) >= 2);
+
+        assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(6));
+        let v6 = Arc::clone(&tv.inner().state.lock().old);
+        drop(tv);
+        assert_eq!(reader.lent_len(), 3, "drop of the last handle");
+        assert_eq!((*v6, Arc::strong_count(&v6)), (6, 2));
+
+        reader.try_commit();
+        slots::unpublish(idx);
     }
 
     #[test]
@@ -1333,7 +1596,7 @@ mod tests {
         assert_eq!(*tv.sample(), 7);
         assert_eq!(tv.reader_count(), 0);
         // Fast path works again after the reset.
-        assert_eq!(*tv.inner().fast_read(idx, reader.attempt_id).unwrap(), 7);
+        assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(7));
         slots::unpublish(idx);
     }
 }

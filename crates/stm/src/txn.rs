@@ -45,6 +45,85 @@ impl std::error::Error for TxError {}
 /// Result alias used throughout the transactional API.
 pub type TxResult<T> = Result<T, TxError>;
 
+/// The version of an object a [`Txn::read`] observed. Dereferences to the
+/// value; it never changes, even if the object is rewritten later.
+///
+/// Under the eager engine this is a plain borrow — the read took no count
+/// of the version — that stays valid until the attempt's body is over. The
+/// lifetime is the transaction's, which the body's closure is higher-ranked
+/// over, so the borrow cannot leave the closure, neither through its
+/// result:
+///
+/// ```compile_fail
+/// use wtm_stm::{CmDispatch, Stm, TVar};
+/// let stm = Stm::new(CmDispatch::AbortSelf, 1);
+/// let tv: TVar<u64> = TVar::new(1);
+/// let escaped = stm.thread(0).atomic(|tx| tx.read(&tv));
+/// ```
+///
+/// nor through what it captures:
+///
+/// ```compile_fail
+/// use wtm_stm::{CmDispatch, Stm, TVar};
+/// let stm = Stm::new(CmDispatch::AbortSelf, 1);
+/// let tv: TVar<u64> = TVar::new(1);
+/// let mut escaped = None;
+/// stm.thread(0).atomic(|tx| {
+///     escaped = Some(tx.read(&tv)?);
+///     Ok(())
+/// });
+/// ```
+///
+/// Copy the value out (`*tx.read(&tv)?` for a `Copy` type, `.clone()`
+/// otherwise) to keep it. Under the lazy engine, and when the transaction
+/// reads its own write, the handle owns a count of the version instead.
+pub struct ReadRef<'a, T>(Version<'a, T>);
+
+enum Version<'a, T> {
+    Borrowed(&'a T),
+    Counted(Arc<T>),
+}
+
+impl<'a, T> ReadRef<'a, T> {
+    /// # Safety
+    /// `version` must point at a live `T` that stays live and unmodified
+    /// for `'a`.
+    pub(crate) unsafe fn borrowed(version: *const T) -> Self {
+        ReadRef(Version::Borrowed(&*version))
+    }
+
+    pub(crate) fn counted(version: Arc<T>) -> Self {
+        ReadRef(Version::Counted(version))
+    }
+}
+
+impl<T> std::ops::Deref for ReadRef<'_, T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        match &self.0 {
+            Version::Borrowed(v) => v,
+            Version::Counted(v) => v,
+        }
+    }
+}
+
+impl<T> Clone for ReadRef<'_, T> {
+    fn clone(&self) -> Self {
+        ReadRef(match &self.0 {
+            Version::Borrowed(v) => Version::Borrowed(v),
+            Version::Counted(v) => Version::Counted(Arc::clone(v)),
+        })
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for ReadRef<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// An in-flight transaction attempt. Created by
 /// [`ThreadCtx::atomic`](crate::stm::ThreadCtx::atomic); user code receives
 /// `&mut Txn` inside the atomic closure.
@@ -132,13 +211,8 @@ impl<'a> Txn<'a> {
     /// Record a read and verify it is consistent with any earlier read of
     /// the same object in this attempt (debug builds only).
     #[cfg(debug_assertions)]
-    pub(crate) fn check_read_version<T: TxObject>(
-        &mut self,
-        tvar: &TVar<T>,
-        val: &Arc<T>,
-        fast: bool,
-    ) {
-        let ptr = Arc::as_ptr(val) as *const () as usize;
+    fn check_read_version<T: TxObject>(&mut self, tvar: &TVar<T>, val: *const T, fast: bool) {
+        let ptr = val as *const () as usize;
         if let Some((_, seen, seen_fast)) = self
             .read_versions
             .iter()
@@ -195,10 +269,12 @@ impl<'a> Txn<'a> {
 
     /// Open `tvar` for reading and return the observed version.
     ///
-    /// The returned `Arc<T>` is a stable snapshot: it never changes even if
-    /// the object is later rewritten. If this transaction already wrote the
-    /// object, its own shadow copy is returned (read-your-writes).
-    pub fn read<T: TxObject>(&mut self, tvar: &TVar<T>) -> TxResult<Arc<T>> {
+    /// The returned [`ReadRef`] is a stable snapshot: it never changes even
+    /// if the object is later rewritten, and it may be held across further
+    /// opens for as long as the closure runs. If this transaction already
+    /// wrote the object, its own shadow copy is returned
+    /// (read-your-writes).
+    pub fn read<T: TxObject>(&mut self, tvar: &TVar<T>) -> TxResult<ReadRef<'a, T>> {
         match self.engine {
             EngineKind::Eager => EagerEngine::open_for_read(self, tvar),
             EngineKind::Lazy => LazyEngine::open_for_read(self, tvar),
@@ -324,6 +400,20 @@ impl<'a> Txn<'a> {
         }
     }
 
+    /// Bookkeeping of a completed first-hand read of `tvar` that observed
+    /// the version at `val`.
+    #[inline]
+    pub(crate) fn note_read<T: TxObject>(&mut self, tvar: &TVar<T>, val: *const T, fast: bool) {
+        self.note_open();
+        if let Some(fp) = &mut self.footprint {
+            fp.push((tvar.id(), false));
+        }
+        #[cfg(debug_assertions)]
+        self.check_read_version(tvar, val, fast);
+        #[cfg(not(debug_assertions))]
+        let _ = (val, fast);
+    }
+
     #[inline]
     pub(crate) fn note_open(&mut self) {
         self.state.add_karma();
@@ -346,5 +436,25 @@ impl<'a> Txn<'a> {
             EngineKind::Eager => EagerEngine::rollback(self),
             EngineKind::Lazy => LazyEngine::rollback(self),
         }
+    }
+}
+
+/// Armed around the call of a transaction's body: dropped only when the
+/// body unwinds (the caller forgets it otherwise), so that a panic leaves
+/// nothing behind that names the attempt — competitors would otherwise meet
+/// an `Active` writer that never finishes, and a slot that stays published.
+pub(crate) struct Unwound<'t, 'a>(pub(crate) &'t mut Txn<'a>);
+
+impl Drop for Unwound<'_, '_> {
+    #[cold]
+    fn drop(&mut self) {
+        let txn = &mut *self.0;
+        txn.state.abort();
+        txn.release_write_set();
+        crate::slots::unpublish(txn.slot_idx);
+        let ran = clockns::now().saturating_sub(txn.state.attempt_start_ns);
+        txn.ctx.stats().record_abort(txn.opens, ran);
+        // The unwind has already dropped every borrow the body held.
+        txn.state.finish_body();
     }
 }

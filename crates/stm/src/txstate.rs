@@ -19,6 +19,12 @@
 //! quiesce — which is why the pool is a ring a few quiesce strides deep,
 //! not one slot.
 //!
+//! The record is also where a competitor parks what an aborted attempt may
+//! still be reading: eager reads are uncounted borrows, so whoever
+//! displaces a version lends a count of it to every registered attempt
+//! whose body has not returned ([`TxState::lend`]; the invariant is
+//! stated in [`crate::tvar`]).
+//!
 //! Fields that must *survive* retries of the same logical transaction (the
 //! Greedy timestamp, Karma's accumulated priority) are seeded from the
 //! logical-transaction context in [`crate::stm`] when each attempt starts.
@@ -27,7 +33,11 @@
 //! the cheap coarse clock in [`crate::clockns`]; they feed metrics and τ
 //! calibration only.
 
+use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::clockns;
 use crate::status::{AtomicStatus, TxStatus};
@@ -35,6 +45,16 @@ use crate::status::{AtomicStatus, TxStatus};
 /// Sentinel for [`TxState::assigned_frame`]: the transaction is not running
 /// under a window-based contention manager.
 pub const NOT_WINDOWED: u64 = u64::MAX;
+
+/// Object versions lent to an attempt whose body may still be reading
+/// them through uncounted borrows (see [`TxState::lend`]).
+#[derive(Debug, Default)]
+struct Lent {
+    /// The attempt's body has returned, bailed out or unwound: none of its
+    /// borrows can be used again, so nothing more is lent.
+    body_over: bool,
+    versions: Vec<Arc<dyn Any + Send + Sync>>,
+}
 
 /// Shared record describing one attempt of one transaction.
 ///
@@ -86,6 +106,11 @@ pub struct TxState {
     window_gen: AtomicU64,
     /// Scratch slot for contention-manager-specific data.
     user_slot: AtomicU64,
+    /// Versions kept alive for this attempt's borrowed reads. Touched only
+    /// when the attempt was aborted under a running body (by whoever
+    /// displaces a version it read) and once by the owner when that body
+    /// is over — never on the path of a committed transaction.
+    lent: Mutex<Lent>,
 }
 
 impl TxState {
@@ -124,6 +149,7 @@ impl TxState {
             window_run: AtomicU64::new(0),
             window_gen: AtomicU64::new(0),
             user_slot: AtomicU64::new(0),
+            lent: Mutex::default(),
         }
     }
 
@@ -164,6 +190,9 @@ impl TxState {
         self.window_run = AtomicU64::new(0);
         self.window_gen = AtomicU64::new(0);
         self.user_slot = AtomicU64::new(0);
+        let lent = self.lent.get_mut();
+        lent.body_over = false;
+        lent.versions.clear();
     }
 
     /// Current status.
@@ -190,6 +219,47 @@ impl TxState {
     #[inline]
     pub fn try_commit(&self) -> bool {
         self.status.try_transition(TxStatus::Committed)
+    }
+
+    // ---- versions lent to borrowed reads ----------------------------------
+
+    /// Give this attempt a count of `version`, which it may be reading
+    /// through an uncounted borrow and which the caller is about to
+    /// displace, unless its body is already over. The count is dropped by
+    /// [`Self::finish_body`] (or by the record's reuse): an eager read
+    /// stays valid until the body that made it has returned, whatever
+    /// happens to the object meanwhile. See the invariant in
+    /// [`crate::tvar`].
+    pub(crate) fn lend<T: Send + Sync + 'static>(&self, version: &Arc<T>) {
+        let mut lent = self.lent.lock();
+        if !lent.body_over {
+            lent.versions
+                .push(Arc::clone(version) as Arc<dyn Any + Send + Sync>);
+        }
+    }
+
+    /// The attempt's body is over: stop accepting lent versions and drop
+    /// the ones held. Owner only, after the last borrow is out of reach.
+    pub(crate) fn finish_body(&self) {
+        let versions = {
+            let mut lent = self.lent.lock();
+            lent.body_over = true;
+            std::mem::take(&mut lent.versions)
+        };
+        // Outside the lock: a version can own the last handle of an object
+        // this attempt read, whose drop looks this record up again.
+        drop(versions);
+    }
+
+    /// Whether [`Self::finish_body`] has run for this attempt.
+    pub(crate) fn body_over(&self) -> bool {
+        self.lent.lock().body_over
+    }
+
+    /// Number of versions currently lent (test introspection).
+    #[cfg(test)]
+    pub(crate) fn lent_len(&self) -> usize {
+        self.lent.lock().versions.len()
     }
 
     // ---- contention-manager metadata ------------------------------------

@@ -6,9 +6,7 @@
 //! highest-contention benchmark of the four: a writer at position `k`
 //! conflicts with *every* concurrent operation that walked past `k`.
 
-use std::sync::Arc;
-
-use wtm_stm::{TVar, TxResult, Txn};
+use wtm_stm::{ReadRef, TVar, TxResult, Txn};
 
 use crate::intset::TxIntSet;
 
@@ -47,36 +45,50 @@ impl TxList {
     /// Walk to the last node with `node.key < key`. Returns
     /// `(pred_handle, pred_value)`; the successor (possibly the tail
     /// sentinel) is `pred_value.next`.
-    fn find_pred(&self, tx: &mut Txn, key: i64) -> TxResult<(TVar<ListNode>, Arc<ListNode>)> {
-        let mut cur = self.head.clone();
-        let mut cur_val = tx.read(&cur)?;
+    ///
+    /// Each step opens the `next` handle where it lies, inside the version
+    /// just read (a read stays valid for the rest of the attempt): the walk
+    /// touches no handle's reference count. Only the predecessor's handle
+    /// is cloned, once, out of the version before it.
+    fn find_pred<'t>(
+        &self,
+        tx: &mut Txn<'t>,
+        key: i64,
+    ) -> TxResult<(TVar<ListNode>, ReadRef<'t, ListNode>)> {
+        // The version whose `next` is the handle of `cur_val`'s node
+        // (`None` while that node is the head).
+        let mut before: Option<ReadRef<ListNode>> = None;
+        let mut cur_val = tx.read(&self.head)?;
         loop {
-            let next = cur_val
-                .next
-                .clone()
-                .expect("walk can never step past the tail sentinel");
-            let next_val = tx.read(&next)?;
+            let next_val = tx.read(next_of(&cur_val))?;
             if next_val.key >= key {
-                return Ok((cur, cur_val));
+                let cur = before.as_deref().map_or(&self.head, next_of);
+                return Ok((cur.clone(), cur_val));
             }
-            cur = next;
-            cur_val = next_val;
+            before = Some(std::mem::replace(&mut cur_val, next_val));
         }
     }
+}
+
+/// The successor's handle; only the tail sentinel has none.
+fn next_of(node: &ListNode) -> &TVar<ListNode> {
+    node.next
+        .as_ref()
+        .expect("walk can never step past the tail sentinel")
 }
 
 impl TxIntSet for TxList {
     fn insert(&self, tx: &mut Txn, key: i64) -> TxResult<bool> {
         assert!(key > i64::MIN && key < i64::MAX, "sentinel keys reserved");
         let (pred, pred_val) = self.find_pred(tx, key)?;
-        let succ = pred_val.next.clone().expect("pred is never the tail");
-        let succ_val = tx.read(&succ)?;
+        let succ = next_of(&pred_val);
+        let succ_val = tx.read(succ)?;
         if succ_val.key == key {
             return Ok(false);
         }
         let node = TVar::new(ListNode {
             key,
-            next: Some(succ),
+            next: Some(succ.clone()),
         });
         tx.modify(&pred, |p| p.next = Some(node.clone()))?;
         Ok(true)
@@ -84,8 +96,7 @@ impl TxIntSet for TxList {
 
     fn remove(&self, tx: &mut Txn, key: i64) -> TxResult<bool> {
         let (pred, pred_val) = self.find_pred(tx, key)?;
-        let succ = pred_val.next.clone().expect("pred is never the tail");
-        let succ_val = tx.read(&succ)?;
+        let succ_val = tx.read(next_of(&pred_val))?;
         if succ_val.key != key {
             return Ok(false);
         }
@@ -96,9 +107,7 @@ impl TxIntSet for TxList {
 
     fn contains(&self, tx: &mut Txn, key: i64) -> TxResult<bool> {
         let (_, pred_val) = self.find_pred(tx, key)?;
-        let succ = pred_val.next.clone().expect("pred is never the tail");
-        let succ_val = tx.read(&succ)?;
-        Ok(succ_val.key == key)
+        Ok(tx.read(next_of(&pred_val))?.key == key)
     }
 
     fn snapshot_keys(&self) -> Vec<i64> {

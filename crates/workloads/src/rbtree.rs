@@ -15,9 +15,7 @@
 //! [`TxRBMap`] is the general ordered map (also the storage engine for the
 //! Vacation benchmark's tables); [`TxRBTree`] is its `IntSet` facade.
 
-use std::sync::Arc;
-
-use wtm_stm::{TVar, TxObject, TxResult, Txn};
+use wtm_stm::{ReadRef, TVar, TxObject, TxResult, Txn};
 
 use crate::intset::TxIntSet;
 
@@ -90,7 +88,7 @@ impl<V: TxObject> TxRBMap<V> {
         &self.nodes[i as usize]
     }
 
-    fn get_node(&self, tx: &mut Txn, i: u32) -> TxResult<Arc<RBNode<V>>> {
+    fn get_node<'t>(&self, tx: &mut Txn<'t>, i: u32) -> TxResult<ReadRef<'t, RBNode<V>>> {
         tx.read(self.node(i))
     }
 

@@ -11,9 +11,7 @@
 //! geometric distribution), so a retried insert rebuilds exactly the same
 //! tower and the structure is reproducible across runs.
 
-use std::sync::Arc;
-
-use wtm_stm::{TVar, TxResult, Txn};
+use wtm_stm::{ReadRef, TVar, TxResult, Txn};
 
 use crate::intset::TxIntSet;
 
@@ -64,8 +62,12 @@ impl TxSkipList {
     /// Per-level predecessors of `key`: `preds[l]` is the last node at
     /// level `l` with `node.key < key`, as `(handle, observed value)`.
     #[allow(clippy::type_complexity)]
-    fn find_preds(&self, tx: &mut Txn, key: i64) -> TxResult<Vec<(TVar<SkipNode>, Arc<SkipNode>)>> {
-        let mut preds: Vec<(TVar<SkipNode>, Arc<SkipNode>)> = Vec::with_capacity(MAX_LEVEL);
+    fn find_preds<'t>(
+        &self,
+        tx: &mut Txn<'t>,
+        key: i64,
+    ) -> TxResult<Vec<(TVar<SkipNode>, ReadRef<'t, SkipNode>)>> {
+        let mut preds = Vec::with_capacity(MAX_LEVEL);
         let mut pred = self.head.clone();
         let mut pred_val = tx.read(&pred)?;
         for lvl in (0..MAX_LEVEL).rev() {
@@ -81,7 +83,7 @@ impl TxSkipList {
                     break;
                 }
             }
-            preds.push((pred.clone(), Arc::clone(&pred_val)));
+            preds.push((pred.clone(), pred_val.clone()));
         }
         preds.reverse(); // index by level
         Ok(preds)
