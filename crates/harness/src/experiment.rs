@@ -339,6 +339,31 @@ pub struct CellResult {
     pub metrics: Vec<(String, Agg)>,
 }
 
+/// One stderr line per repetition of a window cell: what the window
+/// boundaries did and how many aborts they saw. Oversubscribed, a window
+/// manager reads two ways at much the same throughput: with two CPUs its
+/// barrier waiters park and the workers overlap and conflict; when the
+/// process gets one CPU's worth of time (`taskset -c 0`, or a neighbour
+/// taking the other) the waiters never park, the workers run one whole
+/// window at a time and commit without a single abort. `barrier_parks=0`
+/// with `aborts=0` tells which of the two a cell's numbers come from.
+fn report_boundaries(outcomes: &[RunOutcome]) {
+    for (rep, o) in outcomes.iter().enumerate() {
+        if let Some(b) = o.boundaries {
+            eprintln!(
+                "[windowtm]   rep {rep}: windows={} barrier_parks={} barrier_timeouts={} \
+                 free_mode_entries={} commits={} aborts={}",
+                b.windows_started,
+                b.barrier_parks,
+                b.barrier_timeouts,
+                b.free_mode_entries,
+                o.stats.commits,
+                o.stats.aborts,
+            );
+        }
+    }
+}
+
 impl CellResult {
     /// Aggregate the repetitions of `cell`.
     pub fn from_outcomes(cell: &Cell, outcomes: &[RunOutcome]) -> Self {
@@ -747,6 +772,7 @@ impl Executor {
                 let outcomes: Vec<RunOutcome> = (0..spec.reps.max(1))
                     .map(|r| run_one(&cell.run_spec(r)))
                     .collect();
+                report_boundaries(&outcomes);
                 CellResult::from_outcomes(cell, &outcomes)
             };
             self.spent_running += t0.elapsed();

@@ -96,6 +96,10 @@ pub struct RunOutcome {
     /// A budget run hit [`RunSpec::safety_deadline`] before committing its
     /// budget; `stats` are partial and reports must flag the row.
     pub truncated: bool,
+    /// Under a window manager, what its boundaries did over the run
+    /// (whether a waiter ever parked says how many CPUs an oversubscribed
+    /// run really had).
+    pub boundaries: Option<wtm_window::BoundaryCounts>,
 }
 
 /// Execute the run described by `spec`. Panics on unknown workload or
@@ -221,6 +225,7 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
         stats,
         total_time,
         truncated,
+        boundaries: built.window.as_ref().map(|w| w.boundary_counts()),
     }
 }
 

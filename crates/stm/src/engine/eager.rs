@@ -85,18 +85,8 @@ impl Engine for EagerEngine {
                     _ => {
                         if st.writer.is_some() {
                             // Terminal writer: fold its outcome into `old`
-                            // and re-arm the fast path for everyone. The
-                            // displaced version (and an aborted writer's
-                            // orphaned shadow) go to the recycling slot.
-                            let cur = st.effective();
-                            let prev = std::mem::replace(&mut st.old, cur);
-                            let orphan = st.new.take();
-                            st.writer = None;
-                            tvar.inner().unlock_snapshot(&st.old);
-                            st.retire(prev);
-                            if let Some(orphan) = orphan {
-                                st.retire(orphan);
-                            }
+                            // and re-arm the fast path for everyone.
+                            tvar.inner().collapse(&mut st);
                         }
                         let val = Arc::as_ptr(&st.old);
                         tvar.inner()

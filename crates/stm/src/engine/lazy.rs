@@ -2,11 +2,16 @@
 //!
 //! Three departures from the eager protocol:
 //!
-//! * **Invisible reads.** A reader never registers on the object; it
-//!   samples the seqlock-guarded snapshot together with the object's
-//!   commit version and remembers `(object, seq)` in a private read set.
-//!   No reader-list cache traffic — the scaling bottleneck the eager
-//!   engine's visible reads pay for on read-mostly workloads.
+//! * **Invisible reads.** Invisible to conflict detection: no committer
+//!   waits for a reader, aborts one or asks the contention manager about
+//!   one. A reader samples the seqlock-guarded snapshot together with the
+//!   object's commit version and remembers `(object, seq)` in a private
+//!   read set. Visible to reclamation: it first stores its attempt id
+//!   into the one word of the object its thread owns — the eager read's
+//!   registration, and the only write of the open — so that a write-back
+//!   lends it the version it displaces and the read can be a plain borrow,
+//!   the read-set entry plain pointers ("The borrowed-read invariant" in
+//!   [`crate::tvar`]). No count is taken of anything.
 //! * **Buffered writes.** Opens for writing build the shadow copy in the
 //!   write set and touch nothing global. Write-write conflicts surface
 //!   only at commit.
@@ -91,13 +96,14 @@ use crate::TxObject;
 /// The TL2/STO-style protocol as an [`Engine`] implementor.
 pub(crate) struct LazyEngine;
 
-/// Read the current committed version of `tvar` invisibly, appending it
-/// to the read set. Loops while the object is commit-locked, consulting
-/// the contention manager against the lock holder.
-fn read_committed<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<Arc<T>> {
+/// Read the current committed version of `tvar`, appending it to the read
+/// set. Loops while the object is commit-locked, consulting the contention
+/// manager against the lock holder. The address returned is valid until
+/// the attempt's body is over.
+fn read_committed<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<*const T> {
     loop {
         txn.check_alive()?;
-        if let Some((val, seq, version)) = tvar.inner().lazy_read() {
+        if let Some((val, seq, version)) = tvar.inner().lazy_sample(txn.slot_idx, &txn.state) {
             if version > txn.rv {
                 // Committed after our watermark. Raise the clock first:
                 // the version may have been stamped by a blind-write
@@ -118,14 +124,13 @@ fn read_committed<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<Ar
                 }
                 // Earlier reads exist: this snapshot may be inconsistent
                 // with them. Abort and retry with a fresh watermark.
-                txn.state.abort();
-                txn.set_abort_reason(wtm_trace::ABORT_VALIDATION);
-                return Err(TxError::Aborted);
+                return Err(validation_abort(txn));
             }
-            txn.reads.push(LazyRead {
-                src: tvar.inner_arc(),
-                seq,
-            });
+            // The borrow is handed out only to an attempt that was alive
+            // after it registered: that is what the lending scans rely on
+            // (the invariant in `crate::tvar`).
+            txn.check_alive()?;
+            txn.reads.push(LazyRead::new(tvar.inner(), seq));
             return Ok(val);
         }
         // Commit-locked. Resolve against the holder when the registry can
@@ -144,39 +149,36 @@ fn read_committed<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<Ar
     }
 }
 
-/// Abort `txn` for a failed commit-time read validation.
+/// Abort `txn` for a failed read validation.
 fn validation_abort(txn: &Txn<'_>) -> TxError {
     txn.state.abort();
     txn.set_abort_reason(wtm_trace::ABORT_VALIDATION);
     TxError::Aborted
 }
 
-/// Lock every write-set entry in object-id order, then re-validate the
-/// read set. On success `locked` holds `(entry index, pre-lock seq)` for
-/// every entry and the returned value is the maximum committed version
-/// over the locked write set (the `maxv` input to
-/// [`super::write_version`]); on failure some prefix of `locked` is
-/// filled and the caller must unlock it.
-fn lock_and_validate(txn: &mut Txn<'_>, locked: &mut Vec<(usize, u64)>) -> TxResult<u64> {
+/// Lock the write set — sorted by object id by the caller — in order,
+/// then re-validate the read set. `locked` counts the entries locked so
+/// far (a prefix, which the caller unlocks on failure); the value returned
+/// on success is the maximum committed version over the locked write set
+/// (the `maxv` input to [`super::write_version`]).
+fn lock_and_validate(txn: &Txn<'_>, locked: &mut usize) -> TxResult<u64> {
     let mut maxv = 0u64;
-    let mut order: Vec<usize> = (0..txn.writes.len()).collect();
-    order.sort_unstable_by_key(|&i| txn.writes[i].tvar_id());
-    for i in order {
+    for w in txn.writes.iter() {
         loop {
             txn.check_alive()?;
-            match txn.writes[i].lazy_lock(txn.slot_idx, txn.state.attempt_id) {
-                Some((prelock, version)) => {
+            match w.lazy_lock(txn.slot_idx, txn.state.attempt_id) {
+                Some(version) => {
                     maxv = maxv.max(version);
-                    locked.push((i, prelock));
+                    *locked += 1;
                     break;
                 }
-                None => match txn.writes[i].lazy_owner() {
+                None => match w.lazy_owner() {
                     Some(enemy) => txn.handle_conflict(&enemy, ConflictKind::WriteWrite)?,
                     // Mid write-back (wait) or an eager run's uncollapsed
                     // terminal writer (fold it ourselves — see
                     // `read_committed`).
                     None => {
-                        if !txn.writes[i].collapse_eager_leftover() {
+                        if !w.collapse_eager_leftover() {
                             std::thread::yield_now();
                         }
                     }
@@ -186,23 +188,25 @@ fn lock_and_validate(txn: &mut Txn<'_>, locked: &mut Vec<(usize, u64)>) -> TxRes
     }
     // Read validation, with the whole write set locked: every read must
     // still be the committed version as of our watermark.
-    'reads: for r in txn.reads.iter() {
-        // An object we also wrote: our own commit lock holds its word odd
-        // now, so "unchanged" means "nobody touched it between our read
-        // and our lock" — the pre-lock seq must equal the seq we read at.
-        for &(i, prelock) in locked.iter() {
-            if txn.writes[i].tvar_id() == r.src.source_id() {
-                if prelock == r.seq {
-                    continue 'reads;
-                }
-                return Err(validation_abort(txn));
-            }
-        }
-        let s1 = r.src.seq_now();
+    for r in txn.reads.iter() {
+        // SAFETY: the entry is this attempt's, which is neither committed
+        // nor finished (for this call and the two below).
+        let s1 = unsafe { r.seq_now() };
         if s1 == r.seq {
             continue; // untouched since the read
         }
         if s1 & 1 != 0 {
+            // An object we also wrote: our own commit lock holds its word
+            // at exactly the pre-lock value plus one, so "unchanged" means
+            // "nobody touched it between our read and our lock".
+            if s1 == r.seq + 1
+                && txn
+                    .writes
+                    .binary_search_by_key(&r.id, |w| w.tvar_id())
+                    .is_ok()
+            {
+                continue;
+            }
             // A competitor holds the commit lock; it may be about to
             // overwrite this read. Aborting (rather than waiting it out)
             // keeps validation lock-free.
@@ -211,8 +215,8 @@ fn lock_and_validate(txn: &mut Txn<'_>, locked: &mut Vec<(usize, u64)>) -> TxRes
         // The word moved but is even again: some competitor's commit
         // attempt came and went. Accept iff the value provably still
         // predates our watermark — version unchanged-sandwich re-check.
-        let version = r.src.version_now();
-        if r.src.seq_now() != s1 {
+        let version = unsafe { r.version_now() };
+        if unsafe { r.seq_now() } != s1 {
             return Err(validation_abort(txn));
         }
         if version > txn.rv {
@@ -235,8 +239,14 @@ impl Engine for LazyEngine {
             return Ok(ReadRef::counted(txn.writes[idx].read_snapshot::<T>()));
         }
         let val = read_committed(txn, tvar)?;
-        txn.note_read(tvar, Arc::as_ptr(&val), true);
-        Ok(ReadRef::counted(val))
+        txn.note_read(tvar, val, true);
+        // SAFETY: the attempt registered on the object before the sample
+        // and was `Active` after it, the seqlock sandwich made `val` the
+        // current version in between, and from there every displacement of
+        // it lends a count to this attempt until its body is over, which
+        // `'a` does not outlive (the borrowed-read invariant in
+        // `crate::tvar`).
+        Ok(unsafe { ReadRef::borrowed(val) })
     }
 
     fn open_for_modify<T: TxObject>(
@@ -265,10 +275,19 @@ impl Engine for LazyEngine {
                 // same object (no lost updates).
                 let cur = read_committed(txn, tvar)?;
                 if WriteEntry::fits_inline::<T>() {
-                    WriteEntry::new_inline(tvar.clone(), (*cur).clone())
+                    // SAFETY: a live borrow of this attempt's running
+                    // body, as in `open_for_read`.
+                    WriteEntry::new_inline(tvar.clone(), unsafe { (*cur).clone() })
                 } else {
-                    // Keep the snapshot Arc itself; the first in-place
+                    // Keep the snapshot `Arc` itself; the first in-place
                     // modification clones through `Arc::make_mut`.
+                    // SAFETY: `cur` came out of `Arc::into_raw`/`as_ptr`
+                    // and the borrow above says a count of it exists now
+                    // (the object's, or one lent to this attempt).
+                    let cur = unsafe {
+                        Arc::increment_strong_count(cur);
+                        Arc::from_raw(cur)
+                    };
                     WriteEntry::new_boxed(tvar.clone(), cur)
                 }
             }
@@ -293,15 +312,18 @@ impl Engine for LazyEngine {
                 Err(TxError::Aborted)
             };
         }
-        let mut locked: Vec<(usize, u64)> = Vec::with_capacity(txn.writes.len());
+        // Lock order is object-id order (deadlock-free); the body is over,
+        // so nothing indexes the write set by open order any more.
+        txn.writes.sort_unstable_by_key(|w| w.tvar_id());
+        let mut locked = 0;
         let outcome = lock_and_validate(txn, &mut locked);
         let committed = match outcome {
             Ok(_) => txn.state.try_commit(),
             Err(_) => false,
         };
         if !committed {
-            for &(i, _) in locked.iter() {
-                txn.writes[i].lazy_unlock();
+            for w in &txn.writes[..locked] {
+                w.lazy_unlock();
             }
             return Err(TxError::Aborted);
         }
@@ -311,15 +333,16 @@ impl Engine for LazyEngine {
         // Blind commits (empty read set) take the zero-RMW clock path —
         // see the module docs for why that preserves opacity.
         let wv = super::write_version(txn.reads.is_empty(), outcome.unwrap_or_default());
-        for &(i, _) in locked.iter() {
-            txn.writes[i].lazy_writeback(wv);
+        for w in txn.writes.iter() {
+            w.lazy_writeback(wv);
         }
         Ok(())
     }
 
     fn rollback(_txn: &Txn<'_>) {
-        // Nothing global to undo: reads were invisible, writes stayed in
-        // the private write set, and a failed commit already released its
-        // locks before returning.
+        // Nothing global to undo: reads left a registration that goes
+        // stale with the attempt, writes stayed in the private write set,
+        // and a failed commit already released its locks before
+        // returning.
     }
 }

@@ -13,8 +13,8 @@
 //!   here verbatim: visible reads, eager CM consultation at open time,
 //!   shadow copies published through the locator status CAS.
 //! * [`LazyEngine`](lazy::LazyEngine) — a TL2/STO-style protocol:
-//!   invisible reads validated against a read timestamp, writes buffered
-//!   privately, per-object commit locks taken only at commit time.
+//!   reads no committer sees, validated against a read timestamp, writes
+//!   buffered privately, per-object commit locks taken only at commit time.
 //!
 //! Dispatch is monomorphic, mirroring [`CmDispatch`](crate::CmDispatch):
 //! `Txn` matches on the run's [`EngineKind`] and calls the chosen
@@ -32,9 +32,9 @@
 pub(crate) mod eager;
 pub(crate) mod lazy;
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::tvar::{LazySource, TVar};
+use crate::tvar::{TVar, TVarInner};
 use crate::txn::{ReadRef, TxResult, Txn};
 use crate::TxObject;
 
@@ -124,42 +124,53 @@ pub(crate) trait Engine {
     fn rollback(txn: &Txn<'_>);
 }
 
-/// One validated invisible read of the lazy engine: the source object and
-/// the seqlock word observed at read time. Re-checked at commit.
+/// One validated read of the lazy engine: which object, the seqlock word
+/// observed, and where commit validation re-reads the word and the version
+/// stamp. Plain pointers, no count of the object: the read registered its
+/// attempt, and whoever frees the object first lends its allocation to
+/// every registered attempt whose commit may still run (the invariant in
+/// [`crate::tvar`]).
 pub(crate) struct LazyRead {
-    pub(crate) src: Arc<dyn LazySource>,
+    pub(crate) id: u64,
     pub(crate) seq: u64,
+    seq_word: *const AtomicU64,
+    version_word: *const AtomicU64,
 }
 
-/// Number of live eager-engine [`Stm`](crate::Stm)s in the process.
-///
-/// Driving one `TVar` from both engines at once is unsupported (module
-/// docs), but it has to stay memory-safe: eager reads are uncounted
-/// borrows that only a displacer's loan keeps valid ("The borrowed-read
-/// invariant" in [`crate::tvar`]), and a lazy commit scans for no readers.
-/// So a lazy write-back lends to the object's registered readers whenever
-/// this count says an eager engine exists, and pays nothing — one load of
-/// a line nobody writes — in a run that has none.
-static EAGER_STMS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+// SAFETY: the pointers are dereferenced only by the attempt that made the
+// read, on the thread that runs it; a pooled read-set buffer crosses
+// threads empty.
+unsafe impl Send for LazyRead {}
 
-/// An `Stm` of kind `engine` was created (`+1`) or dropped (`-1`).
-pub(crate) fn count_stm(engine: EngineKind, created: bool) {
-    use std::sync::atomic::Ordering::SeqCst;
-    if engine == EngineKind::Eager {
-        if created {
-            EAGER_STMS.fetch_add(1, SeqCst);
-        } else {
-            EAGER_STMS.fetch_sub(1, SeqCst);
+impl LazyRead {
+    /// The entry for a [`TVarInner::lazy_sample`](crate::tvar::TVarInner::lazy_sample) of `obj` that observed
+    /// seqlock word `seq`.
+    pub(crate) fn new<T: TxObject>(obj: &TVarInner<T>, seq: u64) -> Self {
+        let (seq_word, version_word) = obj.validation_words();
+        LazyRead {
+            id: obj.id,
+            seq,
+            seq_word,
+            version_word,
         }
     }
-}
 
-/// Whether an eager reader can exist. `SeqCst` on both sides orders a
-/// `false` here before the creation of any eager engine, hence before its
-/// readers' `seq` loads: they meet the caller's commit lock or its result,
-/// never the version it displaces.
-pub(crate) fn eager_readers_possible() -> bool {
-    EAGER_STMS.load(std::sync::atomic::Ordering::SeqCst) != 0
+    /// Current seqlock word of the object.
+    ///
+    /// # Safety
+    /// Only from the attempt the entry was made under, before that
+    /// attempt is `Committed` or has run `finish_body`.
+    pub(crate) unsafe fn seq_now(&self) -> u64 {
+        (*self.seq_word).load(Ordering::SeqCst)
+    }
+
+    /// Current committed-version stamp of the object.
+    ///
+    /// # Safety
+    /// As for [`Self::seq_now`].
+    pub(crate) unsafe fn version_now(&self) -> u64 {
+        (*self.version_word).load(Ordering::SeqCst)
+    }
 }
 
 /// The lazy engine's global version clock.
@@ -170,12 +181,12 @@ pub(crate) fn eager_readers_possible() -> bool {
 /// against watermarks taken under run B. Monotonicity across the whole
 /// process gives that for free; a per-engine clock would restart at zero
 /// and make every carried-over version look like it came from the future.
-static VERSION_CLOCK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static VERSION_CLOCK: AtomicU64 = AtomicU64::new(0);
 
 /// The read watermark for a starting lazy attempt: every version `≤` this
 /// value is a committed version "of the past".
 pub(crate) fn read_watermark() -> u64 {
-    VERSION_CLOCK.load(std::sync::atomic::Ordering::SeqCst)
+    VERSION_CLOCK.load(Ordering::SeqCst)
 }
 
 /// A write version for a committing lazy transaction that holds all its

@@ -5,15 +5,14 @@
 //! lazy clock ("read-only and blind-write commits perform zero
 //! `VERSION_CLOCK` RMW ops") and the fixed path's shared-line budget ("no
 //! logical-clock `fetch_add` unless the manager orders by timestamp, at
-//! most one global-epoch CAS per quiesce stride") and the eager read path
-//! ("a first open is one store to the reader's own slot word and no
+//! most one global-epoch CAS per quiesce stride") and both engines' read
+//! path ("a first open is one store to the reader's own slot word and no
 //! read-modify-write on a line other readers write; a re-open stores
-//! nothing") are asserted by unit
-//! tests that count the actual operations, not by inspection. The
-//! counters are thread-local `Cell`s — tests in one binary run
-//! concurrently, and a process-global counter would make every assertion
-//! racy — and exist only under `debug_assertions`, so release hot paths
-//! carry zero probe cost.
+//! nothing") are asserted by unit tests that count the actual
+//! operations, not by inspection. The counters are thread-local `Cell`s —
+//! tests in one binary run concurrently, and a process-global counter
+//! would make every assertion racy — and exist only under
+//! `debug_assertions`, so release hot paths carry zero probe cost.
 //!
 //! Each `take_*` returns the calling thread's count since its previous
 //! `take_*` call (read-and-reset), which is the natural shape for a
@@ -69,8 +68,8 @@ pub(crate) fn count_read_slot_store() {
 }
 
 /// Record `n` read-modify-writes a transactional read performs on lines
-/// every reader of the object writes: the `guards` counter, a version's
-/// strong count, the object lock.
+/// every reader of the object writes: a version's or the object's strong
+/// count, the object lock.
 #[inline]
 pub(crate) fn count_read_shared_rmws(n: u64) {
     let _ = READ_SHARED_RMWS.try_with(|c| c.set(c.get() + n));

@@ -83,7 +83,6 @@ impl Stm {
         // slot for every worker this engine will run.
         slots::reserve_reader_slots(num_threads);
         let cm = cm.into();
-        crate::engine::count_stm(engine, true);
         Stm {
             timestamps: cm.uses_timestamps(),
             cm,
@@ -160,12 +159,6 @@ impl Stm {
         } else {
             0
         }
-    }
-}
-
-impl Drop for Stm {
-    fn drop(&mut self) {
-        crate::engine::count_stm(self.engine, false);
     }
 }
 
@@ -552,7 +545,7 @@ impl<'a> ThreadCtx<'a> {
                 Ok(r) => {
                     // The committed attempt stays published: this thread's
                     // next transaction withdraws it as part of its own
-                    // republish, saving a full guard-drain + swap here. The
+                    // republish, saving a withdrawal of its own here. The
                     // parked state stays shared for one extra transaction,
                     // which the ring's depth absorbs.
                     if let Some(sink) = trace.as_deref_mut() {
@@ -595,10 +588,12 @@ impl<'a> ThreadCtx<'a> {
                     txn.release_write_set();
                     txn.release_buffers();
                     drop(txn);
-                    // The body is over and its borrows with it: let go of
-                    // the versions competitors lent to keep them valid.
-                    // (A committed attempt needs no such step: `Committed`
-                    // tells every scanner the same.)
+                    // The body is over, its borrows and its read set with
+                    // it: let go of what competitors lent to keep them
+                    // valid. (A committed attempt needs no such step:
+                    // `Committed` tells every scanner the same, and what a
+                    // lazy one was lent while `Active` goes with the
+                    // record's reuse.)
                     state.finish_body();
                     let now = clockns::now();
                     self.stats().record_abort(opens, now.saturating_sub(t0));
@@ -979,46 +974,67 @@ mod tests {
         }
     }
 
+    /// Open every object of `tvs` twice in one transaction of `stm`:
+    /// (slot-word stores, shared-line RMWs) of the first opens and of the
+    /// re-opens.
+    #[cfg(debug_assertions)]
+    fn read_path_writes(stm: &Stm, tvs: &[TVar<u64>]) -> ((u64, u64), (u64, u64)) {
+        let take = || {
+            (
+                crate::probe::take_read_slot_stores(),
+                crate::probe::take_read_shared_rmws(),
+            )
+        };
+        stm.thread(0).atomic(|tx| {
+            take();
+            let mut sum = 0;
+            for tv in tvs {
+                sum += *tx.read(tv)?;
+            }
+            let first = take();
+            for tv in tvs {
+                sum += *tx.read(tv)?;
+            }
+            let again = take();
+            let n = tvs.len() as u64;
+            assert_eq!(sum, n * (n - 1));
+            Ok((first, again))
+        })
+    }
+
+    /// A first open is one store to the reader's slot word and no RMW on a
+    /// line other readers write; a re-open stores nothing; an open without
+    /// a slot word pays the object lock (which shows the counter is live).
+    #[cfg(debug_assertions)]
+    fn read_writes_one_word_its_reader_owns(engine: EngineKind) {
+        const OBJECTS: u64 = 32;
+        slots::reserve_reader_slots(slots::MAX_SLOTS); // fast path on any harness thread
+        let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, engine);
+        let tvs: Vec<TVar<u64>> = (0..OBJECTS).map(TVar::new).collect();
+        let (first, again) = read_path_writes(&stm, &tvs);
+        assert_eq!(first, (OBJECTS, 0), "{engine}: first opens");
+        assert_eq!(again, (0, 0), "{engine}: re-opens");
+        let overflow: Vec<TVar<u64>> = (0..OBJECTS)
+            .map(|v| TVar::new_with_slots_for_test(v, 0))
+            .collect();
+        let (first, again) = read_path_writes(&stm, &overflow);
+        assert_eq!(
+            (first, again),
+            ((0, OBJECTS), (0, OBJECTS)),
+            "{engine}: without a slot word, the object lock per open"
+        );
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     fn eager_read_writes_one_word_its_reader_owns() {
-        const OBJECTS: u64 = 32;
-        slots::reserve_reader_slots(slots::MAX_SLOTS); // fast path on any harness thread
-        let tvs: Vec<TVar<u64>> = (0..OBJECTS).map(TVar::new).collect();
-        let mut read_all_twice = |tx: &mut Txn| {
-            crate::probe::take_read_slot_stores();
-            crate::probe::take_read_shared_rmws();
-            let mut sum = 0;
-            for tv in &tvs {
-                sum += *tx.read(tv)?;
-            }
-            let first = (
-                crate::probe::take_read_slot_stores(),
-                crate::probe::take_read_shared_rmws(),
-            );
-            for tv in &tvs {
-                sum += *tx.read(tv)?;
-            }
-            let again = (
-                crate::probe::take_read_slot_stores(),
-                crate::probe::take_read_shared_rmws(),
-            );
-            assert_eq!(sum, OBJECTS * (OBJECTS - 1));
-            Ok((first, again))
-        };
-        let stm = Stm::new(CmDispatch::AbortSelf, 1);
-        let (first, again) = stm.thread(0).atomic(&mut read_all_twice);
-        assert_eq!(
-            first,
-            (OBJECTS, 0),
-            "a first open is one store to the reader's slot word and no RMW on a shared line"
-        );
-        assert_eq!(again, (0, 0), "a re-open stores nothing");
-        // The counter is live: the lazy engine's invisible read pays a
-        // guard up, a version count and a guard down, and registers nowhere.
-        let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, EngineKind::Lazy);
-        let (first, again) = stm.thread(0).atomic(&mut read_all_twice);
-        assert_eq!((first, again), ((0, 3 * OBJECTS), (0, 3 * OBJECTS)));
+        read_writes_one_word_its_reader_owns(EngineKind::Eager);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn lazy_read_writes_one_word_its_reader_owns() {
+        read_writes_one_word_its_reader_owns(EngineKind::Lazy);
     }
 
     #[test]

@@ -43,42 +43,53 @@
 //!   locator-collapse restores the even state. An eager read is slot-word
 //!   store → `seq` load → `snapshot` load and takes the version *by
 //!   address*: it writes the one word its reader owns and nothing else.
-//!   Readers that do not register — the lazy engine's invisible reads and
-//!   [`TVar::sample`] — clone the snapshot `Arc` instead, between a raise
-//!   and a drop of `guards`, which a writer drains right after flipping
-//!   `seq` odd so it never drops a count somebody is in the middle of
-//!   bumping.
+//!   A lazy read is the same registration followed by the seqlock
+//!   sandwich `seq` → `version`/`snapshot` → `seq` ([`TVarInner::lazy_sample`]):
+//!   invisible to conflict detection — no committer waits for, aborts or
+//!   asks a contention manager about a registered lazy reader — and
+//!   visible to reclamation, below. [`TVar::sample`], which has no attempt
+//!   to register, takes the object mutex.
 //!
 //! ## The borrowed-read invariant
 //!
-//! An eager read holds no count of the version it returns, so the version
-//! must outlive the reader's *body* (the closure run of one attempt) some
+//! A read holds no count of the version it returns, and a lazy read-set
+//! entry holds no count of the object whose `seq` and `version` words
+//! commit validation re-reads, so both must outlive their reader some
 //! other way. The invariant, kept entirely inside this crate:
 //!
-//! > Whoever displaces the current version of an object first gives a
-//! > count of it ([`TxState::lend`]) to every registered attempt whose
-//! > body may still be running.
+//! > Whoever displaces the current version of an object, or frees the
+//! > object's allocation, first gives a count of it ([`TxState::lend`]) to
+//! > every registered attempt whose body or commit may still run.
 //!
-//! A version is displaced by a writer's commit, and a writer installs only
-//! after [`TVarInner::conflicting_reader`] — slot words *and* the overflow
-//! list — found no other `Active` reader. What the scan does find is
-//! `Committed` (the status CAS comes after the body, so the body is over),
-//! an attempt the registry no longer names (its thread has moved on), or
-//! `Aborted`: a body that may still be running until its next open notices.
-//! That last one is lent the current version; the owner drops what it was
-//! lent when its body is over ([`TxState::finish_body`], called on the
-//! abort arm of the retry loop right after the `Txn` is dropped). A read
-//! returns its borrow only after a final `check_alive`, so the reader was `Active` — and no writer got past it —
-//! from its registration to that check, and the version it holds is the
-//! one every later scan lends. An aborted attempt never gets a new borrow
-//! (the same check fails), so one loan per object is enough and the scan
-//! clears the word it served. The three displacements that are not a
-//! writer's install — [`TVar::store_direct`], a lazy-engine write-back
-//! while an eager engine exists (driving one object from both at once is
-//! unsupported, but it must stay memory-safe) and the drop of the
-//! object's last handle — lend to `Active` readers
-//! too. Recycling through `spare` needs no change: `Arc::get_mut` refuses
-//! a version that is on loan.
+//! *Registered* is a slot word or an overflow entry naming the attempt the
+//! registry says its thread is running. *May still run* is `Active`, or
+//! `Aborted` before [`TxState::finish_body`] — called on the abort arm of
+//! the retry loop right after the `Txn` is dropped, so after the body *and*
+//! a failed commit's validation. `Committed` comes after both (the status
+//! CAS is the last thing a commit reads shared state for), and an attempt
+//! the registry no longer names has left its thread. A registration is
+//! cleared only when it is one of those two: while the attempt may run,
+//! every displacement finds it and lends again.
+//!
+//! Who displaces: an eager writer's commit, which installs only after
+//! [`TVarInner::conflicting_reader`] — slot words *and* the overflow list —
+//! found no other `Active` reader and lent to the aborted-but-running ones
+//! on the way; a lazy write-back, [`TVar::store_direct`] and the drop of
+//! the object's last handle, which no conflict scan precedes and which
+//! lend to `Active` readers too. The last one lends the object's
+//! allocation along with the version (`TVarInner::this`): dropping the
+//! fields of a `TVarInner` leaves its two validation words readable for as
+//! long as a `Weak` holds the memory.
+//!
+//! A read returns its borrow only after a final `check_alive`, so an
+//! eager reader was `Active` — and no writer got past it — from its
+//! registration to that check, and the version it holds is the one every
+//! later scan lends; a lazy reader's `seq` sandwich proves the same of the
+//! version it loaded. A loan is dropped by `finish_body` or, for an
+//! attempt that commits while holding some (only a lazy one can), by the
+//! record's reuse. Recycling through `spare` needs no change:
+//! `Arc::get_mut` refuses a version that is on loan — which is why a
+//! committer must not lend to itself.
 //!
 //! Lock discipline: each object has one short `parking_lot::Mutex`; the
 //! engine never calls a contention manager, blocks, or takes another
@@ -154,13 +165,8 @@ pub(crate) struct TVarInner<T: TxObject> {
     /// Seqlock word: even ⇔ no writer installed ∧ `snapshot` matches the
     /// locator's `old`. Flipped only under the object mutex.
     seq: AtomicU64,
-    /// Number of unregistered readers ([`Self::lazy_read`],
-    /// [`TVar::sample`]) currently between their `seq` re-check and the
-    /// completion of their snapshot clone. A writer drains this to zero
-    /// right after flipping `seq` odd. Eager reads never touch it.
-    guards: AtomicU64,
-    /// One owned strong count of the version fast readers clone.
-    /// Valid (never null) for the whole life of the object.
+    /// One owned strong count of the version fast readers take the
+    /// address of. Valid (never null) for the whole life of the object.
     snapshot: AtomicPtr<T>,
     /// One reader-registration word per global thread-slot index
     /// (0 = empty, otherwise the attempt id of a — possibly finished —
@@ -176,6 +182,10 @@ pub(crate) struct TVarInner<T: TxObject> {
     /// Lazy engine: attempt id of the commit-lock holder (0 = unlocked or
     /// mid write-back).
     owner_attempt: AtomicU64,
+    /// The allocation this object lives in, for its drop to lend: a lazy
+    /// reader's commit validation reads `seq` and `version` through plain
+    /// pointers ([`crate::engine::LazyRead`]).
+    this: Weak<Self>,
     pub(crate) state: Mutex<ObjState<T>>,
 }
 
@@ -183,8 +193,11 @@ impl<T: TxObject> Drop for TVarInner<T> {
     fn drop(&mut self) {
         // The last handle is gone, but a body that read the object through
         // one (a node just unlinked, a handle local to the closure) may
-        // still hold its borrow: the version outlives the object.
-        self.state.get_mut().lend_to_readers(&self.reader_slots);
+        // still hold its borrow, and its commit will validate the read:
+        // the version and the allocation outlive the object.
+        self.state
+            .get_mut()
+            .scan_readers(&self.reader_slots, 0, false, Some(&self.this));
         // Release the snapshot cell's strong count.
         let p = *self.snapshot.get_mut();
         // SAFETY: `snapshot` always holds a pointer produced by
@@ -273,15 +286,36 @@ impl<T: TxObject> ObjState<T> {
         }
     }
 
+    /// Whether `me` is the installed writer.
+    pub(crate) fn owned_by(&self, me: &TxState) -> bool {
+        self.writer
+            .as_ref()
+            .is_some_and(|w| w.attempt_id == me.attempt_id)
+    }
+
+    /// A version holding `value`: the `spare` allocation rewritten in
+    /// place when nobody else holds it, so that a steady-state publish
+    /// allocates nothing; a fresh one otherwise (a spare still on loan is
+    /// dropped, which sheds our count).
+    pub(crate) fn version_of(&mut self, value: &T) -> Arc<T> {
+        let mut spare = self.spare.take();
+        if let Some(slot) = spare.as_mut().and_then(Arc::get_mut) {
+            slot.clone_from(value);
+            return spare.expect("just rewritten");
+        }
+        Arc::new(value.clone())
+    }
+
     /// Walk every registered reader — the words of `slots` at *currently
     /// allocated* slot indices, then the overflow list — for a caller that
     /// is about to displace the current version. Returns the first
     /// `Active` reader other than attempt `me` when `stop_at_active` (a
     /// writer's conflict scan), nothing otherwise. On the way it lends the
-    /// current version to each reader that is `Aborted` — and, without
-    /// `stop_at_active`, `Active` — which keeps what that reader's body
-    /// borrowed alive (module docs, "The borrowed-read invariant"), and
-    /// clears the registrations it has served or found stale. Caller holds
+    /// current version — from the object's drop, which passes `object`,
+    /// the allocation with it — to each reader that is `Aborted` under a
+    /// running body or commit and, without `stop_at_active`, `Active`
+    /// (module docs, "The borrowed-read invariant"), and clears the
+    /// registrations of attempts that can use them no more. Caller holds
     /// the object mutex (or `&mut` to the object), and — for the Dekker
     /// handshake with [`TVarInner::fast_read`] — has `seq` odd.
     ///
@@ -311,18 +345,35 @@ impl<T: TxObject> ObjState<T> {
         slots: &[AtomicU64],
         me: u64,
         stop_at_active: bool,
+        object: Option<&Weak<TVarInner<T>>>,
     ) -> Option<Arc<TxState>> {
-        // The version on loan, cloned at the first reader that needs it.
-        let mut cur: Option<Arc<T>> = None;
-        // `true`: `tx` is the conflict to report. Otherwise `tx` has been
-        // served and its registration can go.
-        let mut conflicts = |st: &Self, tx: &TxState| match tx.status() {
-            TxStatus::Active if stop_at_active => true,
-            // The status CAS comes after the body: nothing left to protect.
-            TxStatus::Committed => false,
+        /// What a scan found an attempt to be.
+        enum Reader {
+            /// The conflict to report.
+            Conflict,
+            /// May still use its registration (and holds a fresh loan,
+            /// unless it is `Active` under a conflict scan's writer — who
+            /// is `me`).
+            Running,
+            /// Committed, or aborted and finished: the registration can go.
+            Over,
+        }
+        // The loan, built at the first reader that needs it.
+        let mut loan: Option<Arc<dyn Any + Send + Sync>> = None;
+        let mut meet = |st: &Self, tx: &TxState| match tx.status() {
+            TxStatus::Active if stop_at_active => Reader::Conflict,
+            // The status CAS comes after the body and the validation.
+            TxStatus::Committed => Reader::Over,
             _ => {
-                tx.lend(cur.get_or_insert_with(|| st.effective()));
-                false
+                let loan = loan.get_or_insert_with(|| match object {
+                    None => st.effective(),
+                    Some(alloc) => Arc::new((st.effective(), Weak::clone(alloc))),
+                });
+                if tx.lend(loan) {
+                    Reader::Running
+                } else {
+                    Reader::Over
+                }
             }
         };
         let cap = slots.len();
@@ -347,18 +398,15 @@ impl<T: TxObject> ObjState<T> {
                     continue;
                 }
                 // `None`: attempt `a` is no longer the one running on this
-                // slot, so its body is over.
+                // slot, so its body and commit are over.
                 if let Some(tx) = slots::live_reader(idx, a) {
-                    if conflicts(self, &tx) {
-                        return Some(tx);
-                    }
-                    if tx.is_active() {
-                        // A loan without `stop_at_active`: the reader goes
-                        // on, and so does its registration.
-                        continue;
+                    match meet(self, &tx) {
+                        Reader::Conflict => return Some(tx),
+                        Reader::Running => continue,
+                        Reader::Over => {}
                     }
                 }
-                // Served or stale: clear the word so future scans stay
+                // Over or stale: clear the word so future scans stay
                 // cheap. CAS so a newly arrived reader's store is never
                 // wiped.
                 let _ = slot.compare_exchange(a, 0, Ordering::SeqCst, Ordering::SeqCst);
@@ -376,21 +424,24 @@ impl<T: TxObject> ObjState<T> {
             if r.attempt_id == me || enemy.is_some() {
                 return true;
             }
-            if conflicts(self, &tx) {
-                enemy = Some(tx);
-                return true;
+            match meet(self, &tx) {
+                Reader::Conflict => {
+                    enemy = Some(tx);
+                    true
+                }
+                Reader::Running => true,
+                Reader::Over => false,
             }
-            tx.is_active() // as for the slot words
         });
         self.readers = readers;
         enemy
     }
 
-    /// Lend the current version to every registered reader whose body may
-    /// still be running, `Active` ones included: for the displacements
-    /// that no conflict scan precedes.
-    fn lend_to_readers(&mut self, slots: &[AtomicU64]) {
-        self.scan_readers(slots, 0, false);
+    /// Lend the current version to every registered reader but attempt
+    /// `me` whose body or commit may still run, `Active` ones included:
+    /// for the displacements that no conflict scan precedes.
+    fn lend_to_readers(&mut self, slots: &[AtomicU64], me: u64) {
+        self.scan_readers(slots, me, false, None);
     }
 }
 
@@ -408,17 +459,8 @@ impl<T: TxObject> TVarInner<T> {
     /// and from there the borrowed-read invariant (module docs) covers it.
     #[inline]
     pub(crate) fn fast_read(&self, slot_idx: usize, attempt_id: u64) -> Option<*const T> {
-        let slot = self.reader_slots.get(slot_idx)?;
-        // Register. Skipping the store when our id is already in place is
-        // sound: the first store performed the Dekker handshake, and the
-        // word can only have been overwritten by a *later* event that a
-        // writer's scan orders correctly anyway (a scan clears the word of
-        // an attempt it found aborted; that attempt's next read fails its
-        // final `check_alive` whatever it registers).
-        if slot.load(Ordering::Relaxed) != attempt_id {
-            #[cfg(debug_assertions)]
-            crate::probe::count_read_slot_store();
-            slot.store(attempt_id, Ordering::SeqCst);
+        if !self.register_in_slot(slot_idx, attempt_id) {
+            return None;
         }
         if self.seq.load(Ordering::SeqCst) & 1 != 0 {
             return None; // writer installed → mutex path
@@ -426,29 +468,40 @@ impl<T: TxObject> TVarInner<T> {
         Some(self.snapshot.load(Ordering::Acquire))
     }
 
-    /// Begin a writer period: flip `seq` odd and wait out the guarded
-    /// readers in flight ([`TVar::sample`]; eager reads raise no guard).
-    /// Caller must hold the object mutex and `seq` must be even (i.e. no
-    /// writer currently installed).
+    /// Store `attempt_id` into the word of slot `slot_idx`; `false` when
+    /// this object has no such word (overflow list instead). Skipping the
+    /// store when the id is already in place is sound: the first store
+    /// performed the Dekker handshake, and a scan clears the word of no
+    /// attempt that may still run.
+    #[inline]
+    fn register_in_slot(&self, slot_idx: usize, attempt_id: u64) -> bool {
+        let Some(slot) = self.reader_slots.get(slot_idx) else {
+            return false;
+        };
+        if slot.load(Ordering::Relaxed) != attempt_id {
+            #[cfg(debug_assertions)]
+            crate::probe::count_read_slot_store();
+            slot.store(attempt_id, Ordering::SeqCst);
+        }
+        true
+    }
+
+    /// Begin a writer period: flip `seq` odd. Caller must hold the object
+    /// mutex and `seq` must be even (i.e. no writer currently installed).
     pub(crate) fn lock_snapshot(&self) {
         self.seq.fetch_add(1, Ordering::SeqCst);
-        while self.guards.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
     }
 
     /// End a writer period: point the snapshot at `val` (the locator's
     /// freshly collapsed `old`) and flip `seq` back to even. Caller must
     /// hold the object mutex and `seq` must be odd.
-    pub(crate) fn unlock_snapshot(&self, val: &Arc<T>) {
+    fn unlock_snapshot(&self, val: &Arc<T>) {
         let fresh = Arc::into_raw(Arc::clone(val)).cast_mut();
         let prev = self.snapshot.swap(fresh, Ordering::AcqRel);
-        // SAFETY: guards drained to zero when this odd period began and
-        // guarded readers re-checking `seq` while it is odd never touch
-        // the pointer, so nobody else can be cloning `prev` now. Eager
-        // readers may still hold `prev`'s address, never its count: what
-        // they read through it is covered by the loans of the scan that
-        // let this period's writer in (module docs).
+        // SAFETY: the cell owns this count and nobody takes one through
+        // the cell. Readers may still hold `prev`'s address, never the
+        // cell's count: what they read through it is covered by the loans
+        // of the scan that came with this period (module docs).
         unsafe { drop(Arc::from_raw(prev)) };
         self.seq.fetch_add(1, Ordering::SeqCst);
     }
@@ -468,7 +521,7 @@ impl<T: TxObject> TVarInner<T> {
         st: &mut ObjState<T>,
         me: &TxState,
     ) -> Option<Arc<TxState>> {
-        st.scan_readers(&self.reader_slots, me.attempt_id, true)
+        st.scan_readers(&self.reader_slots, me.attempt_id, true, None)
     }
 
     /// Diagnostic snapshot of the hot-path state for opacity-violation
@@ -511,96 +564,73 @@ impl<T: TxObject> TVarInner<T> {
     /// and this becomes a no-op.
     pub(crate) fn collapse_terminal(&self, me: &TxState) {
         let mut st = self.state.lock();
-        let mine = st
-            .writer
-            .as_ref()
-            .is_some_and(|w| w.attempt_id == me.attempt_id);
-        if !mine {
-            return;
+        if st.owned_by(me) {
+            debug_assert!(me.status() != TxStatus::Active);
+            self.collapse(&mut st);
         }
-        debug_assert!(me.status() != TxStatus::Active);
+    }
+
+    /// Fold the installed, terminal writer's outcome into `old`, re-arm
+    /// the lock-free read path and offer what was displaced (and an
+    /// aborted writer's orphaned shadow) for recycling. Caller holds the
+    /// object mutex.
+    pub(crate) fn collapse(&self, st: &mut ObjState<T>) {
         let cur = st.effective();
-        let prev = std::mem::replace(&mut st.old, cur);
         let orphan = st.new.take();
-        st.writer = None;
-        self.unlock_snapshot(&st.old);
-        st.retire(prev);
+        self.install(st, cur);
         if let Some(orphan) = orphan {
             st.retire(orphan);
         }
     }
 
-    /// Single-object commit, fused: publish `value`, decide the
-    /// transaction's fate with its status CAS, and collapse the locator —
-    /// all under one acquisition of the object lock. Only sound when this
-    /// object is the transaction's *entire* write set: the status CAS is
-    /// what makes multi-object commits atomic, so a multi-entry write set
-    /// must stage every `new` version before the CAS (the two-pass path).
+    /// Make `version` the current one with no writer installed, re-arm the
+    /// lock-free read path and offer the displaced version for recycling.
+    /// Caller holds the object mutex and `seq` is odd.
+    fn install(&self, st: &mut ObjState<T>, version: Arc<T>) {
+        let prev = std::mem::replace(&mut st.old, version);
+        st.new = None;
+        st.writer = None;
+        self.unlock_snapshot(&st.old);
+        st.retire(prev);
+    }
+
+    /// Single-object commit, fused: decide the transaction's fate with its
+    /// status CAS and, committed, install `version(..)` and collapse the
+    /// locator — all under one acquisition of the object lock. Only sound
+    /// when this object is the transaction's *entire* write set: the
+    /// status CAS is what makes multi-object commits atomic, so a
+    /// multi-entry write set must stage every `new` version before the CAS
+    /// (the two-pass path).
     ///
     /// Returns the CAS verdict (`true` = committed). On `false` (an enemy
     /// aborted us first) the locator is left untouched; the abort path's
     /// rollback collapses it.
-    pub(crate) fn commit_value_fused(&self, value: &T, me: &TxState) -> bool {
+    pub(crate) fn commit_fused(
+        &self,
+        me: &TxState,
+        version: impl FnOnce(&mut ObjState<T>) -> Arc<T>,
+    ) -> bool {
         let mut st = self.state.lock();
-        let still_owner = st
-            .writer
-            .as_ref()
-            .is_some_and(|w| w.attempt_id == me.attempt_id);
-        if !still_owner {
+        if !st.owned_by(me) {
             // Only a terminal writer can be collapsed past, so we were
-            // already aborted; the CAS below just confirms it.
+            // already aborted; the CAS just confirms it.
             return me.try_commit();
         }
         if !me.try_commit() {
             return false;
         }
-        // Committed while holding the lock: install the value directly as
-        // the current version (recycling the retired version's allocation)
-        // and re-arm the lock-free read path.
-        let arc = match st.spare.take() {
-            Some(mut a) => match Arc::get_mut(&mut a) {
-                Some(slot) => {
-                    slot.clone_from(value);
-                    a
-                }
-                None => Arc::new(value.clone()),
-            },
-            None => Arc::new(value.clone()),
-        };
-        let prev = std::mem::replace(&mut st.old, arc);
-        st.new = None;
-        st.writer = None;
-        self.unlock_snapshot(&st.old);
-        st.retire(prev);
+        let version = version(&mut st);
+        self.install(&mut st, version);
         true
     }
 
     /// Commit-time publish of an inline write-set value: install `value`
-    /// as the locator's `new` version iff `me` still owns the object,
-    /// recycling the spare version `Arc` when it is unshared so the
-    /// steady-state publish performs no heap allocation.
+    /// as the locator's `new` version iff `me` still owns the object.
     pub(crate) fn publish_value(&self, value: &T, me: &TxState) {
         let mut st = self.state.lock();
-        let still_owner = st
-            .writer
-            .as_ref()
-            .is_some_and(|w| w.attempt_id == me.attempt_id);
-        if !still_owner {
-            return;
+        if st.owned_by(me) {
+            st.new = Some(st.version_of(value));
         }
-        let arc = match st.spare.take() {
-            Some(mut a) => match Arc::get_mut(&mut a) {
-                Some(slot) => {
-                    slot.clone_from(value);
-                    a
-                }
-                // Still shared with a reader snapshot: give up on this one
-                // (dropping it sheds our count) and allocate.
-                None => Arc::new(value.clone()),
-            },
-            None => Arc::new(value.clone()),
-        };
-        st.new = Some(arc);
     }
 
     /// Register a reader through the mutex path (no slot, or fast path
@@ -611,13 +641,7 @@ impl<T: TxObject> TVarInner<T> {
         slot_idx: usize,
         tx: &Arc<TxState>,
     ) {
-        if let Some(slot) = self.reader_slots.get(slot_idx) {
-            if slot.load(Ordering::Relaxed) != tx.attempt_id {
-                #[cfg(debug_assertions)]
-                crate::probe::count_read_slot_store();
-                slot.store(tx.attempt_id, Ordering::SeqCst);
-            }
-        } else {
+        if !self.register_in_slot(slot_idx, tx.attempt_id) {
             st.register_reader(tx);
         }
     }
@@ -639,49 +663,62 @@ impl<T: TxObject> TVarInner<T> {
 /// [`Self::collapse_eager_leftover`] instead of waiting for an owner
 /// that will never release.
 impl<T: TxObject> TVarInner<T> {
-    /// Invisible read: the committed value plus the seqlock word and
-    /// version it was sampled at, all mutually consistent. `None` while a
-    /// committer holds the object (word odd) or on a transient word
-    /// change — the caller loops.
+    /// One lazy read by attempt `tx` running on slot `slot_idx`: register,
+    /// then sample the committed version's address together with the
+    /// seqlock word and the version stamp it was committed under, all
+    /// mutually consistent. `None` while the word is odd (a committer
+    /// holds the object, or an eager run left a terminal writer) or moved
+    /// under the sample — the caller resolves the conflict and loops.
+    ///
+    /// The registration is what makes the address usable: the word was
+    /// even and unchanged around the loads, so the version was current at
+    /// the re-check, and whoever displaces it later — every displacer
+    /// flips the word first, then scans — finds this reader and lends it a
+    /// count (module docs). A thread without a word on this object
+    /// registers on the overflow list under the mutex a write-back holds
+    /// for its whole scan-and-swap, which gives the same order.
     #[inline]
-    pub(crate) fn lazy_read(&self) -> Option<(Arc<T>, u64, u64)> {
+    pub(crate) fn lazy_sample(
+        &self,
+        slot_idx: usize,
+        tx: &Arc<TxState>,
+    ) -> Option<(*const T, u64, u64)> {
+        if !self.register_in_slot(slot_idx, tx.attempt_id) {
+            return self.lazy_sample_locked(tx);
+        }
         let s = self.seq.load(Ordering::SeqCst);
         if s & 1 != 0 {
             return None;
         }
+        // A committer stores `version` before it swaps `snapshot`, both
+        // inside its odd period.
+        let version = self.version.load(Ordering::SeqCst);
+        let p = self.snapshot.load(Ordering::Acquire);
+        (self.seq.load(Ordering::SeqCst) == s).then_some((p, s, version))
+    }
+
+    /// [`Self::lazy_sample`] for a thread without a slot word here.
+    #[cold]
+    fn lazy_sample_locked(&self, tx: &Arc<TxState>) -> Option<(*const T, u64, u64)> {
         #[cfg(debug_assertions)]
-        crate::probe::count_read_shared_rmws(3); // guard up, count, guard down
-        self.guards.fetch_add(1, Ordering::SeqCst);
-        let result = if self.seq.load(Ordering::SeqCst) == s {
-            let version = self.version.load(Ordering::SeqCst);
-            let p = self.snapshot.load(Ordering::Acquire);
-            // SAFETY: the word was even at the re-check while our guard
-            // was raised, so a committer that wants to swap/drop the
-            // snapshot is still draining `guards` — the pointee and its
-            // strong count stay alive until our `fetch_sub` below; and it
-            // stores `version` only after that drain, so the version we
-            // just loaded belongs to this snapshot.
-            unsafe {
-                Arc::increment_strong_count(p);
-                Some((Arc::from_raw(p), s, version))
-            }
-        } else {
-            None
-        };
-        self.guards.fetch_sub(1, Ordering::SeqCst);
-        result
+        crate::probe::count_read_shared_rmws(1); // the object lock
+        let mut st = self.state.lock();
+        st.register_reader(tx);
+        // The commit lock is taken without the mutex, but a write-back
+        // holds it: while we do, an even word stays the word of `old`.
+        let s = self.seq.load(Ordering::SeqCst);
+        (s & 1 == 0).then(|| (Arc::as_ptr(&st.old), s, self.version.load(Ordering::SeqCst)))
     }
 
     /// Try to take the commit lock for attempt `attempt_id` running on
-    /// reader slot `slot_idx`. On success returns the pre-lock seqlock
-    /// word (for own-write read validation) and the object's committed
-    /// version, with all in-flight guarded readers drained; `None` means
-    /// the word is odd (a competitor holds the lock) or moved under the
-    /// CAS. The version is loaded *under the held lock*, so the maximum
+    /// reader slot `slot_idx`. On success returns the object's committed
+    /// version; `None` means the word is odd (a competitor holds the lock)
+    /// or moved under the CAS. The version is loaded *under the held
+    /// lock*, so the maximum
     /// over a locked write set is exactly the `maxv` input that
     /// [`crate::engine::write_version`] needs for its per-object
     /// monotonicity clamp.
-    pub(crate) fn lazy_try_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<(u64, u64)> {
+    pub(crate) fn lazy_try_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<u64> {
         let s = self.seq.load(Ordering::SeqCst);
         if s & 1 != 0 {
             return None;
@@ -693,14 +730,11 @@ impl<T: TxObject> TVarInner<T> {
         {
             return None;
         }
-        // Advertise ownership before the drain so a reader that hits the
-        // odd word can resolve us through the registry right away.
+        // Advertise ownership so a reader that hits the odd word can
+        // resolve us through the registry.
         self.owner_slot.store(slot_idx as u64, Ordering::SeqCst);
         self.owner_attempt.store(attempt_id, Ordering::SeqCst);
-        while self.guards.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        Some((s, self.version.load(Ordering::SeqCst)))
+        Some(self.version.load(Ordering::SeqCst))
     }
 
     /// The current commit-lock holder, if it is still a live registered
@@ -734,16 +768,14 @@ impl<T: TxObject> TVarInner<T> {
             Some(w) if !w.is_active() => {}
             _ => return false,
         }
-        let cur = st.effective();
-        let prev = std::mem::replace(&mut st.old, cur);
-        let orphan = st.new.take();
-        st.writer = None;
-        self.unlock_snapshot(&st.old);
-        st.retire(prev);
-        if let Some(orphan) = orphan {
-            st.retire(orphan);
-        }
+        self.collapse(&mut st);
         true
+    }
+
+    /// The seqlock word and the version stamp, for a read-set entry to
+    /// point at ([`crate::engine::LazyRead`]).
+    pub(crate) fn validation_words(&self) -> (&AtomicU64, &AtomicU64) {
+        (&self.seq, &self.version)
     }
 
     /// Release the commit lock without having written (failed commit):
@@ -759,66 +791,26 @@ impl<T: TxObject> TVarInner<T> {
     /// reader that samples the new snapshot also sees `wv`.
     pub(crate) fn lazy_writeback_value(&self, value: &T, wv: u64) {
         let mut st = self.state.lock();
-        let arc = match st.spare.take() {
-            Some(mut a) => match Arc::get_mut(&mut a) {
-                Some(slot) => {
-                    slot.clone_from(value);
-                    a
-                }
-                None => Arc::new(value.clone()),
-            },
-            None => Arc::new(value.clone()),
-        };
+        let arc = st.version_of(value);
         self.finish_writeback(&mut st, arc, wv);
     }
 
     /// As [`Self::lazy_writeback_value`], for a boxed shadow: the shadow
     /// `Arc` itself becomes the committed version (no clone).
     pub(crate) fn lazy_writeback_arc(&self, shadow: &Arc<T>, wv: u64) {
-        let mut st = self.state.lock();
-        let arc = Arc::clone(shadow);
-        self.finish_writeback(&mut st, arc, wv);
+        self.finish_writeback(&mut self.state.lock(), Arc::clone(shadow), wv);
     }
 
     fn finish_writeback(&self, st: &mut ObjState<T>, arc: Arc<T>, wv: u64) {
-        // No conflict scan precedes a lazy commit. Its own readers are
-        // counted; an eager engine's driven over the same object (never
-        // supported, see above) are not.
-        if crate::engine::eager_readers_possible() {
-            st.lend_to_readers(&self.reader_slots);
-        }
-        let prev = std::mem::replace(&mut st.old, arc);
-        st.new = None;
+        // No conflict scan precedes a lazy commit: the displaced version
+        // goes on loan to every registered reader, `Active` ones included
+        // — but the committer, who may have read the object before
+        // writing it and whose loan would keep `spare` from recycling.
+        let me = self.owner_attempt.load(Ordering::SeqCst);
+        st.lend_to_readers(&self.reader_slots, me);
         self.version.store(wv, Ordering::SeqCst);
         self.owner_attempt.store(0, Ordering::SeqCst);
-        self.unlock_snapshot(&st.old);
-        st.retire(prev);
-    }
-}
-
-/// Type-erased view of a [`TVarInner`] for the lazy engine's read set:
-/// commit-time validation needs the identity, seqlock word, and version of
-/// each read object, but not its value type.
-pub(crate) trait LazySource: Send + Sync {
-    /// The object's id.
-    fn source_id(&self) -> u64;
-    /// Current seqlock word.
-    fn seq_now(&self) -> u64;
-    /// Current committed-version stamp.
-    fn version_now(&self) -> u64;
-}
-
-impl<T: TxObject> LazySource for TVarInner<T> {
-    fn source_id(&self) -> u64 {
-        self.id
-    }
-
-    fn seq_now(&self) -> u64 {
-        self.seq.load(Ordering::SeqCst)
-    }
-
-    fn version_now(&self) -> u64 {
-        self.version.load(Ordering::SeqCst)
+        self.install(st, arc);
     }
 }
 
@@ -843,15 +835,15 @@ impl<T: TxObject> TVar<T> {
         let old = Arc::new(value);
         let snapshot = Arc::into_raw(Arc::clone(&old)).cast_mut();
         TVar {
-            inner: Arc::new(TVarInner {
+            inner: Arc::new_cyclic(|this| TVarInner {
                 id: next_tvar_id(),
                 seq: AtomicU64::new(0),
-                guards: AtomicU64::new(0),
                 snapshot: AtomicPtr::new(snapshot),
                 reader_slots: (0..slot_count).map(|_| AtomicU64::new(0)).collect(),
                 version: AtomicU64::new(0),
                 owner_slot: AtomicU64::new(0),
                 owner_attempt: AtomicU64::new(0),
+                this: Weak::clone(this),
                 state: Mutex::new(ObjState {
                     writer: None,
                     old,
@@ -872,36 +864,18 @@ impl<T: TxObject> TVar<T> {
     ///
     /// Safe at any time but only *meaningful* when no transaction is
     /// mutating the object (e.g. validation between experiment phases).
-    /// Takes the lock-free snapshot when no writer is installed.
+    /// Takes the object mutex: a caller outside any attempt has nothing to
+    /// register, so nobody would keep a borrowed version alive for it.
     pub fn sample(&self) -> Arc<T> {
-        let inner = &*self.inner;
-        let s = inner.seq.load(Ordering::SeqCst);
-        if s & 1 == 0 {
-            inner.guards.fetch_add(1, Ordering::SeqCst);
-            let r = if inner.seq.load(Ordering::SeqCst) == s {
-                let p = inner.snapshot.load(Ordering::Acquire);
-                // SAFETY: same argument as in `lazy_read`.
-                unsafe {
-                    Arc::increment_strong_count(p);
-                    Some(Arc::from_raw(p))
-                }
-            } else {
-                None
-            };
-            inner.guards.fetch_sub(1, Ordering::SeqCst);
-            if let Some(v) = r {
-                return v;
-            }
-        }
-        inner.state.lock().effective()
+        self.inner.state.lock().effective()
     }
 
     /// Non-transactional replacement of the value. Intended for
     /// initialization and between-run resets; it discards any in-flight
-    /// writer by overwriting the locator wholesale and wipes all reader
-    /// registrations (in-flight readers are *not* aborted — don't race
-    /// this against live transactions: what they already read stays
-    /// valid memory, but no longer one consistent snapshot).
+    /// writer by overwriting the locator wholesale (in-flight readers are
+    /// *not* aborted — don't race this against live transactions: what
+    /// they already read stays valid memory, but no longer one consistent
+    /// snapshot).
     pub fn store_direct(&self, value: T) {
         let inner = &*self.inner;
         let mut st = inner.state.lock();
@@ -911,26 +885,16 @@ impl<T: TxObject> TVar<T> {
             // odd from its acquire — unlock below folds both cases.)
             inner.lock_snapshot();
         }
-        st.lend_to_readers(&inner.reader_slots);
+        st.lend_to_readers(&inner.reader_slots, 0);
         st.writer = None;
         st.old = Arc::new(value);
         st.new = None;
         st.spare = None;
-        st.readers.clear();
-        for slot in inner.reader_slots.iter() {
-            slot.store(0, Ordering::SeqCst);
-        }
         inner.unlock_snapshot(&st.old);
     }
 
     pub(crate) fn inner(&self) -> &TVarInner<T> {
         &self.inner
-    }
-
-    /// The inner object as a type-erased lazy-validation source (clones
-    /// the handle `Arc`).
-    pub(crate) fn inner_arc(&self) -> Arc<dyn LazySource> {
-        Arc::clone(&self.inner) as Arc<dyn LazySource>
     }
 
     /// Number of currently *live* registered readers — diagnostics only.
@@ -958,113 +922,6 @@ impl<T: TxObject> TVar<T> {
 impl<T: TxObject + Default> Default for TVar<T> {
     fn default() -> Self {
         TVar::new(T::default())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Type-erased write-set entries
-// ---------------------------------------------------------------------------
-
-/// A write-set entry, type-erased so one list can hold writes to objects
-/// of different types.
-pub(crate) trait ErasedWrite: Send {
-    /// Install the shadow copy as the locator's `new` version, iff the
-    /// committing transaction still owns the object.
-    fn publish(&self, me: &TxState);
-    /// Fold `me`'s terminal outcome into the locator
-    /// ([`TVarInner::collapse_terminal`]).
-    fn release(&self, me: &TxState);
-    /// Single-entry fused commit ([`TVarInner::commit_value_fused`]):
-    /// publish + status CAS + collapse under one object lock. Only called
-    /// when this entry is the transaction's entire write set.
-    fn commit_fused(&self, me: &TxState) -> bool;
-    /// Lazy engine: try to take the object's commit lock
-    /// ([`TVarInner::lazy_try_lock`]).
-    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<(u64, u64)>;
-    /// Lazy engine: the live commit-lock holder ([`TVarInner::lazy_owner`]).
-    fn lazy_owner(&self) -> Option<Arc<TxState>>;
-    /// Lazy engine: fold an eager run's leftover terminal writer
-    /// ([`TVarInner::collapse_eager_leftover`]).
-    fn collapse_eager_leftover(&self) -> bool;
-    /// Lazy engine: release the commit lock without writing
-    /// ([`TVarInner::lazy_unlock`]).
-    fn lazy_unlock(&self);
-    /// Lazy engine: write the shadow back under the held lock
-    /// ([`TVarInner::lazy_writeback_arc`]).
-    fn lazy_writeback(&self, wv: u64);
-    fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// Typed write-set entry: the object handle plus the private shadow copy.
-pub(crate) struct TypedWrite<T: TxObject> {
-    pub(crate) tvar: TVar<T>,
-    pub(crate) shadow: Arc<T>,
-}
-
-impl<T: TxObject> ErasedWrite for TypedWrite<T> {
-    fn release(&self, me: &TxState) {
-        self.tvar.inner().collapse_terminal(me);
-    }
-
-    fn commit_fused(&self, me: &TxState) -> bool {
-        let inner = self.tvar.inner();
-        let mut st = inner.state.lock();
-        let still_owner = st
-            .writer
-            .as_ref()
-            .is_some_and(|w| w.attempt_id == me.attempt_id);
-        if !still_owner {
-            return me.try_commit();
-        }
-        if !me.try_commit() {
-            return false;
-        }
-        let prev = std::mem::replace(&mut st.old, Arc::clone(&self.shadow));
-        st.new = None;
-        st.writer = None;
-        inner.unlock_snapshot(&st.old);
-        st.retire(prev);
-        true
-    }
-
-    fn publish(&self, me: &TxState) {
-        let mut st = self.tvar.inner().state.lock();
-        let still_owner = st
-            .writer
-            .as_ref()
-            .is_some_and(|w| w.attempt_id == me.attempt_id);
-        if still_owner {
-            st.new = Some(Arc::clone(&self.shadow));
-        }
-    }
-
-    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<(u64, u64)> {
-        self.tvar.inner().lazy_try_lock(slot_idx, attempt_id)
-    }
-
-    fn lazy_owner(&self) -> Option<Arc<TxState>> {
-        self.tvar.inner().lazy_owner()
-    }
-
-    fn collapse_eager_leftover(&self) -> bool {
-        self.tvar.inner().collapse_eager_leftover()
-    }
-
-    fn lazy_unlock(&self) {
-        self.tvar.inner().lazy_unlock();
-    }
-
-    fn lazy_writeback(&self, wv: u64) {
-        self.tvar.inner().lazy_writeback_arc(&self.shadow, wv);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -1369,12 +1226,20 @@ mod tests {
                 (1, 1),
                 "slots={slot_count}: the version it may be reading is now its own"
             );
-            // One loan is enough: an aborted attempt gets no new borrow.
+            // The registration stays while the body or a commit's
+            // validation may run (the object's drop must still find it),
+            // so the next displacement lends again.
             assert_eq!(writer_scan(&tv), None);
-            assert_eq!((reader.lent_len(), counts_on_loan(&tv)), (1, 1));
+            assert_eq!((reader.lent_len(), counts_on_loan(&tv)), (2, 2));
 
             reader.finish_body();
             assert_eq!((reader.lent_len(), counts_on_loan(&tv)), (0, 0));
+            // Finished: nothing more is lent, and the registration goes.
+            assert_eq!(writer_scan(&tv), None);
+            assert_eq!((reader.lent_len(), counts_on_loan(&tv)), (0, 0));
+            let word = tv.inner().reader_slots.get(idx);
+            assert_eq!(word.map_or(0, |w| w.load(Ordering::SeqCst)), 0);
+            assert!(tv.inner().state.lock().readers.is_empty());
             slots::unpublish(idx);
         }
     }
@@ -1424,9 +1289,6 @@ mod tests {
 
     #[test]
     fn displacements_without_a_conflict_scan_lend_to_active_readers_too() {
-        // A lazy write-back looks for eager readers only while an eager
-        // engine exists.
-        let _eager = crate::Stm::new(crate::CmDispatch::AbortSelf, 1);
         let tv = covered_tvar(4);
         let (idx, reader) = published_state();
         assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(4));
@@ -1437,7 +1299,7 @@ mod tests {
 
         assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(5));
         let v5 = Arc::clone(&tv.inner().state.lock().old);
-        assert_eq!(tv.inner().lazy_try_lock(idx, 1).map(|(_, v)| v), Some(0));
+        assert_eq!(tv.inner().lazy_try_lock(idx, 1), Some(0));
         tv.inner().lazy_writeback_value(&6, 1);
         assert_eq!(reader.lent_len(), 2, "lazy write-back");
         assert!(Arc::strong_count(&v5) >= 2);
@@ -1450,6 +1312,98 @@ mod tests {
 
         reader.try_commit();
         slots::unpublish(idx);
+    }
+
+    /// Lazy-commit `value` into `tv` as attempt `me` on slot `idx`.
+    fn lazy_commit(tv: &TVar<u32>, idx: usize, me: u64, value: u32, wv: u64) {
+        assert!(tv.inner().lazy_try_lock(idx, me).is_some());
+        tv.inner().lazy_writeback_value(&value, wv);
+    }
+
+    #[test]
+    fn a_write_back_lends_to_an_active_lazy_reader_and_not_to_its_committer() {
+        for slot_count in [MAX_SLOTS, 0] {
+            crate::slots::reserve_reader_slots(MAX_SLOTS);
+            let tv = TVar::new_with_slots_for_test(1u32, slot_count);
+            let (idx, me) = published_state();
+            // The committer read the object before writing it.
+            let (p, seq, version) = tv.inner().lazy_sample(idx, &me).expect("unlocked");
+            // SAFETY: nothing has displaced the version yet.
+            assert_eq!((unsafe { *p }, seq, version), (1, 0, 0));
+            lazy_commit(&tv, idx, me.attempt_id, 2, 7);
+            assert_eq!(me.lent_len(), 0, "slots={slot_count}: no loan to itself");
+            // ... so what it displaced recycles: the next write-back builds
+            // its version in that allocation.
+            let v1 = Arc::as_ptr(tv.inner().state.lock().spare.as_ref().expect("retired"));
+            lazy_commit(&tv, idx, me.attempt_id, 3, 8);
+            assert_eq!(Arc::as_ptr(&tv.inner().state.lock().old), v1);
+            assert_eq!(me.lent_len(), 0);
+
+            // Another attempt's commit lends to it, `Active` as it is, and
+            // goes on lending: it stays registered.
+            let other = slots::next_attempt_id();
+            lazy_commit(&tv, idx, other, 4, 9);
+            lazy_commit(&tv, idx, other, 5, 10);
+            assert_eq!((me.lent_len(), counts_on_loan(&tv)), (2, 0));
+            assert_eq!(
+                tv.inner().lazy_sample(idx, &me).map(|(_, s, v)| (s, v)),
+                Some((8, 10)),
+                "four commits, each an odd and an even flip"
+            );
+
+            // Committed with loans in hand: nothing more is lent, the
+            // registration goes, and the loans wait for the record's reuse.
+            assert!(me.try_commit());
+            lazy_commit(&tv, idx, other, 6, 11);
+            assert_eq!(me.lent_len(), 2);
+            assert_eq!(tv.reader_count(), 0);
+            assert!(tv.inner().state.lock().readers.is_empty());
+            slots::unpublish(idx);
+
+            // Aborted and finished: as for the eager scan.
+            let (idx, finished) = published_state();
+            assert!(tv.inner().lazy_sample(idx, &finished).is_some());
+            finished.abort();
+            finished.finish_body();
+            lazy_commit(&tv, idx, other, 7, 12);
+            assert_eq!(finished.lent_len(), 0);
+            slots::unpublish(idx);
+        }
+    }
+
+    #[test]
+    fn dropping_the_object_lends_its_allocation_to_registered_lazy_readers() {
+        for slot_count in [MAX_SLOTS, 0] {
+            crate::slots::reserve_reader_slots(MAX_SLOTS);
+            let tv = TVar::new_with_slots_for_test(9u32, slot_count);
+            let (idx, reader) = published_state();
+            let (p, seq, _) = tv.inner().lazy_sample(idx, &reader).expect("unlocked");
+            let read = crate::engine::LazyRead::new(tv.inner(), seq);
+            let alloc = Arc::downgrade(&tv.inner);
+            // Aborted mid-validation: the body is not over until the
+            // owner says so.
+            reader.abort();
+            drop(tv);
+            assert_eq!(alloc.strong_count(), 0, "slots={slot_count}");
+            assert_eq!(reader.lent_len(), 1, "version and allocation, one loan");
+            assert!(reader.lent_all::<(Arc<u32>, Weak<TVarInner<u32>>)>());
+            drop(alloc);
+            // SAFETY: the loan holds the allocation and the version; the
+            // reader is aborted, not finished.
+            unsafe {
+                assert_eq!((*p, read.seq_now(), read.version_now()), (9, seq, 0));
+            }
+            reader.finish_body();
+            slots::unpublish(idx);
+        }
+    }
+
+    #[test]
+    fn the_object_header_is_no_larger_than_with_the_guard_counter() {
+        // 144 bytes at the parent of the change that made lazy reads
+        // borrows: the counter's eight went to `this`. The benchmark's
+        // read-mostly tree holds 65 536 of these.
+        assert!(std::mem::size_of::<TVarInner<u64>>() <= 144);
     }
 
     #[test]
@@ -1549,52 +1503,31 @@ mod tests {
     }
 
     #[test]
-    fn publish_only_when_still_owner() {
-        let tv: TVar<u32> = TVar::new(1);
-        let w1 = state(1);
-        {
-            let mut st = tv.inner().state.lock();
-            tv.inner().lock_snapshot();
-            st.writer = Some(Arc::clone(&w1));
-        }
-        let entry = TypedWrite {
-            tvar: tv.clone(),
-            shadow: Arc::new(42),
-        };
-        entry.publish(&w1);
-        assert!(tv.inner().state.lock().new.is_some());
-
-        // A stale owner must not clobber a newer writer's locator.
-        let tv2: TVar<u32> = TVar::new(1);
-        let w2 = state(2);
-        {
-            let mut st = tv2.inner().state.lock();
-            tv2.inner().lock_snapshot();
-            st.writer = Some(Arc::clone(&w2));
-        }
-        let stale = TypedWrite {
-            tvar: tv2.clone(),
-            shadow: Arc::new(99),
-        };
-        stale.publish(&w1); // w1 is not the owner of tv2
-        assert!(tv2.inner().state.lock().new.is_none());
-    }
-
-    #[test]
-    fn store_direct_resets_locator_and_slots() {
+    fn store_direct_resets_the_locator_and_keeps_live_registrations() {
         let tv = covered_tvar(1);
         let (idx, reader) = published_state();
         assert!(tv.inner().fast_read(idx, reader.attempt_id).is_some());
+        let gone = state(slots::next_attempt_id());
         let w = state(1);
         {
             let mut st = tv.inner().state.lock();
             tv.inner().lock_snapshot();
             st.writer = Some(w);
             st.new = Some(Arc::new(50));
+            st.register_reader(&gone);
         }
+        gone.try_commit();
         tv.store_direct(7);
         assert_eq!(*tv.sample(), 7);
-        assert_eq!(tv.reader_count(), 0);
+        assert_eq!(
+            (tv.reader_count(), reader.lent_len()),
+            (1, 1),
+            "a live reader keeps its registration and what it read"
+        );
+        assert!(
+            tv.inner().state.lock().readers.is_empty(),
+            "a finished one does not"
+        );
         // Fast path works again after the reset.
         assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(7));
         slots::unpublish(idx);

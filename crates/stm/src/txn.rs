@@ -48,8 +48,8 @@ pub type TxResult<T> = Result<T, TxError>;
 /// The version of an object a [`Txn::read`] observed. Dereferences to the
 /// value; it never changes, even if the object is rewritten later.
 ///
-/// Under the eager engine this is a plain borrow — the read took no count
-/// of the version — that stays valid until the attempt's body is over. The
+/// This is a plain borrow — the read took no count of the version — that
+/// stays valid until the attempt's body is over. The
 /// lifetime is the transaction's, which the body's closure is higher-ranked
 /// over, so the borrow cannot leave the closure, neither through its
 /// result:
@@ -75,8 +75,8 @@ pub type TxResult<T> = Result<T, TxError>;
 /// ```
 ///
 /// Copy the value out (`*tx.read(&tv)?` for a `Copy` type, `.clone()`
-/// otherwise) to keep it. Under the lazy engine, and when the transaction
-/// reads its own write, the handle owns a count of the version instead.
+/// otherwise) to keep it. When the transaction reads its own write, the
+/// handle owns a count of the shadow copy instead.
 pub struct ReadRef<'a, T>(Version<'a, T>);
 
 enum Version<'a, T> {
@@ -144,8 +144,8 @@ pub struct Txn<'a> {
     /// Lazy engine: the read watermark — committed versions `≤ rv` are
     /// "of the past" and safe to read. Unused (0) under the eager engine.
     pub(crate) rv: u64,
-    /// Lazy engine: the invisible-read set, re-validated at commit.
-    /// Stays empty under the eager engine.
+    /// Lazy engine: the read set, re-validated at commit. Stays empty
+    /// under the eager engine.
     pub(crate) reads: Vec<LazyRead>,
     /// When tracing, the `(object id, is_write)` access footprint of this
     /// attempt (reads of own writes are not re-recorded).

@@ -19,10 +19,10 @@
 //! quiesce — which is why the pool is a ring a few quiesce strides deep,
 //! not one slot.
 //!
-//! The record is also where a competitor parks what an aborted attempt may
-//! still be reading: eager reads are uncounted borrows, so whoever
-//! displaces a version lends a count of it to every registered attempt
-//! whose body has not returned ([`TxState::lend`]; the invariant is
+//! The record is also where a competitor parks what an attempt may still
+//! be reading: reads are uncounted borrows, so whoever displaces a version
+//! or frees an object lends a count of it to every registered attempt
+//! whose body or commit may still run ([`TxState::lend`]; the invariant is
 //! stated in [`crate::tvar`]).
 //!
 //! Fields that must *survive* retries of the same logical transaction (the
@@ -46,12 +46,14 @@ use crate::status::{AtomicStatus, TxStatus};
 /// under a window-based contention manager.
 pub const NOT_WINDOWED: u64 = u64::MAX;
 
-/// Object versions lent to an attempt whose body may still be reading
-/// them through uncounted borrows (see [`TxState::lend`]).
+/// Object versions (and, from an object's drop, allocations) lent to an
+/// attempt that may still be reading them through uncounted borrows (see
+/// [`TxState::lend`]).
 #[derive(Debug, Default)]
 struct Lent {
-    /// The attempt's body has returned, bailed out or unwound: none of its
-    /// borrows can be used again, so nothing more is lent.
+    /// The attempt's body has returned, bailed out or unwound and its
+    /// commit, if it got that far, has failed: none of its borrows can be
+    /// used again, so nothing more is lent.
     body_over: bool,
     versions: Vec<Arc<dyn Any + Send + Sync>>,
 }
@@ -106,10 +108,12 @@ pub struct TxState {
     window_gen: AtomicU64,
     /// Scratch slot for contention-manager-specific data.
     user_slot: AtomicU64,
-    /// Versions kept alive for this attempt's borrowed reads. Touched only
-    /// when the attempt was aborted under a running body (by whoever
-    /// displaces a version it read) and once by the owner when that body
-    /// is over — never on the path of a committed transaction.
+    /// Versions kept alive for this attempt's borrowed reads. Touched by
+    /// whoever displaces a version the attempt is registered on while it
+    /// may still run, and by the owner once on the abort arm
+    /// ([`Self::finish_body`]); the owner's commit path never locks it —
+    /// what a lazy attempt was lent while `Active` and still holds when it
+    /// commits is released by the record's reuse (or its drop).
     lent: Mutex<Lent>,
 }
 
@@ -223,23 +227,26 @@ impl TxState {
 
     // ---- versions lent to borrowed reads ----------------------------------
 
-    /// Give this attempt a count of `version`, which it may be reading
+    /// Give this attempt a count of `loan` — a version it may be reading
     /// through an uncounted borrow and which the caller is about to
-    /// displace, unless its body is already over. The count is dropped by
-    /// [`Self::finish_body`] (or by the record's reuse): an eager read
-    /// stays valid until the body that made it has returned, whatever
-    /// happens to the object meanwhile. See the invariant in
-    /// [`crate::tvar`].
-    pub(crate) fn lend<T: Send + Sync + 'static>(&self, version: &Arc<T>) {
+    /// displace, or that version together with the allocation of the
+    /// object the caller is freeing — unless its body and commit are
+    /// already over; returns whether it was taken. The count is dropped by
+    /// [`Self::finish_body`] or by the record's reuse: a read stays valid
+    /// until the body that made it has returned and its commit has
+    /// validated, whatever happens to the object meanwhile. See the
+    /// invariant in [`crate::tvar`].
+    pub(crate) fn lend(&self, loan: &Arc<dyn Any + Send + Sync>) -> bool {
         let mut lent = self.lent.lock();
         if !lent.body_over {
-            lent.versions
-                .push(Arc::clone(version) as Arc<dyn Any + Send + Sync>);
+            lent.versions.push(Arc::clone(loan));
         }
+        !lent.body_over
     }
 
-    /// The attempt's body is over: stop accepting lent versions and drop
-    /// the ones held. Owner only, after the last borrow is out of reach.
+    /// The attempt's body is over and so is its commit's validation: stop
+    /// accepting loans and drop the ones held. Owner only, after the last
+    /// borrow and the read set are out of reach.
     pub(crate) fn finish_body(&self) {
         let versions = {
             let mut lent = self.lent.lock();
@@ -260,6 +267,12 @@ impl TxState {
     #[cfg(test)]
     pub(crate) fn lent_len(&self) -> usize {
         self.lent.lock().versions.len()
+    }
+
+    /// Whether every loan held is an `X` (test introspection).
+    #[cfg(test)]
+    pub(crate) fn lent_all<X: Any>(&self) -> bool {
+        self.lent.lock().versions.iter().all(|l| l.is::<X>())
     }
 
     // ---- contention-manager metadata ------------------------------------
@@ -421,8 +434,15 @@ mod tests {
         s.set_assigned_frame(9);
         s.set_rank(3);
         s.set_waiting(true);
+        // Lent to while `Active`, then committed: the commit path never
+        // looks at the loan, the record's reuse drops it.
+        let version: Arc<dyn Any + Send + Sync> = Arc::new(7u64);
+        assert!(s.lend(&version));
         assert!(s.try_commit());
+        assert_eq!((s.lent_len(), Arc::strong_count(&version)), (1, 2));
         s.reset_for_attempt(77, 70, 2, 0, 40, 40, clockns::now(), 1);
+        assert_eq!((s.lent_len(), Arc::strong_count(&version)), (0, 1));
+        assert!(!s.body_over());
         assert_eq!(s.attempt_id, 77);
         assert_eq!(s.txn_id, 70);
         assert_eq!(s.thread_id, 2);

@@ -30,9 +30,92 @@ use std::mem::{align_of, size_of, MaybeUninit};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use crate::tvar::{ErasedWrite, TVar, TypedWrite};
+use crate::tvar::{ObjState, TVar};
 use crate::txstate::TxState;
 use crate::TxObject;
+
+/// A write-set entry, type-erased so one list can hold writes to objects
+/// of different types.
+pub(crate) trait ErasedWrite: Send {
+    /// Install the shadow copy as the locator's `new` version, iff the
+    /// committing transaction still owns the object.
+    fn publish(&self, me: &TxState);
+    /// Fold `me`'s terminal outcome into the locator
+    /// ([`crate::tvar::TVarInner::collapse_terminal`]).
+    fn release(&self, me: &TxState);
+    /// Single-entry fused commit ([`crate::tvar::TVarInner::commit_fused`]):
+    /// publish + status CAS + collapse under one object lock. Only called
+    /// when this entry is the transaction's entire write set.
+    fn commit_fused(&self, me: &TxState) -> bool;
+    /// Lazy engine: try to take the object's commit lock
+    /// ([`crate::tvar::TVarInner::lazy_try_lock`]).
+    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<u64>;
+    /// Lazy engine: the live commit-lock holder ([`crate::tvar::TVarInner::lazy_owner`]).
+    fn lazy_owner(&self) -> Option<Arc<TxState>>;
+    /// Lazy engine: fold an eager run's leftover terminal writer
+    /// ([`crate::tvar::TVarInner::collapse_eager_leftover`]).
+    fn collapse_eager_leftover(&self) -> bool;
+    /// Lazy engine: release the commit lock without writing
+    /// ([`crate::tvar::TVarInner::lazy_unlock`]).
+    fn lazy_unlock(&self);
+    /// Lazy engine: write the shadow back under the held lock
+    /// ([`crate::tvar::TVarInner::lazy_writeback_arc`]).
+    fn lazy_writeback(&self, wv: u64);
+    fn as_any(&self) -> &dyn Any;
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// Typed write-set entry: the object handle plus the private shadow copy.
+struct TypedWrite<T: TxObject> {
+    tvar: TVar<T>,
+    shadow: Arc<T>,
+}
+
+impl<T: TxObject> ErasedWrite for TypedWrite<T> {
+    fn release(&self, me: &TxState) {
+        self.tvar.inner().collapse_terminal(me);
+    }
+
+    fn commit_fused(&self, me: &TxState) -> bool {
+        let shadow = |_: &mut ObjState<T>| Arc::clone(&self.shadow);
+        self.tvar.inner().commit_fused(me, shadow)
+    }
+
+    fn publish(&self, me: &TxState) {
+        let mut st = self.tvar.inner().state.lock();
+        if st.owned_by(me) {
+            st.new = Some(Arc::clone(&self.shadow));
+        }
+    }
+
+    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<u64> {
+        self.tvar.inner().lazy_try_lock(slot_idx, attempt_id)
+    }
+
+    fn lazy_owner(&self) -> Option<Arc<TxState>> {
+        self.tvar.inner().lazy_owner()
+    }
+
+    fn collapse_eager_leftover(&self) -> bool {
+        self.tvar.inner().collapse_eager_leftover()
+    }
+
+    fn lazy_unlock(&self) {
+        self.tvar.inner().lazy_unlock();
+    }
+
+    fn lazy_writeback(&self, wv: u64) {
+        self.tvar.inner().lazy_writeback_arc(&self.shadow, wv);
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
 
 /// Size of the inline payload buffer: the object handle (8 bytes) plus up
 /// to 24 bytes of value.
@@ -60,10 +143,12 @@ impl<T: TxObject> ErasedWrite for InlinePayload<T> {
     }
 
     fn commit_fused(&self, me: &TxState) -> bool {
-        self.tvar.inner().commit_value_fused(&self.value, me)
+        self.tvar
+            .inner()
+            .commit_fused(me, |st| st.version_of(&self.value))
     }
 
-    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<(u64, u64)> {
+    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<u64> {
         self.tvar.inner().lazy_try_lock(slot_idx, attempt_id)
     }
 
@@ -263,6 +348,10 @@ mod tests {
     use super::*;
     use crate::clockns;
 
+    fn state(id: u64) -> Arc<TxState> {
+        Arc::new(TxState::new(id, id, 0, 0, id, id, clockns::now(), 0))
+    }
+
     #[test]
     fn inline_threshold_is_24_value_bytes() {
         assert!(WriteEntry::fits_inline::<u64>());
@@ -324,7 +413,7 @@ mod tests {
     #[test]
     fn publish_installs_only_while_owner() {
         let tv: TVar<u64> = TVar::new(3);
-        let me = Arc::new(TxState::new(11, 11, 0, 0, 1, 1, clockns::now(), 0));
+        let me = state(11);
         let e = WriteEntry::new_inline(tv.clone(), 42u64);
         // Not the owner: publish is a no-op.
         e.publish(&me);
@@ -338,5 +427,36 @@ mod tests {
         e.publish(&me);
         assert!(me.try_commit());
         assert_eq!(*tv.sample(), 42);
+    }
+    #[test]
+    fn publish_only_when_still_owner() {
+        let tv: TVar<u32> = TVar::new(1);
+        let w1 = state(1);
+        {
+            let mut st = tv.inner().state.lock();
+            tv.inner().lock_snapshot();
+            st.writer = Some(Arc::clone(&w1));
+        }
+        let entry = TypedWrite {
+            tvar: tv.clone(),
+            shadow: Arc::new(42),
+        };
+        entry.publish(&w1);
+        assert!(tv.inner().state.lock().new.is_some());
+
+        // A stale owner must not clobber a newer writer's locator.
+        let tv2: TVar<u32> = TVar::new(1);
+        let w2 = state(2);
+        {
+            let mut st = tv2.inner().state.lock();
+            tv2.inner().lock_snapshot();
+            st.writer = Some(Arc::clone(&w2));
+        }
+        let stale = TypedWrite {
+            tvar: tv2.clone(),
+            shadow: Arc::new(99),
+        };
+        stale.publish(&w1); // w1 is not the owner of tv2
+        assert!(tv2.inner().state.lock().new.is_none());
     }
 }

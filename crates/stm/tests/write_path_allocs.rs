@@ -2,20 +2,23 @@
 //!
 //! Installs the vendored counting allocator as the test binary's global
 //! allocator and proves that, after warmup, transactions writing
-//! `u64`-sized values perform **zero** heap allocations and deallocations:
+//! `u64`-sized values perform **zero** heap allocations and deallocations
+//! under either engine:
 //!
 //! * write-set entries store their values inline (no `Box<dyn ErasedWrite>`)
 //!   in a `Vec` the thread context pools, however wide the write set,
 //! * published `Arc` versions are recycled through `ObjState::spare`,
 //! * `TxState` attempts come from the per-thread pool,
-//! * stats are bumped in pre-existing atomics.
+//! * stats are bumped in pre-existing atomics,
+//! * a lazy commit sorts its write set in place and counts what it locked,
+//!   and its read set is plain words in a pooled `Vec`.
 //!
 //! The counters are per-thread, so the libtest harness running other
 //! tests concurrently cannot pollute the measurement — but this file
 //! intentionally contains a single `#[test]` anyway so the assertion
 //! failure output is unambiguous.
 
-use wtm_stm::{CmDispatch, Stm, TVar, ThreadCtx, TxResult, Txn};
+use wtm_stm::{CmDispatch, EngineKind, Stm, TVar, ThreadCtx, TxResult, Txn};
 
 #[global_allocator]
 static ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
@@ -44,18 +47,24 @@ fn run_mix(ctx: &ThreadCtx<'_>, a: &TVar<u64>, b: &TVar<u64>, wide: &[TVar<u64>]
 
 #[test]
 fn write_commit_path_is_allocation_free_for_small_values() {
-    let stm = Stm::new(CmDispatch::AbortSelf, 1);
+    for engine in EngineKind::ALL {
+        allocation_free_under(engine);
+    }
+}
+
+fn allocation_free_under(engine: EngineKind) {
+    let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, engine);
     let ctx = stm.thread(0);
     let a: TVar<u64> = TVar::new(0);
     let b: TVar<u64> = TVar::new(0);
     let wide: Vec<TVar<u64>> = (0..12).map(|_| TVar::new(0)).collect();
 
     // Warmup: populate the TxState pool, the per-object spare-Arc slots,
-    // write-set capacity, and the lazily-initialised clock. The warmup
-    // runs the *same* transaction mix as the measured region so the pool
-    // reaches the mix's own steady-state rotation (a released state stays
-    // shared until the registry republish and any lazy locator collapses
-    // drain, so the rotation depends on the interleaving).
+    // read- and write-set capacity, and the lazily-initialised clock. The
+    // warmup runs the *same* transaction mix as the measured region so the
+    // pool reaches the mix's own steady-state rotation (a released state
+    // stays shared until the registry republish and any lazy locator
+    // collapses drain, so the rotation depends on the interleaving).
     for _ in 0..96 {
         run_mix(&ctx, &a, &b, &wide);
     }
@@ -71,7 +80,7 @@ fn write_commit_path_is_allocation_free_for_small_values() {
     assert_eq!(
         (allocs, deallocs),
         (0, 0),
-        "write/commit path allocated: {allocs} allocs / {deallocs} deallocs \
+        "{engine}: write/commit path allocated: {allocs} allocs / {deallocs} deallocs \
          over {N} rounds of the three-transaction mix (expected zero after warmup)"
     );
 
