@@ -1,23 +1,22 @@
 //! Epoch-based reclamation: the one lifetime protocol for every
 //! deferred-free structure in the engine.
 //!
-//! Three bespoke protocols used to guard cross-thread memory hand-off:
-//! the registry's guarded-pointer Dekker handshake (`slots.rs`), the
-//! deferred-withdrawal carry threaded through the retry loop (`stm.rs`),
-//! and the leak-on-race segment publication of the dynamic frame table
-//! (`wtm-window`). They are all the same problem — *free this allocation
-//! once no concurrent reader can still hold a raw pointer into it* — so
-//! this module solves it once, crossbeam-style:
+//! Two hand-offs rest on it: the reader registry's published attempt
+//! states (`slots.rs`, where a republish retires the displaced
+//! reference) and the attempt states the retry loop parks in its ring
+//! (`stm.rs`, recycled once that reference is gone). Both are one problem
+//! — *drop this reference once no concurrent reader can still hold a raw
+//! pointer into it* — solved once, crossbeam-style, for `Arc`s:
 //!
 //! * A global epoch counter ([`global_epoch`]) advances by CAS when every
 //!   *pinned* thread is pinned in the current epoch.
 //! * A reader [`pin`]s before dereferencing shared raw pointers: one
 //!   store to its own cache-line-padded epoch slot, one `SeqCst` fence,
 //!   one recheck load. No RMW, no lock, no shared-line write.
-//! * A writer unlinks a pointer, then [`retire_arc`]s (or
-//!   [`retire_boxed_slice`]s) it into its thread-local *bag*, stamped
-//!   with the current epoch `r`. The item is freed once the global epoch
-//!   reaches `r + 2`: any reader that could have loaded the old pointer
+//! * A writer unlinks a pointer, then [`retire_arc`]s it into its
+//!   thread-local *bag*, stamped with the current epoch `r`. The reference
+//!   is dropped once the global epoch reaches `r + 2`: any reader that
+//!   could have loaded the old pointer
 //!   was pinned at an epoch `<= r` (and blocks advance past `r + 1`),
 //!   while a reader pinned at `>= r + 1` is ordered after the unlink by
 //!   the `SeqCst` fences in [`pin`] and `retire` and can only see the new
@@ -216,30 +215,20 @@ impl Drop for RawSlotClaim {
 // Deferred-drop bags
 // ---------------------------------------------------------------------------
 
-/// One retired allocation: a type-erased pointer plus the monomorphized
-/// drop shim that reconstructs and drops it.
+/// One retired reference, type-erased; `Send + Sync` lets whichever thread
+/// drains it (including the orphan path) drop it.
 struct BagItem {
     /// Global epoch at retire time; freeable once `global >= epoch + 2`.
     epoch: u64,
-    ptr: *mut (),
-    /// Per-shim payload (slice length for boxed slices; unused for Arcs).
-    aux: usize,
-    drop_fn: unsafe fn(*mut (), usize),
+    item: Arc<dyn Send + Sync>,
 }
 
-// SAFETY: the retire_* constructors require `T: Send`, so the erased
-// allocation may be dropped from whichever thread drains it (including
-// the orphan path).
-unsafe impl Send for BagItem {}
-
 impl BagItem {
-    /// Drop the allocation, accounting it on `FREED`'s shard `shard` (the
+    /// Drop the reference, accounting it on `FREED`'s shard `shard` (the
     /// draining participant's index, so the hot path bumps its own line).
     fn free(self, shard: usize) {
         FREED.add(shard, 1);
-        // SAFETY: `ptr`/`aux` were produced together with `drop_fn` by one
-        // of the retire_* constructors and are consumed exactly once.
-        unsafe { (self.drop_fn)(self.ptr, self.aux) }
+        drop(self.item);
     }
 }
 
@@ -256,8 +245,8 @@ fn orphan_push(items: impl IntoIterator<Item = BagItem>) {
 }
 
 fn drain_orphans(global: u64) {
-    // Collect eligible items under the lock, free them outside it: a drop
-    // shim is allowed to retire again (which takes the lock on the
+    // Collect eligible items under the lock, free them outside it: an
+    // item's drop is allowed to retire again (which takes the lock on the
     // orphan fallback path).
     let eligible: Vec<BagItem> = {
         let Ok(mut v) = ORPHANS.try_lock() else {
@@ -338,8 +327,7 @@ pub struct Guard {
 }
 
 /// Pin the current thread into the global epoch. Dereference shared raw
-/// pointers (registry states, frame-table segments) only while the
-/// returned guard is alive.
+/// pointers (registry states) only while the returned guard is alive.
 pub fn pin() -> Guard {
     let slot_pinned = PARTICIPANT.try_with(|p| {
         if p.idx == NO_EPOCH_SLOT {
@@ -469,28 +457,6 @@ pub fn try_advance() -> u64 {
 /// that could have loaded the raw pointer before it was unlinked has left
 /// its critical section.
 pub fn retire_arc<T: Send + Sync + 'static>(arc: Arc<T>) {
-    unsafe fn drop_arc<T>(ptr: *mut (), _aux: usize) {
-        // SAFETY: `ptr` came from `Arc::into_raw` in `retire_arc` and is
-        // consumed exactly once.
-        drop(unsafe { Arc::from_raw(ptr as *const T) });
-    }
-    let raw = Arc::into_raw(arc) as *mut ();
-    retire_with_fallback(raw, 0, drop_arc::<T>);
-}
-
-/// Retire a boxed slice (the frame table's growth segments).
-pub fn retire_boxed_slice<T: Send + 'static>(b: Box<[T]>) {
-    unsafe fn drop_slice<T>(ptr: *mut (), len: usize) {
-        // SAFETY: `ptr`/`len` came from `Box::into_raw` of a `Box<[T]>`
-        // of length `len` in `retire_boxed_slice`, consumed exactly once.
-        drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr as *mut T, len)) });
-    }
-    let len = b.len();
-    let raw = Box::into_raw(b) as *mut T as *mut ();
-    retire_with_fallback(raw, len, drop_slice::<T>);
-}
-
-fn retire_with_fallback(ptr: *mut (), aux: usize, drop_fn: unsafe fn(*mut (), usize)) {
     // Order the caller's unlink before the epoch read: an advance that a
     // later reader pins into is then ordered after the unlink, so that
     // reader cannot see the retired pointer (the second half of the
@@ -499,9 +465,7 @@ fn retire_with_fallback(ptr: *mut (), aux: usize, drop_fn: unsafe fn(*mut (), us
     fence(Ordering::SeqCst);
     let mut item = Some(BagItem {
         epoch: GLOBAL.load(Ordering::SeqCst),
-        ptr,
-        aux,
-        drop_fn,
+        item: arc,
     });
     let pushed = PARTICIPANT.try_with(|p| {
         RETIRED.add(p.idx, 1);
@@ -526,8 +490,8 @@ fn retire_with_fallback(ptr: *mut (), aux: usize, drop_fn: unsafe fn(*mut (), us
 fn collect_local(p: &Participant) {
     let global = try_advance();
     loop {
-        // Pop outside the free call: a drop shim may legally retire more
-        // garbage, which re-borrows the bag.
+        // Pop outside the free call: an item's drop may legally retire
+        // more garbage, which re-borrows the bag.
         let item = {
             let mut bag = p.bag.borrow_mut();
             match bag.front() {
@@ -705,24 +669,6 @@ mod tests {
         assert!(
             quiesce_until(|| dropped.load(Ordering::SeqCst)),
             "an exited thread's garbage must be freed by survivors"
-        );
-    }
-
-    #[test]
-    fn retired_boxed_slice_is_freed() {
-        // Drop observability via a canary element.
-        struct Elem(Arc<AtomicBool>);
-        impl Drop for Elem {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-        let dropped = Arc::new(AtomicBool::new(false));
-        let slice: Box<[Elem]> = vec![Elem(Arc::clone(&dropped))].into_boxed_slice();
-        retire_boxed_slice(slice);
-        assert!(
-            quiesce_until(|| dropped.load(Ordering::SeqCst)),
-            "retired slice must be freed after two advances"
         );
     }
 

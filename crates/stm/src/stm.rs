@@ -1052,8 +1052,11 @@ mod tests {
         });
     }
 
-    /// A manager nobody may have to ask.
-    struct NoConflictExpected;
+    /// A manager nobody may have to ask; it counts the aborts it is told of.
+    #[derive(Default)]
+    struct NoConflictExpected {
+        aborts: std::sync::atomic::AtomicUsize,
+    }
 
     impl ContentionManager for NoConflictExpected {
         fn resolve(
@@ -1067,6 +1070,10 @@ mod tests {
                 enemy.attempt_id
             )
         }
+        fn on_abort(&self, _: &TxState) {
+            self.aborts
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
         fn name(&self) -> &str {
             "NoConflictExpected"
         }
@@ -1076,7 +1083,8 @@ mod tests {
     fn a_panicking_body_is_aborted_rolled_back_and_withdrawn() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         for engine in EngineKind::ALL {
-            let stm = Stm::with_engine(Arc::new(NoConflictExpected), 2, engine);
+            let cm = Arc::new(NoConflictExpected::default());
+            let stm = Stm::with_engine(cm.clone(), 2, engine);
             let (read, written): (TVar<u64>, TVar<u64>) = (TVar::new(1), TVar::new(10));
             let ctx = stm.thread(0);
             let mut seen = None;
@@ -1118,11 +1126,50 @@ mod tests {
             assert_eq!(snap.commits, 2, "{engine}");
             assert_eq!(snap.aborts, 1, "{engine}: the unwound attempt is an abort");
             assert_eq!(
+                cm.aborts.load(std::sync::atomic::Ordering::Relaxed),
+                1,
+                "{engine}: the manager hears of it once"
+            );
+            assert_eq!(
                 snap.conflicts_ww + snap.conflicts_rw + snap.conflicts_wr,
                 0,
                 "{engine}"
             );
         }
+    }
+
+    #[test]
+    fn a_panicking_body_releases_the_ats_admission_token() {
+        // Threshold -1: every attempt serializes through the token, which
+        // only `on_commit`/`on_abort` hand back. Thread 0's body panics
+        // holding it; thread 1 must still get in.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let ats = crate::managers::Ats::with_params(2, 0.75, -1.0);
+        let stm = Arc::new(Stm::new(CmDispatch::Ats(Arc::new(ats)), 2));
+        let tv: TVar<u64> = TVar::new(0);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            stm.thread(0).atomic(|tx| -> TxResult<()> {
+                tx.write(&tv, 1)?;
+                panic!("body gives up")
+            })
+        }));
+        assert!(unwound.is_err());
+        let (done_tx, done_rx) = mpsc::channel();
+        // Not scoped: a thread stuck in `on_begin` must fail the test, not
+        // hang it, so it is joined only once it has reported back.
+        let (stm2, tv2) = (Arc::clone(&stm), tv.clone());
+        let second = std::thread::spawn(move || {
+            stm2.thread(1).atomic(|tx| tx.write(&tv2, 2));
+            done_tx.send(()).expect("the test thread waits for this");
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(3)).is_ok(),
+            "thread 1 is stuck waiting for the token the unwound attempt held"
+        );
+        second.join().expect("thread 1 committed");
+        assert_eq!(*tv.sample(), 2);
     }
 
     /// Forwards every hook to `inner` and records the timestamps each

@@ -442,7 +442,9 @@ impl<'a> Txn<'a> {
 /// Armed around the call of a transaction's body: dropped only when the
 /// body unwinds (the caller forgets it otherwise), so that a panic leaves
 /// nothing behind that names the attempt — competitors would otherwise meet
-/// an `Active` writer that never finishes, and a slot that stays published.
+/// an `Active` writer that never finishes, a slot that stays published, and
+/// a contention manager that never heard the attempt end (ATS would keep
+/// its admission token).
 pub(crate) struct Unwound<'t, 'a>(pub(crate) &'t mut Txn<'a>);
 
 impl Drop for Unwound<'_, '_> {
@@ -456,5 +458,6 @@ impl Drop for Unwound<'_, '_> {
         txn.ctx.stats().record_abort(txn.opens, ran);
         // The unwind has already dropped every borrow the body held.
         txn.state.finish_body();
+        txn.ctx.cm().on_abort(&txn.state);
     }
 }

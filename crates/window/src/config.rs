@@ -39,10 +39,6 @@ pub struct WindowConfig {
     /// Update `τ` from an EWMA of committed attempt durations (recommended;
     /// disable for fully deterministic frame lengths in tests).
     pub auto_calibrate: bool,
-    /// EWMA weight for the contention-intensity estimator
-    /// (`ContentionIntensity` mode). The ATS paper suggests values around
-    /// 0.3–0.5 for the *new sample*; we store the weight of the old value.
-    pub ci_alpha: f64,
     /// RNG seed for the random delays `qᵢ` and ranks π₂ (per-thread
     /// streams are derived from it).
     pub seed: u64,
@@ -65,7 +61,6 @@ impl WindowConfig {
             phi_factor: 2.0,
             tau_initial: Duration::from_micros(20),
             auto_calibrate: true,
-            ci_alpha: 0.7,
             seed: 0x5EED_CAFE,
             barrier_timeout: Duration::from_secs(5),
         }
@@ -115,11 +110,10 @@ impl WindowConfig {
         (ns.max(1.0)) as u64
     }
 
-    /// Upper bound on frames a window can need: delays span at most `N`
-    /// frames (α ≤ N) plus one frame per transaction, plus slack for
-    /// adaptive re-randomization.
-    pub fn max_frames_hint(&self) -> usize {
-        2 * self.n + 2
+    /// The frames a window assigns: `Fᵢⱼ = qᵢ + (j − 1)` with `qᵢ < α ≤ N`
+    /// and `j ≤ N` spans frames `0 … 2N − 2`.
+    pub fn frames_per_window(&self) -> usize {
+        2 * self.n - 1
     }
 }
 

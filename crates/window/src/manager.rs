@@ -80,6 +80,11 @@ const TAU_SAMPLE_CAP_NS: u64 = 10_000_000; // 10 ms
 /// EWMA weight of the previous τ estimate.
 const TAU_EWMA_OLD: f64 = 0.8;
 
+/// EWMA weight of the previous contention-intensity value
+/// (`ContentionIntensity` mode). The ATS paper suggests 0.3–0.5 for the
+/// *new sample*.
+const CI_ALPHA: f64 = 0.7;
+
 struct RunSlot {
     generation: u64,
     run: Arc<WindowRun>,
@@ -146,7 +151,7 @@ impl WindowManager {
         let initial_run = Arc::new(WindowRun::new(
             variant.dynamic_frames(),
             cfg.frame_len_ns(cfg.tau_initial.as_nanos() as f64),
-            cfg.max_frames_hint(),
+            cfg.frames_per_window(),
         ));
         WindowManager {
             barrier: CancellableBarrier::new(cfg.m),
@@ -157,7 +162,7 @@ impl WindowManager {
                 run: initial_run,
             }),
             free_run: {
-                let run = WindowRun::new(false, 1, 1);
+                let run = WindowRun::new(false, 1, 0);
                 run.seal_registration(); // its clock runs from here on
                 Arc::new(run)
             },
@@ -251,7 +256,7 @@ impl WindowManager {
             slot.run = Arc::new(WindowRun::new(
                 self.variant.dynamic_frames(),
                 self.cfg.frame_len_ns(self.mean_tau_ns()),
-                self.cfg.max_frames_hint(),
+                self.cfg.frames_per_window(),
             ));
             slot.generation = generation;
         }
@@ -391,19 +396,16 @@ impl WindowManager {
 
     /// Re-randomize the rest of the window after a bad event (§II-B3):
     /// restart the schedule at the next frame with a fresh delay drawn
-    /// from the updated estimate.
-    fn re_randomize(&self, tw: &mut ThreadWindow, run: &WindowRun, cur_frame: u64) {
-        let n = self.cfg.n;
-        let remaining = (tw.j + 1)..n; // transactions after the one committing
-        let new_base = cur_frame + 1;
-        let new_q = tw.rng.random_range(0..self.cfg.alpha_for(tw.c));
-        for jj in remaining {
-            let old = tw.base + tw.q + (jj - tw.j_base) as u64;
-            let new = new_base + new_q + (jj - (tw.j + 1)) as u64;
-            run.reassign(old, new);
-        }
-        tw.base = new_base;
-        tw.q = new_q;
+    /// from the updated estimate. Only static runs miss frames (run.rs,
+    /// "The pending table"), and they count nothing, so the run is not
+    /// told.
+    fn re_randomize(&self, tw: &mut ThreadWindow, cur_frame: u64) {
+        debug_assert!(
+            !self.variant.dynamic_frames(),
+            "a dynamic frame ends only once its transactions have committed"
+        );
+        tw.base = cur_frame + 1;
+        tw.q = tw.rng.random_range(0..self.cfg.alpha_for(tw.c));
         tw.j_base = tw.j + 1;
     }
 
@@ -519,7 +521,7 @@ impl ContentionManager for WindowManager {
         // Contention intensity decays on commit. Single writer (owner):
         // load-modify-store on the atomic cell is race-free.
         cell.ci.store(
-            cell.ci.load(Ordering::Relaxed) * self.cfg.ci_alpha,
+            cell.ci.load(Ordering::Relaxed) * CI_ALPHA,
             Ordering::Relaxed,
         );
 
@@ -527,15 +529,9 @@ impl ContentionManager for WindowManager {
             if tw.free_mode {
                 return;
             }
-            // Raw pointer instead of `tw.run.clone()`: no Arc refcount
-            // traffic per commit. SAFETY: the Arc it was taken from lives
-            // in `tw.run` for the whole scope — `re_randomize` and the
-            // frame bookkeeping below never replace `tw.run`.
-            let run_ptr: *const WindowRun = match tw.run.as_deref() {
-                Some(r) => r,
-                None => return,
+            let Some(run) = tw.run.as_deref() else {
+                return;
             };
-            let run = unsafe { &*run_ptr };
             let assigned = tx.assigned_frame();
             if assigned == NOT_WINDOWED {
                 return;
@@ -554,12 +550,12 @@ impl ContentionManager for WindowManager {
                         // Keep the diagnostic mirror live (atomic store,
                         // not a lock — still on the zero-mutex path).
                         cell.c_mirror.store(tw.c, Ordering::Relaxed);
-                        self.re_randomize(tw, run, cur);
+                        self.re_randomize(tw, cur);
                     }
                     AdaptiveMode::ContentionIntensity => {
                         tw.c = self.c_from_ci(cell.ci.load(Ordering::Relaxed));
                         cell.c_mirror.store(tw.c, Ordering::Relaxed);
-                        self.re_randomize(tw, run, cur);
+                        self.re_randomize(tw, cur);
                     }
                 }
             }
@@ -577,7 +573,7 @@ impl ContentionManager for WindowManager {
         // atomics on the owner-published cell: no lock, no cell entry.
         let ci = &self.threads[tx.thread_id].ci;
         ci.store(
-            self.cfg.ci_alpha * ci.load(Ordering::Relaxed) + (1.0 - self.cfg.ci_alpha),
+            CI_ALPHA * ci.load(Ordering::Relaxed) + (1.0 - CI_ALPHA),
             Ordering::Relaxed,
         );
     }

@@ -23,35 +23,27 @@
 //!   a frame simply lasts until its transactions are done, which the paper
 //!   notes is rarely needed because of the pending-commit property.
 //!
-//! ## Lock-free dynamic clock
+//! ## The pending table
 //!
-//! The dynamic driver used to funnel every register/complete through a
-//! `Mutex<Vec<u32>>` — all M threads serialized on one lock per commit,
-//! which is exactly the per-transaction overhead Fig. 5 measures. It is
-//! now an array of cache-line-padded `AtomicU32` per-frame pending
-//! counters plus an atomic `cur` cursor advanced by CAS when the current
-//! frame's counter drains:
+//! Thread i's j-th transaction of a window is assigned frame `qᵢ + j` with
+//! `qᵢ < αᵢ ≤ N` and `j < N`, so a window assigns frames `0 … 2N−2` and no
+//! others ([`crate::WindowConfig::frames_per_window`]). A dynamic run holds
+//! one fixed table of that many cache-line-padded `AtomicU32` pending
+//! counters, allocated with the run and never grown or moved; a static run
+//! counts nothing and allocates none. [`WindowRun::register_all`] asserts
+//! that every frame is inside the table.
 //!
-//! * `register(f)` is one `fetch_add` on the frame's counter plus a
-//!   `fetch_max` on the high-water mark — wait-free.
-//! * `complete(f)` is a decrement-if-positive CAS loop on one counter
-//!   followed by the shared advance loop — lock-free.
+//! No registration ever moves between frames. Re-randomizing the rest of
+//! a window (§II-B3) follows a transaction that committed after its frame
+//! ended, and under dynamic contraction a frame ends only once every
+//! transaction assigned to it has committed — so only static runs
+//! re-randomize, and they count nothing.
+//!
+//! * `register_all` is one `fetch_add` per frame plus one `fetch_max` on
+//!   the high-water mark — wait-free.
+//! * `complete(f)` is one `fetch_sub` on the frame's counter, followed by
+//!   the shared advance loop when it drained the frame — lock-free.
 //! * `current_frame()` is a single `Acquire` load.
-//!
-//! Frames beyond the pre-sized base table land in lazily-allocated,
-//! doubling *growth segments* published through `AtomicPtr` CAS, so
-//! re-randomized schedules that push past the hint never reintroduce a
-//! lock and never move existing counters. Segment lifetime is managed by
-//! the shared [`wtm_stm::epoch`] reclamation layer rather than a bespoke
-//! protocol: every path that dereferences a segment pointer holds an
-//! epoch pin, and every unlink (the CAS loser's orphaned allocation, and
-//! the published segments at `Drop`) is retired through
-//! [`wtm_stm::epoch::retire_boxed_slice`] instead of freed inline. Today
-//! a published segment is never replaced, so the pins are vacuously
-//! cheap insurance — but they make any future segment swap (shrinking
-//! the table between windows, say) safe by construction, and they put
-//! the frame table on the same reclamation primitive as the reader
-//! registry and the transaction-state pool.
 //!
 //! ### Orderings and the no-skip invariant
 //!
@@ -60,16 +52,10 @@
 //! always seen by any later advance — and the first advance is the seal,
 //! which every thread runs after that barrier: nothing reads or moves the
 //! cursor of a run while threads are still registering into it, so the
-//! clock cannot pass a frame that still has base-schedule work. `reassign` increments the new frame
-//! *before* decrementing the old one — the transient state double-counts,
-//! which can only delay contraction, never wrongly advance it. The one
-//! benign race left is a reassign targeting the frame the cursor is
-//! advancing past in the same instant; the winner-side re-check counts
-//! those in [`WindowRun::skipped_pending`] (zero in every run without
-//! adaptive re-randomization — asserted by the contraction stress test)
-//! and the affected transaction merely turns high-priority a frame early.
+//! clock cannot pass a frame that still has work. After the seal a count
+//! only goes down, so a frame the cursor has passed stays drained.
 
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use wtm_stm::clockns;
 
@@ -79,23 +65,6 @@ use wtm_stm::clockns;
 #[repr(align(64))]
 #[derive(Debug)]
 struct FrameCounter(AtomicU32);
-
-impl FrameCounter {
-    const fn new() -> Self {
-        FrameCounter(AtomicU32::new(0))
-    }
-}
-
-fn alloc_counters(len: usize) -> Box<[FrameCounter]> {
-    (0..len).map(|_| FrameCounter::new()).collect()
-}
-
-/// Number of doubling growth segments past the base table. Segment `k`
-/// (0-based) holds `base_cap << (k + 1)` frames, so 32 segments extend
-/// the clock by `base_cap · (2³³ − 2)` frames — unreachable in practice
-/// (a window registers O(N²) frames at worst), but the growth path stays
-/// total instead of panicking.
-const GROWTH_SEGMENTS: usize = 32;
 
 /// Shared frame clock for one window execution.
 pub struct WindowRun {
@@ -112,41 +81,23 @@ pub struct WindowRun {
     /// monotonically (`fetch_max`), only *after* the frame's counter is
     /// visible, so the cursor never enters a frame before its count.
     high_water: AtomicU64,
-    /// Pending counters for frames `[0, base_cap)`. Power-of-two length.
-    base: Box<[FrameCounter]>,
-    /// Lazily-allocated doubling segments for frames `>= base_cap`;
-    /// segment `k` covers `base_cap·(2^(k+1)−1) ..` with `base_cap·2^(k+1)`
-    /// slots. Published by CAS from null; never replaced or moved.
-    /// Dereferenced only under an epoch pin; reclaimed via
-    /// [`wtm_stm::epoch::retire_boxed_slice`].
-    growth: [AtomicPtr<FrameCounter>; GROWTH_SEGMENTS],
-    /// Diagnostic: advances that won the cursor CAS and then observed a
-    /// racing registration land in the frame just passed (only possible
-    /// through adaptive re-randomization; see module docs).
-    skipped_pending: AtomicU64,
+    /// Pending counters, one per frame a window assigns; empty for a
+    /// static run.
+    pending: Box<[FrameCounter]>,
 }
 
-// SAFETY: all shared state is atomics; the raw segment pointers are
-// published once via CAS, dereferenced only under an epoch pin, retired
-// (not freed inline) on unlink, and point at heap allocations of
-// `FrameCounter` (themselves atomics).
-unsafe impl Send for WindowRun {}
-unsafe impl Sync for WindowRun {}
-
 impl WindowRun {
-    /// New frame clock. `frame_len_ns` is ignored for dynamic runs except
-    /// as a fallback; `frames_hint` pre-sizes the pending table.
-    pub fn new(dynamic: bool, frame_len_ns: u64, frames_hint: usize) -> Self {
-        let base_cap = frames_hint.max(2).next_power_of_two();
+    /// New frame clock. `frame_len_ns` drives static runs only; a dynamic
+    /// run gets a pending table of `frames` counters.
+    pub fn new(dynamic: bool, frame_len_ns: u64, frames: usize) -> Self {
+        let len = if dynamic { frames } else { 0 };
         WindowRun {
             start_ns: AtomicU64::new(0),
             frame_len_ns: frame_len_ns.max(1),
             dynamic,
             cur: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
-            base: alloc_counters(base_cap),
-            growth: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-            skipped_pending: AtomicU64::new(0),
+            pending: (0..len).map(|_| FrameCounter(AtomicU32::new(0))).collect(),
         }
     }
 
@@ -174,127 +125,27 @@ impl WindowRun {
         }
     }
 
-    fn base_cap(&self) -> u64 {
-        self.base.len() as u64
-    }
-
-    /// Length of growth segment `k`.
     #[inline]
-    fn segment_len(&self, k: usize) -> u64 {
-        self.base_cap() << (k + 1)
+    fn counter(&self, frame: u64) -> &AtomicU32 {
+        &self.pending[frame as usize].0
     }
 
-    /// First frame covered by growth segment `k`:
-    /// `base_cap · (2^(k+1) − 1)`.
-    #[inline]
-    fn segment_start(&self, k: usize) -> u64 {
-        self.base_cap() * ((1u64 << (k + 1)) - 1)
-    }
-
-    /// Map a frame index to `(segment, offset)`; segment `usize::MAX`
-    /// means the base table.
-    #[inline]
-    fn locate(&self, frame: u64) -> (usize, usize) {
-        let cap = self.base_cap();
-        if frame < cap {
-            return (usize::MAX, frame as usize);
-        }
-        // Frame f >= cap lives in the segment k with
-        // segment_start(k) <= f < segment_start(k+1); since
-        // segment_start(k) = cap·(2^(k+1)−1), k = floor(log2(f/cap + 1)) − 1.
-        let x = frame / cap + 1;
-        let k = (63 - x.leading_zeros()) as usize - 1;
-        debug_assert!(k < GROWTH_SEGMENTS, "frame {frame} beyond the growth range");
-        let k = k.min(GROWTH_SEGMENTS - 1);
-        ((k), (frame - self.segment_start(k)) as usize)
-    }
-
-    /// The counter for `frame`, allocating its growth segment if needed.
-    /// Callers that can reach a growth segment must hold an epoch pin
-    /// (the returned reference is only as durable as the pin).
-    fn counter_alloc(&self, frame: u64) -> &AtomicU32 {
-        let (k, off) = self.locate(frame);
-        if k == usize::MAX {
-            return &self.base[off].0;
-        }
-        let slot = &self.growth[k];
-        let mut ptr = slot.load(Ordering::Acquire);
-        if ptr.is_null() {
-            let fresh = alloc_counters(self.segment_len(k) as usize);
-            let len = fresh.len();
-            let raw = Box::into_raw(fresh) as *mut FrameCounter;
-            match slot.compare_exchange(
-                std::ptr::null_mut(),
-                raw,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => ptr = raw,
-                Err(winner) => {
-                    // This thread still uniquely owns `raw` (it lost the
-                    // publication race), but hand it to the epoch layer
-                    // anyway: every segment unlink goes through one
-                    // reclamation primitive, not a case analysis.
-                    // SAFETY: `raw` came from `Box::into_raw` above with
-                    // length `len`.
-                    wtm_stm::epoch::retire_boxed_slice(unsafe {
-                        Box::from_raw(std::ptr::slice_from_raw_parts_mut(raw, len))
-                    });
-                    ptr = winner;
-                }
-            }
-        }
-        // SAFETY: `ptr` was published by the CAS above (or an earlier
-        // one) from a live `Box<[FrameCounter]>` of length
-        // segment_len(k), retired only in `Drop` while the caller's pin
-        // keeps it alive; `off < segment_len(k)` by `locate`.
-        unsafe { &(*ptr.add(off)).0 }
-    }
-
-    /// The counter for `frame` if its storage exists; pending count 0
-    /// otherwise (an unallocated segment holds no registrations).
-    /// Same pin requirement as [`Self::counter_alloc`].
-    #[inline]
-    fn count(&self, frame: u64) -> u32 {
-        let (k, off) = self.locate(frame);
-        if k == usize::MAX {
-            return self.base[off].0.load(Ordering::Acquire);
-        }
-        let ptr = self.growth[k].load(Ordering::Acquire);
-        if ptr.is_null() {
-            return 0;
-        }
-        // SAFETY: published segment, `off` in bounds (see counter_alloc).
-        unsafe { (*ptr.add(off)).0.load(Ordering::Acquire) }
-    }
-
-    /// Register one transaction assigned to `frame` (window start, or an
-    /// adaptive re-randomization). Only meaningful for dynamic runs; a
-    /// no-op otherwise. Wait-free: one `fetch_add` + one `fetch_max`.
-    pub fn register(&self, frame: u64) {
-        if !self.dynamic {
-            return;
-        }
-        let _pin = wtm_stm::epoch::pin();
-        self.counter_alloc(frame).fetch_add(1, Ordering::Release);
-        // High-water only after the count is visible: the cursor must
-        // never be allowed into a frame before its registration lands.
-        self.high_water.fetch_max(frame + 1, Ordering::Release);
-    }
-
-    /// Register a batch of assigned frames in one pass: the counters are
-    /// bumped item by item (wait-free), but the high-water mark is
-    /// published once at the end instead of per item — the window-start
-    /// path registers a whole N-transaction schedule segment with a
-    /// single shared-cursor-bound update.
+    /// Register the assigned frames of one thread's window in one pass:
+    /// the counters are bumped item by item (wait-free), and the
+    /// high-water mark is published once at the end. A no-op on a static
+    /// run. Panics on a frame outside the table.
     pub fn register_all(&self, frames: impl IntoIterator<Item = u64>) {
         if !self.dynamic {
             return;
         }
-        let _pin = wtm_stm::epoch::pin();
         let mut max_frame = None::<u64>;
         for f in frames {
-            self.counter_alloc(f).fetch_add(1, Ordering::Release);
+            assert!(
+                f < self.pending.len() as u64,
+                "frame {f} is outside the {} frames a window assigns",
+                self.pending.len()
+            );
+            self.counter(f).fetch_add(1, Ordering::Release);
             max_frame = Some(max_frame.map_or(f, |m| m.max(f)));
         }
         if let Some(m) = max_frame {
@@ -302,47 +153,18 @@ impl WindowRun {
         }
     }
 
-    /// A transaction assigned to `frame` committed: contract if possible.
-    /// Lock-free: a decrement-if-positive CAS loop plus the advance loop.
+    /// A transaction assigned to `frame` committed: contract if that
+    /// drained the frame. Lock-free: one `fetch_sub` plus the advance loop.
     pub fn complete(&self, frame: u64) {
         if !self.dynamic {
             return;
         }
-        let _pin = wtm_stm::epoch::pin();
-        if self.dec_if_positive(frame) {
-            self.try_advance();
-        }
-    }
-
-    /// Decrement `frame`'s pending count unless already zero; returns
-    /// whether the count reached zero (the caller should try to advance).
-    fn dec_if_positive(&self, frame: u64) -> bool {
-        let c = self.counter_alloc(frame);
-        let mut v = c.load(Ordering::Relaxed);
-        loop {
-            if v == 0 {
-                // Unbalanced complete (free-mode hand-off, defensive):
-                // same silent tolerance the locked version had.
-                return false;
-            }
-            match c.compare_exchange_weak(v, v - 1, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return v == 1,
-                Err(cur) => v = cur,
-            }
-        }
-    }
-
-    /// Move one not-yet-committed assignment from `old` to `new`
-    /// (adaptive re-randomization of the remaining window). The new frame
-    /// is counted *before* the old one is released so the transient state
-    /// can only delay contraction, never let the cursor slip past work.
-    pub fn reassign(&self, old: u64, new: u64) {
-        if !self.dynamic {
-            return;
-        }
-        let _pin = wtm_stm::epoch::pin();
-        self.register(new);
-        if self.dec_if_positive(old) {
+        let before = self.counter(frame).fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(
+            before > 0,
+            "frame {frame} completed more often than registered"
+        );
+        if before == 1 {
             self.try_advance();
         }
     }
@@ -354,7 +176,9 @@ impl WindowRun {
     fn try_advance(&self) {
         let mut cur = self.cur.load(Ordering::Acquire);
         loop {
-            if cur >= self.high_water.load(Ordering::Acquire) || self.count(cur) != 0 {
+            if cur >= self.high_water.load(Ordering::Acquire)
+                || self.counter(cur).load(Ordering::Acquire) != 0
+            {
                 return;
             }
             match self
@@ -362,14 +186,6 @@ impl WindowRun {
                 .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
-                    // Re-check the frame we just closed: a registration
-                    // that raced the CAS (only adaptive reassign can do
-                    // this) means a transaction turned high-priority one
-                    // frame early. Count it — the contraction stress test
-                    // asserts zero on reassign-free runs.
-                    if self.count(cur) != 0 {
-                        self.skipped_pending.fetch_add(1, Ordering::Relaxed);
-                    }
                     if wtm_trace::enabled() {
                         wtm_trace::emit(wtm_trace::Event::instant(
                             wtm_trace::EventKind::FrameAdvance,
@@ -392,7 +208,6 @@ impl WindowRun {
     /// run starts its clock, the first sealer's timestamp winning.
     pub fn seal_registration(&self) {
         if self.dynamic {
-            let _pin = wtm_stm::epoch::pin();
             self.try_advance();
         } else if self.start_ns.load(Ordering::Relaxed) == 0 {
             // Relaxed: the origin publishes no other data, and each thread
@@ -408,60 +223,15 @@ impl WindowRun {
 
     /// Total outstanding transactions (diagnostics).
     pub fn outstanding(&self) -> u64 {
-        let _pin = wtm_stm::epoch::pin();
-        let mut sum: u64 = self
-            .base
+        self.pending
             .iter()
             .map(|c| u64::from(c.0.load(Ordering::Acquire)))
-            .sum();
-        for (k, slot) in self.growth.iter().enumerate() {
-            let ptr = slot.load(Ordering::Acquire);
-            if ptr.is_null() {
-                continue;
-            }
-            for off in 0..self.segment_len(k) as usize {
-                // SAFETY: published segment of length segment_len(k),
-                // kept alive by the pin above.
-                sum += u64::from(unsafe { (*ptr.add(off)).0.load(Ordering::Acquire) });
-            }
-        }
-        sum
+            .sum()
     }
 
     /// One past the highest registered frame (diagnostics/tests).
     pub fn high_water(&self) -> u64 {
         self.high_water.load(Ordering::Acquire)
-    }
-
-    /// Cursor advances that closed a frame while a racing reassign was
-    /// landing in it (see module docs). Always zero without adaptive
-    /// re-randomization.
-    pub fn skipped_pending(&self) -> u64 {
-        self.skipped_pending.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for WindowRun {
-    fn drop(&mut self) {
-        let cap = self.base.len() as u64;
-        for (k, slot) in self.growth.iter_mut().enumerate() {
-            let ptr = *slot.get_mut();
-            if !ptr.is_null() {
-                // `&mut self` proves no new reader can start, but a
-                // diagnostic scan racing the drop on another thread may
-                // still hold a pin — retire through the epoch layer and
-                // let the free rule wait it out.
-                // SAFETY: the pointer was published exactly once from
-                // `Box::into_raw` of a slice of `segment_len(k)` counters
-                // and never retired since.
-                wtm_stm::epoch::retire_boxed_slice(unsafe {
-                    Box::from_raw(std::ptr::slice_from_raw_parts_mut(
-                        ptr,
-                        (cap << (k + 1)) as usize,
-                    ))
-                });
-            }
-        }
     }
 }
 
@@ -524,7 +294,7 @@ mod tests {
     #[test]
     fn dynamic_run_ignores_time() {
         let run = WindowRun::new(true, 1, 8); // 1 ns frames would race ahead if time-driven
-        run.register(0);
+        run.register_all([0]);
         std::thread::sleep(Duration::from_millis(2));
         assert_eq!(run.current_frame(), 0, "dynamic frames ignore wall time");
     }
@@ -569,62 +339,32 @@ mod tests {
     }
 
     #[test]
-    fn reassign_moves_pending() {
-        let run = WindowRun::new(true, 1_000, 4);
-        run.register_all([1, 1]);
+    fn the_last_frame_of_the_table_is_usable() {
+        let run = WindowRun::new(true, 1_000, 7); // N = 4: frames 0 ..= 6
+        run.register_all([6]);
         run.seal_registration();
-        assert_eq!(run.current_frame(), 1);
-        run.reassign(1, 6); // table grows on demand
-        run.complete(1);
-        assert_eq!(run.current_frame(), 6);
+        assert_eq!((run.current_frame(), run.high_water()), (6, 7));
         run.complete(6);
-        assert_eq!(run.outstanding(), 0);
+        assert_eq!((run.outstanding(), run.current_frame()), (0, 7));
     }
 
     #[test]
-    fn registration_grows_table() {
-        let run = WindowRun::new(true, 1_000, 2);
-        run.register(100);
-        assert_eq!(run.outstanding(), 1);
-        assert_eq!(run.high_water(), 101);
-        run.complete(100);
-        assert_eq!(run.outstanding(), 0);
-    }
-
-    #[test]
-    fn growth_segments_cover_far_frames() {
-        // Exercise several doubling segments in one run: the mapping must
-        // be injective (distinct frames keep distinct counters) and stable.
-        let run = WindowRun::new(true, 1_000, 2);
-        let frames = [0u64, 1, 2, 3, 5, 9, 17, 100, 1_000, 65_000];
-        for &f in &frames {
-            run.register(f);
-            run.register(f);
-        }
-        assert_eq!(run.outstanding(), 2 * frames.len() as u64);
-        for &f in &frames {
-            run.complete(f);
-        }
-        assert_eq!(run.outstanding(), frames.len() as u64);
-        for &f in &frames {
-            run.complete(f);
-        }
-        assert_eq!(run.outstanding(), 0);
-        assert_eq!(run.current_frame(), 65_001);
-        assert_eq!(run.skipped_pending(), 0);
+    #[should_panic(expected = "frame 7 is outside the 7 frames a window assigns")]
+    fn a_frame_outside_the_table_is_rejected() {
+        WindowRun::new(true, 1_000, 7).register_all([0, 7]);
     }
 
     #[test]
     fn register_all_matches_item_by_item_registration() {
-        // The batched registration path must be observationally identical
-        // to per-item registers: same counters, same high-water, same
-        // contraction behaviour.
+        // Publishing the high-water mark once per batch must be
+        // observationally identical to publishing it per item: same
+        // counters, same high-water, same contraction behaviour.
         let frames = [3u64, 3, 4, 9, 6, 4];
-        let batched = WindowRun::new(true, 1_000, 8);
+        let batched = WindowRun::new(true, 1_000, 10);
         batched.register_all(frames.iter().copied());
-        let itemized = WindowRun::new(true, 1_000, 8);
+        let itemized = WindowRun::new(true, 1_000, 10);
         for &f in &frames {
-            itemized.register(f);
+            itemized.register_all([f]);
         }
         batched.seal_registration();
         itemized.seal_registration();
@@ -643,7 +383,7 @@ mod tests {
     #[test]
     fn register_all_on_static_run_is_a_noop() {
         let run = WindowRun::new(false, 1_000_000, 8);
-        run.register_all([0, 1, 2]);
+        run.register_all([0, 1, 2, 100]);
         assert_eq!(run.outstanding(), 0);
         assert_eq!(run.high_water(), 0);
     }
@@ -651,13 +391,13 @@ mod tests {
     #[test]
     fn concurrent_contraction_never_skips_pending_frames() {
         // M threads drain a sealed schedule in racing order; the cursor
-        // must end exactly at the high-water mark, with every counter at
-        // zero and no pending-frame skips detected.
+        // must end exactly at the high-water mark with every counter at
+        // zero, and never stand past a frame that still has registrants.
         use std::sync::atomic::AtomicUsize;
         use std::sync::Arc;
         let threads = 4usize;
         let per_thread = 64usize;
-        let run = Arc::new(WindowRun::new(true, 1_000, 16));
+        let run = Arc::new(WindowRun::new(true, 1_000, threads + per_thread - 1));
         // Base schedule: thread t's j-th txn in frame t + j (overlapping
         // ranges so most frames have multiple owners).
         for t in 0..threads {
@@ -677,6 +417,8 @@ mod tests {
                     let len = order.len();
                     order.rotate_left((len / 2).max(1) % len);
                     for f in order {
+                        // Our own registration in `f` is still pending.
+                        assert!(run.current_frame() <= f, "cursor passed frame {f}");
                         run.complete(f);
                         // Interleave aggressively.
                         if turn.fetch_add(1, Ordering::Relaxed) % 7 == t {
@@ -691,11 +433,6 @@ mod tests {
             run.current_frame(),
             run.high_water(),
             "cursor must contract to the end of the schedule"
-        );
-        assert_eq!(
-            run.skipped_pending(),
-            0,
-            "no frame may be closed while it still has pending registrants"
         );
     }
 }

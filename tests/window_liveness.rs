@@ -5,56 +5,66 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use windowtm::stm::{Stm, TVar};
+use windowtm::stm::{EngineKind, Stm, TVar};
 use windowtm::window::{WindowConfig, WindowManager, WindowVariant};
 use windowtm::workloads::{TxIntSet, TxList};
 
-/// Drive `windows` full windows on `m` threads over a hot list and check
-/// every transaction committed.
-fn drive_windows(variant: WindowVariant, m: usize, n: usize, windows: usize) -> Arc<WindowManager> {
-    let cfg = WindowConfig::new(m, n).with_seed(0xA11CE);
-    let wm = Arc::new(WindowManager::new(variant, cfg));
-    let stm = Stm::new(wm.clone(), m);
-    let list = Arc::new(TxList::new());
-    std::thread::scope(|s| {
-        for t in 0..m {
-            let ctx = stm.thread(t);
-            let list = Arc::clone(&list);
-            s.spawn(move || {
-                for i in 0..n * windows {
-                    let k = ((t * 31 + i * 7) % 24) as i64;
-                    ctx.atomic(|tx| {
-                        if i % 2 == 0 {
-                            list.insert(tx, k).map(|_| ())
-                        } else {
-                            list.remove(tx, k).map(|_| ())
+/// Drive `windows` full windows on `m` threads over a hot list under each
+/// engine and check every transaction committed. One manager per engine,
+/// labelled `"<variant> on <engine>"`.
+fn drive_windows(
+    variant: WindowVariant,
+    m: usize,
+    n: usize,
+    windows: usize,
+) -> Vec<(String, Arc<WindowManager>)> {
+    EngineKind::ALL
+        .iter()
+        .map(|&engine| {
+            let what = format!("{} on {engine}", variant.name());
+            let cfg = WindowConfig::new(m, n).with_seed(0xA11CE);
+            let wm = Arc::new(WindowManager::new(variant, cfg));
+            let stm = Stm::with_engine(wm.clone(), m, engine);
+            let list = Arc::new(TxList::new());
+            std::thread::scope(|s| {
+                for t in 0..m {
+                    let ctx = stm.thread(t);
+                    let list = Arc::clone(&list);
+                    s.spawn(move || {
+                        for i in 0..n * windows {
+                            let k = ((t * 31 + i * 7) % 24) as i64;
+                            ctx.atomic(|tx| {
+                                if i % 2 == 0 {
+                                    list.insert(tx, k).map(|_| ())
+                                } else {
+                                    list.remove(tx, k).map(|_| ())
+                                }
+                            });
                         }
                     });
                 }
             });
-        }
-    });
-    wm.cancel();
-    let stats = stm.aggregate();
-    assert_eq!(
-        stats.commits,
-        (m * n * windows) as u64,
-        "{}: every issued transaction must commit",
-        variant.name()
-    );
-    wm
+            wm.cancel();
+            assert_eq!(
+                stm.aggregate().commits,
+                (m * n * windows) as u64,
+                "{what}: every issued transaction must commit"
+            );
+            (what, wm)
+        })
+        .collect()
 }
 
 #[test]
 fn every_variant_completes_multiple_windows() {
     for &variant in WindowVariant::all() {
-        let wm = drive_windows(variant, 3, 6, 3);
-        for t in 0..3 {
-            assert!(
-                wm.windows_completed(t) >= 2,
-                "{}: thread {t} should have cycled windows",
-                variant.name()
-            );
+        for (what, wm) in drive_windows(variant, 3, 6, 3) {
+            for t in 0..3 {
+                assert!(
+                    wm.windows_completed(t) >= 2,
+                    "{what}: thread {t} should have cycled windows"
+                );
+            }
         }
     }
 }
@@ -64,18 +74,20 @@ fn every_variant_crosses_window_boundaries_at_one_two_and_eight_threads() {
     // One thread (a barrier of one), as many threads as this host has
     // CPUs, and four times as many: the polling barrier must hand the CPU
     // to the thread it waits for. Four windows each, so three boundaries
-    // are crossed with a window's transactions on both sides.
+    // are crossed with a window's transactions on both sides, under both
+    // engines' commit paths.
     for &variant in WindowVariant::all() {
         for m in [1, 2, 8] {
-            let wm = drive_windows(variant, m, 4, 4);
-            let what = format!("{} at m = {m}", variant.name());
-            assert_eq!(wm.window_error(), None, "{what}");
-            for t in 0..m {
-                assert!(wm.windows_completed(t) >= 3, "{what}: thread {t}");
+            for (what, wm) in drive_windows(variant, m, 4, 4) {
+                let what = format!("{what} at m = {m}");
+                assert_eq!(wm.window_error(), None, "{what}");
+                for t in 0..m {
+                    assert!(wm.windows_completed(t) >= 3, "{what}: thread {t}");
+                }
+                let counts = wm.boundary_counts();
+                assert_eq!(counts.windows_started, 4, "{what}");
+                assert_eq!(counts.barrier_timeouts, 0, "{what}");
             }
-            let counts = wm.boundary_counts();
-            assert_eq!(counts.windows_started, 4, "{what}");
-            assert_eq!(counts.barrier_timeouts, 0, "{what}");
         }
     }
 }
