@@ -43,7 +43,6 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`epoch`] | epoch-based reclamation: the shared deferred-free layer |
 //! | [`status`] | transaction status word and its CAS rules |
 //! | [`txstate`] | the shared per-attempt transaction record ([`TxState`]) |
 //! | [`cm`] | the [`ContentionManager`] trait, [`Resolution`], [`ConflictKind`] |
@@ -55,7 +54,7 @@
 //! | [`stats`] | lock-free per-thread metrics and snapshots |
 //! | [`clock`] | the global logical clock used for timestamps |
 //! | [`clockns`] | cheap coarse nanosecond timestamps for metrics |
-//! | [`slots`] | global reader-slot indices and the attempt registry |
+//! | [`slots`] | reader-slot indices and the attempt registry (a lock per record) |
 //! | [`sync`] | cancellable barrier and cooperative waiting helpers |
 
 pub mod clock;
@@ -63,7 +62,6 @@ pub mod clockns;
 pub mod cm;
 pub mod dispatch;
 pub mod engine;
-pub mod epoch;
 pub mod managers;
 /// Debug-build hot-path operation counters (scan/RMW cost assertions).
 #[cfg(debug_assertions)]
@@ -83,7 +81,7 @@ pub use cm::{ConflictKind, ContentionManager, Resolution};
 pub use dispatch::CmDispatch;
 pub use engine::EngineKind;
 pub use slots::reserve_reader_slots;
-pub use stats::{ShardedU64, StatsSnapshot, ThreadStats};
+pub use stats::{StatsSnapshot, ThreadStats};
 pub use status::TxStatus;
 pub use stm::{Stm, ThreadCtx};
 pub use tvar::TVar;

@@ -1,14 +1,13 @@
 //! Debug-build hot-path operation counters.
 //!
-//! The scan-free claims of the sharded registries ("`try_advance` and
-//! `conflicting_reader` are O(active threads), not O(capacity)"), the
+//! The scan-free claim of the sharded reader-slot masks
+//! ("`conflicting_reader` is O(active threads), not O(capacity)"), the
 //! lazy clock ("read-only and blind-write commits perform zero
-//! `VERSION_CLOCK` RMW ops") and the fixed path's shared-line budget ("no
-//! logical-clock `fetch_add` unless the manager orders by timestamp, at
-//! most one global-epoch CAS per quiesce stride") and both engines' read
-//! path ("a first open is one store to the reader's own slot word and no
-//! read-modify-write on a line other readers write; a re-open stores
-//! nothing") are asserted by unit tests that count the actual
+//! `VERSION_CLOCK` RMW ops"), the fixed path's shared-line budget ("no
+//! logical-clock `fetch_add` unless the manager orders by timestamp") and
+//! both engines' read path ("a first open is one store to the reader's own
+//! slot word and no read-modify-write on a line other readers write; a
+//! re-open stores nothing") are asserted by unit tests that count the actual
 //! operations, not by inspection. The counters are thread-local `Cell`s —
 //! tests in one binary run concurrently, and a process-global counter
 //! would make every assertion racy — and exist only under
@@ -21,19 +20,11 @@
 use std::cell::Cell;
 
 thread_local! {
-    static EPOCH_SLOT_LOADS: Cell<u64> = const { Cell::new(0) };
     static READER_SLOT_LOADS: Cell<u64> = const { Cell::new(0) };
     static CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
     static LOGICAL_CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
-    static EPOCH_CASES: Cell<u64> = const { Cell::new(0) };
     static READ_SLOT_STORES: Cell<u64> = const { Cell::new(0) };
     static READ_SHARED_RMWS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Record one epoch-slot load performed by [`crate::epoch::try_advance`].
-#[inline]
-pub(crate) fn count_epoch_slot_load() {
-    let _ = EPOCH_SLOT_LOADS.try_with(|c| c.set(c.get() + 1));
 }
 
 /// Record one reader-slot word load performed by a conflict scan.
@@ -54,12 +45,6 @@ pub(crate) fn count_logical_clock_rmw() {
     let _ = LOGICAL_CLOCK_RMWS.try_with(|c| c.set(c.get() + 1));
 }
 
-/// Record one CAS on the global epoch by [`crate::epoch::try_advance`].
-#[inline]
-pub(crate) fn count_epoch_cas() {
-    let _ = EPOCH_CASES.try_with(|c| c.set(c.get() + 1));
-}
-
 /// Record one store of a reader's attempt id into its slot word of an
 /// object (the registration of a visible read).
 #[inline]
@@ -75,11 +60,6 @@ pub(crate) fn count_read_shared_rmws(n: u64) {
     let _ = READ_SHARED_RMWS.try_with(|c| c.set(c.get() + n));
 }
 
-/// Epoch-slot loads by this thread since the last call; resets to 0.
-pub fn take_epoch_slot_loads() -> u64 {
-    EPOCH_SLOT_LOADS.with(|c| c.replace(0))
-}
-
 /// Reader-slot word loads by this thread since the last call; resets to 0.
 pub fn take_reader_slot_loads() -> u64 {
     READER_SLOT_LOADS.with(|c| c.replace(0))
@@ -93,11 +73,6 @@ pub fn take_clock_rmws() -> u64 {
 /// Logical-clock RMW ops by this thread since the last call; resets to 0.
 pub fn take_logical_clock_rmws() -> u64 {
     LOGICAL_CLOCK_RMWS.with(|c| c.replace(0))
-}
-
-/// Global-epoch CAS attempts by this thread since the last call; resets to 0.
-pub fn take_epoch_cases() -> u64 {
-    EPOCH_CASES.with(|c| c.replace(0))
 }
 
 /// Reader-slot registration stores by this thread since the last call;

@@ -16,19 +16,19 @@
 //! even across engine instances or after a slot index is recycled by
 //! another thread.
 //!
-//! ## Lifetime protocol: epoch reclamation
+//! ## Lifetime protocol: a lock on the record
 //!
-//! The record's `Arc<TxState>` pointer is handed off through
-//! [`crate::epoch`]. The owner replaces it with a plain `swap` and
-//! *retires* the previous reference into its epoch bag; a scanner
-//! [`crate::epoch::pin`]s before loading the pointer, so the retired
-//! reference cannot be released while the scanner might still
-//! dereference it. No owner-side spin, no scanner-side guard counter —
-//! the Dekker-style guarded-pointer handshake this registry originally
-//! used is retired (see DESIGN.md, "Reclamation & sharding", for the
-//! historical design). A scanner that races a republish and surfaces the
-//! *newer* attempt's pointer is rejected by the attempt-id filter:
-//! attempt ids are never reused.
+//! The record's `Arc<TxState>` sits under a mutex of its own. The owner
+//! replaces it under that lock once per attempt (the line is its own, so
+//! the lock is uncontended unless a scanner is resolving this very
+//! record) and drops the displaced reference after letting go: that drop
+//! can release loans whose last handle drops an object, and the object's
+//! scan looks this record up again. A scanner checks `current` without
+//! the lock, then re-checks the id under it and works on the state there
+//! ([`with_live_reader`]), so nothing is deferred and no reference is
+//! handed out unless the caller asks for one. Attempt ids are never
+//! reused, so a state that is no longer the one for the id asked is
+//! rejected, not mistaken.
 //!
 //! Indices are allocated from a bitmap, lowest-free-first, and released by
 //! a thread-local destructor when the thread exits, so long-running
@@ -37,10 +37,11 @@
 //! fall back to the mutex-protected overflow reader list — slower, never
 //! wrong.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::epoch;
+use parking_lot::Mutex;
+
 use crate::txstate::TxState;
 
 /// Upper bound on concurrently registered OS threads with fast-path slots.
@@ -202,10 +203,7 @@ impl Drop for SlotGuard {
     fn drop(&mut self) {
         if self.idx != NO_SLOT {
             // The thread is exiting: clear `current` so every stale slot
-            // word is verifiably dead, and retire the published state
-            // through the epoch layer (a scanner may still be pinned on
-            // it). The epoch TLS hands the retired reference to the
-            // orphan list if its own destructor already ran.
+            // word is verifiably dead, and release the published state.
             unpublish(self.idx);
             free_index(self.idx);
         }
@@ -279,20 +277,27 @@ pub(crate) fn my_slot_index() -> usize {
 struct ThreadRec {
     /// Attempt id currently running on this slot's thread (0 = none).
     current: AtomicU64,
-    /// The matching state, for contention-manager hand-off; owns one
-    /// strong count while non-null. Replaced by owner `swap`; the
-    /// previous reference is retired via [`crate::epoch`], and scanners
-    /// hold an epoch pin across the load + strong-count bump, so the
-    /// reference is never released while a scanner can still reach it.
-    state: AtomicPtr<TxState>,
+    /// The matching state, for contention-manager hand-off. Replaced by
+    /// the owner and read by scanners, both under the lock.
+    state: Mutex<Option<Arc<TxState>>>,
 }
 
 impl ThreadRec {
     const fn new() -> Self {
         ThreadRec {
             current: AtomicU64::new(0),
-            state: AtomicPtr::new(std::ptr::null_mut()),
+            state: Mutex::new(None),
         }
+    }
+
+    /// Install `state` (`None` withdraws) with its id, and return the
+    /// displaced reference for the caller to drop after the lock is gone.
+    fn replace(&self, state: Option<&Arc<TxState>>) -> Option<Arc<TxState>> {
+        let mut slot = self.state.lock();
+        let prev = std::mem::replace(&mut *slot, state.cloned());
+        self.current
+            .store(state.map_or(0, |st| st.attempt_id), Ordering::SeqCst);
+        prev
     }
 }
 
@@ -302,101 +307,56 @@ static REGISTRY: [ThreadRec; MAX_SLOTS] = {
     [R; MAX_SLOTS]
 };
 
-/// Retire the registry's previous strong reference into the epoch layer.
-fn retire_prev(prev: *mut TxState) {
-    if !prev.is_null() {
-        // SAFETY: `prev` was published via `Arc::into_raw` by this slot's
-        // owner and unlinked by the caller's swap, so this reconstructs
-        // the registry's own strong reference exactly once.
-        epoch::retire_arc(unsafe { Arc::from_raw(prev) });
-    }
-}
-
-/// Publish `state` as the attempt currently running on slot `idx`.
-///
-/// Must happen before the attempt's first object access: a writer that
-/// finds our slot word on an object must be able to resolve it here.
-/// Production code always goes through [`republish`] (which also retires
-/// whatever the slot still holds); the split publish remains for unit
-/// tests that drive the registry directly.
-#[cfg(test)]
-pub(crate) fn publish(idx: usize, state: &Arc<TxState>) {
-    if idx >= MAX_SLOTS {
-        return;
-    }
-    let rec = &REGISTRY[idx];
-    let raw = Arc::into_raw(Arc::clone(state)).cast_mut();
-    let prev = rec.state.swap(raw, Ordering::AcqRel);
-    // The owner always unpublishes before the next publish; a leftover
-    // pointer can only mean a test-sequencing bug, but never leak it.
-    debug_assert!(prev.is_null(), "publish over a still-published state");
-    retire_prev(prev);
-    rec.current.store(state.attempt_id, Ordering::SeqCst);
-}
-
-/// Withdraw the attempt published on slot `idx` (attempt over). The
-/// registry's strong reference is retired — released once every scanner
-/// that could have loaded it has unpinned (two epoch advances).
+/// Withdraw the attempt published on slot `idx` (attempt over) and
+/// release the registry's reference to it.
 pub(crate) fn unpublish(idx: usize) {
-    if idx >= MAX_SLOTS {
-        return;
+    if idx < MAX_SLOTS {
+        drop(REGISTRY[idx].replace(None));
     }
-    let rec = &REGISTRY[idx];
-    rec.current.store(0, Ordering::SeqCst);
-    let prev = rec.state.swap(std::ptr::null_mut(), Ordering::AcqRel);
-    retire_prev(prev);
 }
 
-/// Replace the attempt published on slot `idx` with `state` in one step:
-/// the fused form of `unpublish(idx)` + `publish(idx, state)` the engine
-/// uses both between back-to-back attempts of one retry loop and at the
-/// start of every transaction (the commit path leaves its attempt
-/// published rather than withdrawing it). One pointer swap plus one bag
-/// push — no wait for concurrent scanners: a scanner that catches the
-/// *new* pointer under the old attempt id is rejected by `live_reader`'s
-/// id filter (attempt ids are never reused), and one still dereferencing
-/// the *old* pointer is protected by its epoch pin until the retired
-/// reference becomes freeable.
+/// Publish `state` as the attempt running on slot `idx`, withdrawing
+/// whatever the slot still publishes — the previous attempt of this retry
+/// loop, or the *committed* attempt of the previous `atomic` call (the
+/// commit path leaves it published rather than paying a withdrawal of its
+/// own). Must happen before the attempt's first object access: a writer
+/// that finds our slot word on an object must be able to resolve it here.
+/// The displaced reference is released at once, outside the lock.
 pub(crate) fn republish(idx: usize, state: &Arc<TxState>) {
-    if idx >= MAX_SLOTS {
-        return;
+    if idx < MAX_SLOTS {
+        drop(REGISTRY[idx].replace(Some(state)));
     }
-    let rec = &REGISTRY[idx];
-    let raw = Arc::into_raw(Arc::clone(state)).cast_mut();
-    let prev = rec.state.swap(raw, Ordering::AcqRel);
-    rec.current.store(state.attempt_id, Ordering::SeqCst);
-    retire_prev(prev);
 }
 
-/// Resolve a slot word: the state for attempt `attempt_id` on slot `idx`,
-/// if that attempt is still the one running there. The caller still has to
-/// check `is_active()` — a returned state may have just committed/aborted.
-pub(crate) fn live_reader(idx: usize, attempt_id: u64) -> Option<Arc<TxState>> {
-    if idx >= MAX_SLOTS {
-        return None;
-    }
-    let rec = &REGISTRY[idx];
+/// Resolve a slot word: run `f` on the state of attempt `attempt_id` on
+/// slot `idx`, if that attempt is still the one running there, and
+/// `None` otherwise. `f` runs under the record's lock, so it must not
+/// drop a `TxState` or an object (a drop can come back here); clone what
+/// it needs to keep. A state handed to `f` may have just committed or
+/// aborted: the caller still checks its status.
+#[inline]
+pub(crate) fn with_live_reader<R>(
+    idx: usize,
+    attempt_id: u64,
+    f: impl FnOnce(&Arc<TxState>) -> R,
+) -> Option<R> {
+    let rec = REGISTRY.get(idx)?;
     if rec.current.load(Ordering::SeqCst) != attempt_id {
         return None;
     }
-    // Pin before loading the pointer: the owner's republish retires the
-    // previous reference *after* its swap, so whatever we load here stays
-    // allocated until we unpin — bumping the strong count is race-free.
-    let _guard = epoch::pin();
-    let raw = rec.state.load(Ordering::Acquire);
-    if raw.is_null() {
-        return None;
-    }
-    // SAFETY: `raw` was published from `Arc::into_raw` and, under the
-    // pin, its registry reference cannot have been released yet, so the
-    // allocation is live and holds at least one strong count.
-    let got = unsafe {
-        Arc::increment_strong_count(raw);
-        Arc::from_raw(raw)
-    };
-    // A republish racing between the `current` check and the load can
-    // surface a newer attempt's state: the id filter rejects it.
-    (got.attempt_id == attempt_id).then_some(got)
+    // The id is re-checked under the lock: a republish between the load
+    // above and the lock installs a newer attempt, never the one asked.
+    let state = rec.state.lock();
+    state
+        .as_ref()
+        .filter(|st| st.attempt_id == attempt_id)
+        .map(f)
+}
+
+/// The state of attempt `attempt_id` on slot `idx`, if that attempt is
+/// still the one running there ([`with_live_reader`], cloned out).
+pub(crate) fn live_reader(idx: usize, attempt_id: u64) -> Option<Arc<TxState>> {
+    with_live_reader(idx, attempt_id, Arc::clone)
 }
 
 #[cfg(test)]
@@ -415,19 +375,6 @@ mod tests {
             clockns::now(),
             0,
         ))
-    }
-
-    /// Drive epoch quiescence until `cond` holds (other tests in this
-    /// binary pin transiently, so single advances may fail spuriously).
-    fn quiesce_until(mut cond: impl FnMut() -> bool) -> bool {
-        for _ in 0..100_000 {
-            epoch::quiesce();
-            if cond() {
-                return true;
-            }
-            std::thread::yield_now();
-        }
-        false
     }
 
     #[test]
@@ -475,9 +422,13 @@ mod tests {
         let idx = my_slot_index();
         assert_ne!(idx, NO_SLOT);
         let st = state(next_attempt_id());
-        publish(idx, &st);
+        republish(idx, &st);
         let got = live_reader(idx, st.attempt_id).expect("published reader is live");
         assert_eq!(got.attempt_id, st.attempt_id);
+        assert_eq!(
+            with_live_reader(idx, st.attempt_id, |tx| tx.attempt_id),
+            Some(st.attempt_id)
+        );
         // A different attempt id on the same slot is dead.
         assert!(live_reader(idx, st.attempt_id + 1).is_none());
         unpublish(idx);
@@ -485,56 +436,91 @@ mod tests {
     }
 
     #[test]
-    fn republish_swaps_attempts_and_retires_the_old_state() {
+    fn republish_releases_the_displaced_state_at_once() {
         let idx = my_slot_index();
         assert_ne!(idx, NO_SLOT);
         let first = state(next_attempt_id());
-        publish(idx, &first);
+        republish(idx, &first);
         assert_eq!(Arc::strong_count(&first), 2, "registry holds a clone");
         let second = state(next_attempt_id());
         republish(idx, &second);
-        // Old attempt: immediately unresolvable …
+        // Old attempt: unresolvable, and its registry reference is gone.
         assert!(live_reader(idx, first.attempt_id).is_none());
-        // … and its registry reference is released through the epoch
-        // layer once no scanner can still be dereferencing it.
-        assert!(
-            quiesce_until(|| Arc::strong_count(&first) == 1),
-            "the retired registry reference must drain via the epoch bag"
-        );
-        // New attempt: live, exactly as after a fresh publish.
+        assert_eq!(Arc::strong_count(&first), 1, "nothing is deferred");
+        // New attempt: live.
         let got = live_reader(idx, second.attempt_id).expect("republished attempt is live");
         assert_eq!(got.attempt_id, second.attempt_id);
         drop(got);
         unpublish(idx);
         assert!(live_reader(idx, second.attempt_id).is_none());
-        assert!(
-            quiesce_until(|| Arc::strong_count(&second) == 1),
-            "unpublish must retire the final registry reference too"
-        );
+        assert_eq!(Arc::strong_count(&second), 1, "unpublish releases it too");
     }
 
     #[test]
-    fn scanner_pin_keeps_a_swapped_state_reachable() {
-        // A scanner's returned Arc stays valid across the owner's
-        // republish + epoch drains: the strong count it bumped under the
-        // pin keeps the allocation alive independently of the registry.
+    fn a_resolved_state_outlives_the_owners_republish() {
+        // The clone a scanner takes under the lock is its own count: the
+        // owner moving on releases the registry's, not the scanner's.
         let idx = my_slot_index();
         assert_ne!(idx, NO_SLOT);
         let first = state(next_attempt_id());
-        publish(idx, &first);
+        republish(idx, &first);
         let held = live_reader(idx, first.attempt_id).expect("live before republish");
         let second = state(next_attempt_id());
         republish(idx, &second);
-        quiesce_until(|| Arc::strong_count(&first) == 2);
         assert_eq!(held.attempt_id, first.attempt_id);
         assert_eq!(
             Arc::strong_count(&held),
             2,
-            "scanner's ref + the test's own binding"
+            "the scanner's + the test's own"
         );
         drop(held);
         unpublish(idx);
-        let _ = quiesce_until(|| Arc::strong_count(&second) == 1);
+        assert_eq!(Arc::strong_count(&second), 1);
+    }
+
+    #[test]
+    fn a_resolver_racing_the_owners_republish_gets_the_id_it_asked_for() {
+        // The owner republishes back to back while a second thread
+        // resolves each id it publishes: a state comes back only under
+        // its own id, and every reference the registry or the resolver
+        // took is gone once both are done. The owner waits for the first
+        // resolution, so the two overlap however the host schedules them.
+        const REPUBLISHES: usize = 100_000;
+        let idx = my_slot_index();
+        assert_ne!(idx, NO_SLOT);
+        let latest = AtomicU64::new(0);
+        let resolved = AtomicU64::new(0);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let states: Vec<Arc<TxState>> =
+            (0..REPUBLISHES).map(|_| state(next_attempt_id())).collect();
+        std::thread::scope(|s| {
+            let resolver = s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    let id = latest.load(Ordering::Acquire);
+                    if let Some(st) = live_reader(idx, id) {
+                        assert_eq!(st.attempt_id, id, "a state under another id");
+                        resolved.fetch_add(1, Ordering::Release);
+                    }
+                    let seen = with_live_reader(idx, id, |st| st.attempt_id);
+                    assert!(seen.is_none_or(|seen| seen == id));
+                }
+            });
+            for (i, st) in states.iter().enumerate() {
+                republish(idx, st);
+                latest.store(st.attempt_id, Ordering::Release);
+                while i == 0 && resolved.load(Ordering::Acquire) == 0 {
+                    assert!(!resolver.is_finished(), "the resolver failed");
+                    std::thread::yield_now();
+                }
+            }
+            unpublish(idx);
+            done.store(true, Ordering::Release);
+        });
+        let held = states
+            .iter()
+            .filter(|st| Arc::strong_count(st) != 1)
+            .count();
+        assert_eq!(held, 0, "references outlived both threads");
     }
 
     #[test]

@@ -16,92 +16,16 @@
 //! and may be taken from any thread at any time: each field it returns is a
 //! value the owner really stored, never ahead of the owner and never less
 //! than an earlier sample of the same field.
+//!
+//! The process-global counters a transaction can touch are unsharded,
+//! each for a reason: the logical clock must stay one total order, and is
+//! drawn only for managers that read it ([`crate::stm`]); the lazy
+//! engine's `VERSION_CLOCK` is loaded, or CASed once with adopt-on-failure
+//! (`crate::engine::write_version`); the attempt-id and `TVar`-id sources
+//! are handed out in thread-local blocks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A process-global counter split into cache-line-padded shards: callers
-/// bump the shard selected by a cheap hint (their thread/slot index masked
-/// to a power-of-two group) and readers fold all shards on read. Turns a
-/// single contended `fetch_add` line into per-thread-group lines — the
-/// pattern every remaining global accumulator in the engine uses (the
-/// epoch layer's retired/freed accounting today). Const-constructible so
-/// it can back `static`s.
-///
-/// Audit note — the cross-thread `AtomicU64`s that deliberately *stay*
-/// single cells, and why each is not a hot-path scaling hazard:
-///
-/// * [`crate::clock::LogicalClock`] — Greedy and Priority compare its
-///   values across threads, so it must stay one totally-ordered counter
-///   (see DESIGN.md, "Reclamation & sharding").
-/// * The epoch layer's `GLOBAL` — *the* epoch is semantically a single
-///   value; hot paths only load it, and the advance CAS runs at most
-///   once per quiescence interval.
-/// * The lazy engine's `VERSION_CLOCK` — made contention-scalable by
-///   protocol instead of by sharding: blind commits never RMW it and
-///   read-write commits adopt on CAS failure
-///   (`crate::engine::write_version`).
-/// * `FALLBACK_PINS` / `ORPHAN_COUNT` (epoch) — RMWed only on the rare
-///   slot-exhaustion fallback and at thread exit; hot paths load them.
-/// * Attempt-id and TVar-id sources — handed out in thread-local blocks
-///   (`NEXT_ATTEMPT_BLOCK`, `TVAR_ID_BLOCK`), one shared RMW per ~1k
-///   allocations.
-/// * `wtm-core`'s lock-acquisition tally — bumped once per run boundary
-///   by design, never inside transactions.
-#[derive(Debug)]
-pub struct ShardedU64 {
-    shards: [PaddedU64; Self::SHARDS],
-}
-
-/// One shard on its own cache line (128 B covers the spatial prefetcher
-/// pairing on x86).
-#[repr(align(128))]
-#[derive(Debug)]
-struct PaddedU64(AtomicU64);
-
-impl ShardedU64 {
-    /// Shard count: power of two so the hint folds with a mask.
-    pub const SHARDS: usize = 8;
-
-    /// A zeroed sharded counter (usable in `static` initializers).
-    pub const fn new() -> Self {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const Z: PaddedU64 = PaddedU64(AtomicU64::new(0));
-        ShardedU64 {
-            shards: [Z; Self::SHARDS],
-        }
-    }
-
-    /// Add `v` to the shard chosen by `hint` (any stable per-thread value:
-    /// slot index, thread id). Relaxed — fold-on-read counters only.
-    #[inline]
-    pub fn add(&self, hint: usize, v: u64) {
-        self.shards[hint & (Self::SHARDS - 1)]
-            .0
-            .fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Fold all shards.
-    pub fn sum(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Zero all shards (quiescent callers only).
-    pub fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-impl Default for ShardedU64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Per-thread metric counters, written by the owning worker only (see the
 /// module docs) and loaded `Relaxed` by whoever aggregates.
@@ -486,36 +410,5 @@ mod tests {
                 totals[f]
             );
         }
-    }
-
-    #[test]
-    fn sharded_counter_folds_across_hints_and_resets() {
-        let c = ShardedU64::new();
-        // Hints past the shard count wrap via the mask, never panic.
-        for hint in 0..(ShardedU64::SHARDS * 3) {
-            c.add(hint, 2);
-        }
-        assert_eq!(c.sum(), 2 * 3 * ShardedU64::SHARDS as u64);
-        c.reset();
-        assert_eq!(c.sum(), 0);
-    }
-
-    #[test]
-    fn sharded_counter_spreads_distinct_hints() {
-        // Distinct hints below SHARDS land in distinct shards: adding via
-        // hint h then summing any single shard's view is internal, so
-        // assert the observable part — per-hint adds are all retained.
-        let c = ShardedU64::new();
-        std::thread::scope(|s| {
-            for h in 0..ShardedU64::SHARDS {
-                let c = &c;
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        c.add(h, 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.sum(), 1000 * ShardedU64::SHARDS as u64);
     }
 }

@@ -13,14 +13,9 @@
 //! the attempt it last served (`Arc::get_mut` proves exclusivity — a
 //! locator or registry clone in flight forces a fresh allocation, so
 //! recycling can never resurrect an attempt some competitor still sees).
-//! The registry's reference to a finished attempt is retired through
-//! [`crate::epoch`] by the next attempt's republish and released after two
-//! epoch advances; each attempt start calls [`crate::epoch::quiesce`] (the
-//! thread is trivially quiescent there), which attempts an advance every
-//! [`crate::epoch::QUIESCE_STRIDE`]-th call, so a released state turns
-//! exclusive two to three strides later and a steady loop cycles that many
-//! ring entries without ever allocating (the ring's capacity is tied to
-//! the stride by a compile-time assertion). Attempt ids come from the
+//! The registry's reference to a finished attempt is released by the next
+//! attempt's republish, so in a steady loop a parked state turns exclusive
+//! one attempt after it finished. Attempt ids come from the
 //! process-global source in [`crate::slots`] — never reused, so recycled
 //! records are indistinguishable from fresh ones. Timestamps use the
 //! coarse [`crate::clockns`] clock: one call at transaction start and one
@@ -31,10 +26,10 @@
 //! A committed transaction performs no read-modify-write on a cache line
 //! another thread also RMWs unless its contention manager's ordering needs
 //! one: the logical clock's `fetch_add` is drawn only where
-//! [`CmDispatch::uses_timestamps`] says the manager reads it, the global
-//! epoch CAS happens once per stride of attempts, the epoch layer's
-//! retired/freed tallies land on the caller's shard, and attempt ids come
-//! from thread-local blocks. The debug `probe` counters pin the first two
+//! [`CmDispatch::uses_timestamps`] says the manager reads it, the
+//! registry record the owner locks to republish is its own line (a writer
+//! locks it only to resolve one of this thread's reader words), and
+//! attempt ids come from thread-local blocks. The debug `probe` counter pins the first
 //! (`fixed_path_shared_rmw_budget` below).
 
 use std::cell::{Cell, RefCell};
@@ -165,39 +160,23 @@ impl Stm {
 /// Capacity of the per-thread [`StateRing`].
 const STATE_RING_CAP: usize = 32;
 
-// A released state stays shared until the registry reference the *next*
-// attempt's republish retires has drained, and the epoch layer collects
-// only every `QUIESCE_STRIDE`-th attempt: an item retired right after one
-// collection waits for the next two (2 strides + 1 attempts), and one
-// advance lost to a competitor pinned an epoch behind adds a stride. Four
-// strides of parked states keep that whole lag inside the ring, so a
-// steady loop never finds a shared head with no exclusive state behind it.
-const _: () = assert!(
-    STATE_RING_CAP >= 4 * crate::epoch::QUIESCE_STRIDE,
-    "the TxState ring must cover the epoch layer's drain lag (3 strides) with a stride to spare"
-);
-
 /// Recycled `TxState` allocations for one OS thread: a fixed-capacity
 /// FIFO of released states, oldest first.
 ///
-/// A released state can still be shared for a while: the registry's
-/// reference is retired into the epoch bag by the *next* attempt's
-/// republish and released two epoch advances later — two to three
-/// [`crate::epoch::QUIESCE_STRIDE`]s of attempts — and a multi-object
-/// committer stays installed in each written locator until a later access
-/// collapses it. States are released in the order their registry
-/// references were retired, which is the order the bag drains, so the
-/// *oldest* parked state is the first to turn exclusive and
+/// A released state can still be shared for a while: the registry holds
+/// it until the *next* attempt's republish, and a multi-object committer
+/// stays installed in each written locator until a later access collapses
+/// it. States are released in the order their registry references go,
+/// so the *oldest* parked state is the first to turn exclusive and
 /// [`recycle_oldest`](Self::recycle_oldest) looks at nothing else: one
 /// `Arc::get_mut` (a locked op) per attempt however many states are
 /// parked. A head that is still shared (a lazily collapsed locator, a
-/// stalled epoch) rotates to the back so it cannot block the states
+/// scanner's clone) rotates to the back so it cannot block the states
 /// behind it, and the attempt allocates; its state joins the ring on
 /// release, so the ring grows to the depth the loop's lag needs — at most
-/// [`STATE_RING_CAP`], tied to the stride by the assertion above — and a
-/// steady loop, including one that interleaves single- and multi-object
-/// writers, then cycles it without touching the heap (see the
-/// `write_path_allocs` integration test).
+/// [`STATE_RING_CAP`] — and a steady loop, including one that interleaves
+/// single- and multi-object writers, then cycles it without touching the
+/// heap (see the `write_path_allocs` integration test).
 struct StateRing(RefCell<VecDeque<Arc<TxState>>>);
 
 impl StateRing {
@@ -224,26 +203,12 @@ impl StateRing {
     }
 
     /// Park a finished attempt's state at the back. A full ring (deep
-    /// retry chains, a long-stalled epoch) drops it instead.
+    /// retry chains, states held by locators) drops it instead.
     fn park(&self, state: Arc<TxState>) {
         let mut parked = self.0.borrow_mut();
         if parked.len() < STATE_RING_CAP {
             parked.push_back(state);
         }
-    }
-}
-
-impl Drop for StateRing {
-    fn drop(&mut self) {
-        // Thread exit. Drop the parked references first (each is just a
-        // strong-count decrement — any still-shared state stays alive via
-        // its registry/epoch-bag reference), then hand this thread's
-        // epoch bag to the global orphan list so surviving threads can
-        // release the deferred registry references instead of leaking
-        // them — regardless of the order TLS destructors run in (the
-        // drop-order regression test exercises exactly this).
-        self.0.get_mut().clear();
-        crate::epoch::flush_thread();
     }
 }
 
@@ -489,12 +454,6 @@ impl<'a> ThreadCtx<'a> {
         let mut karma: u64 = 0;
         let mut attempt: u32 = 0;
         loop {
-            // Attempt boundary: this thread holds no pins and no shared
-            // raw pointers, so let the epoch layer (every stride-th
-            // call) advance and release retired registry references —
-            // which is what turns the ring's parked states exclusive
-            // again (quiesce *before* the ring is consulted below).
-            crate::epoch::quiesce();
             let attempt_ts = if attempt == 0 { ts } else { self.stm.next_ts() };
             let attempt_id = slots::next_attempt_id();
             if attempt == 0 {
@@ -513,13 +472,12 @@ impl<'a> ThreadCtx<'a> {
             self.stm.cm.on_begin(&state, attempt > 0);
             // Make the attempt resolvable by writers scanning reader-slot
             // words; must precede the first object access in `body`. The
-            // fused republish withdraws whatever the slot still publishes —
-            // the previous attempt of this retry loop, or the *committed*
+            // republish withdraws whatever the slot still publishes — the
+            // previous attempt of this retry loop, or the *committed*
             // attempt of the previous `atomic` call (the commit path leaves
-            // it published rather than paying a withdraw of its own; stale
-            // registry entries are harmless because scanners check
-            // `is_active`) — retiring the old reference into the epoch
-            // bag and installing the new attempt with one pointer swap.
+            // it published rather than paying a withdrawal of its own;
+            // stale registry entries are harmless because scanners check
+            // `is_active`) — and releases its reference.
             slots::republish(slot_idx, &state);
             let t0 = state.attempt_start_ns;
             wtm_trace::emit(wtm_trace::Event::instant(
@@ -614,10 +572,8 @@ impl<'a> ThreadCtx<'a> {
                         return None;
                     }
                     // Park the state right away: the registry still
-                    // references it, but that reference is retired by the
-                    // next iteration's republish and drained by its
-                    // quiesce — no deferred-withdrawal carry across loop
-                    // iterations anymore.
+                    // references it, and the next iteration's republish
+                    // releases that reference.
                     release_state(state);
                 }
             }
@@ -757,46 +713,36 @@ mod tests {
         assert_eq!(runs0, 1);
     }
 
-    /// Prime the ring with `4 × STATE_RING_CAP` transactions of `body`,
-    /// then run as many again and count the distinct `TxState`
-    /// allocations they touch, retrying a few rounds: a transient epoch
-    /// pin from a concurrently running test can delay a bag drain and
-    /// legitimately force extra allocations in one round, but a quiet
-    /// round must cycle within the ring's capacity.
+    /// Prime the ring with `STATE_RING_CAP` transactions of `body`, then
+    /// run as many again and count the distinct `TxState` allocations they
+    /// touch: the registry lets go of an attempt at the next republish, so
+    /// a steady loop cycles two.
     fn assert_ring_cycles(ctx: &ThreadCtx<'_>, mut body: impl FnMut(&mut Txn) -> TxResult<()>) {
-        const TXNS: usize = 4 * STATE_RING_CAP;
-        for _ in 0..TXNS {
+        for _ in 0..STATE_RING_CAP {
             ctx.atomic(&mut body);
         }
-        let mut best = usize::MAX;
-        for _ in 0..5 {
-            let mut ptrs = Vec::new();
-            for _ in 0..TXNS {
-                ctx.atomic(|tx| {
-                    ptrs.push(Arc::as_ptr(tx.state()) as usize);
-                    body(tx)
-                });
-            }
-            ptrs.sort_unstable();
-            ptrs.dedup();
-            best = best.min(ptrs.len());
-            if best <= STATE_RING_CAP {
-                return;
-            }
+        let mut ptrs = Vec::new();
+        for _ in 0..STATE_RING_CAP {
+            ctx.atomic(|tx| {
+                ptrs.push(Arc::as_ptr(tx.state()) as usize);
+                body(tx)
+            });
         }
-        panic!(
-            "TxStates must be recycled (best round saw {best} distinct allocations \
-             in {TXNS} txns, ring capacity {STATE_RING_CAP})"
+        ptrs.sort_unstable();
+        ptrs.dedup();
+        assert_eq!(
+            ptrs.len(),
+            2,
+            "TxStates must be recycled: {STATE_RING_CAP} txns touched {} allocations",
+            ptrs.len()
         );
     }
 
     #[test]
     fn txstate_pool_recycles_read_only_states() {
         // After a read-only commit the TxState is referenced only by the
-        // ring, the registry, and (for the epoch lag) the epoch bag, so a
-        // steady loop must cycle within the ring: the registry reference
-        // retired at transaction k drains two to three quiesce strides
-        // later. Cover every slot index so the read takes the fast path
+        // ring and the registry, which lets go at the next republish.
+        // Cover every slot index so the read takes the fast path
         // regardless of which harness thread runs this test (the overflow
         // list would hold a `Weak` and legitimately block recycling).
         slots::reserve_reader_slots(slots::MAX_SLOTS);
@@ -816,11 +762,9 @@ mod tests {
     #[test]
     fn write_txn_txstate_recycles_through_the_pool() {
         // The fused single-object commit collapses the locator (dropping
-        // its TxState reference) and the registry's reference is retired
-        // by the next transaction's republish, draining through the epoch
-        // bag two to three quiesce strides later — so a steady loop of
-        // write transactions cycles within the ring instead of allocating
-        // per transaction.
+        // its TxState reference) and the next transaction's republish
+        // releases the registry's — so a steady loop of write transactions
+        // cycles within the ring instead of allocating per transaction.
         let stm = Stm::new(CmDispatch::AbortSelf, 1);
         let tv: TVar<u64> = TVar::new(0);
         let ctx = stm.thread(0);
@@ -887,14 +831,13 @@ mod tests {
         .expect("ring test thread");
     }
 
-    /// Commit `TXNS` single-thread transactions on `stm` and return this
-    /// thread's (logical-clock RMWs, global-epoch CASes) over them.
+    /// Commit `BUDGET_TXNS` single-thread transactions on `stm` and return
+    /// this thread's logical-clock RMWs over them.
     #[cfg(debug_assertions)]
-    fn fixed_path_rmws(stm: &Stm) -> (u64, u64) {
+    fn fixed_path_clock_rmws(stm: &Stm) -> u64 {
         let tv: TVar<u64> = TVar::new(0);
         let ctx = stm.thread(0);
         crate::probe::take_logical_clock_rmws();
-        crate::probe::take_epoch_cases();
         for _ in 0..BUDGET_TXNS {
             ctx.atomic(|tx| {
                 let v = *tx.read(&tv)?;
@@ -902,10 +845,7 @@ mod tests {
             });
         }
         assert_eq!(stm.aggregate().aborts, 0, "one thread never retries");
-        (
-            crate::probe::take_logical_clock_rmws(),
-            crate::probe::take_epoch_cases(),
-        )
+        crate::probe::take_logical_clock_rmws()
     }
 
     #[cfg(debug_assertions)]
@@ -915,11 +855,6 @@ mod tests {
     #[test]
     fn fixed_path_shared_rmw_budget() {
         let named = |name| crate::managers::make_dispatch(name, 1).expect("registered");
-        // One advance CAS per collecting quiesce, one collecting quiesce
-        // per stride; +2 for the stride phase this thread starts in and a
-        // `COLLECT_THRESHOLD` collection if a sibling test's pin stalls
-        // the epoch for a while.
-        let cas_bound = BUDGET_TXNS / crate::epoch::QUIESCE_STRIDE as u64 + 2;
         for (cm, clock_rmws) in [
             (CmDispatch::AbortSelf, 0),
             (named("Polka"), 0),
@@ -927,15 +862,11 @@ mod tests {
             (named("Timestamp"), BUDGET_TXNS),
         ] {
             let stm = Stm::new(cm, 1);
-            let name = stm.cm().name();
-            let (clock, cas) = fixed_path_rmws(&stm);
             assert_eq!(
-                clock, clock_rmws,
-                "{name}: logical-clock RMWs over {BUDGET_TXNS} committed transactions"
-            );
-            assert!(
-                cas <= cas_bound,
-                "{name}: {cas} global-epoch CASes over {BUDGET_TXNS} transactions (bound {cas_bound})"
+                fixed_path_clock_rmws(&stm),
+                clock_rmws,
+                "{}: logical-clock RMWs over {BUDGET_TXNS} committed transactions",
+                stm.cm().name()
             );
         }
     }

@@ -398,13 +398,16 @@ impl<T: TxObject> ObjState<T> {
                     continue;
                 }
                 // `None`: attempt `a` is no longer the one running on this
-                // slot, so its body and commit are over.
-                if let Some(tx) = slots::live_reader(idx, a) {
-                    match meet(self, &tx) {
-                        Reader::Conflict => return Some(tx),
-                        Reader::Running => continue,
-                        Reader::Over => {}
-                    }
+                // slot, so its body and commit are over. `meet` runs under
+                // the record's lock; only a conflict takes a count.
+                let met = slots::with_live_reader(idx, a, |tx| match meet(self, tx) {
+                    Reader::Conflict => Err(Arc::clone(tx)),
+                    seen => Ok(seen),
+                });
+                match met {
+                    Some(Err(enemy)) => return Some(enemy),
+                    Some(Ok(Reader::Running)) => continue,
+                    _ => {}
                 }
                 // Over or stale: clear the word so future scans stay
                 // cheap. CAS so a newly arrived reader's store is never
@@ -533,7 +536,7 @@ impl<T: TxObject> TVarInner<T> {
             .reader_slots
             .get(slot_idx)
             .map(|s| s.load(Ordering::SeqCst));
-        let live = slots::live_reader(slot_idx, attempt_id).map(|tx| tx.is_active());
+        let live = slots::with_live_reader(slot_idx, attempt_id, |tx| tx.is_active());
         let st = self.state.try_lock().map(|st| {
             (
                 st.writer
@@ -907,7 +910,7 @@ impl<T: TxObject> TVar<T> {
             .enumerate()
             .filter(|(idx, slot)| {
                 let a = slot.load(Ordering::SeqCst);
-                a != 0 && slots::live_reader(*idx, a).is_some_and(|tx| tx.is_active())
+                a != 0 && slots::with_live_reader(*idx, a, |tx| tx.is_active()) == Some(true)
             })
             .count();
         st.prune_readers();
@@ -942,7 +945,7 @@ mod tests {
         assert_ne!(idx, crate::slots::NO_SLOT);
         let id = slots::next_attempt_id();
         let st = state(id);
-        slots::publish(idx, &st);
+        slots::republish(idx, &st);
         (idx, st)
     }
 
@@ -1086,7 +1089,7 @@ mod tests {
         let tv = covered_tvar(0);
         assert_eq!(tv.inner().reader_slots.len(), MAX_SLOTS);
         let reader = state(slots::next_attempt_id());
-        slots::publish(claim.idx, &reader);
+        slots::republish(claim.idx, &reader);
         assert!(
             tv.inner().fast_read(claim.idx, reader.attempt_id).is_some(),
             "a claimed last-shard index must work like any other slot"

@@ -14,10 +14,8 @@
 //! that still points at an old attempt therefore sees it permanently
 //! `Aborted`/`Committed`, exactly as if the record were freshly allocated.
 //! The reader registry's reference ([`crate::slots`]) is the one that
-//! outlives the attempt: it is *retired* through [`crate::epoch`] when the
-//! owner republishes its next attempt, and drains at a later collecting
-//! quiesce — which is why the pool is a ring a few quiesce strides deep,
-//! not one slot.
+//! outlives the attempt: the owner's next republish releases it, so a
+//! steady loop cycles two records and the pool is a ring, not one slot.
 //!
 //! The record is also where a competitor parks what an attempt may still
 //! be reading: reads are uncounted borrows, so whoever displaces a version

@@ -49,13 +49,17 @@
 //!   frame clock through its wait-free registration/contraction API.
 //! * **`on_abort`** is two atomic f64 operations on the
 //!   contention-intensity cell and touches neither the `ThreadWindow` nor
-//!   any lock.
+//!   any lock — unless the abort is a panicking body's unwind, which
+//!   abandons the windows (below).
 //!
 //! Mutexes remain only at window *boundaries* (creating the next
 //! generation's frame clock, publishing the diagnostic mirrors) and on
-//! the barrier-timeout failure path. [`crate::lockstat`] counts every
-//! acquisition so the steady-state zero-lock property is asserted by a
-//! test rather than claimed by a comment.
+//! the two failure paths: a barrier timeout, and a body that panics
+//! mid-window — its thread may never reach the next boundary, so the
+//! barrier is cancelled at once instead of timing out.
+//! [`crate::lockstat`] counts every acquisition so the steady-state
+//! zero-lock property is asserted by a test rather than claimed by a
+//! comment.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -191,10 +195,11 @@ impl WindowManager {
         self.barrier.cancel();
     }
 
-    /// The diagnostic recorded when a window barrier timed out — a
-    /// configuration mismatch between `cfg.m` and the number of threads
-    /// actually running transactions. `None` while the window machinery
-    /// is healthy.
+    /// The diagnostic recorded when the window machinery was abandoned: a
+    /// window barrier timed out (a configuration mismatch between `cfg.m`
+    /// and the number of threads actually running transactions), or a
+    /// transaction body panicked, so its thread will not reach the next
+    /// boundary. `None` while the window machinery is healthy.
     pub fn window_error(&self) -> Option<String> {
         lockstat::bump();
         self.last_error.lock().clone()
@@ -293,25 +298,32 @@ impl WindowManager {
         res
     }
 
-    /// Record the barrier-timeout diagnostic (first one wins) and cancel
-    /// the window machinery so every thread degrades to free mode.
+    /// Record the barrier-timeout diagnostic and cancel the window
+    /// machinery ([`Self::abandon_windows`]).
     fn fail_window(&self, thread_id: usize) {
         self.barrier_timeouts.fetch_add(1, Ordering::Relaxed);
         // We already withdrew our own arrival; count ourselves back in for
         // the message. Racing timeouts make this approximate — it is a
         // diagnostic, not an invariant.
         let arrived = (self.barrier.arrived() + 1).min(self.cfg.m);
-        let msg = format!(
+        self.abandon_windows(format!(
             "window barrier timed out after {:?} (thread {thread_id}): \
              only {arrived} of m = {} threads reached the window boundary. \
-             WindowConfig.m must equal the number of threads running transactions; \
-             continuing in free mode (RandomizedRounds).",
+             WindowConfig.m must equal the number of threads running transactions",
             self.cfg.barrier_timeout, self.cfg.m,
-        );
+        ));
+    }
+
+    /// Record `why` as the window error (first one wins) and cancel the
+    /// barrier, so every thread degrades to free mode at its next window
+    /// boundary and none waits at one.
+    #[cold]
+    fn abandon_windows(&self, why: String) {
         {
             lockstat::bump();
             let mut err = self.last_error.lock();
             if err.is_none() {
+                let msg = format!("{why}; continuing in free mode (RandomizedRounds).");
                 eprintln!("wtm-window: {msg}");
                 *err = Some(msg);
             }
@@ -576,6 +588,14 @@ impl ContentionManager for WindowManager {
             CI_ALPHA * ci.load(Ordering::Relaxed) + (1.0 - CI_ALPHA),
             Ordering::Relaxed,
         );
+        // The body unwound: this thread may never reach the next window
+        // boundary, so nobody waits for it there.
+        if std::thread::panicking() {
+            self.abandon_windows(format!(
+                "a transaction body panicked on thread {}",
+                tx.thread_id
+            ));
+        }
     }
 
     /// Window priorities are (frame, rank π₂, attempt id): no hook reads a

@@ -12,23 +12,30 @@ use windowtm::workloads::{TxIntSet, TxList, TxRBTree, TxSkipList};
 
 const THREADS: usize = 3;
 
-/// Run `per_thread` counter increments under the named manager and check
-/// no update is lost. The hot single `TVar` maximizes write-write
-/// conflicts, so every manager's full decision logic fires.
-fn counter_torture(manager: &str, engine: EngineKind, per_thread: u64) {
-    let built = build_manager(manager, THREADS, 8, 7).expect(manager);
-    let stm = Stm::with_engine(built.cm.clone(), THREADS, engine);
+/// Run `per_thread` counter increments on each of `threads` threads under
+/// the named manager and check no update is lost. The hot single `TVar`
+/// maximizes write-write conflicts, so every manager's full decision logic
+/// fires. Each thread's first increment comes before a start barrier, so
+/// every thread has claimed its reader slot (or found none left) while
+/// all of them are alive.
+fn counter_torture(manager: &str, engine: EngineKind, threads: usize, per_thread: u64) {
+    let built = build_manager(manager, threads, 8, 7).expect(manager);
+    let stm = Stm::with_engine(built.cm.clone(), threads, engine);
     let counter: TVar<u64> = TVar::new(0);
+    let start = std::sync::Barrier::new(threads);
     std::thread::scope(|s| {
-        for t in 0..THREADS {
+        for t in 0..threads {
             let ctx = stm.thread(t);
-            let counter = counter.clone();
+            let (counter, start) = (&counter, &start);
             s.spawn(move || {
-                for _ in 0..per_thread {
+                for i in 0..per_thread {
                     ctx.atomic(|tx| {
-                        let v = *tx.read(&counter)?;
-                        tx.write(&counter, v + 1)
+                        let v = *tx.read(counter)?;
+                        tx.write(counter, v + 1)
                     });
+                    if i == 0 {
+                        start.wait();
+                    }
                 }
             });
         }
@@ -36,24 +43,35 @@ fn counter_torture(manager: &str, engine: EngineKind, per_thread: u64) {
     built.cancel();
     assert_eq!(
         *counter.sample(),
-        THREADS as u64 * per_thread,
-        "lost updates under {manager}/{engine}"
+        threads as u64 * per_thread,
+        "lost updates under {manager}/{engine} at {threads} threads"
     );
     let stats = stm.aggregate();
-    assert_eq!(stats.commits, THREADS as u64 * per_thread);
+    assert_eq!(stats.commits, threads as u64 * per_thread);
 }
 
 #[test]
 fn no_lost_updates_under_any_manager() {
     for manager in all_manager_names() {
-        counter_torture(manager, EngineKind::Eager, 150);
+        counter_torture(manager, EngineKind::Eager, THREADS, 150);
     }
 }
 
 #[test]
 fn no_lost_updates_under_any_manager_lazy_engine() {
     for manager in all_manager_names() {
-        counter_torture(manager, EngineKind::Lazy, 150);
+        counter_torture(manager, EngineKind::Lazy, THREADS, 150);
+    }
+}
+
+#[test]
+fn no_lost_updates_past_the_reader_slots() {
+    // 260 live threads against 256 reader slots: at least four run every
+    // read through the object lock and the overflow reader list.
+    for engine in EngineKind::ALL {
+        for manager in ["Polka", "Greedy"] {
+            counter_torture(manager, engine, windowtm::stm::slots::MAX_SLOTS + 4, 20);
+        }
     }
 }
 

@@ -207,6 +207,57 @@ fn mid_run_cancel_releases_barrier_waiters() {
 }
 
 #[test]
+fn a_body_that_panics_mid_window_cancels_the_barrier_at_once() {
+    // Thread 1's first body panics inside window 1 and its thread stops
+    // there. Thread 0 runs on into window 2, whose barrier thread 1 will
+    // never reach: it must find the barrier cancelled, not wait out the
+    // default 5 s timeout.
+    let (m, n) = (2, 4);
+    let cfg = WindowConfig::new(m, n).with_seed(17);
+    let wm = Arc::new(WindowManager::new(WindowVariant::OnlineDynamic, cfg));
+    let stm = Stm::new(wm.clone(), m);
+    let v: TVar<u64> = TVar::new(0);
+    let t0 = std::time::Instant::now();
+    std::thread::scope(|s| {
+        let panicker = stm.thread(1);
+        let v1 = v.clone();
+        s.spawn(move || {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                panicker.atomic(|tx| -> windowtm::stm::TxResult<()> {
+                    tx.write(&v1, 1000)?;
+                    panic!("body gives up mid-window")
+                })
+            }));
+            assert!(unwound.is_err());
+        });
+        let (ctx, v0) = (stm.thread(0), v.clone());
+        s.spawn(move || {
+            for _ in 0..3 * n {
+                ctx.atomic(|tx| {
+                    let x = *tx.read(&v0)?;
+                    tx.write(&v0, x + 1)
+                });
+            }
+        });
+    });
+    let took = t0.elapsed();
+    assert_eq!(
+        *v.sample(),
+        3 * n as u64,
+        "the panicked write is rolled back"
+    );
+    assert!(took < Duration::from_secs(1), "thread 0 waited {took:?}");
+    let counts = wm.boundary_counts();
+    assert_eq!(counts.barrier_timeouts, 0);
+    assert!(counts.free_mode_entries >= 1, "{counts:?}");
+    let err = wm.window_error().expect("the abandonment is recorded");
+    assert!(
+        err.contains("panicked on thread 1"),
+        "the error names the thread: {err}"
+    );
+}
+
+#[test]
 fn window_run_respects_fixed_tau_configuration() {
     // With calibration off and a fixed τ, the frame length is exactly
     // phi_factor · ln(MN) · τ.
