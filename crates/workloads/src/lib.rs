@@ -19,7 +19,10 @@
 //!   is *visible* rather than amortized.
 //! * **Vacation**: each transaction makes several bookings across three
 //!   tables (flights/hotels/cars), mixing point queries and updates — a
-//!   "realistic application" mix.
+//!   "realistic application" mix. As in STAMP, each row and customer
+//!   record is an object of its own beside the red-black index, so a
+//!   booking conflicts with users of its row, not with every lookup that
+//!   walks past the row's tree node.
 //! * **HashMap**: accesses touch exactly one bucket; conflicts scale with
 //!   `1/buckets` — the polar opposite of the List.
 //! * **Genome**: STAMP-style assembly (dedup → prefix-index → link);

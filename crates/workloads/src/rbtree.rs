@@ -12,8 +12,9 @@
 //! of conflicts against all concurrent path-walkers — the "medium-high"
 //! contention benchmark of the paper.
 //!
-//! [`TxRBMap`] is the general ordered map (also the storage engine for the
-//! Vacation benchmark's tables); [`TxRBTree`] is its `IntSet` facade.
+//! [`TxRBMap`] is the general ordered map (also the index of the Vacation
+//! benchmark's tables, whose rows live in objects of their own);
+//! [`TxRBTree`] is its `IntSet` facade.
 
 use wtm_stm::{ReadRef, TVar, TxObject, TxResult, Txn};
 
@@ -183,15 +184,24 @@ impl<V: TxObject> TxRBMap<V> {
 
     /// Index of the node with `key`, or NIL.
     fn find(&self, tx: &mut Txn, key: i64) -> TxResult<u32> {
+        Ok(self.find_node(tx, key)?.map_or(NIL, |(i, _)| i))
+    }
+
+    /// The node with `key` — its index and the version the walk read.
+    fn find_node<'t>(
+        &self,
+        tx: &mut Txn<'t>,
+        key: i64,
+    ) -> TxResult<Option<(u32, ReadRef<'t, RBNode<V>>)>> {
         let mut x = self.root_idx(tx)?;
         while x != NIL {
             let xv = self.get_node(tx, x)?;
             if key == xv.key {
-                return Ok(x);
+                return Ok(Some((x, xv)));
             }
             x = if key < xv.key { xv.left } else { xv.right };
         }
-        Ok(NIL)
+        Ok(None)
     }
 
     /// Leftmost node of the subtree rooted at `i` (`i` must not be NIL).
@@ -509,15 +519,21 @@ impl<V: TxObject> TxRBMap<V> {
         }
     }
 
-    /// Apply `f` to the value stored under `key`; returns `false` if the
-    /// key is absent.
-    pub fn update(&self, tx: &mut Txn, key: i64, f: impl FnOnce(&mut V)) -> TxResult<bool> {
-        let i = self.find(tx, key)?;
-        if i == NIL {
-            return Ok(false);
+    /// Run `f` on the value stored under `key`, borrowed from the version
+    /// of its node the lookup read; `None` if the key is absent. Unlike
+    /// [`get`](Self::get) this clones nothing, and `f` may keep opening
+    /// objects — the handle of a value that lives in an object of its own,
+    /// for instance.
+    pub fn with_value<'t, R>(
+        &self,
+        tx: &mut Txn<'t>,
+        key: i64,
+        f: impl FnOnce(&mut Txn<'t>, &V) -> TxResult<R>,
+    ) -> TxResult<Option<R>> {
+        match self.find_node(tx, key)? {
+            Some((_, node)) => f(tx, &node.value).map(Some),
+            None => Ok(None),
         }
-        tx.modify(self.node(i), |n| f(&mut n.value))?;
-        Ok(true)
     }
 
     /// Membership test.
@@ -525,8 +541,8 @@ impl<V: TxObject> TxRBMap<V> {
         Ok(self.find(tx, key)? != NIL)
     }
 
-    /// Greatest key `≤ key` with its value (used by Vacation's price
-    /// queries), or `None` if all keys are greater.
+    /// Greatest key `≤ key` with its value, or `None` if all keys are
+    /// greater.
     pub fn floor(&self, tx: &mut Txn, key: i64) -> TxResult<Option<(i64, V)>> {
         let mut best: Option<(i64, V)> = None;
         let mut x = self.root_idx(tx)?;
@@ -780,21 +796,23 @@ mod tests {
     }
 
     #[test]
-    fn map_put_get_update_floor() {
+    fn map_put_get_with_value_floor() {
         let stm = stm1();
         let ctx = stm.thread(0);
         let m: TxRBMap<u64> = TxRBMap::new(32);
         assert!(ctx.atomic(|tx| m.put(tx, 10, 100)));
         assert!(!ctx.atomic(|tx| m.put(tx, 10, 101)), "overwrite not new");
         assert_eq!(ctx.atomic(|tx| m.get(tx, 10)), Some(101));
-        assert!(ctx.atomic(|tx| m.update(tx, 10, |v| *v += 1)));
-        assert_eq!(ctx.atomic(|tx| m.get(tx, 10)), Some(102));
-        assert!(!ctx.atomic(|tx| m.update(tx, 11, |v| *v += 1)));
+        assert_eq!(
+            ctx.atomic(|tx| m.with_value(tx, 10, |_, v| Ok(*v + 1))),
+            Some(102)
+        );
+        assert_eq!(ctx.atomic(|tx| m.with_value(tx, 11, |_, v| Ok(*v))), None);
         ctx.atomic(|tx| m.put(tx, 20, 200));
-        assert_eq!(ctx.atomic(|tx| m.floor(tx, 15)), Some((10, 102)));
+        assert_eq!(ctx.atomic(|tx| m.floor(tx, 15)), Some((10, 101)));
         assert_eq!(ctx.atomic(|tx| m.floor(tx, 20)), Some((20, 200)));
         assert_eq!(ctx.atomic(|tx| m.floor(tx, 5)), None);
-        assert_eq!(ctx.atomic(|tx| m.remove_entry(tx, 10)), Some(102));
+        assert_eq!(ctx.atomic(|tx| m.remove_entry(tx, 10)), Some(101));
         assert_eq!(ctx.atomic(|tx| m.get(tx, 10)), None);
     }
 

@@ -16,16 +16,53 @@
 //!   Write-heavy, disjoint-ish.
 //!
 //! The paper drives contention with the fraction of updating transactions
-//! (Fig. 5); [`VacationOpGenerator`] exposes exactly that knob. Tables are
-//! [`crate::TxRBMap`]s, so every access also exercises the red-black tree
-//! engine — as in STAMP, where the tables are RB-trees too.
+//! (Fig. 5); [`VacationOpGenerator`] exposes exactly that knob.
+//!
+//! Each table is a [`crate::TxRBMap`] index, as in STAMP, where the tables
+//! are RB-trees too, and — also as in STAMP, whose `reservation_t` and
+//! `customer_t` are objects beside the map — every row lives in a `TVar` of
+//! its own: a tree node holds only the row's handle. A lookup reads the
+//! path, then the row; a booking, a release or a re-price writes the row
+//! and leaves the nodes alone, so it conflicts with the transactions that
+//! use that row, not with every lookup that walks past its node. Only
+//! inserting or removing a customer changes tree structure.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use wtm_stm::{TxResult, Txn};
+use wtm_stm::{TVar, TxObject, TxResult, Txn};
 
 use crate::rbtree::TxRBMap;
+
+/// A table: key → the handle of the row's object. `None` only in an arena
+/// slot that has never held a node.
+type Table<T> = TxRBMap<Option<TVar<T>>>;
+
+/// Run `f` on the row object under `key` of `table`, `None` if the key is
+/// absent. The handle is borrowed from the node version the lookup read,
+/// not cloned: a clone would be a read-modify-write on the object's count,
+/// a line every thread that uses the row touches.
+fn with_row<'t, T: TxObject, R>(
+    table: &Table<T>,
+    tx: &mut Txn<'t>,
+    key: i64,
+    f: impl FnOnce(&mut Txn<'t>, &TVar<T>) -> TxResult<R>,
+) -> TxResult<Option<R>> {
+    table.with_value(tx, key, |tx, cell| f(tx, row(cell)))
+}
+
+fn row<T: TxObject>(cell: &Option<TVar<T>>) -> &TVar<T> {
+    cell.as_ref().expect("a node in the tree holds its row")
+}
+
+/// Every `(key, row)` of `table` in key order. Quiescence only.
+fn rows<T: TxObject>(table: &Table<T>) -> Vec<(i64, T)> {
+    table
+        .snapshot()
+        .into_iter()
+        .map(|(key, cell)| (key, T::clone(&row(&cell).sample())))
+        .collect()
+}
 
 /// The three resource tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,10 +152,10 @@ pub enum VacationOp {
 
 /// The travel-booking database.
 pub struct Vacation {
-    cars: TxRBMap<Reservation>,
-    rooms: TxRBMap<Reservation>,
-    flights: TxRBMap<Reservation>,
-    customers: TxRBMap<Customer>,
+    cars: Table<Reservation>,
+    rooms: Table<Reservation>,
+    flights: Table<Reservation>,
+    customers: Table<Customer>,
     cfg: VacationConfig,
 }
 
@@ -157,7 +194,7 @@ impl Vacation {
                     price: rng.random_range(50..=550),
                 };
                 let table = self.table(*kind);
-                ctx.atomic(|tx| table.insert(tx, id, row));
+                ctx.atomic(|tx| table.insert(tx, id, Some(TVar::new(row))));
             }
         }
     }
@@ -167,7 +204,7 @@ impl Vacation {
         &self.cfg
     }
 
-    fn table(&self, kind: ResKind) -> &TxRBMap<Reservation> {
+    fn table(&self, kind: ResKind) -> &Table<Reservation> {
         match kind {
             ResKind::Car => &self.cars,
             ResKind::Room => &self.rooms,
@@ -198,7 +235,7 @@ impl Vacation {
         // Phase 1 (reads): best available row per kind.
         let mut best: [Option<(i64, i64)>; 3] = [None; 3]; // (id, price)
         for &(kind, id) in queries {
-            if let Some(row) = self.table(kind).get(tx, id)? {
+            if let Some(row) = with_row(self.table(kind), tx, id, |tx, r| Ok(*tx.read(r)?))? {
                 if row.free() > 0 {
                     let slot = &mut best[kind as usize];
                     if slot.is_none_or(|(_, p)| row.price > p) {
@@ -211,22 +248,25 @@ impl Vacation {
             return Ok(false);
         }
         // Phase 2 (writes): create the customer if needed, book each pick.
-        if self.customers.get(tx, customer)?.is_none() {
-            self.customers.insert(tx, customer, Customer::default())?;
+        if !self.customers.contains_key(tx, customer)? {
+            let record = Some(TVar::new(Customer::default()));
+            self.customers.insert(tx, customer, record)?;
         }
         let mut booked = false;
         for kind in ResKind::all() {
             let Some((id, price)) = best[*kind as usize] else {
                 continue;
             };
-            let ok = self.table(*kind).update(tx, id, |r| {
-                if r.used < r.total {
-                    r.used += 1;
-                }
+            let ok = with_row(self.table(*kind), tx, id, |tx, r| {
+                tx.modify(r, |r| {
+                    if r.used < r.total {
+                        r.used += 1;
+                    }
+                })
             })?;
-            if ok {
-                self.customers.update(tx, customer, |c| {
-                    c.bookings.push((*kind, id, price));
+            if ok.is_some() {
+                with_row(&self.customers, tx, customer, |tx, c| {
+                    tx.modify(c, |c| c.bookings.push((*kind, id, price)))
                 })?;
                 booked = true;
             }
@@ -237,14 +277,17 @@ impl Vacation {
     /// STAMP `client_run` action 1: release the customer's bookings and
     /// drop the record.
     fn delete_customer(&self, tx: &mut Txn, customer: i64) -> TxResult<bool> {
-        let Some(record) = self.customers.remove_entry(tx, customer)? else {
+        let Some(cell) = self.customers.remove_entry(tx, customer)? else {
             return Ok(false);
         };
-        for (kind, id, _) in &record.bookings {
-            self.table(*kind).update(tx, *id, |r| {
-                if r.used > 0 {
-                    r.used -= 1;
-                }
+        let record = tx.read(row(&cell))?;
+        for &(kind, id, _) in &record.bookings {
+            with_row(self.table(kind), tx, id, |tx, r| {
+                tx.modify(r, |r| {
+                    if r.used > 0 {
+                        r.used -= 1;
+                    }
+                })
             })?;
         }
         Ok(true)
@@ -254,15 +297,17 @@ impl Vacation {
     fn update_tables(&self, tx: &mut Txn, updates: &[(ResKind, i64, bool, i64)]) -> TxResult<bool> {
         let mut changed = false;
         for &(kind, id, add, price) in updates {
-            let did = self.table(kind).update(tx, id, |r| {
-                if add {
-                    r.price = price;
-                    r.total += 1;
-                } else if r.free() > 0 {
-                    r.total -= 1;
-                }
+            let did = with_row(self.table(kind), tx, id, |tx, r| {
+                tx.modify(r, |r| {
+                    if add {
+                        r.price = price;
+                        r.total += 1;
+                    } else if r.free() > 0 {
+                        r.total -= 1;
+                    }
+                })
             })?;
-            changed |= did;
+            changed |= did.is_some();
         }
         Ok(changed)
     }
@@ -273,13 +318,13 @@ impl Vacation {
     /// row's `used` equals the bookings customers actually hold on it.
     pub fn check_consistency(&self) {
         let mut held: std::collections::HashMap<(u8, i64), i64> = std::collections::HashMap::new();
-        for (_, cust) in self.customers.snapshot() {
+        for (_, cust) in rows(&self.customers) {
             for (kind, id, _) in cust.bookings {
                 *held.entry((kind as u8, id)).or_insert(0) += 1;
             }
         }
         for kind in ResKind::all() {
-            for (id, row) in self.table(*kind).snapshot() {
+            for (id, row) in rows(self.table(*kind)) {
                 assert!(
                     row.used >= 0 && row.used <= row.total,
                     "{kind:?} row {id}: used {} outside [0, {}]",
@@ -300,8 +345,7 @@ impl Vacation {
 
     /// Total bookings across all customers (diagnostics).
     pub fn total_bookings(&self) -> usize {
-        self.customers
-            .snapshot()
+        rows(&self.customers)
             .into_iter()
             .map(|(_, c)| c.bookings.len())
             .sum()
@@ -377,7 +421,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use wtm_stm::cm::AbortSelfManager;
-    use wtm_stm::Stm;
+    use wtm_stm::{CmDispatch, EngineKind, Stm};
 
     fn small_cfg() -> VacationConfig {
         VacationConfig {
@@ -393,7 +437,7 @@ mod tests {
     fn populate_fills_all_tables() {
         let v = Vacation::new(small_cfg());
         for kind in ResKind::all() {
-            let rows = v.table(*kind).snapshot();
+            let rows = rows(v.table(*kind));
             assert_eq!(rows.len(), 24);
             for (_, r) in rows {
                 assert!(r.total >= 20 && r.used == 0 && r.price >= 50);
@@ -415,8 +459,8 @@ mod tests {
         assert_eq!(v.total_bookings(), 2, "one car + one room");
         v.check_consistency();
         // The booked car is the pricier of rows 0 and 1.
-        let p0 = v.cars.snapshot()[0].1;
-        let p1 = v.cars.snapshot()[1].1;
+        let p0 = rows(&v.cars)[0].1;
+        let p1 = rows(&v.cars)[1].1;
         let booked = if p0.price >= p1.price { p0 } else { p1 };
         assert_eq!(booked.used, 1);
     }
@@ -445,19 +489,19 @@ mod tests {
         let v = Vacation::new(small_cfg());
         let stm = Stm::new(Arc::new(AbortSelfManager), 1);
         let ctx = stm.thread(0);
-        let before = v.rooms.snapshot()[4].1;
+        let before = rows(&v.rooms)[4].1;
         let op = VacationOp::UpdateTables {
             updates: vec![(ResKind::Room, 4, true, 333)],
         };
         assert!(ctx.atomic(|tx| v.run_op(tx, &op)));
-        let after = v.rooms.snapshot()[4].1;
+        let after = rows(&v.rooms)[4].1;
         assert_eq!(after.price, 333);
         assert_eq!(after.total, before.total + 1);
         let shrink = VacationOp::UpdateTables {
             updates: vec![(ResKind::Room, 4, false, 0)],
         };
         assert!(ctx.atomic(|tx| v.run_op(tx, &shrink)));
-        assert_eq!(v.rooms.snapshot()[4].1.total, before.total);
+        assert_eq!(rows(&v.rooms)[4].1.total, before.total);
         v.check_consistency();
     }
 
@@ -513,5 +557,49 @@ mod tests {
             }
         });
         v.check_consistency();
+    }
+
+    /// A write to a row conflicts with the transactions that use the row,
+    /// not with every lookup whose path passes the row's node. Attempt A
+    /// looks up car 1, whose path starts at the root; inside A's body a
+    /// second thread commits an `UpdateTables` on car 0, the root's own
+    /// row; then A books car 1. A must commit on its first attempt. The
+    /// manager aborts the enemy, so a layout whose re-price rewrites the
+    /// root node makes A retry rather than hang.
+    #[test]
+    fn a_booking_does_not_invalidate_a_concurrent_lookup() {
+        for engine in [EngineKind::Eager, EngineKind::Lazy] {
+            // Two rows per table: key 0, inserted first, is the root and
+            // key 1 its child.
+            let v = Vacation::new(VacationConfig {
+                num_relations: 2,
+                ..small_cfg()
+            });
+            let stm = Stm::with_engine(CmDispatch::AbortEnemy, 2, engine);
+            let reprice = VacationOp::UpdateTables {
+                updates: vec![(ResKind::Car, 0, true, 999)],
+            };
+            let book = VacationOp::MakeReservation {
+                customer: 3,
+                queries: vec![(ResKind::Car, 1)],
+            };
+            let mut attempts = 0;
+            let booked = stm.thread(0).atomic(|tx| {
+                attempts += 1;
+                with_row(&v.cars, tx, 1, |tx, r| Ok(*tx.read(r)?))?;
+                if attempts == 1 {
+                    std::thread::scope(|s| {
+                        s.spawn(|| stm.thread(1).atomic(|tx| v.run_op(tx, &reprice)));
+                    });
+                }
+                v.run_op(tx, &book)
+            });
+            assert!(booked);
+            assert_eq!(attempts, 1, "{engine}: the lookup was invalidated");
+            assert_eq!(stm.aggregate().aborts, 0, "{engine}");
+            assert_eq!(rows(&v.cars)[0].1.price, 999);
+            assert_eq!(rows(&v.cars)[1].1.used, 1);
+            v.check_consistency();
+        }
     }
 }

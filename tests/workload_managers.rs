@@ -5,26 +5,26 @@
 use std::sync::Arc;
 
 use windowtm::harness::managers::build_manager;
-use windowtm::stm::Stm;
+use windowtm::stm::{EngineKind, Stm};
 use windowtm::window::{WindowConfig, WindowManager, WindowVariant};
 use windowtm::workloads::{ContentionLevel, KMeans, Vacation, VacationConfig, VacationOpGenerator};
 
-/// Vacation under a given manager and contention level stays referentially
-/// consistent (bookings ↔ reserved units).
-fn vacation_consistent(manager: &str, level: ContentionLevel) {
-    const THREADS: usize = 3;
+/// Vacation (24 rows a table) under a given manager, engine, thread count
+/// and update percentage stays referentially consistent (bookings ↔
+/// reserved units).
+fn vacation_consistent(manager: &str, engine: EngineKind, threads: usize, update_pct: u32) {
     let cfg = VacationConfig {
         num_relations: 24,
         num_queries: 3,
         query_range_pct: 80,
-        update_pct: level.update_pct(),
+        update_pct,
         seed: 7,
     };
-    let built = build_manager(manager, THREADS, 8, 3).expect(manager);
-    let stm = Stm::new(built.cm.clone(), THREADS);
+    let built = build_manager(manager, threads, 8, 3).expect(manager);
+    let stm = Stm::with_engine(built.cm.clone(), threads, engine);
     let v = Arc::new(Vacation::new(cfg));
     std::thread::scope(|s| {
-        for t in 0..THREADS {
+        for t in 0..threads {
             let ctx = stm.thread(t);
             let v = Arc::clone(&v);
             s.spawn(move || {
@@ -42,24 +42,41 @@ fn vacation_consistent(manager: &str, level: ContentionLevel) {
 
 #[test]
 fn vacation_consistent_under_window_managers_all_levels() {
-    for manager in ["Online-Dynamic", "Adaptive", "Adaptive-Improved-Dynamic"] {
-        for level in ContentionLevel::all() {
-            vacation_consistent(manager, *level);
+    for engine in EngineKind::ALL {
+        for manager in ["Online-Dynamic", "Adaptive", "Adaptive-Improved-Dynamic"] {
+            for level in ContentionLevel::all() {
+                vacation_consistent(manager, engine, 3, level.update_pct());
+            }
         }
     }
 }
 
 #[test]
 fn vacation_consistent_under_classic_managers() {
-    for manager in [
-        "Polka",
-        "Greedy",
-        "Priority",
-        "ATS",
-        "Kindergarten",
-        "Eruption",
-    ] {
-        vacation_consistent(manager, ContentionLevel::High);
+    for engine in EngineKind::ALL {
+        for manager in [
+            "Polka",
+            "Greedy",
+            "Priority",
+            "ATS",
+            "Kindergarten",
+            "Eruption",
+        ] {
+            vacation_consistent(manager, engine, 3, ContentionLevel::High.update_pct());
+        }
+    }
+}
+
+/// No `UpdateTables`: a tenth of the transactions remove a customer, and
+/// the customer's row object is dropped (once the next insert reuses the
+/// node's arena slot) while other attempts may still hold borrows of it —
+/// the object-drop arm of the borrowed-read invariant (`wtm_stm::tvar`),
+/// under the lazy engine, whose read set keeps plain pointers into the
+/// object until commit.
+#[test]
+fn vacation_consistent_under_lazy_delete_heavy_mix() {
+    for manager in ["Polka", "Online-Dynamic"] {
+        vacation_consistent(manager, EngineKind::Lazy, 4, 0);
     }
 }
 
