@@ -17,6 +17,8 @@
 
 use std::sync::Arc;
 
+use std::fmt::Display;
+
 use wtm_sim::{ParamError, Params};
 use wtm_stm::{CmDispatch, ContentionManager};
 use wtm_window::{WindowConfig, WindowManager};
@@ -120,6 +122,13 @@ impl From<ParamError> for BuildError {
     }
 }
 
+/// A [`BuildError::BadParams`] for a `key` whose value parsed but lies
+/// outside what the window model accepts.
+fn out_of_range(p: &Params, key: &str, want: &str, got: impl Display) -> BuildError {
+    p.error(format!("`{key}` must be {want} (got {got})"))
+        .into()
+}
+
 /// Build a manager by name for `threads` workers. Window managers use a
 /// `threads × window_n` window seeded with `seed`; a `@key=value` suffix
 /// overrides individual window knobs (see the module docs).
@@ -127,10 +136,11 @@ impl From<ParamError> for BuildError {
 /// Errors distinguish an unknown base name
 /// ([`BuildError::UnknownName`]) from a malformed or misapplied
 /// parameter suffix ([`BuildError::BadParams`]) — the latter includes
-/// duplicate keys, unparsable values, unknown keys, and parameters
-/// attached to a classic manager (which takes none). An unknown base
-/// stays `UnknownName` even with a broken suffix: the missing manager is
-/// the more fundamental problem.
+/// duplicate keys, unparsable values, unknown keys, out-of-range values
+/// (`n=0`, a `phi` that is not a positive finite number, a non-finite
+/// `c`), and parameters attached to a classic manager (which takes
+/// none). An unknown base stays `UnknownName` even with a broken suffix:
+/// the missing manager is the more fundamental problem.
 pub fn build_manager(
     name: &str,
     threads: usize,
@@ -151,11 +161,21 @@ pub fn build_manager(
         return Err(unknown());
     }
     let mut p = params?;
-    let mut cfg = WindowConfig::new(threads, p.get("n")?.unwrap_or(window_n)).with_seed(seed);
-    if let Some(phi) = p.get("phi")? {
+    let n = p.get("n")?;
+    if n == Some(0) {
+        return Err(out_of_range(&p, "n", "at least 1", 0));
+    }
+    let mut cfg = WindowConfig::new(threads, n.unwrap_or(window_n)).with_seed(seed);
+    if let Some(phi) = p.get::<f64>("phi")? {
+        if !(phi.is_finite() && phi > 0.0) {
+            return Err(out_of_range(&p, "phi", "a positive finite number", phi));
+        }
         cfg.phi_factor = phi;
     }
-    if let Some(c) = p.get("c")? {
+    if let Some(c) = p.get::<f64>("c")? {
+        if !c.is_finite() {
+            return Err(out_of_range(&p, "c", "a finite number", c));
+        }
         cfg = cfg.with_c_init(c);
     }
     p.finish()?;
@@ -179,18 +199,34 @@ mod tests {
     }
 
     #[test]
+    fn every_registered_manager_has_a_paper_role() {
+        // A window variant (Fig. 2), a comparison manager (Figs. 3–5), or
+        // RandomizedRounds, the Online algorithm's π₂ subroutine. A
+        // manager no figure plots does not get registered.
+        let mut roles = wtm_window::window_names();
+        roles.extend(comparison_manager_names());
+        roles.push("RandomizedRounds");
+        roles.sort_unstable();
+        roles.dedup();
+        let mut names = all_manager_names();
+        names.sort_unstable();
+        assert_eq!(names, roles);
+        assert_eq!(names.len(), 9);
+    }
+
+    #[test]
     fn exactly_the_timestamp_ordered_managers_draw_timestamps() {
         // The engine skips the logical clock where this answers `false`,
-        // so a manager that reads `ts`/`attempt_ts` must be in this list —
-        // and one that does not should stay out of it, or it pays a
-        // shared `fetch_add` per transaction for nothing.
+        // so a manager that reads `ts` must be in this list — and one
+        // that does not should stay out of it, or it pays a shared
+        // `fetch_add` per transaction for nothing.
         let names = all_manager_names();
-        assert_eq!(names.len(), 19, "the registry grew: classify the newcomer");
+        assert_eq!(names.len(), 9, "the registry grew: classify the newcomer");
         for name in names {
             let b = build_manager(name, 2, 8, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(
                 b.cm.uses_timestamps(),
-                matches!(name, "Greedy" | "Priority" | "Timestamp" | "ATS"),
+                matches!(name, "Greedy" | "Priority"),
                 "{name}"
             );
         }
@@ -254,6 +290,26 @@ mod tests {
         ] {
             match build_manager(name, 2, 8, 1) {
                 Err(BuildError::BadParams { name: n, .. }) => assert_eq!(n, name),
+                other => panic!("{name}: expected BadParams, got {other:?}"),
+            }
+        }
+        // Values that parse but the window model cannot run: each names
+        // its key instead of panicking (`n=0`) or being clamped.
+        for (name, key) in [
+            ("Online-Dynamic@n=0", "`n`"),
+            ("Online-Dynamic@phi=0", "`phi`"),
+            ("Online-Dynamic@phi=-1", "`phi`"),
+            ("Online-Dynamic@phi=nan", "`phi`"),
+            ("Online-Dynamic@phi=inf", "`phi`"),
+            ("Adaptive-Improved-Dynamic@c=nan", "`c`"),
+            ("Adaptive-Improved-Dynamic@c=inf", "`c`"),
+            ("Online-Dynamic@c=-inf", "`c`"),
+        ] {
+            match build_manager(name, 2, 8, 1) {
+                Err(BuildError::BadParams { name: n, reason }) => {
+                    assert_eq!(n, name);
+                    assert!(reason.contains(key), "{name}: reason was `{reason}`");
+                }
                 other => panic!("{name}: expected BadParams, got {other:?}"),
             }
         }

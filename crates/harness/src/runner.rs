@@ -44,8 +44,7 @@ pub struct RunSpec {
     pub threads: usize,
     pub stop: StopRule,
     /// Workload size knob: key range for the IntSet workloads, row count
-    /// for Vacation, genome length, KMeans point count. `0` means the
-    /// registry's per-workload default.
+    /// for Vacation. `0` means the registry's per-workload default.
     pub key_range: i64,
     /// Percentage of updating operations (Fig. 5's contention knob).
     pub update_pct: u32,

@@ -3,9 +3,9 @@
 //! Contention managers such as Greedy and Priority order transactions by
 //! *age*. Wall-clock timestamps are not monotone across threads and too
 //! coarse to break ties, so the engine hands out strictly increasing logical
-//! timestamps from a single shared counter: one `fetch_add` per transaction
-//! (not per attempt — Greedy requires the timestamp to survive retries),
-//! plus one per retry for the managers that order by *attempt* age.
+//! timestamps from a single shared counter: one `fetch_add` per transaction,
+//! not per attempt — Greedy requires the timestamp to survive retries, so
+//! a retry keeps its transaction's timestamp and draws nothing.
 //!
 //! ## Who pays the `fetch_add`
 //!
@@ -15,13 +15,13 @@
 //! on (EXPERIMENTS.md, O-series). Only a manager whose verdict *reads* a
 //! timestamp pays it: [`ContentionManager::uses_timestamps`] is read once
 //! when the engine is built, and where it is `false` every attempt gets
-//! `ts = attempt_ts = 0`, the "no timestamp" value, without touching the
-//! clock. Greedy and Priority must pay: their pending-commit and
+//! `ts = 0`, the "no timestamp" value, without touching the clock.
+//! Greedy and Priority must pay: their pending-commit and
 //! starvation-freedom arguments need a *total* order on live transactions
 //! that is fixed at the first attempt and agreed on by every thread, which
 //! thread-local counters or the coarse nanosecond clock cannot give.
-//! Timestamp and ATS order attempts the same way. Out-of-tree managers
-//! behind [`CmDispatch::Dyn`] default to `true` (conservative).
+//! Out-of-tree managers behind [`CmDispatch::Dyn`] default to `true`
+//! (conservative).
 //!
 //! [`ContentionManager::uses_timestamps`]: crate::ContentionManager::uses_timestamps
 //! [`CmDispatch::Dyn`]: crate::CmDispatch::Dyn

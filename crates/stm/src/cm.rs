@@ -5,7 +5,8 @@
 //! which the paper's evaluation relies on). The manager inspects the two
 //! parties and decides who yields. It may also *wait* — sleeping or
 //! spinning inside [`ContentionManager::resolve`] — before deciding, which
-//! is how Polka/Karma/Backoff style managers are expressed.
+//! is how Polka's back-off and Greedy's wait for a running enemy are
+//! expressed.
 //!
 //! The engine guarantees:
 //!
@@ -69,13 +70,12 @@ pub trait ContentionManager: Send + Sync {
     /// This attempt aborted (self- or enemy-initiated).
     fn on_abort(&self, _tx: &TxState) {}
 
-    /// Whether any hook reads [`TxState::ts`] or [`TxState::attempt_ts`].
-    /// Read once when the engine is built: where it is `false` the engine
-    /// hands every attempt `ts = attempt_ts = 0` ("no timestamp") instead
-    /// of a `fetch_add` on the shared [`crate::LogicalClock`] line per
-    /// transaction. The default is the conservative `true`; a manager
-    /// that answers `false` and still compares timestamps sees all-zero
-    /// ones.
+    /// Whether any hook reads [`TxState::ts`]. Read once when the engine
+    /// is built: where it is `false` the engine hands every attempt
+    /// `ts = 0` ("no timestamp") instead of a `fetch_add` on the shared
+    /// [`crate::LogicalClock`] line per transaction. The default is the
+    /// conservative `true`; a manager that answers `false` and still
+    /// compares timestamps sees all-zero ones.
     fn uses_timestamps(&self) -> bool {
         true
     }
@@ -121,7 +121,7 @@ mod tests {
     use crate::clockns;
 
     fn state(id: u64) -> TxState {
-        TxState::new(id, id, 0, 0, id, id, clockns::now(), 0)
+        TxState::new(id, id, 0, 0, id, clockns::now(), 0)
     }
 
     #[test]

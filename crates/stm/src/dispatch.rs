@@ -12,24 +12,25 @@
 //!
 //! ## Dispatch table
 //!
-//! | hook        | overridden by                                             | everyone else |
-//! |-------------|------------------------------------------------------------|---------------|
-//! | `resolve`   | every manager                                              | —             |
-//! | `on_begin`  | Polite, RandomizedRounds, Eruption, ATS, STO-Timid, `Dyn`  | no-op         |
-//! | `on_open`   | STO-Timid, `Dyn`                                           | no-op         |
-//! | `on_commit` | Kindergarten, ATS, `Dyn`                                   | no-op         |
-//! | `on_abort`  | ATS, STO-Timid, `Dyn`                                      | no-op         |
+//! | hook        | overridden by            | everyone else |
+//! |-------------|--------------------------|---------------|
+//! | `resolve`   | every manager            | —             |
+//! | `on_begin`  | RandomizedRounds, `Dyn`  | no-op         |
+//! | `on_open`   | `Dyn`                    | no-op         |
+//! | `on_commit` | `Dyn`                    | no-op         |
+//! | `on_abort`  | `Dyn`                    | no-op         |
 //!
-//! `on_open` runs once per object open — the hottest hook of all. Only
-//! STO-Timid (whose timid-phase graduation counts opens) and the `Dyn`
-//! fallback implement it, so for every other manager it compiles down to
-//! a two-way branch and a pair of no-op arms.
+//! `on_open` runs once per object open — the hottest hook of all. No
+//! built-in manager implements it, nor `on_commit` or `on_abort`: for
+//! every variant but `Dyn` each compiles down to a two-way branch. They
+//! stay on the enum because out-of-tree managers (window managers,
+//! instrumentation wrappers) hook them through `Dyn`.
 //!
 //! `uses_timestamps` is not a hook but a property the engine reads once
-//! at construction: `true` for Greedy, Priority, Timestamp and ATS (the
-//! four whose `resolve` compares `ts`/`attempt_ts`), the manager's own
-//! answer for `Dyn`, `false` for everyone else — who then run without the
-//! per-transaction `fetch_add` on the shared logical clock.
+//! at construction: `true` for Greedy and Priority (the two whose
+//! `resolve` compares `ts`), the manager's own answer for `Dyn`, `false`
+//! for everyone else — who then run without the per-transaction
+//! `fetch_add` on the shared logical clock.
 //!
 //! Stateful managers sit behind an `Arc` inside their variant, so cloning
 //! a `CmDispatch` shares manager state exactly like cloning the old
@@ -38,10 +39,7 @@
 use std::sync::Arc;
 
 use crate::cm::{AbortEnemyManager, AbortSelfManager, ConflictKind, ContentionManager, Resolution};
-use crate::managers::{
-    Ats, Backoff, Eruption, Greedy, Karma, Kindergarten, Polite, Polka, Priority, RandomizedRounds,
-    StoTimid, Timestamp,
-};
+use crate::managers::{Greedy, Polka, Priority, RandomizedRounds};
 use crate::txstate::TxState;
 
 /// A contention manager the engine can call without virtual dispatch.
@@ -51,38 +49,20 @@ use crate::txstate::TxState;
 /// [`CmDispatch::Dyn`] at the old virtual-call cost.
 #[derive(Clone)]
 pub enum CmDispatch {
-    /// Always sacrifice the caller ([`AbortSelfManager`], alias Timid).
+    /// Always sacrifice the caller ([`AbortSelfManager`], the classic
+    /// Timid policy).
     AbortSelf,
-    /// Always kill the competitor ([`AbortEnemyManager`], alias Aggressive).
+    /// Always kill the competitor ([`AbortEnemyManager`], the classic
+    /// Aggressive policy).
     AbortEnemy,
-    /// The classic Aggressive policy.
-    Aggressive,
-    /// The classic Timid policy.
-    Timid,
     /// Timestamp-ordered, never waits for a waiting enemy.
     Greedy,
     /// Static priority = start time; younger yields.
     Priority,
-    /// Timestamp with bounded waiting.
-    Timestamp(Arc<Timestamp>),
-    /// Exponential backoff.
-    Backoff(Arc<Backoff>),
-    /// Karma priorities (opens accumulated across retries).
-    Karma(Arc<Karma>),
     /// Karma + exponential backoff (the paper's published-best baseline).
     Polka(Arc<Polka>),
-    /// Bounded politeness then aggression.
-    Polite(Arc<Polite>),
     /// Schneider & Wattenhofer's randomized-rounds manager.
     RandomizedRounds(Arc<RandomizedRounds>),
-    /// Pressure propagation along conflict chains.
-    Eruption(Arc<Eruption>),
-    /// One-on-one alternation ledger.
-    Kindergarten(Arc<Kindergarten>),
-    /// Adaptive transaction scheduling.
-    Ats(Arc<Ats>),
-    /// STO's timid-phase timestamp policy with randomized backoff.
-    StoTimid(Arc<StoTimid>),
     /// Extensibility fallback: any other [`ContentionManager`] behind the
     /// old virtual dispatch.
     Dyn(Arc<dyn ContentionManager>),
@@ -96,20 +76,10 @@ impl CmDispatch {
         match self {
             CmDispatch::AbortSelf => Resolution::AbortSelf,
             CmDispatch::AbortEnemy => Resolution::AbortEnemy,
-            CmDispatch::Aggressive => Resolution::AbortEnemy,
-            CmDispatch::Timid => Resolution::AbortSelf,
             CmDispatch::Greedy => Greedy.resolve(me, enemy, kind),
             CmDispatch::Priority => Priority.resolve(me, enemy, kind),
-            CmDispatch::Timestamp(m) => m.resolve(me, enemy, kind),
-            CmDispatch::Backoff(m) => m.resolve(me, enemy, kind),
-            CmDispatch::Karma(m) => m.resolve(me, enemy, kind),
             CmDispatch::Polka(m) => m.resolve(me, enemy, kind),
-            CmDispatch::Polite(m) => m.resolve(me, enemy, kind),
             CmDispatch::RandomizedRounds(m) => m.resolve(me, enemy, kind),
-            CmDispatch::Eruption(m) => m.resolve(me, enemy, kind),
-            CmDispatch::Kindergarten(m) => m.resolve(me, enemy, kind),
-            CmDispatch::Ats(m) => m.resolve(me, enemy, kind),
-            CmDispatch::StoTimid(m) => m.resolve(me, enemy, kind),
             CmDispatch::Dyn(m) => m.resolve(me, enemy, kind),
         }
     }
@@ -118,60 +88,45 @@ impl CmDispatch {
     #[inline]
     pub fn on_begin(&self, tx: &Arc<TxState>, is_retry: bool) {
         match self {
-            CmDispatch::Polite(m) => m.on_begin(tx, is_retry),
             CmDispatch::RandomizedRounds(m) => m.on_begin(tx, is_retry),
-            CmDispatch::Eruption(m) => m.on_begin(tx, is_retry),
-            CmDispatch::Ats(m) => m.on_begin(tx, is_retry),
-            CmDispatch::StoTimid(m) => m.on_begin(tx, is_retry),
             CmDispatch::Dyn(m) => m.on_begin(tx, is_retry),
             _ => {}
         }
     }
 
     /// An object was opened (see [`ContentionManager::on_open`]). Only
-    /// STO-Timid and the `Dyn` fallback hook this, so for every other
-    /// manager the cost is a two-way branch.
+    /// the `Dyn` fallback hooks this, so for every other manager the cost
+    /// is a two-way branch.
     #[inline]
     pub fn on_open(&self, tx: &TxState) {
-        match self {
-            CmDispatch::StoTimid(m) => m.on_open(tx),
-            CmDispatch::Dyn(m) => m.on_open(tx),
-            _ => {}
+        if let CmDispatch::Dyn(m) = self {
+            m.on_open(tx);
         }
     }
 
     /// The transaction committed (see [`ContentionManager::on_commit`]).
     #[inline]
     pub fn on_commit(&self, tx: &TxState) {
-        match self {
-            CmDispatch::Kindergarten(m) => m.on_commit(tx),
-            CmDispatch::Ats(m) => m.on_commit(tx),
-            CmDispatch::Dyn(m) => m.on_commit(tx),
-            _ => {}
+        if let CmDispatch::Dyn(m) = self {
+            m.on_commit(tx);
         }
     }
 
     /// This attempt aborted (see [`ContentionManager::on_abort`]).
     #[inline]
     pub fn on_abort(&self, tx: &TxState) {
-        match self {
-            CmDispatch::Ats(m) => m.on_abort(tx),
-            CmDispatch::StoTimid(m) => m.on_abort(tx),
-            CmDispatch::Dyn(m) => m.on_abort(tx),
-            _ => {}
+        if let CmDispatch::Dyn(m) = self {
+            m.on_abort(tx);
         }
     }
 
     /// Whether the engine must draw logical timestamps for this manager
-    /// (see [`ContentionManager::uses_timestamps`]): only the four
-    /// built-ins whose `resolve` compares `ts`/`attempt_ts`, and whatever
-    /// a `Dyn` manager answers (`true` unless it overrides the default).
+    /// (see [`ContentionManager::uses_timestamps`]): only the two
+    /// built-ins whose `resolve` compares `ts`, and whatever a `Dyn`
+    /// manager answers (`true` unless it overrides the default).
     pub fn uses_timestamps(&self) -> bool {
         match self {
-            CmDispatch::Greedy
-            | CmDispatch::Priority
-            | CmDispatch::Timestamp(_)
-            | CmDispatch::Ats(_) => true,
+            CmDispatch::Greedy | CmDispatch::Priority => true,
             CmDispatch::Dyn(m) => m.uses_timestamps(),
             _ => false,
         }
@@ -182,20 +137,10 @@ impl CmDispatch {
         match self {
             CmDispatch::AbortSelf => "AbortSelf",
             CmDispatch::AbortEnemy => "AbortEnemy",
-            CmDispatch::Aggressive => "Aggressive",
-            CmDispatch::Timid => "Timid",
             CmDispatch::Greedy => "Greedy",
             CmDispatch::Priority => "Priority",
-            CmDispatch::Timestamp(m) => m.name(),
-            CmDispatch::Backoff(m) => m.name(),
-            CmDispatch::Karma(m) => m.name(),
             CmDispatch::Polka(m) => m.name(),
-            CmDispatch::Polite(m) => m.name(),
             CmDispatch::RandomizedRounds(m) => m.name(),
-            CmDispatch::Eruption(m) => m.name(),
-            CmDispatch::Kindergarten(m) => m.name(),
-            CmDispatch::Ats(m) => m.name(),
-            CmDispatch::StoTimid(m) => m.name(),
             CmDispatch::Dyn(m) => m.name(),
         }
     }
@@ -237,25 +182,25 @@ mod tests {
     use crate::clockns;
 
     fn state(id: u64, ts: u64) -> Arc<TxState> {
-        Arc::new(TxState::new(id, id, 0, 0, ts, ts, clockns::now(), 0))
+        Arc::new(TxState::new(id, id, 0, 0, ts, clockns::now(), 0))
     }
 
     #[test]
     fn enum_verdicts_match_trait_verdicts() {
-        use crate::managers::{Aggressive, Timid};
         // The stateless managers must decide identically whether reached
         // through their enum variant or through the Dyn fallback, on a
         // clear-cut case: an old transaction (ts=1) vs a young one (ts=1000).
-        let behind_dyn: [(&str, CmDispatch); 4] = [
-            ("Greedy", Arc::new(Greedy).into()),
-            ("Priority", Arc::new(Priority).into()),
-            ("Aggressive", Arc::new(Aggressive).into()),
-            ("Timid", Arc::new(Timid).into()),
+        let pairs: [(CmDispatch, CmDispatch); 4] = [
+            (CmDispatch::Greedy, Arc::new(Greedy).into()),
+            (CmDispatch::Priority, Arc::new(Priority).into()),
+            (AbortSelfManager.into(), Arc::new(AbortSelfManager).into()),
+            (AbortEnemyManager.into(), Arc::new(AbortEnemyManager).into()),
         ];
-        for (name, dynamic) in behind_dyn {
-            let dispatch = crate::managers::make_dispatch(name, 4).unwrap();
+        for (dispatch, dynamic) in pairs {
+            let name = dispatch.name().to_string();
             assert!(!matches!(dispatch, CmDispatch::Dyn(_)), "{name}");
-            assert_eq!(dispatch.name(), dynamic.name(), "{name}");
+            assert!(matches!(dynamic, CmDispatch::Dyn(_)), "{name}");
+            assert_eq!(name, dynamic.name());
             let old = state(1, 1);
             let young = state(2, 1000);
             let via_enum = dispatch.resolve(&old, &young, ConflictKind::WriteWrite);

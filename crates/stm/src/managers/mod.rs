@@ -1,7 +1,7 @@
 //! Classic STM contention managers.
 //!
-//! The comparison baselines of the paper (§III-A) plus the wider family
-//! they come from:
+//! The comparison baselines of the paper (§III-A), plus the one classic
+//! manager the window algorithm itself runs:
 //!
 //! * [`Polka`] — the "published best" manager the paper compares against:
 //!   Karma priorities combined with exponential backoff
@@ -11,15 +11,9 @@
 //!   (Guerraoui, Herlihy & Pochon, PODC 2005).
 //! * [`Priority`] — the simple static-priority manager of the paper:
 //!   priority is the start time; the younger transaction yields.
-//! * [`Karma`], [`Backoff`], [`Polite`], [`Aggressive`], [`Timid`],
-//!   [`Timestamp`] — the classic DSTM policy family.
 //! * [`RandomizedRounds`] — Schneider & Wattenhofer's randomized manager,
 //!   also the conflict-resolution subroutine inside the paper's window
 //!   Online algorithm.
-//! * [`StoTimid`] — the timid-phase timestamp manager from the STO
-//!   runtime: attempts stay timestamp-less (always yielding) until they
-//!   open enough objects, then compete by age, with randomized backoff
-//!   after every abort.
 //!
 //! The managers live *inside* `wtm-stm` so the engine can dispatch to
 //! them through the monomorphic
@@ -32,38 +26,20 @@
 //! The [`registry`] module maps manager names to constructors for the
 //! experiment harness.
 
-pub mod ats;
-pub mod backoff;
-pub mod eruption;
 pub mod greedy;
-pub mod karma;
-pub mod kindergarten;
-pub mod polite;
 pub mod polka;
 pub mod priority;
 pub mod randomized;
 pub mod registry;
-pub mod simple;
-pub mod sto_timid;
-pub mod timestamp;
 
-pub use ats::Ats;
-pub use backoff::Backoff;
-pub use eruption::Eruption;
 pub use greedy::Greedy;
-pub use karma::Karma;
-pub use kindergarten::Kindergarten;
-pub use polite::Polite;
 pub use polka::Polka;
 pub use priority::Priority;
 pub use randomized::RandomizedRounds;
 pub use registry::{classic_names, make_dispatch};
-pub use simple::{Aggressive, Timid};
-pub use sto_timid::StoTimid;
-pub use timestamp::Timestamp;
 
 /// Debug check of the managers that order by logical timestamp (Greedy,
-/// Priority, Timestamp, ATS): the engine stamps attempts only where
+/// Priority): the engine stamps attempts only where
 /// [`ContentionManager::uses_timestamps`](crate::ContentionManager::uses_timestamps)
 /// says so, and ordering the all-zero "no timestamp" would silently
 /// degrade to ordering by id.
@@ -89,7 +65,6 @@ pub(crate) mod testutil {
             0,
             0,
             ts,
-            ts,
             clockns::now(),
             0,
         ))
@@ -103,7 +78,6 @@ pub(crate) mod testutil {
             thread,
             attempt,
             ts,
-            ts + attempt as u64,
             clockns::now(),
             0,
         ))

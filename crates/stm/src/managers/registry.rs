@@ -3,31 +3,13 @@
 use std::sync::Arc;
 
 use crate::dispatch::CmDispatch;
-use crate::managers::{
-    Ats, Backoff, Eruption, Karma, Kindergarten, Polite, Polka, RandomizedRounds, StoTimid,
-    Timestamp,
-};
+use crate::managers::{Polka, RandomizedRounds};
 
 /// The classic manager names [`make_dispatch`] understands
 /// (the window-based managers live in `wtm-window` and have their own
 /// registry entry points in the harness).
 pub fn classic_names() -> &'static [&'static str] {
-    &[
-        "Polka",
-        "Greedy",
-        "Priority",
-        "Karma",
-        "Backoff",
-        "Polite",
-        "Aggressive",
-        "Timid",
-        "Timestamp",
-        "RandomizedRounds",
-        "Eruption",
-        "Kindergarten",
-        "ATS",
-        "STO-Timid",
-    ]
+    &["Polka", "Greedy", "Priority", "RandomizedRounds"]
 }
 
 /// Construct a classic contention manager by name as a [`CmDispatch`],
@@ -40,19 +22,9 @@ pub fn make_dispatch(name: &str, num_threads: usize) -> Option<CmDispatch> {
         "Polka" => CmDispatch::Polka(Arc::new(Polka::default())),
         "Greedy" => CmDispatch::Greedy,
         "Priority" => CmDispatch::Priority,
-        "Karma" => CmDispatch::Karma(Arc::new(Karma::default())),
-        "Backoff" => CmDispatch::Backoff(Arc::new(Backoff::default())),
-        "Polite" => CmDispatch::Polite(Arc::new(Polite::default())),
-        "Aggressive" => CmDispatch::Aggressive,
-        "Timid" => CmDispatch::Timid,
-        "Timestamp" => CmDispatch::Timestamp(Arc::new(Timestamp::default())),
         "RandomizedRounds" => {
             CmDispatch::RandomizedRounds(Arc::new(RandomizedRounds::new(num_threads)))
         }
-        "Eruption" => CmDispatch::Eruption(Arc::new(Eruption::default())),
-        "Kindergarten" => CmDispatch::Kindergarten(Arc::new(Kindergarten::new(num_threads))),
-        "ATS" => CmDispatch::Ats(Arc::new(Ats::new(num_threads))),
-        "STO-Timid" => CmDispatch::StoTimid(Arc::new(StoTimid::new(num_threads))),
         _ => return None,
     })
 }

@@ -371,7 +371,6 @@ mod tests {
             0,
             0,
             attempt_id,
-            attempt_id,
             clockns::now(),
             0,
         ))

@@ -218,14 +218,12 @@ thread_local! {
 
 /// A `TxState` for the next attempt: the oldest parked allocation reset in
 /// place when nothing else references it, a fresh allocation otherwise.
-#[allow(clippy::too_many_arguments)]
 fn state_for_attempt(
     attempt_id: u64,
     txn_id: u64,
     thread_id: usize,
     attempt: u32,
     ts: u64,
-    attempt_ts: u64,
     first_start_ns: u64,
     karma: u64,
 ) -> Arc<TxState> {
@@ -238,7 +236,6 @@ fn state_for_attempt(
                     thread_id,
                     attempt,
                     ts,
-                    attempt_ts,
                     first_start_ns,
                     karma,
                 )
@@ -251,7 +248,6 @@ fn state_for_attempt(
                 thread_id,
                 attempt,
                 ts,
-                attempt_ts,
                 first_start_ns,
                 karma,
             ))
@@ -454,7 +450,6 @@ impl<'a> ThreadCtx<'a> {
         let mut karma: u64 = 0;
         let mut attempt: u32 = 0;
         loop {
-            let attempt_ts = if attempt == 0 { ts } else { self.stm.next_ts() };
             let attempt_id = slots::next_attempt_id();
             if attempt == 0 {
                 txn_id = attempt_id;
@@ -465,7 +460,6 @@ impl<'a> ThreadCtx<'a> {
                 self.thread_id,
                 attempt,
                 ts,
-                attempt_ts,
                 first_start_ns,
                 karma,
             );
@@ -777,7 +771,7 @@ mod tests {
 
     /// A state for attempt `id` from this thread's ring (or the heap).
     fn ring_state(id: u64) -> Arc<TxState> {
-        state_for_attempt(id, id, 0, 0, 0, 0, 0, 0)
+        state_for_attempt(id, id, 0, 0, 0, 0, 0)
     }
 
     #[test]
@@ -859,7 +853,7 @@ mod tests {
             (CmDispatch::AbortSelf, 0),
             (named("Polka"), 0),
             (CmDispatch::Greedy, BUDGET_TXNS),
-            (named("Timestamp"), BUDGET_TXNS),
+            (named("Priority"), BUDGET_TXNS),
         ] {
             let stm = Stm::new(cm, 1);
             assert_eq!(
@@ -873,8 +867,8 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    fn a_retry_draws_one_more_timestamp_only_where_the_manager_reads_it() {
-        for (cm, expected) in [(CmDispatch::Priority, 3), (CmDispatch::AbortSelf, 0)] {
+    fn a_retry_keeps_its_transactions_timestamp() {
+        for (cm, expected) in [(CmDispatch::Priority, 1), (CmDispatch::AbortSelf, 0)] {
             let stm = Stm::new(cm, 1);
             let ctx = stm.thread(0);
             let mut runs = 0;
@@ -882,7 +876,7 @@ mod tests {
             crate::probe::take_logical_clock_rmws();
             ctx.atomic(|tx| {
                 runs += 1;
-                stamps.push((tx.state().ts, tx.state().attempt_ts));
+                stamps.push(tx.state().ts);
                 if runs < 3 {
                     return Err(tx.abort_self());
                 }
@@ -891,17 +885,12 @@ mod tests {
             assert_eq!(
                 crate::probe::take_logical_clock_rmws(),
                 expected,
-                "{}: one for the transaction, one per retry",
+                "{}: one draw per transaction, none per retry",
                 stm.cm().name()
             );
-            if expected == 0 {
-                assert_eq!(stamps, [(0, 0); 3], "no timestamp is the documented 0");
-            } else {
-                let (ts, first) = stamps[0];
-                assert!(ts != 0 && first == ts, "ts survives retries: {stamps:?}");
-                assert!(stamps.iter().all(|&(t, _)| t == ts));
-                assert!(stamps[0].1 < stamps[1].1 && stamps[1].1 < stamps[2].1);
-            }
+            let ts = stamps[0];
+            assert_eq!(stamps, [ts; 3], "{}: ts survives retries", stm.cm().name());
+            assert_eq!(ts != 0, expected != 0, "no timestamp is the documented 0");
         }
     }
 
@@ -1069,47 +1058,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_panicking_body_releases_the_ats_admission_token() {
-        // Threshold -1: every attempt serializes through the token, which
-        // only `on_commit`/`on_abort` hand back. Thread 0's body panics
-        // holding it; thread 1 must still get in.
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::mpsc;
-        use std::time::Duration;
-        let ats = crate::managers::Ats::with_params(2, 0.75, -1.0);
-        let stm = Arc::new(Stm::new(CmDispatch::Ats(Arc::new(ats)), 2));
-        let tv: TVar<u64> = TVar::new(0);
-        let unwound = catch_unwind(AssertUnwindSafe(|| {
-            stm.thread(0).atomic(|tx| -> TxResult<()> {
-                tx.write(&tv, 1)?;
-                panic!("body gives up")
-            })
-        }));
-        assert!(unwound.is_err());
-        let (done_tx, done_rx) = mpsc::channel();
-        // Not scoped: a thread stuck in `on_begin` must fail the test, not
-        // hang it, so it is joined only once it has reported back.
-        let (stm2, tv2) = (Arc::clone(&stm), tv.clone());
-        let second = std::thread::spawn(move || {
-            stm2.thread(1).atomic(|tx| tx.write(&tv2, 2));
-            done_tx.send(()).expect("the test thread waits for this");
-        });
-        assert!(
-            done_rx.recv_timeout(Duration::from_secs(3)).is_ok(),
-            "thread 1 is stuck waiting for the token the unwound attempt held"
-        );
-        second.join().expect("thread 1 committed");
-        assert_eq!(*tv.sample(), 2);
-    }
-
-    /// Forwards every hook to `inner` and records the timestamps each
+    /// Forwards every hook to `inner` and records the timestamp each
     /// attempt begins with. `uses_timestamps` is left at the trait's
     /// default, as an out-of-tree manager would.
     struct RecordingCm {
         inner: CmDispatch,
-        /// (ts, attempt_ts, is_retry) per attempt.
-        begun: std::sync::Mutex<Vec<(u64, u64, bool)>>,
+        /// (ts, is_retry) per attempt.
+        begun: std::sync::Mutex<Vec<(u64, bool)>>,
     }
 
     impl ContentionManager for RecordingCm {
@@ -1122,10 +1077,7 @@ mod tests {
             self.inner.resolve(me, enemy, kind)
         }
         fn on_begin(&self, tx: &Arc<TxState>, is_retry: bool) {
-            self.begun
-                .lock()
-                .unwrap()
-                .push((tx.ts, tx.attempt_ts, is_retry));
+            self.begun.lock().unwrap().push((tx.ts, is_retry));
             self.inner.on_begin(tx, is_retry);
         }
         fn on_open(&self, tx: &TxState) {
@@ -1150,7 +1102,7 @@ mod tests {
         // debug-asserts both parties are stamped at every real conflict).
         const THREADS: usize = 2;
         const PER_THREAD: u64 = 1_000;
-        for name in ["Greedy", "Priority", "Timestamp", "ATS"] {
+        for name in ["Greedy", "Priority"] {
             let inner = crate::managers::make_dispatch(name, THREADS).expect("registered");
             assert!(inner.uses_timestamps(), "{name}");
             let cm = Arc::new(RecordingCm {
@@ -1160,31 +1112,18 @@ mod tests {
             concurrent_counter(cm.clone(), THREADS, PER_THREAD);
             let begun = cm.begun.lock().unwrap();
             assert!(
-                begun.iter().all(|&(ts, ats, _)| ts != 0 && ats != 0),
+                begun.iter().all(|&(ts, _)| ts != 0),
                 "{name}: an attempt began without a timestamp"
             );
-            let distinct = |stamps: Vec<u64>| {
-                let n = stamps.len();
-                stamps
-                    .into_iter()
-                    .collect::<std::collections::HashSet<_>>()
-                    .len()
-                    == n
-            };
             let first_attempts: Vec<u64> = begun
                 .iter()
-                .filter(|&&(_, _, is_retry)| !is_retry)
-                .map(|&(ts, _, _)| ts)
+                .filter(|&&(_, is_retry)| !is_retry)
+                .map(|&(ts, _)| ts)
                 .collect();
-            assert_eq!(first_attempts.len(), (THREADS as u64 * PER_THREAD) as usize);
-            assert!(
-                distinct(first_attempts),
-                "{name}: two transactions share a ts"
-            );
-            assert!(
-                distinct(begun.iter().map(|&(_, ats, _)| ats).collect()),
-                "{name}: two attempts share an attempt_ts"
-            );
+            let n = first_attempts.len();
+            assert_eq!(n, (THREADS as u64 * PER_THREAD) as usize);
+            let distinct: std::collections::HashSet<u64> = first_attempts.into_iter().collect();
+            assert_eq!(distinct.len(), n, "{name}: two transactions share a ts");
         }
     }
 

@@ -443,8 +443,8 @@ impl<'a> Txn<'a> {
 /// body unwinds (the caller forgets it otherwise), so that a panic leaves
 /// nothing behind that names the attempt — competitors would otherwise meet
 /// an `Active` writer that never finishes, a slot that stays published, and
-/// a contention manager that never heard the attempt end (ATS would keep
-/// its admission token).
+/// a contention manager that never heard the attempt end (one that admits
+/// attempts by token would never get the token back).
 pub(crate) struct Unwound<'t, 'a>(pub(crate) &'t mut Txn<'a>);
 
 impl Drop for Unwound<'_, '_> {

@@ -24,8 +24,9 @@
 //! stated in [`crate::tvar`]).
 //!
 //! Fields that must *survive* retries of the same logical transaction (the
-//! Greedy timestamp, Karma's accumulated priority) are seeded from the
-//! logical-transaction context in [`crate::stm`] when each attempt starts.
+//! Greedy/Priority timestamp, Polka's accumulated karma) are seeded from
+//! the logical-transaction context in [`crate::stm`] when each attempt
+//! starts.
 //!
 //! Timestamps (`first_start_ns`, `attempt_start_ns`) are nanoseconds from
 //! the cheap coarse clock in [`crate::clockns`]; they feed metrics and τ
@@ -71,19 +72,18 @@ pub struct TxState {
     pub thread_id: usize,
     /// Retry count: 0 for the first attempt.
     pub attempt: u32,
-    /// Logical timestamp of the *first* attempt. Greedy and Priority order
-    /// transactions by this value: smaller = older = higher priority.
+    /// Logical timestamp of the *first* attempt, kept by every retry.
+    /// Greedy and Priority order transactions by this value: smaller =
+    /// older = higher priority.
     pub ts: u64,
-    /// Logical timestamp of *this* attempt (used by the Timestamp manager).
-    pub attempt_ts: u64,
     /// Coarse-clock start of the first attempt (response-time metric).
     pub first_start_ns: u64,
     /// Coarse-clock start of this attempt (wasted-work metric, τ samples).
     pub attempt_start_ns: u64,
 
     status: AtomicStatus,
-    /// Karma/Polka priority: number of objects opened, accumulated across
-    /// attempts of the logical transaction.
+    /// Polka priority (karma): number of objects opened, accumulated
+    /// across attempts of the logical transaction.
     karma: AtomicU64,
     /// Set while the transaction is blocked inside a contention manager
     /// wait. Greedy aborts an *older* enemy iff it is waiting.
@@ -104,8 +104,6 @@ pub struct TxState {
     /// (diagnostics/debug assertions — lets a reader detect a stale cache
     /// without dereferencing).
     window_gen: AtomicU64,
-    /// Scratch slot for contention-manager-specific data.
-    user_slot: AtomicU64,
     /// Versions kept alive for this attempt's borrowed reads. Touched by
     /// whoever displaces a version the attempt is registered on while it
     /// may still run, and by the owner once on the abort arm
@@ -117,14 +115,12 @@ pub struct TxState {
 
 impl TxState {
     /// Create the record for a new attempt.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         attempt_id: u64,
         txn_id: u64,
         thread_id: usize,
         attempt: u32,
         ts: u64,
-        attempt_ts: u64,
         first_start_ns: u64,
         karma_carryover: u64,
     ) -> Self {
@@ -134,7 +130,6 @@ impl TxState {
             thread_id,
             attempt,
             ts,
-            attempt_ts,
             first_start_ns,
             // The first attempt starts when the transaction does; only
             // retries need a fresh clock read.
@@ -150,7 +145,6 @@ impl TxState {
             rank: AtomicU32::new(0),
             window_run: AtomicU64::new(0),
             window_gen: AtomicU64::new(0),
-            user_slot: AtomicU64::new(0),
             lent: Mutex::default(),
         }
     }
@@ -168,7 +162,6 @@ impl TxState {
         thread_id: usize,
         attempt: u32,
         ts: u64,
-        attempt_ts: u64,
         first_start_ns: u64,
         karma_carryover: u64,
     ) {
@@ -177,7 +170,6 @@ impl TxState {
         self.thread_id = thread_id;
         self.attempt = attempt;
         self.ts = ts;
-        self.attempt_ts = attempt_ts;
         self.first_start_ns = first_start_ns;
         self.attempt_start_ns = if attempt == 0 {
             first_start_ns
@@ -191,7 +183,6 @@ impl TxState {
         self.rank = AtomicU32::new(0);
         self.window_run = AtomicU64::new(0);
         self.window_gen = AtomicU64::new(0);
-        self.user_slot = AtomicU64::new(0);
         let lent = self.lent.get_mut();
         lent.body_over = false;
         lent.versions.clear();
@@ -275,7 +266,7 @@ impl TxState {
 
     // ---- contention-manager metadata ------------------------------------
 
-    /// Karma priority (objects opened, accumulated across retries).
+    /// Polka's karma (objects opened, accumulated across retries).
     #[inline]
     pub fn karma(&self) -> u64 {
         self.karma.load(Ordering::Relaxed)
@@ -349,18 +340,6 @@ impl TxState {
     pub fn window_gen(&self) -> u64 {
         self.window_gen.load(Ordering::Relaxed)
     }
-
-    /// Generic scratch slot for contention managers.
-    #[inline]
-    pub fn user_slot(&self) -> u64 {
-        self.user_slot.load(Ordering::Acquire)
-    }
-
-    /// Store into the scratch slot.
-    #[inline]
-    pub fn set_user_slot(&self, v: u64) {
-        self.user_slot.store(v, Ordering::Release);
-    }
 }
 
 #[cfg(test)]
@@ -368,7 +347,7 @@ mod tests {
     use super::*;
 
     fn mk() -> TxState {
-        TxState::new(1, 1, 0, 0, 10, 10, clockns::now(), 0)
+        TxState::new(1, 1, 0, 0, 10, clockns::now(), 0)
     }
 
     #[test]
@@ -400,7 +379,7 @@ mod tests {
 
     #[test]
     fn karma_accumulates_with_carryover() {
-        let s = TxState::new(2, 1, 0, 1, 10, 12, clockns::now(), 7);
+        let s = TxState::new(2, 1, 0, 1, 10, clockns::now(), 7);
         assert_eq!(s.karma(), 7);
         s.add_karma();
         s.add_karma();
@@ -427,7 +406,7 @@ mod tests {
 
     #[test]
     fn reset_restores_a_terminal_recycled_state() {
-        let mut s = TxState::new(5, 5, 1, 2, 30, 32, clockns::now(), 4);
+        let mut s = TxState::new(5, 5, 1, 2, 30, clockns::now(), 4);
         s.add_karma();
         s.set_assigned_frame(9);
         s.set_rank(3);
@@ -438,7 +417,7 @@ mod tests {
         assert!(s.lend(&version));
         assert!(s.try_commit());
         assert_eq!((s.lent_len(), Arc::strong_count(&version)), (1, 2));
-        s.reset_for_attempt(77, 70, 2, 0, 40, 40, clockns::now(), 1);
+        s.reset_for_attempt(77, 70, 2, 0, 40, clockns::now(), 1);
         assert_eq!((s.lent_len(), Arc::strong_count(&version)), (0, 1));
         assert!(!s.body_over());
         assert_eq!(s.attempt_id, 77);

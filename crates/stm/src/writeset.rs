@@ -349,7 +349,7 @@ mod tests {
     use crate::clockns;
 
     fn state(id: u64) -> Arc<TxState> {
-        Arc::new(TxState::new(id, id, 0, 0, id, id, clockns::now(), 0))
+        Arc::new(TxState::new(id, id, 0, 0, id, clockns::now(), 0))
     }
 
     #[test]

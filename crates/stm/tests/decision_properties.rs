@@ -7,7 +7,7 @@
 //! (livelock by construction).
 //!
 //! The engine draws logical timestamps only for managers that declare
-//! `uses_timestamps()`; everyone else runs on `ts = attempt_ts = 0`. The
+//! `uses_timestamps()`; everyone else runs on `ts = 0`. The
 //! last property checks the declaration against behaviour: a decider
 //! that says `false` must return the same verdict whatever the
 //! timestamps, and the ones that say `true` must change theirs when the
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use wtm_stm::managers::{Priority, RandomizedRounds, Timestamp};
+use wtm_stm::managers::{Priority, RandomizedRounds};
 use wtm_stm::{CmDispatch, ConflictKind, ContentionManager, Resolution, TxState};
 
 fn state(attempt_id: u64, txn_id: u64, thread: usize, ts: u64, attempt: u32) -> Arc<TxState> {
@@ -27,7 +27,6 @@ fn state(attempt_id: u64, txn_id: u64, thread: usize, ts: u64, attempt: u32) -> 
         thread,
         attempt,
         ts,
-        ts + u64::from(attempt),
         wtm_stm::clockns::now(),
         0,
     ))
@@ -38,22 +37,18 @@ fn state(attempt_id: u64, txn_id: u64, thread: usize, ts: u64, attempt: u32) -> 
 fn deciders() -> Vec<CmDispatch> {
     vec![
         CmDispatch::AbortSelf,
-        CmDispatch::Aggressive,
+        CmDispatch::AbortEnemy,
         CmDispatch::RandomizedRounds(Arc::new(RandomizedRounds::new(16))),
         CmDispatch::Priority,
-        CmDispatch::Timestamp(Arc::new(Timestamp::with_patience(
-            std::time::Duration::from_micros(1),
-        ))),
     ]
 }
 
-/// Two conflicting parties that differ between calls only in their
-/// `(ts, attempt_ts)` stamps: ids, threads, rank, karma and status fixed.
-fn stamped_pair(stamps: [(u64, u64); 2], ranks: [u32; 2], karma: [u64; 2]) -> [Arc<TxState>; 2] {
+/// Two conflicting parties that differ between calls only in their `ts`
+/// stamps: ids, threads, rank, karma and status fixed.
+fn stamped_pair(stamps: [u64; 2], ranks: [u32; 2], karma: [u64; 2]) -> [Arc<TxState>; 2] {
     [0, 1].map(|i| {
         let id = i as u64 + 1;
-        let (ts, attempt_ts) = stamps[i];
-        let st = TxState::new(id, id, i, 0, ts, attempt_ts, 0, karma[i]);
+        let st = TxState::new(id, id, i, 0, stamps[i], 0, karma[i]);
         st.set_rank(ranks[i]);
         Arc::new(st)
     })
@@ -111,24 +106,6 @@ proptest! {
     }
 
     #[test]
-    fn timestamp_attack_side_is_consistent(
-        ts_a in 1u64..1000, ts_b in 1u64..1000,
-    ) {
-        // Timestamp's younger side *waits* before yielding, so full
-        // antisymmetry checks would sleep; assert only the attack rule:
-        // the older attempt always attacks immediately.
-        let cm = Timestamp::with_patience(std::time::Duration::from_micros(1));
-        let a = state(1, 1, 0, ts_a, 0);
-        let b = state(2, 2, 1, ts_b, 0);
-        let older_first = (a.attempt_ts, a.attempt_id) < (b.attempt_ts, b.attempt_id);
-        let (old, young) = if older_first { (&a, &b) } else { (&b, &a) };
-        prop_assert_eq!(
-            cm.resolve(old, young, ConflictKind::WriteWrite),
-            Resolution::AbortEnemy
-        );
-    }
-
-    #[test]
     fn priority_decision_is_stable_across_kinds(
         ts_a in 1u64..1000, ts_b in 1u64..1000,
     ) {
@@ -144,12 +121,12 @@ proptest! {
 
     #[test]
     fn verdicts_read_timestamps_exactly_where_the_manager_declares_it(
-        s in (1u64..1000, 1u64..1000, 1u64..1000, 1u64..1000),
-        s2 in (1u64..1000, 1u64..1000, 1u64..1000, 1u64..1000),
+        s in (1u64..1000, 1u64..1000),
+        s2 in (1u64..1000, 1u64..1000),
         ranks in (1u32..16, 1u32..16),
         karma in (0u64..64, 0u64..64),
     ) {
-        let (x, y, x2, y2) = ((s.0, s.1), (s.2, s.3), (s2.0, s2.1), (s2.2, s2.3));
+        let (x, y, x2, y2) = (s.0, s.1, s2.0, s2.1);
         let (ranks, karma) = ([ranks.0, ranks.1], [karma.0, karma.1]);
         let verdict = |cm: &CmDispatch, stamps, kind| {
             let [me, enemy] = stamped_pair(stamps, ranks, karma);
@@ -166,7 +143,7 @@ proptest! {
                         "{} answered uses_timestamps() == false but its verdict moved \
                          with the timestamps", cm.name()
                     );
-                } else if x.0 != y.0 && x.1 != y.1 {
+                } else if x != y {
                     // Negative control: a declared reader attacks from
                     // exactly one side of a swap of the two stamps.
                     prop_assert_ne!(
@@ -180,6 +157,6 @@ proptest! {
                 readers.push(cm.name().to_string());
             }
         }
-        prop_assert_eq!(readers, ["Priority", "Timestamp"]);
+        prop_assert_eq!(readers, ["Priority"]);
     }
 }

@@ -626,7 +626,6 @@ mod tests {
             thread,
             0,
             attempt_id,
-            attempt_id,
             clockns::now(),
             0,
         ))

@@ -3,8 +3,8 @@
 //! A fixed array of buckets, each a `TVar<Vec<(key, value)>>`. Contention
 //! profile: the polar opposite of the List — accesses touch exactly one
 //! bucket, so conflicts happen only on hash collisions and scale with
-//! `1/buckets`. Useful as a low-contention control workload and as the
-//! dedup table for STAMP-style genome processing.
+//! `1/buckets`. The registry runs it as the low-contention control
+//! workload.
 //!
 //! `TxHashSet` (the unit-value alias) implements [`TxIntSet`], so every
 //! harness and test that drives the paper's IntSet benchmarks can drive

@@ -2,9 +2,8 @@
 //!
 //! The paper's four §III benchmarks — the DSTM IntSet family (sorted
 //! linked **List**, **RBTree**, **SkipList**) and the STAMP-style
-//! **Vacation** travel-booking database — plus the extensions its §IV
-//! defers to future work: **HashMap** (low-contention control),
-//! **Genome**, and **KMeans**. All operations run as transactions against
+//! **Vacation** travel-booking database — plus **HashMap**, the
+//! low-contention control. All operations run as transactions against
 //! the [`wtm_stm`] engine, so their conflict topology matches the
 //! originals:
 //!
@@ -25,24 +24,18 @@
 //!   walks past the row's tree node.
 //! * **HashMap**: accesses touch exactly one bucket; conflicts scale with
 //!   `1/buckets` — the polar opposite of the List.
-//! * **Genome**: STAMP-style assembly (dedup → prefix-index → link);
-//!   read-mostly with point writes.
-//! * **KMeans**: broad read umbrella over every centroid, one hot
-//!   accumulator write.
 //!
 //! Workloads are *data, not code*: the [`workload::Workload`] trait
 //! (construct + prepopulate + deterministic per-thread op stream) and the
 //! name-keyed [`registry`] let the harness run any of them — the paper
-//! grid and the extensions alike — by name. The [`generator`] module
+//! grid and the control alike — by name. The [`generator`] module
 //! provides the deterministic operation streams with the paper's
 //! contention knobs (update percentage: 20% low / 60% medium / 100% high,
 //! Fig. 5) and key-range control.
 
 pub mod generator;
-pub mod genome;
 pub mod hashmap;
 pub mod intset;
-pub mod kmeans;
 pub mod list;
 pub mod rbtree;
 pub mod registry;
@@ -51,10 +44,8 @@ pub mod vacation;
 pub mod workload;
 
 pub use generator::{ContentionLevel, OpKind, SetOp, SetOpGenerator};
-pub use genome::Genome;
 pub use hashmap::{TxHashMap, TxHashSet};
 pub use intset::TxIntSet;
-pub use kmeans::KMeans;
 pub use list::TxList;
 pub use rbtree::{TxRBMap, TxRBTree};
 pub use registry::{

@@ -3,16 +3,15 @@
 //! Every workload the repository implements is registered here, so the
 //! harness, the CLI (`windowtm list`, `windowtm run <name>`), and the
 //! trace-capture pipeline can construct any of them from a string. The
-//! paper's four benchmarks are flagged [`WorkloadInfo::paper`]; the other
-//! entries are the extensions the paper's §IV defers to future work.
+//! paper's four benchmarks are flagged [`WorkloadInfo::paper`]; the one
+//! other entry, HashMap, is the low-contention control the benchmark
+//! runs.
 
 use wtm_stm::{ThreadCtx, TxResult, Txn};
 
 use crate::generator::{OpKind, SetOpGenerator};
-use crate::genome::Genome;
 use crate::hashmap::TxHashSet;
 use crate::intset::TxIntSet;
-use crate::kmeans::KMeans;
 use crate::list::TxList;
 use crate::rbtree::TxRBTree;
 use crate::skiplist::TxSkipList;
@@ -33,7 +32,7 @@ pub struct WorkloadInfo {
 }
 
 /// The registry, in presentation order: the paper's four benchmarks
-/// first, then the extensions.
+/// first, then the HashMap control.
 pub fn workload_infos() -> &'static [WorkloadInfo] {
     &[
         WorkloadInfo {
@@ -76,20 +75,6 @@ pub fn workload_infos() -> &'static [WorkloadInfo] {
                 let set = Box::new(TxHashSet::new(p.key_range as usize));
                 Box::new(SetWorkload::new("HashMap", set, p))
             },
-        },
-        WorkloadInfo {
-            name: "Genome",
-            summary: "STAMP-style genome assembly; dedup/index/link phases over hash set + prefix tree",
-            default_key_range: 192,
-            paper: false,
-            build: |p| Box::new(GenomeWorkload::new(p)),
-        },
-        WorkloadInfo {
-            name: "KMeans",
-            summary: "STAMP-style kmeans; broad centroid reads, one hot accumulator write",
-            default_key_range: 128,
-            paper: false,
-            build: |p| Box::new(KMeansWorkload::new(p)),
         },
     ]
 }
@@ -257,184 +242,26 @@ impl OpStream for VacationStream<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Genome adapter
-// ---------------------------------------------------------------------------
-
-/// Genome as an open-ended op stream: each thread strides over the
-/// shuffled segment list and rotates through the three phase transactions
-/// (dedup-insert, prefix-index, successor lookup), preserving the
-/// read-mostly-with-point-writes topology of the phase driver
-/// ([`Genome::run`]) in a form the stop-rule harness can meter.
-struct GenomeWorkload {
-    genome: Genome,
-    threads: usize,
-}
-
-impl GenomeWorkload {
-    fn new(p: WorkloadParams) -> Self {
-        // key_range = genome length in bases; clamp to the constructor's
-        // validity window.
-        let length = (p.key_range as usize).clamp(32, 1 << 16);
-        GenomeWorkload {
-            genome: Genome::new(length, 2, p.seed),
-            threads: p.threads,
-        }
-    }
-}
-
-impl Workload for GenomeWorkload {
-    fn name(&self) -> &'static str {
-        "Genome"
-    }
-
-    fn stream(&self, thread: usize) -> Box<dyn OpStream + '_> {
-        Box::new(GenomeStream {
-            genome: &self.genome,
-            cursor: thread,
-            stride: self.threads,
-            step: 0,
-        })
-    }
-}
-
-struct GenomeStream<'a> {
-    genome: &'a Genome,
-    cursor: usize,
-    stride: usize,
-    step: u64,
-}
-
-impl GenomeStream<'_> {
-    fn next_segment(&mut self) -> (i64, u64) {
-        let segs = &self.genome.segments;
-        let seg = segs[self.cursor % segs.len()];
-        self.cursor += self.stride;
-        let phase = self.step % 3;
-        self.step += 1;
-        (seg, phase)
-    }
-
-    fn run(g: &Genome, tx: &mut Txn, seg: i64, phase: u64) -> TxResult<()> {
-        match phase {
-            0 => g.dedup_insert(tx, seg).map(|_| ()),
-            1 => g.index_segment(tx, seg).map(|_| ()),
-            _ => g.successor(tx, seg).map(|_| ()),
-        }
-    }
-}
-
-impl OpStream for GenomeStream<'_> {
-    fn step(&mut self, ctx: &ThreadCtx) {
-        let (seg, phase) = self.next_segment();
-        let g = self.genome;
-        ctx.atomic(|tx| Self::run(g, tx, seg, phase));
-    }
-
-    fn step_traced(&mut self, ctx: &ThreadCtx) -> Vec<(u64, bool)> {
-        let (seg, phase) = self.next_segment();
-        let g = self.genome;
-        ctx.atomic_traced(|tx| Self::run(g, tx, seg, phase)).1
-    }
-}
-
-// ---------------------------------------------------------------------------
-// KMeans adapter
-// ---------------------------------------------------------------------------
-
-/// KMeans as an op stream: each thread assigns its strided share of the
-/// points; every [`RECENTER_EVERY`]-th op folds one centroid instead, so
-/// the hot accumulator cells keep moving as they do across STAMP's
-/// iteration boundary.
-struct KMeansWorkload {
-    kmeans: KMeans,
-    threads: usize,
-}
-
-const RECENTER_EVERY: u64 = 16;
-
-impl KMeansWorkload {
-    fn new(p: WorkloadParams) -> Self {
-        // key_range = point count; 8 clusters keeps the read umbrella
-        // broad while concentrating writes.
-        let points = (p.key_range as usize).max(16);
-        KMeansWorkload {
-            kmeans: KMeans::new(8, points, p.seed),
-            threads: p.threads,
-        }
-    }
-}
-
-impl Workload for KMeansWorkload {
-    fn name(&self) -> &'static str {
-        "KMeans"
-    }
-
-    fn stream(&self, thread: usize) -> Box<dyn OpStream + '_> {
-        Box::new(KMeansStream {
-            kmeans: &self.kmeans,
-            cursor: thread,
-            stride: self.threads,
-            step: 0,
-        })
-    }
-}
-
-struct KMeansStream<'a> {
-    kmeans: &'a KMeans,
-    cursor: usize,
-    stride: usize,
-    step: u64,
-}
-
-impl OpStream for KMeansStream<'_> {
-    fn step(&mut self, ctx: &ThreadCtx) {
-        let km = self.kmeans;
-        self.step += 1;
-        if self.step.is_multiple_of(RECENTER_EVERY) {
-            let cluster = ((self.step / RECENTER_EVERY) as usize + self.cursor) % km.k();
-            ctx.atomic(|tx| km.recenter(tx, cluster));
-        } else {
-            let idx = self.cursor;
-            self.cursor += self.stride;
-            ctx.atomic(|tx| km.assign_point(tx, idx).map(|_| ()));
-        }
-    }
-
-    fn step_traced(&mut self, ctx: &ThreadCtx) -> Vec<(u64, bool)> {
-        let km = self.kmeans;
-        self.step += 1;
-        if self.step.is_multiple_of(RECENTER_EVERY) {
-            let cluster = ((self.step / RECENTER_EVERY) as usize + self.cursor) % km.k();
-            ctx.atomic_traced(|tx| km.recenter(tx, cluster)).1
-        } else {
-            let idx = self.cursor;
-            self.cursor += self.stride;
-            ctx.atomic_traced(|tx| km.assign_point(tx, idx).map(|_| ()))
-                .1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use wtm_stm::{CmDispatch, Stm};
 
     #[test]
-    fn registry_lists_seven_workloads_paper_first() {
-        let names = workload_names();
-        assert!(names.len() >= 7, "{names:?}");
+    fn registry_is_the_paper_workloads_and_the_hashmap_control() {
+        assert_eq!(
+            workload_names(),
+            ["List", "RBTree", "SkipList", "Vacation", "HashMap"]
+        );
         assert_eq!(
             paper_workload_names(),
-            vec!["List", "RBTree", "SkipList", "Vacation"]
+            ["List", "RBTree", "SkipList", "Vacation"]
         );
-        assert_eq!(&names[..4], &["List", "RBTree", "SkipList", "Vacation"]);
     }
 
     #[test]
     fn lookup_is_case_insensitive() {
-        assert_eq!(workload_info("genome").unwrap().name, "Genome");
+        assert_eq!(workload_info("hashmap").unwrap().name, "HashMap");
         assert_eq!(workload_info("RBTREE").unwrap().name, "RBTree");
         assert!(workload_info("NoSuchWorkload").is_none());
         assert!(build_workload("nope", &WorkloadParams::default()).is_none());

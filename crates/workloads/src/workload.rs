@@ -2,30 +2,30 @@
 //! per-thread operation stream + execute-one-op.
 //!
 //! The harness used to hard-code the paper's four benchmarks as a closed
-//! enum; every additional workload (Genome, KMeans, the hash map) was
-//! unreachable from the figure drivers. This trait makes a workload a
-//! *value* the harness can run by name (see [`crate::registry`]): the
-//! runner builds it from [`WorkloadParams`], prepopulates it through a
-//! context that is *not* the engine under test, then hands each worker
-//! thread its own deterministic [`OpStream`] and calls
-//! [`OpStream::step`] until the stop rule fires.
+//! enum; an additional workload (the hash map) was unreachable from the
+//! figure drivers. This trait makes a workload a *value* the harness can
+//! run by name (see [`crate::registry`]): the runner builds it from
+//! [`WorkloadParams`], prepopulates it through a context that is *not*
+//! the engine under test, then hands each worker thread its own
+//! deterministic [`OpStream`] and calls [`OpStream::step`] until the stop
+//! rule fires.
 
 use wtm_stm::ThreadCtx;
 
 /// Construction knobs shared by every workload. Each workload interprets
 /// them in its own units ([`key_range`](WorkloadParams::key_range) is an
-/// IntSet key space, a Vacation row count, a genome length in bases, a
-/// KMeans point count); the registry supplies per-workload defaults.
+/// IntSet key space, a Vacation row count); the registry supplies
+/// per-workload defaults.
 #[derive(Debug, Clone)]
 pub struct WorkloadParams {
-    /// Size knob: key range / row count / genome length / point count.
+    /// Size knob: key range / row count.
     pub key_range: i64,
     /// Percentage of updating operations (the paper's Fig. 5 contention
     /// knob). Workloads without a read/update mix ignore it.
     pub update_pct: u32,
     /// Seed for the workload's deterministic content and op streams.
     pub seed: u64,
-    /// Number of worker threads the run will use; streams stride by it.
+    /// Number of worker threads the run will use.
     pub threads: usize,
 }
 

@@ -82,7 +82,7 @@ fn main() {
         "bank: {ACCOUNTS} accounts, {THREADS} threads × {TRANSFERS_PER_THREAD} transfers, invariant = conservation\n"
     );
     // Classic managers.
-    for name in ["Polka", "Greedy", "Priority", "Karma", "Aggressive"] {
+    for name in managers::classic_names() {
         let cm = managers::make_dispatch(name, THREADS).expect("classic manager");
         run(cm, None);
     }

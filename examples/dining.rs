@@ -80,7 +80,7 @@ fn main() {
     println!(
         "dining philosophers: {PHILOSOPHERS} philosophers × {MEALS_EACH} meals, atomic two-fork pickup\n"
     );
-    for name in ["Greedy", "Polka", "Priority", "Timestamp"] {
+    for name in managers::classic_names() {
         dine(managers::make_dispatch(name, PHILOSOPHERS).unwrap(), None);
     }
     let wm = Arc::new(WindowManager::new(

@@ -62,3 +62,28 @@ fn malformed_suffixes_are_typed_errors_in_every_builder() {
         }
     }
 }
+
+/// A window value that parses but that the model cannot run is a typed
+/// error naming its key, like a malformed suffix: `n=0` used to panic in
+/// `WindowConfig::new`, and a non-positive or non-finite `phi` and a
+/// non-finite `c` were clamped without a word.
+#[test]
+fn out_of_range_window_values_are_typed_errors() {
+    for (manager, key) in [
+        ("Online-Dynamic@n=0", "`n`"),
+        ("Online@phi=0", "`phi`"),
+        ("Online@phi=-2", "`phi`"),
+        ("Online@phi=NaN", "`phi`"),
+        ("Online@phi=inf", "`phi`"),
+        ("Adaptive-Improved@c=NaN", "`c`"),
+        ("Adaptive-Improved@c=inf", "`c`"),
+    ] {
+        match build_manager(manager, 2, 8, 1) {
+            Err(BuildError::BadParams { name, reason }) => {
+                assert_eq!(name, manager);
+                assert!(reason.contains(key), "{manager}: reason was {reason:?}");
+            }
+            other => panic!("{manager}: gave {other:?}"),
+        }
+    }
+}
