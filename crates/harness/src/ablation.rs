@@ -19,26 +19,22 @@
 //! aggregation as the paper figures, instead of the bespoke hand-tuned
 //! run loop this module used to carry.
 
-use crate::experiment::{Executor, ExperimentSpec};
+use crate::experiment::{project, Executor, ExperimentSpec};
 use crate::preset::Preset;
 use crate::report::Table;
-use crate::runner::StopRule;
 
+/// An ablation grid: `managers` on `workloads` at the preset's top
+/// thread count.
 fn spec_for(
     id: &str,
     preset: &Preset,
     workloads: &[&str],
     managers: Vec<String>,
 ) -> ExperimentSpec {
-    let mut s = ExperimentSpec::new(id, StopRule::Timed(preset.duration));
-    s.workloads = workloads.iter().map(|w| w.to_string()).collect();
-    s.managers = managers;
-    s.threads = vec![preset.thread_counts.last().copied().unwrap_or(2)];
-    s.reps = preset.reps;
-    s.window_n = preset.window_n;
-    s.engine = preset.engine;
-    s.base_seed = preset.seed;
-    s
+    ExperimentSpec {
+        threads: vec![preset.max_threads()],
+        ..ExperimentSpec::from_preset(id, preset, workloads.iter().copied(), managers)
+    }
 }
 
 /// One-column sweep table: each manager variant becomes a row.
@@ -50,25 +46,22 @@ fn column_sweep(
     labels: &[String],
 ) -> Table {
     let results = exec.run(spec);
-    let mut t = Table::new(title, row_key, vec!["txn/s".into()]);
-    for (mgr, label) in spec.managers.iter().zip(labels) {
-        let a = results
-            .iter()
-            .find(|r| &r.manager == mgr)
-            .map(|r| r.metric("throughput"))
-            .unwrap_or(crate::experiment::Agg {
-                mean: f64::NAN,
-                sd: f64::NAN,
-            });
-        t.push_row_sd(label.clone(), vec![a.mean], vec![a.sd]);
-    }
-    t
+    project(
+        &results,
+        "throughput",
+        Table::new(title, row_key, vec!["txn/s".into()]),
+        labels.iter().cloned(),
+        |r| {
+            let i = spec.managers.iter().position(|m| *m == r.manager)?;
+            Some((labels[i].clone(), "txn/s".into()))
+        },
+    )
 }
 
 /// A1: throughput vs the frame factor `c` (List, Online-Dynamic; N = 16
 /// keeps the sweep comparable to the historical capture).
 pub fn a1_frame_factor(preset: &Preset, exec: &mut Executor) -> Table {
-    let threads = preset.thread_counts.last().copied().unwrap_or(2);
+    let threads = preset.max_threads();
     let phis = [0.5, 1.0, 2.0, 4.0, 8.0];
     let spec = spec_for(
         "a1",
@@ -91,7 +84,7 @@ pub fn a1_frame_factor(preset: &Preset, exec: &mut Executor) -> Table {
 /// A2: throughput vs window width `N` (SkipList — where the per-window
 /// overhead is most visible).
 pub fn a2_window_width(preset: &Preset, exec: &mut Executor) -> Table {
-    let threads = preset.thread_counts.last().copied().unwrap_or(2);
+    let threads = preset.max_threads();
     let widths = [4usize, 16, 50, 200];
     let spec = spec_for(
         "a2",
@@ -116,48 +109,40 @@ pub fn a2_window_width(preset: &Preset, exec: &mut Executor) -> Table {
 
 /// A3: static vs dynamic frames across benchmarks (§III-B's claim).
 pub fn a3_dynamic_vs_static(preset: &Preset, exec: &mut Executor) -> Table {
-    let threads = preset.thread_counts.last().copied().unwrap_or(2);
     let spec = spec_for(
         "a3",
         preset,
         &["List", "RBTree", "SkipList"],
         vec!["Online".into(), "Online-Dynamic".into()],
     );
-    let results = exec.run(&spec);
-    let mut t = Table::new(
-        format!("A3: dynamic vs static frames, throughput (M={threads})"),
-        "benchmark",
-        vec![
-            "Online".into(),
-            "Online-Dynamic".into(),
-            "dynamic/static".into(),
-        ],
+    let thr = project(
+        &exec.run(&spec),
+        "throughput",
+        Table::new("", "", spec.managers.clone()),
+        spec.workloads.iter().cloned(),
+        |r| Some((r.workload.clone(), r.manager.clone())),
     );
-    for workload in &spec.workloads {
-        let thr = |mgr: &str| {
-            results
-                .iter()
-                .find(|r| &r.workload == workload && r.manager == mgr)
-                .map(|r| r.metric("throughput").mean)
-                .unwrap_or(f64::NAN)
-        };
-        let stat = thr("Online");
-        let dynamic = thr("Online-Dynamic");
-        t.push_row(
-            workload.clone(),
-            vec![
-                stat,
-                dynamic,
-                if stat > 0.0 { dynamic / stat } else { f64::NAN },
-            ],
-        );
+    let mut columns = spec.managers.clone();
+    columns.push("dynamic/static".into());
+    let mut t = Table::new(
+        format!(
+            "A3: dynamic vs static frames, throughput (M={})",
+            preset.max_threads()
+        ),
+        "benchmark",
+        columns,
+    );
+    for (workload, row) in thr.rows.iter().zip(&thr.cells) {
+        let (stat, dynamic) = (row[0], row[1]);
+        let ratio = if stat > 0.0 { dynamic / stat } else { f64::NAN };
+        t.push_row(workload.clone(), vec![stat, dynamic, ratio]);
     }
     t
 }
 
 /// A4: Online sensitivity to a mis-configured contention estimate.
 pub fn a4_c_sensitivity(preset: &Preset, exec: &mut Executor) -> Table {
-    let threads = preset.thread_counts.last().copied().unwrap_or(2);
+    let threads = preset.max_threads();
     let base_c = threads as f64;
     let mults = [0.25, 1.0, 4.0, 16.0];
     let spec = spec_for(

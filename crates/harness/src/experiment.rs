@@ -22,7 +22,9 @@ use std::time::{Duration, Instant};
 
 use wtm_stm::EngineKind;
 
-use crate::json::{Json, RESULTS_SCHEMA_VERSION};
+use crate::json::Json;
+use crate::preset::Preset;
+use crate::report::Table;
 use crate::runner::{run_one, RunOutcome, RunSpec, StopRule};
 
 /// Simulator sweep axes: when set on an [`ExperimentSpec`], the grid is
@@ -67,14 +69,11 @@ pub struct ExperimentSpec {
     pub reps: usize,
     /// `N`, transactions per thread per window.
     pub window_n: usize,
-    /// Workload size knob; `0` = the registry's per-workload default.
-    pub key_range: i64,
     /// Which STM engine executes every cell of the grid.
     pub engine: EngineKind,
     /// Base seed; per-cell seeds are derived from it and the cell
     /// identity (see [`Cell::seed`]).
     pub base_seed: u64,
-    pub safety_deadline: Duration,
     /// When set, the grid sweeps the discrete-event simulator
     /// (`scenarios × nets × threads × managers`) instead of the STM.
     pub sim: Option<SimAxes>,
@@ -92,11 +91,30 @@ impl ExperimentSpec {
             stop,
             reps: 1,
             window_n: 50,
-            key_range: 0,
             engine: EngineKind::Eager,
             base_seed: 0xBEEF,
-            safety_deadline: Duration::from_secs(60),
             sim: None,
+        }
+    }
+
+    /// `workloads × managers` at `preset`'s scale: timed at its duration
+    /// over its thread sweep, with its repetitions, window width, engine
+    /// and seed. Every driver's grid starts here.
+    pub fn from_preset(
+        id: &str,
+        preset: &Preset,
+        workloads: impl IntoIterator<Item = impl Into<String>>,
+        managers: impl IntoIterator<Item = impl Into<String>>,
+    ) -> Self {
+        ExperimentSpec {
+            workloads: workloads.into_iter().map(Into::into).collect(),
+            managers: managers.into_iter().map(Into::into).collect(),
+            threads: preset.thread_counts.clone(),
+            reps: preset.reps,
+            window_n: preset.window_n,
+            engine: preset.engine,
+            base_seed: preset.seed,
+            ..ExperimentSpec::new(id, StopRule::Timed(preset.duration))
         }
     }
 
@@ -123,7 +141,6 @@ impl ExperimentSpec {
                                 key_range: 0,
                                 engine: self.engine,
                                 base_seed: self.base_seed,
-                                safety_deadline: self.safety_deadline,
                                 sim: Some(SimCellParams {
                                     tau: sim.tau,
                                     net: net.clone(),
@@ -149,14 +166,9 @@ impl ExperimentSpec {
                             stop: self.stop,
                             reps: self.reps,
                             window_n: self.window_n,
-                            key_range: if self.key_range > 0 {
-                                self.key_range
-                            } else {
-                                wtm_workloads::default_key_range(workload).unwrap_or(0)
-                            },
+                            key_range: wtm_workloads::default_key_range(workload).unwrap_or(0),
                             engine: self.engine,
                             base_seed: self.base_seed,
-                            safety_deadline: self.safety_deadline,
                             sim: None,
                         });
                     }
@@ -180,7 +192,6 @@ pub struct Cell {
     pub key_range: i64,
     pub engine: EngineKind,
     pub base_seed: u64,
-    pub safety_deadline: Duration,
     /// Simulator parameters; `Some` iff this is a sim cell (then
     /// `workload` is the scenario spec and `manager` the scheduler).
     pub sim: Option<SimCellParams>,
@@ -249,17 +260,12 @@ impl Cell {
     /// The [`RunSpec`] for repetition `rep` of this cell.
     pub fn run_spec(&self, rep: usize) -> RunSpec {
         RunSpec {
-            workload: self.workload.clone(),
-            manager: self.manager.clone(),
-            threads: self.threads,
-            stop: self.stop,
             key_range: self.key_range,
             update_pct: self.update_pct,
             window_n: self.window_n,
             engine: self.engine,
             seed: self.seed().wrapping_add(rep as u64 * 0x9E37),
-            safety_deadline: self.safety_deadline,
-            trace: false,
+            ..RunSpec::new(&self.workload, &self.manager, self.threads, self.stop)
         }
     }
 }
@@ -271,13 +277,18 @@ pub struct Agg {
     pub sd: f64,
 }
 
+impl Agg {
+    /// No samples: what a table shows as `n/a`.
+    const NONE: Agg = Agg {
+        mean: f64::NAN,
+        sd: f64::NAN,
+    };
+}
+
 /// Aggregate repetition samples; one sample has zero deviation.
 pub fn aggregate(values: &[f64]) -> Agg {
     if values.is_empty() {
-        return Agg {
-            mean: f64::NAN,
-            sd: f64::NAN,
-        };
+        return Agg::NONE;
     }
     let n = values.len() as f64;
     let mean = values.iter().sum::<f64>() / n;
@@ -289,29 +300,54 @@ pub fn aggregate(values: &[f64]) -> Agg {
     Agg { mean, sd }
 }
 
-/// The metric names every cell reports, in serialization order.
-pub const METRIC_NAMES: &[&str] = &[
-    "throughput",
-    "aborts_per_commit",
-    "total_time_s",
-    "commits",
-    "wasted_work",
-    "repeat_conflicts_per_kcommit",
-    "avg_committed_duration_us",
-    "avg_response_time_us",
+/// A cell's metrics in serialization order, each with how to read it off
+/// one repetition.
+type MetricTable<O> = [(&'static str, fn(&O) -> f64)];
+
+/// The metrics every STM cell reports.
+const STM_METRICS: &MetricTable<RunOutcome> = &[
+    ("throughput", |o| o.stats.throughput()),
+    ("aborts_per_commit", |o| o.stats.aborts_per_commit()),
+    ("total_time_s", |o| o.total_time.as_secs_f64()),
+    ("commits", |o| o.stats.commits as f64),
+    ("wasted_work", |o| o.stats.wasted_work()),
+    ("repeat_conflicts_per_kcommit", |o| {
+        o.stats.repeat_conflicts as f64 * 1000.0 / o.stats.commits.max(1) as f64
+    }),
+    ("avg_committed_duration_us", |o| {
+        o.stats.avg_committed_duration().as_secs_f64() * 1e6
+    }),
+    ("avg_response_time_us", |o| {
+        o.stats.avg_response_time().as_secs_f64() * 1e6
+    }),
 ];
 
-/// The metric names a **sim** cell reports, in serialization order.
-/// All in virtual steps/counts — no wall time anywhere.
-pub const SIM_METRIC_NAMES: &[&str] = &[
-    "makespan",
-    "commits",
-    "aborts",
-    "aborts_per_commit",
-    "avg_response_steps",
-    "zombie_commits",
-    "all_committed",
+/// The metrics a **sim** cell reports. All in virtual steps/counts — no
+/// wall time anywhere.
+const SIM_METRICS: &MetricTable<wtm_sim::SimOutcome> = &[
+    ("makespan", |o| o.makespan as f64),
+    ("commits", |o| o.commits as f64),
+    ("aborts", |o| o.aborts as f64),
+    ("aborts_per_commit", |o| {
+        o.aborts as f64 / o.commits.max(1) as f64
+    }),
+    ("avg_response_steps", |o| {
+        o.sum_response as f64 / o.commits.max(1) as f64
+    }),
+    ("zombie_commits", |o| o.zombie_commits as f64),
+    ("all_committed", |o| if o.all_committed { 1.0 } else { 0.0 }),
 ];
+
+/// `(name, aggregate over the repetitions)` per metric of `table`.
+fn aggregate_metrics<O>(outcomes: &[O], table: &MetricTable<O>) -> Vec<(String, Agg)> {
+    table
+        .iter()
+        .map(|&(name, read)| {
+            let values: Vec<f64> = outcomes.iter().map(read).collect();
+            (name.to_string(), aggregate(&values))
+        })
+        .collect()
+}
 
 /// Aggregated result of one cell (what `results.json` stores).
 #[derive(Debug, Clone)]
@@ -334,8 +370,7 @@ pub struct CellResult {
     pub truncated: bool,
     /// Canonical network spec for sim cells, absent for STM cells.
     pub net: Option<String>,
-    /// `(name, aggregate)` in [`METRIC_NAMES`] (or [`SIM_METRIC_NAMES`])
-    /// order.
+    /// `(name, aggregate)` in `STM_METRICS` (or `SIM_METRICS`) order.
     pub metrics: Vec<(String, Agg)>,
 }
 
@@ -367,31 +402,6 @@ fn report_boundaries(outcomes: &[RunOutcome]) {
 impl CellResult {
     /// Aggregate the repetitions of `cell`.
     pub fn from_outcomes(cell: &Cell, outcomes: &[RunOutcome]) -> Self {
-        let series =
-            |f: &dyn Fn(&RunOutcome) -> f64| -> Vec<f64> { outcomes.iter().map(f).collect() };
-        let metrics: Vec<(String, Agg)> = METRIC_NAMES
-            .iter()
-            .map(|&name| {
-                let values = match name {
-                    "throughput" => series(&|o| o.stats.throughput()),
-                    "aborts_per_commit" => series(&|o| o.stats.aborts_per_commit()),
-                    "total_time_s" => series(&|o| o.total_time.as_secs_f64()),
-                    "commits" => series(&|o| o.stats.commits as f64),
-                    "wasted_work" => series(&|o| o.stats.wasted_work()),
-                    "repeat_conflicts_per_kcommit" => series(&|o| {
-                        o.stats.repeat_conflicts as f64 * 1000.0 / o.stats.commits.max(1) as f64
-                    }),
-                    "avg_committed_duration_us" => {
-                        series(&|o| o.stats.avg_committed_duration().as_secs_f64() * 1e6)
-                    }
-                    "avg_response_time_us" => {
-                        series(&|o| o.stats.avg_response_time().as_secs_f64() * 1e6)
-                    }
-                    _ => unreachable!("unlisted metric {name}"),
-                };
-                (name.to_string(), aggregate(&values))
-            })
-            .collect();
         CellResult {
             workload: cell.workload.clone(),
             manager: cell.manager.clone(),
@@ -405,7 +415,7 @@ impl CellResult {
             stop: stop_key(cell.stop),
             truncated: outcomes.iter().any(|o| o.truncated),
             net: None,
-            metrics,
+            metrics: aggregate_metrics(outcomes, STM_METRICS),
         }
     }
 
@@ -415,27 +425,6 @@ impl CellResult {
     /// wall-clock ones.
     pub fn from_sim_outcomes(cell: &Cell, outcomes: &[wtm_sim::SimOutcome]) -> Self {
         let sim = cell.sim.as_ref().expect("sim cell");
-        let series = |f: &dyn Fn(&wtm_sim::SimOutcome) -> f64| -> Vec<f64> {
-            outcomes.iter().map(f).collect()
-        };
-        let metrics: Vec<(String, Agg)> = SIM_METRIC_NAMES
-            .iter()
-            .map(|&name| {
-                let values = match name {
-                    "makespan" => series(&|o| o.makespan as f64),
-                    "commits" => series(&|o| o.commits as f64),
-                    "aborts" => series(&|o| o.aborts as f64),
-                    "aborts_per_commit" => series(&|o| o.aborts as f64 / o.commits.max(1) as f64),
-                    "avg_response_steps" => {
-                        series(&|o| o.sum_response as f64 / o.commits.max(1) as f64)
-                    }
-                    "zombie_commits" => series(&|o| o.zombie_commits as f64),
-                    "all_committed" => series(&|o| if o.all_committed { 1.0 } else { 0.0 }),
-                    _ => unreachable!("unlisted sim metric {name}"),
-                };
-                (name.to_string(), aggregate(&values))
-            })
-            .collect();
         CellResult {
             workload: cell.workload.clone(),
             manager: cell.manager.clone(),
@@ -449,7 +438,7 @@ impl CellResult {
             stop: "sim".to_string(),
             truncated: outcomes.iter().any(|o| !o.all_committed),
             net: Some(sim.net.clone()),
-            metrics,
+            metrics: aggregate_metrics(outcomes, SIM_METRICS),
         }
     }
 
@@ -458,11 +447,7 @@ impl CellResult {
         self.metrics
             .iter()
             .find(|(n, _)| n == name)
-            .map(|(_, a)| *a)
-            .unwrap_or(Agg {
-                mean: f64::NAN,
-                sd: f64::NAN,
-            })
+            .map_or(Agg::NONE, |(_, a)| *a)
     }
 
     fn to_json(&self) -> Json {
@@ -504,39 +489,128 @@ impl CellResult {
         Json::Obj(members)
     }
 
-    fn from_json(v: &Json) -> Option<CellResult> {
-        let seed_str = v.get("seed")?.as_str()?;
-        let seed = u64::from_str_radix(seed_str.strip_prefix("0x")?, 16).ok()?;
+    /// The one decoder of a stored cell, and so the code form of a cell in
+    /// `docs/results-schema.json`: every required field with its type, a
+    /// `0x`-hex `seed`, an `engine` this build runs, a `stop` rule of the
+    /// pattern, an optional string `net`, and `{mean, sd}` per metric.
+    /// The error names the cell `key` and the wrong field.
+    pub(crate) fn from_json(key: &str, v: &Json) -> Result<CellResult, String> {
+        let bad = |field: &str| format!("cell {key:?}: bad or missing {field}");
+        let text = |field: &str, ok: fn(&str) -> bool| match v.get(field).and_then(Json::as_str) {
+            Some(s) if ok(s) => Ok(s.to_string()),
+            _ => Err(bad(field)),
+        };
+        let num = |field: &str| {
+            v.get(field)
+                .and_then(Json::as_f64)
+                .ok_or_else(|| bad(field))
+        };
+        let any = |_: &str| true;
+        let seed = text("seed", |s| {
+            s.strip_prefix("0x")
+                .is_some_and(|hex| is_all(hex, |b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        })?;
+        let seed = u64::from_str_radix(&seed[2..], 16).map_err(|_| bad("seed"))?;
+        let net = v.get("net").map(|_| text("net", any)).transpose()?;
         let metrics = v
-            .get("metrics")?
-            .as_obj()?
+            .get("metrics")
+            .and_then(Json::as_obj)
+            .ok_or_else(|| bad("metrics"))?
             .iter()
             .map(|(name, m)| {
-                Some((
+                let stat = |stat: &str| {
+                    m.get(stat)
+                        .and_then(Json::as_f64_or_nan)
+                        .ok_or_else(|| format!("cell {key:?}: metric {name:?} missing {stat}"))
+                };
+                Ok((
                     name.clone(),
                     Agg {
-                        mean: m.get("mean")?.as_f64_or_nan()?,
-                        sd: m.get("sd")?.as_f64_or_nan()?,
+                        mean: stat("mean")?,
+                        sd: stat("sd")?,
                     },
                 ))
             })
-            .collect::<Option<Vec<_>>>()?;
-        Some(CellResult {
-            workload: v.get("workload")?.as_str()?.to_string(),
-            manager: v.get("manager")?.as_str()?.to_string(),
-            threads: v.get("threads")?.as_f64()? as usize,
-            update_pct: v.get("update_pct")?.as_f64()? as u32,
-            key_range: v.get("key_range")?.as_f64()? as i64,
-            window_n: v.get("window_n")?.as_f64()? as usize,
-            engine: v.get("engine")?.as_str()?.to_string(),
-            reps: v.get("reps")?.as_f64()? as usize,
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(CellResult {
+            workload: text("workload", any)?,
+            manager: text("manager", any)?,
+            threads: num("threads")? as usize,
+            update_pct: num("update_pct")? as u32,
+            key_range: num("key_range")? as i64,
+            window_n: num("window_n")? as usize,
+            engine: text("engine", |e| {
+                e == "sim" || EngineKind::ALL.iter().any(|k| k.name() == e)
+            })?,
+            reps: num("reps")? as usize,
             seed,
-            stop: v.get("stop")?.as_str()?.to_string(),
-            truncated: v.get("truncated")?.as_bool()?,
-            net: v.get("net").and_then(Json::as_str).map(str::to_string),
+            stop: text("stop", |s| {
+                s == "sim"
+                    || s.strip_prefix("timed:")
+                        .is_some_and(|t| is_all(t, |b| b.is_ascii_digit() || b == b'.'))
+                    || s.strip_prefix("budget:")
+                        .is_some_and(|t| is_all(t, |b| b.is_ascii_digit()))
+            })?,
+            truncated: v
+                .get("truncated")
+                .and_then(Json::as_bool)
+                .ok_or_else(|| bad("truncated"))?,
+            net,
             metrics,
         })
     }
+}
+
+/// `s` is non-empty and every byte of it passes `ok`.
+fn is_all(s: &str, ok: impl Fn(u8) -> bool) -> bool {
+    !s.is_empty() && s.bytes().all(ok)
+}
+
+/// The one cells→table projection every report table goes through:
+/// `metric` of `results` with a row per `rows` label and a column per
+/// column of `table`. `at` gives a result's `(row, column)` labels, or
+/// `None` to leave it out of this table. A cell holds the mean ± sd of
+/// the first result placed there, `n/a` where none is. A row holding a
+/// truncated result says so in its label: that run stopped early (an STM
+/// budget at its safety deadline, a simulation at its step bound), so the
+/// row's numbers describe only the part that ran.
+pub(crate) fn project(
+    results: &[CellResult],
+    metric: &str,
+    mut table: Table,
+    rows: impl IntoIterator<Item = impl Into<String>>,
+    at: impl Fn(&CellResult) -> Option<(String, String)>,
+) -> Table {
+    let placed: Vec<((String, String), &CellResult)> =
+        results.iter().filter_map(|r| Some((at(r)?, r))).collect();
+    for row in rows {
+        let row = row.into();
+        let found: Vec<Option<&CellResult>> = table
+            .columns
+            .iter()
+            .map(|col| {
+                placed
+                    .iter()
+                    .find(|((r, c), _)| *r == row && c == col)
+                    .map(|&(_, result)| result)
+            })
+            .collect();
+        let aggs: Vec<Agg> = found
+            .iter()
+            .map(|r| r.map_or(Agg::NONE, |r| r.metric(metric)))
+            .collect();
+        let label = if found.iter().flatten().any(|r| r.truncated) {
+            format!("{row} (truncated)")
+        } else {
+            row
+        };
+        table.push_row_sd(
+            label,
+            aggs.iter().map(|a| a.mean).collect(),
+            aggs.iter().map(|a| a.sd).collect(),
+        );
+    }
+    table
 }
 
 /// A stored cell and its bytes in `results.json`.
@@ -557,6 +631,43 @@ impl Stored {
         );
         Stored { result, fragment }
     }
+}
+
+/// The `results.json` schema version this build reads and writes. Bump on
+/// any structural change, together with `docs/results-schema.json`.
+///
+/// v2: cells gained a required `engine` field (`"eager"` / `"lazy"`) and
+/// fold the engine into their `v2|…|eng=…` identity keys.
+///
+/// v3: simulator cells joined the store — `engine` may be `"sim"`, `stop`
+/// may be `"sim"`, and sim cells carry an optional `net` string (the
+/// canonical network-model spec, also folded into their `v3|sim|…` keys).
+/// STM keys were re-versioned to `v3|…` in the same sweep.
+pub const RESULTS_SCHEMA_VERSION: f64 = 3.0;
+
+/// Validate a parsed `results.json` document against the committed schema
+/// (`docs/results-schema.json`) and return its cells, decoded: the
+/// top-level shape here, each cell through `CellResult::from_json`.
+/// Returns the first violation found.
+pub fn validate_results(doc: &Json) -> Result<Vec<(String, CellResult)>, String> {
+    let version = doc
+        .get("schema_version")
+        .and_then(Json::as_f64)
+        .ok_or("missing schema_version")?;
+    if version != RESULTS_SCHEMA_VERSION {
+        return Err(format!(
+            "schema_version {version} != supported {RESULTS_SCHEMA_VERSION}"
+        ));
+    }
+    doc.get("generator")
+        .and_then(Json::as_str)
+        .ok_or("missing generator string")?;
+    doc.get("cells")
+        .and_then(Json::as_obj)
+        .ok_or("missing cells object")?
+        .iter()
+        .map(|(key, cell)| Ok((key.clone(), CellResult::from_json(key, cell)?)))
+        .collect()
 }
 
 /// The document around the cells, in the committed schema.
@@ -581,24 +692,19 @@ pub struct ResultsStore {
 }
 
 impl ResultsStore {
-    /// Load `out_dir/results.json` if present and well-formed; a missing,
-    /// unparsable, or wrong-schema-version file starts an empty store
-    /// (noted on stderr — stale results are never silently trusted).
+    /// Load `out_dir/results.json` if present and valid: then every cell
+    /// in it resumes. A missing, unparsable or invalid file starts an
+    /// empty store (noted on stderr — stale results are never silently
+    /// trusted).
     pub fn open(out_dir: &Path) -> Self {
         let path = out_dir.join("results.json");
         let mut cells = BTreeMap::new();
         if let Ok(text) = std::fs::read_to_string(&path) {
-            match Json::parse(&text)
-                .map_err(|e| e.to_string())
-                .and_then(|doc| crate::json::validate_results(&doc).map(|()| doc))
-            {
-                Ok(doc) => {
-                    if let Some(members) = doc.get("cells").and_then(Json::as_obj) {
-                        for (key, v) in members {
-                            if let Some(r) = CellResult::from_json(v) {
-                                cells.insert(key.clone(), Stored::new(key, r));
-                            }
-                        }
+            match Json::parse(&text).and_then(|doc| validate_results(&doc)) {
+                Ok(decoded) => {
+                    for (key, r) in decoded {
+                        let stored = Stored::new(&key, r);
+                        cells.insert(key, stored);
                     }
                 }
                 Err(e) => {
@@ -844,9 +950,6 @@ mod tests {
         let cells = grid().cells();
         assert_eq!(cells[0].key_range, 64, "List default");
         assert!(cells.iter().any(|c| c.key_range == 256), "RBTree default");
-        let mut s = grid();
-        s.key_range = 48;
-        assert!(s.cells().iter().all(|c| c.key_range == 48));
     }
 
     #[test]
@@ -923,7 +1026,7 @@ mod tests {
         let cell = &grid().cells()[0];
         let out = run_one(&cell.run_spec(0));
         let r = CellResult::from_outcomes(cell, &[out]);
-        let back = CellResult::from_json(&r.to_json()).unwrap();
+        let back = CellResult::from_json(&cell.key(), &r.to_json()).unwrap();
         assert_eq!(back.workload, r.workload);
         assert_eq!(back.seed, r.seed);
         assert_eq!(back.stop, r.stop);
@@ -953,7 +1056,7 @@ mod tests {
         let json_text = std::fs::read_to_string(dir.join("results.json")).unwrap();
         assert_eq!(json_text, first.store().to_json().render_pretty());
         let doc = Json::parse(&json_text).unwrap();
-        crate::json::validate_results(&doc).expect("committed schema");
+        validate_results(&doc).expect("committed schema");
 
         // Same spec, fresh executor: every cell is served from disk and
         // the checkpoint file is untouched (byte-identical rewrite).
@@ -1056,7 +1159,7 @@ mod tests {
 
     fn validate_and_count(text: &str, cells: usize) {
         let doc = Json::parse(text).unwrap();
-        crate::json::validate_results(&doc).expect("committed schema");
+        validate_results(&doc).expect("committed schema");
         assert_eq!(doc.get("cells").unwrap().as_obj().unwrap().len(), cells);
     }
 
@@ -1090,6 +1193,138 @@ mod tests {
         assert!(!tmp.exists());
         assert_eq!(ResultsStore::open(&dir).loaded, 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_results_file_that_validates_resumes_every_cell() {
+        let dir = std::env::temp_dir().join(format!("wtm_store_valid_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ResultsStore::open(&dir);
+        store
+            .insert_and_save("k1".into(), result(None, &[("commits", 1.0, 0.0)]))
+            .unwrap();
+        let good = std::fs::read_to_string(store.path()).unwrap();
+        // The written file, then a cell the schema rejects in each of the
+        // fields a second decoder once let through: validating and
+        // resuming are one decision, so a file either loads whole or not
+        // at all.
+        for (from, to) in [
+            ("", ""),
+            ("\"0xfeedface01234567\"", "\"12\""),
+            ("\"eager\"", "\"turbo\""),
+            ("\"timed:0.04\"", "\"forever\""),
+        ] {
+            std::fs::write(store.path(), good.replace(from, to)).unwrap();
+            let text = std::fs::read_to_string(store.path()).unwrap();
+            let valid = validate_results(&Json::parse(&text).unwrap()).is_ok();
+            let loaded = ResultsStore::open(&dir).loaded;
+            assert_eq!(loaded, usize::from(valid), "{to}: valid = {valid}");
+            assert_eq!(valid, from.is_empty(), "{to}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn minimal_valid() -> Json {
+        Json::parse(
+            r#"{
+              "schema_version": 3,
+              "generator": "windowtm test",
+              "cells": {
+                "k1": {
+                  "workload": "List", "manager": "Polka", "engine": "eager",
+                  "threads": 2,
+                  "update_pct": 100, "key_range": 64, "window_n": 8,
+                  "reps": 2, "seed": "0x1", "stop": "timed:0.06",
+                  "truncated": false,
+                  "metrics": { "throughput": { "mean": 10.0, "sd": 1.0 } }
+                }
+              }
+            }"#,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn validator_accepts_wellformed_results() {
+        validate_results(&minimal_valid()).unwrap();
+    }
+
+    #[test]
+    fn validator_accepts_sim_cells_and_types_the_net_field() {
+        let doc = Json::parse(
+            r#"{
+              "schema_version": 3,
+              "generator": "windowtm test",
+              "cells": {
+                "k1": {
+                  "workload": "fig2-shape", "manager": "Greedy", "engine": "sim",
+                  "net": "fixed:4",
+                  "threads": 8,
+                  "update_pct": 0, "key_range": 0, "window_n": 16,
+                  "reps": 2, "seed": "0x1", "stop": "sim",
+                  "truncated": false,
+                  "metrics": { "makespan": { "mean": 40.0, "sd": 0.0 } }
+                }
+              }
+            }"#,
+        )
+        .unwrap();
+        validate_results(&doc).unwrap();
+        // A non-string net is a schema violation.
+        let bad = Json::parse(&doc.render().replace("\"fixed:4\"", "4")).unwrap();
+        assert!(validate_results(&bad).is_err());
+    }
+
+    #[test]
+    fn validator_enforces_the_schema_patterns_and_names_the_field() {
+        let good = minimal_valid().render();
+        for (field, from, to) in [
+            ("seed", "\"0x1\"", "\"12\""),
+            ("seed", "\"0x1\"", "\"0xA\""),
+            ("seed", "\"0x1\"", "\"0x\""),
+            ("engine", "\"eager\"", "\"turbo\""),
+            ("engine", "\"eager\"", "\"Eager\""),
+            ("stop", "\"timed:0.06\"", "\"forever\""),
+            ("stop", "\"timed:0.06\"", "\"budget:\""),
+        ] {
+            let doc = Json::parse(&good.replace(from, to)).unwrap();
+            let e = validate_results(&doc).expect_err(to);
+            assert!(e.contains("\"k1\"") && e.contains(field), "{to}: {e}");
+        }
+    }
+
+    #[test]
+    fn validator_rejects_missing_fields() {
+        // Drop one required field at a time: the error names it.
+        let doc = minimal_valid();
+        let cell = doc.get("cells").and_then(|c| c.get("k1")).unwrap();
+        for (victim, _) in cell.as_obj().unwrap() {
+            let stripped = cell
+                .render()
+                .replacen(&format!("\"{victim}\":"), "\"x\":", 1);
+            let text = doc.render().replace(&cell.render(), &stripped);
+            let e = validate_results(&Json::parse(&text).unwrap()).expect_err(victim);
+            assert!(e.contains("\"k1\"") && e.contains(victim.as_str()), "{e}");
+        }
+        assert!(validate_results(&Json::Obj(vec![])).is_err());
+    }
+
+    #[test]
+    fn project_places_results_and_labels_truncated_rows() {
+        let mut slow = result(None, &[("throughput", 5.0, 1.0)]);
+        slow.truncated = true;
+        let fast = result(None, &[("throughput", 9.0, 0.0)]);
+        let t = project(
+            &[fast, slow],
+            "throughput",
+            Table::new("t", "row", vec!["a".into(), "b".into()]),
+            ["x", "y"],
+            |r| Some(("x".into(), if r.truncated { "b" } else { "a" }.into())),
+        );
+        assert_eq!(t.rows, vec!["x (truncated)", "y"]);
+        assert_eq!((t.cells[0][0], t.sds[0][0]), (9.0, 0.0));
+        assert_eq!((t.cells[0][1], t.sds[0][1]), (5.0, 1.0));
+        assert!(t.cells[1].iter().chain(&t.sds[1]).all(|v| v.is_nan()));
     }
 
     fn sim_grid() -> ExperimentSpec {
@@ -1152,7 +1387,7 @@ mod tests {
         let json_text = std::fs::read_to_string(dir.join("results.json")).unwrap();
         assert_eq!(json_text, first.store().to_json().render_pretty());
         let doc = Json::parse(&json_text).unwrap();
-        crate::json::validate_results(&doc).expect("committed schema");
+        validate_results(&doc).expect("committed schema");
 
         let mut second = Executor::new(&dir);
         let r2 = second.run(&spec);
@@ -1188,7 +1423,7 @@ mod tests {
         .unwrap()
         .outcome;
         let r = CellResult::from_sim_outcomes(cell, &[outcome]);
-        let back = CellResult::from_json(&r.to_json()).unwrap();
+        let back = CellResult::from_json(&cell.key(), &r.to_json()).unwrap();
         assert_eq!(back.net.as_deref(), Some("zero"));
         assert_eq!(back.engine, "sim");
         assert_eq!(back.stop, "sim");

@@ -6,79 +6,43 @@
 
 use wtm_workloads::{paper_workload_names, ContentionLevel};
 
-use crate::experiment::{CellResult, Executor, ExperimentSpec};
+use crate::experiment::{project, CellResult, Executor, ExperimentSpec};
 use crate::managers::comparison_manager_names;
 use crate::preset::Preset;
 use crate::report::Table;
 use crate::runner::StopRule;
 
-fn base_spec(id: &str, preset: &Preset, managers: &[&str]) -> ExperimentSpec {
-    let mut s = ExperimentSpec::new(id, StopRule::Timed(preset.duration));
-    s.workloads = paper_workload_names()
-        .iter()
-        .map(|w| w.to_string())
-        .collect();
-    s.managers = managers.iter().map(|m| m.to_string()).collect();
-    s.threads = preset.thread_counts.clone();
-    s.reps = preset.reps;
-    s.window_n = preset.window_n;
-    s.engine = preset.engine;
-    s.base_seed = preset.seed;
-    s
-}
-
-/// Find one cell in a spec's results.
-fn cell<'a>(
-    results: &'a [CellResult],
-    workload: &str,
-    manager: &str,
-    threads: usize,
-    update_pct: u32,
-) -> Option<&'a CellResult> {
-    results.iter().find(|r| {
-        r.workload == workload
-            && r.manager == manager
-            && r.threads == threads
-            && r.update_pct == update_pct
-    })
-}
-
 /// Project a thread-sweep spec into one table per workload: rows =
 /// thread counts, columns = managers, cells = `metric` mean ± sd.
-fn sweep_tables(
+pub fn sweep_tables(
     spec: &ExperimentSpec,
     results: &[CellResult],
     metric: &str,
     title: impl Fn(&str) -> String,
 ) -> Vec<Table> {
-    let mut tables = Vec::new();
-    for workload in &spec.workloads {
-        let mut t = Table::new(title(workload), "threads", spec.managers.clone());
-        for &m in &spec.threads {
-            let (means, sds): (Vec<f64>, Vec<f64>) = spec
-                .managers
-                .iter()
-                .map(|mgr| {
-                    let a = cell(results, workload, mgr, m, 100)
-                        .map(|r| r.metric(metric))
-                        .unwrap_or(crate::experiment::Agg {
-                            mean: f64::NAN,
-                            sd: f64::NAN,
-                        });
-                    (a.mean, a.sd)
-                })
-                .unzip();
-            t.push_row_sd(m.to_string(), means, sds);
-        }
-        tables.push(t);
-    }
-    tables
+    spec.workloads
+        .iter()
+        .map(|w| {
+            project(
+                results,
+                metric,
+                Table::new(title(w), "threads", spec.managers.clone()),
+                spec.threads.iter().map(usize::to_string),
+                |r| (r.workload == *w).then(|| (r.threads.to_string(), r.manager.clone())),
+            )
+        })
+        .collect()
 }
 
 /// Fig. 2 — throughput (commits/s) of the five window variants across the
 /// thread sweep, one table per benchmark.
 pub fn fig2(preset: &Preset, exec: &mut Executor) -> Vec<Table> {
-    let spec = base_spec("fig2", preset, &wtm_window::window_names());
+    let spec = ExperimentSpec::from_preset(
+        "fig2",
+        preset,
+        paper_workload_names(),
+        wtm_window::window_names(),
+    );
     let results = exec.run(&spec);
     sweep_tables(&spec, &results, "throughput", |w| {
         format!("Fig 2: window-variant throughput — {w}")
@@ -90,7 +54,12 @@ pub fn fig2(preset: &Preset, exec: &mut Executor) -> Vec<Table> {
 /// and aborts-per-commit of one experiment), so this driver returns both:
 /// `(fig3 throughput tables, fig4 aborts-per-commit tables)`.
 pub fn fig34(preset: &Preset, exec: &mut Executor) -> (Vec<Table>, Vec<Table>) {
-    let spec = base_spec("fig34", preset, &comparison_manager_names());
+    let spec = ExperimentSpec::from_preset(
+        "fig34",
+        preset,
+        paper_workload_names(),
+        comparison_manager_names(),
+    );
     let results = exec.run(&spec);
     let f3 = sweep_tables(&spec, &results, "throughput", |w| {
         format!("Fig 3: window vs classic throughput — {w}")
@@ -104,59 +73,38 @@ pub fn fig34(preset: &Preset, exec: &mut Executor) -> (Vec<Table>, Vec<Table>) {
 /// Fig. 5 — total time (seconds) to commit the transaction budget at 32
 /// threads under Low/Medium/High contention, one table per benchmark.
 pub fn fig5(preset: &Preset, exec: &mut Executor) -> Vec<Table> {
-    let mut spec = base_spec("fig5", preset, &comparison_manager_names());
-    spec.stop = StopRule::Budget(preset.budget);
-    spec.threads = vec![preset.fig5_threads];
-    spec.update_pcts = ContentionLevel::all()
-        .iter()
-        .map(|l| l.update_pct())
-        .collect();
+    let levels = ContentionLevel::all();
+    let spec = ExperimentSpec {
+        stop: StopRule::Budget(preset.budget),
+        threads: vec![preset.fig5_threads],
+        update_pcts: levels.iter().map(|l| l.update_pct()).collect(),
+        ..ExperimentSpec::from_preset(
+            "fig5",
+            preset,
+            paper_workload_names(),
+            comparison_manager_names(),
+        )
+    };
     let results = exec.run(&spec);
-
-    let mut tables = Vec::new();
-    for workload in &spec.workloads {
-        let mut t = Table::new(
-            format!(
-                "Fig 5: seconds to commit {} txns ({} threads) — {workload}",
+    spec.workloads
+        .iter()
+        .map(|w| {
+            let title = format!(
+                "Fig 5: seconds to commit {} txns ({} threads) — {w}",
                 preset.budget, preset.fig5_threads
-            ),
-            "contention",
-            spec.managers.clone(),
-        );
-        for level in ContentionLevel::all() {
-            let mut row_truncated = false;
-            let (means, sds): (Vec<f64>, Vec<f64>) = spec
-                .managers
-                .iter()
-                .map(|mgr| {
-                    let r = cell(
-                        results.as_slice(),
-                        workload,
-                        mgr,
-                        preset.fig5_threads,
-                        level.update_pct(),
-                    );
-                    if let Some(r) = r {
-                        row_truncated |= r.truncated;
-                        let a = r.metric("total_time_s");
-                        (a.mean, a.sd)
-                    } else {
-                        (f64::NAN, f64::NAN)
-                    }
-                })
-                .unzip();
-            // A truncated cell's time is a lower bound, not a measurement;
-            // the row label says so instead of silently mixing the two.
-            let label = if row_truncated {
-                format!("{} (truncated)", level.name())
-            } else {
-                level.name().to_string()
-            };
-            t.push_row_sd(label, means, sds);
-        }
-        tables.push(t);
-    }
-    tables
+            );
+            project(
+                &results,
+                "total_time_s",
+                Table::new(title, "contention", spec.managers.clone()),
+                levels.iter().map(|l| l.name()),
+                |r| {
+                    let level = levels.iter().find(|l| l.update_pct() == r.update_pct)?;
+                    (r.workload == *w).then(|| (level.name().to_string(), r.manager.clone()))
+                },
+            )
+        })
+        .collect()
 }
 
 /// Quick textual shape-check of Fig. 3-style tables: for each benchmark,

@@ -1,4 +1,4 @@
-//! Minimal JSON: parse, render, and validate `results.json`.
+//! Minimal JSON: parse and render.
 //!
 //! The workspace is fully vendored and has no serde, so the experiment
 //! engine hand-rolls the small JSON subset it needs: objects preserve
@@ -344,85 +344,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number {text:?} at byte {start}"))
 }
 
-/// The `results.json` schema version this build reads and writes. Bump on
-/// any structural change, together with `docs/results-schema.json`.
-///
-/// v2: cells gained a required `engine` field (`"eager"` / `"lazy"`) and
-/// fold the engine into their `v2|…|eng=…` identity keys.
-///
-/// v3: simulator cells joined the store — `engine` may be `"sim"`, `stop`
-/// may be `"sim"`, and sim cells carry an optional `net` string (the
-/// canonical network-model spec, also folded into their `v3|sim|…` keys).
-/// STM keys were re-versioned to `v3|…` in the same sweep.
-pub const RESULTS_SCHEMA_VERSION: f64 = 3.0;
-
-/// Validate a parsed `results.json` document against the committed schema
-/// (`docs/results-schema.json`): top-level shape, per-cell required
-/// fields, and per-metric `{mean, sd}` objects. Returns the first
-/// violation found.
-pub fn validate_results(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_f64)
-        .ok_or("missing schema_version")?;
-    if version != RESULTS_SCHEMA_VERSION {
-        return Err(format!(
-            "schema_version {version} != supported {RESULTS_SCHEMA_VERSION}"
-        ));
-    }
-    doc.get("generator")
-        .and_then(Json::as_str)
-        .ok_or("missing generator string")?;
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_obj)
-        .ok_or("missing cells object")?;
-    for (key, cell) in cells {
-        let ctx = |field: &str| format!("cell {key:?}: bad or missing {field}");
-        cell.get("workload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("workload"))?;
-        cell.get("manager")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("manager"))?;
-        cell.get("engine")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("engine"))?;
-        for field in ["threads", "update_pct", "key_range", "window_n", "reps"] {
-            cell.get(field)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ctx(field))?;
-        }
-        // Seeds are full 64-bit values; JSON numbers are f64, so they are
-        // stored as hex strings to stay exact.
-        for field in ["seed", "stop"] {
-            cell.get(field)
-                .and_then(Json::as_str)
-                .ok_or_else(|| ctx(field))?;
-        }
-        cell.get("truncated")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| ctx("truncated"))?;
-        // `net` is optional (present on sim cells only) but must be a
-        // string when present.
-        if let Some(net) = cell.get("net") {
-            net.as_str().ok_or_else(|| ctx("net"))?;
-        }
-        let metrics = cell
-            .get("metrics")
-            .and_then(Json::as_obj)
-            .ok_or_else(|| ctx("metrics"))?;
-        for (name, m) in metrics {
-            for stat in ["mean", "sd"] {
-                m.get(stat)
-                    .and_then(Json::as_f64_or_nan)
-                    .ok_or_else(|| format!("cell {key:?}: metric {name:?} missing {stat}"))?;
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,90 +388,5 @@ mod tests {
         let arr = v.get("k").unwrap().as_arr().unwrap();
         assert_eq!(arr[1].as_f64(), Some(-2500.0));
         assert_eq!(arr[2].as_str(), Some("sA"));
-    }
-
-    fn minimal_valid() -> Json {
-        Json::parse(
-            r#"{
-              "schema_version": 3,
-              "generator": "windowtm test",
-              "cells": {
-                "k1": {
-                  "workload": "List", "manager": "Polka", "engine": "eager",
-                  "threads": 2,
-                  "update_pct": 100, "key_range": 64, "window_n": 8,
-                  "reps": 2, "seed": "0x1", "stop": "timed:0.06",
-                  "truncated": false,
-                  "metrics": { "throughput": { "mean": 10.0, "sd": 1.0 } }
-                }
-              }
-            }"#,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn validator_accepts_wellformed_results() {
-        validate_results(&minimal_valid()).unwrap();
-    }
-
-    #[test]
-    fn validator_accepts_sim_cells_and_types_the_net_field() {
-        let doc = Json::parse(
-            r#"{
-              "schema_version": 3,
-              "generator": "windowtm test",
-              "cells": {
-                "k1": {
-                  "workload": "fig2-shape", "manager": "Greedy", "engine": "sim",
-                  "net": "fixed:4",
-                  "threads": 8,
-                  "update_pct": 0, "key_range": 0, "window_n": 16,
-                  "reps": 2, "seed": "0x1", "stop": "sim",
-                  "truncated": false,
-                  "metrics": { "makespan": { "mean": 40.0, "sd": 0.0 } }
-                }
-              }
-            }"#,
-        )
-        .unwrap();
-        validate_results(&doc).unwrap();
-        // A non-string net is a schema violation.
-        let bad = Json::parse(&doc.render().replace("\"fixed:4\"", "4")).unwrap();
-        assert!(validate_results(&bad).is_err());
-    }
-
-    #[test]
-    fn validator_rejects_missing_fields() {
-        let doc = minimal_valid();
-        // Drop one required field at a time and expect a failure.
-        let Json::Obj(top) = &doc else { unreachable!() };
-        let cells = doc.get("cells").unwrap().as_obj().unwrap();
-        let Json::Obj(cell) = &cells[0].1 else {
-            unreachable!()
-        };
-        for victim in cell.iter().map(|(k, _)| k.clone()) {
-            let stripped: Vec<(String, Json)> =
-                cell.iter().filter(|(k, _)| *k != victim).cloned().collect();
-            let broken = Json::Obj(
-                top.iter()
-                    .map(|(k, v)| {
-                        if k == "cells" {
-                            (
-                                k.clone(),
-                                Json::Obj(vec![("k1".into(), Json::Obj(stripped.clone()))]),
-                            )
-                        } else {
-                            (k.clone(), v.clone())
-                        }
-                    })
-                    .collect(),
-            );
-            assert!(
-                validate_results(&broken).is_err(),
-                "dropping {victim} must fail validation"
-            );
-        }
-        assert!(validate_results(&Json::Obj(vec![])).is_err());
     }
 }

@@ -21,13 +21,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use wtm_harness::ablation::ablation_tables;
-use wtm_harness::experiment::{Executor, ExperimentSpec};
-use wtm_harness::figures::{fig2, fig34, fig3_ratios, fig5};
-use wtm_harness::json::{validate_results, Json};
+use wtm_harness::experiment::{validate_results, Executor, ExperimentSpec, RESULTS_SCHEMA_VERSION};
+use wtm_harness::figures::{fig2, fig34, fig3_ratios, fig5, sweep_tables};
+use wtm_harness::json::Json;
 use wtm_harness::metrics::future_work_tables;
 use wtm_harness::preset::Preset;
 use wtm_harness::report::Table;
-use wtm_harness::runner::StopRule;
 use wtm_harness::sim::sim_tables;
 use wtm_harness::simtrace::trace_tables;
 use wtm_harness::theory::makespan_tables;
@@ -105,53 +104,22 @@ fn named_run(workload: &str, preset: &Preset, exec: &mut Executor) -> Result<Vec
             wtm_workloads::workload_names().join(", ")
         )
     })?;
-    let mut spec = ExperimentSpec::new(
+    let spec = ExperimentSpec::from_preset(
         &format!("run-{}", info.name),
-        StopRule::Timed(preset.duration),
+        preset,
+        [info.name],
+        comparison_manager_names(),
     );
-    spec.workloads = vec![info.name.to_string()];
-    spec.managers = comparison_manager_names()
-        .iter()
-        .map(|m| m.to_string())
-        .collect();
-    spec.threads = preset.thread_counts.clone();
-    spec.reps = preset.reps;
-    spec.window_n = preset.window_n;
-    spec.engine = preset.engine;
-    spec.base_seed = preset.seed;
     let results = exec.run(&spec);
-
-    let mut tables = Vec::new();
-    for (metric, what) in [
+    Ok([
         ("throughput", "throughput (txn/s)"),
         ("aborts_per_commit", "aborts per commit"),
-    ] {
-        let mut t = Table::new(
-            format!("Run: {what} — {}", info.name),
-            "threads",
-            spec.managers.clone(),
-        );
-        for &m in &spec.threads {
-            let (means, sds): (Vec<f64>, Vec<f64>) = spec
-                .managers
-                .iter()
-                .map(|mgr| {
-                    let a = results
-                        .iter()
-                        .find(|r| r.threads == m && &r.manager == mgr)
-                        .map(|r| r.metric(metric))
-                        .unwrap_or(wtm_harness::experiment::Agg {
-                            mean: f64::NAN,
-                            sd: f64::NAN,
-                        });
-                    (a.mean, a.sd)
-                })
-                .unzip();
-            t.push_row_sd(m.to_string(), means, sds);
-        }
-        tables.push(t);
-    }
-    Ok(tables)
+    ]
+    .into_iter()
+    .flat_map(|(metric, what)| {
+        sweep_tables(&spec, &results, metric, |w| format!("Run: {what} — {w}"))
+    })
+    .collect())
 }
 
 fn validate_out(out_dir: &std::path::Path) -> ExitCode {
@@ -163,18 +131,13 @@ fn validate_out(out_dir: &std::path::Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let parsed = Json::parse(&text).and_then(|doc| validate_results(&doc).map(|()| doc));
-    match parsed {
-        Ok(doc) => {
-            let cells = doc
-                .get("cells")
-                .and_then(Json::as_obj)
-                .map(<[_]>::len)
-                .unwrap_or(0);
+    match Json::parse(&text).and_then(|doc| validate_results(&doc)) {
+        Ok(cells) => {
             println!(
-                "{}: valid (schema_version {}, {cells} cell(s))",
+                "{}: valid (schema_version {}, {} cell(s))",
                 path.display(),
-                wtm_harness::json::RESULTS_SCHEMA_VERSION
+                RESULTS_SCHEMA_VERSION,
+                cells.len()
             );
             ExitCode::SUCCESS
         }

@@ -15,29 +15,23 @@
 
 use wtm_workloads::paper_workload_names;
 
-use crate::experiment::{CellResult, Executor, ExperimentSpec};
+use crate::experiment::{project, Executor, ExperimentSpec};
 use crate::managers::comparison_manager_names;
 use crate::preset::Preset;
 use crate::report::Table;
-use crate::runner::StopRule;
 
 /// One table per metric; rows = benchmarks, columns = managers.
 pub fn future_work_tables(preset: &Preset, exec: &mut Executor) -> Vec<Table> {
-    let threads = preset.thread_counts.last().copied().unwrap_or(2);
-    let mut spec = ExperimentSpec::new("metrics", StopRule::Timed(preset.duration));
-    spec.workloads = paper_workload_names()
-        .iter()
-        .map(|w| w.to_string())
-        .collect();
-    spec.managers = comparison_manager_names()
-        .iter()
-        .map(|m| m.to_string())
-        .collect();
-    spec.threads = vec![threads];
-    spec.reps = preset.reps;
-    spec.window_n = preset.window_n;
-    spec.engine = preset.engine;
-    spec.base_seed = preset.seed;
+    let threads = preset.max_threads();
+    let spec = ExperimentSpec {
+        threads: vec![threads],
+        ..ExperimentSpec::from_preset(
+            "metrics",
+            preset,
+            paper_workload_names(),
+            comparison_manager_names(),
+        )
+    };
     let results = exec.run(&spec);
 
     let views: [(&str, String); 4] = [
@@ -60,31 +54,16 @@ pub fn future_work_tables(preset: &Preset, exec: &mut Executor) -> Vec<Table> {
     ];
     views
         .into_iter()
-        .map(|(metric, title)| project(&spec, &results, metric, title))
+        .map(|(metric, title)| {
+            project(
+                &results,
+                metric,
+                Table::new(title, "benchmark", spec.managers.clone()),
+                spec.workloads.iter().cloned(),
+                |r| Some((r.workload.clone(), r.manager.clone())),
+            )
+        })
         .collect()
-}
-
-fn project(spec: &ExperimentSpec, results: &[CellResult], metric: &str, title: String) -> Table {
-    let mut t = Table::new(title, "benchmark", spec.managers.clone());
-    for workload in &spec.workloads {
-        let (means, sds): (Vec<f64>, Vec<f64>) = spec
-            .managers
-            .iter()
-            .map(|mgr| {
-                let a = results
-                    .iter()
-                    .find(|r| &r.workload == workload && &r.manager == mgr)
-                    .map(|r| r.metric(metric))
-                    .unwrap_or(crate::experiment::Agg {
-                        mean: f64::NAN,
-                        sd: f64::NAN,
-                    });
-                (a.mean, a.sd)
-            })
-            .unzip();
-        t.push_row_sd(workload.clone(), means, sds);
-    }
-    t
 }
 
 #[cfg(test)]

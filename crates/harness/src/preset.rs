@@ -106,32 +106,16 @@ impl Preset {
         }
     }
 
-    /// Parse `--quick` / `--paper` / `--smoke`.
-    pub fn by_name(name: &str) -> Option<Preset> {
-        match name {
-            "paper" => Some(Self::paper()),
-            "medium" => Some(Self::medium()),
-            "quick" => Some(Self::quick()),
-            "smoke" => Some(Self::smoke()),
-            _ => None,
-        }
+    /// The top of the thread sweep: the one `M` of the tables that do not
+    /// sweep it (ablations, FW1–FW4, traces).
+    pub(crate) fn max_threads(&self) -> usize {
+        self.thread_counts.last().copied().unwrap_or(2)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn presets_parse_by_name() {
-        for n in ["paper", "medium", "quick", "smoke"] {
-            let p = Preset::by_name(n).unwrap();
-            assert_eq!(p.name, n);
-            assert!(!p.thread_counts.is_empty());
-            assert!(p.reps >= 1);
-        }
-        assert!(Preset::by_name("bogus").is_none());
-    }
 
     #[test]
     fn paper_matches_the_paper() {

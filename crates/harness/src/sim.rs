@@ -17,10 +17,9 @@
 //!   a window CM's guarantees erode when the verdict is no longer
 //!   instantaneous.
 
-use crate::experiment::{CellResult, Executor, ExperimentSpec, SimAxes};
+use crate::experiment::{project, CellResult, Executor, ExperimentSpec, SimAxes};
 use crate::preset::Preset;
 use crate::report::Table;
-use crate::runner::StopRule;
 
 /// Network sweep every sim cell runs under: the paper's instantaneous
 /// verdict, then 1- and 4-step verdict delivery.
@@ -43,34 +42,25 @@ pub fn sim_scenario_specs() -> Vec<String> {
     ]
 }
 
-/// The sim grid: `scenarios × nets × {preset.sim_m} × schedulers`.
+/// The sim grid: `scenarios × nets × {preset.sim_m} × schedulers`. A sim
+/// cell's key holds neither the stop rule nor the engine, so the preset's
+/// are carried but never read.
 pub fn sim_spec(preset: &Preset) -> ExperimentSpec {
-    let mut s = ExperimentSpec::new("sim", StopRule::Budget(0));
-    s.managers = wtm_sim::SIM_SCHEDULER_NAMES
-        .iter()
-        .map(|m| m.to_string())
-        .collect();
-    s.threads = vec![preset.sim_m];
-    s.window_n = preset.sim_n;
-    s.reps = preset.reps;
-    s.base_seed = preset.seed;
-    s.sim = Some(SimAxes {
-        scenarios: sim_scenario_specs(),
-        nets: SIM_NETS.iter().map(|n| n.to_string()).collect(),
-        tau: SIM_TAU,
-    });
-    s
-}
-
-fn find<'a>(
-    results: &'a [CellResult],
-    scenario: &str,
-    scheduler: &str,
-    net: &str,
-) -> Option<&'a CellResult> {
-    results
-        .iter()
-        .find(|r| r.workload == scenario && r.manager == scheduler && r.net.as_deref() == Some(net))
+    ExperimentSpec {
+        threads: vec![preset.sim_m],
+        window_n: preset.sim_n,
+        sim: Some(SimAxes {
+            scenarios: sim_scenario_specs(),
+            nets: SIM_NETS.iter().map(|n| n.to_string()).collect(),
+            tau: SIM_TAU,
+        }),
+        ..ExperimentSpec::from_preset(
+            "sim",
+            preset,
+            Vec::<String>::new(),
+            wtm_sim::SIM_SCHEDULER_NAMES.iter().copied(),
+        )
+    }
 }
 
 /// Project one metric of one scenario: rows = schedulers, columns = nets.
@@ -81,43 +71,44 @@ fn scenario_table(
     metric: &str,
     title: String,
 ) -> Table {
-    let nets: Vec<String> = SIM_NETS.iter().map(|n| n.to_string()).collect();
-    let mut t = Table::new(title, "scheduler", nets);
-    for sched in &spec.managers {
-        let (means, sds): (Vec<f64>, Vec<f64>) = SIM_NETS
-            .iter()
-            .map(|net| {
-                find(results, scenario, sched, net)
-                    .map(|r| {
-                        let a = r.metric(metric);
-                        (a.mean, a.sd)
-                    })
-                    .unwrap_or((f64::NAN, f64::NAN))
-            })
-            .unzip();
-        t.push_row_sd(sched.clone(), means, sds);
-    }
-    t
+    let nets = SIM_NETS.iter().map(|n| n.to_string()).collect();
+    project(
+        results,
+        metric,
+        Table::new(title, "scheduler", nets),
+        spec.managers.iter().cloned(),
+        |r| match &r.net {
+            Some(net) if r.workload == scenario => Some((r.manager.clone(), net.clone())),
+            _ => None,
+        },
+    )
 }
 
 /// Run the sim sweep and render every table.
 pub fn sim_tables(preset: &Preset, exec: &mut Executor) -> Vec<Table> {
     let spec = sim_spec(preset);
     let results = exec.run(&spec);
+    render_tables(preset, &spec, &results)
+}
+
+/// Every sim table of `results`. A row holding a cell whose runs did not
+/// all commit within the simulator's step bound is labelled
+/// `(truncated)`, in the degradation table too.
+fn render_tables(preset: &Preset, spec: &ExperimentSpec, results: &[CellResult]) -> Vec<Table> {
     let (m, n) = (preset.sim_m, preset.sim_n);
 
     let mut tables = Vec::new();
     for scenario in sim_scenario_specs() {
         tables.push(scenario_table(
-            &spec,
-            &results,
+            spec,
+            results,
             &scenario,
             "makespan",
             format!("Sim makespan (steps) vs verdict latency — {scenario} (M={m}, N={n}, tau={SIM_TAU})"),
         ));
         tables.push(scenario_table(
-            &spec,
-            &results,
+            spec,
+            results,
             &scenario,
             "aborts_per_commit",
             format!("Sim aborts per commit vs verdict latency — {scenario} (M={m}, N={n}, tau={SIM_TAU})"),
@@ -126,25 +117,14 @@ pub fn sim_tables(preset: &Preset, exec: &mut Executor) -> Vec<Table> {
 
     // The headline summary: how much each scheduler's makespan degrades on
     // the paper's own window shape when the verdict takes 1 or 4 steps.
+    let makespan = scenario_table(spec, results, "fig2-shape", "makespan", String::new());
     let mut deg = Table::new(
         format!("Sim latency degradation: makespan(net)/makespan(zero) — fig2-shape (M={m}, N={n}, tau={SIM_TAU})"),
         "scheduler",
-        SIM_NETS.iter().skip(1).map(|n| n.to_string()).collect(),
+        makespan.columns[1..].to_vec(),
     );
-    for sched in &spec.managers {
-        let base = find(&results, "fig2-shape", sched, "zero")
-            .map(|r| r.metric("makespan").mean)
-            .unwrap_or(f64::NAN);
-        let row: Vec<f64> = SIM_NETS
-            .iter()
-            .skip(1)
-            .map(|net| {
-                find(&results, "fig2-shape", sched, net)
-                    .map(|r| r.metric("makespan").mean / base)
-                    .unwrap_or(f64::NAN)
-            })
-            .collect();
-        deg.push_row(sched.clone(), row);
+    for (sched, row) in makespan.rows.iter().zip(&makespan.cells) {
+        deg.push_row(sched.clone(), row[1..].iter().map(|v| v / row[0]).collect());
     }
     tables.push(deg);
     tables
@@ -194,5 +174,44 @@ mod tests {
             "net field serialized"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_row_holding_a_cell_that_did_not_all_commit_is_labelled_truncated() {
+        let p = Preset::smoke();
+        let dir = std::env::temp_dir().join(format!("wtm_sim_truncated_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = sim_spec(&p);
+        let mut results = Executor::new(&dir).run(&spec);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            results.iter().all(|r| !r.truncated),
+            "smoke cells all commit"
+        );
+        let cut = results
+            .iter_mut()
+            .find(|r| {
+                r.workload == "fig2-shape"
+                    && r.manager == "Greedy"
+                    && r.net.as_deref() == Some("fixed:4")
+            })
+            .unwrap();
+        cut.truncated = true;
+        let tables = render_tables(&p, &spec, &results);
+        let labelled = |t: &Table| -> Vec<String> {
+            t.rows
+                .iter()
+                .filter(|r| r.contains("truncated"))
+                .cloned()
+                .collect()
+        };
+        // fig2-shape's makespan and aborts tables, and the degradation
+        // table built from its makespans: that row alone.
+        for t in [&tables[0], &tables[1], tables.last().unwrap()] {
+            assert_eq!(labelled(t), ["Greedy (truncated)"], "{}", t.title);
+        }
+        for t in &tables[2..tables.len() - 1] {
+            assert!(labelled(t).is_empty(), "{}", t.title);
+        }
     }
 }

@@ -622,12 +622,18 @@ mod tests {
         let replayed = replay(&recorded).unwrap();
         assert_eq!(replayed, direct);
 
-        // Flip one hex digit of the log: replay must refuse.
+        // Flip hex digit 6 of the log: replay must refuse, naming byte 3
+        // as the first that diverges.
         let idx = recorded.find("log=").unwrap() + 10;
         let mut bad = recorded.clone().into_bytes();
         bad[idx] = if bad[idx] == b'0' { b'1' } else { b'0' };
         let e = replay(std::str::from_utf8(&bad).unwrap()).unwrap_err();
-        assert!(matches!(e, SimError::ReplayMismatch { .. }), "{e}");
+        match &e {
+            SimError::ReplayMismatch { reason } => {
+                assert!(reason.contains("diverges at byte 3 "), "{e}")
+            }
+            _ => panic!("{e}"),
+        }
 
         // Corrupt the header: typed error, not a panic.
         assert!(replay("not a log").is_err());

@@ -15,15 +15,17 @@
 //!   overwrite, one atomic store per event. No locks, no allocation after
 //!   the buffer exists. A global registry collects every thread's buffer
 //!   so a collector can drain them once producers are quiescent.
-//! * **Two-level gating**: call sites are compiled in only under the
-//!   `trace` cargo feature of the instrumented crates, and even then every
-//!   [`emit`] starts with one relaxed load of a global flag
-//!   ([`enabled`]) — tracing that is compiled in but switched off costs a
+//! * **Runtime gating**: the call sites in `wtm-stm` and `wtm-window` are
+//!   always compiled, and every [`emit`] starts with one relaxed load of a
+//!   global flag ([`enabled`]) — tracing that is switched off costs a
 //!   predicted-not-taken branch per event site.
 //!
 //! The collector side lives in [`collect`] (who-killed-whom conflict
-//! matrices, log-bucketed latency histograms) and [`chrome`] (Chrome-trace
-//! JSON for `chrome://tracing` / Perfetto).
+//! matrices, log-bucketed latency histograms). The Chrome-trace JSON for
+//! `chrome://tracing` / Perfetto is rendered by `windowtm trace`
+//! (`wtm_harness::trace`) through the harness's one JSON layer; this crate
+//! names the payload words it writes ([`abort_reason_name`],
+//! [`conflict_kind_name`], [`verdict_name`], [`barrier_outcome_name`]).
 //!
 //! ## Drain protocol
 //!
@@ -33,7 +35,6 @@
 //! enabling tracing after prepopulation, disabling it after the worker
 //! scope ends, and only then draining.
 
-pub mod chrome;
 pub mod collect;
 
 use std::cell::UnsafeCell;
@@ -119,6 +120,37 @@ pub fn abort_reason_name(reason: u64) -> &'static str {
         ABORT_USER => "user",
         ABORT_VALIDATION => "validation",
         _ => "unknown",
+    }
+}
+
+/// Human-readable conflict kind (the first word [`unpack_conflict`]
+/// returns).
+pub fn conflict_kind_name(kind: u64) -> &'static str {
+    match kind {
+        0 => "WW",
+        1 => "RW",
+        2 => "WR",
+        _ => "??",
+    }
+}
+
+/// Human-readable CM verdict (`VERDICT_*`).
+pub fn verdict_name(verdict: u64) -> &'static str {
+    match verdict {
+        VERDICT_ABORT_ENEMY => "abort-enemy",
+        VERDICT_ABORT_SELF => "abort-self",
+        VERDICT_RETRY => "retry",
+        _ => "??",
+    }
+}
+
+/// Human-readable barrier-wait outcome (`BARRIER_*`).
+pub fn barrier_outcome_name(outcome: u64) -> &'static str {
+    match outcome {
+        BARRIER_RELEASED => "released",
+        BARRIER_CANCELLED => "cancelled",
+        BARRIER_TIMED_OUT => "timed-out",
+        _ => "??",
     }
 }
 
@@ -441,5 +473,8 @@ mod tests {
         assert_eq!(EventKind::Commit.name(), "commit");
         assert_eq!(abort_reason_name(ABORT_KILLED), "killed");
         assert_eq!(abort_reason_name(99), "unknown");
+        assert_eq!(conflict_kind_name(1), "RW");
+        assert_eq!(verdict_name(VERDICT_ABORT_ENEMY), "abort-enemy");
+        assert_eq!(barrier_outcome_name(BARRIER_TIMED_OUT), "timed-out");
     }
 }

@@ -5,8 +5,8 @@
 
 use std::time::Duration;
 
-use windowtm::harness::experiment::{Executor, ExperimentSpec};
-use windowtm::harness::json::{validate_results, Json};
+use windowtm::harness::experiment::{validate_results, Executor, ExperimentSpec};
+use windowtm::harness::json::Json;
 use windowtm::harness::runner::{run_one, RunSpec, StopRule};
 use windowtm::stm::{CmDispatch, Stm};
 use windowtm::workloads::{build_workload, workload_names, WorkloadParams};
