@@ -17,8 +17,8 @@
 //!   only at commit.
 //! * **Commit-time locking.** Commit CASes each written object's seqlock
 //!   word even→odd (in object-id order — deadlock-free), re-validates the
-//!   read set, derives a write version from the global clock, flips the
-//!   status CAS, and writes back.
+//!   read set, flips the status CAS, takes a write version from the
+//!   global clock, and writes back.
 //!
 //! ## Correctness argument (opacity)
 //!
@@ -39,42 +39,30 @@
 //! equality — no spurious aborts from neighbours' aborted commits, except
 //! the unavoidable seq-parity ambiguity window.
 //!
-//! ## The version clock rule (GV5/GV4 hybrid)
+//! ## The version clock (TL2's GV1)
 //!
-//! Write versions are *not* one `fetch_add` per commit (TL2's GV1 — a
-//! single contended cache line every committer serializes on). They come
-//! from [`super::write_version`]`(blind, maxv)`, where `maxv` is the
-//! maximum committed version observed over the write set *after locking
-//! it* (returned by each `lazy_try_lock` under the held lock):
+//! A writing commit takes its write version `wv` with one `fetch_add` on
+//! the global clock ([`super::write_version`]), after its status CAS and
+//! before its write-back; a read-only commit takes none. Three facts
+//! follow, and the argument above needs no others:
 //!
-//! * a **blind-write commit** (empty read set) only *loads* the clock —
-//!   zero clock RMWs (GV5);
-//! * a **commit with reads** CASes the clock once and on failure *adopts*
-//!   the winner's value instead of retrying (GV4 "pass on failure");
-//! * either way the result is `max(clock, maxv) + 1`.
+//! 1. **No stamp is ahead of the clock**, so a watermark taken after a
+//!    commit's `fetch_add` admits every version that commit writes.
+//! 2. **No torn prefix.** A reader whose `rv ≥ wv` took its watermark
+//!    after the committer's `fetch_add`, hence after the committer held
+//!    every commit lock: it meets each of those objects locked or
+//!    written back.
+//! 3. **A later overwrite stamps past the watermark.** A commit that
+//!    locks an object after a reader sampled it takes its `fetch_add`
+//!    after that reader's watermark, so its `wv > rv`. A changed-but-even
+//!    word whose version is still `≤ rv` is therefore the residue of
+//!    failed commits only, which is what makes the validation re-derive
+//!    above sound.
 //!
-//! Two facts replace GV1's global uniqueness in the opacity argument:
-//!
-//! 1. **Freshness** — `wv` strictly exceeds the clock at the instant the
-//!    committer finished taking its locks (see `write_version`). Hence a
-//!    reader whose `rv ≥ wv` started *after* all those locks were held
-//!    and can only see the locks or the post-write-back values — never a
-//!    torn prefix. And because the clock never decreases, a committed
-//!    overwrite that happens after a reader's watermark always carries
-//!    `wv > rv`: the validation re-derive above stays sound, since a
-//!    changed-but-even word whose version is still `≤ rv` can only be the
-//!    residue of *failed* commits, never of a committed overwrite.
-//! 2. **Per-object monotonicity** — the `maxv + 1` clamp makes stamps
-//!    strictly increase per object even when two commits share a clock
-//!    value; committers with equal `wv` provably had disjoint write sets.
-//!
-//! Blind commits may stamp versions *ahead* of the clock. A reader that
-//! meets one calls [`super::bump_watermark_to`] and then either extends
-//! its watermark in place (read set still empty — restarting would
-//! differ only in the watermark) or aborts on `version > rv`, its
-//! retry's fresh watermark admitting the value — progress costs one
-//! `fetch_max` per failed validation instead of one `fetch_add` per
-//! commit.
+//! A reader that meets `version > rv` with nothing read yet takes a fresh
+//! watermark in place (TL2's rv extension, trivially valid on an empty
+//! read set, and by fact 1 the fresh watermark admits the version); with
+//! earlier reads it aborts, and its retry's watermark admits the version.
 //!
 //! The contention manager is consulted exactly where conflicts become
 //! observable: a reader meeting a commit-locked object (read-write), and
@@ -105,12 +93,6 @@ fn read_committed<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<*c
         txn.check_alive()?;
         if let Some((val, seq, version)) = tvar.inner().lazy_sample(txn.slot_idx, &txn.state) {
             if version > txn.rv {
-                // Committed after our watermark. Raise the clock first:
-                // the version may have been stamped by a blind-write
-                // commit that ran ahead of the clock without RMWing it
-                // (GV5 — see the module docs), and without the bump a
-                // fresh watermark would never admit it.
-                super::bump_watermark_to(version);
                 if txn.reads.is_empty() {
                     // Nothing read yet, so there is nothing this snapshot
                     // could be inconsistent *with*: restarting the attempt
@@ -158,31 +140,25 @@ fn validation_abort(txn: &Txn<'_>) -> TxError {
 
 /// Lock the write set — sorted by object id by the caller — in order,
 /// then re-validate the read set. `locked` counts the entries locked so
-/// far (a prefix, which the caller unlocks on failure); the value returned
-/// on success is the maximum committed version over the locked write set
-/// (the `maxv` input to [`super::write_version`]).
-fn lock_and_validate(txn: &Txn<'_>, locked: &mut usize) -> TxResult<u64> {
-    let mut maxv = 0u64;
+/// far (a prefix, which the caller unlocks on failure).
+fn lock_and_validate(txn: &Txn<'_>, locked: &mut usize) -> TxResult<()> {
     for w in txn.writes.iter() {
         loop {
             txn.check_alive()?;
-            match w.lazy_lock(txn.slot_idx, txn.state.attempt_id) {
-                Some(version) => {
-                    maxv = maxv.max(version);
-                    *locked += 1;
-                    break;
-                }
-                None => match w.lazy_owner() {
-                    Some(enemy) => txn.handle_conflict(&enemy, ConflictKind::WriteWrite)?,
-                    // Mid write-back (wait) or an eager run's uncollapsed
-                    // terminal writer (fold it ourselves — see
-                    // `read_committed`).
-                    None => {
-                        if !w.collapse_eager_leftover() {
-                            std::thread::yield_now();
-                        }
+            if w.lazy_lock(txn.slot_idx, txn.state.attempt_id) {
+                *locked += 1;
+                break;
+            }
+            match w.lazy_owner() {
+                Some(enemy) => txn.handle_conflict(&enemy, ConflictKind::WriteWrite)?,
+                // Mid write-back (wait) or an eager run's uncollapsed
+                // terminal writer (fold it ourselves — see
+                // `read_committed`).
+                None => {
+                    if !w.collapse_eager_leftover() {
+                        std::thread::yield_now();
                     }
-                },
+                }
             }
         }
     }
@@ -216,17 +192,11 @@ fn lock_and_validate(txn: &Txn<'_>, locked: &mut usize) -> TxResult<u64> {
         // attempt came and went. Accept iff the value provably still
         // predates our watermark — version unchanged-sandwich re-check.
         let version = unsafe { r.version_now() };
-        if unsafe { r.seq_now() } != s1 {
-            return Err(validation_abort(txn));
-        }
-        if version > txn.rv {
-            // Possibly a blind-write stamp ahead of the clock; raise the
-            // clock so the retry's watermark admits it (module docs).
-            super::bump_watermark_to(version);
+        if unsafe { r.seq_now() } != s1 || version > txn.rv {
             return Err(validation_abort(txn));
         }
     }
-    Ok(maxv)
+    Ok(())
 }
 
 impl Engine for LazyEngine {
@@ -316,11 +286,7 @@ impl Engine for LazyEngine {
         // so nothing indexes the write set by open order any more.
         txn.writes.sort_unstable_by_key(|w| w.tvar_id());
         let mut locked = 0;
-        let outcome = lock_and_validate(txn, &mut locked);
-        let committed = match outcome {
-            Ok(_) => txn.state.try_commit(),
-            Err(_) => false,
-        };
+        let committed = lock_and_validate(txn, &mut locked).is_ok() && txn.state.try_commit();
         if !committed {
             for w in &txn.writes[..locked] {
                 w.lazy_unlock();
@@ -330,9 +296,7 @@ impl Engine for LazyEngine {
         // Past the point of no return: stamp the write version and make
         // every shadow the committed version. Unlocking happens inside
         // the write-back (the final even flip of each object's word).
-        // Blind commits (empty read set) take the zero-RMW clock path —
-        // see the module docs for why that preserves opacity.
-        let wv = super::write_version(txn.reads.is_empty(), outcome.unwrap_or_default());
+        let wv = super::write_version();
         for w in txn.writes.iter() {
             w.lazy_writeback(wv);
         }

@@ -189,76 +189,16 @@ pub(crate) fn read_watermark() -> u64 {
     VERSION_CLOCK.load(Ordering::SeqCst)
 }
 
-/// A write version for a committing lazy transaction that holds all its
-/// commit locks. Contention-scalable: this is *not* an unconditional
-/// `fetch_add` per commit (the classic TL2 GV1 clock, whose single cache
-/// line becomes the whole system's serialization point at high thread
-/// counts). Instead:
-///
-/// * **Blind-write commits** (`blind`, empty read set) never RMW the
-///   clock at all — GV5-style. The returned version may run *ahead* of
-///   the clock; a reader that later meets it aborts on `version > rv`
-///   and [`bump_watermark_to`] raises the clock so its retry admits it.
-///   Cost moves from every commit to the first conflicting reader —
-///   zero shared-line RMWs on disjoint-access write workloads.
-/// * **Commits with reads** CAS the clock once and, on contention,
-///   *adopt* the observed value instead of retrying (GV4
-///   "pass-on-failure"): the winner's bump already proves the clock
-///   moved past every watermark taken before our locks were held.
-///
-/// Either way the result is clamped to `maxv + 1`, where `maxv` is the
-/// maximum committed version observed over the write set *after locking
-/// it*. That clamp carries the two correctness obligations:
-///
-/// 1. **Lemma (write-version freshness).** The returned `wv` strictly
-///    exceeds the clock value at the instant the committer finished
-///    acquiring its locks: every path computes `max(clock_v, maxv) + 1`
-///    from a `clock_v` no older than the post-lock clock — the blind
-///    load gives `wv ≥ c + 1 > c`, CAS success `wv ≥ cur + 1`, and CAS
-///    failure adopts `seen - 1 ≥ cur`, so `wv ≥ seen > cur`.
-///    Consequently any reader with `rv ≥ wv` took its watermark *after*
-///    this committer held every lock, so it can only observe
-///    post-writeback values or the locks themselves — never a torn
-///    prefix of the write set. Readers with `rv < wv` reject the new
-///    values outright (`version > rv`).
-/// 2. **Per-object monotonicity.** `wv ≥ maxv + 1` makes version stamps
-///    strictly increase per object even when two commits share a clock
-///    value, which is what keeps the validation re-derive rule sound
-///    (see `engine::lazy` module docs) and forces any two committers
-///    whose write sets intersect onto distinct versions.
-pub(crate) fn write_version(blind: bool, maxv: u64) -> u64 {
-    use std::sync::atomic::Ordering::SeqCst;
-    let clock_v = if blind {
-        // Zero RMW: `max(c, maxv) + 1` below keeps freshness (`> c`).
-        VERSION_CLOCK.load(SeqCst)
-    } else {
-        let cur = VERSION_CLOCK.load(SeqCst);
-        #[cfg(debug_assertions)]
-        crate::probe::count_clock_rmw();
-        match VERSION_CLOCK.compare_exchange(cur, cur + 1, SeqCst, SeqCst) {
-            // `cur + 1 - 1 = cur` so the clamp below returns `cur + 1`.
-            Ok(_) => cur,
-            // Pass on failure: the winner bumped past `cur` for us. Both
-            // hold their full lock sets at the winner's CAS instant, so
-            // equal write versions imply disjoint write sets (an overlap
-            // would mean one seqlock held twice) — and the `maxv` clamp
-            // separates any later committer that *does* overlap.
-            Err(seen) => seen - 1,
-        }
-    };
-    clock_v.max(maxv) + 1
-}
-
-/// Raise the clock to at least `v`. Called on `version > rv` aborts:
-/// blind-write commits stamp versions ahead of the clock without bumping
-/// it, so without this a reader meeting such a version would retry with
-/// the same stale watermark forever. One `fetch_max` per *failed*
-/// validation instead of one `fetch_add` per commit.
-pub(crate) fn bump_watermark_to(v: u64) {
-    use std::sync::atomic::Ordering::SeqCst;
+/// The write version of a committing lazy transaction that holds all its
+/// commit locks and has won its status CAS: TL2's GV1 clock, one
+/// `fetch_add` per writing commit. Every stamp is unique, none is ahead
+/// of the clock, and a commit that locks an object after another released
+/// it stamps a larger version — the facts the opacity argument in
+/// `engine::lazy` rests on. A read-only commit never calls this.
+pub(crate) fn write_version() -> u64 {
     #[cfg(debug_assertions)]
     crate::probe::count_clock_rmw();
-    VERSION_CLOCK.fetch_max(v, SeqCst);
+    VERSION_CLOCK.fetch_add(1, Ordering::SeqCst) + 1
 }
 
 #[cfg(test)]
@@ -283,7 +223,7 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    fn clock_rmw_budget_per_commit_class() {
+    fn a_lazy_commit_takes_one_clock_rmw_iff_it_writes() {
         use crate::{CmDispatch, Stm, TVar};
         // The probe counter is thread-local, so concurrent tests cannot
         // perturb these deltas.
@@ -295,32 +235,34 @@ mod tests {
         for _ in 0..64 {
             ctx.atomic(|tx| tx.read(&tv).map(|v| *v));
         }
-        assert_eq!(
-            crate::probe::take_clock_rmws(),
-            0,
-            "read-only lazy commits must perform zero VERSION_CLOCK RMW ops"
-        );
+        assert_eq!(crate::probe::take_clock_rmws(), 0, "read-only commits");
         for n in 0..64u64 {
             ctx.atomic(|tx| tx.write(&tv, n));
         }
-        assert_eq!(
-            crate::probe::take_clock_rmws(),
-            0,
-            "blind-write lazy commits must perform zero VERSION_CLOCK RMW ops"
-        );
-        // Read+write commits take exactly one CAS each, plus at most a
-        // few watermark bumps re-synchronizing after the blind stamps
-        // above ran the object's version ahead of the clock.
+        assert_eq!(crate::probe::take_clock_rmws(), 64, "blind-write commits");
         for _ in 0..8 {
             ctx.atomic(|tx| {
                 let v = *tx.read(&tv)?;
                 tx.write(&tv, v + 1)
             });
         }
-        let rmws = crate::probe::take_clock_rmws();
-        assert!(
-            (8..=16).contains(&rmws),
-            "8 read+write commits should cost ~one clock CAS each: {rmws} RMWs"
-        );
+        assert_eq!(crate::probe::take_clock_rmws(), 8, "read+write commits");
+    }
+
+    #[test]
+    fn no_committed_version_is_ahead_of_the_clock() {
+        // Blind writes included: the watermark extension in
+        // `read_committed` relies on a fresh watermark admitting every
+        // committed version.
+        use crate::{CmDispatch, Stm, TVar};
+        let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, EngineKind::Lazy);
+        let ctx = stm.thread(0);
+        let tv: TVar<u64> = TVar::new(0);
+        let (_, version) = tv.inner().validation_words();
+        for n in 1..=64u64 {
+            ctx.atomic(|tx| tx.write(&tv, n));
+            let v = version.load(Ordering::SeqCst);
+            assert!(v > 0 && v <= read_watermark(), "commit {n}: version {v}");
+        }
     }
 }

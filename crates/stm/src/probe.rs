@@ -1,10 +1,8 @@
 //! Debug-build hot-path operation counters.
 //!
-//! The scan-free claim of the sharded reader-slot masks
-//! ("`conflicting_reader` is O(active threads), not O(capacity)"), the
-//! lazy clock ("read-only and blind-write commits perform zero
-//! `VERSION_CLOCK` RMW ops"), the fixed path's shared-line budget ("no
-//! logical-clock `fetch_add` unless the manager orders by timestamp") and
+//! The lazy clock ("a lazy commit performs one `VERSION_CLOCK` RMW if it
+//! writes, none if it only reads"), the fixed path's shared-line budget
+//! ("no logical-clock `fetch_add` unless the manager orders by timestamp") and
 //! both engines' read path ("a first open is one store to the reader's own
 //! slot word and no read-modify-write on a line other readers write; a
 //! re-open stores nothing") are asserted by unit tests that count the actual
@@ -20,17 +18,10 @@
 use std::cell::Cell;
 
 thread_local! {
-    static READER_SLOT_LOADS: Cell<u64> = const { Cell::new(0) };
     static CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
     static LOGICAL_CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
     static READ_SLOT_STORES: Cell<u64> = const { Cell::new(0) };
     static READ_SHARED_RMWS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Record one reader-slot word load performed by a conflict scan.
-#[inline]
-pub(crate) fn count_reader_slot_load() {
-    let _ = READER_SLOT_LOADS.try_with(|c| c.set(c.get() + 1));
 }
 
 /// Record one RMW operation on the lazy engine's global version clock.
@@ -58,11 +49,6 @@ pub(crate) fn count_read_slot_store() {
 #[inline]
 pub(crate) fn count_read_shared_rmws(n: u64) {
     let _ = READ_SHARED_RMWS.try_with(|c| c.set(c.get() + n));
-}
-
-/// Reader-slot word loads by this thread since the last call; resets to 0.
-pub fn take_reader_slot_loads() -> u64 {
-    READER_SLOT_LOADS.with(|c| c.replace(0))
 }
 
 /// Version-clock RMW ops by this thread since the last call; resets to 0.

@@ -30,7 +30,7 @@
 //! reused, so a state that is no longer the one for the id asked is
 //! rejected, not mistaken.
 //!
-//! Indices are allocated from a bitmap, lowest-free-first, and released by
+//! Indices are allocated from a table, lowest-free-first, and released by
 //! a thread-local destructor when the thread exits, so long-running
 //! processes stay within a compact index range. Threads beyond
 //! [`MAX_SLOTS`] (or created after a `TVar` sized its slot array) simply
@@ -52,7 +52,7 @@ pub const MAX_SLOTS: usize = 256;
 /// typical thread count.
 const MIN_CAPACITY: usize = 16;
 
-/// Sentinel index for threads without a slot (bitmap exhausted).
+/// Sentinel index for threads without a slot (all indices taken).
 pub(crate) const NO_SLOT: usize = usize::MAX;
 
 // ---------------------------------------------------------------------------
@@ -90,31 +90,9 @@ pub(crate) fn next_attempt_id() -> u64 {
 // Slot index allocation
 // ---------------------------------------------------------------------------
 
-/// Slot indices are grouped into shards of 64; each shard's *active-set
-/// mask* (one bit per allocated index) lives on its own padded cache line.
-/// [`crate::tvar::TVarInner::conflicting_reader`] iterates set bits of
-/// these masks instead of walking the full slot-word array, so the scan is
-/// O(active threads) and an empty shard costs one load.
-pub(crate) const SHARD_BITS: usize = 6;
-pub(crate) const SHARD_SLOTS: usize = 1 << SHARD_BITS;
-pub(crate) const SLOT_SHARDS: usize = MAX_SLOTS / SHARD_SLOTS;
-
-#[repr(align(128))]
-struct SlotShard {
-    /// Bit `b` set ⇔ index `shard * 64 + b` is allocated to a live
-    /// thread. All operations are `SeqCst`: scanners use the mask as a
-    /// filter in the Dekker handshake with [`crate::tvar`]'s fast read
-    /// path (see [`shard_mask`]).
-    mask: AtomicU64,
-}
-
-static SHARDS: [SlotShard; SLOT_SHARDS] = {
-    #[allow(clippy::declare_interior_mutable_const)]
-    const S: SlotShard = SlotShard {
-        mask: AtomicU64::new(0),
-    };
-    [S; SLOT_SHARDS]
-};
+/// Which slot indices live threads hold. Locked once when a thread first
+/// asks for its index and once when it exits, so a plain lock does.
+static ALLOCATED: Mutex<[bool; MAX_SLOTS]> = Mutex::new([false; MAX_SLOTS]);
 
 /// High-water mark of `index + 1` over all slot indices ever allocated.
 static SLOT_HWM: AtomicUsize = AtomicUsize::new(0);
@@ -149,50 +127,23 @@ pub(crate) fn slot_capacity() -> usize {
         .min(MAX_SLOTS)
 }
 
-/// One `SeqCst` load of shard `s`'s allocation mask: the active-set word
-/// conflict scans iterate instead of the full slot array. `SeqCst` is
-/// load-bearing — see the Dekker argument in
-/// [`crate::tvar::TVarInner::conflicting_reader`].
-#[inline]
-pub(crate) fn shard_mask(s: usize) -> u64 {
-    SHARDS[s].mask.load(Ordering::SeqCst)
-}
-
-/// Allocate the lowest free slot index. The mask CAS is `SeqCst` so, in
-/// the SC total order, the bit is visible before every later `SeqCst`
-/// operation of the owning thread — in particular before any reader-slot
-/// registration store it performs with this index.
+/// Allocate the lowest free slot index.
 fn alloc_index() -> usize {
-    for (s, shard) in SHARDS.iter().enumerate() {
-        let mut cur = shard.mask.load(Ordering::Relaxed);
-        while cur != u64::MAX {
-            let bit = cur.trailing_ones() as usize;
-            match shard.mask.compare_exchange_weak(
-                cur,
-                cur | (1 << bit),
-                Ordering::SeqCst,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    let idx = (s << SHARD_BITS) | bit;
-                    SLOT_HWM.fetch_max(idx + 1, Ordering::Release);
-                    return idx;
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-    NO_SLOT
+    let mut allocated = ALLOCATED.lock();
+    let Some(idx) = allocated.iter().position(|&taken| !taken) else {
+        return NO_SLOT;
+    };
+    allocated[idx] = true;
+    SLOT_HWM.fetch_max(idx + 1, Ordering::Release);
+    idx
 }
 
 /// Release a slot index. Callers ([`SlotGuard::drop`]) unpublish first,
-/// so by the time the bit clears every slot word still carrying one of
-/// this thread's attempt ids is verifiably dead (its attempts can never
+/// so by the time the index is free every slot word still carrying one
+/// of this thread's attempt ids is verifiably dead (its attempts can never
 /// be live again — ids are not reused).
 fn free_index(idx: usize) {
-    SHARDS[idx >> SHARD_BITS]
-        .mask
-        .fetch_and(!(1 << (idx % SHARD_SLOTS)), Ordering::SeqCst);
+    ALLOCATED.lock()[idx] = false;
 }
 
 struct SlotGuard {
@@ -214,53 +165,8 @@ thread_local! {
     static MY_SLOT: SlotGuard = SlotGuard { idx: alloc_index() };
 }
 
-/// Test-only: a directly claimed slot index, bypassing the thread-local
-/// guard. Allocation is lowest-free-first and tests never hold 256 live
-/// threads, so a *high* index (e.g. `MAX_SLOTS - 1`, the last shard) is
-/// never handed out organically — claiming it exercises shard-boundary
-/// behavior deterministically. Dropping the claim unpublishes and frees
-/// the index.
-#[cfg(test)]
-pub(crate) struct TestSlotClaim {
-    pub(crate) idx: usize,
-}
-
-#[cfg(test)]
-impl TestSlotClaim {
-    /// Claim index `idx` if free; `None` if another claimant holds it.
-    pub(crate) fn claim(idx: usize) -> Option<Self> {
-        assert!(idx < MAX_SLOTS);
-        let shard = &SHARDS[idx >> SHARD_BITS];
-        let bit = 1u64 << (idx % SHARD_SLOTS);
-        let mut cur = shard.mask.load(Ordering::SeqCst);
-        loop {
-            if cur & bit != 0 {
-                return None;
-            }
-            match shard
-                .mask
-                .compare_exchange(cur, cur | bit, Ordering::SeqCst, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    SLOT_HWM.fetch_max(idx + 1, Ordering::Release);
-                    return Some(TestSlotClaim { idx });
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-impl Drop for TestSlotClaim {
-    fn drop(&mut self) {
-        unpublish(self.idx);
-        free_index(self.idx);
-    }
-}
-
 /// This OS thread's slot index, allocated on first use ([`NO_SLOT`] if the
-/// bitmap is exhausted or the thread is shutting down).
+/// indices are all taken or the thread is shutting down).
 pub(crate) fn my_slot_index() -> usize {
     MY_SLOT.try_with(|g| g.idx).unwrap_or(NO_SLOT)
 }

@@ -20,7 +20,7 @@
 //! The process-global counters a transaction can touch are unsharded,
 //! each for a reason: the logical clock must stay one total order, and is
 //! drawn only for managers that read it ([`crate::stm`]); the lazy
-//! engine's `VERSION_CLOCK` is loaded, or CASed once with adopt-on-failure
+//! engine's `VERSION_CLOCK` is TL2's one `fetch_add` per writing commit
 //! (`crate::engine::write_version`); the attempt-id and `TVar`-id sources
 //! are handed out in thread-local blocks.
 

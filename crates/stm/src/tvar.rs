@@ -32,7 +32,7 @@
 //!   slot and reports the conflict. Slot words hold plain ids; liveness is
 //!   decided against the registry, and because attempt ids are never
 //!   reused a stale word can never impersonate a live reader. Threads
-//!   without a slot (bitmap exhausted, or the object's array was sized
+//!   without a slot (all indices taken, or the object's array was sized
 //!   before the thread appeared) use the mutex-protected overflow list —
 //!   slower, never wrong.
 //!
@@ -306,40 +306,25 @@ impl<T: TxObject> ObjState<T> {
         Arc::new(value.clone())
     }
 
-    /// Walk every registered reader — the words of `slots` at *currently
-    /// allocated* slot indices, then the overflow list — for a caller that
-    /// is about to displace the current version. Returns the first
-    /// `Active` reader other than attempt `me` when `stop_at_active` (a
-    /// writer's conflict scan), nothing otherwise. On the way it lends the
-    /// current version — from the object's drop, which passes `object`,
-    /// the allocation with it — to each reader that is `Aborted` under a
-    /// running body or commit and, without `stop_at_active`, `Active`
-    /// (module docs, "The borrowed-read invariant"), and clears the
-    /// registrations of attempts that can use them no more. Caller holds
-    /// the object mutex (or `&mut` to the object), and — for the Dekker
-    /// handshake with [`TVarInner::fast_read`] — has `seq` odd.
+    /// Walk every registered reader — each of the object's slot words
+    /// `slots`, then the overflow list — for a caller that is about to
+    /// displace the current version. Returns the first `Active` reader
+    /// other than attempt `me` when `stop_at_active` (a writer's conflict
+    /// scan), nothing otherwise. On the way it lends the current version —
+    /// from the object's drop, which passes `object`, the allocation with
+    /// it — to each reader that is `Aborted` under a running body or
+    /// commit and, without `stop_at_active`, `Active` (module docs, "The
+    /// borrowed-read invariant"), and clears the registrations of attempts
+    /// that can use them no more. Caller holds the object mutex (or `&mut`
+    /// to the object) and has `seq` odd: a reader stores its word before
+    /// it loads `seq`, the caller flipped `seq` before this loads the
+    /// words, all `SeqCst` — so either the reader sees the odd word and
+    /// takes the mutex path, or this walk sees the reader (the Dekker
+    /// handshake of [`TVarInner::fast_read`]).
     ///
-    /// The slot part iterates set bits of the global allocation shard
-    /// masks ([`slots::shard_mask`]): one `SeqCst` load decides 64
-    /// indices, so the cost is O(active threads), not O(capacity).
-    ///
-    /// ## Why filtering by mask preserves the Dekker handshake
-    ///
-    /// A word at an *unallocated* index may be skipped unread: its value
-    /// was stored by an attempt of a thread that has since freed the
-    /// index, and that thread unpublished (cleared `current`) before
-    /// freeing — with ids never reused, no attempt of a freed index can
-    /// ever be live again. The racy direction is a reader whose bit the
-    /// scan *misses*: the reader's order is mask CAS `M` (its thread's
-    /// slot allocation) → slot-word store `W` → `seq` load `L`; the
-    /// writer's is `seq` flip `F` (odd) → mask load `LM` → word loads.
-    /// All `SeqCst`. If `LM` misses the bit, `LM <S M` in the SC total
-    /// order, so `F <S LM <S M <S W <S L` — the reader's `seq` check
-    /// observes the odd word (the word stays odd for the writer's whole
-    /// ownership) and declines the fast path; it then registers through
-    /// the mutex this writer is holding, and is found by a later scan or
-    /// blocks until the writer is done. Either the writer sees the
-    /// reader, or the reader sees the writer — never neither.
+    /// Every word is loaded, whether or not a live thread holds its index:
+    /// a word of a freed index holds an id the registry no longer names,
+    /// and is cleared like any other stale one.
     fn scan_readers(
         &mut self,
         slots: &[AtomicU64],
@@ -376,44 +361,27 @@ impl<T: TxObject> ObjState<T> {
                 }
             }
         };
-        let cap = slots.len();
-        let shards = cap.div_ceil(slots::SHARD_SLOTS).min(slots::SLOT_SHARDS);
-        for s in 0..shards {
-            let mut mask = slots::shard_mask(s);
-            let base = s << slots::SHARD_BITS;
-            if cap - base < slots::SHARD_SLOTS {
-                // Indices beyond this object's array have no words here
-                // (those readers use the overflow list).
-                mask &= (1u64 << (cap - base)) - 1;
+        for (idx, slot) in slots.iter().enumerate() {
+            let a = slot.load(Ordering::SeqCst);
+            if a == 0 || a == me {
+                continue;
             }
-            while mask != 0 {
-                let bit = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let idx = base | bit;
-                #[cfg(debug_assertions)]
-                crate::probe::count_reader_slot_load();
-                let slot = &slots[idx];
-                let a = slot.load(Ordering::SeqCst);
-                if a == 0 || a == me {
-                    continue;
-                }
-                // `None`: attempt `a` is no longer the one running on this
-                // slot, so its body and commit are over. `meet` runs under
-                // the record's lock; only a conflict takes a count.
-                let met = slots::with_live_reader(idx, a, |tx| match meet(self, tx) {
-                    Reader::Conflict => Err(Arc::clone(tx)),
-                    seen => Ok(seen),
-                });
-                match met {
-                    Some(Err(enemy)) => return Some(enemy),
-                    Some(Ok(Reader::Running)) => continue,
-                    _ => {}
-                }
-                // Over or stale: clear the word so future scans stay
-                // cheap. CAS so a newly arrived reader's store is never
-                // wiped.
-                let _ = slot.compare_exchange(a, 0, Ordering::SeqCst, Ordering::SeqCst);
+            // `None`: attempt `a` is no longer the one running on this
+            // slot, so its body and commit are over. `meet` runs under the
+            // record's lock; only a conflict takes a count.
+            let met = slots::with_live_reader(idx, a, |tx| match meet(self, tx) {
+                Reader::Conflict => Err(Arc::clone(tx)),
+                seen => Ok(seen),
+            });
+            match met {
+                Some(Err(enemy)) => return Some(enemy),
+                Some(Ok(Reader::Running)) => continue,
+                _ => {}
             }
+            // Over or stale: clear the word so future scans skip the
+            // registry. CAS so a newly arrived reader's store is never
+            // wiped.
+            let _ = slot.compare_exchange(a, 0, Ordering::SeqCst, Ordering::SeqCst);
         }
         if self.readers.is_empty() {
             return None;
@@ -714,30 +682,25 @@ impl<T: TxObject> TVarInner<T> {
     }
 
     /// Try to take the commit lock for attempt `attempt_id` running on
-    /// reader slot `slot_idx`. On success returns the object's committed
-    /// version; `None` means the word is odd (a competitor holds the lock)
-    /// or moved under the CAS. The version is loaded *under the held
-    /// lock*, so the maximum
-    /// over a locked write set is exactly the `maxv` input that
-    /// [`crate::engine::write_version`] needs for its per-object
-    /// monotonicity clamp.
-    pub(crate) fn lazy_try_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<u64> {
+    /// reader slot `slot_idx`; `false` means the word is odd (a competitor
+    /// holds the lock) or moved under the CAS.
+    pub(crate) fn lazy_try_lock(&self, slot_idx: usize, attempt_id: u64) -> bool {
         let s = self.seq.load(Ordering::SeqCst);
         if s & 1 != 0 {
-            return None;
+            return false;
         }
         if self
             .seq
             .compare_exchange(s, s + 1, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()
         {
-            return None;
+            return false;
         }
         // Advertise ownership so a reader that hits the odd word can
         // resolve us through the registry.
         self.owner_slot.store(slot_idx as u64, Ordering::SeqCst);
         self.owner_attempt.store(attempt_id, Ordering::SeqCst);
-        Some(self.version.load(Ordering::SeqCst))
+        true
     }
 
     /// The current commit-lock holder, if it is still a live registered
@@ -1079,76 +1042,40 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_reader_finds_last_shard_and_overflow_readers() {
-        // A reader whose slot index lands in the LAST shard (index 255):
-        // only reachable through the shard-mask walk covering every
-        // shard, since lowest-free-first allocation never hands out 255
-        // organically.
-        let claim = slots::TestSlotClaim::claim(MAX_SLOTS - 1)
-            .expect("index 255 is never organically allocated");
+    fn conflicting_reader_finds_the_last_word_and_overflow_readers() {
+        // A reader on the last index of a full-size array. Allocation is
+        // lowest-free-first and no test here holds 256 threads, so no
+        // thread owns index 255 and the test publishes there itself.
+        let idx = MAX_SLOTS - 1;
         let tv = covered_tvar(0);
         assert_eq!(tv.inner().reader_slots.len(), MAX_SLOTS);
         let reader = state(slots::next_attempt_id());
-        slots::republish(claim.idx, &reader);
-        assert!(
-            tv.inner().fast_read(claim.idx, reader.attempt_id).is_some(),
-            "a claimed last-shard index must work like any other slot"
-        );
-        let me = state(slots::next_attempt_id());
-        {
-            let mut st = tv.inner().state.lock();
-            let c = tv
-                .inner()
-                .conflicting_reader(&mut st, &me)
-                .expect("a live reader in the last shard must be found");
-            assert_eq!(c.attempt_id, reader.attempt_id);
-        }
-        drop(claim); // unpublishes + frees index 255
-        {
-            let mut st = tv.inner().state.lock();
-            assert!(
-                tv.inner().conflicting_reader(&mut st, &me).is_none(),
-                "a freed high index must no longer surface a reader"
-            );
-            // An overflow-list reader must be found by the same scan.
-            let ovf = state(slots::next_attempt_id());
-            st.register_reader(&ovf);
-            let c = tv
-                .inner()
-                .conflicting_reader(&mut st, &me)
-                .expect("overflow reader must be found after the shard walk");
-            assert_eq!(c.attempt_id, ovf.attempt_id);
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn reader_scan_is_bounded_by_active_threads() {
-        // Full-capacity slot array (256 words): the old scan loaded every
-        // word; the active-set scan loads only words of allocated slot
-        // indices. Other tests hold slots concurrently, but far fewer
-        // than the bound below.
-        let tv = covered_tvar(0);
-        assert_eq!(tv.inner().reader_slots.len(), MAX_SLOTS);
-        let (idx, reader) = published_state();
+        slots::republish(idx, &reader);
         assert!(tv.inner().fast_read(idx, reader.attempt_id).is_some());
         let me = state(slots::next_attempt_id());
-        let mut st = tv.inner().state.lock();
-        crate::probe::take_reader_slot_loads();
-        let found = tv.inner().conflicting_reader(&mut st, &me);
-        let loads = crate::probe::take_reader_slot_loads();
-        drop(st);
-        assert_eq!(
-            found.map(|c| c.attempt_id),
-            Some(reader.attempt_id),
-            "the bounded scan must still find the live reader"
-        );
-        assert!(loads >= 1, "the registered reader's word must be loaded");
-        assert!(
-            loads <= (MAX_SLOTS / 4) as u64,
-            "reader scan must be O(active threads), not O(capacity): {loads} word loads"
-        );
+        {
+            let mut st = tv.inner().state.lock();
+            let c = tv
+                .inner()
+                .conflicting_reader(&mut st, &me)
+                .expect("a live reader on the last word must be found");
+            assert_eq!(c.attempt_id, reader.attempt_id);
+        }
         slots::unpublish(idx);
+        let mut st = tv.inner().state.lock();
+        assert!(
+            tv.inner().conflicting_reader(&mut st, &me).is_none(),
+            "a withdrawn attempt must no longer surface a reader"
+        );
+        assert_eq!(tv.inner().reader_slots[idx].load(Ordering::SeqCst), 0);
+        // An overflow-list reader must be found by the same scan.
+        let ovf = state(slots::next_attempt_id());
+        st.register_reader(&ovf);
+        let c = tv
+            .inner()
+            .conflicting_reader(&mut st, &me)
+            .expect("overflow reader must be found after the slot words");
+        assert_eq!(c.attempt_id, ovf.attempt_id);
     }
 
     #[test]
@@ -1302,7 +1229,7 @@ mod tests {
 
         assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(5));
         let v5 = Arc::clone(&tv.inner().state.lock().old);
-        assert_eq!(tv.inner().lazy_try_lock(idx, 1), Some(0));
+        assert!(tv.inner().lazy_try_lock(idx, 1));
         tv.inner().lazy_writeback_value(&6, 1);
         assert_eq!(reader.lent_len(), 2, "lazy write-back");
         assert!(Arc::strong_count(&v5) >= 2);
@@ -1319,7 +1246,7 @@ mod tests {
 
     /// Lazy-commit `value` into `tv` as attempt `me` on slot `idx`.
     fn lazy_commit(tv: &TVar<u32>, idx: usize, me: u64, value: u32, wv: u64) {
-        assert!(tv.inner().lazy_try_lock(idx, me).is_some());
+        assert!(tv.inner().lazy_try_lock(idx, me));
         tv.inner().lazy_writeback_value(&value, wv);
     }
 

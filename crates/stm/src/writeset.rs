@@ -49,7 +49,7 @@ pub(crate) trait ErasedWrite: Send {
     fn commit_fused(&self, me: &TxState) -> bool;
     /// Lazy engine: try to take the object's commit lock
     /// ([`crate::tvar::TVarInner::lazy_try_lock`]).
-    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<u64>;
+    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> bool;
     /// Lazy engine: the live commit-lock holder ([`crate::tvar::TVarInner::lazy_owner`]).
     fn lazy_owner(&self) -> Option<Arc<TxState>>;
     /// Lazy engine: fold an eager run's leftover terminal writer
@@ -88,7 +88,7 @@ impl<T: TxObject> ErasedWrite for TypedWrite<T> {
         }
     }
 
-    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<u64> {
+    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> bool {
         self.tvar.inner().lazy_try_lock(slot_idx, attempt_id)
     }
 
@@ -148,7 +148,7 @@ impl<T: TxObject> ErasedWrite for InlinePayload<T> {
             .commit_fused(me, |st| st.version_of(&self.value))
     }
 
-    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> Option<u64> {
+    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> bool {
         self.tvar.inner().lazy_try_lock(slot_idx, attempt_id)
     }
 
