@@ -8,9 +8,9 @@
 //!
 //! * `Δ ≤ 0` — the attacker has invested at least as much work: abort the
 //!   enemy at once.
-//! * `Δ > 0` — give the enemy `Δ` chances to finish, sleeping an
-//!   exponentially growing interval between checks; if it is still active
-//!   after `Δ` intervals, abort it anyway.
+//! * `Δ > 0` — give the enemy `Δ` exponentially growing intervals to
+//!   finish, returning as soon as it does (or the waiter itself is
+//!   aborted); if it is still active after them, abort it anyway.
 //!
 //! Polka has no provable worst-case guarantee (the paper stresses this)
 //! but excellent empirical behaviour: victims that have done a lot of work
@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use crate::sync::cooperative_wait;
+use crate::sync::wait_until;
 use crate::{ConflictKind, ContentionManager, Resolution, TxState};
 
 /// Polka contention manager. Construct with [`Polka::default`] or tune the
@@ -62,24 +62,20 @@ impl ContentionManager for Polka {
         if gap == 0 {
             return Resolution::AbortEnemy;
         }
-        let rounds = gap.min(self.max_rounds);
-        let mut interval = self.base;
+        // Δ doubling rounds of one predicate are one budgeted wait; it fires
+        // when the enemy finishes or someone killed us while polite: retry.
+        let (budget, _) = (0..gap.min(self.max_rounds))
+            .fold((Duration::ZERO, self.base), |(total, interval), _| {
+                (total + interval, (interval * 2).min(self.max_interval))
+            });
         me.set_waiting(true);
-        for _ in 0..rounds {
-            cooperative_wait(interval);
-            interval = (interval * 2).min(self.max_interval);
-            if !enemy.is_active() {
-                me.set_waiting(false);
-                return Resolution::Retry; // enemy finished on its own
-            }
-            if !me.is_active() {
-                // Someone killed us while we were being polite.
-                me.set_waiting(false);
-                return Resolution::Retry; // engine notices the abort
-            }
-        }
+        let over = wait_until(budget, || !enemy.is_active() || !me.is_active());
         me.set_waiting(false);
-        Resolution::AbortEnemy
+        if over {
+            Resolution::Retry
+        } else {
+            Resolution::AbortEnemy
+        }
     }
 
     fn name(&self) -> &str {
@@ -142,6 +138,41 @@ mod tests {
         let cm = Polka::default();
         let res = cm.resolve(&me, &enemy, ConflictKind::ReadWrite);
         assert_eq!(res, Resolution::Retry);
+    }
+
+    /// `me` is 10 karma poorer, so Polka grants the enemy four 50 ms rounds;
+    /// `finish` runs on another thread 1 ms into the wait.
+    fn resolve_while(finish: impl FnOnce(&TxState, &TxState) + Send) -> (Resolution, Duration) {
+        let me = state(1, 1);
+        let enemy = state(2, 2);
+        (0..10).for_each(|_| enemy.add_karma());
+        let cm = Polka::with_backoff(Duration::from_millis(50), Duration::from_millis(50), 4);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(wait_until(Duration::from_secs(30), || me.is_waiting()));
+                wait_until(Duration::from_millis(1), || false);
+                finish(&me, &enemy);
+            });
+            let t0 = Instant::now();
+            let res = cm.resolve(&me, &enemy, ConflictKind::WriteWrite);
+            assert!(!me.is_waiting());
+            (res, t0.elapsed())
+        })
+    }
+
+    #[test]
+    fn wait_ends_when_the_enemy_commits() {
+        let (res, took) = resolve_while(|_, enemy| assert!(enemy.try_commit()));
+        assert_eq!(res, Resolution::Retry);
+        // A round that slept out its interval would take ≥ 50 ms.
+        assert!(took < Duration::from_millis(50), "waited {took:?}");
+    }
+
+    #[test]
+    fn wait_ends_when_the_waiter_is_aborted() {
+        let (res, took) = resolve_while(|me, _| assert!(me.abort()));
+        assert_eq!(res, Resolution::Retry);
+        assert!(took < Duration::from_millis(50), "waited {took:?}");
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! Contention managers back off by *waiting*, but on an oversubscribed
 //! machine (the paper ran 32 threads on 4 cores; this reproduction may run
 //! on fewer) a spinning waiter steals cycles from the very enemy it is
-//! waiting for. [`cooperative_wait`] therefore always yields the CPU inside
-//! its loop, and switches to a real sleep for long waits.
+//! waiting for. A manager's wait therefore polls its enemy through
+//! [`wait_until`], yielding the CPU after every poll, and ends the moment
+//! the enemy's status does; no manager sleeps out a fixed interval.
 //!
 //! [`CancellableBarrier`] synchronizes the start of each execution window.
-//! Unlike `std::sync::Barrier` it polls before it parks, and it can be
-//! *cancelled* so timed runs terminate while threads wait at a boundary.
+//! Unlike `std::sync::Barrier` it polls before it parks (the only waiter
+//! here that parks), and it can be *cancelled* so timed runs terminate
+//! while threads wait at a boundary.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -47,29 +49,6 @@ impl AtomicF64 {
     #[inline]
     pub fn store(&self, v: f64, order: Ordering) {
         self.0.store(v.to_bits(), order);
-    }
-}
-
-/// Threshold above which we sleep instead of yield-spinning.
-const SLEEP_THRESHOLD: Duration = Duration::from_micros(200);
-
-/// Wait approximately `d`, always giving other threads a chance to run.
-///
-/// Short waits are yield-loops (fine-grained, keeps latency low); long
-/// waits use `thread::sleep` (releases the core entirely — important when
-/// hardware threads are oversubscribed).
-pub fn cooperative_wait(d: Duration) {
-    if d.is_zero() {
-        std::thread::yield_now();
-        return;
-    }
-    if d >= SLEEP_THRESHOLD {
-        std::thread::sleep(d);
-        return;
-    }
-    let deadline = Instant::now() + d;
-    while Instant::now() < deadline {
-        std::thread::yield_now();
     }
 }
 
@@ -235,17 +214,6 @@ impl CancellableBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cooperative_wait_short_and_long() {
-        let t0 = Instant::now();
-        cooperative_wait(Duration::from_micros(20));
-        assert!(t0.elapsed() >= Duration::from_micros(20));
-
-        let t0 = Instant::now();
-        cooperative_wait(Duration::from_millis(1));
-        assert!(t0.elapsed() >= Duration::from_millis(1));
-    }
 
     #[test]
     fn wait_until_predicate_fires() {

@@ -7,7 +7,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wtm_stm::cm::AbortSelfManager;
-use wtm_stm::sync::cooperative_wait;
 use wtm_stm::{
     CmDispatch, ConflictKind, ContentionManager, EngineKind, Resolution, Stm, TVar, TxState,
 };
@@ -126,7 +125,7 @@ fn contention_manager_is_consulted_on_real_conflicts() {
                     if first {
                         first = false;
                         barrier.wait(); // signal: ownership installed
-                        cooperative_wait(Duration::from_millis(20));
+                        std::thread::sleep(Duration::from_millis(20));
                     }
                     Ok(())
                 });
@@ -185,7 +184,7 @@ fn wait_time_is_accounted_for_waiting_managers() {
     struct Sleeper;
     impl ContentionManager for Sleeper {
         fn resolve(&self, _m: &TxState, _e: &TxState, _k: ConflictKind) -> Resolution {
-            cooperative_wait(Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
             Resolution::Retry
         }
         fn name(&self) -> &str {
@@ -207,7 +206,7 @@ fn wait_time_is_accounted_for_waiting_managers() {
                     if first {
                         first = false;
                         barrier.wait();
-                        cooperative_wait(Duration::from_millis(10));
+                        std::thread::sleep(Duration::from_millis(10));
                     }
                     Ok(())
                 });
