@@ -7,7 +7,7 @@
 use wtm_workloads::{paper_workload_names, ContentionLevel};
 
 use crate::experiment::{project, CellResult, Executor, ExperimentSpec};
-use crate::managers::comparison_manager_names;
+use crate::managers::{comparison_manager_names, window_manager_names};
 use crate::preset::Preset;
 use crate::report::Table;
 use crate::runner::StopRule;
@@ -41,7 +41,7 @@ pub fn fig2(preset: &Preset, exec: &mut Executor) -> Vec<Table> {
         "fig2",
         preset,
         paper_workload_names(),
-        wtm_window::window_names(),
+        window_manager_names(),
     );
     let results = exec.run(&spec);
     sweep_tables(&spec, &results, "throughput", |w| {

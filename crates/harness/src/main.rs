@@ -24,6 +24,7 @@ use wtm_harness::ablation::ablation_tables;
 use wtm_harness::experiment::{validate_results, Executor, ExperimentSpec, RESULTS_SCHEMA_VERSION};
 use wtm_harness::figures::{fig2, fig34, fig3_ratios, fig5, sweep_tables};
 use wtm_harness::json::Json;
+use wtm_harness::managers::{classic_manager_names, window_manager_names};
 use wtm_harness::metrics::future_work_tables;
 use wtm_harness::preset::Preset;
 use wtm_harness::report::Table;
@@ -75,11 +76,8 @@ fn list_registered() {
         );
     }
     println!("\nmanagers ({}):", all_manager_names().len());
-    println!("  window-based: {}", wtm_window::window_names().join(", "));
-    println!(
-        "  classic:      {}",
-        wtm_stm::managers::classic_names().join(", ")
-    );
+    println!("  window-based: {}", window_manager_names().join(", "));
+    println!("  classic:      {}", classic_manager_names().join(", "));
     println!(
         "\nwindow managers accept parameter suffixes: \
          Online-Dynamic@phi=2,c=8,n=16 (frame factor, contention estimate, window width)"

@@ -1,5 +1,7 @@
-//! Unified contention-manager factory: classic + window-based, with
-//! optional per-name parameter overrides.
+//! The one table from a manager name to a manager: the classic managers
+//! in the `CLASSIC` table, the window managers as [`WindowVariant::all`]
+//! by [`WindowVariant::name`]. Every name list below, [`build_manager`] and
+//! `windowtm list` read these two sources; a new manager is one row.
 //!
 //! A manager name may carry a parameter suffix,
 //! `Base@key=value[,key=value…]`, understood for the window-based
@@ -20,15 +22,32 @@ use std::sync::Arc;
 use std::fmt::Display;
 
 use wtm_sim::{ParamError, Params};
+use wtm_stm::managers::{Polka, RandomizedRounds};
 use wtm_stm::{CmDispatch, ContentionManager};
-use wtm_window::{WindowConfig, WindowManager};
+use wtm_window::{WindowConfig, WindowManager, WindowVariant};
+
+/// Builds a classic manager for `(threads, seed)` as the [`CmDispatch`]
+/// variant the engine calls without virtual dispatch.
+type Classic = fn(usize, u64) -> CmDispatch;
+
+/// The classic managers by name.
+const CLASSIC: [(&str, Classic); 4] = [
+    ("Polka", |_, _| {
+        CmDispatch::Polka(Arc::new(Polka::default()))
+    }),
+    ("Greedy", |_, _| CmDispatch::Greedy),
+    ("Priority", |_, _| CmDispatch::Priority),
+    ("RandomizedRounds", |threads, seed| {
+        CmDispatch::RandomizedRounds(Arc::new(RandomizedRounds::with_seed(threads, seed)))
+    }),
+];
 
 /// A constructed manager, with the window handle kept separately so the
 /// runner can cancel window barriers at shutdown.
 pub struct BuiltManager {
     /// The manager to install into the engine: classic managers dispatch
     /// monomorphically through their [`CmDispatch`] variant; window
-    /// managers ride the `Dyn` extensibility fallback.
+    /// managers ride the `Dyn` arm.
     pub cm: CmDispatch,
     /// Present iff the manager is window-based.
     pub window: Option<Arc<WindowManager>>,
@@ -52,24 +71,35 @@ impl BuiltManager {
     }
 }
 
+/// The five window variants' names, in the paper's Fig. 2 order.
+pub fn window_manager_names() -> Vec<&'static str> {
+    WindowVariant::all().iter().map(|v| v.name()).collect()
+}
+
+/// The classic managers' names, in table order.
+pub fn classic_manager_names() -> Vec<&'static str> {
+    CLASSIC.iter().map(|&(name, _)| name).collect()
+}
+
 /// Every manager name the harness understands: the five window variants
 /// first (Fig. 2 order), then the classic managers.
 pub fn all_manager_names() -> Vec<&'static str> {
-    let mut v = wtm_window::window_names();
-    v.extend_from_slice(wtm_stm::managers::classic_names());
+    let mut v = window_manager_names();
+    v.extend(classic_manager_names());
     v
 }
 
-/// The paper's Fig. 3/4/5 comparison set: the two best window variants
-/// plus the three classic baselines.
+/// The paper's Fig. 3/4/5 comparison set: the two dynamic window
+/// variants (the paper's best) plus the classic baselines, i.e. every
+/// classic manager but RandomizedRounds, which the paper runs only as
+/// the Online algorithm's subroutine.
 pub fn comparison_manager_names() -> Vec<&'static str> {
-    vec![
-        "Online-Dynamic",
-        "Adaptive-Improved-Dynamic",
-        "Polka",
-        "Greedy",
-        "Priority",
-    ]
+    let dynamic = WindowVariant::all().iter().filter(|v| v.dynamic_frames());
+    dynamic
+        .map(WindowVariant::name)
+        .chain(classic_manager_names())
+        .filter(|&name| name != "RandomizedRounds")
+        .collect()
 }
 
 /// Why [`build_manager`] rejected a manager name.
@@ -129,9 +159,10 @@ fn out_of_range(p: &Params, key: &str, want: &str, got: impl Display) -> BuildEr
         .into()
 }
 
-/// Build a manager by name for `threads` workers. Window managers use a
-/// `threads × window_n` window seeded with `seed`; a `@key=value` suffix
-/// overrides individual window knobs (see the module docs).
+/// Build a manager by name for `threads` workers, seeded with `seed`
+/// (RandomizedRounds' ranks, a window's random delays). Window managers
+/// use a `threads × window_n` window; a `@key=value` suffix overrides
+/// individual window knobs (see the module docs).
 ///
 /// Errors distinguish an unknown base name
 /// ([`BuildError::UnknownName`]) from a malformed or misapplied
@@ -148,18 +179,18 @@ pub fn build_manager(
     seed: u64,
 ) -> Result<BuiltManager, BuildError> {
     let (base, params) = Params::split(name);
-    if let Some(cm) = wtm_stm::managers::make_dispatch(base, threads) {
+    if let Some(&(_, make)) = CLASSIC.iter().find(|&&(n, _)| n == base) {
         let p = params?;
         if !p.is_empty() {
             let reason = format!("`{base}` is a classic manager and takes no window parameters");
             return Err(p.error(reason).into());
         }
+        let cm = make(threads, seed);
         return Ok(BuiltManager { cm, window: None });
     }
-    let unknown = || BuildError::UnknownName(base.to_string());
-    if !wtm_window::window_names().contains(&base) {
-        return Err(unknown());
-    }
+    let Some(&variant) = WindowVariant::all().iter().find(|v| v.name() == base) else {
+        return Err(BuildError::UnknownName(base.to_string()));
+    };
     let mut p = params?;
     let n = p.get("n")?;
     if n == Some(0) {
@@ -179,7 +210,7 @@ pub fn build_manager(
         cfg = cfg.with_c_init(c);
     }
     p.finish()?;
-    let wm = wtm_window::make_window_manager(base, cfg).ok_or_else(unknown)?;
+    let wm = Arc::new(WindowManager::new(variant, cfg));
     Ok(BuiltManager {
         cm: CmDispatch::Dyn(wm.clone() as Arc<dyn ContentionManager>),
         window: Some(wm),
@@ -189,6 +220,7 @@ pub fn build_manager(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wtm_stm::TxState;
 
     #[test]
     fn every_name_builds() {
@@ -203,7 +235,7 @@ mod tests {
         // A window variant (Fig. 2), a comparison manager (Figs. 3–5), or
         // RandomizedRounds, the Online algorithm's π₂ subroutine. A
         // manager no figure plots does not get registered.
-        let mut roles = wtm_window::window_names();
+        let mut roles = window_manager_names();
         roles.extend(comparison_manager_names());
         roles.push("RandomizedRounds");
         roles.sort_unstable();
@@ -230,6 +262,23 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    #[test]
+    fn randomized_rounds_ranks_follow_the_seed() {
+        // Each repetition of a cell runs on its own seed, so two seeds
+        // must roll two different rank sequences.
+        let ranks = |seed| {
+            let b = build_manager("RandomizedRounds", 2, 8, seed).unwrap();
+            (1..=16)
+                .map(|id| {
+                    let tx = Arc::new(TxState::new(id, id, 0, 0, 0, 0, 0));
+                    b.cm.on_begin(&tx, false);
+                    tx.rank()
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_ne!(ranks(1), ranks(2));
     }
 
     #[test]

@@ -95,6 +95,10 @@ impl ContentionManager for AbortSelfManager {
         Resolution::AbortSelf
     }
 
+    fn uses_timestamps(&self) -> bool {
+        false
+    }
+
     fn name(&self) -> &str {
         "AbortSelf"
     }
@@ -108,6 +112,10 @@ pub struct AbortEnemyManager;
 impl ContentionManager for AbortEnemyManager {
     fn resolve(&self, _me: &TxState, _enemy: &TxState, _kind: ConflictKind) -> Resolution {
         Resolution::AbortEnemy
+    }
+
+    fn uses_timestamps(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &str {

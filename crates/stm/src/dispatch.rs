@@ -7,8 +7,9 @@
 //! field comparisons. [`CmDispatch`] replaces the fat pointer with an enum
 //! over the built-in managers: the `match` compiles to a jump table and
 //! each arm is a direct, inlinable call into the concrete manager.
-//! Out-of-tree managers still work through the [`CmDispatch::Dyn`]
-//! fallback, which keeps the old virtual dispatch behind one branch.
+//! Any other manager — the window managers, an instrumentation wrapper,
+//! an out-of-tree policy — rides the [`CmDispatch::Dyn`] arm, which keeps
+//! virtual dispatch behind one branch.
 //!
 //! ## Dispatch table
 //!
@@ -23,14 +24,16 @@
 //! `on_open` runs once per object open — the hottest hook of all. No
 //! built-in manager implements it, nor `on_commit` or `on_abort`: for
 //! every variant but `Dyn` each compiles down to a two-way branch. They
-//! stay on the enum because out-of-tree managers (window managers,
-//! instrumentation wrappers) hook them through `Dyn`.
+//! stay on the enum because the managers behind `Dyn` (the window
+//! managers, instrumentation wrappers) hook them.
 //!
-//! `uses_timestamps` is not a hook but a property the engine reads once
-//! at construction: `true` for Greedy and Priority (the two whose
-//! `resolve` compares `ts`), the manager's own answer for `Dyn`, `false`
-//! for everyone else — who then run without the per-transaction
-//! `fetch_add` on the shared logical clock.
+//! The two cold queries, `uses_timestamps` (read once when the engine is
+//! built) and `name`, are not dispatched arm by arm: both ask the manager
+//! behind the variant through `&dyn ContentionManager`, so whether a
+//! manager draws timestamps is decided in its own impl and nowhere else.
+//! Greedy and Priority keep the trait's default `true` (their `resolve`
+//! compares `ts`); every other built-in answers `false` and runs without
+//! the per-transaction `fetch_add` on the shared logical clock.
 //!
 //! Stateful managers sit behind an `Arc` inside their variant, so cloning
 //! a `CmDispatch` shares manager state exactly like cloning the old
@@ -46,7 +49,7 @@ use crate::txstate::TxState;
 ///
 /// Built-in managers get their own variant (zero-sized policies are held
 /// by value, stateful ones behind an `Arc`); anything else rides in
-/// [`CmDispatch::Dyn`] at the old virtual-call cost.
+/// [`CmDispatch::Dyn`] at the cost of a virtual call per hook.
 #[derive(Clone)]
 pub enum CmDispatch {
     /// Always sacrifice the caller ([`AbortSelfManager`], the classic
@@ -63,8 +66,8 @@ pub enum CmDispatch {
     Polka(Arc<Polka>),
     /// Schneider & Wattenhofer's randomized-rounds manager.
     RandomizedRounds(Arc<RandomizedRounds>),
-    /// Extensibility fallback: any other [`ContentionManager`] behind the
-    /// old virtual dispatch.
+    /// Any other [`ContentionManager`] (the window managers, wrappers),
+    /// dispatched virtually.
     Dyn(Arc<dyn ContentionManager>),
 }
 
@@ -120,29 +123,28 @@ impl CmDispatch {
         }
     }
 
-    /// Whether the engine must draw logical timestamps for this manager
-    /// (see [`ContentionManager::uses_timestamps`]): only the two
-    /// built-ins whose `resolve` compares `ts`, and whatever a `Dyn`
-    /// manager answers (`true` unless it overrides the default).
-    pub fn uses_timestamps(&self) -> bool {
+    /// The manager behind the arm, for the cold queries below.
+    fn manager(&self) -> &dyn ContentionManager {
         match self {
-            CmDispatch::Greedy | CmDispatch::Priority => true,
-            CmDispatch::Dyn(m) => m.uses_timestamps(),
-            _ => false,
+            CmDispatch::AbortSelf => &AbortSelfManager,
+            CmDispatch::AbortEnemy => &AbortEnemyManager,
+            CmDispatch::Greedy => &Greedy,
+            CmDispatch::Priority => &Priority,
+            CmDispatch::Polka(m) => &**m,
+            CmDispatch::RandomizedRounds(m) => &**m,
+            CmDispatch::Dyn(m) => &**m,
         }
+    }
+
+    /// Whether the engine must draw logical timestamps for this manager:
+    /// the manager's own [`ContentionManager::uses_timestamps`].
+    pub fn uses_timestamps(&self) -> bool {
+        self.manager().uses_timestamps()
     }
 
     /// Human-readable policy name (used in experiment reports).
     pub fn name(&self) -> &str {
-        match self {
-            CmDispatch::AbortSelf => "AbortSelf",
-            CmDispatch::AbortEnemy => "AbortEnemy",
-            CmDispatch::Greedy => "Greedy",
-            CmDispatch::Priority => "Priority",
-            CmDispatch::Polka(m) => m.name(),
-            CmDispatch::RandomizedRounds(m) => m.name(),
-            CmDispatch::Dyn(m) => m.name(),
-        }
+        self.manager().name()
     }
 }
 
@@ -155,18 +157,6 @@ impl From<Arc<dyn ContentionManager>> for CmDispatch {
 impl<M: ContentionManager + 'static> From<Arc<M>> for CmDispatch {
     fn from(cm: Arc<M>) -> Self {
         CmDispatch::Dyn(cm)
-    }
-}
-
-impl From<AbortSelfManager> for CmDispatch {
-    fn from(_: AbortSelfManager) -> Self {
-        CmDispatch::AbortSelf
-    }
-}
-
-impl From<AbortEnemyManager> for CmDispatch {
-    fn from(_: AbortEnemyManager) -> Self {
-        CmDispatch::AbortEnemy
     }
 }
 
@@ -193,8 +183,8 @@ mod tests {
         let pairs: [(CmDispatch, CmDispatch); 4] = [
             (CmDispatch::Greedy, Arc::new(Greedy).into()),
             (CmDispatch::Priority, Arc::new(Priority).into()),
-            (AbortSelfManager.into(), Arc::new(AbortSelfManager).into()),
-            (AbortEnemyManager.into(), Arc::new(AbortEnemyManager).into()),
+            (CmDispatch::AbortSelf, Arc::new(AbortSelfManager).into()),
+            (CmDispatch::AbortEnemy, Arc::new(AbortEnemyManager).into()),
         ];
         for (dispatch, dynamic) in pairs {
             let name = dispatch.name().to_string();
@@ -226,10 +216,6 @@ mod tests {
 
     #[test]
     fn from_conversions() {
-        assert!(matches!(
-            CmDispatch::from(AbortSelfManager),
-            CmDispatch::AbortSelf
-        ));
         let dynamic: Arc<dyn ContentionManager> = Arc::new(AbortEnemyManager);
         assert!(matches!(CmDispatch::from(dynamic), CmDispatch::Dyn(_)));
         assert!(matches!(

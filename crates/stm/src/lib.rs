@@ -63,8 +63,8 @@ pub mod cm;
 pub mod dispatch;
 pub mod engine;
 pub mod managers;
-/// Debug-build hot-path operation counters (scan/RMW cost assertions).
-#[cfg(debug_assertions)]
+/// Thread-local operation counters: debug-only hot-path ones (scan/RMW
+/// cost assertions) and the window manager's boundary lock count.
 pub mod probe;
 pub mod slots;
 pub mod stats;

@@ -21,22 +21,19 @@
 //! call per conflict — see `crate::dispatch` for the dispatch table.
 //!
 //! All managers implement [`crate::ContentionManager`] and are safe to
-//! share across every worker thread of one [`crate::Stm`].
-//!
-//! The [`registry`] module maps manager names to constructors for the
-//! experiment harness.
+//! share across every worker thread of one [`crate::Stm`]. Each answers
+//! for its own `uses_timestamps`. Names map to constructors in one table,
+//! the harness's `managers` module, beside the window variants.
 
 pub mod greedy;
 pub mod polka;
 pub mod priority;
 pub mod randomized;
-pub mod registry;
 
 pub use greedy::Greedy;
 pub use polka::Polka;
 pub use priority::Priority;
 pub use randomized::RandomizedRounds;
-pub use registry::{classic_names, make_dispatch};
 
 /// Debug check of the managers that order by logical timestamp (Greedy,
 /// Priority): the engine stamps attempts only where

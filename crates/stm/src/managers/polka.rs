@@ -78,6 +78,11 @@ impl ContentionManager for Polka {
         }
     }
 
+    /// Priority is karma, not a timestamp.
+    fn uses_timestamps(&self) -> bool {
+        false
+    }
+
     fn name(&self) -> &str {
         "Polka"
     }

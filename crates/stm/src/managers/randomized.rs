@@ -62,6 +62,11 @@ impl ContentionManager for RandomizedRounds {
         tx.set_rank(self.roll(tx.thread_id));
     }
 
+    /// Priority is the rolled rank, not a timestamp.
+    fn uses_timestamps(&self) -> bool {
+        false
+    }
+
     fn name(&self) -> &str {
         "RandomizedRounds"
     }

@@ -1,4 +1,4 @@
-//! Debug-build hot-path operation counters.
+//! Thread-local operation counters.
 //!
 //! The lazy clock ("a lazy commit performs one `VERSION_CLOCK` RMW if it
 //! writes, none if it only reads"), the fixed path's shared-line budget
@@ -8,8 +8,15 @@
 //! re-open stores nothing") are asserted by unit tests that count the actual
 //! operations, not by inspection. The counters are thread-local `Cell`s —
 //! tests in one binary run concurrently, and a process-global counter
-//! would make every assertion racy — and exist only under
-//! `debug_assertions`, so release hot paths carry zero probe cost.
+//! would make every assertion racy. These hot-path counters exist only
+//! under `debug_assertions`, so release hot paths carry zero probe cost.
+//!
+//! One counter is on in release too:
+//! [`count_lock`](crate::probe::count_lock), which the window manager
+//! calls before each of its mutex acquisitions. Those sit on window
+//! boundaries and failure paths only, so it costs nothing per
+//! transaction, and the test that no steady-state window hook takes a
+//! lock runs against the same build the benchmarks measure.
 //!
 //! Each `take_*` returns the calling thread's count since its previous
 //! `take_*` call (read-and-reset), which is the natural shape for a
@@ -17,6 +24,7 @@
 
 use std::cell::Cell;
 
+#[cfg(debug_assertions)]
 thread_local! {
     static CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
     static LOGICAL_CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
@@ -25,12 +33,14 @@ thread_local! {
 }
 
 /// Record one RMW operation on the lazy engine's global version clock.
+#[cfg(debug_assertions)]
 #[inline]
 pub(crate) fn count_clock_rmw() {
     let _ = CLOCK_RMWS.try_with(|c| c.set(c.get() + 1));
 }
 
 /// Record one `fetch_add` on an engine's [`crate::LogicalClock`].
+#[cfg(debug_assertions)]
 #[inline]
 pub(crate) fn count_logical_clock_rmw() {
     let _ = LOGICAL_CLOCK_RMWS.try_with(|c| c.set(c.get() + 1));
@@ -38,6 +48,7 @@ pub(crate) fn count_logical_clock_rmw() {
 
 /// Record one store of a reader's attempt id into its slot word of an
 /// object (the registration of a visible read).
+#[cfg(debug_assertions)]
 #[inline]
 pub(crate) fn count_read_slot_store() {
     let _ = READ_SLOT_STORES.try_with(|c| c.set(c.get() + 1));
@@ -46,29 +57,50 @@ pub(crate) fn count_read_slot_store() {
 /// Record `n` read-modify-writes a transactional read performs on lines
 /// every reader of the object writes: a version's or the object's strong
 /// count, the object lock.
+#[cfg(debug_assertions)]
 #[inline]
 pub(crate) fn count_read_shared_rmws(n: u64) {
     let _ = READ_SHARED_RMWS.try_with(|c| c.set(c.get() + n));
 }
 
 /// Version-clock RMW ops by this thread since the last call; resets to 0.
+#[cfg(debug_assertions)]
 pub fn take_clock_rmws() -> u64 {
     CLOCK_RMWS.with(|c| c.replace(0))
 }
 
 /// Logical-clock RMW ops by this thread since the last call; resets to 0.
+#[cfg(debug_assertions)]
 pub fn take_logical_clock_rmws() -> u64 {
     LOGICAL_CLOCK_RMWS.with(|c| c.replace(0))
 }
 
 /// Reader-slot registration stores by this thread since the last call;
 /// resets to 0.
+#[cfg(debug_assertions)]
 pub fn take_read_slot_stores() -> u64 {
     READ_SLOT_STORES.with(|c| c.replace(0))
 }
 
 /// Shared-line RMWs of transactional reads by this thread since the last
 /// call; resets to 0.
+#[cfg(debug_assertions)]
 pub fn take_read_shared_rmws() -> u64 {
     READ_SHARED_RMWS.with(|c| c.replace(0))
+}
+
+thread_local! {
+    static LOCKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Record one mutex acquisition on a window boundary or failure path.
+#[inline]
+pub fn count_lock() {
+    let _ = LOCKS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Mutex acquisitions [`count_lock`] saw on this thread since the last
+/// call; resets to 0.
+pub fn take_locks() -> u64 {
+    LOCKS.with(|c| c.replace(0))
 }

@@ -60,9 +60,9 @@ pub struct Stm {
 impl Stm {
     /// Build an engine for `num_threads` workers using contention policy
     /// `cm`, running the eager (paper-default) protocol; use
-    /// [`Stm::with_engine`] to choose. A [`CmDispatch`] — one of its
-    /// variants, or [`crate::managers::make_dispatch`] by name — has its
-    /// hot hooks called directly; an `Arc` of any other
+    /// [`Stm::with_engine`] to choose. A [`CmDispatch`] variant has its
+    /// hot hooks called directly (the harness's `build_manager` makes one
+    /// by name); an `Arc` of any other
     /// [`ContentionManager`](crate::ContentionManager) is dispatched
     /// virtually through [`CmDispatch::Dyn`].
     pub fn new(cm: impl Into<CmDispatch>, num_threads: usize) -> Self {
@@ -120,11 +120,6 @@ impl Stm {
             #[cfg(debug_assertions)]
             read_versions_buf: Cell::new(None),
         }
-    }
-
-    /// Metrics of one worker.
-    pub fn thread_stats(&self, thread_id: usize) -> &Arc<ThreadStats> {
-        &self.threads[thread_id]
     }
 
     /// Sum of all workers' metrics. `wall` is left zero — the harness
@@ -848,12 +843,16 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn fixed_path_shared_rmw_budget() {
-        let named = |name| crate::managers::make_dispatch(name, 1).expect("registered");
+        use crate::managers::{Polka, RandomizedRounds};
+        // The last two rows reach the same managers through `Dyn`: each
+        // manager's own `uses_timestamps` decides, whatever the arm.
         for (cm, clock_rmws) in [
             (CmDispatch::AbortSelf, 0),
-            (named("Polka"), 0),
+            (CmDispatch::Polka(Arc::new(Polka::default())), 0),
             (CmDispatch::Greedy, BUDGET_TXNS),
-            (named("Priority"), BUDGET_TXNS),
+            (CmDispatch::Priority, BUDGET_TXNS),
+            (Arc::new(Polka::default()).into(), 0),
+            (Arc::new(RandomizedRounds::new(1)).into(), 0),
         ] {
             let stm = Stm::new(cm, 1);
             assert_eq!(
@@ -1102,8 +1101,8 @@ mod tests {
         // debug-asserts both parties are stamped at every real conflict).
         const THREADS: usize = 2;
         const PER_THREAD: u64 = 1_000;
-        for name in ["Greedy", "Priority"] {
-            let inner = crate::managers::make_dispatch(name, THREADS).expect("registered");
+        for inner in [CmDispatch::Greedy, CmDispatch::Priority] {
+            let name = inner.name().to_string();
             assert!(inner.uses_timestamps(), "{name}");
             let cm = Arc::new(RecordingCm {
                 inner,

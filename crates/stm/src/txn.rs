@@ -253,11 +253,6 @@ impl<'a> Txn<'a> {
         &self.state
     }
 
-    /// Number of objects in the write set.
-    pub fn write_set_len(&self) -> usize {
-        self.writes.len()
-    }
-
     #[inline]
     pub(crate) fn check_alive(&self) -> TxResult<()> {
         if self.state.is_active() {

@@ -70,15 +70,12 @@
 //! ```
 
 pub mod config;
-pub mod lockstat;
 pub mod manager;
-pub mod registry;
 pub mod run;
 pub mod thread;
 
 pub use config::{AdaptiveMode, WindowConfig};
 pub use manager::{BoundaryCounts, WindowManager};
-pub use registry::{make_window_manager, window_names};
 pub use run::WindowRun;
 
 /// The five window-variant policies evaluated in the paper's Fig. 2.

@@ -57,9 +57,9 @@
 //! the two failure paths: a barrier timeout, and a body that panics
 //! mid-window — its thread may never reach the next boundary, so the
 //! barrier is cancelled at once instead of timing out.
-//! [`crate::lockstat`] counts every acquisition so the steady-state
-//! zero-lock property is asserted by a test rather than claimed by a
-//! comment.
+//! `wtm_stm::probe::count_lock` counts every acquisition on the calling
+//! thread, so the steady-state zero-lock property is asserted by a test
+//! rather than claimed by a comment.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,10 +69,9 @@ use rand::Rng;
 
 use wtm_stm::sync::{BarrierWait, CancellableBarrier};
 use wtm_stm::txstate::NOT_WINDOWED;
-use wtm_stm::{ConflictKind, ContentionManager, Resolution, TxState};
+use wtm_stm::{probe, ConflictKind, ContentionManager, Resolution, TxState};
 
 use crate::config::{AdaptiveMode, WindowConfig};
-use crate::lockstat;
 use crate::run::WindowRun;
 use crate::thread::{ThreadCell, ThreadWindow};
 use crate::WindowVariant;
@@ -201,7 +200,7 @@ impl WindowManager {
     /// transaction body panicked, so its thread will not reach the next
     /// boundary. `None` while the window machinery is healthy.
     pub fn window_error(&self) -> Option<String> {
-        lockstat::bump();
+        probe::count_lock();
         self.last_error.lock().clone()
     }
 
@@ -255,7 +254,7 @@ impl WindowManager {
     /// Window-boundary only: the lock here is once per window per thread,
     /// never per transaction.
     fn run_for_generation(&self, generation: u64) -> Arc<WindowRun> {
-        lockstat::bump();
+        probe::count_lock();
         let mut slot = self.runs.lock();
         if slot.generation < generation {
             slot.run = Arc::new(WindowRun::new(
@@ -320,7 +319,7 @@ impl WindowManager {
     #[cold]
     fn abandon_windows(&self, why: String) {
         {
-            lockstat::bump();
+            probe::count_lock();
             let mut err = self.last_error.lock();
             if err.is_none() {
                 let msg = format!("{why}; continuing in free mode (RandomizedRounds).");
@@ -801,13 +800,15 @@ mod tests {
         // zero mutexes mid-window. Drive a full window's worth of hooks
         // after the boundary and assert the lock counter does not move and
         // the frame clock's refcount is untouched (no Arc clones either).
+        // The counter is this thread's own, so sibling tests taking
+        // boundary locks meanwhile cannot move it.
         let n = 64;
         let wm = WindowManager::new(WindowVariant::OnlineDynamic, cfg_1xn(n));
         let first = state_on(0, 1);
         wm.on_begin(&first, false); // window boundary: locks allowed here
         let run = wm.current_run(0).expect("window started");
         let rc_before = Arc::strong_count(&run);
-        let locks_before = crate::lockstat::lock_acquisitions();
+        probe::take_locks();
         first.try_commit();
         wm.on_commit(&first);
         for i in 2..n as u64 {
@@ -824,8 +825,8 @@ mod tests {
             wm.on_commit(&retry);
         }
         assert_eq!(
-            crate::lockstat::lock_acquisitions(),
-            locks_before,
+            probe::take_locks(),
+            0,
             "steady-state window hooks must not acquire any mutex"
         );
         assert_eq!(

@@ -160,7 +160,7 @@ impl ThreadCell {
     /// Publish the boundary mirrors (run + c + completed-window count).
     /// Called by the owner at window start / free-mode entry only.
     pub(crate) fn publish_boundary(&self, run: Option<Arc<WindowRun>>, c: f64, windows_done: u64) {
-        crate::lockstat::bump();
+        wtm_stm::probe::count_lock();
         *self.run_mirror.lock() = run;
         self.c_mirror.store(c, Ordering::Release);
         self.windows_done.store(windows_done, Ordering::Release);
@@ -168,7 +168,7 @@ impl ThreadCell {
 
     /// The live frame clock, safely (diagnostics/tests; not the hot path).
     pub(crate) fn run_snapshot(&self) -> Option<Arc<WindowRun>> {
-        crate::lockstat::bump();
+        wtm_stm::probe::count_lock();
         self.run_mirror.lock().clone()
     }
 }

@@ -94,11 +94,6 @@ impl SetOpGenerator {
         }
     }
 
-    /// Stream configured from a [`ContentionLevel`] (Fig. 5).
-    pub fn for_level(seed: u64, thread: usize, key_range: i64, level: ContentionLevel) -> Self {
-        Self::new(seed, thread, key_range, level.update_pct())
-    }
-
     /// Next operation. Updates split evenly between insert and remove
     /// ("randomly selected insertion and deletion ... with equal
     /// probability", §III).

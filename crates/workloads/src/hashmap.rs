@@ -30,11 +30,6 @@ impl<V: TxObject> TxHashMap<V> {
         }
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     fn bucket(&self, key: i64) -> &TVar<Vec<(i64, V)>> {
         // Fibonacci hashing spreads sequential keys across buckets.
         let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use windowtm::managers;
+use windowtm::harness::managers::{build_manager, classic_manager_names};
 use windowtm::stm::{CmDispatch, Stm, TVar};
 use windowtm::window::{WindowConfig, WindowManager, WindowVariant};
 
@@ -82,9 +82,9 @@ fn main() {
         "bank: {ACCOUNTS} accounts, {THREADS} threads × {TRANSFERS_PER_THREAD} transfers, invariant = conservation\n"
     );
     // Classic managers.
-    for name in managers::classic_names() {
-        let cm = managers::make_dispatch(name, THREADS).expect("classic manager");
-        run(cm, None);
+    for name in classic_manager_names() {
+        let built = build_manager(name, THREADS, 50, 1).expect("classic manager");
+        run(built.cm, None);
     }
     // Window-based managers.
     for variant in [

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use windowtm::managers;
+use windowtm::harness::managers::{build_manager, classic_manager_names};
 use windowtm::stm::{CmDispatch, Stm, TVar};
 use windowtm::window::{WindowConfig, WindowManager, WindowVariant};
 
@@ -80,8 +80,8 @@ fn main() {
     println!(
         "dining philosophers: {PHILOSOPHERS} philosophers × {MEALS_EACH} meals, atomic two-fork pickup\n"
     );
-    for name in managers::classic_names() {
-        dine(managers::make_dispatch(name, PHILOSOPHERS).unwrap(), None);
+    for name in classic_manager_names() {
+        dine(build_manager(name, PHILOSOPHERS, 50, 1).unwrap().cm, None);
     }
     let wm = Arc::new(WindowManager::new(
         WindowVariant::OnlineDynamic,

@@ -7,7 +7,9 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`stm`] — the eager object-based STM engine (the DSTM2 substitute),
-//! * [`managers`] — classic contention managers (Polka, Greedy, Priority, …),
+//! * [`managers`] — the classic contention managers (Polka, Greedy,
+//!   Priority, RandomizedRounds); every manager, classic or window, is
+//!   built by name through [`harness::managers::build_manager`],
 //! * [`window`] — the paper's window-based contention managers,
 //! * [`workloads`] — List, RBTree, SkipList, and Vacation benchmarks,
 //! * [`sim`] — the discrete-time scheduling simulator (Offline algorithm,

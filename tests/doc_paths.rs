@@ -9,8 +9,7 @@
 
 use std::path::Path;
 
-use windowtm::harness::managers::all_manager_names;
-use windowtm::managers::classic_names;
+use windowtm::harness::managers::{all_manager_names, classic_manager_names};
 use windowtm::workloads::workload_names;
 
 const DOCS: [&str; 4] = [
@@ -102,7 +101,7 @@ fn names(text: &str, name: &str) -> bool {
 fn registry_counts_in_the_documents_are_the_registries() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let counts = [
-        ("classic managers", classic_names().len()),
+        ("classic managers", classic_manager_names().len()),
         ("managers", all_manager_names().len()),
         ("workloads", workload_names().len()),
     ];
