@@ -9,10 +9,9 @@
 //!
 //! Workloads are resolved by name through the
 //! [`wtm_workloads::registry`]; the runner itself knows nothing about any
-//! particular benchmark. Prepopulation happens through a *separate*
-//! single-threaded engine, so prepopulation transactions never interact
-//! with the manager under test (in particular they cannot deadlock a
-//! window barrier expecting `M` parties).
+//! particular benchmark. The registry returns each workload already
+//! populated, built in plain memory, so the measured engine and manager
+//! run the cell's first transaction.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Barrier;
@@ -62,7 +61,8 @@ pub struct RunSpec {
     /// run finishes orders of magnitude sooner.
     pub safety_deadline: Duration,
     /// Record transaction events into the `wtm-trace` ring buffers for
-    /// the measured interval (prepopulation is never traced).
+    /// the measured interval (construction runs no transaction to
+    /// trace).
     pub trace: bool,
 }
 
@@ -114,17 +114,11 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
         seed: spec.seed,
         threads: spec.threads,
     };
+    // Built populated, in plain memory: no transaction runs before the
+    // measured ones, so the engine under test is the only one any object
+    // of the run has met.
     let workload = build_workload(&spec.workload, &params)
         .unwrap_or_else(|| panic!("unknown workload {:?}", spec.workload));
-    {
-        // Prepopulate through a throwaway single-threaded engine so these
-        // transactions never meet the manager under test. Sequential
-        // cross-engine reuse of a TVar is safe (only *concurrent* mixing
-        // is forbidden), but running the measured engine kind here too
-        // keeps the whole run on one protocol.
-        let prep = Stm::with_engine(wtm_stm::CmDispatch::AbortSelf, 1, spec.engine);
-        workload.prepopulate(&prep.thread(0));
-    }
 
     let stop = AtomicBool::new(false);
     let truncated = AtomicBool::new(false);

@@ -43,7 +43,6 @@ pub fn capture_window_graph(workload: &str, m: usize, n: usize, seed: u64) -> Co
     };
     let w = build_workload(workload, &params)
         .unwrap_or_else(|| panic!("unknown workload {workload:?}"));
-    w.prepopulate(&ctx);
     let mut streams: Vec<_> = (0..m).map(|t| w.stream(t)).collect();
     let mut footprints: Vec<Vec<(u64, bool)>> = vec![Vec::new(); m * n];
     // Column-major execution approximates the concurrent interleaving:

@@ -22,18 +22,48 @@ pub struct TxHashMap<V: TxObject> {
 /// One chained bucket: a transactional vector of `(key, value)` pairs.
 type Bucket<V> = TVar<Vec<(i64, V)>>;
 
+/// The chain `key` belongs to among `buckets`. Fibonacci hashing spreads
+/// sequential keys across buckets.
+fn bucket_index(key: i64, buckets: usize) -> usize {
+    let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (h % buckets as u64) as usize
+}
+
 impl<V: TxObject> TxHashMap<V> {
     /// Map with `buckets` chains (rounded up to at least 1).
     pub fn new(buckets: usize) -> Self {
+        Self::with_entries(buckets, [])
+    }
+
+    /// Map with `buckets` chains holding `entries`, each chain in the
+    /// order one [`insert`](Self::insert) transaction per entry would
+    /// leave it (a repeated key keeps its first value). Filled in plain
+    /// memory, one `TVar` per chain at the end: no engine.
+    pub fn with_entries(buckets: usize, entries: impl IntoIterator<Item = (i64, V)>) -> Self {
+        let mut chains: Vec<Vec<(i64, V)>> = vec![Vec::new(); buckets.max(1)];
+        let n = chains.len();
+        for (key, value) in entries {
+            let chain = &mut chains[bucket_index(key, n)];
+            if !chain.iter().any(|(k, _)| *k == key) {
+                chain.push((key, value));
+            }
+        }
         TxHashMap {
-            buckets: (0..buckets.max(1)).map(|_| TVar::new(Vec::new())).collect(),
+            buckets: chains.into_iter().map(TVar::new).collect(),
         }
     }
 
     fn bucket(&self, key: i64) -> &TVar<Vec<(i64, V)>> {
-        // Fibonacci hashing spreads sequential keys across buckets.
-        let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.buckets[(h % self.buckets.len() as u64) as usize]
+        &self.buckets[bucket_index(key, self.buckets.len())]
+    }
+
+    /// Each chain's keys in chain order, buckets in index order.
+    /// Quiescence only.
+    pub fn chain_keys(&self) -> Vec<Vec<i64>> {
+        self.buckets
+            .iter()
+            .map(|b| b.sample().iter().map(|(k, _)| *k).collect())
+            .collect()
     }
 
     /// Insert or overwrite; returns `true` if the key was new.
@@ -121,15 +151,14 @@ impl<V: TxObject> TxHashMap<V> {
     /// keys anywhere. Quiescence only.
     pub fn check_invariants(&self) {
         let mut seen = std::collections::HashSet::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            for (k, _) in b.sample().iter() {
-                let h = (*k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for (i, chain) in self.chain_keys().into_iter().enumerate() {
+            for k in chain {
                 assert_eq!(
-                    (h % self.buckets.len() as u64) as usize,
+                    bucket_index(k, self.buckets.len()),
                     i,
                     "key {k} in wrong bucket {i}"
                 );
-                assert!(seen.insert(*k), "duplicate key {k}");
+                assert!(seen.insert(k), "duplicate key {k}");
             }
         }
     }
@@ -141,10 +170,16 @@ pub struct TxHashSet {
 }
 
 impl TxHashSet {
-    /// Set with `buckets` chains.
+    /// Empty set with `buckets` chains.
     pub fn new(buckets: usize) -> Self {
+        Self::with_keys(buckets, [])
+    }
+
+    /// Set with `buckets` chains holding `keys`, chained in order
+    /// ([`TxHashMap::with_entries`]).
+    pub fn with_keys(buckets: usize, keys: impl IntoIterator<Item = i64>) -> Self {
         TxHashSet {
-            map: TxHashMap::new(buckets),
+            map: TxHashMap::with_entries(buckets, keys.into_iter().map(|k| (k, ()))),
         }
     }
 

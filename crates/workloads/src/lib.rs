@@ -26,9 +26,13 @@
 //!   `1/buckets` — the polar opposite of the List.
 //!
 //! Workloads are *data, not code*: the [`workload::Workload`] trait
-//! (construct + prepopulate + deterministic per-thread op stream) and the
+//! (construct populated + deterministic per-thread op stream) and the
 //! name-keyed [`registry`] let the harness run any of them — the paper
-//! grid and the control alike — by name. The [`generator`] module
+//! grid and the control alike — by name. A workload starts in the state
+//! the paper's setup fills it to, computed in plain memory by each
+//! structure's constructor (`with_keys`, `with_entries`), so no engine
+//! runs before the measured one; the red-black tree's CLRS insert is one
+//! piece of code that both the constructor and transactions run. The [`generator`] module
 //! provides the deterministic operation streams with the paper's
 //! contention knobs (update percentage: 20% low / 60% medium / 100% high,
 //! Fig. 5) and key-range control.

@@ -6,6 +6,8 @@
 //! highest-contention benchmark of the four: a writer at position `k`
 //! conflicts with *every* concurrent operation that walked past `k`.
 
+use std::collections::BTreeSet;
+
 use wtm_stm::{ReadRef, TVar, TxResult, Txn};
 
 use crate::intset::TxIntSet;
@@ -31,13 +33,31 @@ impl Default for TxList {
 impl TxList {
     /// Empty list (two sentinels).
     pub fn new() -> Self {
+        Self::with_keys([])
+    }
+
+    /// List holding `keys` — the chain any sequence of insert
+    /// transactions of them leaves — linked back to front in plain memory,
+    /// with no engine.
+    pub fn with_keys(keys: impl IntoIterator<Item = i64>) -> Self {
+        let keys: BTreeSet<i64> = keys.into_iter().collect();
+        assert!(
+            !keys.contains(&i64::MIN) && !keys.contains(&i64::MAX),
+            "sentinel keys reserved"
+        );
         let tail = TVar::new(ListNode {
             key: i64::MAX,
             next: None,
         });
+        let first = keys.into_iter().rev().fold(tail, |next, key| {
+            TVar::new(ListNode {
+                key,
+                next: Some(next),
+            })
+        });
         let head = TVar::new(ListNode {
             key: i64::MIN,
-            next: Some(tail),
+            next: Some(first),
         });
         TxList { head }
     }

@@ -6,6 +6,11 @@
 //! paper's four benchmarks are flagged [`WorkloadInfo::paper`]; the one
 //! other entry, HashMap, is the low-contention control the benchmark
 //! runs.
+//!
+//! [`build_workload`] returns a workload already prepopulated: the
+//! IntSet structures hold every even key below the range and Vacation's
+//! tables hold their rows, each built by its constructor in plain memory.
+//! Nothing is left for a caller to fill through an engine.
 
 use wtm_stm::{ThreadCtx, TxResult, Txn};
 
@@ -40,7 +45,10 @@ pub fn workload_infos() -> &'static [WorkloadInfo] {
             summary: "sorted linked-list IntSet (DSTM); long shared walks, the paper's high-contention workhorse",
             default_key_range: 64,
             paper: true,
-            build: |p| Box::new(SetWorkload::new("List", Box::new(TxList::new()), p)),
+            build: |p| {
+                let set = Box::new(TxList::with_keys(even_keys(&p)));
+                Box::new(SetWorkload::new("List", set, p))
+            },
         },
         WorkloadInfo {
             name: "RBTree",
@@ -48,7 +56,7 @@ pub fn workload_infos() -> &'static [WorkloadInfo] {
             default_key_range: 256,
             paper: true,
             build: |p| {
-                let set = Box::new(TxRBTree::new(p.key_range as usize + 8));
+                let set = Box::new(TxRBTree::with_keys(p.key_range as usize + 8, even_keys(&p)));
                 Box::new(SetWorkload::new("RBTree", set, p))
             },
         },
@@ -57,7 +65,10 @@ pub fn workload_infos() -> &'static [WorkloadInfo] {
             summary: "skip-list IntSet; towers spread writers, low conflict probability",
             default_key_range: 256,
             paper: true,
-            build: |p| Box::new(SetWorkload::new("SkipList", Box::new(TxSkipList::new()), p)),
+            build: |p| {
+                let set = Box::new(TxSkipList::with_keys(even_keys(&p)));
+                Box::new(SetWorkload::new("SkipList", set, p))
+            },
         },
         WorkloadInfo {
             name: "Vacation",
@@ -72,7 +83,7 @@ pub fn workload_infos() -> &'static [WorkloadInfo] {
             default_key_range: 256,
             paper: false,
             build: |p| {
-                let set = Box::new(TxHashSet::new(p.key_range as usize));
+                let set = Box::new(TxHashSet::with_keys(p.key_range as usize, even_keys(&p)));
                 Box::new(SetWorkload::new("HashMap", set, p))
             },
         },
@@ -105,8 +116,9 @@ pub fn default_key_range(name: &str) -> Option<i64> {
     workload_info(name).map(|i| i.default_key_range)
 }
 
-/// Construct a workload by name. A zero `key_range` selects the
-/// registry's per-workload default. Returns `None` for unknown names.
+/// Construct a workload by name, already in its prepopulated state. A
+/// zero `key_range` selects the registry's per-workload default. Returns
+/// `None` for unknown names.
 pub fn build_workload(name: &str, params: &WorkloadParams) -> Option<Box<dyn Workload>> {
     let info = workload_info(name)?;
     let mut p = params.clone();
@@ -120,6 +132,13 @@ pub fn build_workload(name: &str, params: &WorkloadParams) -> Option<Box<dyn Wor
 // ---------------------------------------------------------------------------
 // IntSet adapter (List, RBTree, SkipList, HashMap)
 // ---------------------------------------------------------------------------
+
+/// The prepopulated key set of the IntSet workloads: every even key
+/// below the range in ascending order, ~50 % occupancy as in the paper's
+/// setup.
+fn even_keys(p: &WorkloadParams) -> impl Iterator<Item = i64> {
+    (0..p.key_range).step_by(2)
+}
 
 /// Adapter driving any [`TxIntSet`] with the paper's operation mix.
 struct SetWorkload {
@@ -137,15 +156,6 @@ impl SetWorkload {
 impl Workload for SetWorkload {
     fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// ~50% occupancy: every even key, as in the paper's setup.
-    fn prepopulate(&self, ctx: &ThreadCtx) {
-        let mut k = 0;
-        while k < self.params.key_range {
-            ctx.atomic(|tx| self.set.insert(tx, k).map(|_| ()));
-            k += 2;
-        }
     }
 
     fn stream(&self, thread: usize) -> Box<dyn OpStream + '_> {
@@ -214,8 +224,6 @@ impl Workload for VacationWorkload {
         "Vacation"
     }
 
-    // The constructor populates the tables; nothing to prepopulate.
-
     fn stream(&self, thread: usize) -> Box<dyn OpStream + '_> {
         Box::new(VacationStream {
             vacation: &self.vacation,
@@ -276,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn every_workload_builds_prepopulates_and_steps() {
+    fn every_workload_builds_populated_and_steps() {
         for info in workload_infos() {
             let params = WorkloadParams {
                 key_range: 0,
@@ -288,7 +296,6 @@ mod tests {
             assert_eq!(w.name(), info.name);
             let stm = Stm::new(CmDispatch::AbortSelf, 1);
             let ctx = stm.thread(0);
-            w.prepopulate(&ctx);
             let mut s = w.stream(0);
             for _ in 0..32 {
                 s.step(&ctx);
@@ -316,7 +323,6 @@ mod tests {
             let w = build_workload("List", &params).unwrap();
             let stm = Stm::new(CmDispatch::AbortSelf, 1);
             let ctx = stm.thread(0);
-            w.prepopulate(&ctx);
             let mut s = w.stream(thread);
             let raw: Vec<Vec<(u64, bool)>> = (0..16).map(|_| s.step_traced(&ctx)).collect();
             // Rename ids to first-seen dense indices.

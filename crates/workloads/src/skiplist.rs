@@ -11,6 +11,8 @@
 //! geometric distribution), so a retried insert rebuilds exactly the same
 //! tower and the structure is reproducible across runs.
 
+use std::collections::BTreeSet;
+
 use wtm_stm::{ReadRef, TVar, TxResult, Txn};
 
 use crate::intset::TxIntSet;
@@ -51,10 +53,29 @@ impl Default for TxSkipList {
 impl TxSkipList {
     /// Empty skip list.
     pub fn new() -> Self {
+        Self::with_keys([])
+    }
+
+    /// Skip list holding `keys`. Tower heights depend on the key alone, so
+    /// any sequence of insert transactions of them leaves this structure;
+    /// it is linked back to front in plain memory, with no engine:
+    /// `nexts[l]` holds the next tower that reaches level `l`.
+    pub fn with_keys(keys: impl IntoIterator<Item = i64>) -> Self {
+        let keys: BTreeSet<i64> = keys.into_iter().collect();
+        assert!(!keys.contains(&i64::MIN), "head sentinel key reserved");
+        let mut nexts: Vec<Option<TVar<SkipNode>>> = vec![None; MAX_LEVEL];
+        for key in keys.into_iter().rev() {
+            let height = level_for(key);
+            let node = TVar::new(SkipNode {
+                key,
+                nexts: nexts[..height].to_vec(),
+            });
+            nexts[..height].fill(Some(node));
+        }
         TxSkipList {
             head: TVar::new(SkipNode {
                 key: i64::MIN,
-                nexts: vec![None; MAX_LEVEL],
+                nexts,
             }),
         }
     }
@@ -144,14 +165,7 @@ impl TxIntSet for TxSkipList {
     }
 
     fn snapshot_keys(&self) -> Vec<i64> {
-        let mut out = Vec::new();
-        let mut cur = self.head.sample();
-        while let Some(next) = cur.nexts[0].clone() {
-            let v = next.sample();
-            out.push(v.key);
-            cur = v;
-        }
-        out
+        self.towers().into_iter().map(|(k, _)| k).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -159,29 +173,60 @@ impl TxIntSet for TxSkipList {
     }
 }
 
-/// Non-transactional structural audit: every level is sorted and is a
-/// subsequence of level 0. Panics with a description on violation.
-/// Only meaningful at quiescence.
+impl TxSkipList {
+    /// Each level's keys in link order, level 0 first. Quiescence only.
+    pub fn level_keys(&self) -> Vec<Vec<i64>> {
+        (0..MAX_LEVEL)
+            .map(|lvl| {
+                let mut keys = Vec::new();
+                let mut cur = self.head.sample();
+                while let Some(next) = cur.nexts.get(lvl).and_then(|n| n.clone()) {
+                    cur = next.sample();
+                    keys.push(cur.key);
+                }
+                keys
+            })
+            .collect()
+    }
+
+    /// `(key, tower height)` of every node, in level-0 order. Quiescence
+    /// only.
+    pub fn towers(&self) -> Vec<(i64, usize)> {
+        let mut out = Vec::new();
+        let mut cur = self.head.sample();
+        while let Some(next) = cur.nexts[0].clone() {
+            cur = next.sample();
+            out.push((cur.key, cur.nexts.len()));
+        }
+        out
+    }
+}
+
+/// Non-transactional structural audit: every level is strictly sorted,
+/// and a node is linked into exactly the levels below its tower height.
+/// Panics with a description on violation. Only meaningful at
+/// quiescence.
 pub fn check_skiplist(sl: &TxSkipList) {
-    let mut level_keys: Vec<Vec<i64>> = vec![Vec::new(); MAX_LEVEL];
-    for (lvl, keys) in level_keys.iter_mut().enumerate() {
-        let mut cur = sl.head.sample();
-        while let Some(next) = cur.nexts.get(lvl).and_then(|n| n.clone()) {
-            let v = next.sample();
-            keys.push(v.key);
-            cur = v;
-        }
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(*keys, sorted, "level {lvl} must be strictly sorted");
+    let levels = sl.level_keys();
+    for (lvl, keys) in levels.iter().enumerate() {
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "level {lvl} must be strictly sorted"
+        );
     }
-    let base: std::collections::BTreeSet<i64> = level_keys[0].iter().copied().collect();
-    for (lvl, keys) in level_keys.iter().enumerate().skip(1) {
-        for k in keys {
-            assert!(base.contains(k), "level {lvl} key {k} missing from level 0");
+    let towers = sl.towers();
+    for &(key, height) in &towers {
+        for (lvl, keys) in levels.iter().enumerate() {
+            assert_eq!(
+                keys.binary_search(&key).is_ok(),
+                lvl < height,
+                "key {key} with a tower of {height} at level {lvl}"
+            );
         }
     }
+    let linked: usize = levels.iter().map(Vec::len).sum();
+    let towered: usize = towers.iter().map(|&(_, h)| h).sum();
+    assert_eq!(linked, towered, "every level is a subsequence of level 0");
 }
 
 #[cfg(test)]

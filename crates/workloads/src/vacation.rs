@@ -162,40 +162,34 @@ pub struct Vacation {
 impl Vacation {
     /// Build and populate the database: every table gets `num_relations`
     /// rows with randomized capacity and price (as STAMP's
-    /// `manager_add*` population pass).
+    /// `manager_add*` population pass), drawn id by id, car, room, flight.
+    /// The indexes are built in plain memory ([`TxRBMap::with_entries`]),
+    /// node for node as one insert transaction per row would leave them.
     pub fn new(cfg: VacationConfig) -> Self {
         assert!(cfg.num_relations > 0);
         assert!(cfg.num_queries > 0);
         assert!((1..=100).contains(&cfg.query_range_pct));
         assert!(cfg.update_pct <= 100);
         let cap = cfg.num_relations as usize + 8;
-        let v = Vacation {
-            cars: TxRBMap::new(cap),
-            rooms: TxRBMap::new(cap),
-            flights: TxRBMap::new(cap),
-            customers: TxRBMap::new(cap),
-            cfg,
-        };
-        v.populate();
-        v
-    }
-
-    fn populate(&self) {
-        use wtm_stm::cm::AbortSelfManager;
-        use wtm_stm::Stm;
-        let stm = Stm::new(std::sync::Arc::new(AbortSelfManager), 1);
-        let ctx = stm.thread(0);
-        let mut rng = SmallRng::seed_from_u64(self.cfg.seed ^ 0x7AB1E5);
-        for id in 0..self.cfg.num_relations {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x7AB1E5);
+        let mut rows: [Vec<(i64, Option<TVar<Reservation>>)>; 3] = Default::default();
+        for id in 0..cfg.num_relations {
             for kind in ResKind::all() {
                 let row = Reservation {
                     total: rng.random_range(20..=100),
                     used: 0,
                     price: rng.random_range(50..=550),
                 };
-                let table = self.table(*kind);
-                ctx.atomic(|tx| table.insert(tx, id, Some(TVar::new(row))));
+                rows[*kind as usize].push((id, Some(TVar::new(row))));
             }
+        }
+        let [cars, rooms, flights] = rows.map(|rows| TxRBMap::with_entries(cap, rows));
+        Vacation {
+            cars,
+            rooms,
+            flights,
+            customers: TxRBMap::new(cap),
+            cfg,
         }
     }
 
@@ -204,7 +198,9 @@ impl Vacation {
         &self.cfg
     }
 
-    fn table(&self, kind: ResKind) -> &Table<Reservation> {
+    /// The index of `kind`'s table: row id → the handle of the row's
+    /// object. Audits only; transactions go through [`run_op`](Self::run_op).
+    pub fn table(&self, kind: ResKind) -> &Table<Reservation> {
         match kind {
             ResKind::Car => &self.cars,
             ResKind::Room => &self.rooms,

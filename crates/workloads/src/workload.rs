@@ -1,12 +1,13 @@
-//! The [`Workload`] abstraction: construct + prepopulate + deterministic
+//! The [`Workload`] abstraction: construct populated + deterministic
 //! per-thread operation stream + execute-one-op.
 //!
 //! The harness used to hard-code the paper's four benchmarks as a closed
 //! enum; an additional workload (the hash map) was unreachable from the
 //! figure drivers. This trait makes a workload a *value* the harness can
-//! run by name (see [`crate::registry`]): the runner builds it from
-//! [`WorkloadParams`], prepopulates it through a context that is *not*
-//! the engine under test, then hands each worker thread its own
+//! run by name (see [`crate::registry`]): the registry builds it from
+//! [`WorkloadParams`] already in its prepopulated state — computed in
+//! plain memory and wrapped one `TVar` per object, with no engine and no
+//! transaction — and the runner hands each worker thread its own
 //! deterministic [`OpStream`] and calls [`OpStream::step`] until the stop
 //! rule fires.
 
@@ -59,17 +60,15 @@ pub trait OpStream: Send {
 ///
 /// Implementations are constructed per run via the registry
 /// ([`crate::registry::build_workload`]), so a `Workload` value owns its
-/// transactional state and its parameters.
+/// transactional state, populated from construction on, and its
+/// parameters.
 pub trait Workload: Send + Sync {
     /// Registry name (report label).
     fn name(&self) -> &'static str;
 
-    /// Fill the structure to its steady-state occupancy. The harness
-    /// passes a context on a throwaway single-threaded engine so
-    /// prepopulation transactions never interact with the manager under
-    /// test (in particular they cannot deadlock a window barrier
-    /// expecting `M` parties). Workloads whose constructor already
-    /// populates state (Vacation) leave this a no-op.
+    /// Does nothing: every workload is built populated and none overrides
+    /// this. Kept only for callers outside this workspace that still
+    /// invoke it.
     fn prepopulate(&self, _ctx: &ThreadCtx) {}
 
     /// This thread's deterministic operation stream. Streams for

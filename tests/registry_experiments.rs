@@ -12,8 +12,8 @@ use windowtm::stm::{CmDispatch, Stm};
 use windowtm::workloads::{build_workload, workload_names, WorkloadParams};
 
 /// Every registered workload completes a two-thread smoke cell on a bare
-/// `AbortSelf` engine: construction, prepopulation, and both worker
-/// streams run without panicking or deadlocking, independent of any
+/// `AbortSelf` engine: populated construction and both worker streams
+/// run without panicking or deadlocking, independent of any
 /// contention manager's behaviour.
 #[test]
 fn every_registered_workload_survives_two_thread_abortself_smoke() {
@@ -28,10 +28,6 @@ fn every_registered_workload_survives_two_thread_abortself_smoke() {
         };
         let w = build_workload(name, &params).expect(name);
         let stm = Stm::new(CmDispatch::AbortSelf, THREADS);
-        {
-            let prep = Stm::new(CmDispatch::AbortSelf, 1);
-            w.prepopulate(&prep.thread(0));
-        }
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let ctx = stm.thread(t);
