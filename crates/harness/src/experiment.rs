@@ -700,7 +700,10 @@ impl ResultsStore {
         let path = out_dir.join("results.json");
         let mut cells = BTreeMap::new();
         if let Ok(text) = std::fs::read_to_string(&path) {
-            match Json::parse(&text).and_then(|doc| validate_results(&doc)) {
+            match Json::parse(&text)
+                .map_err(|e| e.to_string())
+                .and_then(|doc| validate_results(&doc))
+            {
                 Ok(decoded) => {
                     for (key, r) in decoded {
                         let stored = Stored::new(&key, r);
@@ -1221,6 +1224,22 @@ mod tests {
             assert_eq!(loaded, usize::from(valid), "{to}: valid = {valid}");
             assert_eq!(valid, from.is_empty(), "{to}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_results_file_nested_past_the_parser_depth_starts_an_empty_store() {
+        let dir = std::env::temp_dir().join(format!("wtm_store_deep_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Used to overflow the stack and abort the process.
+        std::fs::write(dir.join("results.json"), "[".repeat(1_000_000)).unwrap();
+        let mut store = ResultsStore::open(&dir);
+        assert_eq!((store.loaded, store.len()), (0, 0));
+        store
+            .insert_and_save("k1".into(), result(None, &[("commits", 1.0, 0.0)]))
+            .unwrap();
+        assert_eq!(ResultsStore::open(&dir).loaded, 1, "the save replaced it");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,8 +6,60 @@
 //! round-trip formatting (so parse → render is byte-identical, which is
 //! what makes "resume is a no-op" checkable with `cmp`), and non-finite
 //! numbers serialize as `null`.
+//!
+//! A document that does not parse is a [`ParseError`] naming the byte
+//! where parsing stopped, never a panic: arrays and objects nest at most
+//! [`MAX_DEPTH`] deep, so no input can exhaust the parser's stack.
 
 use std::fmt::Write as _;
+
+/// How deep arrays and objects may nest. `results.json` nests fewer than
+/// 10 levels and the Chrome trace fewer than 5; each level is one frame
+/// of the recursive descent.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`Json::parse`] refused its input, and at which byte.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    pub kind: ParseErrorKind,
+    /// Byte offset into the input where parsing stopped.
+    pub offset: usize,
+}
+
+/// What [`ParseError`] found wrong.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input ended inside a value.
+    UnexpectedEnd,
+    /// Another byte than the one the grammar needs here (named).
+    Expected(&'static str),
+    BadLiteral,
+    BadEscape,
+    BadNumber,
+    /// A complete document followed by more than whitespace.
+    TrailingGarbage,
+    /// An array or object opened [`MAX_DEPTH`] levels deep.
+    TooDeep,
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.kind {
+            ParseErrorKind::UnexpectedEnd => f.write_str("unexpected end of input")?,
+            ParseErrorKind::Expected(what) => write!(f, "expected {what}")?,
+            ParseErrorKind::BadLiteral => f.write_str("bad literal")?,
+            ParseErrorKind::BadEscape => f.write_str("bad escape")?,
+            ParseErrorKind::BadNumber => f.write_str("bad number")?,
+            ParseErrorKind::TrailingGarbage => f.write_str("trailing garbage")?,
+            ParseErrorKind::TooDeep => write!(f, "nested deeper than {MAX_DEPTH} levels")?,
+        }
+        write!(f, " at byte {}", self.offset)
+    }
+}
+
+fn err<T>(kind: ParseErrorKind, offset: usize) -> Result<T, ParseError> {
+    Err(ParseError { kind, offset })
+}
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,13 +212,13 @@ impl Json {
     }
 
     /// Parse a JSON document (must consume the whole input).
-    pub fn parse(input: &str) -> Result<Json, String> {
+    pub fn parse(input: &str) -> Result<Json, ParseError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
+            return err(ParseErrorKind::TrailingGarbage, pos);
         }
         Ok(value)
     }
@@ -196,24 +248,26 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected {:?} at byte {}, found {:?}",
-            b as char,
-            *pos,
-            bytes.get(*pos).map(|b| *b as char)
-        ))
+/// Consume byte `b` (named `what` in the error).
+fn expect(bytes: &[u8], pos: &mut usize, b: u8, what: &'static str) -> Result<(), ParseError> {
+    match bytes.get(*pos) {
+        Some(&c) if c == b => {
+            *pos += 1;
+            Ok(())
+        }
+        Some(_) => err(ParseErrorKind::Expected(what), *pos),
+        None => err(ParseErrorKind::UnexpectedEnd, *pos),
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The value at `*pos`, which sits inside `depth` arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return err(ParseErrorKind::TooDeep, *pos);
+    }
     match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
+        None => err(ParseErrorKind::UnexpectedEnd, *pos),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -227,7 +281,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -235,7 +289,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Arr(items));
                     }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
+                    Some(_) => return err(ParseErrorKind::Expected("',' or ']'"), *pos),
+                    None => return err(ParseErrorKind::UnexpectedEnd, *pos),
                 }
             }
         }
@@ -251,8 +306,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(bytes, pos);
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                expect(bytes, pos, b':', "':'")?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -261,7 +316,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                         *pos += 1;
                         return Ok(Json::Obj(members));
                     }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
+                    Some(_) => return err(ParseErrorKind::Expected("',' or '}'"), *pos),
+                    None => return err(ParseErrorKind::UnexpectedEnd, *pos),
                 }
             }
         }
@@ -269,21 +325,21 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
+fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, ParseError> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
     } else {
-        Err(format!("bad literal at byte {pos}", pos = *pos))
+        err(ParseErrorKind::BadLiteral, *pos)
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
+    expect(bytes, pos, b'"', "'\"'")?;
     let mut out = String::new();
     loop {
         match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
+            None => return err(ParseErrorKind::UnexpectedEnd, *pos),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -300,20 +356,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        let code = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok());
+                        let Some(code) = code else {
+                            return err(ParseErrorKind::BadEscape, *pos);
+                        };
                         // Surrogate pairs are not produced by our writer;
                         // map lone surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+                    _ => return err(ParseErrorKind::BadEscape, *pos),
                 }
                 *pos += 1;
             }
@@ -325,23 +380,25 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
                     *pos += 1;
                 }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).unwrap_or("\u{fffd}"));
             }
         }
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    // ASCII by the loop above.
+    let text = std::str::from_utf8(&bytes[start..*pos]).unwrap_or_default();
+    match text.parse::<f64>() {
+        Ok(n) => Ok(Json::Num(n)),
+        Err(_) => err(ParseErrorKind::BadNumber, start),
+    }
 }
 
 #[cfg(test)]
@@ -379,6 +436,46 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "123abc", "[1] x", "\"open"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn errors_name_what_and_where() {
+        let at = |text: &str| Json::parse(text).map_err(|e| (e.kind, e.offset));
+        assert_eq!(at("[1] x"), Err((ParseErrorKind::TrailingGarbage, 4)));
+        assert_eq!(
+            at("[1 2]"),
+            Err((ParseErrorKind::Expected("',' or ']'"), 3))
+        );
+        assert_eq!(at("{\"a\" 1}"), Err((ParseErrorKind::Expected("':'"), 5)));
+        assert_eq!(at("[tru]"), Err((ParseErrorKind::BadLiteral, 1)));
+        assert_eq!(at("[-]"), Err((ParseErrorKind::BadNumber, 1)));
+        assert_eq!(at("\"\\q\""), Err((ParseErrorKind::BadEscape, 2)));
+        assert_eq!(at("{\"a\":[1,"), Err((ParseErrorKind::UnexpectedEnd, 8)));
+        let e = Json::parse("[1] x").unwrap_err();
+        assert_eq!(e.to_string(), "trailing garbage at byte 4");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        // A million open brackets used to overflow the stack (SIGABRT).
+        for open in ["[", "{\"k\":"] {
+            let e = Json::parse(&open.repeat(1_000_000)).unwrap_err();
+            let offset = MAX_DEPTH * open.len();
+            assert_eq!(
+                (e.kind, e.offset),
+                (ParseErrorKind::TooDeep, offset),
+                "{open}"
+            );
+            assert!(e.to_string().ends_with(&format!("at byte {offset}")));
+        }
+        // MAX_DEPTH levels parse; one more does not.
+        let nested = |d: usize| format!("{}1{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let e = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.kind, e.offset), (ParseErrorKind::TooDeep, MAX_DEPTH));
+        let obj = |d: usize| format!("{}1{}", "{\"k\":".repeat(d), "}".repeat(d));
+        assert!(Json::parse(&obj(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&obj(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

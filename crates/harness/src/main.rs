@@ -129,7 +129,10 @@ fn validate_out(out_dir: &std::path::Path) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match Json::parse(&text).and_then(|doc| validate_results(&doc)) {
+    match Json::parse(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|doc| validate_results(&doc))
+    {
         Ok(cells) => {
             println!(
                 "{}: valid (schema_version {}, {} cell(s))",

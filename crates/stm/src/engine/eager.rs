@@ -238,41 +238,44 @@ impl Engine for EagerEngine {
         }
     }
 
-    /// Publish shadow copies and attempt the commit CAS.
+    /// Publish the shadow copies, decide with the status CAS and fold
+    /// every written locator back: one path for every write-set size.
+    ///
+    /// Every entry but the last is published first — a competitor that
+    /// observes `Committed` must find every `new` version in place. The
+    /// CAS then runs under the last entry's object lock, which installs
+    /// that entry's version in the same acquisition (for the dominant
+    /// single-object write set this is the whole commit), and the other
+    /// entries are collapsed after it. So a committed attempt leaves no
+    /// locator odd and no locator naming its `TxState`: the lock-free
+    /// read path is re-armed at once and the state returns to the pool.
+    /// A read-only set is the bare CAS.
     fn commit(txn: &mut Txn<'_>) -> TxResult<()> {
         txn.check_alive()?;
-        // Single-object write set (the dominant case: counters, single-node
-        // structure updates): publish + status CAS + locator collapse fused
-        // under ONE acquisition of the object lock. Besides saving two lock
-        // rounds, the collapse re-arms the lock-free read path and drops
-        // the locator's reference to this attempt, so its `TxState`
-        // allocation promptly returns to the pool.
-        if txn.writes.len() == 1 {
-            return if txn.writes[0].commit_fused(&txn.state) {
-                Ok(())
-            } else {
-                Err(TxError::Aborted)
-            };
-        }
-        // Multi-object: publish every shadow before the status CAS — a
-        // competitor that observes `Committed` must find every `new`
-        // version in place. The locators are left to collapse lazily at
-        // their next access, which amortizes into a lock round that access
-        // pays anyway (an eager per-object collapse here costs an *extra*
-        // lock + seqlock re-arm per object).
-        for w in txn.writes.iter() {
-            w.publish(&txn.state);
-        }
-        if txn.state.try_commit() {
+        let committed = match txn.writes.split_last() {
+            None => txn.state.try_commit(),
+            Some((last, rest)) => {
+                for w in rest {
+                    w.publish(&txn.state);
+                }
+                let committed = last.commit_fused(&txn.state);
+                if committed {
+                    for w in rest {
+                        w.release(&txn.state);
+                    }
+                }
+                committed
+            }
+        };
+        if committed {
             Ok(())
         } else {
             Err(TxError::Aborted)
         }
     }
 
-    /// Collapse every written locator after this attempt turned terminal
-    /// (committed or aborted). No-op per entry if a competitor collapsed
-    /// the locator first.
+    /// Collapse every written locator after this attempt aborted. No-op
+    /// per entry if a competitor collapsed the locator first.
     fn rollback(txn: &Txn<'_>) {
         for w in txn.writes.iter() {
             w.release(&txn.state);

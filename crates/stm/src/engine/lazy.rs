@@ -116,17 +116,11 @@ fn read_committed<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<*c
             return Ok(val);
         }
         // Commit-locked. Resolve against the holder when the registry can
-        // still name it. No nameable holder means either a committer mid
-        // write-back (wait it out) or a prior *eager* run's uncollapsed
-        // terminal writer, which no one will ever release — fold that
-        // ourselves via the mutex path.
+        // still name it; no nameable holder means a committer mid
+        // write-back — wait it out.
         match tvar.inner().lazy_owner() {
             Some(enemy) => txn.handle_conflict(&enemy, ConflictKind::ReadWrite)?,
-            None => {
-                if !tvar.inner().collapse_eager_leftover() {
-                    std::thread::yield_now();
-                }
-            }
+            None => std::thread::yield_now(),
         }
     }
 }
@@ -151,14 +145,8 @@ fn lock_and_validate(txn: &Txn<'_>, locked: &mut usize) -> TxResult<()> {
             }
             match w.lazy_owner() {
                 Some(enemy) => txn.handle_conflict(&enemy, ConflictKind::WriteWrite)?,
-                // Mid write-back (wait) or an eager run's uncollapsed
-                // terminal writer (fold it ourselves — see
-                // `read_committed`).
-                None => {
-                    if !w.collapse_eager_leftover() {
-                        std::thread::yield_now();
-                    }
-                }
+                // Mid write-back: wait it out.
+                None => std::thread::yield_now(),
             }
         }
     }

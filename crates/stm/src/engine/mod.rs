@@ -9,9 +9,10 @@
 //! rollback) out of [`Txn`](crate::txn::Txn), and two implementors plug
 //! into the same CM hooks, workloads, and statistics:
 //!
-//! * [`EagerEngine`](eager::EagerEngine) — the original protocol, moved
-//!   here verbatim: visible reads, eager CM consultation at open time,
-//!   shadow copies published through the locator status CAS.
+//! * [`EagerEngine`](eager::EagerEngine) — the original protocol:
+//!   visible reads, eager CM consultation at open time, shadow copies
+//!   published through the locator status CAS and folded back by the
+//!   committer itself.
 //! * [`LazyEngine`](lazy::LazyEngine) — a TL2/STO-style protocol:
 //!   reads no committer sees, validated against a read timestamp, writes
 //!   buffered privately, per-object commit locks taken only at commit time.
@@ -27,7 +28,9 @@
 //! concurrently — the lazy commit lock CASes the seqlock word directly,
 //! which is only sound against other CAS-based lockers, not against the
 //! eager path's mutex-serialized transitions. Sequential reuse (e.g. an
-//! eager run followed by a lazy run over the same structures) is fine.
+//! eager run followed by a lazy run over the same structures) needs no
+//! hand-over: an eager attempt folds every locator it wrote before it is
+//! over, so the next run finds every seqlock word even.
 
 pub(crate) mod eager;
 pub(crate) mod lazy;

@@ -159,19 +159,20 @@ const STATE_RING_CAP: usize = 32;
 /// FIFO of released states, oldest first.
 ///
 /// A released state can still be shared for a while: the registry holds
-/// it until the *next* attempt's republish, and a multi-object committer
-/// stays installed in each written locator until a later access collapses
-/// it. States are released in the order their registry references go,
-/// so the *oldest* parked state is the first to turn exclusive and
+/// it until the *next* attempt's republish, and a competitor resolving a
+/// conflict against it holds a clone until its verdict is applied. (No
+/// locator does: the attempt folded every one it wrote before it was
+/// released.) States are released in the order their registry references
+/// go, so the *oldest* parked state is the first to turn exclusive and
 /// [`recycle_oldest`](Self::recycle_oldest) looks at nothing else: one
 /// `Arc::get_mut` (a locked op) per attempt however many states are
-/// parked. A head that is still shared (a lazily collapsed locator, a
-/// scanner's clone) rotates to the back so it cannot block the states
-/// behind it, and the attempt allocates; its state joins the ring on
-/// release, so the ring grows to the depth the loop's lag needs — at most
-/// [`STATE_RING_CAP`] — and a steady loop, including one that interleaves
-/// single- and multi-object writers, then cycles it without touching the
-/// heap (see the `write_path_allocs` integration test).
+/// parked. A head that is still shared rotates to the back so it cannot
+/// block the states behind it, and the attempt allocates; its state joins
+/// the ring on release, so the ring grows to the depth the loop's lag
+/// needs — at most [`STATE_RING_CAP`] — and a steady loop, including one
+/// that interleaves single- and multi-object writers, then cycles it
+/// without touching the heap (see the `write_path_allocs` integration
+/// test).
 struct StateRing(RefCell<VecDeque<Arc<TxState>>>);
 
 impl StateRing {
@@ -182,7 +183,7 @@ impl StateRing {
     }
 
     /// The oldest parked state, reinitialised by `reset`, if nothing else
-    /// references it. A locator (or a scanner's transient clone) that
+    /// references it. A competitor (or an overflow reader entry) that
     /// still holds it must keep seeing the old attempt's terminal status,
     /// so a shared head is not reused *yet*: it moves to the back of the
     /// queue and the caller allocates.
@@ -750,8 +751,8 @@ mod tests {
 
     #[test]
     fn write_txn_txstate_recycles_through_the_pool() {
-        // The fused single-object commit collapses the locator (dropping
-        // its TxState reference) and the next transaction's republish
+        // The commit collapses every written locator (dropping its
+        // TxState reference) and the next transaction's republish
         // releases the registry's — so a steady loop of write transactions
         // cycles within the ring instead of allocating per transaction.
         let stm = Stm::new(CmDispatch::AbortSelf, 1);
@@ -933,6 +934,17 @@ mod tests {
         let (first, again) = read_path_writes(&stm, &tvs);
         assert_eq!(first, (OBJECTS, 0), "{engine}: first opens");
         assert_eq!(again, (0, 0), "{engine}: re-opens");
+        // A committed multi-object writer leaves every locator folded, so
+        // the next reader's first opens take the fast path again.
+        stm.thread(0).atomic(|tx| {
+            for tv in &tvs {
+                let v = *tx.read(tv)?;
+                tx.write(tv, v)?;
+            }
+            Ok(())
+        });
+        let (first, _) = read_path_writes(&stm, &tvs);
+        assert_eq!(first, (OBJECTS, 0), "{engine}: first opens after a writer");
         let overflow: Vec<TVar<u64>> = (0..OBJECTS)
             .map(|v| TVar::new_with_slots_for_test(v, 0))
             .collect();

@@ -11,7 +11,12 @@
 //! transaction as `writer` with a fresh shadow copy. Because a
 //! transaction's fate is decided by one status CAS (see
 //! [`crate::status`]), this interpretation is race-free: whoever reads the
-//! locator after the CAS sees the right version.
+//! locator after the CAS sees the right version. The writer itself folds
+//! every locator it holds once the CAS has decided — at commit
+//! ([`TVarInner::commit_fused`] on the last entry, then
+//! [`TVarInner::collapse_terminal`] on the others) or on the abort path's
+//! rollback — so an attempt that is over leaves no locator behind; an
+//! accessor folds a terminal writer only when it gets there first.
 //!
 //! Reads are **visible**: readers enroll on the object, so writers discover
 //! read-write conflicts eagerly — the configuration the paper uses
@@ -39,8 +44,8 @@
 //! * **A seqlock snapshot.** `seq` is even exactly while no writer is
 //!   installed, and then `snapshot` points at the same version as the
 //!   locator's `old` (the cell owns one strong count of it). The odd
-//!   period lasts for the writer's whole ownership; the next
-//!   locator-collapse restores the even state. An eager read is slot-word
+//!   period lasts for the writer's whole ownership; the collapse that
+//!   ends it restores the even state. An eager read is slot-word
 //!   store → `seq` load → `snapshot` load and takes the version *by
 //!   address*: it writes the one word its reader owns and nothing else.
 //!   A lazy read is the same registration followed by the seqlock
@@ -74,12 +79,12 @@
 //! Who displaces: an eager writer's commit, which installs only after
 //! [`TVarInner::conflicting_reader`] — slot words *and* the overflow list —
 //! found no other `Active` reader and lent to the aborted-but-running ones
-//! on the way; a lazy write-back, [`TVar::store_direct`] and the drop of
-//! the object's last handle, which no conflict scan precedes and which
-//! lend to `Active` readers too. The last one lends the object's
-//! allocation along with the version (`TVarInner::this`): dropping the
-//! fields of a `TVarInner` leaves its two validation words readable for as
-//! long as a `Weak` holds the memory.
+//! on the way; a lazy write-back and the drop of the object's last
+//! handle, which no conflict scan precedes and which lend to `Active`
+//! readers too. The drop lends the object's allocation along with the
+//! version (`TVarInner::this`): dropping the fields of a `TVarInner`
+//! leaves its two validation words readable for as long as a `Weak` holds
+//! the memory.
 //!
 //! A read returns its borrow only after a final `check_alive`, so an
 //! eager reader was `Active` — and no writer got past it — from its
@@ -520,15 +525,13 @@ impl<T: TxObject> TVarInner<T> {
     }
 
     /// Fold `me`'s terminal outcome into the locator, if `me` is still the
-    /// installed writer. Called by the owner itself right after its status
-    /// CAS on the *abort* rollback path: committed → `new` becomes the
-    /// version; aborted → `old` stays. Collapsing eagerly (instead of
-    /// leaving it to the next accessor) re-arms the lock-free read path
-    /// immediately and drops the locator's `TxState` reference, so the
-    /// attempt's allocation is recyclable by the very next transaction.
-    /// (Multi-object *commits* skip this and leave the collapse to the
-    /// next accessor — see `Txn::commit` — because an extra lock round per
-    /// object costs more than lazy collapse does.)
+    /// installed writer. Called by the owner itself once its status CAS
+    /// has decided: on every entry but the last after a commit (the last
+    /// one folds in [`Self::commit_fused`]), and on every entry on the
+    /// abort path's rollback. Committed → `new` becomes the version;
+    /// aborted → `old` stays. Either way the lock-free read path is
+    /// re-armed at once and the locator drops its `TxState` reference, so
+    /// the attempt's allocation is recyclable by the very next transaction.
     ///
     /// Races are benign: a competitor that collapses first (its own
     /// read/acquire path folds terminal writers too) leaves `writer` empty
@@ -565,13 +568,12 @@ impl<T: TxObject> TVarInner<T> {
         st.retire(prev);
     }
 
-    /// Single-object commit, fused: decide the transaction's fate with its
-    /// status CAS and, committed, install `version(..)` and collapse the
-    /// locator — all under one acquisition of the object lock. Only sound
-    /// when this object is the transaction's *entire* write set: the
-    /// status CAS is what makes multi-object commits atomic, so a
-    /// multi-entry write set must stage every `new` version before the CAS
-    /// (the two-pass path).
+    /// The commit of the write set's last entry, fused: decide the
+    /// transaction's fate with its status CAS and, committed, install
+    /// `version(..)` and collapse the locator — all under one acquisition
+    /// of the object lock. Called after every other entry is published:
+    /// the status CAS is what makes a multi-object commit atomic, so every
+    /// other `new` version must be in place before it.
     ///
     /// Returns the CAS verdict (`true` = committed). On `false` (an enemy
     /// aborted us first) the locator is left untouched; the abort path's
@@ -626,20 +628,15 @@ impl<T: TxObject> TVarInner<T> {
 /// lockers — which is why one `TVar` must never be driven by the eager
 /// and the lazy engine concurrently (the eager engine's transitions are
 /// serialized by the mutex, not the word itself). Sequential reuse across
-/// runs is supported, but takes one extra step: eager multi-object
-/// commits deliberately leave the locator uncollapsed (word odd, terminal
-/// writer installed) for the *next accessor's* mutex path to fold — see
-/// [`Self::collapse_terminal`]. A lazy accessor that meets such a word
-/// has no eager acquire path to do the folding, so it calls
-/// [`Self::collapse_eager_leftover`] instead of waiting for an owner
-/// that will never release.
+/// runs needs nothing more: an eager attempt that is over has folded
+/// every locator it wrote, so the word is even again.
 impl<T: TxObject> TVarInner<T> {
     /// One lazy read by attempt `tx` running on slot `slot_idx`: register,
     /// then sample the committed version's address together with the
     /// seqlock word and the version stamp it was committed under, all
     /// mutually consistent. `None` while the word is odd (a committer
-    /// holds the object, or an eager run left a terminal writer) or moved
-    /// under the sample — the caller resolves the conflict and loops.
+    /// holds the object) or moved under the sample — the caller resolves
+    /// the conflict and loops.
     ///
     /// The registration is what makes the address usable: the word was
     /// even and unchanged around the loads, so the version was current at
@@ -716,26 +713,6 @@ impl<T: TxObject> TVarInner<T> {
         // yields an id the registry no longer maps — `None`, never a
         // wrong transaction.
         slots::live_reader(slot, attempt).filter(|tx| tx.is_active())
-    }
-
-    /// Fold an eager engine's *leftover* terminal writer into the locator
-    /// and re-arm the word. Eager multi-object commits leave the locator
-    /// uncollapsed (word odd, terminal writer installed) for the next
-    /// accessor's eager mutex path to fold; a lazy accessor meeting that
-    /// word would otherwise wait forever for a lock holder that no longer
-    /// exists. Returns `true` if a leftover was collapsed (the word is now
-    /// even), `false` if there was nothing to collapse — the word is odd
-    /// for some other reason (a real lazy commit lock, or an *active*
-    /// eager writer, which unsupported concurrent cross-engine use would
-    /// produce) and the caller should keep waiting.
-    pub(crate) fn collapse_eager_leftover(&self) -> bool {
-        let mut st = self.state.lock();
-        match &st.writer {
-            Some(w) if !w.is_active() => {}
-            _ => return false,
-        }
-        self.collapse(&mut st);
-        true
     }
 
     /// The seqlock word and the version stamp, for a read-set entry to
@@ -836,29 +813,6 @@ impl<T: TxObject> TVar<T> {
         self.inner.state.lock().effective()
     }
 
-    /// Non-transactional replacement of the value. Intended for
-    /// initialization and between-run resets; it discards any in-flight
-    /// writer by overwriting the locator wholesale (in-flight readers are
-    /// *not* aborted — don't race this against live transactions: what
-    /// they already read stays valid memory, but no longer one consistent
-    /// snapshot).
-    pub fn store_direct(&self, value: T) {
-        let inner = &*self.inner;
-        let mut st = inner.state.lock();
-        if st.writer.is_none() {
-            // No writer installed ⇒ seq currently even; claim the odd
-            // period ourselves. (With a writer installed seq is already
-            // odd from its acquire — unlock below folds both cases.)
-            inner.lock_snapshot();
-        }
-        st.lend_to_readers(&inner.reader_slots, 0);
-        st.writer = None;
-        st.old = Arc::new(value);
-        st.new = None;
-        st.spare = None;
-        inner.unlock_snapshot(&st.old);
-    }
-
     pub(crate) fn inner(&self) -> &TVarInner<T> {
         &self.inner
     }
@@ -941,7 +895,8 @@ mod tests {
         let a: TVar<u32> = TVar::new(1);
         let b = a.clone();
         assert_eq!(a.id(), b.id());
-        a.store_direct(5);
+        // A commit through one handle is what the other reads.
+        lazy_commit(&a, 0, 1, 5, 1);
         assert_eq!(*b.sample(), 5);
     }
 
@@ -1223,21 +1178,15 @@ mod tests {
         let (idx, reader) = published_state();
         assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(4));
         let v4 = Arc::clone(&tv.inner().state.lock().old);
-        tv.store_direct(5);
-        assert_eq!(reader.lent_len(), 1, "store_direct");
-        assert_eq!(Arc::strong_count(&v4), 2, "ours and the reader's");
-
-        assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(5));
-        let v5 = Arc::clone(&tv.inner().state.lock().old);
         assert!(tv.inner().lazy_try_lock(idx, 1));
         tv.inner().lazy_writeback_value(&6, 1);
-        assert_eq!(reader.lent_len(), 2, "lazy write-back");
-        assert!(Arc::strong_count(&v5) >= 2);
+        assert_eq!(reader.lent_len(), 1, "lazy write-back");
+        assert!(Arc::strong_count(&v4) >= 2, "ours and the reader's");
 
         assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(6));
         let v6 = Arc::clone(&tv.inner().state.lock().old);
         drop(tv);
-        assert_eq!(reader.lent_len(), 3, "drop of the last handle");
+        assert_eq!(reader.lent_len(), 2, "drop of the last handle");
         assert_eq!((*v6, Arc::strong_count(&v6)), (6, 2));
 
         reader.try_commit();
@@ -1430,36 +1379,5 @@ mod tests {
         });
         assert_eq!(*tv.sample(), THREADS as u64 * PER_THREAD);
         assert_eq!(stm.aggregate().commits, THREADS as u64 * PER_THREAD);
-    }
-
-    #[test]
-    fn store_direct_resets_the_locator_and_keeps_live_registrations() {
-        let tv = covered_tvar(1);
-        let (idx, reader) = published_state();
-        assert!(tv.inner().fast_read(idx, reader.attempt_id).is_some());
-        let gone = state(slots::next_attempt_id());
-        let w = state(1);
-        {
-            let mut st = tv.inner().state.lock();
-            tv.inner().lock_snapshot();
-            st.writer = Some(w);
-            st.new = Some(Arc::new(50));
-            st.register_reader(&gone);
-        }
-        gone.try_commit();
-        tv.store_direct(7);
-        assert_eq!(*tv.sample(), 7);
-        assert_eq!(
-            (tv.reader_count(), reader.lent_len()),
-            (1, 1),
-            "a live reader keeps its registration and what it read"
-        );
-        assert!(
-            tv.inner().state.lock().readers.is_empty(),
-            "a finished one does not"
-        );
-        // Fast path works again after the reset.
-        assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(7));
-        slots::unpublish(idx);
     }
 }

@@ -43,18 +43,15 @@ pub(crate) trait ErasedWrite: Send {
     /// Fold `me`'s terminal outcome into the locator
     /// ([`crate::tvar::TVarInner::collapse_terminal`]).
     fn release(&self, me: &TxState);
-    /// Single-entry fused commit ([`crate::tvar::TVarInner::commit_fused`]):
-    /// publish + status CAS + collapse under one object lock. Only called
-    /// when this entry is the transaction's entire write set.
+    /// The status CAS under this entry's object lock, installing its
+    /// value there ([`crate::tvar::TVarInner::commit_fused`]). Called on
+    /// the write set's last entry, after every other entry is published.
     fn commit_fused(&self, me: &TxState) -> bool;
     /// Lazy engine: try to take the object's commit lock
     /// ([`crate::tvar::TVarInner::lazy_try_lock`]).
     fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> bool;
     /// Lazy engine: the live commit-lock holder ([`crate::tvar::TVarInner::lazy_owner`]).
     fn lazy_owner(&self) -> Option<Arc<TxState>>;
-    /// Lazy engine: fold an eager run's leftover terminal writer
-    /// ([`crate::tvar::TVarInner::collapse_eager_leftover`]).
-    fn collapse_eager_leftover(&self) -> bool;
     /// Lazy engine: release the commit lock without writing
     /// ([`crate::tvar::TVarInner::lazy_unlock`]).
     fn lazy_unlock(&self);
@@ -94,10 +91,6 @@ impl<T: TxObject> ErasedWrite for TypedWrite<T> {
 
     fn lazy_owner(&self) -> Option<Arc<TxState>> {
         self.tvar.inner().lazy_owner()
-    }
-
-    fn collapse_eager_leftover(&self) -> bool {
-        self.tvar.inner().collapse_eager_leftover()
     }
 
     fn lazy_unlock(&self) {
@@ -154,10 +147,6 @@ impl<T: TxObject> ErasedWrite for InlinePayload<T> {
 
     fn lazy_owner(&self) -> Option<Arc<TxState>> {
         self.tvar.inner().lazy_owner()
-    }
-
-    fn collapse_eager_leftover(&self) -> bool {
-        self.tvar.inner().collapse_eager_leftover()
     }
 
     fn lazy_unlock(&self) {

@@ -328,23 +328,21 @@ fn traced_atomic_skips_read_after_write_duplicates() {
     assert_eq!(fp, vec![(a.id(), true)], "only the write is recorded");
 }
 
-/// Eager multi-object commits leave their locators uncollapsed (seqlock
-/// word odd, terminal writer installed) for the next accessor's eager
-/// mutex path to fold. A later *lazy* run over the same objects has no
-/// such path — it must fold the leftover itself instead of waiting for a
-/// commit-lock holder that never existed. Regression test: both the lazy
-/// read loop and the commit-time lock loop used to spin forever here
-/// (first seen as `Vacation` hanging under `--engine lazy`, whose
-/// populate step commits through an internal eager `Stm`).
+/// A lazy run over objects an eager run wrote meets every seqlock word
+/// even: an eager attempt folds each locator it wrote before it is over,
+/// multi-object commits included, so there is no terminal writer left for
+/// the lazy read loop or the commit-time lock loop to wait on. Regression
+/// test: both loops once spun forever here (first seen as `Vacation`
+/// hanging under `--engine lazy`, when its populate step committed
+/// through an internal eager `Stm`).
 #[test]
-fn lazy_run_collapses_eager_runs_leftover_locators() {
+fn lazy_run_after_an_eager_run_finds_every_locator_folded() {
     let a: TVar<u64> = TVar::new(1);
     let b: TVar<u64> = TVar::new(2);
     let c: TVar<u64> = TVar::new(3);
     let d: TVar<u64> = TVar::new(4);
 
-    // One multi-object eager commit per pair: all four locators are left
-    // uncollapsed (the eager engine only folds on the *next* access).
+    // One multi-object eager commit per pair.
     let eager = Stm::with_engine(CmDispatch::AbortSelf, 1, EngineKind::Eager);
     let ctx = eager.thread(0);
     ctx.atomic(|tx| {
@@ -361,7 +359,7 @@ fn lazy_run_collapses_eager_runs_leftover_locators() {
     let lazy = Stm::with_engine(CmDispatch::AbortSelf, 1, EngineKind::Lazy);
     let ctx = lazy.thread(0);
 
-    // Blind writes join no read set, so the leftover is first met by the
+    // Blind writes join no read set, so the objects are first met by the
     // commit-time lock loop (`lock_and_validate`).
     ctx.atomic(|tx| {
         tx.write(&a, 11)?;
@@ -371,8 +369,8 @@ fn lazy_run_collapses_eager_runs_leftover_locators() {
     assert_eq!(*a.sample(), 11);
     assert_eq!(*b.sample(), 21);
 
-    // Reads meet the leftover in the invisible-read loop
-    // (`read_committed`) and must both fold it and see the eager commit.
+    // Reads meet the objects in the invisible-read loop
+    // (`read_committed`) and must see the eager commit.
     let sum = ctx.atomic(|tx| Ok(*tx.read(&c)? + *tx.read(&d)?));
     assert_eq!(sum, 70);
     ctx.atomic(|tx| {

@@ -63,8 +63,8 @@ fn allocation_free_under(engine: EngineKind) {
     // read- and write-set capacity, and the lazily-initialised clock. The
     // warmup runs the *same* transaction mix as the measured region so the
     // pool reaches the mix's own steady-state rotation (a released state
-    // stays shared until the registry republish and any lazy locator
-    // collapses drain, so the rotation depends on the interleaving).
+    // stays shared until the registry's next republish, so the rotation
+    // depends on the interleaving).
     for _ in 0..96 {
         run_mix(&ctx, &a, &b, &wide);
     }

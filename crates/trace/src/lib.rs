@@ -32,8 +32,8 @@
 //! Producers own their buffer; the collector may only call
 //! [`drain`]/[`reset`] while no thread is emitting (in practice: tracing
 //! disabled and worker threads joined). The harness enforces this by
-//! enabling tracing after prepopulation, disabling it after the worker
-//! scope ends, and only then draining.
+//! enabling tracing after the workload is built, disabling it after the
+//! worker scope ends, and only then draining.
 
 pub mod collect;
 
