@@ -21,9 +21,10 @@
 //! The record's `Arc<TxState>` sits under a mutex of its own. The owner
 //! replaces it under that lock once per attempt (the line is its own, so
 //! the lock is uncontended unless a scanner is resolving this very
-//! record) and drops the displaced reference after letting go: that drop
-//! can release loans whose last handle drops an object, and the object's
-//! scan looks this record up again. A scanner checks `current` without
+//! record) and takes the displaced reference back after letting go, to
+//! reuse as its next attempt's state or to drop: that drop can release
+//! loans whose last handle drops an object, and the object's scan looks
+//! this record up again. A scanner checks `current` without
 //! the lock, then re-checks the id under it and works on the state there
 //! ([`with_live_reader`]), so nothing is deferred and no reference is
 //! handed out unless the caller asks for one. Attempt ids are never
@@ -35,7 +36,9 @@
 //! processes stay within a compact index range. Threads beyond
 //! [`MAX_SLOTS`] (or created after a `TVar` sized its slot array) simply
 //! fall back to the mutex-protected overflow reader list — slower, never
-//! wrong.
+//! wrong. A thread past [`MAX_SLOTS`] has no record either, so
+//! [`republish`] hands it no state back and each of its attempts
+//! allocates one: the declared slow path.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -227,11 +230,11 @@ pub(crate) fn unpublish(idx: usize) {
 /// commit path leaves it published rather than paying a withdrawal of its
 /// own). Must happen before the attempt's first object access: a writer
 /// that finds our slot word on an object must be able to resolve it here.
-/// The displaced reference is released at once, outside the lock.
-pub(crate) fn republish(idx: usize, state: &Arc<TxState>) {
-    if idx < MAX_SLOTS {
-        drop(REGISTRY[idx].replace(Some(state)));
-    }
+/// The displaced reference is handed back outside the lock: the owner
+/// keeps it as its next spare state ([`crate::stm`]). A thread past
+/// [`MAX_SLOTS`] has no record, so it is handed nothing.
+pub(crate) fn republish(idx: usize, state: &Arc<TxState>) -> Option<Arc<TxState>> {
+    REGISTRY.get(idx)?.replace(Some(state))
 }
 
 /// Resolve a slot word: run `f` on the state of attempt `attempt_id` on
@@ -348,7 +351,9 @@ mod tests {
         republish(idx, &first);
         assert_eq!(Arc::strong_count(&first), 2, "registry holds a clone");
         let second = state(next_attempt_id());
-        republish(idx, &second);
+        let displaced = republish(idx, &second).expect("the first attempt is handed back");
+        assert!(Arc::ptr_eq(&displaced, &first));
+        drop(displaced);
         // Old attempt: unresolvable, and its registry reference is gone.
         assert!(live_reader(idx, first.attempt_id).is_none());
         assert_eq!(Arc::strong_count(&first), 1, "nothing is deferred");

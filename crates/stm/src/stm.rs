@@ -8,16 +8,18 @@
 //! contention-management model the paper assumes ("if a transaction aborts
 //! it then immediately restarts and attempts to commit again", §II-A).
 //!
-//! The retry loop is allocation-lean: the `TxState` allocation is recycled
-//! through a per-thread FIFO ring whenever nothing else still references
-//! the attempt it last served (`Arc::get_mut` proves exclusivity — a
-//! locator or registry clone in flight forces a fresh allocation, so
-//! recycling can never resurrect an attempt some competitor still sees).
-//! The registry's reference to a finished attempt is released by the next
-//! attempt's republish, so in a steady loop a parked state turns exclusive
-//! one attempt after it finished. Attempt ids come from the
-//! process-global source in [`crate::slots`] — never reused, so recycled
-//! records are indistinguishable from fresh ones. Timestamps use the
+//! The retry loop is allocation-lean: each [`ThreadCtx`] keeps one spare
+//! `TxState`, the one the registry handed back when the previous attempt
+//! republished (the state from two attempts back), and an attempt reuses
+//! its allocation whenever nothing else still references it
+//! (`Arc::get_mut` proves exclusivity — a competitor's clone in flight
+//! forces a fresh allocation, so recycling can never resurrect an attempt
+//! some competitor still sees). A steady loop therefore cycles two states.
+//! A thread past [`slots::MAX_SLOTS`] has no registry record to hand a
+//! state back, so each of its attempts allocates: the declared slow path.
+//! Attempt ids come from the process-global source in [`crate::slots`] —
+//! never reused, so recycled records are indistinguishable from fresh
+//! ones. Timestamps use the
 //! coarse [`crate::clockns`] clock: one call at transaction start and one
 //! per attempt end instead of several `Instant::now()` syscalls.
 //!
@@ -32,8 +34,7 @@
 //! attempt ids come from thread-local blocks. The debug `probe` counter pins the first
 //! (`fixed_path_shared_rmw_budget` below).
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::sync::Arc;
 
 use crate::clock::LogicalClock;
@@ -114,6 +115,7 @@ impl Stm {
         ThreadCtx {
             stm: self,
             thread_id,
+            spare: Cell::new(None),
             trace_buf: Cell::new(None),
             reads_buf: Cell::new(None),
             writes_buf: Cell::new(None),
@@ -152,110 +154,6 @@ impl Stm {
     }
 }
 
-/// Capacity of the per-thread [`StateRing`].
-const STATE_RING_CAP: usize = 32;
-
-/// Recycled `TxState` allocations for one OS thread: a fixed-capacity
-/// FIFO of released states, oldest first.
-///
-/// A released state can still be shared for a while: the registry holds
-/// it until the *next* attempt's republish, and a competitor resolving a
-/// conflict against it holds a clone until its verdict is applied. (No
-/// locator does: the attempt folded every one it wrote before it was
-/// released.) States are released in the order their registry references
-/// go, so the *oldest* parked state is the first to turn exclusive and
-/// [`recycle_oldest`](Self::recycle_oldest) looks at nothing else: one
-/// `Arc::get_mut` (a locked op) per attempt however many states are
-/// parked. A head that is still shared rotates to the back so it cannot
-/// block the states behind it, and the attempt allocates; its state joins
-/// the ring on release, so the ring grows to the depth the loop's lag
-/// needs — at most [`STATE_RING_CAP`] — and a steady loop, including one
-/// that interleaves single- and multi-object writers, then cycles it
-/// without touching the heap (see the `write_path_allocs` integration
-/// test).
-struct StateRing(RefCell<VecDeque<Arc<TxState>>>);
-
-impl StateRing {
-    fn new() -> Self {
-        // Reserved up front and never exceeded (`park`): steady loops
-        // must not touch the heap.
-        StateRing(RefCell::new(VecDeque::with_capacity(STATE_RING_CAP)))
-    }
-
-    /// The oldest parked state, reinitialised by `reset`, if nothing else
-    /// references it. A competitor (or an overflow reader entry) that
-    /// still holds it must keep seeing the old attempt's terminal status,
-    /// so a shared head is not reused *yet*: it moves to the back of the
-    /// queue and the caller allocates.
-    fn recycle_oldest(&self, reset: impl FnOnce(&mut TxState)) -> Option<Arc<TxState>> {
-        let mut parked = self.0.borrow_mut();
-        let mut arc = parked.pop_front()?;
-        if let Some(st) = Arc::get_mut(&mut arc) {
-            reset(st);
-            return Some(arc);
-        }
-        parked.push_back(arc);
-        None
-    }
-
-    /// Park a finished attempt's state at the back. A full ring (deep
-    /// retry chains, states held by locators) drops it instead.
-    fn park(&self, state: Arc<TxState>) {
-        let mut parked = self.0.borrow_mut();
-        if parked.len() < STATE_RING_CAP {
-            parked.push_back(state);
-        }
-    }
-}
-
-thread_local! {
-    static STATE_RING: StateRing = StateRing::new();
-}
-
-/// A `TxState` for the next attempt: the oldest parked allocation reset in
-/// place when nothing else references it, a fresh allocation otherwise.
-fn state_for_attempt(
-    attempt_id: u64,
-    txn_id: u64,
-    thread_id: usize,
-    attempt: u32,
-    ts: u64,
-    first_start_ns: u64,
-    karma: u64,
-) -> Arc<TxState> {
-    STATE_RING
-        .with(|ring| {
-            ring.recycle_oldest(|st| {
-                st.reset_for_attempt(
-                    attempt_id,
-                    txn_id,
-                    thread_id,
-                    attempt,
-                    ts,
-                    first_start_ns,
-                    karma,
-                )
-            })
-        })
-        .unwrap_or_else(|| {
-            Arc::new(TxState::new(
-                attempt_id,
-                txn_id,
-                thread_id,
-                attempt,
-                ts,
-                first_start_ns,
-                karma,
-            ))
-        })
-}
-
-/// Return a finished attempt's state to this thread's ring.
-fn release_state(state: Arc<TxState>) {
-    // `try_with`: during thread teardown the ring may already be gone.
-    let _ = STATE_RING.try_with(|ring| ring.park(state));
-}
-
 thread_local! {
     /// Set while this OS thread is inside [`ThreadCtx::atomic`].
     static IN_ATOMIC: Cell<bool> = const { Cell::new(false) };
@@ -292,6 +190,9 @@ impl Drop for InAtomic {
 pub struct ThreadCtx<'a> {
     stm: &'a Stm,
     thread_id: usize,
+    /// The state the registry handed back at the last republish: the next
+    /// attempt runs in its allocation if nothing else still holds it.
+    spare: Cell<Option<Arc<TxState>>>,
     /// Pooled footprint buffer for traced attempts: an aborted attempt's
     /// buffer comes back here and the next attempt reuses its capacity.
     trace_buf: Cell<Option<Vec<(u64, bool)>>>,
@@ -380,6 +281,43 @@ impl<'a> ThreadCtx<'a> {
         put_buf(&self.read_versions_buf, buf);
     }
 
+    /// A `TxState` for the next attempt: the spare reset in place when
+    /// nothing else references it, a fresh allocation otherwise (a shared
+    /// spare is dropped).
+    fn state_for_attempt(
+        &self,
+        attempt_id: u64,
+        txn_id: u64,
+        attempt: u32,
+        ts: u64,
+        first_start_ns: u64,
+        karma: u64,
+    ) -> Arc<TxState> {
+        if let Some(mut spare) = self.spare.take() {
+            if let Some(st) = Arc::get_mut(&mut spare) {
+                st.reset_for_attempt(
+                    attempt_id,
+                    txn_id,
+                    self.thread_id,
+                    attempt,
+                    ts,
+                    first_start_ns,
+                    karma,
+                );
+                return spare;
+            }
+        }
+        Arc::new(TxState::new(
+            attempt_id,
+            txn_id,
+            self.thread_id,
+            attempt,
+            ts,
+            first_start_ns,
+            karma,
+        ))
+    }
+
     /// Run `body` as a transaction, retrying until it commits, and return
     /// its result. The greedy retry loop of the paper: no inter-attempt
     /// delay is added by the engine itself; back-off, random window delays,
@@ -450,15 +388,8 @@ impl<'a> ThreadCtx<'a> {
             if attempt == 0 {
                 txn_id = attempt_id;
             }
-            let state = state_for_attempt(
-                attempt_id,
-                txn_id,
-                self.thread_id,
-                attempt,
-                ts,
-                first_start_ns,
-                karma,
-            );
+            let state =
+                self.state_for_attempt(attempt_id, txn_id, attempt, ts, first_start_ns, karma);
             self.stm.cm.on_begin(&state, attempt > 0);
             // Make the attempt resolvable by writers scanning reader-slot
             // words; must precede the first object access in `body`. The
@@ -467,8 +398,8 @@ impl<'a> ThreadCtx<'a> {
             // attempt of the previous `atomic` call (the commit path leaves
             // it published rather than paying a withdrawal of its own;
             // stale registry entries are harmless because scanners check
-            // `is_active`) — and releases its reference.
-            slots::republish(slot_idx, &state);
+            // `is_active`) — and hands its reference back as the spare.
+            self.spare.set(slots::republish(slot_idx, &state));
             let t0 = state.attempt_start_ns;
             wtm_trace::emit(wtm_trace::Event::instant(
                 wtm_trace::EventKind::TxBegin,
@@ -493,9 +424,8 @@ impl<'a> ThreadCtx<'a> {
                 Ok(r) => {
                     // The committed attempt stays published: this thread's
                     // next transaction withdraws it as part of its own
-                    // republish, saving a withdrawal of its own here. The
-                    // parked state stays shared for one extra transaction,
-                    // which the ring's depth absorbs.
+                    // republish, saving a withdrawal of its own here, and
+                    // that republish hands it back as the spare.
                     if let Some(sink) = trace.as_deref_mut() {
                         *sink = txn.take_footprint();
                     }
@@ -516,7 +446,6 @@ impl<'a> ThreadCtx<'a> {
                         now.saturating_sub(first_start_ns),
                     );
                     self.stm.cm.on_commit(&state);
-                    release_state(state);
                     return Some(r);
                 }
                 Err(TxError::Aborted) => {
@@ -558,13 +487,8 @@ impl<'a> ThreadCtx<'a> {
                     attempt += 1;
                     if attempt as usize >= max_attempts {
                         slots::unpublish(slot_idx);
-                        release_state(state);
                         return None;
                     }
-                    // Park the state right away: the registry still
-                    // references it, and the next iteration's republish
-                    // releases that reference.
-                    release_state(state);
                 }
             }
         }
@@ -703,16 +627,19 @@ mod tests {
         assert_eq!(runs0, 1);
     }
 
-    /// Prime the ring with `STATE_RING_CAP` transactions of `body`, then
-    /// run as many again and count the distinct `TxState` allocations they
-    /// touch: the registry lets go of an attempt at the next republish, so
-    /// a steady loop cycles two.
-    fn assert_ring_cycles(ctx: &ThreadCtx<'_>, mut body: impl FnMut(&mut Txn) -> TxResult<()>) {
-        for _ in 0..STATE_RING_CAP {
+    /// Transactions per measured loop of [`assert_states_cycle`].
+    const CYCLE_TXNS: usize = 32;
+
+    /// Run `CYCLE_TXNS` transactions of `body` to settle the loop, then as
+    /// many again, and count the distinct `TxState` allocations they
+    /// touch: the registry hands an attempt back at the next republish,
+    /// so a steady loop cycles two.
+    fn assert_states_cycle(ctx: &ThreadCtx<'_>, mut body: impl FnMut(&mut Txn) -> TxResult<()>) {
+        for _ in 0..CYCLE_TXNS {
             ctx.atomic(&mut body);
         }
         let mut ptrs = Vec::new();
-        for _ in 0..STATE_RING_CAP {
+        for _ in 0..CYCLE_TXNS {
             ctx.atomic(|tx| {
                 ptrs.push(Arc::as_ptr(tx.state()) as usize);
                 body(tx)
@@ -723,7 +650,7 @@ mod tests {
         assert_eq!(
             ptrs.len(),
             2,
-            "TxStates must be recycled: {STATE_RING_CAP} txns touched {} allocations",
+            "TxStates must be recycled: {CYCLE_TXNS} txns touched {} allocations",
             ptrs.len()
         );
     }
@@ -731,15 +658,16 @@ mod tests {
     #[test]
     fn txstate_pool_recycles_read_only_states() {
         // After a read-only commit the TxState is referenced only by the
-        // ring and the registry, which lets go at the next republish.
-        // Cover every slot index so the read takes the fast path
-        // regardless of which harness thread runs this test (the overflow
-        // list would hold a `Weak` and legitimately block recycling).
+        // registry, which hands it back as the spare at the next
+        // republish. Cover every slot index so the read takes the fast
+        // path regardless of which harness thread runs this test (the
+        // overflow list would hold a `Weak` and legitimately block
+        // recycling).
         slots::reserve_reader_slots(slots::MAX_SLOTS);
         let stm = Stm::new(Arc::new(AbortSelfManager), 1);
         let tv: TVar<u64> = TVar::new(7);
         let ctx = stm.thread(0);
-        assert_ring_cycles(&ctx, |tx| tx.read(&tv).map(|_| ()));
+        assert_states_cycle(&ctx, |tx| tx.read(&tv).map(|_| ()));
     }
 
     #[test]
@@ -752,73 +680,54 @@ mod tests {
     #[test]
     fn write_txn_txstate_recycles_through_the_pool() {
         // The commit collapses every written locator (dropping its
-        // TxState reference) and the next transaction's republish
-        // releases the registry's — so a steady loop of write transactions
-        // cycles within the ring instead of allocating per transaction.
+        // TxState reference) and the next transaction's republish hands
+        // the registry's back as the spare — so a steady loop of write
+        // transactions runs in two states instead of allocating per
+        // transaction.
         let stm = Stm::new(CmDispatch::AbortSelf, 1);
         let tv: TVar<u64> = TVar::new(0);
         let ctx = stm.thread(0);
         let mut i = 0u64;
-        assert_ring_cycles(&ctx, move |tx| {
+        assert_states_cycle(&ctx, move |tx| {
             i += 1;
             tx.write(&tv, i)
         });
     }
 
-    /// A state for attempt `id` from this thread's ring (or the heap).
-    fn ring_state(id: u64) -> Arc<TxState> {
-        state_for_attempt(id, id, 0, 0, 0, 0, 0)
-    }
-
     #[test]
-    fn shared_ring_head_rotates_to_the_back_and_is_reused_on_its_next_turn() {
-        // A thread of its own: an empty ring, whatever libtest ran before.
-        std::thread::spawn(|| {
-            let a = ring_state(1);
-            let b = ring_state(2);
-            let (pa, pb) = (Arc::as_ptr(&a), Arc::as_ptr(&b));
-            let held = Arc::clone(&a); // a locator still pointing at `a`
-            release_state(a);
-            release_state(b);
-            // Head `a` is shared: only it is inspected (exclusive `b`
-            // right behind it is not taken), the attempt allocates, and
-            // `a` moves behind `b`.
-            let c = ring_state(3);
-            let pc = Arc::as_ptr(&c);
-            assert!(pc != pa && pc != pb, "a shared head forces a fresh state");
-            assert_eq!(held.attempt_id, 1, "a shared state is never reset");
-            let d = ring_state(4);
-            assert_eq!(Arc::as_ptr(&d), pb, "`b` is now the head");
-            // Ring: [a]. Released, `a` is reused when its turn comes round.
-            drop(held);
-            release_state(c);
-            let e = ring_state(5);
-            assert_eq!(Arc::as_ptr(&e), pa, "`a` went to the back, ahead of `c`");
-            assert_eq!(e.attempt_id, 5);
-            let f = ring_state(6);
-            assert_eq!(Arc::as_ptr(&f), pc);
-        })
-        .join()
-        .expect("ring test thread");
-    }
-
-    #[test]
-    fn full_ring_drops_the_extra_state() {
-        std::thread::spawn(|| {
-            let held: Vec<Arc<TxState>> = (0..STATE_RING_CAP as u64).map(ring_state).collect();
-            for st in &held {
-                release_state(Arc::clone(st)); // every entry stays shared
-            }
-            let extra = ring_state(100);
-            let weak = Arc::downgrade(&extra);
-            release_state(extra);
-            assert!(
-                weak.upgrade().is_none(),
-                "a full ring drops what it cannot park"
-            );
-        })
-        .join()
-        .expect("ring test thread");
+    fn a_state_something_else_holds_is_never_reset() {
+        // A competitor's resolve holds a clone of the attempt it met until
+        // its verdict is applied: while it does, the record must keep
+        // reading as that attempt, and later attempts run elsewhere.
+        let stm = Stm::new(CmDispatch::AbortSelf, 1);
+        let tv: TVar<u64> = TVar::new(0);
+        let ctx = stm.thread(0);
+        let mut held = None;
+        ctx.atomic(|tx| {
+            held = Some(Arc::clone(tx.state()));
+            tx.write(&tv, 0)
+        });
+        let held = held.expect("the body ran");
+        let (id, ptr) = (held.attempt_id, Arc::as_ptr(&held) as usize);
+        let mut ptrs = Vec::new();
+        for i in 1..=CYCLE_TXNS as u64 {
+            ctx.atomic(|tx| {
+                ptrs.push(Arc::as_ptr(tx.state()) as usize);
+                tx.write(&tv, i)
+            });
+        }
+        assert_eq!(held.attempt_id, id, "a held state keeps its attempt");
+        assert_eq!(held.status(), crate::TxStatus::Committed);
+        assert!(
+            !ptrs.contains(&ptr),
+            "a later attempt ran in the held state's allocation"
+        );
+        drop(held);
+        let mut i = 0u64;
+        assert_states_cycle(&ctx, move |tx| {
+            i += 1;
+            tx.write(&tv, i)
+        });
     }
 
     /// Commit `BUDGET_TXNS` single-thread transactions on `stm` and return
@@ -1140,7 +1049,7 @@ mod tests {
 
     #[test]
     fn consecutive_traced_attempts_reuse_the_footprint_buffer() {
-        // Seed the per-thread pool with a buffer of recognizable capacity,
+        // Seed the context's pool with a buffer of recognizable capacity,
         // then run a traced transaction whose first attempt aborts: the
         // aborted attempt's footprint returns to the pool and the retry
         // must pick up the very same allocation — as must the committed

@@ -8,14 +8,14 @@
 //! Attempt identity is the `attempt_id`: process-globally unique and never
 //! reused, so any stale reference (a locator pointing at an old writer, a
 //! reader-slot word from a finished attempt) is detectable by id mismatch.
-//! The *allocation* behind a `TxState` may be recycled by the per-thread
-//! pool in [`crate::stm`], but only via [`reset_for_attempt`]
-//! (`Arc::get_mut`), i.e. only when no other reference exists — a locator
-//! that still points at an old attempt therefore sees it permanently
-//! `Aborted`/`Committed`, exactly as if the record were freshly allocated.
-//! The reader registry's reference ([`crate::slots`]) is the one that
-//! outlives the attempt: the owner's next republish releases it, so a
-//! steady loop cycles two records and the pool is a ring, not one slot.
+//! The *allocation* behind a `TxState` may be recycled by its thread
+//! context's spare in [`crate::stm`], but only via [`reset_for_attempt`]
+//! (`Arc::get_mut`), i.e. only when no other reference exists — a
+//! competitor that still holds an old attempt therefore sees it
+//! permanently `Aborted`/`Committed`, exactly as if the record were
+//! freshly allocated. The reader registry's reference ([`crate::slots`])
+//! is the one that outlives the attempt: the owner's next republish hands
+//! it back as the spare, so a steady loop cycles two records.
 //!
 //! The record is also where a competitor parks what an attempt may still
 //! be reading: reads are uncounted borrows, so whoever displaces a version
@@ -149,7 +149,8 @@ impl TxState {
         }
     }
 
-    /// Reinitialize a recycled record for a fresh attempt.
+    /// Reinitialize a recycled record as [`TxState::new`] would build it,
+    /// keeping only the capacity of its loan list.
     ///
     /// Requires exclusive access (`Arc::get_mut`): the caller proves no
     /// locator, registry entry, or contention manager still references the
@@ -165,27 +166,18 @@ impl TxState {
         first_start_ns: u64,
         karma_carryover: u64,
     ) {
-        self.attempt_id = attempt_id;
-        self.txn_id = txn_id;
-        self.thread_id = thread_id;
-        self.attempt = attempt;
-        self.ts = ts;
-        self.first_start_ns = first_start_ns;
-        self.attempt_start_ns = if attempt == 0 {
-            first_start_ns
-        } else {
-            clockns::now()
-        };
-        self.status = AtomicStatus::new();
-        self.karma = AtomicU64::new(karma_carryover);
-        self.waiting = AtomicBool::new(false);
-        self.assigned_frame = AtomicU64::new(NOT_WINDOWED);
-        self.rank = AtomicU32::new(0);
-        self.window_run = AtomicU64::new(0);
-        self.window_gen = AtomicU64::new(0);
-        let lent = self.lent.get_mut();
-        lent.body_over = false;
-        lent.versions.clear();
+        let mut versions = std::mem::take(&mut self.lent.get_mut().versions);
+        versions.clear();
+        *self = TxState::new(
+            attempt_id,
+            txn_id,
+            thread_id,
+            attempt,
+            ts,
+            first_start_ns,
+            karma_carryover,
+        );
+        self.lent.get_mut().versions = versions;
     }
 
     /// Current status.
@@ -419,6 +411,10 @@ mod tests {
         assert_eq!((s.lent_len(), Arc::strong_count(&version)), (1, 2));
         s.reset_for_attempt(77, 70, 2, 0, 40, clockns::now(), 1);
         assert_eq!((s.lent_len(), Arc::strong_count(&version)), (0, 1));
+        assert!(
+            s.lent.lock().versions.capacity() >= 1,
+            "the loan list keeps its capacity"
+        );
         assert!(!s.body_over());
         assert_eq!(s.attempt_id, 77);
         assert_eq!(s.txn_id, 70);

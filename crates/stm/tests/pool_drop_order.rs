@@ -1,13 +1,13 @@
 //! Drop-order regression test for thread teardown.
 //!
 //! A worker thread exits in the middle of a steady transaction loop. At
-//! that point its most recent `TxState`s are referenced by two
-//! thread-local owners whose destructors run in an order libstd does not
-//! specify: the `TxState` ring (`stm.rs`) and the reader-slot guard
-//! (`slots.rs`, which withdraws the still-published state). Whatever the
-//! order, nothing is deferred past the thread: once `join` returns, every
-//! state the worker ran is gone, with nothing left for a survivor to
-//! collect.
+//! that point its two most recent `TxState`s are referenced by its
+//! `ThreadCtx`'s spare (`stm.rs`), dropped with the context when the
+//! worker's closure returns, and by the registry record that the
+//! thread-local reader-slot guard withdraws in its destructor
+//! (`slots.rs`). Nothing is deferred past the thread: once `join`
+//! returns, every state the worker ran is gone, with nothing left for a
+//! survivor to collect.
 
 use std::sync::{Arc, Weak};
 
@@ -20,7 +20,7 @@ fn an_exiting_thread_releases_its_states_before_join_returns() {
 
     // The worker returns a Weak for every attempt it ran; it exits
     // immediately after the last commit, with the final state still
-    // published in the registry and earlier ones parked in its ring.
+    // published in the registry and the one before it its context's spare.
     let weaks: Vec<Weak<TxState>> = std::thread::scope(|s| {
         s.spawn(|| {
             let ctx = stm.thread(1);

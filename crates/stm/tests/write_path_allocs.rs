@@ -8,7 +8,8 @@
 //! * write-set entries store their values inline (no `Box<dyn ErasedWrite>`)
 //!   in a `Vec` the thread context pools, however wide the write set,
 //! * published `Arc` versions are recycled through `ObjState::spare`,
-//! * `TxState` attempts come from the per-thread pool,
+//! * `TxState` attempts reuse the thread context's spare, the state the
+//!   registry handed back at the previous republish,
 //! * stats are bumped in pre-existing atomics,
 //! * a lazy commit sorts its write set in place and counts what it locked,
 //!   and its read set is plain words in a pooled `Vec`.
@@ -59,12 +60,10 @@ fn allocation_free_under(engine: EngineKind) {
     let b: TVar<u64> = TVar::new(0);
     let wide: Vec<TVar<u64>> = (0..12).map(|_| TVar::new(0)).collect();
 
-    // Warmup: populate the TxState pool, the per-object spare-Arc slots,
+    // Warmup: settle the TxState spare, the per-object spare-Arc slots,
     // read- and write-set capacity, and the lazily-initialised clock. The
-    // warmup runs the *same* transaction mix as the measured region so the
-    // pool reaches the mix's own steady-state rotation (a released state
-    // stays shared until the registry's next republish, so the rotation
-    // depends on the interleaving).
+    // warmup runs the *same* transaction mix as the measured region, so
+    // every buffer has already grown to the widest transaction.
     for _ in 0..96 {
         run_mix(&ctx, &a, &b, &wide);
     }
