@@ -176,45 +176,12 @@ impl Engine for EagerEngine {
                                 } else {
                                     Some(Arc::clone(&st.old))
                                 };
-                                // Large types spill to a boxed shadow copy;
-                                // reuse the retired version's allocation
-                                // for it when possible.
-                                let spare = if WriteEntry::fits_inline::<T>() {
-                                    None
-                                } else {
-                                    st.take_unshared_spare()
-                                };
                                 drop(st);
-                                let entry = if WriteEntry::fits_inline::<T>() {
-                                    let v = match value.take() {
-                                        Some(v) => v,
-                                        None => (*cur.expect("open-for-modify keeps cur")).clone(),
-                                    };
-                                    WriteEntry::new_inline(tvar.clone(), v)
-                                } else {
-                                    let shadow = match spare {
-                                        Some(mut a) => {
-                                            let slot = Arc::get_mut(&mut a)
-                                                .expect("spare taken only when unshared");
-                                            match value.take() {
-                                                Some(v) => *slot = v,
-                                                None => slot.clone_from(
-                                                    cur.as_ref()
-                                                        .expect("open-for-modify keeps cur"),
-                                                ),
-                                            }
-                                            a
-                                        }
-                                        None => match value.take() {
-                                            Some(v) => Arc::new(v),
-                                            None => Arc::new(
-                                                (*cur.expect("open-for-modify keeps cur")).clone(),
-                                            ),
-                                        },
-                                    };
-                                    WriteEntry::new_boxed(tvar.clone(), shadow)
+                                let v = match value.take() {
+                                    Some(v) => v,
+                                    None => (*cur.expect("open-for-modify keeps cur")).clone(),
                                 };
-                                txn.writes.push(entry);
+                                txn.writes.push(WriteEntry::new(tvar.clone(), v));
                                 // Doomed-writer validation: if an enemy
                                 // aborted us after the entry `check_alive`,
                                 // the collapsed `cur` we based the shadow on

@@ -72,8 +72,6 @@
 //! won its status CAS ignores the kill benignly (the abort CAS fails) and
 //! unlocks by finishing its write-back.
 
-use std::sync::Arc;
-
 use super::{Engine, LazyRead};
 use crate::cm::ConflictKind;
 use crate::tvar::TVar;
@@ -219,38 +217,24 @@ impl Engine for LazyEngine {
             }
             return Ok(idx);
         }
-        let entry = match value {
+        let v = match value {
             // A blind write needs no current version — and creates no
             // read-set entry, so a competitor overwriting the object
             // before our commit is *not* a conflict (last-writer-wins,
             // as in TL2).
-            Some(v) if WriteEntry::fits_inline::<T>() => WriteEntry::new_inline(tvar.clone(), v),
-            Some(v) => WriteEntry::new_boxed(tvar.clone(), Arc::new(v)),
+            Some(v) => v,
             None => {
                 // Open-for-modify bases the shadow on the current version,
                 // which is a read: it joins the read set, so commit-time
                 // validation catches a competitor racing us to update the
                 // same object (no lost updates).
                 let cur = read_committed(txn, tvar)?;
-                if WriteEntry::fits_inline::<T>() {
-                    // SAFETY: a live borrow of this attempt's running
-                    // body, as in `open_for_read`.
-                    WriteEntry::new_inline(tvar.clone(), unsafe { (*cur).clone() })
-                } else {
-                    // Keep the snapshot `Arc` itself; the first in-place
-                    // modification clones through `Arc::make_mut`.
-                    // SAFETY: `cur` came out of `Arc::into_raw`/`as_ptr`
-                    // and the borrow above says a count of it exists now
-                    // (the object's, or one lent to this attempt).
-                    let cur = unsafe {
-                        Arc::increment_strong_count(cur);
-                        Arc::from_raw(cur)
-                    };
-                    WriteEntry::new_boxed(tvar.clone(), cur)
-                }
+                // SAFETY: a live borrow of this attempt's running body, as
+                // in `open_for_read`.
+                unsafe { (*cur).clone() }
             }
         };
-        txn.writes.push(entry);
+        txn.writes.push(WriteEntry::new(tvar.clone(), v));
         txn.note_open();
         if let Some(fp) = &mut txn.footprint {
             fp.push((tvar.id(), true));

@@ -225,10 +225,11 @@ pub(crate) struct ObjState<T: TxObject> {
     /// Visible readers without a fast-path slot. Rare; pruned on access.
     pub(crate) readers: Vec<ReaderEntry>,
     /// A retired version kept for recycling: locator collapses stash the
-    /// displaced `Arc` here (when its strong count has dropped to one) and
-    /// the next publish reuses the allocation via `Arc::get_mut` +
-    /// `clone_from` instead of `Arc::new`. Purely an allocation cache —
-    /// never read as a value.
+    /// displaced `Arc` here, and [`Self::version_of`] — the one place a
+    /// commit, publish or lazy write-back builds a version, for an inline
+    /// and a boxed write-set entry alike — rewrites it in place via
+    /// `Arc::get_mut` + `clone_from` instead of calling `Arc::new`. Purely
+    /// an allocation cache — never read as a value.
     pub(crate) spare: Option<Arc<T>>,
 }
 
@@ -280,17 +281,6 @@ impl<T: TxObject> ObjState<T> {
         }
     }
 
-    /// Take the spare version `Arc` for recycling if it is unshared; used
-    /// by the boxed write path to build its shadow copy without a fresh
-    /// allocation.
-    #[inline]
-    pub(crate) fn take_unshared_spare(&mut self) -> Option<Arc<T>> {
-        match self.spare.take() {
-            Some(a) if Arc::strong_count(&a) == 1 => Some(a),
-            _ => None,
-        }
-    }
-
     /// Whether `me` is the installed writer.
     pub(crate) fn owned_by(&self, me: &TxState) -> bool {
         self.writer
@@ -299,9 +289,10 @@ impl<T: TxObject> ObjState<T> {
     }
 
     /// A version holding `value`: the `spare` allocation rewritten in
-    /// place when nobody else holds it, so that a steady-state publish
-    /// allocates nothing; a fresh one otherwise (a spare still on loan is
-    /// dropped, which sheds our count).
+    /// place when nobody else holds it, so that a steady-state commit
+    /// allocates no version; a fresh one otherwise (a spare still on loan
+    /// is dropped, which sheds our count). Every write-set entry installs
+    /// its value through here ([`crate::writeset`]).
     pub(crate) fn version_of(&mut self, value: &T) -> Arc<T> {
         let mut spare = self.spare.take();
         if let Some(slot) = spare.as_mut().and_then(Arc::get_mut) {
@@ -569,20 +560,16 @@ impl<T: TxObject> TVarInner<T> {
     }
 
     /// The commit of the write set's last entry, fused: decide the
-    /// transaction's fate with its status CAS and, committed, install
-    /// `version(..)` and collapse the locator — all under one acquisition
-    /// of the object lock. Called after every other entry is published:
-    /// the status CAS is what makes a multi-object commit atomic, so every
-    /// other `new` version must be in place before it.
+    /// transaction's fate with its status CAS and, committed, install a
+    /// version holding `value` and collapse the locator — all under one
+    /// acquisition of the object lock. Called after every other entry is
+    /// published: the status CAS is what makes a multi-object commit
+    /// atomic, so every other `new` version must be in place before it.
     ///
     /// Returns the CAS verdict (`true` = committed). On `false` (an enemy
     /// aborted us first) the locator is left untouched; the abort path's
     /// rollback collapses it.
-    pub(crate) fn commit_fused(
-        &self,
-        me: &TxState,
-        version: impl FnOnce(&mut ObjState<T>) -> Arc<T>,
-    ) -> bool {
+    pub(crate) fn commit_fused(&self, me: &TxState, value: &T) -> bool {
         let mut st = self.state.lock();
         if !st.owned_by(me) {
             // Only a terminal writer can be collapsed past, so we were
@@ -592,12 +579,12 @@ impl<T: TxObject> TVarInner<T> {
         if !me.try_commit() {
             return false;
         }
-        let version = version(&mut st);
+        let version = st.version_of(value);
         self.install(&mut st, version);
         true
     }
 
-    /// Commit-time publish of an inline write-set value: install `value`
+    /// Commit-time publish of a write-set value: install `value`
     /// as the locator's `new` version iff `me` still owns the object.
     pub(crate) fn publish_value(&self, value: &T, me: &TxState) {
         let mut st = self.state.lock();
@@ -732,19 +719,9 @@ impl<T: TxObject> TVarInner<T> {
     /// as the committed version, stamp write version `wv`, and release
     /// the lock. The version store precedes the final even flip, so any
     /// reader that samples the new snapshot also sees `wv`.
-    pub(crate) fn lazy_writeback_value(&self, value: &T, wv: u64) {
+    pub(crate) fn lazy_writeback(&self, value: &T, wv: u64) {
         let mut st = self.state.lock();
-        let arc = st.version_of(value);
-        self.finish_writeback(&mut st, arc, wv);
-    }
-
-    /// As [`Self::lazy_writeback_value`], for a boxed shadow: the shadow
-    /// `Arc` itself becomes the committed version (no clone).
-    pub(crate) fn lazy_writeback_arc(&self, shadow: &Arc<T>, wv: u64) {
-        self.finish_writeback(&mut self.state.lock(), Arc::clone(shadow), wv);
-    }
-
-    fn finish_writeback(&self, st: &mut ObjState<T>, arc: Arc<T>, wv: u64) {
+        let version = st.version_of(value);
         // No conflict scan precedes a lazy commit: the displaced version
         // goes on loan to every registered reader, `Active` ones included
         // — but the committer, who may have read the object before
@@ -753,7 +730,7 @@ impl<T: TxObject> TVarInner<T> {
         st.lend_to_readers(&self.reader_slots, me);
         self.version.store(wv, Ordering::SeqCst);
         self.owner_attempt.store(0, Ordering::SeqCst);
-        self.install(st, arc);
+        self.install(&mut st, version);
     }
 }
 
@@ -1179,7 +1156,7 @@ mod tests {
         assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(4));
         let v4 = Arc::clone(&tv.inner().state.lock().old);
         assert!(tv.inner().lazy_try_lock(idx, 1));
-        tv.inner().lazy_writeback_value(&6, 1);
+        tv.inner().lazy_writeback(&6, 1);
         assert_eq!(reader.lent_len(), 1, "lazy write-back");
         assert!(Arc::strong_count(&v4) >= 2, "ours and the reader's");
 
@@ -1196,7 +1173,7 @@ mod tests {
     /// Lazy-commit `value` into `tv` as attempt `me` on slot `idx`.
     fn lazy_commit(tv: &TVar<u32>, idx: usize, me: u64, value: u32, wv: u64) {
         assert!(tv.inner().lazy_try_lock(idx, me));
-        tv.inner().lazy_writeback_value(&value, wv);
+        tv.inner().lazy_writeback(&value, wv);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub type TxResult<T> = Result<T, TxError>;
 ///
 /// Copy the value out (`*tx.read(&tv)?` for a `Copy` type, `.clone()`
 /// otherwise) to keep it. When the transaction reads its own write, the
-/// handle owns a count of the shadow copy instead.
+/// handle owns a snapshot of the shadow copy instead.
 pub struct ReadRef<'a, T>(Version<'a, T>);
 
 enum Version<'a, T> {
@@ -267,7 +267,7 @@ impl<'a> Txn<'a> {
     /// The returned [`ReadRef`] is a stable snapshot: it never changes even
     /// if the object is later rewritten, and it may be held across further
     /// opens for as long as the closure runs. If this transaction already
-    /// wrote the object, its own shadow copy is returned
+    /// wrote the object, a snapshot of its own shadow copy is returned
     /// (read-your-writes).
     pub fn read<T: TxObject>(&mut self, tvar: &TVar<T>) -> TxResult<ReadRef<'a, T>> {
         match self.engine {

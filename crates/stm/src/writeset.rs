@@ -1,25 +1,40 @@
-//! Write-set entries with inline value storage.
+//! Write-set entries: one payload type, stored inline or boxed by size.
 //!
-//! One `Box<dyn ErasedWrite>` per written object per attempt would be one
-//! heap allocation each. [`WriteEntry`] avoids it for the common case:
-//! values whose payload fits [`INLINE_BUF_BYTES`] (any `T` with size ≤ 24
-//! bytes and alignment ≤ 8 — every List/RBTree/SkipList node payload and
-//! counter in the paper's workloads) are stored *in the entry itself*,
-//! next to the object handle. Larger or over-aligned types are boxed.
+//! Every entry holds a [`Payload`]: the written object's handle and the
+//! transaction's private copy of its value (DSTM2's shadow copy). One
+//! `Box<dyn ErasedWrite>` per written object per attempt would be one heap
+//! allocation each, so [`WriteEntry::new`] stores a payload that fits
+//! [`INLINE_BUF_BYTES`] at alignment ≤ [`INLINE_ALIGN`] *in the entry
+//! itself* — any `T` of ≤ 24 bytes, which covers every List and SkipList
+//! node and every counter of the paper's workloads — and boxes a larger or
+//! over-aligned one. That choice is made in `new` alone: the accessors, the
+//! engines and the commit paths see the same `Payload<T>` either way.
 //!
-//! Both representations are one erasure: the inline payload and the boxed
-//! [`TypedWrite`] each implement [`ErasedWrite`], and an entry derefs to
-//! `dyn ErasedWrite`, so every engine operation on an entry is one virtual
-//! call. An inline entry carries a single fn pointer, which turns its
-//! untyped buffer back into that trait object.
+//! An entry derefs to `dyn ErasedWrite`, so every engine operation on an
+//! entry is one virtual call. An inline entry carries a single fn pointer,
+//! which turns its untyped buffer back into that trait object; a boxed
+//! entry is the trait object.
 //!
-//! At commit, an inline entry publishes through
-//! `TVarInner::publish_value`, which recycles the object's retired
-//! version `Arc` (the `spare` slot of the locator) instead of allocating
-//! a fresh one, and the entries themselves sit in a `Vec` pooled by the
-//! thread context — so a steady-state small-value commit performs **zero**
-//! heap allocations end to end (asserted by the `write_path_allocs`
-//! integration test).
+//! Every publish, fused commit and lazy write-back builds the object's new
+//! version through `ObjState::version_of`, which rewrites the locator's
+//! retired version `Arc` (its `spare`) in place instead of allocating, and
+//! the entries themselves sit in a `Vec` pooled by the thread context. So a
+//! steady-state commit performs **zero** heap allocations for small values
+//! and exactly one, the entry's `Box`, for large ones, under both engines
+//! (asserted by the `write_path_allocs` integration test).
+//!
+//! What a large value pays for holding its copy by value, not in a shared
+//! shadow `Arc`:
+//!
+//! * reading back one's own write builds a snapshot `Arc` (one
+//!   allocation), as it does for a small value, where a shadow `Arc` would
+//!   hand out a count (the RB-tree insert fixup reads back its writes);
+//! * an eager commit copies the value once more, from the entry into the
+//!   recycled `spare`.
+//!
+//! A shadow `Arc` for *every* type would fit inline, but a lazy open takes
+//! no object lock and so cannot recycle `spare`: each lazy write would
+//! allocate its shadow at open.
 //!
 //! The id of the written object is hoisted into the entry header, so
 //! write-set lookups (`Txn::find_write`) scan a plain `u64` field instead
@@ -30,7 +45,7 @@ use std::mem::{align_of, size_of, MaybeUninit};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use crate::tvar::{ObjState, TVar};
+use crate::tvar::TVar;
 use crate::txstate::TxState;
 use crate::TxObject;
 
@@ -56,33 +71,30 @@ pub(crate) trait ErasedWrite: Send {
     /// ([`crate::tvar::TVarInner::lazy_unlock`]).
     fn lazy_unlock(&self);
     /// Lazy engine: write the shadow back under the held lock
-    /// ([`crate::tvar::TVarInner::lazy_writeback_arc`]).
+    /// ([`crate::tvar::TVarInner::lazy_writeback`]).
     fn lazy_writeback(&self, wv: u64);
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// Typed write-set entry: the object handle plus the private shadow copy.
-struct TypedWrite<T: TxObject> {
+/// What an entry holds for a value of type `T`, inline or boxed: the
+/// object handle plus the private shadow copy.
+struct Payload<T: TxObject> {
     tvar: TVar<T>,
-    shadow: Arc<T>,
+    value: T,
 }
 
-impl<T: TxObject> ErasedWrite for TypedWrite<T> {
+impl<T: TxObject> ErasedWrite for Payload<T> {
+    fn publish(&self, me: &TxState) {
+        self.tvar.inner().publish_value(&self.value, me);
+    }
+
     fn release(&self, me: &TxState) {
         self.tvar.inner().collapse_terminal(me);
     }
 
     fn commit_fused(&self, me: &TxState) -> bool {
-        let shadow = |_: &mut ObjState<T>| Arc::clone(&self.shadow);
-        self.tvar.inner().commit_fused(me, shadow)
-    }
-
-    fn publish(&self, me: &TxState) {
-        let mut st = self.tvar.inner().state.lock();
-        if st.owned_by(me) {
-            st.new = Some(Arc::clone(&self.shadow));
-        }
+        self.tvar.inner().commit_fused(me, &self.value)
     }
 
     fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> bool {
@@ -98,7 +110,7 @@ impl<T: TxObject> ErasedWrite for TypedWrite<T> {
     }
 
     fn lazy_writeback(&self, wv: u64) {
-        self.tvar.inner().lazy_writeback_arc(&self.shadow, wv);
+        self.tvar.inner().lazy_writeback(&self.value, wv);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -120,52 +132,6 @@ pub(crate) const INLINE_ALIGN: usize = 8;
 /// Inline storage: `[u64; 4]` gives 32 bytes at alignment 8.
 type InlineBuf = MaybeUninit<[u64; 4]>;
 
-/// What actually lives in the inline buffer for a value of type `T`.
-struct InlinePayload<T: TxObject> {
-    tvar: TVar<T>,
-    value: T,
-}
-
-impl<T: TxObject> ErasedWrite for InlinePayload<T> {
-    fn publish(&self, me: &TxState) {
-        self.tvar.inner().publish_value(&self.value, me);
-    }
-
-    fn release(&self, me: &TxState) {
-        self.tvar.inner().collapse_terminal(me);
-    }
-
-    fn commit_fused(&self, me: &TxState) -> bool {
-        self.tvar
-            .inner()
-            .commit_fused(me, |st| st.version_of(&self.value))
-    }
-
-    fn lazy_lock(&self, slot_idx: usize, attempt_id: u64) -> bool {
-        self.tvar.inner().lazy_try_lock(slot_idx, attempt_id)
-    }
-
-    fn lazy_owner(&self) -> Option<Arc<TxState>> {
-        self.tvar.inner().lazy_owner()
-    }
-
-    fn lazy_unlock(&self) {
-        self.tvar.inner().lazy_unlock();
-    }
-
-    fn lazy_writeback(&self, wv: u64) {
-        self.tvar.inner().lazy_writeback_value(&self.value, wv);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 /// An entry of a transaction's write set. Derefs to [`ErasedWrite`] for
 /// the engines' untyped operations (publish, release, lock, write back).
 pub(crate) struct WriteEntry {
@@ -184,23 +150,23 @@ enum EntryKind {
 /// A type-erased inline entry: the raw payload bytes, plus the one
 /// monomorphized fn that knows what they are.
 struct InlineWrite {
-    /// `buf` as the `InlinePayload<T>` it holds, behind its vtable.
+    /// `buf` as the `Payload<T>` it holds, behind its vtable.
     erase: fn(*mut InlineBuf) -> *mut dyn ErasedWrite,
     buf: InlineBuf,
 }
 
 fn erase<T: TxObject>(buf: *mut InlineBuf) -> *mut dyn ErasedWrite {
-    buf.cast::<InlinePayload<T>>()
+    buf.cast::<Payload<T>>()
 }
 
-// SAFETY: `buf` always holds an `InlinePayload<T>` with `T: TxObject` (so
+// SAFETY: `buf` always holds a `Payload<T>` with `T: TxObject` (so
 // `TVar<T>` and `T` are both `Send`); the fn pointer carries no state.
 unsafe impl Send for InlineWrite {}
 
 impl Drop for InlineWrite {
     fn drop(&mut self) {
-        // SAFETY: `buf` holds a live `InlinePayload` of the type `erase`
-        // was instantiated with; after this the entry is gone, so nothing
+        // SAFETY: `buf` holds a live `Payload` of the type `erase` was
+        // instantiated with; after this the entry is gone, so nothing
         // reads the buffer again.
         unsafe { std::ptr::drop_in_place((self.erase)(&mut self.buf)) };
     }
@@ -212,10 +178,10 @@ impl Deref for WriteEntry {
     #[inline]
     fn deref(&self) -> &Self::Target {
         match &self.kind {
-            // SAFETY: `buf` holds a live `InlinePayload` of the type
-            // `erase` was instantiated with, borrowed for as long as
-            // `self`; the pointer is only made `*mut` to share `erase`
-            // with `deref_mut`, nothing is written through it.
+            // SAFETY: `buf` holds a live `Payload` of the type `erase` was
+            // instantiated with, borrowed for as long as `self`; the
+            // pointer is only made `*mut` to share `erase` with
+            // `deref_mut`, nothing is written through it.
             EntryKind::Inline(iw) => unsafe {
                 &*(iw.erase)(std::ptr::from_ref(&iw.buf).cast_mut())
             },
@@ -242,41 +208,29 @@ impl WriteEntry {
     /// Whether values of type `T` are stored inline (true iff the payload
     /// fits the buffer and needs no stricter alignment).
     #[inline]
-    pub(crate) fn fits_inline<T: TxObject>() -> bool {
-        size_of::<InlinePayload<T>>() <= INLINE_BUF_BYTES
-            && align_of::<InlinePayload<T>>() <= INLINE_ALIGN
+    fn fits_inline<T: TxObject>() -> bool {
+        size_of::<Payload<T>>() <= INLINE_BUF_BYTES && align_of::<Payload<T>>() <= INLINE_ALIGN
     }
 
-    /// Build an inline entry. `T` must [fit](Self::fits_inline).
-    pub(crate) fn new_inline<T: TxObject>(tvar: TVar<T>, value: T) -> Self {
-        assert!(Self::fits_inline::<T>());
+    /// An entry writing `value` to `tvar`: inline when the payload
+    /// [fits](Self::fits_inline), boxed otherwise.
+    pub(crate) fn new<T: TxObject>(tvar: TVar<T>, value: T) -> Self {
         let tvar_id = tvar.id();
-        let mut buf: InlineBuf = MaybeUninit::uninit();
-        // SAFETY: the assertion guarantees size and alignment; the buffer
-        // is exclusively ours and the payload is dropped exactly once (in
-        // `InlineWrite::drop`).
-        unsafe {
-            buf.as_mut_ptr()
-                .cast::<InlinePayload<T>>()
-                .write(InlinePayload { tvar, value });
-        }
-        WriteEntry {
-            tvar_id,
-            kind: EntryKind::Inline(InlineWrite {
+        let payload = Payload { tvar, value };
+        let kind = if Self::fits_inline::<T>() {
+            let mut buf: InlineBuf = MaybeUninit::uninit();
+            // SAFETY: `fits_inline` guarantees size and alignment; the
+            // buffer is exclusively ours and the payload is dropped
+            // exactly once (in `InlineWrite::drop`).
+            unsafe { buf.as_mut_ptr().cast::<Payload<T>>().write(payload) };
+            EntryKind::Inline(InlineWrite {
                 erase: erase::<T>,
                 buf,
-            }),
-        }
-    }
-
-    /// Build a boxed entry, for a type too large (or over-aligned) to store
-    /// inline: the typed accessors pick the representation by `T` alone.
-    pub(crate) fn new_boxed<T: TxObject>(tvar: TVar<T>, shadow: Arc<T>) -> Self {
-        debug_assert!(!Self::fits_inline::<T>());
-        WriteEntry {
-            tvar_id: tvar.id(),
-            kind: EntryKind::Boxed(Box::new(TypedWrite { tvar, shadow })),
-        }
+            })
+        } else {
+            EntryKind::Boxed(Box::new(payload))
+        };
+        WriteEntry { tvar_id, kind }
     }
 
     /// Id of the written object (plain field — no virtual call).
@@ -291,34 +245,19 @@ impl WriteEntry {
         matches!(self.kind, EntryKind::Inline(_))
     }
 
-    /// Read-your-writes: a stable snapshot of the value this entry holds.
-    ///
-    /// For a boxed entry this is the shadow `Arc` itself; for an inline
-    /// entry a snapshot is materialized on demand (rare — the benchmarks'
-    /// transactions read *before* writing). Either way the returned `Arc`
-    /// never changes under the caller: later writes to the object go to
-    /// the inline value or clone-on-write through `Arc::make_mut`.
+    /// Read-your-writes: a stable snapshot of the value this entry holds,
+    /// copied into a fresh `Arc` (rare — the benchmarks' transactions
+    /// mostly read *before* writing). Later writes to the object go to the
+    /// entry's value, never to the snapshot.
     pub(crate) fn read_snapshot<T: TxObject>(&self) -> Arc<T> {
-        let any = self.as_any();
-        if Self::fits_inline::<T>() {
-            let p = any.downcast_ref::<InlinePayload<T>>();
-            Arc::new(p.expect(TYPE_MISMATCH).value.clone())
-        } else {
-            let tw = any.downcast_ref::<TypedWrite<T>>();
-            Arc::clone(&tw.expect(TYPE_MISMATCH).shadow)
-        }
+        let p = self.as_any().downcast_ref::<Payload<T>>();
+        Arc::new(p.expect(TYPE_MISMATCH).value.clone())
     }
 
     /// The entry's value, for writing in place.
     fn value_mut<T: TxObject>(&mut self) -> &mut T {
-        let any = self.as_any_mut();
-        if Self::fits_inline::<T>() {
-            let p = any.downcast_mut::<InlinePayload<T>>();
-            &mut p.expect(TYPE_MISMATCH).value
-        } else {
-            let tw = any.downcast_mut::<TypedWrite<T>>();
-            Arc::make_mut(&mut tw.expect(TYPE_MISMATCH).shadow)
-        }
+        let p = self.as_any_mut().downcast_mut::<Payload<T>>();
+        &mut p.expect(TYPE_MISMATCH).value
     }
 
     /// Replace the entry's value.
@@ -336,6 +275,7 @@ impl WriteEntry {
 mod tests {
     use super::*;
     use crate::clockns;
+    use std::fmt::Debug;
 
     fn state(id: u64) -> Arc<TxState> {
         Arc::new(TxState::new(id, id, 0, 0, id, clockns::now(), 0))
@@ -350,7 +290,7 @@ mod tests {
         assert!(!WriteEntry::fits_inline::<[u8; 25]>());
         assert!(!WriteEntry::fits_inline::<[u64; 4]>());
         // Vec<T> is 24 bytes of header: inline (its heap payload is its
-        // own business, same as under the boxed representation).
+        // own business, same as for a boxed entry).
         assert!(WriteEntry::fits_inline::<Vec<u32>>());
     }
 
@@ -358,7 +298,7 @@ mod tests {
     fn inline_entry_roundtrips_value_and_drops_it() {
         // A droppable payload (Vec) exercises drop_in_place.
         let tv: TVar<Vec<u32>> = TVar::new(vec![1]);
-        let mut e = WriteEntry::new_inline(tv.clone(), vec![1, 2]);
+        let mut e = WriteEntry::new(tv.clone(), vec![1, 2]);
         assert!(e.is_inline());
         assert_eq!(e.tvar_id(), tv.id());
         assert_eq!(*e.read_snapshot::<Vec<u32>>(), vec![1, 2]);
@@ -371,7 +311,7 @@ mod tests {
     #[test]
     fn boxed_entry_roundtrips_value() {
         let tv: TVar<[u64; 8]> = TVar::new([0; 8]);
-        let mut e = WriteEntry::new_boxed(tv.clone(), Arc::new([1u64; 8]));
+        let mut e = WriteEntry::new(tv.clone(), [1u64; 8]);
         assert!(!e.is_inline());
         assert_eq!(e.tvar_id(), tv.id());
         e.set_value([2u64; 8]);
@@ -381,71 +321,59 @@ mod tests {
         assert_eq!(snap[1], 2);
     }
 
+    /// `snapshot_is_stable_across_later_writes` for one value type.
+    fn snapshot_is_stable<T: TxObject + PartialEq + Debug>(a: T, b: T, inline: bool) {
+        let tv: TVar<T> = TVar::new(a.clone());
+        let mut e = WriteEntry::new(tv, a.clone());
+        assert_eq!(e.is_inline(), inline);
+        let snap = e.read_snapshot::<T>();
+        e.set_value(b.clone());
+        assert_eq!(*snap, a, "snapshot must not see later writes");
+        assert_eq!(*e.read_snapshot::<T>(), b);
+    }
+
     #[test]
     fn snapshot_is_stable_across_later_writes() {
-        let tv: TVar<u64> = TVar::new(0);
-        let mut e = WriteEntry::new_inline(tv, 5u64);
-        let snap = e.read_snapshot::<u64>();
-        e.set_value(6u64);
-        assert_eq!(*snap, 5, "snapshot must not see later writes");
-        assert_eq!(*e.read_snapshot::<u64>(), 6);
+        snapshot_is_stable(5u64, 6u64, true);
+        snapshot_is_stable([5u64; 4], [6u64; 4], false);
     }
 
     #[test]
     #[should_panic(expected = "type mismatch")]
     fn wrong_type_downcast_panics() {
         let tv: TVar<u64> = TVar::new(0);
-        let e = WriteEntry::new_inline(tv, 1u64);
+        let e = WriteEntry::new(tv, 1u64);
         let _ = e.read_snapshot::<u32>();
+    }
+
+    /// `publish_installs_only_while_owner` for one value type.
+    fn publish_only_while_owner<T: TxObject + PartialEq + Debug>(a: T, b: T, inline: bool) {
+        let tv: TVar<T> = TVar::new(a.clone());
+        let me = state(11);
+        let e = WriteEntry::new(tv.clone(), b.clone());
+        assert_eq!(e.is_inline(), inline);
+        // Not the owner: publish is a no-op.
+        e.publish(&me);
+        assert!(tv.inner().state.lock().new.is_none());
+        // A stale owner must not clobber a newer writer's locator.
+        {
+            let mut st = tv.inner().state.lock();
+            tv.inner().lock_snapshot();
+            st.writer = Some(state(12));
+        }
+        e.publish(&me);
+        assert!(tv.inner().state.lock().new.is_none());
+        assert_eq!(*tv.sample(), a);
+        // Install ourselves as the writer, then publish and commit.
+        tv.inner().state.lock().writer = Some(Arc::clone(&me));
+        e.publish(&me);
+        assert!(me.try_commit());
+        assert_eq!(*tv.sample(), b);
     }
 
     #[test]
     fn publish_installs_only_while_owner() {
-        let tv: TVar<u64> = TVar::new(3);
-        let me = state(11);
-        let e = WriteEntry::new_inline(tv.clone(), 42u64);
-        // Not the owner: publish is a no-op.
-        e.publish(&me);
-        assert_eq!(*tv.sample(), 3);
-        // Install ourselves as the writer, then publish and commit.
-        {
-            let mut st = tv.inner().state.lock();
-            tv.inner().lock_snapshot();
-            st.writer = Some(Arc::clone(&me));
-        }
-        e.publish(&me);
-        assert!(me.try_commit());
-        assert_eq!(*tv.sample(), 42);
-    }
-    #[test]
-    fn publish_only_when_still_owner() {
-        let tv: TVar<u32> = TVar::new(1);
-        let w1 = state(1);
-        {
-            let mut st = tv.inner().state.lock();
-            tv.inner().lock_snapshot();
-            st.writer = Some(Arc::clone(&w1));
-        }
-        let entry = TypedWrite {
-            tvar: tv.clone(),
-            shadow: Arc::new(42),
-        };
-        entry.publish(&w1);
-        assert!(tv.inner().state.lock().new.is_some());
-
-        // A stale owner must not clobber a newer writer's locator.
-        let tv2: TVar<u32> = TVar::new(1);
-        let w2 = state(2);
-        {
-            let mut st = tv2.inner().state.lock();
-            tv2.inner().lock_snapshot();
-            st.writer = Some(Arc::clone(&w2));
-        }
-        let stale = TypedWrite {
-            tvar: tv2.clone(),
-            shadow: Arc::new(99),
-        };
-        stale.publish(&w1); // w1 is not the owner of tv2
-        assert!(tv2.inner().state.lock().new.is_none());
+        publish_only_while_owner(3u64, 42u64, true);
+        publish_only_while_owner([3u64; 4], [42u64; 4], false);
     }
 }

@@ -68,8 +68,8 @@ impl Checked for Vec<u64> {
     }
 }
 
-/// 40 bytes: a boxed shadow, built in the recycled `spare` allocation
-/// itself when the locator's count says nobody else holds it.
+/// 40 bytes: a boxed write-set entry, whose value each commit copies
+/// into the recycled `spare` allocation when nobody else holds it.
 #[derive(Clone)]
 struct Wide {
     words: Box<[u64]>,

@@ -1,12 +1,11 @@
 //! Inline-vs-boxed write-entry equivalence.
 //!
-//! The write set stores values with payload ≤ 24 bytes *inline* in the
-//! entry and spills larger types to the boxed representation
-//! (`Box<dyn ErasedWrite>`). The representation must be invisible to
-//! users: for the same operation sequence, a transaction over an
-//! inline-sized type and one over a boxed-sized type must observe
-//! identical read-your-writes values, identical committed values, and
-//! identical abort semantics.
+//! A write-set entry holds one payload type, the object handle plus the
+//! value, and stores it *inline* in the entry when the value is ≤ 24 bytes
+//! and in a `Box` otherwise. The storage must be invisible to users: for
+//! the same operation sequence, a transaction over an inline-sized type
+//! and one over a boxed-sized type must observe identical read-your-writes
+//! values, identical committed values, and identical abort semantics.
 //!
 //! Property test: random operation sequences (write / modify / read,
 //! chunked into transactions, with a forced first-attempt abort on every
