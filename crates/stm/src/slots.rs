@@ -33,12 +33,25 @@
 //!
 //! Indices are allocated from a table, lowest-free-first, and released by
 //! a thread-local destructor when the thread exits, so long-running
-//! processes stay within a compact index range. Threads beyond
-//! [`MAX_SLOTS`] (or created after a `TVar` sized its slot array) simply
-//! fall back to the mutex-protected overflow reader list — slower, never
-//! wrong. A thread past [`MAX_SLOTS`] has no record either, so
-//! [`republish`] hands it no state back and each of its attempts
-//! allocates one: the declared slow path.
+//! processes stay within a compact index range.
+//!
+//! ## How many words an object carries
+//!
+//! A `TVar` carries exactly [`slot_capacity`] words when it is created:
+//! the floor [`reserve_reader_slots`] raised, or the high-water mark of
+//! indices handed out so far, whichever is larger. Nothing pads it past
+//! that, because every word is a load in every writer's scan and eight
+//! bytes of every object. An engine reserves its worker count *on top of
+//! the indices held when it is built* ([`crate::Stm::new`]): lowest-free-
+//! first hands n new threads n indices below that sum, so every worker of
+//! an engine built before its objects has a word in each of them. A
+//! thread whose index lies past an object's array — one past
+//! [`MAX_SLOTS`], or one that took an index after the object was sized
+//! and above every index reserved for — falls back to the
+//! mutex-protected overflow reader list: slower, never wrong. A thread
+//! past [`MAX_SLOTS`] has no record either, so [`republish`] hands it no
+//! state back and each of its attempts allocates one: the declared slow
+//! path.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,11 +62,6 @@ use crate::txstate::TxState;
 
 /// Upper bound on concurrently registered OS threads with fast-path slots.
 pub const MAX_SLOTS: usize = 256;
-
-/// Slot arrays are never smaller than this, so processes that create
-/// `TVar`s before spawning workers still get fast-path coverage for a
-/// typical thread count.
-const MIN_CAPACITY: usize = 16;
 
 /// Sentinel index for threads without a slot (all indices taken).
 pub(crate) const NO_SLOT: usize = usize::MAX;
@@ -97,16 +105,60 @@ pub(crate) fn next_attempt_id() -> u64 {
 /// asks for its index and once when it exits, so a plain lock does.
 static ALLOCATED: Mutex<[bool; MAX_SLOTS]> = Mutex::new([false; MAX_SLOTS]);
 
-/// High-water mark of `index + 1` over all slot indices ever allocated.
-static SLOT_HWM: AtomicUsize = AtomicUsize::new(0);
+/// How many entries of [`ALLOCATED`] are taken, changed under its lock and
+/// read without it by [`reserve_reader_slots`].
+static HELD: AtomicUsize = AtomicUsize::new(0);
 
-/// Capacity floor requested via [`reserve_reader_slots`].
-static SLOT_FLOOR: AtomicUsize = AtomicUsize::new(MIN_CAPACITY);
+/// The slot-array length of `TVar`s created from now on.
+static CAPACITY: Capacity = Capacity::new();
 
-/// Raise the slot-array capacity floor for `TVar`s created from now on.
+/// Two monotone counts whose maximum is [`slot_capacity`]. Both only
+/// grow: an index freed by an exiting thread is handed out again before
+/// any higher one, so the objects sized for it still cover its next
+/// holder.
+struct Capacity {
+    /// Raised by [`reserve_reader_slots`].
+    floor: AtomicUsize,
+    /// `index + 1` over all slot indices ever allocated.
+    hwm: AtomicUsize,
+}
+
+impl Capacity {
+    const fn new() -> Self {
+        Capacity {
+            floor: AtomicUsize::new(0),
+            hwm: AtomicUsize::new(0),
+        }
+    }
+
+    fn reserve(&self, words: usize) {
+        self.floor
+            .fetch_max(words.min(MAX_SLOTS), Ordering::Release);
+    }
+
+    fn allocated(&self, idx: usize) {
+        self.hwm.fetch_max(idx + 1, Ordering::Release);
+    }
+
+    fn words(&self) -> usize {
+        self.floor
+            .load(Ordering::Acquire)
+            .max(self.hwm.load(Ordering::Acquire))
+            .min(MAX_SLOTS)
+    }
+}
+
+/// Make `TVar`s created from now on carry a fast-path word for `n`
+/// threads that do not hold a slot index yet: the floor rises to the
+/// number of indices held now plus `n`. Lowest-free-first hands `n` new
+/// threads indices below that sum, whichever indices are held.
 ///
 /// [`crate::Stm::new`] calls this with its worker count, so engines built
-/// before their workload allocate enough fast-path slots for every worker.
+/// before their workload give every worker a word in every object, even
+/// when the building thread (or any other) already holds an index. A
+/// thread that takes an index between this call and the workers' first
+/// transactions can push the last worker past the reservation; that
+/// worker reads through the overflow list.
 ///
 /// Ordering contract with [`slot_capacity`]: the `Release` max pairs with
 /// the `Acquire` loads there, so once any observer sees a `TVar` created
@@ -119,15 +171,18 @@ static SLOT_FLOOR: AtomicUsize = AtomicUsize::new(MIN_CAPACITY);
 /// fewer fast-path words, and indices beyond an array's length use the
 /// mutex-protected overflow list (slower, never wrong).
 pub fn reserve_reader_slots(n: usize) {
-    SLOT_FLOOR.fetch_max(n.min(MAX_SLOTS), Ordering::Release);
+    CAPACITY.reserve(held_indices().saturating_add(n));
 }
 
-/// Number of slot words a freshly created `TVar` should carry.
+/// How many slot indices live threads hold right now.
+pub(crate) fn held_indices() -> usize {
+    HELD.load(Ordering::Acquire)
+}
+
+/// Number of slot words a freshly created `TVar` carries: the reserved
+/// floor or the slot high-water mark, whichever is larger, and no more.
 pub(crate) fn slot_capacity() -> usize {
-    SLOT_FLOOR
-        .load(Ordering::Acquire)
-        .max(SLOT_HWM.load(Ordering::Acquire))
-        .min(MAX_SLOTS)
+    CAPACITY.words()
 }
 
 /// Allocate the lowest free slot index.
@@ -137,7 +192,8 @@ fn alloc_index() -> usize {
         return NO_SLOT;
     };
     allocated[idx] = true;
-    SLOT_HWM.fetch_max(idx + 1, Ordering::Release);
+    HELD.fetch_add(1, Ordering::Release);
+    CAPACITY.allocated(idx);
     idx
 }
 
@@ -146,7 +202,9 @@ fn alloc_index() -> usize {
 /// of this thread's attempt ids is verifiably dead (its attempts can never
 /// be live again — ids are not reused).
 fn free_index(idx: usize) {
-    ALLOCATED.lock()[idx] = false;
+    let mut allocated = ALLOCATED.lock();
+    allocated[idx] = false;
+    HELD.fetch_sub(1, Ordering::Release);
 }
 
 struct SlotGuard {
@@ -440,5 +498,22 @@ mod tests {
         // Clamped to the hard bound.
         reserve_reader_slots(100_000);
         assert!(slot_capacity() <= MAX_SLOTS);
+    }
+
+    #[test]
+    fn unreserved_capacity_is_the_high_water_mark() {
+        // A fresh count, as the process starts: with nothing reserved an
+        // object carries one word per index handed out, no hidden floor.
+        let cap = Capacity::new();
+        assert_eq!(cap.words(), 0);
+        cap.allocated(0);
+        cap.allocated(1);
+        assert_eq!(cap.words(), 2);
+        cap.reserve(5);
+        assert_eq!(cap.words(), 5);
+        cap.allocated(6);
+        assert_eq!(cap.words(), 7);
+        cap.reserve(2 * MAX_SLOTS);
+        assert_eq!(cap.words(), MAX_SLOTS);
     }
 }

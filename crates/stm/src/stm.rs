@@ -75,8 +75,10 @@ impl Stm {
     /// (the paper's substrate) or TL2/STO-style lazy commit-time locking.
     pub fn with_engine(cm: impl Into<CmDispatch>, num_threads: usize, engine: EngineKind) -> Self {
         assert!(num_threads >= 1, "need at least one thread");
-        // Make sure TVars created from here on carry a fast-path reader
-        // slot for every worker this engine will run.
+        // TVars created from here on carry a fast-path reader slot for
+        // every worker this engine will run, past the indices threads
+        // already hold. Objects built before this call have words only
+        // for the indices reserved or handed out by then.
         slots::reserve_reader_slots(num_threads);
         let cm = cm.into();
         Stm {

@@ -1357,4 +1357,59 @@ mod tests {
         assert_eq!(*tv.sample(), THREADS as u64 * PER_THREAD);
         assert_eq!(stm.aggregate().commits, THREADS as u64 * PER_THREAD);
     }
+
+    #[test]
+    fn every_worker_of_an_engine_built_by_a_slot_holder_reads_through_its_word() {
+        // This thread holds a slot index before the engine is built, so
+        // the engine's workers take the lowest indices free after the
+        // held ones, the last one at (indices held) + WORKERS - 1. An
+        // object built after the engine carries a word for each of them:
+        // no worker's read lands on the overflow list.
+        use crate::stm::Stm;
+        use crate::CmDispatch;
+        const WORKERS: usize = 16;
+        Stm::new(CmDispatch::AbortSelf, 1)
+            .thread(0)
+            .atomic(|_| Ok(()));
+        assert_ne!(slots::my_slot_index(), slots::NO_SLOT);
+        let held = slots::held_indices();
+        let stm = Stm::new(CmDispatch::AbortSelf, WORKERS);
+        let tv = TVar::new(0u32);
+        let all_hold_an_index = std::sync::Barrier::new(WORKERS);
+        let reads: Vec<(usize, bool)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..WORKERS)
+                .map(|t| {
+                    let (ctx, tv, all_hold_an_index) = (stm.thread(t), &tv, &all_hold_an_index);
+                    s.spawn(move || {
+                        let on_overflow = ctx.atomic(|tx| {
+                            tx.read(tv)?;
+                            let me = tx.state().attempt_id;
+                            let st = tv.inner().state.lock();
+                            Ok(st.readers.iter().any(|r| r.attempt_id == me))
+                        });
+                        // Hold the index until every worker has one, so no
+                        // two workers share an index.
+                        all_hold_an_index.wait();
+                        (slots::my_slot_index(), on_overflow)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // A test thread of the harness that takes an index between the
+        // count above and the workers' first reads pushes a worker past
+        // `held + WORKERS` (the documented fallback); every worker below
+        // must have had a word.
+        let overflowed: Vec<usize> = reads
+            .iter()
+            .filter(|&&(idx, on_overflow)| idx < held + WORKERS && on_overflow)
+            .map(|&(idx, _)| idx)
+            .collect();
+        assert!(
+            overflowed.is_empty(),
+            "{held} indices held, {} slot words: workers on indices {overflowed:?} \
+             read through the overflow list",
+            tv.inner().reader_slots.len()
+        );
+    }
 }

@@ -292,9 +292,9 @@ mod tests {
                 seed: 7,
                 threads: 1,
             };
+            let stm = Stm::new(CmDispatch::AbortSelf, 1);
             let w = build_workload(info.name, &params).unwrap();
             assert_eq!(w.name(), info.name);
-            let stm = Stm::new(CmDispatch::AbortSelf, 1);
             let ctx = stm.thread(0);
             let mut s = w.stream(0);
             for _ in 0..32 {
@@ -320,8 +320,8 @@ mod tests {
                 seed,
                 threads: 2,
             };
-            let w = build_workload("List", &params).unwrap();
             let stm = Stm::new(CmDispatch::AbortSelf, 1);
+            let w = build_workload("List", &params).unwrap();
             let ctx = stm.thread(0);
             let mut s = w.stream(thread);
             let raw: Vec<Vec<(u64, bool)>> = (0..16).map(|_| s.step_traced(&ctx)).collect();

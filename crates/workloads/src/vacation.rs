@@ -444,8 +444,8 @@ mod tests {
 
     #[test]
     fn reservation_books_best_available() {
-        let v = Vacation::new(small_cfg());
         let stm = Stm::new(Arc::new(AbortSelfManager), 1);
+        let v = Vacation::new(small_cfg());
         let ctx = stm.thread(0);
         let op = VacationOp::MakeReservation {
             customer: 5,
@@ -463,8 +463,8 @@ mod tests {
 
     #[test]
     fn delete_customer_releases_bookings() {
-        let v = Vacation::new(small_cfg());
         let stm = Stm::new(Arc::new(AbortSelfManager), 1);
+        let v = Vacation::new(small_cfg());
         let ctx = stm.thread(0);
         let book = VacationOp::MakeReservation {
             customer: 7,
@@ -482,8 +482,8 @@ mod tests {
 
     #[test]
     fn update_tables_resizes_and_reprices() {
-        let v = Vacation::new(small_cfg());
         let stm = Stm::new(Arc::new(AbortSelfManager), 1);
+        let v = Vacation::new(small_cfg());
         let ctx = stm.thread(0);
         let before = rows(&v.rooms)[4].1;
         let op = VacationOp::UpdateTables {
@@ -524,8 +524,8 @@ mod tests {
 
     #[test]
     fn random_workload_keeps_consistency() {
-        let v = Vacation::new(small_cfg());
         let stm = Stm::new(Arc::new(AbortSelfManager), 1);
+        let v = Vacation::new(small_cfg());
         let ctx = stm.thread(0);
         let mut g = VacationOpGenerator::new(v.config(), 0);
         for _ in 0..400 {
@@ -537,8 +537,8 @@ mod tests {
 
     #[test]
     fn concurrent_workload_keeps_consistency() {
-        let v = Arc::new(Vacation::new(small_cfg()));
         let stm = Stm::new(Arc::new(wtm_stm::managers::Greedy), 3);
+        let v = Arc::new(Vacation::new(small_cfg()));
         std::thread::scope(|s| {
             for t in 0..3usize {
                 let ctx = stm.thread(t);
@@ -567,11 +567,11 @@ mod tests {
         for engine in [EngineKind::Eager, EngineKind::Lazy] {
             // Two rows per table: key 0, inserted first, is the root and
             // key 1 its child.
+            let stm = Stm::with_engine(CmDispatch::AbortEnemy, 2, engine);
             let v = Vacation::new(VacationConfig {
                 num_relations: 2,
                 ..small_cfg()
             });
-            let stm = Stm::with_engine(CmDispatch::AbortEnemy, 2, engine);
             let reprice = VacationOp::UpdateTables {
                 updates: vec![(ResKind::Car, 0, true, 999)],
             };

@@ -59,18 +59,21 @@ fn main() {
         cfg.num_relations, cfg.num_queries, cfg.update_pct, THREADS
     );
 
+    // Each run builds its engine before its tables: an object carries a
+    // reader-slot word for every worker of the engines built before it.
+
     // Run 1: Polka.
-    let vacation = Arc::new(Vacation::new(cfg.clone()));
     let stm = Stm::new(Arc::new(Polka::default()), THREADS);
+    let vacation = Arc::new(Vacation::new(cfg.clone()));
     drive(&vacation, &stm, "Polka", None);
 
     // Run 2: the paper's Adaptive-Improved-Dynamic window manager.
-    let vacation2 = Arc::new(Vacation::new(cfg));
     let wm = Arc::new(WindowManager::new(
         WindowVariant::AdaptiveImprovedDynamic,
         WindowConfig::new(THREADS, 50),
     ));
     let stm2 = Stm::new(wm.clone(), THREADS);
+    let vacation2 = Arc::new(Vacation::new(cfg));
     drive(&vacation2, &stm2, "Adaptive-Imp-Dyn", Some(&wm));
 
     println!("\nconsistency audits passed for both runs ✓");
