@@ -12,31 +12,94 @@ use crate::graph::{ConflictGraph, TxnId};
 /// Returns the color classes, each an independent set; classes are
 /// ordered largest-first so slot schedules drain the bulk early.
 pub fn greedy_coloring(graph: &ConflictGraph, nodes: &[TxnId]) -> Vec<Vec<TxnId>> {
-    if nodes.is_empty() {
-        return Vec::new();
-    }
-    let mut order: Vec<TxnId> = nodes.to_vec();
-    order.sort_unstable_by_key(|&t| std::cmp::Reverse(graph.degree(t)));
-
-    // color[t] for t in nodes; use a map keyed by txn id.
-    let mut color: std::collections::HashMap<TxnId, usize> = std::collections::HashMap::new();
-    let mut classes: Vec<Vec<TxnId>> = Vec::new();
-    for &t in &order {
-        let mut used = vec![false; classes.len()];
-        for &nb in graph.neighbors(t) {
-            if let Some(&c) = color.get(&nb) {
-                used[c] = true;
-            }
-        }
-        let c = used.iter().position(|&u| !u).unwrap_or(classes.len());
-        if c == classes.len() {
-            classes.push(Vec::new());
-        }
-        classes[c].push(t);
-        color.insert(t, c);
+    let mut coloring = Coloring::new(graph.len());
+    coloring.color(graph, nodes);
+    let mut classes: Vec<Vec<TxnId>> = vec![Vec::new(); coloring.sizes.len()];
+    for &t in &coloring.order {
+        classes[coloring.color[t as usize] as usize].push(t);
     }
     classes.sort_by_key(|c| std::cmp::Reverse(c.len()));
     classes
+}
+
+/// A greedy coloring kept for reuse: the color of every transaction, by
+/// id, and the scratch a pass needs, so coloring allocates nothing once
+/// warm. [`greedy_coloring`] is one pass of it; the Offline scheduler
+/// keeps one and colors each slot's high-priority set through it.
+pub(crate) struct Coloring {
+    /// The last pass's nodes, in coloring order.
+    order: Vec<TxnId>,
+    /// Color of each node of `order`; [`UNCOLORED`] for every other id.
+    color: Vec<u32>,
+    /// `used[c] == k + 1` while the `k`-th node of `order` has a neighbor
+    /// of color `c`.
+    used: Vec<u32>,
+    /// Nodes per color.
+    sizes: Vec<usize>,
+}
+
+const UNCOLORED: u32 = u32::MAX;
+
+impl Coloring {
+    /// A colorer for graphs of `len` transactions.
+    pub(crate) fn new(len: usize) -> Self {
+        Coloring {
+            order: Vec::new(),
+            color: vec![UNCOLORED; len],
+            used: Vec::new(),
+            sizes: Vec::new(),
+        }
+    }
+
+    /// Color the induced subgraph on `nodes`, largest degree first, each
+    /// node taking the lowest color no colored neighbor holds.
+    pub(crate) fn color(&mut self, graph: &ConflictGraph, nodes: &[TxnId]) {
+        for &t in &self.order {
+            self.color[t as usize] = UNCOLORED;
+        }
+        self.order.clear();
+        self.order.extend_from_slice(nodes);
+        self.order
+            .sort_unstable_by_key(|&t| std::cmp::Reverse(graph.degree(t)));
+        self.used.clear();
+        self.sizes.clear();
+        for (k, &t) in self.order.iter().enumerate() {
+            let mark = k as u32 + 1;
+            for &nb in graph.neighbors(t) {
+                let c = self.color[nb as usize];
+                if c != UNCOLORED {
+                    self.used[c as usize] = mark;
+                }
+            }
+            let c = match self.used.iter().position(|&u| u != mark) {
+                Some(c) => c,
+                None => {
+                    self.used.push(0);
+                    self.sizes.push(0);
+                    self.used.len() - 1
+                }
+            };
+            self.sizes[c] += 1;
+            self.color[t as usize] = c as u32;
+        }
+    }
+
+    /// The largest color class of the last pass (the lowest color among
+    /// equals, as [`greedy_coloring`]'s stable sort orders them), in
+    /// coloring order, into `out`.
+    pub(crate) fn largest_class(&self, out: &mut Vec<TxnId>) {
+        out.clear();
+        let Some(max) = self.sizes.iter().copied().max() else {
+            return;
+        };
+        let best = self.sizes.iter().position(|&s| s == max).unwrap_or(0) as u32;
+        out.extend(
+            self.order
+                .iter()
+                .copied()
+                .filter(|&t| self.color[t as usize] == best),
+        );
+    }
 }
 
 /// Check that every class is an independent set and the classes

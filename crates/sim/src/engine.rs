@@ -15,13 +15,14 @@
 //!    thread rule); replicated scenarios additionally gate issue on the
 //!    previous column's sibling acks;
 //! 2. asks the scheduler to **select** which issued transactions execute
-//!    this step;
-//! 3. resolves every conflicting selected pair through the scheduler —
-//!    detection is local to the lower-id party's node and stamped with
-//!    that node's skewed clock; the verdict then travels to the loser's
-//!    node through the [`NetworkModel`]. At zero latency the loser aborts
-//!    this same step (the paper's semantics); at nonzero latency it keeps
-//!    executing — and dueling — until the verdict arrives, and a verdict
+//!    this step (it narrows the issued list in place);
+//! 3. resolves every conflicting selected pair by the scheduler's
+//!    priority keys, the larger key losing — detection is local to the
+//!    lower-id party's node and keyed at that node's skewed clock; the
+//!    verdict then travels to the loser's node through the
+//!    [`NetworkModel`]. At zero latency the loser aborts this same step
+//!    (the paper's semantics); at nonzero latency it keeps executing —
+//!    and dueling — until the verdict arrives, and a verdict
 //!    the network *drops* never arrives at all, so the loser can commit
 //!    as a **zombie** ([`SimOutcome::zombie_commits`]);
 //! 4. survivors advance one step and commit when their `τ` steps are done
@@ -29,9 +30,9 @@
 //!
 //! With the default single-node topology and [`ZeroLatency`] the event
 //! core replays the old loop *exactly* — same phase order, same RNG
-//! consumption, same `loser`/`on_abort`/`on_commit` call order — which
-//! `tests/sim_determinism.rs` pins with golden outcome vectors captured
-//! from the pre-refactor simulator.
+//! consumption, same duel outcomes, same `on_abort`/`on_commit` call
+//! order — which `tests/sim_determinism.rs` pins with golden outcome
+//! vectors captured from the pre-refactor simulator.
 
 use crate::error::SimError;
 use crate::event::{
@@ -261,8 +262,31 @@ fn run(
     };
     let mut next_j: Vec<usize> = vec![0; cfg.m];
     // Node of every transaction's thread: the duel loop asks twice a duel.
-    let node_of_txn: Vec<u32> = (0..total).map(|t| topo.node_of(t / cfg.n) as u32).collect();
+    let node_of_txn: Vec<u32> = (0..cfg.m)
+        .flat_map(|i| std::iter::repeat_n(topo.node_of(i) as u32, cfg.n))
+        .collect();
     let mut node_up: Vec<bool> = vec![true; topo.nodes()];
+    // A duel is keyed at its detector's clock. Nodes whose clocks agree
+    // share one row of keys: `clock_of_node` names the row, `clock_skew`
+    // holds each row's skew.
+    let mut clock_skew: Vec<u64> = Vec::new();
+    let clock_of_node: Vec<usize> = (0..topo.nodes())
+        .map(|k| {
+            let skew = topo.skew(k);
+            clock_skew
+                .iter()
+                .position(|&s| s == skew)
+                .unwrap_or_else(|| {
+                    clock_skew.push(skew);
+                    clock_skew.len() - 1
+                })
+        })
+        .collect();
+    // Priority keys of the selected transactions, one row of `cfg.m` per
+    // clock, by selection position. A row is filled on its clock's first
+    // duel of a tick, and `keyed_at` holds that tick's `step + 1`.
+    let mut keys = vec![0u128; clock_skew.len() * cfg.m];
+    let mut keyed_at = vec![0u64; clock_skew.len()];
 
     let mut commits = 0u64;
     let mut aborts = 0u64;
@@ -270,7 +294,24 @@ fn run(
     let mut makespan = 0u64;
     let mut zombie_commits = 0u64;
 
-    let mut selected_mask = vec![false; total];
+    // Each transaction's later neighbors (`b > a`), in adjacency order:
+    // the duels it detects, `later[later_at[a]..later_at[a + 1]]`. Every
+    // neighbor is written and only a later one kept: a branch on `b > a`
+    // would mispredict on half the edge ends, most of this build's time.
+    let mut later_at: Vec<u32> = Vec::with_capacity(total + 1);
+    let mut later: Vec<TxnId> = vec![0; graph.edge_count() + 1];
+    let mut kept = 0;
+    for a in 0..total as TxnId {
+        later_at.push(kept as u32);
+        for &b in graph.neighbors(a) {
+            later[kept] = b;
+            kept += (b > a) as usize;
+        }
+    }
+    later_at.push(kept as u32);
+    later.truncate(kept);
+    // Position in this tick's selection, plus one; 0 = not selected.
+    let mut selected_at = vec![0u32; total];
     // Per-step scratch: lost any duel this step / must abort this step.
     let mut lost_now = vec![false; total];
     let mut abort_now = vec![false; total];
@@ -286,7 +327,7 @@ fn run(
             },
         );
         queue.push(
-            c.at + c.down,
+            c.at.saturating_add(c.down),
             CLASS_DELIVERY,
             EventKind::Recover {
                 node: c.node as u32,
@@ -392,26 +433,45 @@ fn run(
                     issued.push(t);
                 }
 
-                // 2. Scheduler picks who runs this step.
-                let selected = sched.select(step, &issued, graph);
-                for &t in &selected {
+                // 2. Scheduler picks who runs this step: `issued` becomes
+                // the selection.
+                sched.select(step, &mut issued, graph);
+                let selected = &issued;
+                for (p, &t) in selected.iter().enumerate() {
                     debug_assert!(
-                        issued.contains(&t),
+                        {
+                            let (i, j) = graph.coords(t);
+                            next_j[i] == j
+                                && st.ever_issued[t as usize]
+                                && node_up[topo.node_of(i)]
+                                && selected_at[t as usize] == 0
+                        },
                         "scheduler selected a non-issued transaction"
                     );
-                    selected_mask[t as usize] = true;
+                    selected_at[t as usize] = p as u32 + 1;
                 }
 
                 // 3. Duels between conflicting selected pairs. Detection
-                // is local to the lower-id party's node and stamped with
-                // its skewed clock; the verdict rides the network to the
+                // is local to the lower-id party's node and keyed at its
+                // skewed clock; the verdict rides the network to the
                 // loser's node.
-                for &a in &selected {
+                for (pa, &a) in selected.iter().enumerate() {
                     let det = node_of_txn[a as usize] as usize;
-                    let local = step.wrapping_add(topo.skew(det));
-                    for &b in graph.neighbors(a) {
-                        if b > a && selected_mask[b as usize] {
-                            let loser = sched.loser(local, a, b);
+                    let clock = clock_of_node[det];
+                    let row = &mut keys[clock * cfg.m..(clock + 1) * cfg.m];
+                    let ai = a as usize;
+                    for &b in &later[later_at[ai] as usize..later_at[ai + 1] as usize] {
+                        let pb = selected_at[b as usize] as usize;
+                        if pb != 0 {
+                            if keyed_at[clock] != step + 1 {
+                                keyed_at[clock] = step + 1;
+                                let local = step.wrapping_add(clock_skew[clock]);
+                                for (k, &t) in row.iter_mut().zip(selected) {
+                                    *k = sched.priority(local, t);
+                                }
+                            }
+                            // The larger key loses.
+                            let loser = if row[pa] < row[pb - 1] { b } else { a };
                             let li = loser as usize;
                             log.push(Record::Duel {
                                 step,
@@ -426,9 +486,10 @@ fn run(
                                 match net.delay(det, dst, step) {
                                     Some(0) => abort_now[li] = true,
                                     Some(d) => {
+                                        let arrives = step.saturating_add(d);
                                         st.pending[li] += 1;
                                         queue.push_verdict(
-                                            step + d,
+                                            arrives,
                                             loser,
                                             st.attempt[li],
                                             &mut st.first_verdict[li],
@@ -437,7 +498,7 @@ fn run(
                                             step,
                                             loser,
                                             attempt: st.attempt[li],
-                                            arrives: step + d,
+                                            arrives,
                                         });
                                     }
                                     None => {
@@ -455,9 +516,9 @@ fn run(
                 }
 
                 // 4. Progress survivors, restart same-step losers.
-                for &t in &selected {
+                for &t in selected {
                     let ti = t as usize;
-                    selected_mask[ti] = false;
+                    selected_at[ti] = 0;
                     let was_lost = lost_now[ti];
                     lost_now[ti] = false;
                     if abort_now[ti] {
@@ -542,23 +603,24 @@ fn send_acks(
             let mut delivered = None;
             for _ in 0..100 {
                 if let Some(x) = net.delay(src, dst, step) {
-                    delivered = Some(x + extra);
+                    delivered = Some(x.saturating_add(extra));
                     break;
                 }
                 extra += 1; // one-step retransmission gap
             }
             delivered.unwrap_or(100 + extra)
         };
+        let arrives = step.saturating_add(d);
         if d == 0 {
             st.acks[sib as usize] += 1;
         } else {
-            queue.push(step + d, CLASS_DELIVERY, EventKind::Ack { txn: sib });
+            queue.push(arrives, CLASS_DELIVERY, EventKind::Ack { txn: sib });
         }
         log.push(Record::AckSent {
             step,
             from: t,
             to: sib,
-            arrives: step + d,
+            arrives,
         });
     }
 }
@@ -567,7 +629,7 @@ fn send_acks(
 mod tests {
     use super::*;
     use crate::net::{FixedLatency, SeededJitter};
-    use crate::sched::{FreeRandomizedScheduler, GreedyTimestampScheduler};
+    use crate::sched::{FreeRandomizedScheduler, GreedyTimestampScheduler, SimScheduler};
 
     #[test]
     fn empty_graph_runs_fully_parallel() {
@@ -743,6 +805,103 @@ mod tests {
             &mut EventLog::disabled(),
         );
         assert_eq!(elided, 0);
+    }
+
+    /// Keys a transaction by its id before step `flip` and by its id
+    /// reversed from `flip` on, so a duel's loser shows the clock that
+    /// keyed it.
+    struct ClockKeyed {
+        flip: u64,
+        keyings: std::cell::Cell<u64>,
+        aborted: Vec<TxnId>,
+    }
+
+    impl SimScheduler for ClockKeyed {
+        fn name(&self) -> &'static str {
+            "ClockKeyed"
+        }
+
+        fn priority(&self, step: u64, t: TxnId) -> u128 {
+            self.keyings.set(self.keyings.get() + 1);
+            if step < self.flip {
+                t as u128
+            } else {
+                (u32::MAX - t) as u128
+            }
+        }
+
+        fn on_abort(&mut self, t: TxnId) {
+            self.aborted.push(t);
+        }
+    }
+
+    #[test]
+    fn duels_are_keyed_at_the_detectors_clock() {
+        // Threads 0 and 2 live on node 0, thread 1 on node 1; only 1 and
+        // 2 conflict, so every duel is detected at node 1 (the lower id).
+        let mut g = ConflictGraph::empty(3, 1);
+        g.add_edge(1, 2);
+        let cfg = SimConfig::new(3, 1, 2);
+        for (skew, first_loser) in [(0, 2), (10, 1)] {
+            let topo = Topology::round_robin(3, 2, skew);
+            let mut sched = ClockKeyed {
+                flip: 5,
+                keyings: std::cell::Cell::new(0),
+                aborted: Vec::new(),
+            };
+            let out = run_events(
+                &SimSetup::plain(&g, &cfg, &topo),
+                &mut sched,
+                &mut ZeroLatency,
+                &mut EventLog::disabled(),
+            );
+            assert!(out.all_committed, "{out:?}");
+            // Step 0: node 1's clock reads `skew`, so the reversed keys
+            // decide the first duel exactly when the skew passes `flip`.
+            assert_eq!(sched.aborted.first(), Some(&first_loser), "skew {skew}");
+            // One key per selected transaction per dueling tick: at most
+            // three a step, however many duels a step holds.
+            assert!(sched.keyings.get() <= 3 * out.makespan, "{out:?}");
+        }
+    }
+
+    #[test]
+    fn a_delay_past_the_clock_saturates() {
+        // Verdicts, acks and recoveries due past the end of the `u64`
+        // clock land at its end instead of wrapping round to the past.
+        let g = ConflictGraph::complete_columns(4, 3);
+        let mut cfg = SimConfig::new(4, 3, 2);
+        cfg.max_steps = 200;
+        let topo = Topology::round_robin(4, 2, 0);
+        let run_on = |setup: &SimSetup, net: &mut dyn NetworkModel| {
+            let cfg = setup.cfg;
+            let mut sched = GreedyTimestampScheduler::new(cfg);
+            run_events(setup, &mut sched, net, &mut EventLog::recording())
+        };
+        // A cross-node loser waits for its verdict forever.
+        let out = run_on(
+            &SimSetup::plain(&g, &cfg, &topo),
+            &mut FixedLatency(u64::MAX),
+        );
+        assert!(!out.all_committed, "{out:?}");
+        // A crashed node never recovers.
+        let plan = [CrashEvent {
+            node: 1,
+            at: 3,
+            down: u64::MAX,
+        }];
+        let crashed = SimSetup {
+            crash_plan: &plan,
+            ..SimSetup::plain(&g, &cfg, &topo)
+        };
+        assert!(!run_on(&crashed, &mut ZeroLatency).all_committed);
+        // A replica never hears its sibling's ack.
+        let sc = crate::scenario::build_scenario("replicated@nodes=2", 2, 3, 1).unwrap();
+        let replicated = SimSetup {
+            replicas: sc.replicas,
+            ..SimSetup::plain(&sc.graph, &cfg, &sc.topo)
+        };
+        assert!(!run_on(&replicated, &mut FixedLatency(u64::MAX)).all_committed);
     }
 
     #[test]

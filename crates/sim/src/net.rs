@@ -158,7 +158,7 @@ impl NetworkModel for SeededJitter {
         } else {
             0
         };
-        Some(self.base + j)
+        Some(self.base.saturating_add(j))
     }
 }
 
@@ -169,6 +169,12 @@ impl NetworkModel for SeededJitter {
 /// * `fixed:<steps>`
 /// * `jitter:<base>,j=<jitter>,drop=<permille>` (suffix parts optional on
 ///   input, always printed in canonical form)
+///
+/// No message may take more than `u32::MAX` steps.
+/// The longest delay a spec may declare, in steps: a delivery time
+/// `step + delay` stays far inside the `u64` clock.
+const MAX_DELAY: u64 = u32::MAX as u64;
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetSpec {
     Zero,
@@ -186,6 +192,7 @@ impl NetSpec {
             spec: s.to_string(),
             reason: reason.to_string(),
         };
+        let too_long = || bad(&format!("a delay may be at most {MAX_DELAY} steps"));
         if s == "zero" {
             return Ok(NetSpec::Zero);
         }
@@ -193,6 +200,9 @@ impl NetSpec {
             let steps = rest
                 .parse::<u64>()
                 .map_err(|_| bad("latency must be an integer number of steps"))?;
+            if steps > MAX_DELAY {
+                return Err(too_long());
+            }
             return Ok(NetSpec::Fixed(steps));
         }
         if let Some(rest) = s.strip_prefix("jitter:") {
@@ -213,6 +223,9 @@ impl NetSpec {
             let (jitter, drop_permille) = suffix().map_err(|e| bad(&e.reason))?;
             if drop_permille > 1000 {
                 return Err(bad("drop= is permille, max 1000"));
+            }
+            if base.checked_add(jitter).is_none_or(|d| d > MAX_DELAY) {
+                return Err(too_long());
             }
             return Ok(NetSpec::Jitter {
                 base,
@@ -307,6 +320,35 @@ mod tests {
             let e = NetSpec::parse(s).unwrap_err();
             assert!(matches!(e, SimError::BadNetSpec { .. }), "{s}: {e}");
         }
+    }
+
+    #[test]
+    fn netspec_rejects_delays_past_u32_steps() {
+        for s in [
+            "fixed:18446744073709551615",
+            "fixed:4294967296",
+            "jitter:4294967296",
+            "jitter:4294967295,j=1",
+            "jitter:1,j=18446744073709551615",
+            "jitter:18446744073709551615,j=18446744073709551615",
+        ] {
+            match NetSpec::parse(s) {
+                Err(SimError::BadNetSpec { spec, reason }) => {
+                    assert_eq!(spec, s);
+                    assert!(reason.contains("4294967295"), "{s}: {reason}");
+                }
+                other => panic!("{s}: expected BadNetSpec, got {other:?}"),
+            }
+        }
+        for s in ["fixed:4294967295", "jitter:4294967290,j=5,drop=0"] {
+            assert_eq!(NetSpec::parse(s).unwrap().to_string(), s);
+        }
+    }
+
+    #[test]
+    fn jitter_saturates_instead_of_wrapping() {
+        let mut j = SeededJitter::new(u64::MAX, 5, 0, 1);
+        assert!((0..20).all(|t| j.delay(0, 1, t) == Some(u64::MAX)));
     }
 
     #[test]

@@ -250,6 +250,14 @@ pub fn build_scenario(spec: &str, m: usize, n: usize, seed: u64) -> Result<Scena
                         reason: format!("node={node} out of range (nodes={nodes})"),
                     });
                 }
+                if at.checked_add(down).is_none() {
+                    return Err(SimError::BadParams {
+                        name: spec.to_string(),
+                        reason: format!(
+                            "down={down} puts the recovery past the step clock (at={at})"
+                        ),
+                    });
+                }
                 crash_plan.push(CrashEvent { node, at, down });
             }
             (
@@ -480,6 +488,36 @@ mod tests {
             Ok(_) => panic!("expected an error for an unknown scheduler"),
         };
         assert!(matches!(e, SimError::UnknownScheduler { .. }));
+    }
+
+    #[test]
+    fn crash_recovery_rejects_a_recovery_time_past_the_clock() {
+        let spec = "crash-recovery@nodes=2,node=1,at=8,down=18446744073709551615";
+        match build_scenario(spec, 4, 4, 1) {
+            Err(SimError::BadParams { name, reason }) => {
+                assert_eq!(name, spec);
+                assert!(reason.contains("down="), "{reason}");
+            }
+            other => panic!("expected BadParams, got {other:?}"),
+        }
+        // The last representable recovery step still builds.
+        let last = format!("crash-recovery@nodes=2,node=1,at=8,down={}", u64::MAX - 8);
+        assert_eq!(build_scenario(&last, 4, 4, 1).unwrap().crash_plan.len(), 1);
+    }
+
+    #[test]
+    fn run_sim_rejects_a_delay_past_u32_steps() {
+        let spec = SimRunSpec {
+            scenario: "distributed@nodes=2".into(),
+            scheduler: "Greedy".into(),
+            m: 4,
+            n: 3,
+            tau: 2,
+            net: "fixed:18446744073709551615".into(),
+            seed: 1,
+        };
+        let e = run_sim(&spec, false).unwrap_err();
+        assert!(matches!(e, SimError::BadNetSpec { .. }), "{e}");
     }
 
     #[test]

@@ -1,17 +1,23 @@
 //! Simulation schedulers: the baselines and the window family.
 //!
-//! | scheduler | models | select | duel rule |
+//! | scheduler | models | select | priority key |
 //! |---|---|---|---|
-//! | [`FreeRandomizedScheduler`] | RandomizedRounds, no window | everything issued | random rank, re-rolled on abort |
-//! | [`OneShotScheduler`] | N sequential one-shot problems | current column only | random rank |
-//! | [`GreedyTimestampScheduler`] | the Greedy contention manager | everything issued | older timestamp wins |
-//! | [`OnlineWindowScheduler`] | the paper's Online / Online-Dynamic / Adaptive | everything issued | (π₁, π₂) lexicographic |
+//! | [`FreeRandomizedScheduler`] | RandomizedRounds, no window | everything issued | (rank, id), rank re-rolled on abort |
+//! | [`OneShotScheduler`] | N sequential one-shot problems | current column only | (rank, id) |
+//! | [`GreedyTimestampScheduler`] | the Greedy contention manager | everything issued | (timestamp, id): older wins |
+//! | [`PolkaProgressScheduler`] | the Polka contention manager | everything issued | (u32::MAX − progress, rank, id): richer wins |
+//! | [`OnlineWindowScheduler`] | the paper's Online / Online-Dynamic / Adaptive | everything issued | (π₁ = low, π₂ = rank, id) |
 //! | [`OfflineWindowScheduler`] | the paper's Offline (§II-B1) | one independent set per slot, from a greedy coloring | never duels (sets are conflict-free) |
+//!
+//! A duel between two conflicting selected transactions goes to the
+//! smaller key: the engine asks each scheduler for the keys, never for a
+//! verdict. A key ends in the transaction's id, so no two transactions
+//! share one and every duel has exactly one loser.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::coloring::greedy_coloring;
+use crate::coloring::Coloring;
 use crate::engine::SimConfig;
 use crate::graph::{ConflictGraph, TxnId};
 
@@ -19,10 +25,15 @@ use crate::graph::{ConflictGraph, TxnId};
 pub trait SimScheduler {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
-    /// Which of the `issued` transactions execute at `step`.
-    fn select(&mut self, step: u64, issued: &[TxnId], graph: &ConflictGraph) -> Vec<TxnId>;
-    /// The losing side of a duel between selected, conflicting `a` and `b`.
-    fn loser(&mut self, step: u64, a: TxnId, b: TxnId) -> TxnId;
+    /// Narrow `issued` in place to the transactions that execute at
+    /// `step`, in the order they run. The default runs everything issued.
+    fn select(&mut self, _step: u64, _issued: &mut Vec<TxnId>, _graph: &ConflictGraph) {}
+    /// The total priority key of selected transaction `t` at local time
+    /// `step`: of two conflicting selected transactions, the one with the
+    /// larger key loses. Keys of distinct transactions differ. The engine
+    /// asks after `select`, at most once per transaction and node clock
+    /// in a tick, and reuses the answer for every duel of that tick.
+    fn priority(&self, step: u64, t: TxnId) -> u128;
     /// A selected transaction lost a duel and restarted.
     fn on_abort(&mut self, _t: TxnId) {}
     /// A transaction committed at `step`.
@@ -61,16 +72,8 @@ impl SimScheduler for FreeRandomizedScheduler {
         "RandomizedRounds"
     }
 
-    fn select(&mut self, _step: u64, issued: &[TxnId], _graph: &ConflictGraph) -> Vec<TxnId> {
-        issued.to_vec()
-    }
-
-    fn loser(&mut self, _step: u64, a: TxnId, b: TxnId) -> TxnId {
-        if (self.ranks[a as usize], a) < (self.ranks[b as usize], b) {
-            b
-        } else {
-            a
-        }
+    fn priority(&self, _step: u64, t: TxnId) -> u128 {
+        (self.ranks[t as usize] as u128) << 32 | t as u128
     }
 
     fn on_abort(&mut self, t: TxnId) {
@@ -109,16 +112,14 @@ impl SimScheduler for OneShotScheduler {
         "OneShot"
     }
 
-    fn select(&mut self, _step: u64, issued: &[TxnId], graph: &ConflictGraph) -> Vec<TxnId> {
-        issued
-            .iter()
-            .copied()
-            .filter(|&t| graph.coords(t).1 == self.cur_col)
-            .collect()
+    fn select(&mut self, _step: u64, issued: &mut Vec<TxnId>, graph: &ConflictGraph) {
+        // Transaction `t` sits in column `t mod N`.
+        let (n, col) = (graph.n() as TxnId, self.cur_col as TxnId);
+        issued.retain(|&t| t % n == col);
     }
 
-    fn loser(&mut self, step: u64, a: TxnId, b: TxnId) -> TxnId {
-        self.inner.loser(step, a, b)
+    fn priority(&self, step: u64, t: TxnId) -> u128 {
+        self.inner.priority(step, t)
     }
 
     fn on_abort(&mut self, t: TxnId) {
@@ -163,22 +164,17 @@ impl SimScheduler for GreedyTimestampScheduler {
         "Greedy"
     }
 
-    fn select(&mut self, _step: u64, issued: &[TxnId], _graph: &ConflictGraph) -> Vec<TxnId> {
-        for &t in issued {
+    fn select(&mut self, _step: u64, issued: &mut Vec<TxnId>, _graph: &ConflictGraph) {
+        for &t in issued.iter() {
             if self.ts[t as usize] == u64::MAX {
                 self.ts[t as usize] = self.next_ts;
                 self.next_ts += 1;
             }
         }
-        issued.to_vec()
     }
 
-    fn loser(&mut self, _step: u64, a: TxnId, b: TxnId) -> TxnId {
-        if (self.ts[a as usize], a) < (self.ts[b as usize], b) {
-            b
-        } else {
-            a
-        }
+    fn priority(&self, _step: u64, t: TxnId) -> u128 {
+        (self.ts[t as usize] as u128) << 32 | t as u128
     }
 }
 
@@ -221,31 +217,17 @@ impl SimScheduler for PolkaProgressScheduler {
         "Polka"
     }
 
-    fn select(&mut self, _step: u64, issued: &[TxnId], _graph: &ConflictGraph) -> Vec<TxnId> {
+    fn select(&mut self, _step: u64, issued: &mut Vec<TxnId>, _graph: &ConflictGraph) {
         // Everyone runs; progress is credited here (one step per select).
-        for &t in issued {
+        for &t in issued.iter() {
             self.progress[t as usize] = self.progress[t as usize].saturating_add(1);
         }
-        issued.to_vec()
     }
 
-    fn loser(&mut self, _step: u64, a: TxnId, b: TxnId) -> TxnId {
+    fn priority(&self, _step: u64, t: TxnId) -> u128 {
         // Richer karma survives; the poorer side restarts.
-        let ka = (
-            std::cmp::Reverse(self.progress[a as usize]),
-            self.ranks[a as usize],
-            a,
-        );
-        let kb = (
-            std::cmp::Reverse(self.progress[b as usize]),
-            self.ranks[b as usize],
-            b,
-        );
-        if ka < kb {
-            b
-        } else {
-            a
-        }
+        let poverty = u32::MAX - self.progress[t as usize];
+        (poverty as u128) << 64 | (self.ranks[t as usize] as u128) << 32 | t as u128
     }
 
     fn on_abort(&mut self, t: TxnId) {
@@ -419,20 +401,12 @@ impl SimScheduler for OnlineWindowScheduler {
         }
     }
 
-    fn select(&mut self, _step: u64, issued: &[TxnId], _graph: &ConflictGraph) -> Vec<TxnId> {
-        issued.to_vec() // low-priority transactions run too, just abortable
-    }
+    // `select` keeps the default: low-priority transactions run too,
+    // just abortable.
 
-    fn loser(&mut self, step: u64, a: TxnId, b: TxnId) -> TxnId {
-        let cur = self.frame_at(step);
-        let low = |t: TxnId| self.assigned[t as usize] > cur;
-        let ka = (low(a), self.ranks[a as usize], a);
-        let kb = (low(b), self.ranks[b as usize], b);
-        if ka < kb {
-            b
-        } else {
-            a
-        }
+    fn priority(&self, step: u64, t: TxnId) -> u128 {
+        let low = self.assigned[t as usize] > self.frame_at(step);
+        (low as u128) << 64 | (self.ranks[t as usize] as u128) << 32 | t as u128
     }
 
     fn on_abort(&mut self, t: TxnId) {
@@ -484,6 +458,45 @@ pub struct OfflineWindowScheduler {
     assigned: Vec<u64>,
     slot_plan: Vec<TxnId>,
     plan_slot: u64,
+    /// Scratch reused by every plan and tick, all indexed by transaction:
+    /// the slot's high-priority set and its coloring, the plan's members
+    /// and their neighbors (`taken`), and this tick's issued set (`live`).
+    high: Vec<TxnId>,
+    coloring: Coloring,
+    taken: Marks,
+    live: Marks,
+}
+
+/// A set of transaction ids, emptied in O(1) by moving to a new
+/// generation.
+struct Marks {
+    at: Vec<u32>,
+    generation: u32,
+}
+
+impl Marks {
+    fn new(len: usize) -> Self {
+        Marks {
+            at: vec![0; len],
+            generation: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.at.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    fn insert(&mut self, t: TxnId) {
+        self.at[t as usize] = self.generation;
+    }
+
+    fn contains(&self, t: TxnId) -> bool {
+        self.at[t as usize] == self.generation
+    }
 }
 
 impl OfflineWindowScheduler {
@@ -500,12 +513,17 @@ impl OfflineWindowScheduler {
                 assigned[i * cfg.n + j] = q + j as u64;
             }
         }
+        let total = cfg.m * cfg.n;
         OfflineWindowScheduler {
             tau: cfg.tau as u64,
             phi_steps: cfg.phi_steps(),
             assigned,
             slot_plan: Vec::new(),
             plan_slot: u64::MAX,
+            high: Vec::new(),
+            coloring: Coloring::new(total),
+            taken: Marks::new(total),
+            live: Marks::new(total),
         }
     }
 }
@@ -515,40 +533,59 @@ impl SimScheduler for OfflineWindowScheduler {
         "Offline"
     }
 
-    fn select(&mut self, step: u64, issued: &[TxnId], graph: &ConflictGraph) -> Vec<TxnId> {
+    fn select(&mut self, step: u64, issued: &mut Vec<TxnId>, graph: &ConflictGraph) {
         let slot = step / self.tau;
         if slot != self.plan_slot {
             self.plan_slot = slot;
             let cur_frame = step / self.phi_steps;
-            let mut high: Vec<TxnId> = issued
-                .iter()
-                .copied()
-                .filter(|&t| self.assigned[t as usize] <= cur_frame)
-                .collect();
+            self.high.clear();
+            self.high.extend(
+                issued
+                    .iter()
+                    .copied()
+                    .filter(|&t| self.assigned[t as usize] <= cur_frame),
+            );
             // Largest color class of the high-priority subgraph.
-            let classes = greedy_coloring(graph, &high);
-            let mut plan: Vec<TxnId> = classes.into_iter().next().unwrap_or_default();
+            self.coloring.color(graph, &self.high);
+            self.coloring.largest_class(&mut self.slot_plan);
             // Extend to a maximal independent set with the rest of the
-            // issued transactions (low priority runs opportunistically).
-            high.clear();
-            for &t in issued {
-                if !plan.contains(&t) && plan.iter().all(|&p| !graph.conflicts(t, p)) {
-                    plan.push(t);
+            // issued transactions (low priority runs opportunistically):
+            // one that is neither in the plan nor next to it joins.
+            self.taken.clear();
+            for &p in &self.slot_plan {
+                self.taken.insert(p);
+                for &nb in graph.neighbors(p) {
+                    self.taken.insert(nb);
                 }
             }
-            self.slot_plan = plan;
+            for &t in issued.iter() {
+                if !self.taken.contains(t) {
+                    self.slot_plan.push(t);
+                    self.taken.insert(t);
+                    for &nb in graph.neighbors(t) {
+                        self.taken.insert(nb);
+                    }
+                }
+            }
         }
-        // Only those still issued (uncommitted) remain scheduled.
-        self.slot_plan
-            .iter()
-            .copied()
-            .filter(|t| issued.contains(t))
-            .collect()
+        // Only those still issued (uncommitted) remain scheduled, in plan
+        // order.
+        self.live.clear();
+        for &t in issued.iter() {
+            self.live.insert(t);
+        }
+        issued.clear();
+        issued.extend(
+            self.slot_plan
+                .iter()
+                .copied()
+                .filter(|&t| self.live.contains(t)),
+        );
     }
 
-    fn loser(&mut self, _step: u64, a: TxnId, _b: TxnId) -> TxnId {
+    fn priority(&self, _step: u64, t: TxnId) -> u128 {
         debug_assert!(false, "offline schedules are conflict-free by construction");
-        a
+        t as u128
     }
 }
 
@@ -636,8 +673,8 @@ mod tests {
 
     #[test]
     fn offline_never_duels() {
-        // If Offline's independent sets were wrong, loser() would panic in
-        // debug builds. Run a dense case to stress it.
+        // If Offline's independent sets were wrong, priority() would panic
+        // in debug builds. Run a dense case to stress it.
         let g = ConflictGraph::per_column_random(8, 6, 0.9, 3);
         let cfg = SimConfig::new(8, 6, 3);
         let mut s = OfflineWindowScheduler::new(&cfg, &g, 3);
@@ -701,18 +738,128 @@ mod tests {
         assert!(grew, "bad events must raise some thread's estimate");
     }
 
+    /// The losing side of a duel between `a` and `b`, as the engine
+    /// decides it: the larger key loses.
+    fn duel_loser(s: &dyn SimScheduler, step: u64, a: TxnId, b: TxnId) -> TxnId {
+        if s.priority(step, a) < s.priority(step, b) {
+            b
+        } else {
+            a
+        }
+    }
+
     #[test]
     fn polka_progress_prefers_invested_work() {
         let cfg = SimConfig::new(2, 1, 4);
         let mut s = PolkaProgressScheduler::new(&cfg, 3);
-        // Txn 0 has run 3 steps, txn 1 is fresh: 1 loses.
-        s.progress[0] = 3;
-        s.progress[1] = 0;
-        assert_eq!(s.loser(0, 0, 1), 1);
-        assert_eq!(s.loser(0, 1, 0), 1);
+        // Txn 0 has run 3 steps, txn 1 is fresh: 1 loses, whatever the
+        // ranks say.
+        for (r0, r1) in [(1, 2), (2, 1)] {
+            s.ranks = vec![r0, r1];
+            s.progress[0] = 3;
+            s.progress[1] = 0;
+            assert_eq!(duel_loser(&s, 0, 0, 1), 1);
+            assert_eq!(duel_loser(&s, 0, 1, 0), 1);
+        }
         // Abort resets progress.
         s.on_abort(1);
         assert_eq!(s.progress[1], 0);
+    }
+
+    /// Every scheduler that duels, over a 6 × 5 window whose transactions
+    /// have all been issued once.
+    fn dueling_schedulers(cfg: &SimConfig, g: &ConflictGraph) -> Vec<Box<dyn SimScheduler>> {
+        let seed = 11;
+        let mut scheds: Vec<Box<dyn SimScheduler>> = vec![
+            Box::new(FreeRandomizedScheduler::new(cfg, seed)),
+            Box::new(OneShotScheduler::new(cfg, seed)),
+            Box::new(GreedyTimestampScheduler::new(cfg)),
+            Box::new(PolkaProgressScheduler::new(cfg, seed)),
+            Box::new(OnlineWindowScheduler::new(cfg, g, WindowMode::Static, seed)),
+            Box::new(OnlineWindowScheduler::new(
+                cfg,
+                g,
+                WindowMode::Dynamic,
+                seed,
+            )),
+            Box::new(OnlineWindowScheduler::adaptive(
+                cfg,
+                WindowMode::Dynamic,
+                seed,
+            )),
+        ];
+        for s in scheds.iter_mut() {
+            let mut all: Vec<TxnId> = (0..g.len() as TxnId).collect();
+            s.select(0, &mut all, g);
+        }
+        scheds
+    }
+
+    #[test]
+    fn distinct_transactions_never_share_a_key() {
+        let g = ConflictGraph::complete_columns(6, 5);
+        let cfg = SimConfig::new(6, 5, 2);
+        for s in dueling_schedulers(&cfg, &g) {
+            // Ranks are drawn from 1..=M, so 30 transactions share them:
+            // the id breaks every tie.
+            for step in [0, 9, 1_000] {
+                let mut keys: Vec<u128> =
+                    (0..g.len() as TxnId).map(|t| s.priority(step, t)).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                assert_eq!(keys.len(), g.len(), "{} shares a key", s.name());
+                // So every duel has exactly one loser, whichever side
+                // detects it.
+                for (a, b) in [(0, 1), (4, 29), (17, 3)] {
+                    let l = duel_loser(s.as_ref(), step, a, b);
+                    assert!(l == a || l == b);
+                    assert_eq!(l, duel_loser(s.as_ref(), step, b, a), "{}", s.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_older_side_wins() {
+        let cfg = SimConfig::new(4, 2, 2);
+        let g = ConflictGraph::complete_columns(4, 2);
+        let mut s = GreedyTimestampScheduler::new(&cfg);
+        // 6 is issued first, 1 later: 6 is older and wins both ways,
+        // although its id is larger.
+        s.select(0, &mut vec![6], &g);
+        s.select(1, &mut vec![1, 6], &g);
+        assert_eq!(duel_loser(&s, 1, 1, 6), 1);
+        assert_eq!(duel_loser(&s, 1, 6, 1), 1);
+        assert!(s.priority(1, 6) < s.priority(1, 1));
+    }
+
+    #[test]
+    fn window_transaction_in_its_frame_beats_a_low_priority_one() {
+        let g = ConflictGraph::complete_columns(6, 8);
+        let cfg = SimConfig::new(6, 8, 2);
+        let phi = cfg.phi_steps();
+        let mut s = OnlineWindowScheduler::new(&cfg, &g, WindowMode::Static, 5);
+        // Thread 0's column-1 transaction turns high in frame q₀ + 1.
+        let t = g.id(0, 1);
+        let f = s.assigned[t as usize];
+        assert!(f >= 1);
+        let (before, inside) = (f * phi - 1, f * phi);
+        // Against a transaction assigned to a later frame, `t` loses
+        // before its frame and wins inside it, whatever the ranks say.
+        let u = g.id(1, 7);
+        assert!(s.assigned[u as usize] > f);
+        for (rt, ru) in [(1, 6), (6, 1)] {
+            s.ranks[t as usize] = rt;
+            s.ranks[u as usize] = ru;
+            assert_eq!(duel_loser(&s, inside, t, u), u);
+            assert_eq!(duel_loser(&s, inside, u, t), u);
+        }
+        // Before the frame both are low: the ranks decide.
+        s.ranks[t as usize] = 6;
+        s.ranks[u as usize] = 1;
+        assert_eq!(duel_loser(&s, before, t, u), t);
+        // A clock ahead by one step already reads `t`'s frame.
+        assert!(s.priority(before, t) > s.priority(before + 1, t));
     }
 
     #[test]
