@@ -17,6 +17,8 @@
 //! completed one is a no-op that rewrites `results.json` byte-identically.
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -682,11 +684,25 @@ fn document(cells: Json) -> Json {
     ])
 }
 
+/// One `results.journal` line, `{"<key>": {…}}`, decoded as a cell of
+/// `results.json` is.
+fn journal_cell(line: &str) -> Result<(String, CellResult), String> {
+    match Json::parse(line).map_err(|e| e.to_string())?.as_obj() {
+        Some([(key, cell)]) => Ok((key.clone(), CellResult::from_json(key, cell)?)),
+        _ => Err("not one cell".into()),
+    }
+}
+
 /// The `results.json` store: a key → [`CellResult`] map persisted next to
-/// the CSV reports; doubles as the resume checkpoint.
+/// the CSV reports; doubles as the resume checkpoint. A finished cell is
+/// appended to `results.journal` as one `{"<key>": {…}}` line;
+/// [`save`](Self::save) folds the journal into `results.json`.
 pub struct ResultsStore {
     path: PathBuf,
     cells: BTreeMap<String, Stored>,
+    /// Append handle on the journal, open while it holds cells that
+    /// `results.json` does not.
+    journal: Option<File>,
     /// Cells found on disk at open time (resume candidates).
     pub loaded: usize,
 }
@@ -695,7 +711,9 @@ impl ResultsStore {
     /// Load `out_dir/results.json` if present and valid: then every cell
     /// in it resumes. A missing, unparsable or invalid file starts an
     /// empty store (noted on stderr — stale results are never silently
-    /// trusted).
+    /// trusted). A journal left by a killed run is replayed on top, up to
+    /// its first line that does not decode (the torn one the kill left),
+    /// and compacted into `results.json`.
     pub fn open(out_dir: &Path) -> Self {
         let path = out_dir.join("results.json");
         let mut cells = BTreeMap::new();
@@ -718,12 +736,31 @@ impl ResultsStore {
                 }
             }
         }
-        let loaded = cells.len();
-        ResultsStore {
+        let mut store = ResultsStore {
             path,
             cells,
-            loaded,
+            journal: None,
+            loaded: 0,
+        };
+        if let Ok(bytes) = std::fs::read(store.journal_path()) {
+            for (n, line) in String::from_utf8_lossy(&bytes).lines().enumerate() {
+                match journal_cell(line) {
+                    Ok((key, r)) => {
+                        let stored = Stored::new(&key, r);
+                        store.cells.insert(key, stored);
+                    }
+                    Err(e) => {
+                        eprintln!("[windowtm] journal line {} is torn ({e})", n + 1);
+                        break;
+                    }
+                }
+            }
+            if let Err(e) = store.save() {
+                eprintln!("[windowtm] journal compaction failed: {e}");
+            }
         }
+        store.loaded = store.cells.len();
+        store
     }
 
     pub fn get(&self, key: &str) -> Option<&CellResult> {
@@ -750,20 +787,34 @@ impl ResultsStore {
         ))
     }
 
-    /// Insert one result and rewrite `results.json` (checkpoint after
-    /// every cell, so an interrupted suite loses at most the in-flight
-    /// cell).
-    pub fn insert_and_save(&mut self, key: String, result: CellResult) -> std::io::Result<()> {
+    /// Insert one result and append it to the journal: one line a cell,
+    /// so an interrupted suite loses at most the in-flight cell.
+    pub fn checkpoint(&mut self, key: String, result: CellResult) -> std::io::Result<()> {
+        let mut line = Json::Obj(vec![(key.clone(), result.to_json())]).render();
+        line.push('\n');
         let stored = Stored::new(&key, result);
         self.cells.insert(key, stored);
-        self.save()
+        if self.journal.is_none() {
+            if let Some(dir) = self.path.parent() {
+                std::fs::create_dir_all(dir)?;
+            }
+            let file = File::options()
+                .create(true)
+                .append(true)
+                .open(self.journal_path())?;
+            self.journal = Some(file);
+        }
+        self.journal
+            .as_mut()
+            .expect("opened above")
+            .write_all(line.as_bytes())
     }
 
-    /// Rewrite `results.json` from the current map: the document frame
-    /// around the cells' cached fragments. Written beside the file and
-    /// renamed over it, so a run killed mid-write leaves the previous
-    /// checkpoint, not a torn one that [`open`](Self::open) would discard.
-    pub fn save(&self) -> std::io::Result<()> {
+    /// Rewrite `results.json` from the current map, then drop the journal
+    /// it now covers: the document frame around the cells' cached
+    /// fragments, written beside the file and renamed over it, so a run
+    /// killed mid-write leaves the previous file and the journal whole.
+    pub fn save(&mut self) -> std::io::Result<()> {
         if let Some(dir) = self.path.parent() {
             std::fs::create_dir_all(dir)?;
         }
@@ -786,7 +837,16 @@ impl ResultsStore {
         doc.push_str(tail);
         let tmp = self.path.with_extension("json.tmp");
         std::fs::write(&tmp, doc)?;
-        std::fs::rename(&tmp, &self.path)
+        std::fs::rename(&tmp, &self.path)?;
+        self.journal = None;
+        match std::fs::remove_file(self.journal_path()) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    fn journal_path(&self) -> PathBuf {
+        self.path.with_extension("journal")
     }
 
     pub fn path(&self) -> &Path {
@@ -886,10 +946,15 @@ impl Executor {
             };
             self.spent_running += t0.elapsed();
             self.ran += 1;
-            if let Err(e) = self.store.insert_and_save(key.clone(), result) {
+            if let Err(e) = self.store.checkpoint(key.clone(), result) {
                 eprintln!("[windowtm] checkpoint write failed: {e}");
             }
             results.push(self.store.get(&key).expect("just inserted").clone());
+        }
+        if skipped_here < total {
+            if let Err(e) = self.store.save() {
+                eprintln!("[windowtm] results write failed: {e}");
+            }
         }
         if skipped_here > 0 {
             eprintln!(
@@ -1058,11 +1123,15 @@ mod tests {
         assert_eq!(first.skipped, 0);
         let json_text = std::fs::read_to_string(dir.join("results.json")).unwrap();
         assert_eq!(json_text, first.store().to_json().render_pretty());
+        assert!(
+            !dir.join("results.journal").exists(),
+            "the run's save dropped it"
+        );
         let doc = Json::parse(&json_text).unwrap();
         validate_results(&doc).expect("committed schema");
 
         // Same spec, fresh executor: every cell is served from disk and
-        // the checkpoint file is untouched (byte-identical rewrite).
+        // the checkpoint file is untouched.
         let mut second = Executor::new(&dir);
         assert_eq!(second.store().loaded, 2);
         let r2 = second.run(&spec);
@@ -1071,7 +1140,6 @@ mod tests {
         for (a, b) in r1.iter().zip(&r2) {
             assert_eq!(a.metric("commits").mean, b.metric("commits").mean);
         }
-        second.store().save().unwrap();
         assert_eq!(
             std::fs::read_to_string(dir.join("results.json")).unwrap(),
             json_text,
@@ -1138,7 +1206,8 @@ mod tests {
             ("v3|sim|sc=c|net=zero", result(Some("zero"), &[])),
         ];
         for (n, (key, r)) in cells.into_iter().enumerate() {
-            store.insert_and_save(key.to_string(), r).unwrap();
+            store.checkpoint(key.to_string(), r).unwrap();
+            store.save().unwrap();
             assert_eq!(on_disk(&store), store.to_json().render_pretty(), "{key}");
             assert_eq!(store.len(), n + 1);
         }
@@ -1153,8 +1222,9 @@ mod tests {
         assert_eq!(on_disk(&reopened), written);
         assert_eq!(written, reopened.to_json().render_pretty());
         reopened
-            .insert_and_save("v3|wl=0".into(), result(None, &[("commits", 7.0, 0.0)]))
+            .checkpoint("v3|wl=0".into(), result(None, &[("commits", 7.0, 0.0)]))
             .unwrap();
+        reopened.save().unwrap();
         assert_eq!(on_disk(&reopened), reopened.to_json().render_pretty());
         validate_and_count(&on_disk(&reopened), 5);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1179,8 +1249,9 @@ mod tests {
         let mut store = ResultsStore::open(&dir);
         assert_eq!(store.loaded, 0);
         store
-            .insert_and_save("k1".into(), result(None, &[("commits", 1.0, 0.0)]))
+            .checkpoint("k1".into(), result(None, &[("commits", 1.0, 0.0)]))
             .unwrap();
+        store.save().unwrap();
         assert!(!tmp.exists(), "the save renamed its .tmp over results.json");
         let good = std::fs::read_to_string(store.path()).unwrap();
 
@@ -1191,8 +1262,9 @@ mod tests {
         assert_eq!(resumed.loaded, 1, "the torn .tmp cost no finished cell");
         assert!(resumed.get("k1").is_some());
         resumed
-            .insert_and_save("k2".into(), result(Some("zero"), &[]))
+            .checkpoint("k2".into(), result(Some("zero"), &[]))
             .unwrap();
+        resumed.save().unwrap();
         assert!(!tmp.exists());
         assert_eq!(ResultsStore::open(&dir).loaded, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1204,8 +1276,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = ResultsStore::open(&dir);
         store
-            .insert_and_save("k1".into(), result(None, &[("commits", 1.0, 0.0)]))
+            .checkpoint("k1".into(), result(None, &[("commits", 1.0, 0.0)]))
             .unwrap();
+        store.save().unwrap();
         let good = std::fs::read_to_string(store.path()).unwrap();
         // The written file, then a cell the schema rejects in each of the
         // fields a second decoder once let through: validating and
@@ -1237,9 +1310,13 @@ mod tests {
         let mut store = ResultsStore::open(&dir);
         assert_eq!((store.loaded, store.len()), (0, 0));
         store
-            .insert_and_save("k1".into(), result(None, &[("commits", 1.0, 0.0)]))
+            .checkpoint("k1".into(), result(None, &[("commits", 1.0, 0.0)]))
             .unwrap();
-        assert_eq!(ResultsStore::open(&dir).loaded, 1, "the save replaced it");
+        assert_eq!(
+            ResultsStore::open(&dir).loaded,
+            1,
+            "the journal replaced it"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1415,13 +1492,58 @@ mod tests {
             assert_eq!(a.net, b.net);
             assert_eq!(a.metric("makespan").mean, b.metric("makespan").mean);
         }
-        second.store().save().unwrap();
         assert_eq!(
             std::fs::read_to_string(dir.join("results.json")).unwrap(),
             json_text,
             "sim resume must be a byte-identical no-op"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A run killed after `k` cells leaves `k` journal lines and a torn
+    /// one: exactly those `k` resume, and the finished run's results.json
+    /// is a fresh run's, byte for byte.
+    #[test]
+    fn a_torn_journal_resumes_its_complete_lines() {
+        let tmp = std::env::temp_dir();
+        let fresh = tmp.join(format!("wtm_journal_fresh_{}", std::process::id()));
+        let killed = tmp.join(format!("wtm_journal_killed_{}", std::process::id()));
+        let (_, _) = (
+            std::fs::remove_dir_all(&fresh),
+            std::fs::remove_dir_all(&killed),
+        );
+        let spec = sim_grid();
+        let want = Executor::new(&fresh).run(&spec);
+        let want_bytes = std::fs::read(fresh.join("results.json")).unwrap();
+        let lines: Vec<String> = spec
+            .cells()
+            .iter()
+            .zip(&want)
+            .map(|(c, r)| Json::Obj(vec![(c.key(), r.to_json())]).render() + "\n")
+            .collect();
+        for k in [0, 1, 5, lines.len() - 1] {
+            let _ = std::fs::remove_dir_all(&killed);
+            std::fs::create_dir_all(&killed).unwrap();
+            let torn = &lines[k][..lines[k].len() / 2];
+            std::fs::write(killed.join("results.journal"), lines[..k].concat() + torn).unwrap();
+            let mut resumed = Executor::new(&killed);
+            assert_eq!(resumed.store().loaded, k);
+            assert!(
+                !killed.join("results.journal").exists(),
+                "open compacted it"
+            );
+            resumed.run(&spec);
+            assert_eq!(resumed.skipped, k);
+            assert_eq!(
+                std::fs::read(killed.join("results.json")).unwrap(),
+                want_bytes,
+                "k = {k}"
+            );
+        }
+        let (_, _) = (
+            std::fs::remove_dir_all(&fresh),
+            std::fs::remove_dir_all(&killed),
+        );
     }
 
     #[test]

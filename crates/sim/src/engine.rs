@@ -60,7 +60,8 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Defaults: `phi_factor = 1.0`, a generous step budget. Returns a
-    /// typed [`SimError::BadConfig`] on zero dimensions.
+    /// typed [`SimError::BadConfig`] on zero dimensions, and
+    /// [`SimError::WindowTooLarge`] past `u32` transaction ids.
     pub fn try_new(m: usize, n: usize, tau: u32) -> Result<Self, SimError> {
         for (what, v) in [("m (threads)", m), ("n (transactions per thread)", n)] {
             if v == 0 {
@@ -74,6 +75,7 @@ impl SimConfig {
                 reason: "tau (steps per transaction) must be >= 1, got 0".into(),
             });
         }
+        crate::graph::check_fits(m as u128 * n as u128, 0)?;
         Ok(SimConfig {
             m,
             n,
@@ -294,22 +296,6 @@ fn run(
     let mut makespan = 0u64;
     let mut zombie_commits = 0u64;
 
-    // Each transaction's later neighbors (`b > a`), in adjacency order:
-    // the duels it detects, `later[later_at[a]..later_at[a + 1]]`. Every
-    // neighbor is written and only a later one kept: a branch on `b > a`
-    // would mispredict on half the edge ends, most of this build's time.
-    let mut later_at: Vec<u32> = Vec::with_capacity(total + 1);
-    let mut later: Vec<TxnId> = vec![0; graph.edge_count() + 1];
-    let mut kept = 0;
-    for a in 0..total as TxnId {
-        later_at.push(kept as u32);
-        for &b in graph.neighbors(a) {
-            later[kept] = b;
-            kept += (b > a) as usize;
-        }
-    }
-    later_at.push(kept as u32);
-    later.truncate(kept);
     // Position in this tick's selection, plus one; 0 = not selected.
     let mut selected_at = vec![0u32; total];
     // Per-step scratch: lost any duel this step / must abort this step.
@@ -319,20 +305,10 @@ fn run(
     let mut queue = EventQueue::new(setup.queue_seed);
     for c in setup.crash_plan {
         assert!(c.node < topo.nodes(), "crash plan names a missing node");
-        queue.push(
-            c.at,
-            CLASS_DELIVERY,
-            EventKind::Crash {
-                node: c.node as u32,
-            },
-        );
-        queue.push(
-            c.at.saturating_add(c.down),
-            CLASS_DELIVERY,
-            EventKind::Recover {
-                node: c.node as u32,
-            },
-        );
+        let node = c.node as u32;
+        queue.push(c.at, CLASS_DELIVERY, EventKind::Crash { node });
+        let back = c.at.saturating_add(c.down);
+        queue.push(back, CLASS_DELIVERY, EventKind::Recover { node });
     }
     queue.push(0, CLASS_TICK, EventKind::Tick);
 
@@ -459,8 +435,7 @@ fn run(
                     let det = node_of_txn[a as usize] as usize;
                     let clock = clock_of_node[det];
                     let row = &mut keys[clock * cfg.m..(clock + 1) * cfg.m];
-                    let ai = a as usize;
-                    for &b in &later[later_at[ai] as usize..later_at[ai + 1] as usize] {
+                    for &b in graph.later_neighbors(a) {
                         let pb = selected_at[b as usize] as usize;
                         if pb != 0 {
                             if keyed_at[clock] != step + 1 {
@@ -839,8 +814,9 @@ mod tests {
     fn duels_are_keyed_at_the_detectors_clock() {
         // Threads 0 and 2 live on node 0, thread 1 on node 1; only 1 and
         // 2 conflict, so every duel is detected at node 1 (the lower id).
-        let mut g = ConflictGraph::empty(3, 1);
-        g.add_edge(1, 2);
+        let mut b = crate::graph::GraphBuilder::new(3, 1);
+        b.add_edge(1, 2);
+        let g = b.build();
         let cfg = SimConfig::new(3, 1, 2);
         for (skew, first_loser) in [(0, 2), (10, 1)] {
             let topo = Topology::round_robin(3, 2, skew);

@@ -18,6 +18,9 @@ pub enum SimError {
         /// What was wrong, e.g. `"m (threads) must be >= 1, got 0"`.
         reason: String,
     },
+    /// A window whose transaction ids or conflict-row offsets would not
+    /// fit `u32`.
+    WindowTooLarge { reason: String },
     /// The scenario name is not registered.
     UnknownScenario {
         name: String,
@@ -40,6 +43,7 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::BadConfig { reason } => write!(f, "bad sim config: {reason}"),
+            SimError::WindowTooLarge { reason } => write!(f, "window too large: {reason}"),
             SimError::UnknownScenario { name, known } => {
                 write!(f, "unknown scenario {name:?}; known: {}", known.join(", "))
             }

@@ -19,41 +19,125 @@
 //! * [`complete_columns`](ConflictGraph::complete_columns) — worst case,
 //!   every column a clique (`C = M − 1`).
 
+use std::collections::BTreeMap;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::error::SimError;
 
 /// Transaction id inside a window (`i·N + j`).
 pub type TxnId = u32;
 
-/// Undirected conflict graph over the `M·N` window transactions.
+/// [`SimError::WindowTooLarge`] unless `txns` ids and `row_entries`
+/// adjacency entries (two per edge) fit the graph's `u32`s.
+pub(crate) fn check_fits(txns: u128, row_entries: u128) -> Result<(), SimError> {
+    if txns.max(row_entries) <= u32::MAX as u128 {
+        return Ok(());
+    }
+    let reason = format!("{txns} transactions, {row_entries} row entries: past u32");
+    Err(SimError::WindowTooLarge { reason })
+}
+
+/// Undirected conflict graph over the `M·N` window transactions, in one
+/// flat adjacency array.
+///
+/// Row `t` is `adj[start[t]..start[t + 1]]`: first its later neighbours
+/// (`b > t`, up to `split[t]`), then its earlier ones, each half in the
+/// order its edges were added. The engine duels a transaction against its
+/// later half, in that order; every other reader takes a row as a set.
 #[derive(Debug, Clone)]
 pub struct ConflictGraph {
     m: usize,
     n: usize,
-    adj: Vec<Vec<TxnId>>,
+    start: Vec<u32>,
+    split: Vec<u32>,
+    adj: Vec<TxnId>,
+}
+
+/// A conflict graph under construction: each unordered pair is an edge
+/// once, from the first time it is added.
+pub(crate) struct GraphBuilder {
+    m: usize,
+    n: usize,
+    ends: Vec<TxnId>,
+    /// Each row's later neighbours so far.
+    later: Vec<Vec<TxnId>>,
+}
+
+impl GraphBuilder {
+    /// No edges yet over an `m × n` window.
+    pub(crate) fn new(m: usize, n: usize) -> Self {
+        let later = vec![Vec::new(); m * n];
+        GraphBuilder {
+            m,
+            n,
+            ends: Vec::new(),
+            later,
+        }
+    }
+
+    /// Add an undirected edge (idempotent).
+    pub(crate) fn add_edge(&mut self, a: TxnId, b: TxnId) {
+        assert_ne!(a, b, "no self-conflicts");
+        let (lo, hi) = (a.min(b), a.max(b));
+        if !self.later[lo as usize].contains(&hi) {
+            self.later[lo as usize].push(hi);
+            self.ends.extend([lo, hi]);
+        }
+    }
+
+    /// The graph of the edges added so far.
+    pub(crate) fn build(self) -> ConflictGraph {
+        let mut counts: Vec<[u32; 2]> = self.later.iter().map(|l| [l.len() as u32, 0]).collect();
+        for e in self.ends.chunks_exact(2) {
+            counts[e[1] as usize][1] += 1;
+        }
+        ConflictGraph::from_ends(self.m, self.n, &self.ends, counts)
+    }
 }
 
 impl ConflictGraph {
     /// Empty graph (no conflicts).
     pub fn empty(m: usize, n: usize) -> Self {
-        assert!(m >= 1 && n >= 1);
-        ConflictGraph {
-            m,
-            n,
-            adj: vec![Vec::new(); m * n],
-        }
+        GraphBuilder::new(m, n).build()
     }
 
-    /// Empty graph whose adjacency lists are reserved, once, for the
-    /// `degree(i, j)` neighbours a generator expects to push to each.
-    pub(crate) fn with_degrees(m: usize, n: usize, degree: impl Fn(usize, usize) -> usize) -> Self {
+    /// The graph of edges `(ends[2k], ends[2k + 1])`, lower id first, in
+    /// the order they were added, whose row `t` has `counts[t]` later and
+    /// earlier neighbours. One pass lays the rows out, one scatters the
+    /// ends into them. A generator lists one row's later neighbours in
+    /// runs, so the current run's cursor stays in a register: a cursor in
+    /// memory bumped once an edge would chain each bump on the last.
+    fn from_ends(m: usize, n: usize, ends: &[TxnId], mut counts: Vec<[u32; 2]>) -> Self {
         assert!(m >= 1 && n >= 1);
+        assert!(ends.len() <= u32::MAX as usize, "row offsets past u32");
+        // From here `counts[t]` is row `t`'s write cursors into its halves.
+        let (mut start, mut split) = (vec![0; m * n + 1], vec![0; m * n]);
+        for (t, c) in counts.iter_mut().enumerate() {
+            split[t] = start[t] + c[0];
+            start[t + 1] = split[t] + c[1];
+            *c = [start[t], split[t]];
+        }
+        let mut adj = vec![0; ends.len()];
+        let (mut row, mut at) = (0, counts[0][0]);
+        for e in ends.chunks_exact(2) {
+            let (lo, hi) = (e[0] as usize, e[1] as usize);
+            if lo != row {
+                counts[row][0] = at;
+                (row, at) = (lo, counts[lo][0]);
+            }
+            adj[at as usize] = e[1];
+            at += 1;
+            adj[counts[hi][1] as usize] = e[0];
+            counts[hi][1] += 1;
+        }
         ConflictGraph {
             m,
             n,
-            adj: (0..m * n)
-                .map(|t| Vec::with_capacity(degree(t / n, t % n)))
-                .collect(),
+            start,
+            split,
+            adj,
         }
     }
 
@@ -89,37 +173,23 @@ impl ConflictGraph {
         (t / self.n, t % self.n)
     }
 
-    /// Add an undirected edge (idempotent).
-    pub fn add_edge(&mut self, a: TxnId, b: TxnId) {
-        assert_ne!(a, b, "no self-conflicts");
-        if !self.adj[a as usize].contains(&b) {
-            self.adj[a as usize].push(b);
-            self.adj[b as usize].push(a);
-        }
-    }
-
-    /// [`add_edge`](Self::add_edge) for a caller whose loops visit every
-    /// unordered pair once: the edge is new, so the O(degree) scan that
-    /// keeps `add_edge` idempotent is skipped. Same list order.
-    pub(crate) fn push_new_edge(&mut self, a: TxnId, b: TxnId) {
-        debug_assert!(
-            a != b && !self.conflicts(a, b),
-            "generator visited the pair ({a}, {b}) twice"
-        );
-        self.adj[a as usize].push(b);
-        self.adj[b as usize].push(a);
-    }
-
-    /// Neighbours of `t`.
+    /// Neighbours of `t`: its later ones first, then its earlier ones.
     pub fn neighbors(&self, t: TxnId) -> &[TxnId] {
-        &self.adj[t as usize]
+        let t = t as usize;
+        &self.adj[self.start[t] as usize..self.start[t + 1] as usize]
+    }
+
+    /// Neighbours of `t` with larger ids, in the order their edges were
+    /// added: the duels `t` detects.
+    pub fn later_neighbors(&self, t: TxnId) -> &[TxnId] {
+        let t = t as usize;
+        &self.adj[self.start[t] as usize..self.split[t] as usize]
     }
 
     /// Degree of `t`.
     pub fn degree(&self, t: TxnId) -> usize {
-        self.adj[t as usize].len()
+        self.neighbors(t).len()
     }
-
     /// The paper's contention measure `C`: the maximum conflicts of any
     /// transaction in the window (max degree).
     pub fn contention(&self) -> usize {
@@ -139,63 +209,100 @@ impl ConflictGraph {
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.adj.len() / 2
     }
 
     /// Are `a` and `b` adjacent?
     pub fn conflicts(&self, a: TxnId, b: TxnId) -> bool {
-        self.adj[a as usize].contains(&b)
+        self.neighbors(a).contains(&b)
     }
 
     // ---- generators -------------------------------------------------------
+    //
+    // A generator offers every candidate pair once, writing it after the
+    // kept edges and advancing past it by its drawn bit: no branch on the
+    // draw, and each sweep zeroes only its own candidates' slots.
 
-    /// Each same-column pair with probability `p`.
-    fn push_column_edges(&mut self, p: f64, seed: u64) {
+    /// Each same-column pair with probability `p`, counted as it is kept:
+    /// the edge ends and each row's later and earlier neighbour counts.
+    fn column_edges(m: usize, n: usize, p: f64, seed: u64) -> (Vec<TxnId>, Vec<[u32; 2]>) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        for j in 0..self.n {
-            for a in 0..self.m {
-                for b in (a + 1)..self.m {
-                    if rng.random_bool(p) {
-                        self.push_new_edge(self.id(a, j), self.id(b, j));
-                    }
+        let (mut ends, mut counts) = (Vec::new(), vec![[0, 0]; m * n]);
+        for j in 0..n {
+            let mut k = ends.len();
+            ends.resize(k + m * (m - 1), 0);
+            for a in 0..m {
+                let (lo, mut run) = (a * n + j, 0);
+                for hi in (a + 1..m).map(|b| b * n + j) {
+                    ends[k..k + 2].copy_from_slice(&[lo as TxnId, hi as TxnId]);
+                    let keep = rng.random_bool(p) as u32;
+                    k += 2 * keep as usize;
+                    run += keep;
+                    counts[hi][1] += keep;
                 }
+                counts[lo][0] += run;
             }
+            ends.truncate(k);
         }
+        (ends, counts)
     }
 
     /// Edges only inside columns, each pair with probability `p`.
     pub fn per_column_random(m: usize, n: usize, p: f64, seed: u64) -> Self {
-        let p = p.clamp(0.0, 1.0);
-        let degree = expected_degree(p, m);
-        let mut g = Self::with_degrees(m, n, |_, _| degree);
-        g.push_column_edges(p, seed);
-        g
+        let (ends, counts) = Self::column_edges(m, n, p.clamp(0.0, 1.0), seed);
+        Self::from_ends(m, n, &ends, counts)
     }
 
     /// Dense inside columns (`p_in`), sparse across adjacent columns
     /// (`p_cross`).
     pub fn clustered(m: usize, n: usize, p_in: f64, p_cross: f64, seed: u64) -> Self {
         let (p_in, p_cross) = (p_in.clamp(0.0, 1.0), p_cross.clamp(0.0, 1.0));
-        // An inner column has a cross pair towards each side, each way.
-        let degree = expected_degree(p_in + 2.0 * p_cross, m);
-        let mut g = Self::with_degrees(m, n, |_, _| degree);
-        g.push_column_edges(p_in, seed);
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xC105_7E2D);
+        let (mut ends, mut counts) = Self::column_edges(m, n, p_in, seed);
+        let (from, mut rng) = (ends.len(), SmallRng::seed_from_u64(seed ^ 0xC105_7E2D));
         for j in 0..n.saturating_sub(1) {
+            let mut k = ends.len();
+            ends.resize(k + 2 * m * m, 0);
             for a in 0..m {
                 for b in 0..m {
-                    if a != b && rng.random_bool(p_cross) {
-                        g.push_new_edge(g.id(a, j), g.id(b, j + 1));
-                    }
+                    let (x, y) = ((a * n + j) as TxnId, (b * n + j + 1) as TxnId);
+                    ends[k..k + 2].copy_from_slice(&[x.min(y), x.max(y)]);
+                    k += 2 * (a != b && rng.random_bool(p_cross)) as usize;
                 }
             }
+            ends.truncate(k);
         }
-        g
+        for e in ends[from..].chunks_exact(2) {
+            counts[e[0] as usize][0] += 1;
+            counts[e[1] as usize][1] += 1;
+        }
+        Self::from_ends(m, n, &ends, counts)
     }
 
     /// Every column is a clique: the worst case `C = M − 1`.
     pub fn complete_columns(m: usize, n: usize) -> Self {
         Self::per_column_random(m, n, 1.0, 0)
+    }
+
+    /// `k` copies of this graph stacked as one window of `k·M` threads,
+    /// one per replica re-executing the window against its own node's
+    /// state, so no edge joins two copies: copy `r` of thread `i` is
+    /// thread `r·M + i`, which shifts every id of copy `r` by `r·len`.
+    pub(crate) fn replicate(&self, k: usize) -> Self {
+        assert!(self.adj.len().max(self.len()) * k <= u32::MAX as usize);
+        let shifted = |v: &[u32], by: usize| -> Vec<u32> {
+            (0..k)
+                .flat_map(|r| v.iter().map(move |&x| x + (r * by) as u32))
+                .collect()
+        };
+        let mut start = shifted(&self.start[..self.len()], self.adj.len());
+        start.push((self.adj.len() * k) as u32);
+        ConflictGraph {
+            m: self.m * k,
+            n: self.n,
+            start,
+            split: shifted(&self.split, self.adj.len()),
+            adj: shifted(&self.adj, self.len()),
+        }
     }
 
     /// Resource-footprint model: each transaction reads/writes
@@ -211,42 +318,20 @@ impl ConflictGraph {
         seed: u64,
     ) -> Self {
         assert!(s >= 1);
-        let mut g = Self::empty(m, n);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        // Footprints: per txn, sorted resource ids with a write flag.
-        let mut footprints: Vec<Vec<(usize, bool)>> = Vec::with_capacity(m * n);
-        for _ in 0..m * n {
-            let mut fp: Vec<(usize, bool)> = (0..ops_per_txn)
-                .map(|_| {
-                    (
-                        rng.random_range(0..s),
-                        rng.random_bool(write_frac.clamp(0.0, 1.0)),
-                    )
-                })
-                .collect();
-            fp.sort_unstable();
-            fp.dedup_by_key(|e| e.0); // keep strongest access per resource? writes sort after reads on ties of id
-            footprints.push(fp);
-        }
-        // Invert: resource → (txn, writes?) list, then connect.
-        let mut users: Vec<Vec<(TxnId, bool)>> = vec![Vec::new(); s];
-        for (t, fp) in footprints.iter().enumerate() {
-            for &(r, w) in fp {
-                users[r].push((t as TxnId, w));
-            }
-        }
-        for list in &users {
-            for x in 0..list.len() {
-                for y in (x + 1)..list.len() {
-                    let (a, wa) = list[x];
-                    let (b, wb) = list[y];
-                    if (wa || wb) && a != b {
-                        g.add_edge(a, b);
-                    }
-                }
-            }
-        }
-        g
+        let (mut rng, w) = (SmallRng::seed_from_u64(seed), write_frac.clamp(0.0, 1.0));
+        let footprints: Vec<Vec<(u64, bool)>> = (0..m * n)
+            .map(|_| {
+                let mut fp: Vec<(u64, bool)> = (0..ops_per_txn)
+                    .map(|_| (rng.random_range(0..s) as u64, rng.random_bool(w)))
+                    .collect();
+                // One access per resource: the first after sorting, so a
+                // resource a transaction both reads and writes counts as read.
+                fp.sort_unstable();
+                fp.dedup_by_key(|e| e.0);
+                fp
+            })
+            .collect();
+        Self::from_footprints(m, n, &footprints)
     }
 
     /// Build the conflict graph of an `M × N` window from *recorded*
@@ -256,33 +341,29 @@ impl ConflictGraph {
     /// iff they share an object at least one of them writes (§II-A).
     pub fn from_footprints(m: usize, n: usize, footprints: &[Vec<(u64, bool)>]) -> Self {
         assert_eq!(footprints.len(), m * n, "one footprint per transaction");
-        let mut g = Self::empty(m, n);
-        // object id → (txn, wrote?) users.
-        let mut users: std::collections::HashMap<u64, Vec<(TxnId, bool)>> =
-            std::collections::HashMap::new();
+        // object id → (txn, wrote?) users, in object order.
+        let mut users: BTreeMap<u64, Vec<(TxnId, bool)>> = BTreeMap::new();
         for (t, fp) in footprints.iter().enumerate() {
-            // Collapse duplicate accesses, keeping the strongest (write).
-            let mut seen: std::collections::HashMap<u64, bool> = std::collections::HashMap::new();
-            for &(obj, w) in fp {
-                let e = seen.entry(obj).or_insert(false);
-                *e |= w;
-            }
-            for (obj, w) in seen {
+            // Collapse duplicate accesses, keeping the strongest: sorted
+            // descending, an object's write comes first.
+            let mut fp = fp.clone();
+            fp.sort_unstable_by(|x, y| y.cmp(x));
+            fp.dedup_by_key(|e| e.0);
+            for (obj, w) in fp {
                 users.entry(obj).or_default().push((t as TxnId, w));
             }
         }
+        let mut g = GraphBuilder::new(m, n);
         for list in users.values() {
-            for x in 0..list.len() {
-                for y in (x + 1)..list.len() {
-                    let (a, wa) = list[x];
-                    let (b, wb) = list[y];
-                    if (wa || wb) && a != b {
+            for (x, &(a, wa)) in list.iter().enumerate() {
+                for &(b, wb) in &list[x + 1..] {
+                    if wa || wb {
                         g.add_edge(a, b);
                     }
                 }
             }
         }
-        g
+        g.build()
     }
 
     /// Greedy heuristic for a large clique inside one column (a valid
@@ -290,10 +371,9 @@ impl ConflictGraph {
     pub fn column_clique_bound(&self) -> usize {
         let mut best = 1.min(self.m);
         for j in 0..self.n {
-            let col: Vec<TxnId> = (0..self.m).map(|i| self.id(i, j)).collect();
             // Greedy: repeatedly add the column node adjacent to all chosen.
             let mut chosen: Vec<TxnId> = Vec::new();
-            for &c in &col {
+            for c in (0..self.m).map(|i| self.id(i, j)) {
                 if chosen.iter().all(|&x| self.conflicts(c, x)) {
                     chosen.push(c);
                 }
@@ -304,14 +384,8 @@ impl ConflictGraph {
     }
 }
 
-/// Mean degree of a node whose candidate pairs with any one of the other
-/// `m − 1` threads have edge probabilities summing to `per_peer`.
-fn expected_degree(per_peer: f64, m: usize) -> usize {
-    (per_peer * (m - 1) as f64).ceil() as usize
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -328,9 +402,10 @@ mod tests {
 
     #[test]
     fn add_edge_is_idempotent_and_symmetric() {
-        let mut g = ConflictGraph::empty(2, 2);
-        g.add_edge(0, 2);
-        g.add_edge(2, 0);
+        let mut b = GraphBuilder::new(2, 2);
+        b.add_edge(0, 2);
+        b.add_edge(2, 0);
+        let g = b.build();
         assert_eq!(g.edge_count(), 1);
         assert!(g.conflicts(0, 2));
         assert!(g.conflicts(2, 0));
@@ -340,8 +415,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no self-conflicts")]
     fn self_edge_rejected() {
-        let mut g = ConflictGraph::empty(2, 2);
-        g.add_edge(1, 1);
+        GraphBuilder::new(2, 2).add_edge(1, 1);
     }
 
     #[test]
@@ -432,16 +506,49 @@ mod tests {
         }
     }
 
-    /// `per_column_random` as it was written against idempotent
-    /// `add_edge`: the reference for the generators' list order.
-    fn per_column_by_add_edge(m: usize, n: usize, p: f64, seed: u64) -> ConflictGraph {
-        let mut g = ConflictGraph::empty(m, n);
+    /// One adjacency list per transaction, pushed to by idempotent
+    /// `add_edge` in call order: how the graph was stored before it was
+    /// one array, and the reference for its rows.
+    pub(crate) struct Lists(pub(crate) Vec<Vec<TxnId>>);
+
+    impl Lists {
+        pub(crate) fn new(len: usize) -> Self {
+            Lists(vec![Vec::new(); len])
+        }
+
+        pub(crate) fn add_edge(&mut self, a: TxnId, b: TxnId) {
+            if !self.0[a as usize].contains(&b) {
+                self.0[a as usize].push(b);
+                self.0[b as usize].push(a);
+            }
+        }
+
+        /// `g` has these rows: each later half equal, in order, to the
+        /// list's neighbours `> t` (the engine duels in that order), and
+        /// each whole row equal as a set.
+        pub(crate) fn assert_rows_of(&self, g: &ConflictGraph) {
+            assert_eq!(g.len(), self.0.len());
+            for (t, list) in self.0.iter().enumerate() {
+                let t = t as TxnId;
+                let later: Vec<TxnId> = list.iter().copied().filter(|&b| b > t).collect();
+                assert_eq!(g.later_neighbors(t), later, "later neighbours of {t}");
+                let (mut got, mut want) = (g.neighbors(t).to_vec(), list.clone());
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "neighbours of {t}");
+            }
+        }
+    }
+
+    /// `per_column_random` as it was written against `add_edge`.
+    fn per_column_by_add_edge(m: usize, n: usize, p: f64, seed: u64) -> Lists {
+        let mut g = Lists::new(m * n);
         let mut rng = SmallRng::seed_from_u64(seed);
         for j in 0..n {
             for a in 0..m {
                 for b in (a + 1)..m {
                     if rng.random_bool(p.clamp(0.0, 1.0)) {
-                        g.add_edge(g.id(a, j), g.id(b, j));
+                        g.add_edge((a * n + j) as TxnId, (b * n + j) as TxnId);
                     }
                 }
             }
@@ -450,20 +557,14 @@ mod tests {
     }
 
     /// `clustered`, likewise.
-    fn clustered_by_add_edge(
-        m: usize,
-        n: usize,
-        p_in: f64,
-        p_cross: f64,
-        seed: u64,
-    ) -> ConflictGraph {
+    fn clustered_by_add_edge(m: usize, n: usize, p_in: f64, p_cross: f64, seed: u64) -> Lists {
         let mut g = per_column_by_add_edge(m, n, p_in, seed);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xC105_7E2D);
         for j in 0..n.saturating_sub(1) {
             for a in 0..m {
                 for b in 0..m {
                     if a != b && rng.random_bool(p_cross.clamp(0.0, 1.0)) {
-                        g.add_edge(g.id(a, j), g.id(b, j + 1));
+                        g.add_edge((a * n + j) as TxnId, (b * n + j + 1) as TxnId);
                     }
                 }
             }
@@ -472,31 +573,39 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The generators push without `add_edge`'s scan; every adjacency
-        /// list must still equal, in order, the one `add_edge` builds
-        /// (the engine duels in list order, so order is behaviour).
+        /// Every generator's rows: the later halves in the order
+        /// `add_edge` would have listed them, the rows as sets.
         #[test]
-        fn generators_build_the_lists_add_edge_would(
+        fn later_neighbors_follow_add_edge_order_in_every_generator(
             m in 1usize..10,
             n in 1usize..7,
             p_in in -0.1f64..1.2,
             p_cross in -0.1f64..0.7,
             seed in 0u64..1_000_000,
         ) {
-            let fast = ConflictGraph::per_column_random(m, n, p_in, seed);
-            assert_eq!(fast.adj, per_column_by_add_edge(m, n, p_in, seed).adj);
-            let fast = ConflictGraph::clustered(m, n, p_in, p_cross, seed);
-            assert_eq!(fast.adj, clustered_by_add_edge(m, n, p_in, p_cross, seed).adj);
+            per_column_by_add_edge(m, n, p_in, seed)
+                .assert_rows_of(&ConflictGraph::per_column_random(m, n, p_in, seed));
+            per_column_by_add_edge(m, n, 1.0, 0).assert_rows_of(&ConflictGraph::complete_columns(m, n));
+            clustered_by_add_edge(m, n, p_in, p_cross, seed)
+                .assert_rows_of(&ConflictGraph::clustered(m, n, p_in, p_cross, seed));
         }
-    }
 
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "visited the pair (2, 0) twice")]
-    fn push_new_edge_checks_its_claim_in_debug_builds() {
-        let mut g = ConflictGraph::empty(2, 2);
-        g.push_new_edge(0, 2);
-        g.push_new_edge(2, 0);
+        /// The builder behind `from_resources`, `from_footprints` and the
+        /// tests keeps each pair's first occurrence, in call order.
+        #[test]
+        fn the_builder_keeps_add_edge_order(
+            m in 1usize..6,
+            n in 1usize..6,
+            pairs in proptest::collection::vec((0u32..36, 0u32..36), 0..80),
+        ) {
+            let len = (m * n) as TxnId;
+            let (mut want, mut b) = (Lists::new(m * n), GraphBuilder::new(m, n));
+            for (x, y) in pairs.into_iter().map(|(x, y)| (x % len, y % len)).filter(|(x, y)| x != y) {
+                want.add_edge(x, y);
+                b.add_edge(x, y);
+            }
+            want.assert_rows_of(&b.build());
+        }
     }
 
     #[test]

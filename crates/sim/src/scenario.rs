@@ -26,7 +26,7 @@
 use crate::engine::{run_events, SimConfig, SimOutcome, SimSetup};
 use crate::error::SimError;
 use crate::event::EventLog;
-use crate::graph::{ConflictGraph, TxnId};
+use crate::graph::{check_fits, ConflictGraph};
 use crate::net::{CrashEvent, NetSpec, Topology};
 use crate::params::Params;
 use crate::sched::{
@@ -154,26 +154,6 @@ pub struct Scenario {
     pub beyond_paper: bool,
 }
 
-/// Replicate `base` K times: replica r's copy of thread i is thread
-/// `r·m + i`, and conflict edges exist only *within* a replica (each
-/// replica re-executes the same window against its own node's state).
-fn replicate_graph(base: &ConflictGraph, k: usize) -> ConflictGraph {
-    let (bm, n) = (base.m(), base.n());
-    let mut g = ConflictGraph::with_degrees(bm * k, n, |i, j| base.degree(base.id(i % bm, j)));
-    for r in 0..k {
-        for a in 0..base.len() as TxnId {
-            let (i, j) = base.coords(a);
-            for &b in base.neighbors(a) {
-                if b > a {
-                    let (i2, j2) = base.coords(b);
-                    g.push_new_edge(g.id(r * bm + i, j), g.id(r * bm + i2, j2));
-                }
-            }
-        }
-    }
-    g
-}
-
 /// Build a scenario from its spec string for an `m × n` base window.
 pub fn build_scenario(spec: &str, m: usize, n: usize, seed: u64) -> Result<Scenario, SimError> {
     if m == 0 || n == 0 {
@@ -192,6 +172,20 @@ pub fn build_scenario(spec: &str, m: usize, n: usize, seed: u64) -> Result<Scena
             known: scenario_names(),
         })?;
 
+    // Ids and row offsets are `u32`: refuse, before building it, a window
+    // whose ids or whose row entries, every candidate pair kept, won't fit.
+    let (mm, nn) = (m as u128, n as u128);
+    let worst = match base {
+        "resources" => mm * nn * (mm * nn - 1),
+        "clustered" | "distributed" | "crash-recovery" => (3 * nn - 2) * mm * (mm - 1),
+        _ => nn * mm * (mm - 1),
+    };
+    let fits = |copies: u128| check_fits(mm * nn * copies, worst * copies);
+    fits(1)?;
+    let bad = |reason: String| SimError::BadParams {
+        name: spec.to_string(),
+        reason,
+    };
     let mut crash_plan = Vec::new();
     let mut replicas = 1usize;
     let (graph, topo) = match base {
@@ -219,10 +213,7 @@ pub fn build_scenario(spec: &str, m: usize, n: usize, seed: u64) -> Result<Scena
             let ops = p.u64_or("ops", 4)? as usize;
             let write = p.pct_or("write", 50)?;
             if s == 0 || ops == 0 {
-                return Err(SimError::BadParams {
-                    name: spec.to_string(),
-                    reason: "s= and ops= must be >= 1".into(),
-                });
+                return Err(bad("s= and ops= must be >= 1".into()));
             }
             (
                 ConflictGraph::from_resources(m, n, s, ops, write, seed),
@@ -235,28 +226,19 @@ pub fn build_scenario(spec: &str, m: usize, n: usize, seed: u64) -> Result<Scena
             let pin = p.pct_or("pin", 90)?;
             let pcross = p.pct_or("pcross", 5)?;
             if nodes == 0 {
-                return Err(SimError::BadParams {
-                    name: spec.to_string(),
-                    reason: "nodes= must be >= 1".into(),
-                });
+                return Err(bad("nodes= must be >= 1".into()));
             }
             if base == "crash-recovery" {
                 let node = p.u64_or("node", 1)? as usize;
                 let at = p.u64_or("at", 8)?;
                 let down = p.u64_or("down", 16)?;
                 if node >= nodes {
-                    return Err(SimError::BadParams {
-                        name: spec.to_string(),
-                        reason: format!("node={node} out of range (nodes={nodes})"),
-                    });
+                    return Err(bad(format!("node={node} out of range (nodes={nodes})")));
                 }
                 if at.checked_add(down).is_none() {
-                    return Err(SimError::BadParams {
-                        name: spec.to_string(),
-                        reason: format!(
-                            "down={down} puts the recovery past the step clock (at={at})"
-                        ),
-                    });
+                    return Err(bad(format!(
+                        "down={down} puts the recovery past the step clock (at={at})"
+                    )));
                 }
                 crash_plan.push(CrashEvent { node, at, down });
             }
@@ -270,17 +252,12 @@ pub fn build_scenario(spec: &str, m: usize, n: usize, seed: u64) -> Result<Scena
             let skew = p.u64_or("skew", 0)?;
             let prob = p.pct_or("p", 50)?;
             if nodes == 0 {
-                return Err(SimError::BadParams {
-                    name: spec.to_string(),
-                    reason: "nodes= must be >= 1".into(),
-                });
+                return Err(bad("nodes= must be >= 1".into()));
             }
+            fits(nodes as u128)?;
             replicas = nodes;
-            let base_graph = ConflictGraph::per_column_random(m, n, prob, seed);
-            (
-                replicate_graph(&base_graph, nodes),
-                Topology::blocks(m, nodes, skew),
-            )
+            let graph = ConflictGraph::per_column_random(m, n, prob, seed).replicate(nodes);
+            (graph, Topology::blocks(m, nodes, skew))
         }
         _ => unreachable!("filtered by the registry lookup above"),
     };
@@ -461,6 +438,8 @@ pub fn replay(recorded: &str) -> Result<SimOutcome, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::tests::Lists;
+    use crate::graph::TxnId;
 
     #[test]
     fn registry_rejects_unknowns_and_bad_params() {
@@ -562,8 +541,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `replicate_graph` pushes each base edge once per replica
-        /// without `add_edge`'s scan: same lists, same order.
+        /// `replicate` shifts each copy's ids by `r·len`: its rows are
+        /// those `add_edge` builds edge by edge, later halves in order.
         #[test]
         fn replicated_lists_equal_those_add_edge_builds(
             m in 1usize..7,
@@ -573,22 +552,17 @@ mod tests {
         ) {
             // Clustered: its lists are not sorted, unlike per-column ones.
             let base = ConflictGraph::clustered(m, n, 0.6, 0.3, seed);
-            let mut want = ConflictGraph::empty(m * k, n);
+            let mut want = Lists::new(m * k * n);
             for r in 0..k {
                 for a in 0..base.len() as TxnId {
                     let (i, j) = base.coords(a);
-                    for &b in base.neighbors(a) {
-                        if b > a {
-                            let (i2, j2) = base.coords(b);
-                            want.add_edge(want.id(r * m + i, j), want.id(r * m + i2, j2));
-                        }
+                    for &b in base.later_neighbors(a) {
+                        let (i2, j2) = base.coords(b);
+                        want.add_edge(((r * m + i) * n + j) as TxnId, ((r * m + i2) * n + j2) as TxnId);
                     }
                 }
             }
-            let got = replicate_graph(&base, k);
-            for t in 0..want.len() as TxnId {
-                assert_eq!(got.neighbors(t), want.neighbors(t), "txn {t}");
-            }
+            want.assert_rows_of(&base.replicate(k));
         }
     }
 

@@ -191,23 +191,18 @@ impl SimScheduler for GreedyTimestampScheduler {
 /// deterministic livelock of equal-progress duels.
 pub struct PolkaProgressScheduler {
     progress: Vec<u32>,
-    ranks: Vec<u32>,
-    rng: SmallRng,
-    m: u32,
+    /// The tie-breaking ranks, re-rolled on abort as RandomizedRounds'.
+    rounds: FreeRandomizedScheduler,
 }
 
 impl PolkaProgressScheduler {
     /// New scheduler for a window of `cfg` shape.
     pub fn new(cfg: &SimConfig, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x90164);
-        let m = cfg.m.max(1) as u32;
         PolkaProgressScheduler {
             progress: vec![0; cfg.m * cfg.n],
-            ranks: (0..cfg.m * cfg.n)
-                .map(|_| rng.random_range(1..=m))
-                .collect(),
-            rng,
-            m,
+            // RandomizedRounds mixes in its own constant: this seeds its
+            // ranks from `seed ^ 0x90164`.
+            rounds: FreeRandomizedScheduler::new(cfg, seed ^ 0x90164 ^ 0xF2EE),
         }
     }
 }
@@ -224,21 +219,40 @@ impl SimScheduler for PolkaProgressScheduler {
         }
     }
 
-    fn priority(&self, _step: u64, t: TxnId) -> u128 {
+    fn priority(&self, step: u64, t: TxnId) -> u128 {
         // Richer karma survives; the poorer side restarts.
         let poverty = u32::MAX - self.progress[t as usize];
-        (poverty as u128) << 64 | (self.ranks[t as usize] as u128) << 32 | t as u128
+        (poverty as u128) << 64 | self.rounds.priority(step, t)
     }
 
     fn on_abort(&mut self, t: TxnId) {
         self.progress[t as usize] = 0;
-        self.ranks[t as usize] = self.rng.random_range(1..=self.m);
+        self.rounds.on_abort(t);
     }
 }
 
 // ---------------------------------------------------------------------------
 // Window: Online / Online-Dynamic / Adaptive
 // ---------------------------------------------------------------------------
+
+/// Each thread's contention `Cᵢ`: from `graph`, or 1 (Adaptive's start)
+/// without one.
+fn contention(cfg: &SimConfig, graph: Option<&ConflictGraph>) -> Vec<f64> {
+    let c = |i| graph.map_or(1, |g: &ConflictGraph| g.contention_of_thread(i).max(1)) as f64;
+    (0..cfg.m).map(c).collect()
+}
+
+/// Thread `i` draws `qᵢ` from `[0, αᵢ − 1]`, `αᵢ = ⌈Cᵢ/ln(MN)⌉ ≤ N`, in
+/// thread order; transaction `(i, j)` is assigned frame `qᵢ + j`.
+fn assign_frames(cfg: &SimConfig, c: &[f64], rng: &mut SmallRng) -> Vec<u64> {
+    let mut assigned = Vec::with_capacity(cfg.m * cfg.n);
+    for &c in c {
+        let alpha = ((c / cfg.ln_mn()).ceil() as u64).clamp(1, cfg.n as u64);
+        let q = rng.random_range(0..alpha);
+        assigned.extend((0..cfg.n as u64).map(|j| q + j));
+    }
+    assigned
+}
 
 /// Frame-clock driver for the window schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,8 +276,8 @@ pub struct OnlineWindowScheduler {
     ln_mn: f64,
     mode: WindowMode,
     adaptive: bool,
-    /// Per-thread: (c, q, base, j_base).
-    threads: Vec<ThreadSched>,
+    /// Per-thread contention estimate `Cᵢ`.
+    c: Vec<f64>,
     assigned: Vec<u64>,
     ranks: Vec<u32>,
     rng: SmallRng,
@@ -272,56 +286,24 @@ pub struct OnlineWindowScheduler {
     cur_frame: u64,
 }
 
-struct ThreadSched {
-    c: f64,
-    q: u64,
-    base: u64,
-    j_base: usize,
-}
-
 impl OnlineWindowScheduler {
     /// Online with **known** contention: `Cᵢ` taken from the graph.
     pub fn new(cfg: &SimConfig, graph: &ConflictGraph, mode: WindowMode, seed: u64) -> Self {
-        Self::build(cfg, graph, mode, seed, false)
+        Self::build(cfg, Some(graph), mode, seed)
     }
 
     /// Adaptive variant: starts every `Cᵢ` at 1, doubles on bad events
     /// and re-randomizes the rest of the thread's window (§II-B3).
     pub fn adaptive(cfg: &SimConfig, mode: WindowMode, seed: u64) -> Self {
-        let g = ConflictGraph::empty(cfg.m, cfg.n); // contention unused
-        Self::build(cfg, &g, mode, seed, true)
+        Self::build(cfg, None, mode, seed)
     }
 
-    fn build(
-        cfg: &SimConfig,
-        graph: &ConflictGraph,
-        mode: WindowMode,
-        seed: u64,
-        adaptive: bool,
-    ) -> Self {
+    /// Known contention from `graph`, or adaptive without one.
+    fn build(cfg: &SimConfig, graph: Option<&ConflictGraph>, mode: WindowMode, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x817D07);
-        let ln_mn = cfg.ln_mn();
         let m = cfg.m.max(1) as u32;
-        let mut threads = Vec::with_capacity(cfg.m);
-        let mut assigned = vec![0u64; cfg.m * cfg.n];
-        for i in 0..cfg.m {
-            let c = if adaptive {
-                1.0
-            } else {
-                graph.contention_of_thread(i).max(1) as f64
-            };
-            let alpha = ((c / ln_mn).ceil() as u64).clamp(1, cfg.n as u64);
-            let q = rng.random_range(0..alpha);
-            for j in 0..cfg.n {
-                assigned[i * cfg.n + j] = q + j as u64;
-            }
-            threads.push(ThreadSched {
-                c,
-                q,
-                base: 0,
-                j_base: 0,
-            });
-        }
+        let c = contention(cfg, graph);
+        let assigned = assign_frames(cfg, &c, &mut rng);
         let ranks = (0..cfg.m * cfg.n)
             .map(|_| rng.random_range(1..=m))
             .collect();
@@ -329,10 +311,10 @@ impl OnlineWindowScheduler {
             phi_steps: cfg.phi_steps(),
             n: cfg.n,
             m,
-            ln_mn,
+            ln_mn: cfg.ln_mn(),
             mode,
-            adaptive,
-            threads,
+            adaptive: graph.is_none(),
+            c,
             assigned,
             ranks,
             rng,
@@ -387,7 +369,7 @@ impl OnlineWindowScheduler {
 
     /// Contention estimate of a thread (tests).
     pub fn contention_estimate(&self, i: usize) -> f64 {
-        self.threads[i].c
+        self.c[i]
     }
 }
 
@@ -427,8 +409,8 @@ impl SimScheduler for OnlineWindowScheduler {
         if self.adaptive && cur > assigned {
             let (i, j) = (t as usize / self.n, t as usize % self.n);
             let cap = (self.m as f64) * (self.n as f64);
-            self.threads[i].c = (self.threads[i].c * 2.0).min(cap);
-            let alpha = self.alpha(self.threads[i].c);
+            self.c[i] = (self.c[i] * 2.0).min(cap);
+            let alpha = self.alpha(self.c[i]);
             let new_q = self.rng.random_range(0..alpha);
             let new_base = cur + 1;
             for jj in (j + 1)..self.n {
@@ -436,9 +418,6 @@ impl SimScheduler for OnlineWindowScheduler {
                 let nf = new_base + new_q + (jj - (j + 1)) as u64;
                 self.reassign(tt, nf);
             }
-            self.threads[i].base = new_base;
-            self.threads[i].q = new_q;
-            self.threads[i].j_base = j + 1;
         }
     }
 }
@@ -503,16 +482,7 @@ impl OfflineWindowScheduler {
     /// Offline with known contention (`Cᵢ` from the graph).
     pub fn new(cfg: &SimConfig, graph: &ConflictGraph, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x0FF11E);
-        let ln_mn = cfg.ln_mn();
-        let mut assigned = vec![0u64; cfg.m * cfg.n];
-        for i in 0..cfg.m {
-            let c = graph.contention_of_thread(i).max(1) as f64;
-            let alpha = ((c / ln_mn).ceil() as u64).clamp(1, cfg.n as u64);
-            let q = rng.random_range(0..alpha);
-            for j in 0..cfg.n {
-                assigned[i * cfg.n + j] = q + j as u64;
-            }
-        }
+        let assigned = assign_frames(cfg, &contention(cfg, Some(graph)), &mut rng);
         let total = cfg.m * cfg.n;
         OfflineWindowScheduler {
             tau: cfg.tau as u64,
@@ -755,7 +725,7 @@ mod tests {
         // Txn 0 has run 3 steps, txn 1 is fresh: 1 loses, whatever the
         // ranks say.
         for (r0, r1) in [(1, 2), (2, 1)] {
-            s.ranks = vec![r0, r1];
+            s.rounds.ranks = vec![r0, r1];
             s.progress[0] = 3;
             s.progress[1] = 0;
             assert_eq!(duel_loser(&s, 0, 0, 1), 1);
@@ -880,8 +850,9 @@ mod tests {
         // txn 0. Free-running finishes in N·τ; one-shot takes the same
         // here only because both threads advance in lockstep — so use
         // unequal progress via a conflict in column 0.
-        let mut g = ConflictGraph::empty(2, 2);
-        g.add_edge(0, 2); // (0,0) vs (1,0)
+        let mut b = crate::graph::GraphBuilder::new(2, 2);
+        b.add_edge(0, 2); // (0,0) vs (1,0)
+        let g = b.build();
         let cfg = SimConfig::new(2, 2, 3);
         let one = simulate(&g, &cfg, &mut OneShotScheduler::new(&cfg, 1));
         assert!(one.all_committed);
