@@ -1,12 +1,9 @@
 //! The execution engine, rebuilt on the deterministic event core.
 //!
-//! The original simulator was a discrete-*time* stepper: one `while` loop,
-//! one implicit node, verdicts applied in the same step they were decided.
-//! The engine is now driven by the [`event`](crate::event) core — a
-//! virtual-clock priority queue — with the step loop living inside the
-//! `Tick` event handler and everything *between* steps (verdict
-//! deliveries, commit acks, node crashes/recoveries) scheduled as
-//! delivery-class events that fire before the tick of the same instant.
+//! The [`event`](crate::event) core — a virtual-clock priority queue —
+//! drives the step loop from its `Tick` handler; everything *between*
+//! steps (verdict deliveries, commit acks, node crashes/recoveries) is a
+//! delivery-class event that fires before the tick of the same instant.
 //!
 //! Per tick the engine:
 //!
@@ -94,9 +91,9 @@ impl SimConfig {
         Self::try_new(m, n, tau).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// `ln(MN)` clamped below by 1.
+    /// `ln(MN)` ([`wtm_policy::ln_mn`]).
     pub fn ln_mn(&self) -> f64 {
-        ((self.m * self.n) as f64).ln().max(1.0)
+        wtm_policy::ln_mn(self.m, self.n)
     }
 
     /// Slots per frame: `max(1, ⌈phi_factor · ln(MN)⌉)`.

@@ -32,9 +32,9 @@
 //!    [`SimRunSpec`].
 //!
 //! The schedulers ([`sched`]) — one-shot, free-running RandomizedRounds,
-//! Greedy timestamps, Polka, and the window family (Online,
-//! Online-Dynamic, Adaptive, coloring-based Offline) — run unchanged on
-//! the event core; [`engine::simulate`] is the zero-latency single-node
+//! Greedy timestamps, Polka, and the `wtm-policy` window family (Online,
+//! Online-Dynamic, Adaptive, which never adapts under dynamic frames, and
+//! coloring-based Offline) — run unchanged on the event core; [`engine::simulate`] is the zero-latency single-node
 //! entry point the theory tables and property tests use.
 //!
 //! Everything is seeded and deterministic: the same [`SimRunSpec`]

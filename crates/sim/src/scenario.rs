@@ -109,28 +109,15 @@ pub fn build_sim_scheduler(
     graph: &ConflictGraph,
     seed: u64,
 ) -> Result<Box<dyn SimScheduler>, SimError> {
+    use WindowMode::{Dynamic, Static};
     Ok(match name {
         "OneShot" => Box::new(OneShotScheduler::new(cfg, seed)),
         "RandomizedRounds" => Box::new(FreeRandomizedScheduler::new(cfg, seed)),
         "Greedy" => Box::new(GreedyTimestampScheduler::new(cfg)),
         "Polka" => Box::new(PolkaProgressScheduler::new(cfg, seed)),
-        "Online" => Box::new(OnlineWindowScheduler::new(
-            cfg,
-            graph,
-            WindowMode::Static,
-            seed,
-        )),
-        "Online-Dynamic" => Box::new(OnlineWindowScheduler::new(
-            cfg,
-            graph,
-            WindowMode::Dynamic,
-            seed,
-        )),
-        "Adaptive-Dynamic" => Box::new(OnlineWindowScheduler::adaptive(
-            cfg,
-            WindowMode::Dynamic,
-            seed,
-        )),
+        "Online" => Box::new(OnlineWindowScheduler::new(cfg, graph, Static, seed)),
+        "Online-Dynamic" => Box::new(OnlineWindowScheduler::new(cfg, graph, Dynamic, seed)),
+        "Adaptive-Dynamic" => Box::new(OnlineWindowScheduler::adaptive(cfg, Dynamic, seed)),
         "Offline" => Box::new(OfflineWindowScheduler::new(cfg, graph, seed)),
         _ => {
             return Err(SimError::UnknownScheduler {

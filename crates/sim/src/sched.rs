@@ -6,7 +6,7 @@
 //! | [`OneShotScheduler`] | N sequential one-shot problems | current column only | (rank, id) |
 //! | [`GreedyTimestampScheduler`] | the Greedy contention manager | everything issued | (timestamp, id): older wins |
 //! | [`PolkaProgressScheduler`] | the Polka contention manager | everything issued | (u32::MAX − progress, rank, id): richer wins |
-//! | [`OnlineWindowScheduler`] | the paper's Online / Online-Dynamic / Adaptive | everything issued | (π₁ = low, π₂ = rank, id) |
+//! | [`OnlineWindowScheduler`] | the paper's Online / Online-Dynamic / Adaptive; Adaptive-Dynamic never misses a frame, so never adapts: it is Online-Dynamic with no delay | everything issued | (π₁ = low, π₂ = rank, id) |
 //! | [`OfflineWindowScheduler`] | the paper's Offline (§II-B1) | one independent set per slot, from a greedy coloring | never duels (sets are conflict-free) |
 //!
 //! A duel between two conflicting selected transactions goes to the
@@ -16,6 +16,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use wtm_policy::{is_low, key, AdaptiveMode, Policy, Schedule};
 
 use crate::coloring::Coloring;
 use crate::engine::SimConfig;
@@ -235,23 +236,21 @@ impl SimScheduler for PolkaProgressScheduler {
 // Window: Online / Online-Dynamic / Adaptive
 // ---------------------------------------------------------------------------
 
-/// Each thread's contention `Cᵢ`: from `graph`, or 1 (Adaptive's start)
-/// without one.
-fn contention(cfg: &SimConfig, graph: Option<&ConflictGraph>) -> Vec<f64> {
-    let c = |i| graph.map_or(1, |g: &ConflictGraph| g.contention_of_thread(i).max(1)) as f64;
-    (0..cfg.m).map(c).collect()
-}
-
-/// Thread `i` draws `qᵢ` from `[0, αᵢ − 1]`, `αᵢ = ⌈Cᵢ/ln(MN)⌉ ≤ N`, in
-/// thread order; transaction `(i, j)` is assigned frame `qᵢ + j`.
-fn assign_frames(cfg: &SimConfig, c: &[f64], rng: &mut SmallRng) -> Vec<u64> {
-    let mut assigned = Vec::with_capacity(cfg.m * cfg.n);
-    for &c in c {
-        let alpha = ((c / cfg.ln_mn()).ceil() as u64).clamp(1, cfg.n as u64);
-        let q = rng.random_range(0..alpha);
-        assigned.extend((0..cfg.n as u64).map(|j| q + j));
-    }
-    assigned
+/// Each transaction's frame, indexed by id, and every thread's schedule,
+/// started in thread order (`Cᵢ` known from `graph`, or the adaptive start
+/// without one).
+fn start_schedules(
+    p: &Policy,
+    cfg: &SimConfig,
+    graph: Option<&ConflictGraph>,
+    rng: &mut SmallRng,
+) -> (Vec<u64>, Vec<Schedule>) {
+    let known = |i| graph.map_or(1, |g: &ConflictGraph| g.contention_of_thread(i).max(1)) as f64;
+    let threads: Vec<Schedule> = (0..cfg.m)
+        .map(|i| Schedule::start(p, p.start_c(known(i), 0.0), rng))
+        .collect();
+    let frames = threads.iter().flat_map(|s| (0..cfg.n).map(|j| s.frame(j)));
+    (frames.collect(), threads)
 }
 
 /// Frame-clock driver for the window schedulers.
@@ -265,23 +264,20 @@ pub enum WindowMode {
 }
 
 /// The paper's Online algorithm (§II-B2) and its Dynamic and Adaptive
-/// variants, in the abstract model. Each thread draws `qᵢ` from
-/// `[0, αᵢ − 1]` with `αᵢ = ⌈Cᵢ/ln(MN)⌉ ≤ N`; transaction `(i, j)` turns
-/// high priority in frame `qᵢ + (j − j_baseᵢ) + baseᵢ`; duels compare
-/// `(π₁, π₂, id)`.
+/// variants: a step-driven frame clock over each thread's [`wtm_policy`]
+/// schedule; duels compare `(π₁, π₂, id)`.
 pub struct OnlineWindowScheduler {
+    policy: Policy,
     phi_steps: u64,
     n: usize,
-    m: u32,
-    ln_mn: f64,
     mode: WindowMode,
-    adaptive: bool,
-    /// Per-thread contention estimate `Cᵢ`.
-    c: Vec<f64>,
+    /// Per-thread `Cᵢ`, `qᵢ` and segment.
+    threads: Vec<Schedule>,
+    /// Each transaction's frame, cached from `threads`.
     assigned: Vec<u64>,
     ranks: Vec<u32>,
     rng: SmallRng,
-    // Dynamic contraction state.
+    /// Dynamic contraction: uncommitted transactions per frame.
     pending: Vec<u32>,
     cur_frame: u64,
 }
@@ -293,7 +289,9 @@ impl OnlineWindowScheduler {
     }
 
     /// Adaptive variant: starts every `Cᵢ` at 1, doubles on bad events
-    /// and re-randomizes the rest of the thread's window (§II-B3).
+    /// and re-randomizes the rest of the thread's window (§II-B3). Under
+    /// [`WindowMode::Dynamic`] no frame is ever missed, so `Cᵢ` stays 1:
+    /// Online-Dynamic with no delay.
     pub fn adaptive(cfg: &SimConfig, mode: WindowMode, seed: u64) -> Self {
         Self::build(cfg, None, mode, seed)
     }
@@ -301,34 +299,28 @@ impl OnlineWindowScheduler {
     /// Known contention from `graph`, or adaptive without one.
     fn build(cfg: &SimConfig, graph: Option<&ConflictGraph>, mode: WindowMode, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x817D07);
-        let m = cfg.m.max(1) as u32;
-        let c = contention(cfg, graph);
-        let assigned = assign_frames(cfg, &c, &mut rng);
-        let ranks = (0..cfg.m * cfg.n)
-            .map(|_| rng.random_range(1..=m))
-            .collect();
+        let adaptive = graph.map_or(AdaptiveMode::Doubling, |_| AdaptiveMode::Known);
+        let policy = Policy::new(cfg.m, cfg.n, adaptive, mode == WindowMode::Dynamic);
+        let (assigned, threads) = start_schedules(&policy, cfg, graph, &mut rng);
+        let ranks = (0..cfg.m * cfg.n).map(|_| policy.rank(&mut rng)).collect();
+        let mut pending = Vec::new();
+        if mode == WindowMode::Dynamic {
+            pending.resize(policy.frames_per_window(), 0);
+            assigned.iter().for_each(|&f| pending[f as usize] += 1);
+        }
         let mut sched = OnlineWindowScheduler {
+            policy,
             phi_steps: cfg.phi_steps(),
             n: cfg.n,
-            m,
-            ln_mn: cfg.ln_mn(),
             mode,
-            adaptive: graph.is_none(),
-            c,
+            threads,
             assigned,
             ranks,
             rng,
-            pending: Vec::new(),
+            pending,
             cur_frame: 0,
         };
-        if mode == WindowMode::Dynamic {
-            let max_f = sched.assigned.iter().copied().max().unwrap_or(0) as usize;
-            sched.pending = vec![0; max_f + 2];
-            for &f in &sched.assigned.clone() {
-                sched.pending[f as usize] += 1;
-            }
-            sched.contract();
-        }
+        sched.contract();
         sched
     }
 
@@ -347,39 +339,19 @@ impl OnlineWindowScheduler {
         }
     }
 
-    fn alpha(&self, c: f64) -> u64 {
-        ((c / self.ln_mn).ceil() as u64).clamp(1, self.n as u64)
-    }
-
-    fn reassign(&mut self, t: TxnId, new_frame: u64) {
-        let old = self.assigned[t as usize];
-        self.assigned[t as usize] = new_frame;
-        if self.mode == WindowMode::Dynamic {
-            let oi = old as usize;
-            if oi < self.pending.len() && self.pending[oi] > 0 {
-                self.pending[oi] -= 1;
-            }
-            let ni = new_frame as usize;
-            if ni >= self.pending.len() {
-                self.pending.resize(ni + 1, 0);
-            }
-            self.pending[ni] += 1;
-        }
-    }
-
     /// Contention estimate of a thread (tests).
     pub fn contention_estimate(&self, i: usize) -> f64 {
-        self.c[i]
+        self.threads[i].c()
     }
 }
 
 impl SimScheduler for OnlineWindowScheduler {
     fn name(&self) -> &'static str {
-        match (self.adaptive, self.mode) {
-            (false, WindowMode::Static) => "Online",
-            (false, WindowMode::Dynamic) => "Online-Dynamic",
-            (true, WindowMode::Static) => "Adaptive",
-            (true, WindowMode::Dynamic) => "Adaptive-Dynamic",
+        match (self.policy.mode(), self.mode) {
+            (AdaptiveMode::Known, WindowMode::Static) => "Online",
+            (AdaptiveMode::Known, WindowMode::Dynamic) => "Online-Dynamic",
+            (_, WindowMode::Static) => "Adaptive",
+            (_, WindowMode::Dynamic) => "Adaptive-Dynamic",
         }
     }
 
@@ -387,36 +359,26 @@ impl SimScheduler for OnlineWindowScheduler {
     // just abortable.
 
     fn priority(&self, step: u64, t: TxnId) -> u128 {
-        let low = self.assigned[t as usize] > self.frame_at(step);
-        (low as u128) << 64 | (self.ranks[t as usize] as u128) << 32 | t as u128
+        let low = is_low(self.assigned[t as usize], self.frame_at(step));
+        key(low, self.ranks[t as usize], t as u64)
     }
 
     fn on_abort(&mut self, t: TxnId) {
-        self.ranks[t as usize] = self.rng.random_range(1..=self.m);
+        self.ranks[t as usize] = self.policy.rank(&mut self.rng);
     }
 
     fn on_commit(&mut self, t: TxnId, step: u64) {
         let cur = self.frame_at(step.saturating_sub(1));
         let assigned = self.assigned[t as usize];
         if self.mode == WindowMode::Dynamic {
-            let fi = assigned as usize;
-            if fi < self.pending.len() && self.pending[fi] > 0 {
-                self.pending[fi] -= 1;
-            }
+            self.pending[assigned as usize] -= 1;
             self.contract();
         }
-        // Bad event (adaptive): committed after the assigned frame ended.
-        if self.adaptive && cur > assigned {
-            let (i, j) = (t as usize / self.n, t as usize % self.n);
-            let cap = (self.m as f64) * (self.n as f64);
-            self.c[i] = (self.c[i] * 2.0).min(cap);
-            let alpha = self.alpha(self.c[i]);
-            let new_q = self.rng.random_range(0..alpha);
-            let new_base = cur + 1;
-            for jj in (j + 1)..self.n {
-                let tt = (i * self.n + jj) as TxnId;
-                let nf = new_base + new_q + (jj - (j + 1)) as u64;
-                self.reassign(tt, nf);
+        let (i, j) = (t as usize / self.n, t as usize % self.n);
+        let s = &mut self.threads[i];
+        if s.commit(&self.policy, j, assigned, cur, 0.0, &mut self.rng) {
+            for jj in j + 1..self.n {
+                self.assigned[i * self.n + jj] = s.frame(jj);
             }
         }
     }
@@ -482,7 +444,8 @@ impl OfflineWindowScheduler {
     /// Offline with known contention (`Cᵢ` from the graph).
     pub fn new(cfg: &SimConfig, graph: &ConflictGraph, seed: u64) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x0FF11E);
-        let assigned = assign_frames(cfg, &contention(cfg, Some(graph)), &mut rng);
+        let policy = Policy::new(cfg.m, cfg.n, AdaptiveMode::Known, false);
+        let (assigned, _) = start_schedules(&policy, cfg, Some(graph), &mut rng);
         let total = cfg.m * cfg.n;
         OfflineWindowScheduler {
             tau: cfg.tau as u64,
@@ -513,7 +476,7 @@ impl SimScheduler for OfflineWindowScheduler {
                 issued
                     .iter()
                     .copied()
-                    .filter(|&t| self.assigned[t as usize] <= cur_frame),
+                    .filter(|&t| !is_low(self.assigned[t as usize], cur_frame)),
             );
             // Largest color class of the high-priority subgraph.
             self.coloring.color(graph, &self.high);
@@ -706,6 +669,28 @@ mod tests {
         assert!(o.all_committed);
         let grew = (0..8).any(|i| s.contention_estimate(i) > 1.0);
         assert!(grew, "bad events must raise some thread's estimate");
+    }
+
+    #[test]
+    fn adaptive_dynamic_never_adapts() {
+        // A dynamic frame ends only once its transactions have committed,
+        // so no commit misses its frame and every `Cᵢ` stays at 1:
+        // Adaptive-Dynamic is Online-Dynamic with no delay. The same graph
+        // under static frames raises some estimate.
+        let g = ConflictGraph::complete_columns(8, 8);
+        let cfg = SimConfig::new(8, 8, 2);
+        for seed in [2, 5, 11] {
+            let mut dynamic = OnlineWindowScheduler::adaptive(&cfg, WindowMode::Dynamic, seed);
+            let o = simulate(&g, &cfg, &mut dynamic);
+            assert!(o.all_committed && o.aborts > 0, "seed {seed}: {o:?}");
+            assert!((0..8).all(|i| dynamic.contention_estimate(i) == 1.0));
+            let mut fixed = OnlineWindowScheduler::adaptive(&cfg, WindowMode::Static, seed);
+            assert!(simulate(&g, &cfg, &mut fixed).all_committed);
+            assert!(
+                (0..8).any(|i| fixed.contention_estimate(i) > 1.0),
+                "seed {seed}"
+            );
+        }
     }
 
     /// The losing side of a duel between `a` and `b`, as the engine

@@ -2,22 +2,6 @@
 
 use std::time::Duration;
 
-/// How the per-thread contention estimate `Cᵢ` evolves over the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdaptiveMode {
-    /// `Cᵢ` is fixed at [`WindowConfig::c_init`] — the paper's Online
-    /// algorithms, which assume the contention measure is known.
-    Known,
-    /// Start at `Cᵢ = 1` and double on every *bad event* (a transaction
-    /// that failed to commit within its assigned frame) — the paper's
-    /// Adaptive algorithm (§II-B3).
-    Doubling,
-    /// Derive `Cᵢ` from a contention-intensity EWMA
-    /// `CI ← α·CI + (1−α)·[aborted]`, as in Adaptive Transaction
-    /// Scheduling (Yoo & Lee) — the paper's Adaptive-Improved (§III-A).
-    ContentionIntensity,
-}
-
 /// Parameters of the execution-window model.
 #[derive(Debug, Clone)]
 pub struct WindowConfig {
@@ -91,16 +75,9 @@ impl WindowConfig {
         self
     }
 
-    /// `ln(MN)`, clamped below by 1 so tiny windows stay well-defined.
+    /// `ln(MN)` ([`wtm_policy::ln_mn`]).
     pub fn ln_mn(&self) -> f64 {
-        ((self.m * self.n) as f64).ln().max(1.0)
-    }
-
-    /// `αᵢ = ⌈Cᵢ / ln(MN)⌉`, clamped to `[1, N]` — the number of frames the
-    /// random delay is drawn from. The paper clamps α to "at most N" (§III).
-    pub fn alpha_for(&self, c: f64) -> u64 {
-        let a = (c / self.ln_mn()).ceil();
-        (a as u64).clamp(1, self.n as u64)
+        wtm_policy::ln_mn(self.m, self.n)
     }
 
     /// Frame length in nanoseconds for a given τ estimate:
@@ -108,12 +85,6 @@ impl WindowConfig {
     pub fn frame_len_ns(&self, tau_ns: f64) -> u64 {
         let ns = self.phi_factor * self.ln_mn() * tau_ns;
         (ns.max(1.0)) as u64
-    }
-
-    /// The frames a window assigns: `Fᵢⱼ = qᵢ + (j − 1)` with `qᵢ < α ≤ N`
-    /// and `j ≤ N` spans frames `0 … 2N − 2`.
-    pub fn frames_per_window(&self) -> usize {
-        2 * self.n - 1
     }
 }
 
@@ -131,34 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn alpha_clamped_to_n() {
-        let cfg = WindowConfig::new(4, 10);
-        // Huge contention estimate cannot exceed N frames of delay span.
-        assert_eq!(cfg.alpha_for(1e9), 10);
-        // Tiny contention still gives at least one slot.
-        assert_eq!(cfg.alpha_for(0.0), 1);
-    }
-
-    #[test]
-    fn alpha_scales_with_c() {
-        let cfg = WindowConfig::new(16, 50);
-        let a1 = cfg.alpha_for(10.0);
-        let a2 = cfg.alpha_for(100.0);
-        assert!(a2 > a1, "alpha must grow with the contention estimate");
-    }
-
-    #[test]
     fn frame_len_scales_with_ln_mn() {
         let small = WindowConfig::new(2, 2);
         let large = WindowConfig::new(32, 50);
         assert!(large.frame_len_ns(1000.0) > small.frame_len_ns(1000.0));
-    }
-
-    #[test]
-    fn ln_mn_clamped_for_tiny_windows() {
-        let cfg = WindowConfig::new(1, 1);
-        assert_eq!(cfg.ln_mn(), 1.0);
-        assert_eq!(cfg.alpha_for(0.5), 1);
     }
 
     #[test]

@@ -6,24 +6,9 @@
 //!
 //! ## The model (paper §II)
 //!
-//! Execution proceeds in an `M × N` **window**: `M` threads each run a
-//! sequence of `N` transactions. Time is divided into **frames** of
-//! `Φ = Θ(ln(MN))` transaction-durations. At the start of each window,
-//! thread `i` draws a random delay `qᵢ ∈ [0, αᵢ − 1]` frames, with
-//! `αᵢ = Cᵢ / ln(MN)` derived from its contention estimate `Cᵢ`. Its
-//! `j`-th transaction is *assigned* frame `Fᵢⱼ = qᵢ + (j − 1)`.
-//!
-//! Every transaction starts executing immediately but in **low priority**
-//! (π₁ = 1); at the first time step of its assigned frame it switches to
-//! **high priority** (π₁ = 0) and stays high until it commits. A low
-//! priority transaction always loses against a high priority one. Among
-//! equal π₁, conflicts are resolved by the RandomizedRounds rank
-//! π₂ ∈ [1, M], re-rolled at frame entry and after every abort; the full
-//! priority vector (π₁, π₂) is compared lexicographically.
-//!
-//! The random delays *shift* conflicting transactions apart inside the
-//! window so their high-priority phases do not coincide — most conflicts
-//! simply never materialize.
+//! The rules — α, the frame schedule, the `Cᵢ` updates, the bad event and
+//! the (π₁, π₂, id) key — are `wtm-policy`'s, which the simulator's window
+//! schedulers call too; this crate drives them on real threads.
 //!
 //! ## Variants (paper §III-A)
 //!
@@ -74,9 +59,10 @@ pub mod manager;
 pub mod run;
 pub mod thread;
 
-pub use config::{AdaptiveMode, WindowConfig};
+pub use config::WindowConfig;
 pub use manager::{BoundaryCounts, WindowManager};
 pub use run::WindowRun;
+pub use wtm_policy::AdaptiveMode;
 
 /// The five window-variant policies evaluated in the paper's Fig. 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -25,19 +25,14 @@
 //!
 //! ## The pending table
 //!
-//! Thread i's j-th transaction of a window is assigned frame `qᵢ + j` with
-//! `qᵢ < αᵢ ≤ N` and `j < N`, so a window assigns frames `0 … 2N−2` and no
-//! others ([`crate::WindowConfig::frames_per_window`]). A dynamic run holds
-//! one fixed table of that many cache-line-padded `AtomicU32` pending
-//! counters, allocated with the run and never grown or moved; a static run
-//! counts nothing and allocates none. [`WindowRun::register_all`] asserts
-//! that every frame is inside the table.
-//!
-//! No registration ever moves between frames. Re-randomizing the rest of
-//! a window (§II-B3) follows a transaction that committed after its frame
-//! ended, and under dynamic contraction a frame ends only once every
-//! transaction assigned to it has committed — so only static runs
-//! re-randomize, and they count nothing.
+//! A window assigns frames `0 … 2N−2` and no others
+//! (`wtm_policy::Policy::frames_per_window`). A dynamic run holds one fixed
+//! table of that many cache-line-padded `AtomicU32` pending counters,
+//! allocated with the run and never grown or moved; a static run counts
+//! nothing and allocates none. [`WindowRun::register_all`] asserts that
+//! every frame is inside the table. No registration ever moves between
+//! frames: a dynamic frame is never missed, so only static runs
+//! re-randomize (`wtm_policy::Schedule::commit`), and they count nothing.
 //!
 //! * `register_all` is one `fetch_add` per frame plus one `fetch_max` on
 //!   the high-water mark — wait-free.

@@ -1,13 +1,10 @@
 //! Per-thread window bookkeeping.
 //!
-//! Each worker owns a [`ThreadWindow`]: its contention estimate `Cᵢ`, the
-//! random delay `qᵢ` for the current window, its progress `j` through the
-//! window, and the RNG for delays and π₂ ranks. The struct used to sit
-//! behind a `parking_lot::Mutex` "purely for interior mutability" — but an
-//! always-uncontended lock is still a lock: an atomic RMW on acquire and
-//! release, a `Mutex` word bouncing between cores that share the array,
-//! and (measured) a visible slice of the per-transaction window overhead
-//! of Fig. 5. It now sits in a [`ThreadCell`]:
+//! Each worker owns a [`ThreadWindow`]: its [`Schedule`] (`Cᵢ` and the
+//! random delay `qᵢ` for the current window), its progress `j` through the
+//! window, and the RNG for delays and π₂ ranks. It sits in a
+//! [`ThreadCell`], not behind a lock: even an uncontended mutex is an
+//! atomic RMW per hook, a measured slice of Fig. 5's window overhead.
 //!
 //! * the [`ThreadWindow`] itself lives in an `UnsafeCell` and is accessed
 //!   **only by the owning thread** through [`ThreadCell::with`]. The
@@ -29,6 +26,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use wtm_policy::Schedule;
 use wtm_stm::sync::AtomicF64;
 
 use crate::run::WindowRun;
@@ -38,19 +36,10 @@ use crate::run::WindowRun;
 pub(crate) struct ThreadWindow {
     /// Owning thread's id (diagnostics and trace events).
     pub id: usize,
-    /// Contention estimate `Cᵢ`.
-    pub c: f64,
-    /// Random delay (in frames) for the current schedule segment.
-    pub q: u64,
+    /// Contention estimate `Cᵢ`, delay `qᵢ` and the frames they assign.
+    pub sched: Schedule,
     /// Transactions committed so far in the current window (`0..=N`).
     pub j: usize,
-    /// Transaction index at the start of the current schedule segment
-    /// (changes when an adaptive re-randomization restarts the schedule).
-    pub j_base: usize,
-    /// Frame base of the current schedule segment.
-    pub base: u64,
-    /// Assigned frame of the in-flight logical transaction.
-    pub cur_assigned: u64,
     /// Windows completed + 1 while inside one = the barrier generation.
     pub windows_done: u64,
     /// Per-thread RNG (delays and π₂ ranks).
@@ -67,14 +56,10 @@ impl ThreadWindow {
     pub(crate) fn new(thread_id: usize, seed: u64, c_init: f64, n: usize) -> Self {
         ThreadWindow {
             id: thread_id,
-            c: c_init,
-            q: 0,
+            sched: Schedule::undelayed(c_init),
             // Start "at the end of a window" so the first transaction
             // triggers window setup.
             j: n,
-            j_base: 0,
-            base: 0,
-            cur_assigned: 0,
             windows_done: 0,
             rng: SmallRng::seed_from_u64(
                 seed ^ (thread_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
@@ -82,12 +67,6 @@ impl ThreadWindow {
             run: None,
             free_mode: false,
         }
-    }
-
-    /// Assigned frame for the next transaction:
-    /// `Fᵢⱼ = base + qᵢ + (j − j_base)`.
-    pub(crate) fn next_assigned_frame(&self) -> u64 {
-        self.base + self.q + (self.j - self.j_base) as u64
     }
 }
 
@@ -185,23 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_assignment_formula() {
-        let mut tw = ThreadWindow::new(0, 1, 4.0, 50);
-        tw.j = 3;
-        tw.j_base = 0;
-        tw.q = 2;
-        tw.base = 0;
-        assert_eq!(tw.next_assigned_frame(), 5);
-        // After a re-randomization at j = 3 with base 10 and q = 1:
-        tw.base = 10;
-        tw.q = 1;
-        tw.j_base = 3;
-        assert_eq!(tw.next_assigned_frame(), 11);
-        tw.j = 5;
-        assert_eq!(tw.next_assigned_frame(), 13);
-    }
-
-    #[test]
     fn distinct_threads_get_distinct_rng_streams() {
         use rand::Rng;
         let mut a = ThreadWindow::new(0, 7, 1.0, 10);
@@ -216,7 +178,7 @@ mod tests {
         let cell = ThreadCell::new(3, 9, 2.5, 8);
         assert_eq!(cell.with(|tw| tw.id), 3);
         cell.with(|tw| {
-            tw.c = 5.0;
+            tw.sched = Schedule::undelayed(5.0);
             tw.windows_done = 2;
         });
         // Mirrors lag until published — that's the contract.

@@ -1,5 +1,6 @@
 //! Property tests for the window machinery: frame-clock contraction
-//! invariants and configuration arithmetic under arbitrary inputs.
+//! invariants and configuration arithmetic under arbitrary inputs. (α's
+//! property test lives with α, in `wtm-policy`.)
 
 use proptest::prelude::*;
 
@@ -47,22 +48,6 @@ proptest! {
             last_cur = cur;
         }
         prop_assert_eq!(run.outstanding(), 0);
-    }
-
-    /// α stays within [1, N] and grows monotonically with C.
-    #[test]
-    fn alpha_monotone_and_clamped(
-        m in 1usize..64,
-        n in 1usize..128,
-        c1 in 0.0f64..1e6,
-        c2 in 0.0f64..1e6,
-    ) {
-        let cfg = WindowConfig::new(m, n);
-        let (lo, hi) = if c1 <= c2 { (c1, c2) } else { (c2, c1) };
-        let a_lo = cfg.alpha_for(lo);
-        let a_hi = cfg.alpha_for(hi);
-        prop_assert!(a_lo >= 1 && a_hi <= n as u64);
-        prop_assert!(a_lo <= a_hi, "alpha must be monotone in C");
     }
 
     /// Frame length is positive and monotone in τ and in window size.

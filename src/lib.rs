@@ -10,6 +10,8 @@
 //! * [`managers`] — the classic contention managers (Polka, Greedy,
 //!   Priority, RandomizedRounds); every manager, classic or window, is
 //!   built by name through [`harness::managers::build_manager`],
+//! * [`policy`] — the window policy both window drivers call (α, the
+//!   frame schedule, the Cᵢ rules, the bad event, the priority key),
 //! * [`window`] — the paper's window-based contention managers,
 //! * [`workloads`] — List, RBTree, SkipList, and Vacation benchmarks,
 //! * [`sim`] — the discrete-time scheduling simulator (Offline algorithm,
@@ -20,6 +22,7 @@
 //! `EXPERIMENTS.md` for paper-vs-measured results.
 
 pub use wtm_harness as harness;
+pub use wtm_policy as policy;
 pub use wtm_sim as sim;
 pub use wtm_stm as stm;
 pub use wtm_stm::managers;
