@@ -319,16 +319,13 @@ impl ConflictGraph {
     ) -> Self {
         assert!(s >= 1);
         let (mut rng, w) = (SmallRng::seed_from_u64(seed), write_frac.clamp(0.0, 1.0));
+        // `from_footprints` keeps each resource's strongest access, so a
+        // transaction that reads and writes a resource is its writer.
         let footprints: Vec<Vec<(u64, bool)>> = (0..m * n)
             .map(|_| {
-                let mut fp: Vec<(u64, bool)> = (0..ops_per_txn)
+                (0..ops_per_txn)
                     .map(|_| (rng.random_range(0..s) as u64, rng.random_bool(w)))
-                    .collect();
-                // One access per resource: the first after sorting, so a
-                // resource a transaction both reads and writes counts as read.
-                fp.sort_unstable();
-                fp.dedup_by_key(|e| e.0);
-                fp
+                    .collect()
             })
             .collect();
         Self::from_footprints(m, n, &footprints)
@@ -410,6 +407,42 @@ pub(crate) mod tests {
         assert!(g.conflicts(0, 2));
         assert!(g.conflicts(2, 0));
         assert_eq!(g.degree(0), 1);
+    }
+
+    #[test]
+    fn a_resource_read_and_written_makes_its_transaction_a_writer() {
+        // One resource and two accesses per transaction: two transactions
+        // conflict iff one of them writes it (§II-A), also when that one
+        // reads it too.
+        let (m, n, w) = (4, 3, 0.5);
+        let mut read_and_write_vs_reader = 0;
+        for seed in 0..32 {
+            let g = ConflictGraph::from_resources(m, n, 1, 2, w, seed);
+            // The draws `from_resources` makes: (resource, write?) twice.
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut draw = || {
+                rng.random_range(0..1usize);
+                rng.random_bool(w)
+            };
+            let writes: Vec<[bool; 2]> = (0..m * n).map(|_| [draw(), draw()]).collect();
+            for a in 0..m * n {
+                for b in a + 1..m * n {
+                    let (wa, wb) = (writes[a], writes[b]);
+                    let writer = |x: [bool; 2]| x[0] || x[1];
+                    let mixed_vs_reader = |x: [bool; 2], y: [bool; 2]| x[0] != x[1] && !writer(y);
+                    if mixed_vs_reader(wa, wb) || mixed_vs_reader(wb, wa) {
+                        read_and_write_vs_reader += 1;
+                    }
+                    let (a, b) = (a as TxnId, b as TxnId);
+                    assert_eq!(
+                        g.conflicts(a, b),
+                        writer(wa) || writer(wb),
+                        "seed {seed}: {a}, {b}"
+                    );
+                }
+            }
+        }
+        assert!(read_and_write_vs_reader > 0, "no pair exercised the fix");
     }
 
     #[test]
