@@ -22,24 +22,19 @@ use std::sync::Arc;
 use std::fmt::Display;
 
 use wtm_sim::{ParamError, Params};
-use wtm_stm::managers::{Polka, RandomizedRounds};
+use wtm_stm::managers::Polka;
 use wtm_stm::{CmDispatch, ContentionManager};
 use wtm_window::{WindowConfig, WindowManager, WindowVariant};
 
-/// Builds a classic manager for `(threads, seed)` as the [`CmDispatch`]
-/// variant the engine calls without virtual dispatch.
-type Classic = fn(usize, u64) -> CmDispatch;
+/// Builds a classic manager as the [`CmDispatch`] variant the engine
+/// calls without virtual dispatch.
+type Classic = fn() -> CmDispatch;
 
-/// The classic managers by name.
-const CLASSIC: [(&str, Classic); 4] = [
-    ("Polka", |_, _| {
-        CmDispatch::Polka(Arc::new(Polka::default()))
-    }),
-    ("Greedy", |_, _| CmDispatch::Greedy),
-    ("Priority", |_, _| CmDispatch::Priority),
-    ("RandomizedRounds", |threads, seed| {
-        CmDispatch::RandomizedRounds(Arc::new(RandomizedRounds::with_seed(threads, seed)))
-    }),
+/// The classic managers by name: the paper's §III-A baselines.
+const CLASSIC: [(&str, Classic); 3] = [
+    ("Polka", || CmDispatch::Polka(Arc::new(Polka::default()))),
+    ("Greedy", || CmDispatch::Greedy),
+    ("Priority", || CmDispatch::Priority),
 ];
 
 /// A constructed manager, with the window handle kept separately so the
@@ -90,15 +85,12 @@ pub fn all_manager_names() -> Vec<&'static str> {
 }
 
 /// The paper's Fig. 3/4/5 comparison set: the two dynamic window
-/// variants (the paper's best) plus the classic baselines, i.e. every
-/// classic manager but RandomizedRounds, which the paper runs only as
-/// the Online algorithm's subroutine.
+/// variants (the paper's best) plus the classic baselines.
 pub fn comparison_manager_names() -> Vec<&'static str> {
     let dynamic = WindowVariant::all().iter().filter(|v| v.dynamic_frames());
     dynamic
         .map(WindowVariant::name)
         .chain(classic_manager_names())
-        .filter(|&name| name != "RandomizedRounds")
         .collect()
 }
 
@@ -160,9 +152,9 @@ fn out_of_range(p: &Params, key: &str, want: &str, got: impl Display) -> BuildEr
 }
 
 /// Build a manager by name for `threads` workers, seeded with `seed`
-/// (RandomizedRounds' ranks, a window's random delays). Window managers
-/// use a `threads × window_n` window; a `@key=value` suffix overrides
-/// individual window knobs (see the module docs).
+/// (a window's random delays and ranks; no classic manager draws).
+/// Window managers use a `threads × window_n` window; a `@key=value`
+/// suffix overrides individual window knobs (see the module docs).
 ///
 /// Errors distinguish an unknown base name
 /// ([`BuildError::UnknownName`]) from a malformed or misapplied
@@ -185,8 +177,10 @@ pub fn build_manager(
             let reason = format!("`{base}` is a classic manager and takes no window parameters");
             return Err(p.error(reason).into());
         }
-        let cm = make(threads, seed);
-        return Ok(BuiltManager { cm, window: None });
+        return Ok(BuiltManager {
+            cm: make(),
+            window: None,
+        });
     }
     let Some(&variant) = WindowVariant::all().iter().find(|v| v.name() == base) else {
         return Err(BuildError::UnknownName(base.to_string()));
@@ -220,7 +214,6 @@ pub fn build_manager(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtm_stm::TxState;
 
     #[test]
     fn every_name_builds() {
@@ -232,18 +225,16 @@ mod tests {
 
     #[test]
     fn every_registered_manager_has_a_paper_role() {
-        // A window variant (Fig. 2), a comparison manager (Figs. 3–5), or
-        // RandomizedRounds, the Online algorithm's π₂ subroutine. A
-        // manager no figure plots does not get registered.
+        // A window variant (Fig. 2) or a comparison manager (Figs. 3–5).
+        // A manager no figure plots does not get registered.
         let mut roles = window_manager_names();
         roles.extend(comparison_manager_names());
-        roles.push("RandomizedRounds");
         roles.sort_unstable();
         roles.dedup();
         let mut names = all_manager_names();
         names.sort_unstable();
         assert_eq!(names, roles);
-        assert_eq!(names.len(), 9);
+        assert_eq!(names.len(), 8);
     }
 
     #[test]
@@ -253,7 +244,7 @@ mod tests {
         // that does not should stay out of it, or it pays a shared
         // `fetch_add` per transaction for nothing.
         let names = all_manager_names();
-        assert_eq!(names.len(), 9, "the registry grew: classify the newcomer");
+        assert_eq!(names.len(), 8, "the registry grew: classify the newcomer");
         for name in names {
             let b = build_manager(name, 2, 8, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(
@@ -262,23 +253,6 @@ mod tests {
                 "{name}"
             );
         }
-    }
-
-    #[test]
-    fn randomized_rounds_ranks_follow_the_seed() {
-        // Each repetition of a cell runs on its own seed, so two seeds
-        // must roll two different rank sequences.
-        let ranks = |seed| {
-            let b = build_manager("RandomizedRounds", 2, 8, seed).unwrap();
-            (1..=16)
-                .map(|id| {
-                    let tx = Arc::new(TxState::new(id, id, 0, 0, 0, 0, 0));
-                    b.cm.on_begin(&tx, false);
-                    tx.rank()
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_ne!(ranks(1), ranks(2));
     }
 
     #[test]

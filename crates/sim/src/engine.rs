@@ -789,10 +789,6 @@ mod tests {
     }
 
     impl SimScheduler for ClockKeyed {
-        fn name(&self) -> &'static str {
-            "ClockKeyed"
-        }
-
         fn priority(&self, step: u64, t: TxnId) -> u128 {
             self.keyings.set(self.keyings.get() + 1);
             if step < self.flip {

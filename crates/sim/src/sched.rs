@@ -24,8 +24,6 @@ use crate::graph::{ConflictGraph, TxnId};
 
 /// Scheduling policy plugged into [`crate::engine::simulate`].
 pub trait SimScheduler {
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
     /// Narrow `issued` in place to the transactions that execute at
     /// `step`, in the order they run. The default runs everything issued.
     fn select(&mut self, _step: u64, _issued: &mut Vec<TxnId>, _graph: &ConflictGraph) {}
@@ -69,10 +67,6 @@ impl FreeRandomizedScheduler {
 }
 
 impl SimScheduler for FreeRandomizedScheduler {
-    fn name(&self) -> &'static str {
-        "RandomizedRounds"
-    }
-
     fn priority(&self, _step: u64, t: TxnId) -> u128 {
         (self.ranks[t as usize] as u128) << 32 | t as u128
     }
@@ -109,10 +103,6 @@ impl OneShotScheduler {
 }
 
 impl SimScheduler for OneShotScheduler {
-    fn name(&self) -> &'static str {
-        "OneShot"
-    }
-
     fn select(&mut self, _step: u64, issued: &mut Vec<TxnId>, graph: &ConflictGraph) {
         // Transaction `t` sits in column `t mod N`.
         let (n, col) = (graph.n() as TxnId, self.cur_col as TxnId);
@@ -161,10 +151,6 @@ impl GreedyTimestampScheduler {
 }
 
 impl SimScheduler for GreedyTimestampScheduler {
-    fn name(&self) -> &'static str {
-        "Greedy"
-    }
-
     fn select(&mut self, _step: u64, issued: &mut Vec<TxnId>, _graph: &ConflictGraph) {
         for &t in issued.iter() {
             if self.ts[t as usize] == u64::MAX {
@@ -209,10 +195,6 @@ impl PolkaProgressScheduler {
 }
 
 impl SimScheduler for PolkaProgressScheduler {
-    fn name(&self) -> &'static str {
-        "Polka"
-    }
-
     fn select(&mut self, _step: u64, issued: &mut Vec<TxnId>, _graph: &ConflictGraph) {
         // Everyone runs; progress is credited here (one step per select).
         for &t in issued.iter() {
@@ -346,15 +328,6 @@ impl OnlineWindowScheduler {
 }
 
 impl SimScheduler for OnlineWindowScheduler {
-    fn name(&self) -> &'static str {
-        match (self.policy.mode(), self.mode) {
-            (AdaptiveMode::Known, WindowMode::Static) => "Online",
-            (AdaptiveMode::Known, WindowMode::Dynamic) => "Online-Dynamic",
-            (_, WindowMode::Static) => "Adaptive",
-            (_, WindowMode::Dynamic) => "Adaptive-Dynamic",
-        }
-    }
-
     // `select` keeps the default: low-priority transactions run too,
     // just abortable.
 
@@ -462,10 +435,6 @@ impl OfflineWindowScheduler {
 }
 
 impl SimScheduler for OfflineWindowScheduler {
-    fn name(&self) -> &'static str {
-        "Offline"
-    }
-
     fn select(&mut self, step: u64, issued: &mut Vec<TxnId>, graph: &ConflictGraph) {
         let slot = step / self.tau;
         if slot != self.plan_slot {
@@ -526,35 +495,28 @@ impl SimScheduler for OfflineWindowScheduler {
 mod tests {
     use super::*;
     use crate::engine::simulate;
+    use crate::scenario::{build_sim_scheduler, SIM_SCHEDULER_NAMES};
 
-    fn run_all(m: usize, n: usize, p: f64, seed: u64) -> Vec<(String, u64, bool)> {
+    /// Each of `names` built by the registry, beside its name.
+    fn registered(
+        names: &[&'static str],
+        cfg: &SimConfig,
+        g: &ConflictGraph,
+        seed: u64,
+    ) -> Vec<(&'static str, Box<dyn SimScheduler>)> {
+        let build = |name| build_sim_scheduler(name, cfg, g, seed).unwrap();
+        names.iter().map(|&name| (name, build(name))).collect()
+    }
+
+    fn run_all(m: usize, n: usize, p: f64, seed: u64) -> Vec<(&'static str, u64, bool)> {
         let g = ConflictGraph::per_column_random(m, n, p, seed);
         let cfg = SimConfig::new(m, n, 2);
-        let mut outs = Vec::new();
-        let mut free = FreeRandomizedScheduler::new(&cfg, seed);
-        let mut one = OneShotScheduler::new(&cfg, seed);
-        let mut greedy = GreedyTimestampScheduler::new(&cfg);
-        let mut polka = PolkaProgressScheduler::new(&cfg, seed);
-        let mut online = OnlineWindowScheduler::new(&cfg, &g, WindowMode::Static, seed);
-        let mut online_d = OnlineWindowScheduler::new(&cfg, &g, WindowMode::Dynamic, seed);
-        let mut adaptive = OnlineWindowScheduler::adaptive(&cfg, WindowMode::Dynamic, seed);
-        let mut offline = OfflineWindowScheduler::new(&cfg, &g, seed);
-        let scheds: Vec<&mut dyn SimScheduler> = vec![
-            &mut free,
-            &mut one,
-            &mut greedy,
-            &mut polka,
-            &mut online,
-            &mut online_d,
-            &mut adaptive,
-            &mut offline,
-        ];
-        for s in scheds {
-            let name = s.name().to_string();
-            let o = simulate(&g, &cfg, s);
-            outs.push((name, o.makespan, o.all_committed));
-        }
-        outs
+        let scheds = registered(SIM_SCHEDULER_NAMES, &cfg, &g, seed);
+        let run = |(name, mut s): (_, Box<dyn SimScheduler>)| {
+            let o = simulate(&g, &cfg, s.as_mut());
+            (name, o.makespan, o.all_committed)
+        };
+        scheds.into_iter().map(run).collect()
     }
 
     #[test]
@@ -572,26 +534,21 @@ mod tests {
         let g = ConflictGraph::complete_columns(5, 4);
         let cfg = SimConfig::new(5, 4, 1);
         let seed = 5;
-        let mut scheds: Vec<Box<dyn SimScheduler>> = vec![
-            Box::new(FreeRandomizedScheduler::new(&cfg, seed)),
-            Box::new(OneShotScheduler::new(&cfg, seed)),
-            Box::new(GreedyTimestampScheduler::new(&cfg)),
-            Box::new(OnlineWindowScheduler::new(
-                &cfg,
-                &g,
-                WindowMode::Dynamic,
-                seed,
-            )),
-            Box::new(OfflineWindowScheduler::new(&cfg, &g, seed)),
+        let names = [
+            "RandomizedRounds",
+            "OneShot",
+            "Greedy",
+            "Online-Dynamic",
+            "Offline",
         ];
-        for s in scheds.iter_mut() {
+        for (name, mut s) in registered(&names, &cfg, &g, seed) {
             let o = simulate(&g, &cfg, s.as_mut());
-            assert!(o.all_committed, "{} incomplete", s.name());
+            assert!(o.all_committed, "{name} incomplete");
             // N·τ = 4 is the universal lower bound (per-thread sequences).
             // Note that 5·4·τ = 20 is NOT a lower bound here: schedulers
             // that skew threads into different columns avoid the cliques
             // entirely — the very effect the window algorithms exploit.
-            assert!(o.makespan >= 4, "{}: {}", s.name(), o.makespan);
+            assert!(o.makespan >= 4, "{name}: {}", o.makespan);
         }
         // The one-shot baseline, however, cannot skew: its column barrier
         // forces each 5-clique to serialize, so 5·4·τ = 20 binds it.
@@ -721,29 +678,19 @@ mod tests {
         assert_eq!(s.progress[1], 0);
     }
 
-    /// Every scheduler that duels, over a 6 × 5 window whose transactions
-    /// have all been issued once.
-    fn dueling_schedulers(cfg: &SimConfig, g: &ConflictGraph) -> Vec<Box<dyn SimScheduler>> {
-        let seed = 11;
-        let mut scheds: Vec<Box<dyn SimScheduler>> = vec![
-            Box::new(FreeRandomizedScheduler::new(cfg, seed)),
-            Box::new(OneShotScheduler::new(cfg, seed)),
-            Box::new(GreedyTimestampScheduler::new(cfg)),
-            Box::new(PolkaProgressScheduler::new(cfg, seed)),
-            Box::new(OnlineWindowScheduler::new(cfg, g, WindowMode::Static, seed)),
-            Box::new(OnlineWindowScheduler::new(
-                cfg,
-                g,
-                WindowMode::Dynamic,
-                seed,
-            )),
-            Box::new(OnlineWindowScheduler::adaptive(
-                cfg,
-                WindowMode::Dynamic,
-                seed,
-            )),
-        ];
-        for s in scheds.iter_mut() {
+    /// Every scheduler that duels (all but Offline), over a window whose
+    /// transactions have all been issued once.
+    fn dueling_schedulers(
+        cfg: &SimConfig,
+        g: &ConflictGraph,
+    ) -> Vec<(&'static str, Box<dyn SimScheduler>)> {
+        let names: Vec<_> = SIM_SCHEDULER_NAMES
+            .iter()
+            .copied()
+            .filter(|&n| n != "Offline")
+            .collect();
+        let mut scheds = registered(&names, cfg, g, 11);
+        for (_, s) in scheds.iter_mut() {
             let mut all: Vec<TxnId> = (0..g.len() as TxnId).collect();
             s.select(0, &mut all, g);
         }
@@ -754,7 +701,7 @@ mod tests {
     fn distinct_transactions_never_share_a_key() {
         let g = ConflictGraph::complete_columns(6, 5);
         let cfg = SimConfig::new(6, 5, 2);
-        for s in dueling_schedulers(&cfg, &g) {
+        for (name, s) in dueling_schedulers(&cfg, &g) {
             // Ranks are drawn from 1..=M, so 30 transactions share them:
             // the id breaks every tie.
             for step in [0, 9, 1_000] {
@@ -762,13 +709,13 @@ mod tests {
                     (0..g.len() as TxnId).map(|t| s.priority(step, t)).collect();
                 keys.sort_unstable();
                 keys.dedup();
-                assert_eq!(keys.len(), g.len(), "{} shares a key", s.name());
+                assert_eq!(keys.len(), g.len(), "{name} shares a key");
                 // So every duel has exactly one loser, whichever side
                 // detects it.
                 for (a, b) in [(0, 1), (4, 29), (17, 3)] {
                     let l = duel_loser(s.as_ref(), step, a, b);
                     assert!(l == a || l == b);
-                    assert_eq!(l, duel_loser(s.as_ref(), step, b, a), "{}", s.name());
+                    assert_eq!(l, duel_loser(s.as_ref(), step, b, a), "{name}");
                 }
             }
         }

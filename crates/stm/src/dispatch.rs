@@ -16,16 +16,16 @@
 //! | hook        | overridden by            | everyone else |
 //! |-------------|--------------------------|---------------|
 //! | `resolve`   | every manager            | —             |
-//! | `on_begin`  | RandomizedRounds, `Dyn`  | no-op         |
+//! | `on_begin`  | `Dyn`                    | no-op         |
 //! | `on_open`   | `Dyn`                    | no-op         |
 //! | `on_commit` | `Dyn`                    | no-op         |
 //! | `on_abort`  | `Dyn`                    | no-op         |
 //!
 //! `on_open` runs once per object open — the hottest hook of all. No
-//! built-in manager implements it, nor `on_commit` or `on_abort`: for
-//! every variant but `Dyn` each compiles down to a two-way branch. They
-//! stay on the enum because the managers behind `Dyn` (the window
-//! managers, instrumentation wrappers) hook them.
+//! built-in manager implements it, nor `on_begin`, `on_commit` or
+//! `on_abort`: for every variant but `Dyn` each compiles down to a
+//! two-way branch. They stay on the enum because the managers behind
+//! `Dyn` (the window managers, instrumentation wrappers) hook them.
 //!
 //! The two cold queries, `uses_timestamps` (read once when the engine is
 //! built) and `name`, are not dispatched arm by arm: both ask the manager
@@ -42,7 +42,7 @@
 use std::sync::Arc;
 
 use crate::cm::{AbortEnemyManager, AbortSelfManager, ConflictKind, ContentionManager, Resolution};
-use crate::managers::{Greedy, Polka, Priority, RandomizedRounds};
+use crate::managers::{Greedy, Polka, Priority};
 use crate::txstate::TxState;
 
 /// A contention manager the engine can call without virtual dispatch.
@@ -64,8 +64,6 @@ pub enum CmDispatch {
     Priority,
     /// Karma + exponential backoff (the paper's published-best baseline).
     Polka(Arc<Polka>),
-    /// Schneider & Wattenhofer's randomized-rounds manager.
-    RandomizedRounds(Arc<RandomizedRounds>),
     /// Any other [`ContentionManager`] (the window managers, wrappers),
     /// dispatched virtually.
     Dyn(Arc<dyn ContentionManager>),
@@ -82,24 +80,21 @@ impl CmDispatch {
             CmDispatch::Greedy => Greedy.resolve(me, enemy, kind),
             CmDispatch::Priority => Priority.resolve(me, enemy, kind),
             CmDispatch::Polka(m) => m.resolve(me, enemy, kind),
-            CmDispatch::RandomizedRounds(m) => m.resolve(me, enemy, kind),
             CmDispatch::Dyn(m) => m.resolve(me, enemy, kind),
         }
     }
 
     /// A new attempt is starting (see [`ContentionManager::on_begin`]).
+    /// Only the `Dyn` fallback hooks this and the three below, so for
+    /// every other manager each costs a two-way branch.
     #[inline]
     pub fn on_begin(&self, tx: &Arc<TxState>, is_retry: bool) {
-        match self {
-            CmDispatch::RandomizedRounds(m) => m.on_begin(tx, is_retry),
-            CmDispatch::Dyn(m) => m.on_begin(tx, is_retry),
-            _ => {}
+        if let CmDispatch::Dyn(m) = self {
+            m.on_begin(tx, is_retry);
         }
     }
 
-    /// An object was opened (see [`ContentionManager::on_open`]). Only
-    /// the `Dyn` fallback hooks this, so for every other manager the cost
-    /// is a two-way branch.
+    /// An object was opened (see [`ContentionManager::on_open`]).
     #[inline]
     pub fn on_open(&self, tx: &TxState) {
         if let CmDispatch::Dyn(m) = self {
@@ -131,7 +126,6 @@ impl CmDispatch {
             CmDispatch::Greedy => &Greedy,
             CmDispatch::Priority => &Priority,
             CmDispatch::Polka(m) => &**m,
-            CmDispatch::RandomizedRounds(m) => &**m,
             CmDispatch::Dyn(m) => &**m,
         }
     }

@@ -1,7 +1,6 @@
 //! Classic STM contention managers.
 //!
-//! The comparison baselines of the paper (§III-A), plus the one classic
-//! manager the window algorithm itself runs:
+//! The comparison baselines of the paper (§III-A):
 //!
 //! * [`Polka`] — the "published best" manager the paper compares against:
 //!   Karma priorities combined with exponential backoff
@@ -11,9 +10,6 @@
 //!   (Guerraoui, Herlihy & Pochon, PODC 2005).
 //! * [`Priority`] — the simple static-priority manager of the paper:
 //!   priority is the start time; the younger transaction yields.
-//! * [`RandomizedRounds`] — Schneider & Wattenhofer's randomized manager,
-//!   also the conflict-resolution subroutine inside the paper's window
-//!   Online algorithm.
 //!
 //! The managers live *inside* `wtm-stm` so the engine can dispatch to
 //! them through the monomorphic
@@ -28,12 +24,10 @@
 pub mod greedy;
 pub mod polka;
 pub mod priority;
-pub mod randomized;
 
 pub use greedy::Greedy;
 pub use polka::Polka;
 pub use priority::Priority;
-pub use randomized::RandomizedRounds;
 
 /// Debug check of the managers that order by logical timestamp (Greedy,
 /// Priority): the engine stamps attempts only where

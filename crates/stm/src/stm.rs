@@ -755,16 +755,15 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn fixed_path_shared_rmw_budget() {
-        use crate::managers::{Polka, RandomizedRounds};
-        // The last two rows reach the same managers through `Dyn`: each
-        // manager's own `uses_timestamps` decides, whatever the arm.
+        use crate::managers::Polka;
+        // The last row reaches Polka through `Dyn`: each manager's own
+        // `uses_timestamps` decides, whatever the arm.
         for (cm, clock_rmws) in [
             (CmDispatch::AbortSelf, 0),
             (CmDispatch::Polka(Arc::new(Polka::default())), 0),
             (CmDispatch::Greedy, BUDGET_TXNS),
             (CmDispatch::Priority, BUDGET_TXNS),
             (Arc::new(Polka::default()).into(), 0),
-            (Arc::new(RandomizedRounds::new(1)).into(), 0),
         ] {
             let stm = Stm::new(cm, 1);
             assert_eq!(

@@ -100,10 +100,6 @@ pub struct TxState {
     /// owning thread dereferences it; see the safety contract on the
     /// window manager's `resolve`.
     window_run: AtomicU64,
-    /// Window CM: barrier generation of the cached `window_run` pointer
-    /// (diagnostics/debug assertions — lets a reader detect a stale cache
-    /// without dereferencing).
-    window_gen: AtomicU64,
     /// Versions kept alive for this attempt's borrowed reads. Touched by
     /// whoever displaces a version the attempt is registered on while it
     /// may still run, and by the owner once on the abort arm
@@ -144,7 +140,6 @@ impl TxState {
             assigned_frame: AtomicU64::new(NOT_WINDOWED),
             rank: AtomicU32::new(0),
             window_run: AtomicU64::new(0),
-            window_gen: AtomicU64::new(0),
             lent: Mutex::default(),
         }
     }
@@ -319,18 +314,11 @@ impl TxState {
         self.window_run.load(Ordering::Relaxed)
     }
 
-    /// Cache the window frame-clock pointer + barrier generation for this
-    /// attempt (window CM bookkeeping, called from `on_begin`).
+    /// Cache the window frame-clock pointer for this attempt (window CM
+    /// bookkeeping, called from `on_begin`).
     #[inline]
-    pub fn set_window_run(&self, ptr_bits: u64, generation: u64) {
+    pub fn set_window_run(&self, ptr_bits: u64) {
         self.window_run.store(ptr_bits, Ordering::Relaxed);
-        self.window_gen.store(generation, Ordering::Relaxed);
-    }
-
-    /// Barrier generation recorded with [`Self::window_run_bits`].
-    #[inline]
-    pub fn window_gen(&self) -> u64 {
-        self.window_gen.load(Ordering::Relaxed)
     }
 }
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use wtm_stm::managers::{Priority, RandomizedRounds};
+use wtm_stm::managers::Priority;
 use wtm_stm::{CmDispatch, ConflictKind, ContentionManager, Resolution, TxState};
 
 fn state(attempt_id: u64, txn_id: u64, thread: usize, ts: u64, attempt: u32) -> Arc<TxState> {
@@ -38,19 +38,16 @@ fn deciders() -> Vec<CmDispatch> {
     vec![
         CmDispatch::AbortSelf,
         CmDispatch::AbortEnemy,
-        CmDispatch::RandomizedRounds(Arc::new(RandomizedRounds::new(16))),
         CmDispatch::Priority,
     ]
 }
 
 /// Two conflicting parties that differ between calls only in their `ts`
-/// stamps: ids, threads, rank, karma and status fixed.
-fn stamped_pair(stamps: [u64; 2], ranks: [u32; 2], karma: [u64; 2]) -> [Arc<TxState>; 2] {
+/// stamps: ids, threads, karma and status fixed.
+fn stamped_pair(stamps: [u64; 2], karma: [u64; 2]) -> [Arc<TxState>; 2] {
     [0, 1].map(|i| {
         let id = i as u64 + 1;
-        let st = TxState::new(id, id, i, 0, stamps[i], 0, karma[i]);
-        st.set_rank(ranks[i]);
-        Arc::new(st)
+        Arc::new(TxState::new(id, id, i, 0, stamps[i], 0, karma[i]))
     })
 }
 
@@ -94,18 +91,6 @@ proptest! {
     }
 
     #[test]
-    fn randomized_rounds_is_antisymmetric(
-        rank_a in 1u32..16, rank_b in 1u32..16,
-    ) {
-        let cm = RandomizedRounds::new(16);
-        let a = state(1, 1, 0, 5, 0);
-        let b = state(2, 2, 1, 6, 0);
-        a.set_rank(rank_a);
-        b.set_rank(rank_b);
-        assert_antisymmetric(&cm, &a, &b);
-    }
-
-    #[test]
     fn priority_decision_is_stable_across_kinds(
         ts_a in 1u64..1000, ts_b in 1u64..1000,
     ) {
@@ -123,13 +108,12 @@ proptest! {
     fn verdicts_read_timestamps_exactly_where_the_manager_declares_it(
         s in (1u64..1000, 1u64..1000),
         s2 in (1u64..1000, 1u64..1000),
-        ranks in (1u32..16, 1u32..16),
         karma in (0u64..64, 0u64..64),
     ) {
         let (x, y, x2, y2) = (s.0, s.1, s2.0, s2.1);
-        let (ranks, karma) = ([ranks.0, ranks.1], [karma.0, karma.1]);
+        let karma = [karma.0, karma.1];
         let verdict = |cm: &CmDispatch, stamps, kind| {
-            let [me, enemy] = stamped_pair(stamps, ranks, karma);
+            let [me, enemy] = stamped_pair(stamps, karma);
             cm.resolve(&me, &enemy, kind)
         };
         let mut readers = Vec::new();

@@ -1,7 +1,8 @@
-//! Makespan shoot-out in the discrete-time simulator: the paper's window
-//! algorithms vs the one-shot decomposition and Greedy, on the conflict
-//! regime that motivates the window model (§I-B — dense conflicts inside
-//! columns, none across).
+//! Makespan shoot-out in the discrete-time simulator: every registered
+//! scheduler (the paper's window algorithms, the one-shot decomposition,
+//! RandomizedRounds, Greedy and Polka), on the conflict regime that
+//! motivates the window model (§I-B — dense conflicts inside columns,
+//! none across).
 //!
 //! ```text
 //! cargo run --example makespan
@@ -9,10 +10,7 @@
 
 use windowtm::sim::engine::{simulate, SimConfig};
 use windowtm::sim::graph::ConflictGraph;
-use windowtm::sim::sched::{
-    FreeRandomizedScheduler, GreedyTimestampScheduler, OfflineWindowScheduler, OneShotScheduler,
-    OnlineWindowScheduler, SimScheduler, WindowMode,
-};
+use windowtm::sim::{build_sim_scheduler, SIM_SCHEDULER_NAMES};
 
 fn main() {
     let (m, n, tau) = (16, 24, 4);
@@ -23,37 +21,13 @@ fn main() {
     let cfg = SimConfig::new(m, n, tau);
     let seed = 7;
 
-    let mut scheds: Vec<Box<dyn SimScheduler>> = vec![
-        Box::new(OneShotScheduler::new(&cfg, seed)),
-        Box::new(FreeRandomizedScheduler::new(&cfg, seed)),
-        Box::new(GreedyTimestampScheduler::new(&cfg)),
-        Box::new(OfflineWindowScheduler::new(&cfg, &g, seed)),
-        Box::new(OnlineWindowScheduler::new(
-            &cfg,
-            &g,
-            WindowMode::Static,
-            seed,
-        )),
-        Box::new(OnlineWindowScheduler::new(
-            &cfg,
-            &g,
-            WindowMode::Dynamic,
-            seed,
-        )),
-        Box::new(OnlineWindowScheduler::adaptive(
-            &cfg,
-            WindowMode::Dynamic,
-            seed,
-        )),
-    ];
-
     println!(
         "{:<20} {:>9} {:>9} {:>14}",
         "scheduler", "makespan", "aborts", "avg response"
     );
     let mut oneshot_makespan = None;
-    for s in scheds.iter_mut() {
-        let name = s.name();
+    for &name in SIM_SCHEDULER_NAMES {
+        let mut s = build_sim_scheduler(name, &cfg, &g, seed).expect("a registered name");
         let out = simulate(&g, &cfg, s.as_mut());
         assert!(out.all_committed, "{name} did not finish");
         if name == "OneShot" {

@@ -8,8 +8,8 @@
 //!
 //! * [`stm`] — the eager object-based STM engine (the DSTM2 substitute),
 //! * [`managers`] — the classic contention managers (Polka, Greedy,
-//!   Priority, RandomizedRounds); every manager, classic or window, is
-//!   built by name through [`harness::managers::build_manager`],
+//!   Priority); every manager, classic or window, is built by name
+//!   through [`harness::managers::build_manager`],
 //! * [`policy`] — the window policy both window drivers call (α, the
 //!   frame schedule, the Cᵢ rules, the bad event, the priority key),
 //! * [`window`] — the paper's window-based contention managers,

@@ -75,7 +75,7 @@ fn bare(word: &str) -> &str {
 }
 
 /// The count `word` states, if it is one: `14` ahead of its noun, or `(9)`
-/// after it (`windowtm list`'s `managers (9)`).
+/// after it (`windowtm list`'s `managers (8)`).
 fn number(word: &str, parenthesized: bool) -> Option<usize> {
     let word = word.trim_end_matches([',', '.', ';', ':']);
     let word = if parenthesized {

@@ -109,10 +109,6 @@ impl OracleOffline {
 }
 
 impl SimScheduler for OracleOffline {
-    fn name(&self) -> &'static str {
-        "Offline-oracle"
-    }
-
     fn select(&mut self, step: u64, issued: &mut Vec<TxnId>, graph: &ConflictGraph) {
         *issued = OracleOffline::select(self, step, issued, graph).0;
     }

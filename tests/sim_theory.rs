@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 
+use windowtm::sim::build_sim_scheduler;
 use windowtm::sim::engine::{simulate, SimConfig, SimOutcome};
 use windowtm::sim::graph::ConflictGraph;
 use windowtm::sim::sched::{
@@ -12,9 +13,11 @@ use windowtm::sim::sched::{
     OnlineWindowScheduler, SimScheduler, WindowMode,
 };
 
+/// Simulate and assert the run finished; a failure points at the caller.
+#[track_caller]
 fn run(graph: &ConflictGraph, cfg: &SimConfig, s: &mut dyn SimScheduler) -> SimOutcome {
     let out = simulate(graph, cfg, s);
-    assert!(out.all_committed, "{} must finish", s.name());
+    assert!(out.all_committed, "the scheduler must finish");
     out
 }
 
@@ -167,18 +170,18 @@ proptest! {
     ) {
         let graph = ConflictGraph::per_column_random(m, n, p, seed);
         let cfg = SimConfig::new(m, n, 2);
-        let mut scheds: Vec<Box<dyn SimScheduler>> = vec![
-            Box::new(FreeRandomizedScheduler::new(&cfg, seed)),
-            Box::new(OneShotScheduler::new(&cfg, seed)),
-            Box::new(GreedyTimestampScheduler::new(&cfg)),
-            Box::new(OnlineWindowScheduler::new(&cfg, &graph, WindowMode::Static, seed)),
-            Box::new(OnlineWindowScheduler::new(&cfg, &graph, WindowMode::Dynamic, seed)),
-            Box::new(OnlineWindowScheduler::adaptive(&cfg, WindowMode::Dynamic, seed)),
-            Box::new(OfflineWindowScheduler::new(&cfg, &graph, seed)),
-        ];
-        for s in scheds.iter_mut() {
+        for name in [
+            "RandomizedRounds",
+            "OneShot",
+            "Greedy",
+            "Online",
+            "Online-Dynamic",
+            "Adaptive-Dynamic",
+            "Offline",
+        ] {
+            let mut s = build_sim_scheduler(name, &cfg, &graph, seed).unwrap();
             let out = simulate(&graph, &cfg, s.as_mut());
-            prop_assert!(out.all_committed, "{} stuck on M={m} N={n} p={p}", s.name());
+            prop_assert!(out.all_committed, "{name} stuck on M={m} N={n} p={p}");
             prop_assert!(out.makespan >= (n as u64) * 2);
             prop_assert_eq!(out.commits, (m * n) as u64);
         }

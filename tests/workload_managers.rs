@@ -53,7 +53,7 @@ fn vacation_consistent_under_window_managers_all_levels() {
 #[test]
 fn vacation_consistent_under_classic_managers() {
     for engine in EngineKind::ALL {
-        for manager in ["Polka", "Greedy", "Priority", "RandomizedRounds"] {
+        for manager in ["Polka", "Greedy", "Priority"] {
             vacation_consistent(manager, engine, 3, ContentionLevel::High.update_pct());
         }
     }
@@ -75,7 +75,7 @@ fn vacation_consistent_under_lazy_delete_heavy_mix() {
 #[test]
 fn hashset_concurrent_oracle_under_several_managers() {
     use windowtm::workloads::{TxHashSet, TxIntSet};
-    for manager in ["Polka", "Greedy", "Online-Dynamic", "RandomizedRounds"] {
+    for manager in ["Polka", "Greedy", "Online-Dynamic"] {
         const THREADS: usize = 3;
         let built = build_manager(manager, THREADS, 8, 9).expect(manager);
         let stm = Stm::new(built.cm.clone(), THREADS);
