@@ -48,12 +48,13 @@ pub struct TraceCell {
     pub commits: u64,
     pub events: Vec<Event>,
     /// Events that fell out of the ring buffers (stream was larger than
-    /// the configured capacity).
+    /// a ring's fixed capacity).
     pub dropped: u64,
-    /// `BarrierWait` events that ended in `BARRIER_TIMED_OUT`. Always zero
-    /// for a healthy cell: the harness sizes every window manager with
-    /// `m` = thread count, so a timeout means the window machinery broke
-    /// and the cell silently degraded to free mode mid-measurement.
+    /// Window barrier waits that timed out, as the run's window manager
+    /// counted them (0 under a classic manager). Always zero for a healthy cell: the harness
+    /// sizes every window manager with `m` = thread count, so a timeout
+    /// means the window machinery broke and the cell silently degraded to
+    /// free mode mid-measurement.
     pub barrier_timeouts: u64,
     /// Chrome-trace JSON of the full stream.
     pub json: String,
@@ -157,10 +158,7 @@ pub fn trace_cell(preset: &Preset, workload: &str, manager: &str) -> TraceCell {
     let out = run_one(&spec);
     let events = wtm_trace::drain();
     let dropped = wtm_trace::dropped_total();
-    let barrier_timeouts = events
-        .iter()
-        .filter(|e| e.kind == EventKind::BarrierWait && e.b == wtm_trace::BARRIER_TIMED_OUT)
-        .count() as u64;
+    let barrier_timeouts = out.boundaries.map_or(0, |b| b.barrier_timeouts);
     let json = chrome_json(
         &events,
         &[

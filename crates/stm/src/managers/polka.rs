@@ -21,8 +21,7 @@ use std::time::Duration;
 use crate::sync::wait_until;
 use crate::{ConflictKind, ContentionManager, Resolution, TxState};
 
-/// Polka contention manager. Construct with [`Polka::default`] or tune the
-/// backoff via [`Polka::with_backoff`].
+/// Polka contention manager, built with [`Polka::default`].
 #[derive(Debug)]
 pub struct Polka {
     /// First backoff interval.
@@ -40,18 +39,6 @@ impl Default for Polka {
             base: Duration::from_micros(2),
             max_interval: Duration::from_micros(256),
             max_rounds: 16,
-        }
-    }
-}
-
-impl Polka {
-    /// Custom backoff parameters (`base` doubling each round up to
-    /// `max_interval`, at most `max_rounds` rounds).
-    pub fn with_backoff(base: Duration, max_interval: Duration, max_rounds: u64) -> Self {
-        Polka {
-            base,
-            max_interval,
-            max_rounds,
         }
     }
 }
@@ -123,7 +110,11 @@ mod tests {
         for _ in 0..3 {
             enemy.add_karma();
         }
-        let cm = Polka::with_backoff(Duration::from_micros(50), Duration::from_micros(100), 16);
+        let cm = Polka {
+            base: Duration::from_micros(50),
+            max_interval: Duration::from_micros(100),
+            max_rounds: 16,
+        };
         let t0 = Instant::now();
         let res = cm.resolve(&me, &enemy, ConflictKind::WriteWrite);
         assert_eq!(res, Resolution::AbortEnemy);
@@ -151,7 +142,11 @@ mod tests {
         let me = state(1, 1);
         let enemy = state(2, 2);
         (0..10).for_each(|_| enemy.add_karma());
-        let cm = Polka::with_backoff(Duration::from_millis(50), Duration::from_millis(50), 4);
+        let cm = Polka {
+            base: Duration::from_millis(50),
+            max_interval: Duration::from_millis(50),
+            max_rounds: 4,
+        };
         std::thread::scope(|s| {
             s.spawn(|| {
                 assert!(wait_until(Duration::from_secs(30), || me.is_waiting()));
@@ -187,7 +182,11 @@ mod tests {
         for _ in 0..1_000 {
             enemy.add_karma();
         }
-        let cm = Polka::with_backoff(Duration::from_micros(10), Duration::from_micros(10), 4);
+        let cm = Polka {
+            base: Duration::from_micros(10),
+            max_interval: Duration::from_micros(10),
+            max_rounds: 4,
+        };
         let t0 = Instant::now();
         assert_eq!(
             cm.resolve(&me, &enemy, ConflictKind::WriteWrite),

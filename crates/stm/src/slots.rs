@@ -56,8 +56,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::sync::Mutex;
 use crate::txstate::TxState;
 
 /// Upper bound on concurrently registered OS threads with fast-path slots.

@@ -1,4 +1,9 @@
-//! Cooperative waiting helpers and a cancellable barrier.
+//! The engine's lock, cooperative waiting helpers and a cancellable
+//! barrier.
+//!
+//! [`Mutex`] is `std::sync::Mutex` under one poison rule: a holder that
+//! panics leaves the value as it was, and the next caller takes it. Every
+//! lock of the engine and the window manager is one.
 //!
 //! Contention managers back off by *waiting*, but on an oversubscribed
 //! machine (the paper ran 32 threads on 4 cores; this reproduction may run
@@ -13,9 +18,38 @@
 //! while threads wait at a boundary.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+/// `std::sync::Mutex` that ignores poisoning (module docs).
+#[derive(Debug, Default)]
+pub struct Mutex<T>(std::sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    /// A lock around `value`; `const`, so a `static` can hold one.
+    pub const fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
+    }
+
+    /// Block until the lock is free, then hold it.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `None` only while another thread holds the lock.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// The value, without locking: `&mut self` proves no one else holds it.
+    pub fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// An `f64` stored as its bit pattern in an [`AtomicU64`].
 ///
@@ -167,7 +201,8 @@ impl CancellableBarrier {
                 self.parked.fetch_add(1, Ordering::SeqCst);
                 self.parks.fetch_add(1, Ordering::Relaxed);
                 while !done() && !left().is_zero() {
-                    self.cv.wait_for(&mut guard, left());
+                    let woken = self.cv.wait_timeout(guard, left());
+                    guard = woken.unwrap_or_else(PoisonError::into_inner).0;
                 }
                 self.parked.fetch_sub(1, Ordering::SeqCst);
                 break;
@@ -214,6 +249,27 @@ impl CancellableBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_lock_whose_holder_panicked_is_taken_by_the_next_caller() {
+        let mut m = Mutex::new(1);
+        let _ = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut g = m.lock();
+                *g = 2;
+                panic!("holder dies with the lock");
+            })
+            .join()
+        });
+        assert!(m.0.is_poisoned(), "std marks the lock poisoned");
+        assert_eq!(*m.lock(), 2);
+        assert_eq!(m.try_lock().map(|g| *g), Some(2));
+        let g = m.lock();
+        assert!(m.try_lock().is_none(), "held");
+        drop(g);
+        *m.get_mut() = 3;
+        assert_eq!(*m.lock(), 3);
+    }
 
     #[test]
     fn wait_until_predicate_fires() {

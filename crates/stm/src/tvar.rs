@@ -96,7 +96,7 @@
 //! `Arc::get_mut` refuses a version that is on loan — which is why a
 //! committer must not lend to itself.
 //!
-//! Lock discipline: each object has one short `parking_lot::Mutex`; the
+//! Lock discipline: each object has one short [`Mutex`]; the
 //! engine never calls a contention manager, blocks, or takes another
 //! object's lock while holding it. `lock_snapshot`/`unlock_snapshot` are
 //! only called with the object mutex held, so `seq` transitions are
@@ -106,10 +106,9 @@ use std::any::Any;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
-
 use crate::slots;
 use crate::status::TxStatus;
+use crate::sync::Mutex;
 use crate::txstate::TxState;
 use crate::TxObject;
 

@@ -36,10 +36,9 @@ use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::clockns;
 use crate::status::{AtomicStatus, TxStatus};
+use crate::sync::Mutex;
 
 /// Sentinel for [`TxState::assigned_frame`]: the transaction is not running
 /// under a window-based contention manager.

@@ -14,7 +14,8 @@
 //! * **Per-thread ring buffers** ([`TraceBuf`]): single-producer, wrapping
 //!   overwrite, one atomic store per event. No locks, no allocation after
 //!   the buffer exists. A global registry collects every thread's buffer
-//!   so a collector can drain them once producers are quiescent.
+//!   so a collector can drain them once producers are quiescent; [`reset`]
+//!   drops the buffers of threads that have exited.
 //! * **Runtime gating**: the call sites in `wtm-stm` and `wtm-window` are
 //!   always compiled, and every [`emit`] starts with one relaxed load of a
 //!   global flag ([`enabled`]) — tracing that is switched off costs a
@@ -38,8 +39,8 @@
 pub mod collect;
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What an [`Event`] records. Payload word meaning per kind:
 ///
@@ -309,11 +310,18 @@ impl TraceBuf {
 // ---- global registry and runtime toggle ---------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static CAPACITY: AtomicUsize = AtomicUsize::new(1 << 16);
 
-fn registry() -> &'static Mutex<Vec<Arc<TraceBuf>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<TraceBuf>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// Events each thread's ring holds (40 B each: 2.5 MiB per ring).
+const CAPACITY: usize = 1 << 16;
+
+/// Every ring a thread has registered and no [`reset`] has dropped yet.
+static REGISTRY: Mutex<Vec<Arc<TraceBuf>>> = Mutex::new(Vec::new());
+
+/// The registry, locked under `wtm_stm::sync::Mutex`'s poison rule: a
+/// panic while it was held leaves the list as it was, and the next caller
+/// takes it.
+fn registry() -> MutexGuard<'static, Vec<Arc<TraceBuf>>> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -334,32 +342,25 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
 
-/// Per-thread ring capacity for buffers created *after* this call.
-pub fn set_capacity(events_per_thread: usize) {
-    CAPACITY.store(events_per_thread.max(16), Ordering::SeqCst);
-}
-
 /// Record one event into this thread's ring buffer (creating and
 /// registering the buffer on first use). No-op while tracing is off.
 #[inline]
 pub fn emit(ev: Event) {
-    if !enabled() {
-        return;
+    if enabled() {
+        record(ev);
     }
-    emit_always(ev);
 }
 
-/// [`emit`] without the enabled check (tests, unconditional call sites).
-pub fn emit_always(ev: Event) {
+/// The recording half of [`emit`], out of line so that a call site
+/// carries only the flag check.
+#[inline(never)]
+fn record(ev: Event) {
     // `try_with`: never panic during thread teardown — just drop the event.
     let _ = LOCAL.try_with(|cell| {
         let mut slot = cell.borrow_mut();
         let buf = slot.get_or_insert_with(|| {
-            let buf = Arc::new(TraceBuf::new(CAPACITY.load(Ordering::SeqCst)));
-            registry()
-                .lock()
-                .expect("trace registry")
-                .push(Arc::clone(&buf));
+            let buf = Arc::new(TraceBuf::new(CAPACITY));
+            registry().push(Arc::clone(&buf));
             buf
         });
         buf.push(ev);
@@ -370,9 +371,8 @@ pub fn emit_always(ev: Event) {
 /// globally sorted by timestamp. Producers must be quiescent (see module
 /// docs).
 pub fn drain() -> Vec<Event> {
-    let bufs = registry().lock().expect("trace registry");
     let mut out = Vec::new();
-    for b in bufs.iter() {
+    for b in registry().iter() {
         b.drain_into(&mut out);
     }
     out.sort_by_key(|e| e.ts_ns);
@@ -381,19 +381,24 @@ pub fn drain() -> Vec<Event> {
 
 /// Total events lost to ring wrap-around across all threads.
 pub fn dropped_total() -> u64 {
-    registry()
-        .lock()
-        .expect("trace registry")
-        .iter()
-        .map(|b| b.dropped())
-        .sum()
+    registry().iter().map(|b| b.dropped()).sum()
 }
 
-/// Clear every registered buffer (between runs; producers quiescent).
+/// Clear every registered buffer (between runs; producers quiescent) and
+/// drop the rings of threads that have exited: the registry holds their
+/// only reference. A live thread keeps its ring, so the registry holds
+/// one ring per live thread that has emitted.
 pub fn reset() {
-    for b in registry().lock().expect("trace registry").iter() {
+    registry().retain(|b| {
         b.clear();
-    }
+        Arc::strong_count(b) > 1
+    });
+}
+
+/// Rings the registry holds (one per thread that emitted since the last
+/// [`reset`], plus one per live thread that emitted before it).
+pub fn registered_rings() -> usize {
+    registry().len()
 }
 
 #[cfg(test)]

@@ -51,20 +51,19 @@
 //!   abandons the windows (below).
 //!
 //! Mutexes remain only at window *boundaries* (creating the next
-//! generation's frame clock, publishing the diagnostic mirrors) and on
-//! the two failure paths: a barrier timeout, and a body that panics
-//! mid-window — its thread may never reach the next boundary, so the
-//! barrier is cancelled at once instead of timing out.
+//! generation's frame clock, publishing the diagnostic mirrors). The two
+//! failure paths, a barrier timeout and a body that panics mid-window
+//! (its thread may never reach the next boundary, so the barrier is
+//! cancelled at once instead of timing out), set a write-once error.
 //! `wtm_stm::probe::count_lock` counts every acquisition on the calling
 //! thread, so the steady-state zero-lock property is asserted by a test
 //! rather than claimed by a comment.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
 use wtm_policy::{Policy, Schedule};
-use wtm_stm::sync::{BarrierWait, CancellableBarrier};
+use wtm_stm::sync::{BarrierWait, CancellableBarrier, Mutex};
 use wtm_stm::txstate::NOT_WINDOWED;
 use wtm_stm::{probe, ConflictKind, ContentionManager, Resolution, TxState};
 
@@ -113,8 +112,9 @@ pub struct WindowManager {
     /// large immediately, so free-mode transactions are always high
     /// priority and the manager degenerates to RandomizedRounds.
     free_run: Arc<WindowRun>,
-    /// First barrier-timeout diagnostic, kept for callers to surface.
-    last_error: Mutex<Option<String>>,
+    /// The first abandonment's diagnostic (a barrier timeout or a
+    /// panicking body), kept for callers to surface; later ones are dropped.
+    last_error: OnceLock<String>,
     /// Boundary-only event counters for [`Self::boundary_counts`].
     barrier_timeouts: AtomicU64,
     free_mode_entries: AtomicU64,
@@ -165,7 +165,7 @@ impl WindowManager {
                 run.seal_registration(); // its clock runs from here on
                 Arc::new(run)
             },
-            last_error: Mutex::new(None),
+            last_error: OnceLock::new(),
             barrier_timeouts: AtomicU64::new(0),
             free_mode_entries: AtomicU64::new(0),
             cfg,
@@ -197,8 +197,7 @@ impl WindowManager {
     /// transaction body panicked, so its thread will not reach the next
     /// boundary. `None` while the window machinery is healthy.
     pub fn window_error(&self) -> Option<String> {
-        probe::count_lock();
-        self.last_error.lock().clone()
+        self.last_error.get().cloned()
     }
 
     /// Window-boundary event counts (diagnostics/tests): reads of atomics
@@ -315,14 +314,9 @@ impl WindowManager {
     /// boundary and none waits at one.
     #[cold]
     fn abandon_windows(&self, why: String) {
-        {
-            probe::count_lock();
-            let mut err = self.last_error.lock();
-            if err.is_none() {
-                let msg = format!("{why}; continuing in free mode (RandomizedRounds).");
-                eprintln!("wtm-window: {msg}");
-                *err = Some(msg);
-            }
+        let msg = format!("{why}; continuing in free mode (RandomizedRounds).");
+        if self.last_error.set(msg).is_ok() {
+            eprintln!("wtm-window: {}", self.last_error.get().expect("just set"));
         }
         self.barrier.cancel();
     }

@@ -23,11 +23,10 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wtm_policy::Schedule;
-use wtm_stm::sync::AtomicF64;
+use wtm_stm::sync::{AtomicF64, Mutex};
 
 use crate::run::WindowRun;
 

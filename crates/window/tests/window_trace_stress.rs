@@ -19,7 +19,6 @@ fn online_dynamic_contraction_and_kill_accounting_under_contention() {
     const N: usize = 8;
     const TXNS_PER_THREAD: u64 = 64; // 8 windows per thread
 
-    wtm_trace::set_capacity(1 << 16);
     wtm_trace::reset();
     wtm_trace::set_enabled(true);
 

@@ -2,7 +2,8 @@
 //! top-level documents exists on disk, so a moved file or a renamed crate
 //! directory cannot leave the paper map pointing at nothing; and every
 //! count those documents give of the registries' managers and workloads
-//! is the registries' count.
+//! is the registries' count; and DESIGN §4 lists exactly the crates
+//! vendored under `vendor/`.
 //!
 //! Understood path forms: a trailing `::item` is dropped, `{a,b}` expands,
 //! and a component with `*` checks the directory before it.
@@ -148,4 +149,31 @@ fn registry_counts_in_the_documents_are_the_registries() {
         .filter(|name| !names(&readme, name))
         .collect();
     assert!(unnamed.is_empty(), "README.md never names {unnamed:?}");
+}
+
+#[test]
+fn design_lists_exactly_the_vendored_crates() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let (_, section) = design
+        .split_once("\n## 4. Dependencies")
+        .expect("DESIGN.md has a section 4, Dependencies");
+    let section = section.split("\n## ").next().unwrap_or(section);
+    // A bullet opens with its crate's name: "* `rand` — …".
+    let mut listed: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("* `")?.split('`').next())
+        .collect();
+    let mut vendored: Vec<String> = std::fs::read_dir(root.join("vendor"))
+        .expect("vendor/")
+        .map(|entry| entry.expect("vendor/ entry"))
+        .filter(|entry| entry.path().is_dir())
+        .map(|entry| entry.file_name().to_string_lossy().into_owned())
+        .collect();
+    listed.sort_unstable();
+    vendored.sort_unstable();
+    assert_eq!(
+        listed, vendored,
+        "DESIGN §4's bullets vs the directories under vendor/"
+    );
 }
