@@ -54,7 +54,7 @@
 //! | [`stats`] | lock-free per-thread metrics and snapshots |
 //! | [`clock`] | the global logical clock used for timestamps |
 //! | [`clockns`] | cheap coarse nanosecond timestamps for metrics |
-//! | [`slots`] | reader-slot indices and the attempt registry (a lock per record) |
+//! | [`slots`] | reader-slot indices, the per-index reader rows and the attempt registry (a lock per record) |
 //! | [`sync`] | cancellable barrier and cooperative waiting helpers |
 
 pub mod clock;
@@ -80,7 +80,6 @@ pub use clock::LogicalClock;
 pub use cm::{ConflictKind, ContentionManager, Resolution};
 pub use dispatch::CmDispatch;
 pub use engine::EngineKind;
-pub use slots::reserve_reader_slots;
 pub use stats::{StatsSnapshot, ThreadStats};
 pub use status::TxStatus;
 pub use stm::{Stm, ThreadCtx};

@@ -5,7 +5,8 @@
 //! ("no logical-clock `fetch_add` unless the manager orders by timestamp") and
 //! both engines' read path ("a first open is one store to the reader's own
 //! slot word and no read-modify-write on a line other readers write; a
-//! re-open stores nothing") are asserted by unit tests that count the actual
+//! re-open stores nothing") and the writer's scan ("it loads the words of
+//! held indices' rows only") are asserted by tests that count the actual
 //! operations, not by inspection. The counters are thread-local `Cell`s —
 //! tests in one binary run concurrently, and a process-global counter
 //! would make every assertion racy. These hot-path counters exist only
@@ -30,6 +31,7 @@ thread_local! {
     static LOGICAL_CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
     static READ_SLOT_STORES: Cell<u64> = const { Cell::new(0) };
     static READ_SHARED_RMWS: Cell<u64> = const { Cell::new(0) };
+    static SCAN_WORD_LOADS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Record one RMW operation on the lazy engine's global version clock.
@@ -63,6 +65,13 @@ pub(crate) fn count_read_shared_rmws(n: u64) {
     let _ = READ_SHARED_RMWS.try_with(|c| c.set(c.get() + n));
 }
 
+/// Record `n` reader words a writer's scan (or an object's drop) loads.
+#[cfg(debug_assertions)]
+#[inline]
+pub(crate) fn count_scan_word_loads(n: u64) {
+    let _ = SCAN_WORD_LOADS.try_with(|c| c.set(c.get() + n));
+}
+
 /// Version-clock RMW ops by this thread since the last call; resets to 0.
 #[cfg(debug_assertions)]
 pub fn take_clock_rmws() -> u64 {
@@ -87,6 +96,13 @@ pub fn take_read_slot_stores() -> u64 {
 #[cfg(debug_assertions)]
 pub fn take_read_shared_rmws() -> u64 {
     READ_SHARED_RMWS.with(|c| c.replace(0))
+}
+
+/// Reader words this thread's scans loaded since the last call; resets
+/// to 0.
+#[cfg(debug_assertions)]
+pub fn take_scan_word_loads() -> u64 {
+    SCAN_WORD_LOADS.with(|c| c.replace(0))
 }
 
 thread_local! {

@@ -1,10 +1,13 @@
-//! Global reader-slot indices and the per-thread transaction registry.
+//! Global reader-slot indices, the reader rows, and the per-thread
+//! transaction registry.
 //!
 //! The lock-free read path (see [`crate::tvar`]) gives every OS thread a
-//! small, stable *slot index*. A `TVar` carries one atomic word per slot
-//! index; a reader registers itself on an object by storing its attempt id
-//! into its slot — one `SeqCst` store, no lock, no allocation. A writer
-//! discovers read-write conflicts by scanning those words.
+//! small, stable *slot index*. Each index owns a **row**: one atomic word
+//! per object *position*, a dense `u32` every `TVar` draws when it is
+//! built. A reader registers itself on an object by storing its attempt id
+//! into its own row's word at the object's position — one `SeqCst` store,
+//! no lock, no allocation. A writer discovers read-write conflicts by
+//! loading the object's word in every live row.
 //!
 //! A slot value alone is just a number, so liveness is decided against the
 //! **registry**: each slot index has a record publishing the attempt the
@@ -35,25 +38,62 @@
 //! a thread-local destructor when the thread exits, so long-running
 //! processes stay within a compact index range.
 //!
-//! ## How many words an object carries
+//! ## Reader rows
 //!
-//! A `TVar` carries exactly [`slot_capacity`] words when it is created:
-//! the floor [`reserve_reader_slots`] raised, or the high-water mark of
-//! indices handed out so far, whichever is larger. Nothing pads it past
-//! that, because every word is a load in every writer's scan and eight
-//! bytes of every object. An engine reserves its worker count *on top of
-//! the indices held when it is built* ([`crate::Stm::new`]): lowest-free-
-//! first hands n new threads n indices below that sum, so every worker of
-//! an engine built before its objects has a word in each of them. A
-//! thread whose index lies past an object's array — one past
-//! [`MAX_SLOTS`], or one that took an index after the object was sized
-//! and above every index reserved for — falls back to the
-//! mutex-protected overflow reader list: slower, never wrong. A thread
+//! Thread t's words for neighbouring positions share t's cache lines and
+//! no other reader's, so a visible read writes a line nobody else writes;
+//! two readers of one object store into two rows, never one line. The
+//! words live outside the objects, so an object costs no allocation of
+//! its own for them and no object's words follow the widest engine the
+//! process ever ran.
+//!
+//! * **Segments.** A row is cut into fixed segments of `SEGMENT_WORDS`
+//!   words (4 KiB), one heap block each, addressed through a static
+//!   table of segment pointers by (segment, index). Segments never move,
+//!   shrink or go away, and the table's one lock installs them: when the
+//!   position space grows, a new segment for every held index; when an
+//!   index is handed out, every segment it lacks. So a thread holding an
+//!   index finds a segment for every position an object was built with,
+//!   and a read open is one segment-pointer load plus the store.
+//! * **Positions.** A thread draws positions from a thread-local cache
+//!   refilled in blocks of `POSITION_BLOCK` from the table's free list
+//!   (objects built together get neighbouring positions). An object's
+//!   drop returns its position to the dropping thread's cache, and a
+//!   thread's exit returns the cache to the table, so the position space
+//!   is as wide as the most objects alive at once. Past
+//!   `MAX_POSITIONS` an object gets no words, and every reader of it
+//!   takes the overflow list.
+//! * **Drop clears before reuse.** An object's drop, after its lending
+//!   scan, zeroes its word in every live row before the position goes
+//!   back: a reused position never shows the new object an attempt that
+//!   read only the old one.
+//!
+//! ## The live bound and its handshake
+//!
+//! A scan walks rows `0..bound` only, where the bound is one past the
+//! highest index held now: an index handed out raises it before its
+//! thread's first read, the exit of the top holder lowers it. Both are
+//! `SeqCst` stores under the table lock, and a scan loads it `SeqCst`
+//! after its writer flipped the object's `seq` odd. That completes the
+//! Dekker handshake of [`crate::tvar`]: a reader raises the bound, then
+//! stores its word, then loads `seq`; a writer flips `seq`, then loads the
+//! bound, then loads the words. In the single `SeqCst` order either the
+//! bound load comes after the raise — the scan walks the reader's row and
+//! the word/`seq` pair decides as before — or it comes before it, and
+//! then the flip precedes the reader's `seq` load, which sees `seq` odd
+//! and takes the mutex path. A row above a lowered bound belongs to no
+//! live thread: its exit unpublished first, so whatever its words still
+//! hold names an attempt the registry no longer runs.
+//!
+//! A thread past [`MAX_SLOTS`], or reading an object built with fewer
+//! rows ([`crate::TVar::new_with_slots_for_test`]), registers on the
+//! mutex-protected overflow list instead: slower, never wrong. A thread
 //! past [`MAX_SLOTS`] has no record either, so [`republish`] hands it no
 //! state back and each of its attempts allocates one: the declared slow
 //! path.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::sync::Mutex;
@@ -97,113 +137,269 @@ pub(crate) fn next_attempt_id() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Slot index allocation
+// Slot indices, reader rows and positions
 // ---------------------------------------------------------------------------
 
-/// Which slot indices live threads hold. Locked once when a thread first
-/// asks for its index and once when it exits, so a plain lock does.
-static ALLOCATED: Mutex<[bool; MAX_SLOTS]> = Mutex::new([false; MAX_SLOTS]);
+/// Words per row segment: 4 KiB, so a small workload's rows stay small.
+const SEGMENT_WORDS: usize = 512;
 
-/// How many entries of [`ALLOCATED`] are taken, changed under its lock and
-/// read without it by [`reserve_reader_slots`].
-static HELD: AtomicUsize = AtomicUsize::new(0);
+/// Segments per row.
+const MAX_SEGMENTS: usize = 8192;
 
-/// The slot-array length of `TVar`s created from now on.
-static CAPACITY: Capacity = Capacity::new();
+/// Positions the rows cover; objects past it read through the overflow
+/// list.
+const MAX_POSITIONS: usize = SEGMENT_WORDS * MAX_SEGMENTS;
 
-/// Two monotone counts whose maximum is [`slot_capacity`]. Both only
-/// grow: an index freed by an exiting thread is handed out again before
-/// any higher one, so the objects sized for it still cover its next
-/// holder.
-struct Capacity {
-    /// Raised by [`reserve_reader_slots`].
-    floor: AtomicUsize,
-    /// `index + 1` over all slot indices ever allocated.
-    hwm: AtomicUsize,
+/// Positions a thread takes from, or hands back to, the table at once.
+const POSITION_BLOCK: usize = 64;
+
+/// One row's words for [`SEGMENT_WORDS`] consecutive positions.
+type Segment = [AtomicU64; SEGMENT_WORDS];
+
+/// Rows whose segment pointers share a cache line.
+const ROW_GROUP: usize = 8;
+
+/// One segment's pointers for [`ROW_GROUP`] neighbouring indices: one line.
+#[repr(align(64))]
+struct Line([AtomicPtr<Segment>; ROW_GROUP]);
+
+/// Index `idx`'s row segment for positions `s * SEGMENT_WORDS ..` sits at
+/// `SEGMENTS[idx / ROW_GROUP][s].0[idx % ROW_GROUP]` ([`segment`]), null
+/// until installed. Written only under [`TABLE`]'s lock, never cleared. A
+/// scan of up to eight rows reads one line of pointers, and a process that
+/// never holds more than eight indices touches 64 bytes per segment.
+static SEGMENTS: [[Line; MAX_SEGMENTS]; MAX_SLOTS / ROW_GROUP] = [const {
+    [const { Line([const { AtomicPtr::new(std::ptr::null_mut()) }; ROW_GROUP]) }; MAX_SEGMENTS]
+}; MAX_SLOTS / ROW_GROUP];
+
+/// The cell of index `idx`'s segment `s`.
+#[inline]
+fn segment(s: usize, idx: usize) -> &'static AtomicPtr<Segment> {
+    &SEGMENTS[idx / ROW_GROUP][s].0[idx % ROW_GROUP]
 }
 
-impl Capacity {
-    const fn new() -> Self {
-        Capacity {
-            floor: AtomicUsize::new(0),
-            hwm: AtomicUsize::new(0),
+/// One past the highest slot index held now: the rows a scan walks.
+static BOUND: AtomicUsize = AtomicUsize::new(0);
+
+/// The index table: which indices live threads hold, how far the position
+/// space reaches, and the positions nobody uses. One lock, taken when a
+/// thread first asks for its index or exits, and once per
+/// [`POSITION_BLOCK`] objects a thread builds or drops.
+struct Table {
+    held: [bool; MAX_SLOTS],
+    /// Segments installed for every held row.
+    segments: usize,
+    /// Positions below this were handed out at some point.
+    fresh: usize,
+    /// Positions handed back.
+    free: Vec<u32>,
+}
+
+static TABLE: Mutex<Table> = Mutex::new(Table {
+    held: [false; MAX_SLOTS],
+    segments: 0,
+    fresh: 0,
+    free: Vec::new(),
+});
+
+impl Table {
+    /// Give row `idx` segment `s`, if it has none yet.
+    fn install(s: usize, idx: usize) {
+        let cell = segment(s, idx);
+        if cell.load(Ordering::Relaxed).is_null() {
+            let words: Box<Segment> = Box::new([const { AtomicU64::new(0) }; SEGMENT_WORDS]);
+            // Release, paired with the Acquire load in `row_word`: whoever
+            // sees the pointer sees the zeroed words. (A reader reaches a
+            // position only after the lock that installed it, anyway.)
+            cell.store(Box::into_raw(words), Ordering::Release);
         }
     }
 
-    fn reserve(&self, words: usize) {
-        self.floor
-            .fetch_max(words.min(MAX_SLOTS), Ordering::Release);
+    /// Publish one past the highest held index as the scan bound.
+    fn set_bound(&self) {
+        let bound = self.held.iter().rposition(|&h| h).map_or(0, |i| i + 1);
+        BOUND.store(bound, Ordering::SeqCst);
     }
 
-    fn allocated(&self, idx: usize) {
-        self.hwm.fetch_max(idx + 1, Ordering::Release);
+    /// Up to [`POSITION_BLOCK`] positions into `cache`: handed-back ones
+    /// first, then fresh ones, growing every held row by a segment when
+    /// they run past the installed ones. None once the space is spent.
+    fn take_positions(&mut self, cache: &mut Vec<u32>) {
+        if !self.free.is_empty() {
+            let from = self.free.len().saturating_sub(POSITION_BLOCK);
+            cache.extend(self.free.drain(from..));
+            return;
+        }
+        let (start, end) = (self.fresh, (self.fresh + POSITION_BLOCK).min(MAX_POSITIONS));
+        while self.segments * SEGMENT_WORDS < end {
+            for idx in (0..MAX_SLOTS).filter(|&i| self.held[i]) {
+                Self::install(self.segments, idx);
+            }
+            self.segments += 1;
+        }
+        self.fresh = end;
+        // Popped from the back: the lowest position goes first.
+        cache.extend((start..end).rev().map(|p| p as u32));
     }
-
-    fn words(&self) -> usize {
-        self.floor
-            .load(Ordering::Acquire)
-            .max(self.hwm.load(Ordering::Acquire))
-            .min(MAX_SLOTS)
-    }
 }
 
-/// Make `TVar`s created from now on carry a fast-path word for `n`
-/// threads that do not hold a slot index yet: the floor rises to the
-/// number of indices held now plus `n`. Lowest-free-first hands `n` new
-/// threads indices below that sum, whichever indices are held.
-///
-/// [`crate::Stm::new`] calls this with its worker count, so engines built
-/// before their workload give every worker a word in every object, even
-/// when the building thread (or any other) already holds an index. A
-/// thread that takes an index between this call and the workers' first
-/// transactions can push the last worker past the reservation; that
-/// worker reads through the overflow list.
-///
-/// Ordering contract with [`slot_capacity`]: the `Release` max pairs with
-/// the `Acquire` loads there, so once any observer sees a `TVar` created
-/// after this call returns *through a synchronizing edge*, it also sees
-/// the raised floor. In the common single-path case no edge is even
-/// needed: `Stm::new` reserves before its worker threads exist, and
-/// `thread::spawn`/`scope` already synchronize the spawning thread's
-/// writes into the workers. The fallback for a racing thread that still
-/// loads a stale floor is benign by construction — its `TVar` merely has
-/// fewer fast-path words, and indices beyond an array's length use the
-/// mutex-protected overflow list (slower, never wrong).
-pub fn reserve_reader_slots(n: usize) {
-    CAPACITY.reserve(held_indices().saturating_add(n));
-}
-
-/// How many slot indices live threads hold right now.
-pub(crate) fn held_indices() -> usize {
-    HELD.load(Ordering::Acquire)
-}
-
-/// Number of slot words a freshly created `TVar` carries: the reserved
-/// floor or the slot high-water mark, whichever is larger, and no more.
-pub(crate) fn slot_capacity() -> usize {
-    CAPACITY.words()
-}
-
-/// Allocate the lowest free slot index.
+/// Allocate the lowest free slot index, with a segment of its row for
+/// every position handed out so far, and raise the scan bound before the
+/// thread can read.
 fn alloc_index() -> usize {
-    let mut allocated = ALLOCATED.lock();
-    let Some(idx) = allocated.iter().position(|&taken| !taken) else {
+    let mut table = TABLE.lock();
+    let Some(idx) = table.held.iter().position(|&h| !h) else {
         return NO_SLOT;
     };
-    allocated[idx] = true;
-    HELD.fetch_add(1, Ordering::Release);
-    CAPACITY.allocated(idx);
+    table.held[idx] = true;
+    for s in 0..table.segments {
+        Table::install(s, idx);
+    }
+    table.set_bound();
     idx
 }
 
 /// Release a slot index. Callers ([`SlotGuard::drop`]) unpublish first,
 /// so by the time the index is free every slot word still carrying one
 /// of this thread's attempt ids is verifiably dead (its attempts can never
-/// be live again — ids are not reused).
+/// be live again — ids are not reused). The row keeps its segments for
+/// the index's next holder.
 fn free_index(idx: usize) {
-    let mut allocated = ALLOCATED.lock();
-    allocated[idx] = false;
-    HELD.fetch_sub(1, Ordering::Release);
+    let mut table = TABLE.lock();
+    table.held[idx] = false;
+    table.set_bound();
+}
+
+/// The rows a scan walks now: `0..row_bound()`.
+#[inline]
+pub(crate) fn row_bound() -> usize {
+    BOUND.load(Ordering::SeqCst)
+}
+
+/// An object's place in the rows: its position and how many rows (slot
+/// indices from 0) read through their word there. 0 rows: every reader
+/// takes the overflow list.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RowPosition {
+    pos: u32,
+    rows: u32,
+}
+
+/// A thread's cache of free positions; handed back to the table when the
+/// thread exits.
+struct PositionCache(RefCell<Vec<u32>>);
+
+impl Drop for PositionCache {
+    fn drop(&mut self) {
+        let cache = self.0.get_mut();
+        if !cache.is_empty() {
+            TABLE.lock().free.append(cache);
+        }
+    }
+}
+
+thread_local! {
+    static POSITIONS: PositionCache = const { PositionCache(RefCell::new(Vec::new())) };
+}
+
+impl RowPosition {
+    /// A fresh position whose words rows `0..rows` read through (clamped
+    /// to [`MAX_SLOTS`]); none, and 0 rows, for 0 rows or once the
+    /// position space is spent.
+    pub(crate) fn take(rows: usize) -> Self {
+        let none = RowPosition { pos: 0, rows: 0 };
+        if rows == 0 {
+            return none;
+        }
+        let pos = POSITIONS.try_with(|c| {
+            let mut cache = c.0.borrow_mut();
+            if cache.is_empty() {
+                cache.reserve_exact(2 * POSITION_BLOCK);
+                TABLE.lock().take_positions(&mut cache);
+            }
+            cache.pop()
+        });
+        // A thread whose cache is gone (exiting) takes one straight from
+        // the table.
+        let pos = pos.unwrap_or_else(|_| {
+            let mut table = TABLE.lock();
+            let mut block = Vec::new();
+            table.take_positions(&mut block);
+            let pos = block.pop();
+            table.free.append(&mut block);
+            pos
+        });
+        pos.map_or(none, |pos| RowPosition {
+            pos,
+            rows: rows.min(MAX_SLOTS) as u32,
+        })
+    }
+
+    /// Row `idx`'s word at this position, if that row reads through one.
+    #[inline]
+    pub(crate) fn word(self, idx: usize) -> Option<&'static AtomicU64> {
+        if idx >= self.rows as usize {
+            return None;
+        }
+        self.row_word(idx)
+    }
+
+    /// Row `idx`'s word at this position, if the row has that segment.
+    #[inline]
+    fn row_word(self, idx: usize) -> Option<&'static AtomicU64> {
+        let pos = self.pos as usize;
+        let words = segment(pos / SEGMENT_WORDS, idx).load(Ordering::Acquire);
+        // SAFETY: a non-null segment pointer came from `Box::into_raw` and
+        // is never freed.
+        unsafe { words.as_ref() }.map(|s| &s[pos % SEGMENT_WORDS])
+    }
+
+    /// `(index, word)` for every live row that reads through a word here,
+    /// lowest index first. The bound is loaded once, `SeqCst` (module
+    /// docs, "The live bound and its handshake").
+    #[inline]
+    pub(crate) fn live_words(self) -> impl Iterator<Item = (usize, &'static AtomicU64)> {
+        let rows = row_bound().min(self.rows as usize);
+        (0..rows).filter_map(move |idx| {
+            let word = self.word(idx)?;
+            #[cfg(debug_assertions)]
+            crate::probe::count_scan_word_loads(1);
+            Some((idx, word))
+        })
+    }
+
+    /// Hand the position back for the next object: zero its word in every
+    /// live row first, so that object starts with no reader. Called by
+    /// the object's drop after its lending scan.
+    pub(crate) fn release(self) {
+        if self.rows == 0 {
+            return;
+        }
+        // The lending scan has cleared the words of attempts that are over,
+        // so most are 0 already and their line need not leave its reader.
+        // Relaxed: no handle to this object is left, so nobody stores here
+        // now, and the next object here reaches other threads only after
+        // this thread hands the position on (its cache, or the table lock).
+        for word in (0..row_bound()).filter_map(|idx| self.row_word(idx)) {
+            if word.load(Ordering::Relaxed) != 0 {
+                word.store(0, Ordering::Relaxed);
+            }
+        }
+        let give_back = |cache: &mut Vec<u32>| {
+            cache.push(self.pos);
+            if cache.len() >= 2 * POSITION_BLOCK {
+                // The oldest go: the next object built here takes the
+                // position just handed back, its words warm in cache.
+                TABLE.lock().free.extend(cache.drain(..POSITION_BLOCK));
+            }
+        };
+        if POSITIONS
+            .try_with(|c| give_back(&mut c.0.borrow_mut()))
+            .is_err()
+        {
+            TABLE.lock().free.push(self.pos);
+        }
+    }
 }
 
 struct SlotGuard {
@@ -491,28 +687,55 @@ mod tests {
     }
 
     #[test]
-    fn reserve_raises_capacity() {
-        reserve_reader_slots(33);
-        assert!(slot_capacity() >= 33);
-        // Clamped to the hard bound.
-        reserve_reader_slots(100_000);
-        assert!(slot_capacity() <= MAX_SLOTS);
+    fn the_scan_bound_covers_every_held_index() {
+        // Other tests take and free indices concurrently, so only what a
+        // holder is owed is asserted: while an index is held, the rows a
+        // scan walks include it.
+        let mine = my_slot_index();
+        assert_ne!(mine, NO_SLOT);
+        assert!(row_bound() > mine);
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let other = my_slot_index();
+                assert!(row_bound() > other.max(mine));
+                barrier.wait();
+            });
+            barrier.wait();
+        });
+        assert!(row_bound() > mine);
     }
 
     #[test]
-    fn unreserved_capacity_is_the_high_water_mark() {
-        // A fresh count, as the process starts: with nothing reserved an
-        // object carries one word per index handed out, no hidden floor.
-        let cap = Capacity::new();
-        assert_eq!(cap.words(), 0);
-        cap.allocated(0);
-        cap.allocated(1);
-        assert_eq!(cap.words(), 2);
-        cap.reserve(5);
-        assert_eq!(cap.words(), 5);
-        cap.allocated(6);
-        assert_eq!(cap.words(), 7);
-        cap.reserve(2 * MAX_SLOTS);
-        assert_eq!(cap.words(), MAX_SLOTS);
+    fn two_readers_words_never_share_a_line() {
+        // This thread's index and a second live thread's: each row's
+        // segment is a heap block of its own.
+        let at = RowPosition::take(MAX_SLOTS);
+        let mine = my_slot_index();
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                let word = at.word(my_slot_index()).expect("a held row") as *const _ as usize;
+                barrier.wait();
+                word
+            });
+            let word = at.word(mine).expect("a held row") as *const _ as usize;
+            barrier.wait();
+            (word, other.join().unwrap())
+        });
+        assert!(a.abs_diff(b) >= 64, "words {a:#x} and {b:#x} share a line");
+        // One thread's words for two neighbouring positions of one segment
+        // sit side by side.
+        let even = RowPosition {
+            pos: at.pos & !1,
+            ..at
+        };
+        let odd = RowPosition {
+            pos: even.pos + 1,
+            ..at
+        };
+        let addr = |p: RowPosition| p.word(mine).expect("a held row") as *const _ as usize;
+        assert_eq!(addr(odd) - addr(even), 8);
+        at.release();
     }
 }

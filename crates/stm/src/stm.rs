@@ -75,11 +75,6 @@ impl Stm {
     /// (the paper's substrate) or TL2/STO-style lazy commit-time locking.
     pub fn with_engine(cm: impl Into<CmDispatch>, num_threads: usize, engine: EngineKind) -> Self {
         assert!(num_threads >= 1, "need at least one thread");
-        // TVars created from here on carry a fast-path reader slot for
-        // every worker this engine will run, past the indices threads
-        // already hold. Objects built before this call have words only
-        // for the indices reserved or handed out by then.
-        slots::reserve_reader_slots(num_threads);
         let cm = cm.into();
         Stm {
             timestamps: cm.uses_timestamps(),
@@ -661,11 +656,10 @@ mod tests {
     fn txstate_pool_recycles_read_only_states() {
         // After a read-only commit the TxState is referenced only by the
         // registry, which hands it back as the spare at the next
-        // republish. Cover every slot index so the read takes the fast
-        // path regardless of which harness thread runs this test (the
-        // overflow list would hold a `Weak` and legitimately block
-        // recycling).
-        slots::reserve_reader_slots(slots::MAX_SLOTS);
+        // republish. Every held slot index has a word in every object, so
+        // the read takes the fast path whichever harness thread runs this
+        // test (the overflow list would hold a `Weak` and legitimately
+        // block recycling).
         let stm = Stm::new(Arc::new(AbortSelfManager), 1);
         let tv: TVar<u64> = TVar::new(7);
         let ctx = stm.thread(0);
@@ -838,7 +832,6 @@ mod tests {
     #[cfg(debug_assertions)]
     fn read_writes_one_word_its_reader_owns(engine: EngineKind) {
         const OBJECTS: u64 = 32;
-        slots::reserve_reader_slots(slots::MAX_SLOTS); // fast path on any harness thread
         let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, engine);
         let tvs: Vec<TVar<u64>> = (0..OBJECTS).map(TVar::new).collect();
         let (first, again) = read_path_writes(&stm, &tvs);

@@ -27,19 +27,21 @@
 //! Uncontended reads — the overwhelming majority in the paper's read-mostly
 //! workloads — never touch the object mutex. Two pieces make that work:
 //!
-//! * **Reader slots.** Each object carries one atomic word per global
-//!   thread-slot index (see [`crate::slots`]). A reader registers by
-//!   storing its attempt id into its own word: one `SeqCst` store replaces
-//!   the old lock + `Vec<Weak>` enrollment. A writer scans the words after
+//! * **Reader rows.** Each object carries a dense *position*, and each
+//!   global thread-slot index a row with one atomic word per position
+//!   (see [`crate::slots`]), so a thread's words for neighbouring objects
+//!   share its own cache lines and no other reader's. A reader registers
+//!   by storing its attempt id into its row's word at the object's
+//!   position: one `SeqCst` store replaces the old lock + `Vec<Weak>`
+//!   enrollment. A writer scans the object's word in every live row after
 //!   raising `seq` (below); the `SeqCst` store/scan pair is a Dekker-style
 //!   handshake — either the reader observes the writer's odd `seq` and
 //!   falls back to the mutex, or the writer's scan observes the reader's
-//!   slot and reports the conflict. Slot words hold plain ids; liveness is
+//!   word and reports the conflict. Words hold plain ids; liveness is
 //!   decided against the registry, and because attempt ids are never
 //!   reused a stale word can never impersonate a live reader. Threads
-//!   without a slot (all indices taken, or the object's array was sized
-//!   before the thread appeared) use the mutex-protected overflow list —
-//!   slower, never wrong.
+//!   without a row (all indices taken, or an object built with fewer
+//!   rows) use the mutex-protected overflow list — slower, never wrong.
 //!
 //! * **A seqlock snapshot.** `seq` is even exactly while no writer is
 //!   installed, and then `snapshot` points at the same version as the
@@ -172,10 +174,10 @@ pub(crate) struct TVarInner<T: TxObject> {
     /// One owned strong count of the version fast readers take the
     /// address of. Valid (never null) for the whole life of the object.
     snapshot: AtomicPtr<T>,
-    /// One reader-registration word per global thread-slot index
-    /// (0 = empty, otherwise the attempt id of a — possibly finished —
-    /// reader). Sized at creation from [`slots::slot_capacity`].
-    reader_slots: Box<[AtomicU64]>,
+    /// Where the object's reader-registration words sit: one per slot
+    /// index's row (0 = empty, otherwise the attempt id of a — possibly
+    /// finished — reader). Handed back, zeroed, by the drop.
+    words: slots::RowPosition,
     /// Lazy engine: version stamp of the committed value — the write
     /// version of the transaction that installed it (0 = initial value).
     /// Compared against read watermarks; see [`crate::engine::lazy`].
@@ -201,7 +203,8 @@ impl<T: TxObject> Drop for TVarInner<T> {
         // the version and the allocation outlive the object.
         self.state
             .get_mut()
-            .scan_readers(&self.reader_slots, 0, false, Some(&self.this));
+            .scan_readers(self.words, 0, false, Some(&self.this));
+        self.words.release();
         // Release the snapshot cell's strong count.
         let p = *self.snapshot.get_mut();
         // SAFETY: `snapshot` always holds a pointer produced by
@@ -301,8 +304,8 @@ impl<T: TxObject> ObjState<T> {
         Arc::new(value.clone())
     }
 
-    /// Walk every registered reader — each of the object's slot words
-    /// `slots`, then the overflow list — for a caller that is about to
+    /// Walk every registered reader — the object's word `words` in each
+    /// live row, then the overflow list — for a caller that is about to
     /// displace the current version. Returns the first `Active` reader
     /// other than attempt `me` when `stop_at_active` (a writer's conflict
     /// scan), nothing otherwise. On the way it lends the current version —
@@ -317,12 +320,13 @@ impl<T: TxObject> ObjState<T> {
     /// takes the mutex path, or this walk sees the reader (the Dekker
     /// handshake of [`TVarInner::fast_read`]).
     ///
-    /// Every word is loaded, whether or not a live thread holds its index:
-    /// a word of a freed index holds an id the registry no longer names,
-    /// and is cleared like any other stale one.
+    /// The rows walked are those below the live bound ([`crate::slots`],
+    /// "The live bound and its handshake"); one of a freed index below it
+    /// holds an id the registry no longer names, and is cleared like any
+    /// other stale one.
     fn scan_readers(
         &mut self,
-        slots: &[AtomicU64],
+        words: slots::RowPosition,
         me: u64,
         stop_at_active: bool,
         object: Option<&Weak<TVarInner<T>>>,
@@ -356,7 +360,7 @@ impl<T: TxObject> ObjState<T> {
                 }
             }
         };
-        for (idx, slot) in slots.iter().enumerate() {
+        for (idx, slot) in words.live_words() {
             let a = slot.load(Ordering::SeqCst);
             if a == 0 || a == me {
                 continue;
@@ -406,8 +410,8 @@ impl<T: TxObject> ObjState<T> {
     /// Lend the current version to every registered reader but attempt
     /// `me` whose body or commit may still run, `Active` ones included:
     /// for the displacements that no conflict scan precedes.
-    fn lend_to_readers(&mut self, slots: &[AtomicU64], me: u64) {
-        self.scan_readers(slots, me, false, None);
+    fn lend_to_readers(&mut self, words: slots::RowPosition, me: u64) {
+        self.scan_readers(words, me, false, None);
     }
 }
 
@@ -434,14 +438,14 @@ impl<T: TxObject> TVarInner<T> {
         Some(self.snapshot.load(Ordering::Acquire))
     }
 
-    /// Store `attempt_id` into the word of slot `slot_idx`; `false` when
-    /// this object has no such word (overflow list instead). Skipping the
+    /// Store `attempt_id` into slot `slot_idx`'s word of this object;
+    /// `false` when that row has none here (overflow list instead). Skipping the
     /// store when the id is already in place is sound: the first store
     /// performed the Dekker handshake, and a scan clears the word of no
     /// attempt that may still run.
     #[inline]
     fn register_in_slot(&self, slot_idx: usize, attempt_id: u64) -> bool {
-        let Some(slot) = self.reader_slots.get(slot_idx) else {
+        let Some(slot) = self.words.word(slot_idx) else {
             return false;
         };
         if slot.load(Ordering::Relaxed) != attempt_id {
@@ -487,7 +491,7 @@ impl<T: TxObject> TVarInner<T> {
         st: &mut ObjState<T>,
         me: &TxState,
     ) -> Option<Arc<TxState>> {
-        st.scan_readers(&self.reader_slots, me.attempt_id, true, None)
+        st.scan_readers(self.words, me.attempt_id, true, None)
     }
 
     /// Diagnostic snapshot of the hot-path state for opacity-violation
@@ -495,10 +499,7 @@ impl<T: TxObject> TVarInner<T> {
     #[cfg(debug_assertions)]
     pub(crate) fn debug_dump(&self, slot_idx: usize, attempt_id: u64) -> String {
         let seq = self.seq.load(Ordering::SeqCst);
-        let word = self
-            .reader_slots
-            .get(slot_idx)
-            .map(|s| s.load(Ordering::SeqCst));
+        let word = self.words.word(slot_idx).map(|s| s.load(Ordering::SeqCst));
         let live = slots::with_live_reader(slot_idx, attempt_id, |tx| tx.is_active());
         let st = self.state.try_lock().map(|st| {
             (
@@ -726,7 +727,7 @@ impl<T: TxObject> TVarInner<T> {
         // — but the committer, who may have read the object before
         // writing it and whose loan would keep `spare` from recycling.
         let me = self.owner_attempt.load(Ordering::SeqCst);
-        st.lend_to_readers(&self.reader_slots, me);
+        st.lend_to_readers(self.words, me);
         self.version.store(wv, Ordering::SeqCst);
         self.owner_attempt.store(0, Ordering::SeqCst);
         self.install(&mut st, version);
@@ -736,15 +737,14 @@ impl<T: TxObject> TVarInner<T> {
 impl<T: TxObject> TVar<T> {
     /// Create a new transactional object with initial value `value`.
     pub fn new(value: T) -> Self {
-        Self::with_slot_count(value, slots::slot_capacity())
+        Self::with_slot_count(value, slots::MAX_SLOTS)
     }
 
     /// For tests (this crate's and `tests/borrowed_read_stress.rs`): a TVar
-    /// whose fast-path slot array has exactly `slot_count` entries
-    /// regardless of the global capacity. Threads with higher slot indices
-    /// are forced onto the mutex/overflow path, which is what production
-    /// code hits when the thread count exceeds the slot capacity a TVar
-    /// was created under.
+    /// whose words only the rows of slot indices below `slot_count` read
+    /// through. Threads with higher slot indices are forced onto the
+    /// mutex/overflow path, which is what production code hits past
+    /// [`slots::MAX_SLOTS`] threads.
     #[doc(hidden)]
     pub fn new_with_slots_for_test(value: T, slot_count: usize) -> Self {
         Self::with_slot_count(value, slot_count)
@@ -758,7 +758,7 @@ impl<T: TxObject> TVar<T> {
                 id: next_tvar_id(),
                 seq: AtomicU64::new(0),
                 snapshot: AtomicPtr::new(snapshot),
-                reader_slots: (0..slot_count).map(|_| AtomicU64::new(0)).collect(),
+                words: slots::RowPosition::take(slot_count),
                 version: AtomicU64::new(0),
                 owner_slot: AtomicU64::new(0),
                 owner_attempt: AtomicU64::new(0),
@@ -798,9 +798,8 @@ impl<T: TxObject> TVar<T> {
         let inner = &*self.inner;
         let mut st = inner.state.lock();
         let live_slots = inner
-            .reader_slots
-            .iter()
-            .enumerate()
+            .words
+            .live_words()
             .filter(|(idx, slot)| {
                 let a = slot.load(Ordering::SeqCst);
                 a != 0 && slots::with_live_reader(*idx, a, |tx| tx.is_active()) == Some(true)
@@ -842,19 +841,17 @@ mod tests {
         (idx, st)
     }
 
+    /// Slot `idx`'s word of `tv` (0 for a row with none).
+    fn word_of(tv: &TVar<u32>, idx: usize) -> u64 {
+        let word = tv.inner().words.word(idx);
+        word.map_or(0, |w| w.load(Ordering::SeqCst))
+    }
+
     /// The value a fast read points at.
     fn fast_value(tv: &TVar<u32>, idx: usize, attempt_id: u64) -> Option<u32> {
         // SAFETY: the calling test holds `tv` and displaces nothing while
         // this runs.
         tv.inner().fast_read(idx, attempt_id).map(|p| unsafe { *p })
-    }
-
-    /// TVars created by these tests must cover every possible slot index,
-    /// or fast-path assertions would depend on which worker thread the
-    /// test harness runs them on.
-    fn covered_tvar(v: u32) -> TVar<u32> {
-        crate::slots::reserve_reader_slots(MAX_SLOTS);
-        TVar::new(v)
     }
 
     #[test]
@@ -906,7 +903,7 @@ mod tests {
 
     #[test]
     fn fast_read_registers_and_returns_snapshot() {
-        let tv = covered_tvar(33);
+        let tv = TVar::<u32>::new(33);
         let (idx, st) = published_state();
         let v = fast_value(&tv, idx, st.attempt_id);
         assert_eq!(v, Some(33), "no writer installed → fast path must succeed");
@@ -920,7 +917,7 @@ mod tests {
 
     #[test]
     fn fast_read_declines_while_writer_installed() {
-        let tv = covered_tvar(5);
+        let tv = TVar::<u32>::new(5);
         let w = state(900);
         {
             let mut st = tv.inner().state.lock();
@@ -947,7 +944,7 @@ mod tests {
 
     #[test]
     fn conflicting_reader_sees_slot_registrations() {
-        let tv = covered_tvar(0);
+        let tv = TVar::<u32>::new(0);
         let (idx, reader) = published_state();
         assert!(tv.inner().fast_read(idx, reader.attempt_id).is_some());
 
@@ -974,31 +971,43 @@ mod tests {
 
     #[test]
     fn conflicting_reader_finds_the_last_word_and_overflow_readers() {
-        // A reader on the last index of a full-size array. Allocation is
-        // lowest-free-first and no test here holds 256 threads, so no
-        // thread owns index 255 and the test publishes there itself.
-        let idx = MAX_SLOTS - 1;
-        let tv = covered_tvar(0);
-        assert_eq!(tv.inner().reader_slots.len(), MAX_SLOTS);
-        let reader = state(slots::next_attempt_id());
-        slots::republish(idx, &reader);
-        assert!(tv.inner().fast_read(idx, reader.attempt_id).is_some());
+        // A reader on a second live thread, which lowest-free-first puts on
+        // a row above this thread's unless a lower index was free: the
+        // walk goes up to the highest held row, whichever that is.
+        let tv = TVar::<u32>::new(0);
         let me = state(slots::next_attempt_id());
-        {
+        let step = std::sync::Barrier::new(2);
+        let scan = || {
             let mut st = tv.inner().state.lock();
-            let c = tv
-                .inner()
-                .conflicting_reader(&mut st, &me)
-                .expect("a live reader on the last word must be found");
-            assert_eq!(c.attempt_id, reader.attempt_id);
-        }
-        slots::unpublish(idx);
+            tv.inner().conflicting_reader(&mut st, &me)
+        };
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let (idx, reader) = published_state();
+                assert!(tv.inner().fast_read(idx, reader.attempt_id).is_some());
+                step.wait(); // registered
+                step.wait(); // scanned
+                slots::unpublish(idx);
+                step.wait(); // withdrawn
+                step.wait(); // scanned again
+                (idx, reader.attempt_id)
+            });
+            step.wait();
+            let found = scan();
+            step.wait();
+            step.wait();
+            let again = scan();
+            step.wait();
+            let (idx, attempt_id) = reader.join().unwrap();
+            let c = found.expect("a live reader on another thread's row must be found");
+            assert_eq!(c.attempt_id, attempt_id);
+            assert!(
+                again.is_none(),
+                "a withdrawn attempt must no longer surface a reader"
+            );
+            assert_eq!(word_of(&tv, idx), 0, "and its word is cleared");
+        });
         let mut st = tv.inner().state.lock();
-        assert!(
-            tv.inner().conflicting_reader(&mut st, &me).is_none(),
-            "a withdrawn attempt must no longer surface a reader"
-        );
-        assert_eq!(tv.inner().reader_slots[idx].load(Ordering::SeqCst), 0);
         // An overflow-list reader must be found by the same scan.
         let ovf = state(slots::next_attempt_id());
         st.register_reader(&ovf);
@@ -1066,7 +1075,6 @@ mod tests {
     fn scan_lends_the_version_to_an_aborted_reader_whose_body_still_runs() {
         for slot_count in [MAX_SLOTS, 0] {
             // 0: the same through the overflow list.
-            crate::slots::reserve_reader_slots(MAX_SLOTS);
             let tv = TVar::new_with_slots_for_test(9u32, slot_count);
             let (idx, reader) = published_state();
             {
@@ -1098,8 +1106,7 @@ mod tests {
             // Finished: nothing more is lent, and the registration goes.
             assert_eq!(writer_scan(&tv), None);
             assert_eq!((reader.lent_len(), counts_on_loan(&tv)), (0, 0));
-            let word = tv.inner().reader_slots.get(idx);
-            assert_eq!(word.map_or(0, |w| w.load(Ordering::SeqCst)), 0);
+            assert_eq!(word_of(&tv, idx), 0);
             assert!(tv.inner().state.lock().readers.is_empty());
             slots::unpublish(idx);
         }
@@ -1108,7 +1115,6 @@ mod tests {
     #[test]
     fn scan_lends_nothing_to_committed_finished_or_departed_readers() {
         for slot_count in [MAX_SLOTS, 0] {
-            crate::slots::reserve_reader_slots(MAX_SLOTS);
             let register = |tv: &TVar<u32>, idx: usize, tx: &Arc<TxState>| {
                 let mut st = tv.inner().state.lock();
                 tv.inner().register_reader_locked(&mut st, idx, tx);
@@ -1150,7 +1156,7 @@ mod tests {
 
     #[test]
     fn displacements_without_a_conflict_scan_lend_to_active_readers_too() {
-        let tv = covered_tvar(4);
+        let tv = TVar::<u32>::new(4);
         let (idx, reader) = published_state();
         assert_eq!(fast_value(&tv, idx, reader.attempt_id), Some(4));
         let v4 = Arc::clone(&tv.inner().state.lock().old);
@@ -1178,7 +1184,6 @@ mod tests {
     #[test]
     fn a_write_back_lends_to_an_active_lazy_reader_and_not_to_its_committer() {
         for slot_count in [MAX_SLOTS, 0] {
-            crate::slots::reserve_reader_slots(MAX_SLOTS);
             let tv = TVar::new_with_slots_for_test(1u32, slot_count);
             let (idx, me) = published_state();
             // The committer read the object before writing it.
@@ -1229,7 +1234,6 @@ mod tests {
     #[test]
     fn dropping_the_object_lends_its_allocation_to_registered_lazy_readers() {
         for slot_count in [MAX_SLOTS, 0] {
-            crate::slots::reserve_reader_slots(MAX_SLOTS);
             let tv = TVar::new_with_slots_for_test(9u32, slot_count);
             let (idx, reader) = published_state();
             let (p, seq, _) = tv.inner().lazy_sample(idx, &reader).expect("unlocked");
@@ -1290,9 +1294,9 @@ mod tests {
 
     #[test]
     fn no_slot_tvar_forces_overflow_path_with_same_conflicts() {
-        // A TVar built with zero fast-path slots models the situation where
-        // a thread's slot index exceeds the capacity the TVar was created
-        // under: every access must take the mutex/overflow path.
+        // A TVar no row reads through models a thread past the rows (an
+        // index past `MAX_SLOTS`, or a spent position space): every access
+        // must take the mutex/overflow path.
         let tv = TVar::new_with_slots_for_test(7u32, 0);
         let (idx, reader) = published_state();
         assert!(
@@ -1336,8 +1340,8 @@ mod tests {
         const THREADS: usize = 4;
         const PER_THREAD: u64 = 200;
         let stm = Stm::new(Arc::new(AbortEnemyManager), THREADS);
-        // Zero slots: every read from every thread is an overflow reader,
-        // as when the thread count exceeds the reader-slot capacity.
+        // No rows: every read from every thread is an overflow reader, as
+        // for threads past `MAX_SLOTS`.
         let tv = TVar::new_with_slots_for_test(0u64, 0);
         std::thread::scope(|s| {
             for i in 0..THREADS {
@@ -1359,11 +1363,10 @@ mod tests {
 
     #[test]
     fn every_worker_of_an_engine_built_by_a_slot_holder_reads_through_its_word() {
-        // This thread holds a slot index before the engine is built, so
-        // the engine's workers take the lowest indices free after the
-        // held ones, the last one at (indices held) + WORKERS - 1. An
-        // object built after the engine carries a word for each of them:
-        // no worker's read lands on the overflow list.
+        // This thread holds a slot index, and the object is built before
+        // the engine and before any worker holds an index: every worker
+        // still reads through its own row's word, since an index handed
+        // out gets a segment for every position built so far.
         use crate::stm::Stm;
         use crate::CmDispatch;
         const WORKERS: usize = 16;
@@ -1371,9 +1374,8 @@ mod tests {
             .thread(0)
             .atomic(|_| Ok(()));
         assert_ne!(slots::my_slot_index(), slots::NO_SLOT);
-        let held = slots::held_indices();
-        let stm = Stm::new(CmDispatch::AbortSelf, WORKERS);
         let tv = TVar::new(0u32);
+        let stm = Stm::new(CmDispatch::AbortSelf, WORKERS);
         let all_hold_an_index = std::sync::Barrier::new(WORKERS);
         let reads: Vec<(usize, bool)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..WORKERS)
@@ -1395,20 +1397,38 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // A test thread of the harness that takes an index between the
-        // count above and the workers' first reads pushes a worker past
-        // `held + WORKERS` (the documented fallback); every worker below
-        // must have had a word.
         let overflowed: Vec<usize> = reads
             .iter()
-            .filter(|&&(idx, on_overflow)| idx < held + WORKERS && on_overflow)
+            .filter(|&&(_, on_overflow)| on_overflow)
             .map(|&(idx, _)| idx)
             .collect();
         assert!(
             overflowed.is_empty(),
-            "{held} indices held, {} slot words: workers on indices {overflowed:?} \
-             read through the overflow list",
-            tv.inner().reader_slots.len()
+            "workers on indices {overflowed:?} read through the overflow list"
         );
+    }
+
+    #[test]
+    fn a_reused_position_starts_clean() {
+        // An `Active` attempt registered on X; X drops (lending to it) and
+        // hands its position back; the next object built on this thread
+        // takes that position. A writer of the new object meets no reader,
+        // and lends the attempt nothing.
+        let (idx, reader) = published_state();
+        let x = TVar::<u32>::new(1);
+        assert_eq!(fast_value(&x, idx, reader.attempt_id), Some(1));
+        let word = |tv: &TVar<u32>| tv.inner().words.word(idx).map(|w| w as *const AtomicU64);
+        let x_word = word(&x);
+        drop(x);
+        assert_eq!(reader.lent_len(), 1, "the drop lends to the reader");
+        let y = TVar::<u32>::new(2);
+        assert_eq!(word(&y), x_word, "the position is reused");
+        assert_eq!(word_of(&y, idx), 0);
+        assert_eq!(writer_scan(&y), None, "no reader of the new object");
+        assert_eq!(reader.lent_len(), 1, "and no loan for the old one's reader");
+        assert_eq!(y.reader_count(), 0);
+        reader.abort();
+        reader.finish_body();
+        slots::unpublish(idx);
     }
 }

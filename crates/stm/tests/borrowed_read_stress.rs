@@ -37,8 +37,8 @@ const WRITES: u64 = 30_000;
 /// Re-validations a reader makes after it finds itself aborted.
 const ZOMBIE_CHECKS: u64 = 64;
 const SALT: u64 = 0x9e37_79b9_7f4a_7c15;
-/// Slot words per object: room for every thread of this binary, whichever
-/// test runs first.
+/// Rows a `new_with_slots_for_test` object's words serve: every thread of
+/// this binary, whichever test runs first.
 const SLOTS: usize = 64;
 
 /// A value that owns heap memory and can tell whether it is intact.
@@ -171,7 +171,6 @@ fn overwrite_under_zombie_readers<V: Checked>(tv: TVar<V>) -> u64 {
 
 fn run<V: Checked>(what: &'static str, slot_count: Option<usize>) {
     let _standing_down = watchdog(what);
-    wtm_stm::reserve_reader_slots(SLOTS);
     let tv = match slot_count {
         None => TVar::new(V::make(0)),
         Some(n) => TVar::new_with_slots_for_test(V::make(0), n),
@@ -215,7 +214,6 @@ struct Holder {
 #[test]
 fn a_value_read_through_a_handle_that_is_then_dropped() {
     let _standing_down = watchdog("dropped handle");
-    wtm_stm::reserve_reader_slots(SLOTS);
     let stm = Stm::new(CmDispatch::AbortEnemy, READERS + 1);
     let fresh = |n: u64| Holder {
         inner: TVar::new(Checked::make(n)),
@@ -272,7 +270,6 @@ fn a_lazy_engine_writing_under_an_eager_engines_readers_stays_memory_safe() {
     // snapshot — but it is safe Rust, so it must not be a use-after-free:
     // a lazy write-back lends what it displaces to `Active` readers.
     let _standing_down = watchdog("mixed engines");
-    wtm_stm::reserve_reader_slots(SLOTS);
     let eager = Stm::new(CmDispatch::AbortSelf, READERS);
     let lazy = Stm::with_engine(CmDispatch::AbortSelf, 1, EngineKind::Lazy);
     let tv: TVar<Vec<u64>> = TVar::new(Checked::make(0));
@@ -388,7 +385,6 @@ fn overwrite_under_lazy_readers<V: Checked>(tv: TVar<V>) -> (u64, u64) {
 
 fn run_lazy<V: Checked>(what: &'static str, slot_count: Option<usize>) {
     let _standing_down = watchdog(what);
-    wtm_stm::reserve_reader_slots(SLOTS);
     let tv = match slot_count {
         None => TVar::new(V::make(0)),
         Some(n) => TVar::new_with_slots_for_test(V::make(0), n),
@@ -427,7 +423,6 @@ fn a_handle_created_read_and_dropped_inside_the_closure() {
     // the drop lends version and allocation to the attempt that caused
     // it, and the commit that follows validates a read of freed fields.
     let _standing_down = watchdog("handle local to the closure");
-    wtm_stm::reserve_reader_slots(SLOTS);
     for engine in EngineKind::ALL {
         for slot_count in [SLOTS, 0] {
             let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, engine);
@@ -462,7 +457,6 @@ fn handles_a_second_thread_drops_between_a_read_and_its_validation() {
     // and, in its read set, pointers into the objects, and both must last
     // through its commit.
     let _standing_down = watchdog("handles dropped by a second thread");
-    wtm_stm::reserve_reader_slots(SLOTS);
     const ROUNDS: u64 = 1_500;
     const WIDTH: u64 = 8;
     for slot_count in [SLOTS, 0] {
@@ -554,7 +548,6 @@ fn until(mut done: impl FnMut() -> bool, mut step: impl FnMut()) -> bool {
 #[test]
 fn a_read_only_lazy_commit_holding_loans_leaks_none_of_them() {
     let _standing_down = watchdog("loans of committed attempts");
-    wtm_stm::reserve_reader_slots(SLOTS);
     const ROUNDS: u64 = 200;
     let stm = Stm::with_engine(CmDispatch::AbortSelf, 2, EngineKind::Lazy);
     let tv = TVar::new(Counted::make(0));

@@ -59,9 +59,6 @@ fn main() {
         cfg.num_relations, cfg.num_queries, cfg.update_pct, THREADS
     );
 
-    // Each run builds its engine before its tables: an object carries a
-    // reader-slot word for every worker of the engines built before it.
-
     // Run 1: Polka.
     let stm = Stm::new(Arc::new(Polka::default()), THREADS);
     let vacation = Arc::new(Vacation::new(cfg.clone()));

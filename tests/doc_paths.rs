@@ -2,8 +2,9 @@
 //! top-level documents exists on disk, so a moved file or a renamed crate
 //! directory cannot leave the paper map pointing at nothing; and every
 //! count those documents give of the registries' managers and workloads
-//! is the registries' count; and DESIGN §4 lists exactly the crates
-//! vendored under `vendor/`.
+//! is the registries' count; DESIGN §4 lists exactly the crates
+//! vendored under `vendor/`; and every gate ROADMAP.md names by a test's
+//! name exists.
 //!
 //! Understood path forms: a trailing `::item` is dropped, `{a,b}` expands,
 //! and a component with `*` checks the directory before it.
@@ -175,5 +176,65 @@ fn design_lists_exactly_the_vendored_crates() {
     assert_eq!(
         listed, vendored,
         "DESIGN §4's bullets vs the directories under vendor/"
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, into: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, into);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            into.push(path);
+        }
+    }
+}
+
+#[test]
+fn gates_the_roadmap_names_exist() {
+    // A bar such as "`fixed_path_shared_rmw_budget` passes unchanged" is
+    // only a bar if the test exists: each backticked name ending in one of
+    // these suffixes must be a `fn` or a test file under crates/ or tests/.
+    const SUFFIXES: [&str; 4] = ["_budget", "_locks", "_allocs", "_stress"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    rust_files(&root.join("tests"), &mut files);
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .map(|path| {
+            let stem = path.file_stem().expect("a file name");
+            let text = std::fs::read_to_string(path).expect("a source file");
+            (stem.to_string_lossy().into_owned(), text)
+        })
+        .collect();
+    let roadmap = std::fs::read_to_string(root.join("ROADMAP.md")).expect("ROADMAP.md");
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for span in roadmap.split('`').skip(1).step_by(2) {
+        let is_name = span.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+        if !is_name || !SUFFIXES.iter().any(|suffix| span.ends_with(suffix)) {
+            continue;
+        }
+        checked += 1;
+        let defined = sources.iter().any(|(stem, text)| {
+            stem == span
+                || text.match_indices(&format!("fn {span}")).any(|(at, m)| {
+                    !text[at + m.len()..]
+                        .starts_with(|c: char| c == '_' || c.is_ascii_alphanumeric())
+                })
+        });
+        if !defined {
+            missing.push(span.to_string());
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "ROADMAP.md names gates nobody defines: {missing:?}"
+    );
+    assert!(
+        checked >= 5,
+        "only {checked} gate names found; did the scan break?"
     );
 }
