@@ -182,17 +182,43 @@ pub(crate) struct TVarInner<T: TxObject> {
     /// version of the transaction that installed it (0 = initial value).
     /// Compared against read watermarks; see [`crate::engine::lazy`].
     version: AtomicU64,
-    /// Lazy engine: reader-slot index of the commit-lock holder, for
-    /// enemy lookup through the attempt registry.
-    owner_slot: AtomicU64,
-    /// Lazy engine: attempt id of the commit-lock holder (0 = unlocked or
-    /// mid write-back).
-    owner_attempt: AtomicU64,
+    /// Lazy engine: the commit-lock holder, for enemy lookup through the
+    /// attempt registry — its slot index in the top bits and its attempt
+    /// id below ([`owner_word`]); 0 = unlocked or mid write-back. One
+    /// word, so a reader never pairs one holder's slot with another's id.
+    owner: AtomicU64,
     /// The allocation this object lives in, for its drop to lend: a lazy
     /// reader's commit validation reads `seq` and `version` through plain
     /// pointers ([`crate::engine::LazyRead`]).
     this: Weak<Self>,
     pub(crate) state: Mutex<ObjState<T>>,
+}
+
+// 104 bytes: `Arc`'s two counts make a 120-byte `ArcInner`, which with
+// glibc's 8-byte chunk header fills a 128-byte chunk; one word more and
+// every object takes a 144-byte one. The benchmark's read-mostly tree
+// holds 65 546 objects.
+const _: () = assert!(std::mem::size_of::<TVarInner<u64>>() <= 104);
+
+/// Bits of the lazy commit-lock owner word below its slot field: the
+/// holder's attempt id.
+const OWNER_ATTEMPT_BITS: u32 = 55;
+
+/// The attempt-id field of the owner word.
+const OWNER_ATTEMPT_MASK: u64 = (1 << OWNER_ATTEMPT_BITS) - 1;
+
+/// The owner word's slot field for a holder without a slot index; the
+/// nine bits above the attempt id hold `0..=MAX_SLOTS`.
+const OWNER_NO_SLOT: u64 = slots::MAX_SLOTS as u64;
+
+const _: () = assert!(OWNER_NO_SLOT < 1 << (64 - OWNER_ATTEMPT_BITS));
+
+/// The lazy commit-lock owner word of attempt `attempt_id` running on
+/// slot index `slot_idx` (`>= MAX_SLOTS`: none).
+fn owner_word(slot_idx: usize, attempt_id: u64) -> u64 {
+    debug_assert!(attempt_id != 0 && attempt_id <= OWNER_ATTEMPT_MASK);
+    let slot = (slot_idx as u64).min(OWNER_NO_SLOT);
+    slot << OWNER_ATTEMPT_BITS | attempt_id
 }
 
 impl<T: TxObject> Drop for TVarInner<T> {
@@ -217,15 +243,64 @@ impl<T: TxObject> Drop for TVarInner<T> {
 pub(crate) struct ReaderEntry {
     pub(crate) attempt_id: u64,
     pub(crate) tx: Weak<TxState>,
+    next: Overflow,
 }
+
+/// Visible readers without a fast-path slot: a singly linked list of
+/// boxed entries, so an object its readers reach through their row words
+/// pays one null pointer for it, and the removal of the last entry frees
+/// the last box. Rare and short; pruned on access.
+#[derive(Default)]
+pub(crate) struct Overflow(Option<Box<ReaderEntry>>);
+
+impl Overflow {
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+
+    pub(crate) fn iter(&self) -> OverflowIter<'_> {
+        std::iter::successors(self.0.as_deref(), |r| r.next.0.as_deref())
+    }
+
+    pub(crate) fn push(&mut self, attempt_id: u64, tx: Weak<TxState>) {
+        let next = Overflow(self.0.take());
+        self.0 = Some(Box::new(ReaderEntry {
+            attempt_id,
+            tx,
+            next,
+        }));
+    }
+
+    /// Keep the entries `keep` accepts, in order, freeing the others.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&ReaderEntry) -> bool) {
+        let mut rest = self.0.take();
+        let mut tail = &mut self.0;
+        while let Some(mut r) = rest {
+            rest = r.next.0.take();
+            if keep(&r) {
+                tail = &mut tail.insert(r).next.0;
+            }
+        }
+    }
+}
+
+/// [`Overflow::iter`]'s type, named because it has no destructor: an
+/// `impl Iterator` ending a block would be held to outlive the lock guard
+/// the list is borrowed from.
+pub(crate) type OverflowIter<'a> =
+    std::iter::Successors<&'a ReaderEntry, fn(&&'a ReaderEntry) -> Option<&'a ReaderEntry>>;
 
 /// The locator plus the overflow reader list, all behind the object lock.
 pub(crate) struct ObjState<T: TxObject> {
     pub(crate) writer: Option<Arc<TxState>>,
     pub(crate) old: Arc<T>,
     pub(crate) new: Option<Arc<T>>,
-    /// Visible readers without a fast-path slot. Rare; pruned on access.
-    pub(crate) readers: Vec<ReaderEntry>,
+    pub(crate) readers: Overflow,
     /// A retired version kept for recycling: locator collapses stash the
     /// displaced `Arc` here, and [`Self::version_of`] — the one place a
     /// commit, publish or lazy write-back builds a version, for an inline
@@ -265,10 +340,7 @@ impl<T: TxObject> ObjState<T> {
     pub(crate) fn register_reader(&mut self, tx: &Arc<TxState>) {
         self.prune_readers();
         if !self.readers.iter().any(|r| r.attempt_id == tx.attempt_id) {
-            self.readers.push(ReaderEntry {
-                attempt_id: tx.attempt_id,
-                tx: Arc::downgrade(tx),
-            });
+            self.readers.push(tx.attempt_id, Arc::downgrade(tx));
         }
     }
 
@@ -682,20 +754,26 @@ impl<T: TxObject> TVarInner<T> {
         }
         // Advertise ownership so a reader that hits the odd word can
         // resolve us through the registry.
-        self.owner_slot.store(slot_idx as u64, Ordering::SeqCst);
-        self.owner_attempt.store(attempt_id, Ordering::SeqCst);
+        self.owner
+            .store(owner_word(slot_idx, attempt_id), Ordering::SeqCst);
         true
     }
 
+    /// The commit-lock holder's `(slot index, attempt id)`, from one load
+    /// of the owner word; `None` while unlocked or mid write-back, and for
+    /// a holder without a slot index.
+    fn lock_holder(&self) -> Option<(usize, u64)> {
+        let word = self.owner.load(Ordering::SeqCst);
+        let attempt = word & OWNER_ATTEMPT_MASK;
+        let slot = word >> OWNER_ATTEMPT_BITS;
+        (attempt != 0 && slot != OWNER_NO_SLOT).then_some((slot as usize, attempt))
+    }
+
     /// The current commit-lock holder, if it is still a live registered
-    /// attempt. `None` also covers "mid write-back" and "owner on an
-    /// overflow slot" — callers just wait those out.
+    /// attempt. `None` also covers "mid write-back" and "owner without a
+    /// slot index" — callers just wait those out.
     pub(crate) fn lazy_owner(&self) -> Option<Arc<TxState>> {
-        let attempt = self.owner_attempt.load(Ordering::SeqCst);
-        if attempt == 0 {
-            return None;
-        }
-        let slot = self.owner_slot.load(Ordering::SeqCst) as usize;
+        let (slot, attempt) = self.lock_holder()?;
         // Attempt ids are never reused, so a racing owner change at worst
         // yields an id the registry no longer maps — `None`, never a
         // wrong transaction.
@@ -711,7 +789,7 @@ impl<T: TxObject> TVarInner<T> {
     /// Release the commit lock without having written (failed commit):
     /// value, snapshot, and version stay; the word flips back to even.
     pub(crate) fn lazy_unlock(&self) {
-        self.owner_attempt.store(0, Ordering::SeqCst);
+        self.owner.store(0, Ordering::SeqCst);
         self.seq.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -726,10 +804,10 @@ impl<T: TxObject> TVarInner<T> {
         // goes on loan to every registered reader, `Active` ones included
         // — but the committer, who may have read the object before
         // writing it and whose loan would keep `spare` from recycling.
-        let me = self.owner_attempt.load(Ordering::SeqCst);
+        let me = self.owner.load(Ordering::SeqCst) & OWNER_ATTEMPT_MASK;
         st.lend_to_readers(self.words, me);
         self.version.store(wv, Ordering::SeqCst);
-        self.owner_attempt.store(0, Ordering::SeqCst);
+        self.owner.store(0, Ordering::SeqCst);
         self.install(&mut st, version);
     }
 }
@@ -760,14 +838,13 @@ impl<T: TxObject> TVar<T> {
                 snapshot: AtomicPtr::new(snapshot),
                 words: slots::RowPosition::take(slot_count),
                 version: AtomicU64::new(0),
-                owner_slot: AtomicU64::new(0),
-                owner_attempt: AtomicU64::new(0),
+                owner: AtomicU64::new(0),
                 this: Weak::clone(this),
                 state: Mutex::new(ObjState {
                     writer: None,
                     old,
                     new: None,
-                    readers: Vec::new(),
+                    readers: Overflow::default(),
                     spare: None,
                 }),
             }),
@@ -1258,11 +1335,45 @@ mod tests {
     }
 
     #[test]
-    fn the_object_header_is_no_larger_than_with_the_guard_counter() {
-        // 144 bytes at the parent of the change that made lazy reads
-        // borrows: the counter's eight went to `this`. The benchmark's
-        // read-mostly tree holds 65 536 of these.
-        assert!(std::mem::size_of::<TVarInner<u64>>() <= 144);
+    fn the_owner_word_names_a_slot_holders_attempt_and_nothing_else() {
+        let tv = TVar::<u32>::new(0);
+        assert_eq!(tv.inner().lock_holder(), None, "unlocked");
+        assert!(tv.inner().lazy_try_lock(3, 77));
+        assert_eq!(tv.inner().lock_holder(), Some((3, 77)));
+        tv.inner().lazy_unlock();
+        assert_eq!(tv.inner().lock_holder(), None, "unlocked again");
+
+        // The widest attempt id leaves the slot field alone.
+        assert!(tv.inner().lazy_try_lock(slots::NO_SLOT, OWNER_ATTEMPT_MASK));
+        assert_eq!(tv.inner().lock_holder(), None, "no slot to resolve");
+        tv.inner().lazy_writeback(&1, 1);
+        assert_eq!(tv.inner().lock_holder(), None, "written back");
+
+        // The registry resolves a live holder through the word.
+        let (idx, me) = published_state();
+        assert!(tv.inner().lazy_try_lock(idx, me.attempt_id));
+        assert_eq!(tv.inner().lock_holder(), Some((idx, me.attempt_id)));
+        let owner = tv.inner().lazy_owner().map(|tx| tx.attempt_id);
+        assert_eq!(owner, Some(me.attempt_id));
+        tv.inner().lazy_unlock();
+        assert!(tv.inner().lazy_owner().is_none());
+        slots::unpublish(idx);
+    }
+
+    #[test]
+    fn an_overflow_list_that_empties_frees_its_box() {
+        let tv: TVar<u32> = TVar::new(0);
+        let rs: Vec<_> = (1..=3).map(state).collect();
+        let mut st = tv.inner().state.lock();
+        assert!(st.readers.0.is_none(), "a new object has no list");
+        rs.iter().for_each(|r| st.register_reader(r));
+        assert!(rs[1].try_commit());
+        st.prune_readers();
+        let left: Vec<u64> = st.readers.iter().map(|r| r.attempt_id).collect();
+        assert_eq!(left, [3, 1], "the entries on both sides stay");
+        assert!(rs[0].try_commit() && rs[2].try_commit());
+        st.prune_readers();
+        assert!(st.readers.0.is_none(), "the last entry's removal frees it");
     }
 
     #[test]
@@ -1276,10 +1387,7 @@ mod tests {
         st.register_reader(&me);
         st.register_reader(&other);
         // A terminal attempt on the list must be filtered out.
-        st.readers.push(ReaderEntry {
-            attempt_id: done.attempt_id,
-            tx: Arc::downgrade(&done),
-        });
+        st.readers.push(done.attempt_id, Arc::downgrade(&done));
         let c = tv
             .inner()
             .conflicting_reader(&mut st, &me)

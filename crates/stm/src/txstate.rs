@@ -259,9 +259,12 @@ impl TxState {
     }
 
     /// Bump karma by one (called on every successful object open).
+    /// Single-writer: only the attempt's own thread bumps it, so a `load`
+    /// and a `store` replace an atomic RMW; other threads only read it.
     #[inline]
     pub fn add_karma(&self) {
-        self.karma.fetch_add(1, Ordering::Relaxed);
+        let karma = self.karma.load(Ordering::Relaxed);
+        self.karma.store(karma + 1, Ordering::Relaxed);
     }
 
     /// Whether the transaction is currently blocked in a CM wait loop.

@@ -51,15 +51,6 @@ fn run_mix(ctx: &ThreadCtx<'_>, a: &TVar<u64>, b: &TVar<u64>, wide: &[TVar<u64>]
     });
 }
 
-/// Take this thread's reader-slot index before the objects are built: an
-/// object carries a word for every index handed out before it. Otherwise
-/// the other test's thread could take the lower index first and push this
-/// one onto the overflow list, whose entry keeps the attempt's `TxState`
-/// from being recycled.
-fn hold_a_slot_index(ctx: &ThreadCtx<'_>) {
-    ctx.atomic(|_| Ok(()));
-}
-
 #[test]
 fn write_commit_path_is_allocation_free_for_small_values() {
     for engine in EngineKind::ALL {
@@ -70,7 +61,6 @@ fn write_commit_path_is_allocation_free_for_small_values() {
 fn allocation_free_under(engine: EngineKind) {
     let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, engine);
     let ctx = stm.thread(0);
-    hold_a_slot_index(&ctx);
     let a: TVar<u64> = TVar::new(0);
     let b: TVar<u64> = TVar::new(0);
     let wide: Vec<TVar<u64>> = (0..12).map(|_| TVar::new(0)).collect();
@@ -127,7 +117,6 @@ fn a_large_value_write_costs_its_entry_box_and_nothing_else() {
 fn one_box_per_large_write_under(engine: EngineKind) {
     let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, engine);
     let ctx = stm.thread(0);
-    hold_a_slot_index(&ctx);
     let big: TVar<Large> = TVar::new([0; 4]);
     for _ in 0..96 {
         run_large(&ctx, &big);

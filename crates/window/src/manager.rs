@@ -353,13 +353,15 @@ impl WindowManager {
         tw.j = 0;
         tw.run = Some(run);
         cell.publish_boundary(tw.run.clone(), tw.sched.c(), tw.windows_done - 1);
-        wtm_trace::emit(wtm_trace::Event::instant(
-            wtm_trace::EventKind::WindowStart,
-            wtm_stm::clockns::now(),
-            tw.id as u32,
-            tw.windows_done,
-            tw.sched.frame(0), // qᵢ: the window's first frame
-        ));
+        if wtm_trace::enabled() {
+            wtm_trace::emit(wtm_trace::Event::instant(
+                wtm_trace::EventKind::WindowStart,
+                wtm_stm::clockns::now(),
+                tw.id as u32,
+                tw.windows_done,
+                tw.sched.frame(0), // qᵢ: the window's first frame
+            ));
+        }
     }
 
     fn enter_free_mode(&self, cell: &ThreadCell, tw: &mut ThreadWindow) {
@@ -455,7 +457,8 @@ impl ContentionManager for WindowManager {
             // and after every abort").
             let rank = self.policy.rank(&mut tw.rng);
             tx.set_rank(rank);
-            if !is_retry {
+            // The flag first: an event that is off reads no clock.
+            if !is_retry && wtm_trace::enabled() {
                 wtm_trace::emit(wtm_trace::Event::instant(
                     wtm_trace::EventKind::FrameAssign,
                     wtm_stm::clockns::now(),

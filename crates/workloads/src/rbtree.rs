@@ -5,7 +5,9 @@
 //! cycles that parent pointers would otherwise create). Node allocation
 //! pops a *transactional free list* — if the transaction aborts, the
 //! allocation rolls back with everything else, so the arena can never
-//! leak or double-allocate.
+//! leak or double-allocate. The list lives in the free slots' `left`
+//! links, which a free slot has no child for, so it costs a node no field
+//! of its own.
 //!
 //! CLRS 13.3 (insert, its fixup and both rotations) is written once, over
 //! the private node-access trait `Arena`. A transaction runs it through
@@ -38,26 +40,29 @@ pub struct RBNode<V> {
     key: i64,
     value: V,
     red: bool,
+    /// Left child; in a free slot, the next free slot.
     left: u32,
     right: u32,
     parent: u32,
-    /// Next slot in the free list when this slot is unallocated.
-    free_next: u32,
     /// Whether the slot currently holds a live node (audit only).
     in_use: bool,
 }
 
+// 24 bytes: `Arc`'s two counts make a set node's version a 40-byte
+// `ArcInner`, which with glibc's 8-byte chunk header fills a 48-byte
+// chunk; one word more and every version takes a 64-byte one.
+const _: () = assert!(std::mem::size_of::<RBNode<()>>() <= 24);
+
 impl<V> RBNode<V> {
-    /// A free slot whose free-list successor is `free_next`.
-    fn free(value: V, free_next: u32) -> Self {
+    /// A free slot whose free-list successor is `next_free`.
+    fn free(value: V, next_free: u32) -> Self {
         RBNode {
             key: 0,
             value,
             red: false,
-            left: NIL,
+            left: next_free,
             right: NIL,
             parent: NIL,
-            free_next,
             in_use: false,
         }
     }
@@ -71,7 +76,6 @@ impl<V> RBNode<V> {
             left: NIL,
             right: NIL,
             parent,
-            free_next: NIL,
             in_use: true,
         }
     }
@@ -317,7 +321,7 @@ impl<V> Arena<V> for PlainArena<V> {
         let slot = self.free_head;
         assert_slot(slot, self.nodes.len());
         let node = &mut self.nodes[slot as usize];
-        self.free_head = node.free_next;
+        self.free_head = node.left;
         *node = RBNode::leaf(key, value, parent);
         Ok(slot)
     }
@@ -350,7 +354,7 @@ impl<V: TxObject> Arena<V> for InTxn<'_, '_, '_, V> {
     fn alloc(&mut self, key: i64, value: V, parent: u32) -> TxResult<u32> {
         let slot = *self.tx.read(&self.map.free_head)?;
         assert_slot(slot, self.map.capacity());
-        let next_free = self.tx.read(self.map.node(slot))?.free_next;
+        let next_free = self.tx.read(self.map.node(slot))?.left;
         self.tx.write(&self.map.free_head, next_free)?;
         self.tx
             .write(self.map.node(slot), RBNode::leaf(key, value, parent))?;
@@ -364,8 +368,7 @@ impl<V: TxObject> InTxn<'_, '_, '_, V> {
         let head = *self.tx.read(&self.map.free_head)?;
         self.tx.modify(self.map.node(i), move |n| {
             n.in_use = false;
-            n.free_next = head;
-            n.left = NIL;
+            n.left = head;
             n.right = NIL;
             n.parent = NIL;
         })?;
@@ -719,7 +722,6 @@ impl<V: TxObject> TxRBMap<V> {
                     left: n.left,
                     right: n.right,
                     parent: n.parent,
-                    free_next: n.free_next,
                     in_use: n.in_use,
                 }
             })
@@ -804,7 +806,7 @@ impl<V: TxObject> TxRBMap<V> {
         let mut f = *self.free_head.sample();
         while f != NIL {
             free.push(f);
-            f = self.node(f).sample().free_next;
+            f = self.node(f).sample().left;
             assert!(free.len() <= self.nodes.len(), "free list cycle detected");
         }
         let mut all: Vec<u32> = live.iter().chain(free.iter()).copied().collect();
