@@ -7,6 +7,14 @@
 //! transactions") fires. Workers synchronize their start on a barrier so
 //! the measured interval is common.
 //!
+//! The workers read no clock: each checks the shared `stop` flag (and,
+//! under a budget, decrements the budget) before every transaction, and
+//! the coordinating thread owns the deadline. It sleeps until the timed
+//! run's end, or until a budget run's safety deadline, and then sets
+//! `stop`; the worker that spends a budget sets `stop` itself and wakes
+//! the coordinator, so a budget run returns as soon as its budget is
+//! spent.
+//!
 //! Workloads are resolved by name through the
 //! [`wtm_workloads::registry`]; the runner itself knows nothing about any
 //! particular benchmark. The registry returns each workload already
@@ -121,7 +129,7 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
         .unwrap_or_else(|| panic!("unknown workload {:?}", spec.workload));
 
     let stop = AtomicBool::new(false);
-    let truncated = AtomicBool::new(false);
+    let mut truncated = false;
     // The shared commit budget exists only under `StopRule::Budget`, where
     // one shared decrement per transaction is the definition of a global
     // budget. A timed run has nothing to count down: a counter here would
@@ -134,9 +142,9 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
     // Budget runs used to have no deadline at all: if the budget was
     // unreachable, the harness hung silently forever. The safety deadline
     // bounds them; hitting it marks the outcome as truncated.
-    let deadline_after = match spec.stop {
-        StopRule::Timed(d) => Some(d),
-        StopRule::Budget(_) => Some(spec.safety_deadline),
+    let run_for = match spec.stop {
+        StopRule::Timed(d) => d,
+        StopRule::Budget(_) => spec.safety_deadline,
     };
     let start_barrier = Barrier::new(spec.threads + 1);
 
@@ -144,38 +152,30 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
         wtm_trace::set_enabled(true);
     }
 
+    let coordinator = std::thread::current();
     let mut total_time = Duration::ZERO;
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(spec.threads);
         for t in 0..spec.threads {
             let ctx = stm.thread(t);
             let stop = &stop;
-            let truncated = &truncated;
             let remaining = remaining.as_ref();
             let start_barrier = &start_barrier;
             let workload = &workload;
             let built = &built;
+            let coordinator = &coordinator;
             handles.push(s.spawn(move || {
                 let mut stream = workload.stream(t);
                 start_barrier.wait();
                 let t0 = Instant::now();
-                let deadline = deadline_after.map(|d| t0 + d);
                 loop {
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    if let Some(dl) = deadline {
-                        if Instant::now() >= dl {
-                            if remaining.is_some() {
-                                truncated.store(true, Ordering::Relaxed);
-                            }
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                    }
                     if let Some(budget) = remaining {
                         if budget.fetch_sub(1, Ordering::Relaxed) <= 0 {
                             stop.store(true, Ordering::Relaxed);
+                            coordinator.unpark();
                             break;
                         }
                     }
@@ -189,6 +189,19 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
             }));
         }
         start_barrier.wait();
+        // The deadline is this thread's alone. `park_timeout` may return
+        // early (an unpark, or spuriously), so it loops until the
+        // deadline passes or a worker has spent the budget; whoever sets
+        // `stop` first decides whether a budget run was truncated.
+        let deadline = Instant::now() + run_for;
+        while !stop.load(Ordering::Relaxed) {
+            let now = Instant::now();
+            if now >= deadline {
+                truncated = !stop.swap(true, Ordering::Relaxed) && remaining.is_some();
+                break;
+            }
+            std::thread::park_timeout(deadline - now);
+        }
         for h in handles {
             total_time = total_time.max(h.join().expect("worker panicked"));
         }
@@ -198,7 +211,6 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
         wtm_trace::set_enabled(false);
     }
 
-    let truncated = truncated.load(Ordering::Relaxed);
     if truncated {
         eprintln!(
             "wtm-harness: budget run ({} on {}, {} threads) hit its safety deadline \
@@ -210,7 +222,7 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
     let mut stats = stm.aggregate();
     stats.wall = match spec.stop {
         // The common measured interval; workers stop within one
-        // transaction of the deadline.
+        // transaction of the coordinator's wake-up at the deadline.
         StopRule::Timed(d) => d,
         StopRule::Budget(_) => total_time,
     };
@@ -319,6 +331,40 @@ mod tests {
         assert!(
             out.stats.commits > 0,
             "partial stats must still be reported"
+        );
+    }
+
+    #[test]
+    fn completed_budget_run_returns_long_before_its_safety_deadline() {
+        // The coordinator sleeps toward the 60 s safety deadline; the
+        // worker that spends the budget must wake it.
+        let mut spec = quick_spec("RBTree", "Polka", 2);
+        spec.stop = StopRule::Budget(200);
+        assert_eq!(spec.safety_deadline, Duration::from_secs(60));
+        let t0 = Instant::now();
+        let out = run_one(&spec);
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "a spent budget must end the run, took {:?}",
+            t0.elapsed()
+        );
+        assert!(!out.truncated);
+    }
+
+    #[test]
+    fn timed_run_stops_promptly() {
+        // Workers read no clock; the coordinator's wake-up at the deadline
+        // is what stops them.
+        let d = Duration::from_millis(80);
+        let out = run_one(&quick_spec("List", "Greedy", 2));
+        eprintln!(
+            "timed run of {d:?}: overshoot {:?}",
+            out.total_time.saturating_sub(d)
+        );
+        assert!(
+            out.total_time < d + Duration::from_millis(20),
+            "stopped late: {:?}",
+            out.total_time
         );
     }
 

@@ -405,7 +405,7 @@ impl<'a> ThreadCtx<'a> {
                 txn_id,
                 attempt as u64,
             ));
-            let mut txn = Txn::new(Arc::clone(&state), self, slot_idx);
+            let mut txn = Txn::new(state, self, slot_idx);
             if trace.is_some() {
                 txn.enable_tracing();
             }
@@ -427,7 +427,7 @@ impl<'a> ThreadCtx<'a> {
                         *sink = txn.take_footprint();
                     }
                     txn.release_buffers();
-                    drop(txn);
+                    let state = txn.into_state();
                     let now = clockns::now();
                     wtm_trace::emit(wtm_trace::Event::span(
                         wtm_trace::EventKind::Commit,
@@ -442,13 +442,16 @@ impl<'a> ThreadCtx<'a> {
                         now.saturating_sub(t0),
                         now.saturating_sub(first_start_ns),
                     );
+                    // The one commit stamp: a manager's τ sample reads it
+                    // rather than the clock.
+                    state.set_commit_ns(now);
                     self.stm.cm.on_commit(&state);
                     return Some(r);
                 }
                 Err(TxError::Aborted) => {
                     // Make sure the state is terminal even if the closure
                     // bailed without the CM aborting us (e.g. user bail-out).
-                    let engine_bail = state.abort();
+                    let engine_bail = txn.state().abort();
                     // `engine_bail` = nobody else aborted us and the body
                     // returned a bare `Err`: a user bail-out by taxonomy.
                     let reason = if engine_bail {
@@ -461,7 +464,7 @@ impl<'a> ThreadCtx<'a> {
                     // and its allocation can recycle.
                     txn.release_write_set();
                     txn.release_buffers();
-                    drop(txn);
+                    let state = txn.into_state();
                     // The body is over, its borrows and its read set with
                     // it: let go of what competitors lent to keep them
                     // valid. (A committed attempt needs no such step:
@@ -688,6 +691,68 @@ mod tests {
             i += 1;
             tx.write(&tv, i)
         });
+    }
+
+    #[test]
+    fn an_attempt_state_is_held_by_the_registry_and_the_txn_only() {
+        // The retry loop moves the state into the `Txn` and takes it back
+        // at the attempt's end: a clone of its own would be a count RMW
+        // on the way in and another on the way out.
+        for engine in [EngineKind::Eager, EngineKind::Lazy] {
+            let stm = Stm::with_engine(CmDispatch::AbortSelf, 1, engine);
+            let ctx = stm.thread(0);
+            let mut counts = Vec::new();
+            ctx.atomic(|tx| {
+                counts.push(Arc::strong_count(tx.state()));
+                if counts.len() == 1 {
+                    return Err(TxError::Aborted);
+                }
+                Ok(())
+            });
+            assert_eq!(counts, [2, 2], "{engine:?}: first attempt, retry");
+        }
+    }
+
+    #[test]
+    fn a_commit_is_stamped_before_the_manager_hears_of_it() {
+        struct StampCm(std::sync::atomic::AtomicU64);
+        impl ContentionManager for StampCm {
+            fn resolve(
+                &self,
+                _me: &TxState,
+                _enemy: &TxState,
+                _kind: crate::ConflictKind,
+            ) -> crate::Resolution {
+                crate::Resolution::AbortSelf
+            }
+            fn on_commit(&self, tx: &TxState) {
+                self.0
+                    .store(tx.commit_ns(), std::sync::atomic::Ordering::Relaxed);
+            }
+            fn name(&self) -> &str {
+                "stamp"
+            }
+        }
+        let cm = Arc::new(StampCm(Default::default()));
+        let stm = Stm::new(cm.clone(), 1);
+        let tv: TVar<u64> = TVar::new(0);
+        let ctx = stm.thread(0);
+        let mut held = None;
+        ctx.atomic(|tx| {
+            held = Some(Arc::clone(tx.state()));
+            assert_eq!(tx.state().commit_ns(), 0, "no stamp before the commit");
+            tx.write(&tv, 1)
+        });
+        let after = clockns::now();
+        let st = held.expect("the body ran");
+        assert_ne!(st.commit_ns(), 0);
+        assert!(st.commit_ns() >= st.attempt_start_ns);
+        assert!(st.commit_ns() <= after);
+        assert_eq!(
+            cm.0.load(std::sync::atomic::Ordering::Relaxed),
+            st.commit_ns(),
+            "on_commit reads the engine's stamp"
+        );
     }
 
     #[test]

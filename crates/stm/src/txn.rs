@@ -198,6 +198,13 @@ impl<'a> Txn<'a> {
             .put_read_versions_buf(std::mem::take(&mut self.read_versions));
     }
 
+    /// End the `Txn` and hand its attempt state back to the retry loop,
+    /// which moved it in: the registry's reference and this one are the
+    /// only two a body runs under.
+    pub(crate) fn into_state(self) -> Arc<TxState> {
+        self.state
+    }
+
     /// How this attempt aborted (trace taxonomy; see `wtm_trace::ABORT_*`).
     pub(crate) fn abort_reason(&self) -> u64 {
         self.abort_reason.get()

@@ -28,9 +28,9 @@
 //! the logical-transaction context in [`crate::stm`] when each attempt
 //! starts.
 //!
-//! Timestamps (`first_start_ns`, `attempt_start_ns`) are nanoseconds from
-//! the cheap coarse clock in [`crate::clockns`]; they feed metrics and τ
-//! calibration only.
+//! Timestamps (`first_start_ns`, `attempt_start_ns`, `commit_ns`) are
+//! nanoseconds from the cheap coarse clock in [`crate::clockns`]; they
+//! feed metrics and τ calibration only.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -81,6 +81,10 @@ pub struct TxState {
     pub attempt_start_ns: u64,
 
     status: AtomicStatus,
+    /// Coarse-clock time the committed attempt ended (0 until then),
+    /// stamped by the engine before `on_commit` so a manager's duration
+    /// sample needs no clock read of its own.
+    commit_ns: AtomicU64,
     /// Polka priority (karma): number of objects opened, accumulated
     /// across attempts of the logical transaction.
     karma: AtomicU64,
@@ -134,6 +138,7 @@ impl TxState {
                 clockns::now()
             },
             status: AtomicStatus::new(),
+            commit_ns: AtomicU64::new(0),
             karma: AtomicU64::new(karma_carryover),
             waiting: AtomicBool::new(false),
             assigned_frame: AtomicU64::new(NOT_WINDOWED),
@@ -198,6 +203,22 @@ impl TxState {
     #[inline]
     pub fn try_commit(&self) -> bool {
         self.status.try_transition(TxStatus::Committed)
+    }
+
+    /// Coarse-clock time the attempt committed, 0 before it has: the
+    /// engine stamps it before [`ContentionManager::on_commit`].
+    ///
+    /// [`ContentionManager::on_commit`]: crate::ContentionManager::on_commit
+    #[inline]
+    pub fn commit_ns(&self) -> u64 {
+        self.commit_ns.load(Ordering::Relaxed)
+    }
+
+    /// Stamp the commit time (the owner, after its commit succeeded; a
+    /// test that drives `on_commit` itself stamps it the same way).
+    #[inline]
+    pub fn set_commit_ns(&self, ns: u64) {
+        self.commit_ns.store(ns, Ordering::Relaxed);
     }
 
     // ---- versions lent to borrowed reads ----------------------------------

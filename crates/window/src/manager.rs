@@ -472,9 +472,11 @@ impl ContentionManager for WindowManager {
 
     fn on_commit(&self, tx: &TxState) {
         let cell = &self.threads[tx.thread_id];
-        // τ calibration from the committed attempt's duration (atomics).
+        // τ calibration from the committed attempt's duration (atomics),
+        // ended by the engine's commit stamp.
         if self.cfg.auto_calibrate {
-            let sample = wtm_stm::clockns::now()
+            let sample = tx
+                .commit_ns()
                 .saturating_sub(tx.attempt_start_ns)
                 .min(TAU_SAMPLE_CAP_NS);
             let slot = &self.taus[tx.thread_id];
@@ -611,6 +613,7 @@ mod tests {
             wm.on_begin(&tx, false);
             frames.push(tx.assigned_frame());
             tx.try_commit();
+            tx.set_commit_ns(clockns::now());
             wm.on_commit(&tx);
         }
         assert_eq!(frames, vec![0, 1, 2, 3, 4]);
@@ -692,12 +695,26 @@ mod tests {
         assert_eq!(wm.contention_estimate(0), 1.0);
         std::thread::sleep(Duration::from_millis(1)); // frame clock advances
         tx.try_commit();
+        tx.set_commit_ns(clockns::now());
         wm.on_commit(&tx);
         assert!(
             wm.contention_estimate(0) >= 2.0,
             "bad event must double C, got {}",
             wm.contention_estimate(0)
         );
+    }
+
+    #[test]
+    fn tau_is_sampled_from_the_engines_commit_stamp() {
+        // Auto-calibrated τ: the first sample is the committed attempt's
+        // duration, start to the engine's stamp, with no clock read here.
+        let wm = WindowManager::new(WindowVariant::Online, WindowConfig::new(1, 4));
+        let tx = Arc::new(TxState::new(1, 1, 0, 0, 1, 1_000, 0));
+        wm.on_begin(&tx, false);
+        tx.try_commit();
+        tx.set_commit_ns(8_000);
+        wm.on_commit(&tx);
+        assert_eq!(wm.mean_tau_ns(), 7_000.0);
     }
 
     #[test]
@@ -711,6 +728,7 @@ mod tests {
         let tx2 = state_on(0, 2);
         wm.on_begin(&tx2, true);
         tx2.try_commit();
+        tx2.set_commit_ns(clockns::now());
         wm.on_commit(&tx2);
         let ci_after_commit = wm.contention_intensity(0);
         assert!(ci_after_commit < ci_after_abort);
@@ -726,6 +744,7 @@ mod tests {
             let tx = state_on(0, i + 1);
             wm.on_begin(&tx, false);
             tx.try_commit();
+            tx.set_commit_ns(clockns::now());
             wm.on_commit(&tx);
         }
         std::thread::sleep(Duration::from_micros(10));
@@ -751,6 +770,7 @@ mod tests {
         let rc_before = Arc::strong_count(&run);
         probe::take_locks();
         first.try_commit();
+        first.set_commit_ns(clockns::now());
         wm.on_commit(&first);
         for i in 2..n as u64 {
             let tx = state_on(0, i);
@@ -763,6 +783,7 @@ mod tests {
             let retry = state_on(0, 2000 + i);
             wm.on_begin(&retry, true);
             retry.try_commit();
+            retry.set_commit_ns(clockns::now());
             wm.on_commit(&retry);
         }
         assert_eq!(
@@ -840,6 +861,7 @@ mod tests {
             wm.on_begin(&tx, false);
             assert_ne!(tx.assigned_frame(), NOT_WINDOWED);
             tx.try_commit();
+            tx.set_commit_ns(clockns::now());
             wm.on_commit(&tx);
         };
         // Window 1 on both threads: a healthy boundary.

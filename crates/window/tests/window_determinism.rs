@@ -90,6 +90,7 @@ fn golden_frame_and_rank_sequence_is_stable() {
                         wm.on_begin(&tx, false);
                         seq.push((tx.assigned_frame(), tx.rank()));
                         tx.try_commit();
+                        tx.set_commit_ns(clockns::now());
                         wm.on_commit(&tx);
                     }
                     seq
@@ -145,6 +146,7 @@ fn golden_run_is_reproducible_within_the_same_build() {
                             wm.on_begin(&tx, false);
                             seq.push((tx.assigned_frame(), tx.rank()));
                             tx.try_commit();
+                            tx.set_commit_ns(clockns::now());
                             wm.on_commit(&tx);
                         }
                         seq
