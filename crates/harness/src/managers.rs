@@ -32,7 +32,7 @@ type Classic = fn() -> CmDispatch;
 
 /// The classic managers by name: the paper's §III-A baselines.
 const CLASSIC: [(&str, Classic); 3] = [
-    ("Polka", || CmDispatch::Polka(Arc::new(Polka::default()))),
+    ("Polka", || CmDispatch::Polka(Polka::default())),
     ("Greedy", || CmDispatch::Greedy),
     ("Priority", || CmDispatch::Priority),
 ];
@@ -235,24 +235,6 @@ mod tests {
         names.sort_unstable();
         assert_eq!(names, roles);
         assert_eq!(names.len(), 8);
-    }
-
-    #[test]
-    fn exactly_the_timestamp_ordered_managers_draw_timestamps() {
-        // The engine skips the logical clock where this answers `false`,
-        // so a manager that reads `ts` must be in this list — and one
-        // that does not should stay out of it, or it pays a shared
-        // `fetch_add` per transaction for nothing.
-        let names = all_manager_names();
-        assert_eq!(names.len(), 8, "the registry grew: classify the newcomer");
-        for name in names {
-            let b = build_manager(name, 2, 8, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(
-                b.cm.uses_timestamps(),
-                matches!(name, "Greedy" | "Priority"),
-                "{name}"
-            );
-        }
     }
 
     #[test]

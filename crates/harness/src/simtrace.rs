@@ -17,7 +17,7 @@
 //! benchmarks the footprint is the search path, which depends only weakly
 //! on interleaving at 50% occupancy.
 
-use wtm_sim::engine::SimConfig;
+use wtm_sim::engine::{SimConfig, SimOutcome};
 use wtm_sim::graph::ConflictGraph;
 use wtm_sim::SIM_SCHEDULER_NAMES;
 use wtm_stm::CmDispatch;
@@ -26,7 +26,7 @@ use wtm_workloads::{build_workload, paper_workload_names, WorkloadParams};
 
 use crate::preset::Preset;
 use crate::report::Table;
-use crate::theory::mean_makespan;
+use crate::theory::{mean, sim_runs};
 
 /// Capture the conflict graph of one `m × n` window of `workload`
 /// operations, in the paper's high-contention configuration. Any
@@ -84,14 +84,13 @@ pub fn trace_tables(preset: &Preset) -> Vec<Table> {
         // baseline.
         let mut oneshot = f64::NAN;
         for &name in SIM_SCHEDULER_NAMES {
-            let out = mean_makespan(&graph, &cfg, name, &[99]);
+            let runs = sim_runs(&graph, &cfg, name, &[99]);
+            let makespan = mean(&runs, |o| o.makespan as f64);
             if name == "OneShot" {
-                oneshot = out.makespan;
+                oneshot = makespan;
             }
-            t.push_row(
-                name,
-                vec![out.makespan, oneshot / out.makespan, out.aborts_per_commit],
-            );
+            let aborts_per_commit = mean(&runs, SimOutcome::aborts_per_commit);
+            t.push_row(name, vec![makespan, oneshot / makespan, aborts_per_commit]);
         }
         tables.push(t);
     }

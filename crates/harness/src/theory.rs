@@ -17,9 +17,10 @@
 //!   linear in `s`... bounded by `O(s + log MN)`).
 
 use wtm_sim::build_sim_scheduler;
-use wtm_sim::engine::{simulate, SimConfig};
+use wtm_sim::engine::{simulate, SimConfig, SimOutcome};
 use wtm_sim::graph::ConflictGraph;
 
+use crate::experiment::aggregate;
 use crate::preset::Preset;
 use crate::report::Table;
 
@@ -39,37 +40,35 @@ const T1_SCHEDULERS: [&str; 8] = [
     "RandomizedRounds",
 ];
 
-/// What [`mean_makespan`] averages over its seeds.
-pub(crate) struct MeanOutcome {
-    pub makespan: f64,
-    pub aborts_per_commit: f64,
-}
-
-/// Schedule `graph` with the registry scheduler `name` once per seed (the
-/// one way T1–T4 turn a scheduler name into numbers) and average.
-pub(crate) fn mean_makespan(
+/// Schedule `graph` with the registry scheduler `name` once per seed: the
+/// one way T1–T4 turn a scheduler name into numbers.
+pub(crate) fn sim_runs(
     graph: &ConflictGraph,
     cfg: &SimConfig,
     name: &str,
     seeds: &[u64],
-) -> MeanOutcome {
-    let mut sum = MeanOutcome {
-        makespan: 0.0,
-        aborts_per_commit: 0.0,
-    };
-    for &seed in seeds {
-        let mut s = build_sim_scheduler(name, cfg, graph, seed)
-            .expect("the theory tables name registered schedulers");
-        let out = simulate(graph, cfg, s.as_mut());
-        assert!(out.all_committed, "{name} did not finish");
-        sum.makespan += out.makespan as f64;
-        sum.aborts_per_commit += out.aborts_per_commit();
-    }
-    let n = seeds.len() as f64;
-    MeanOutcome {
-        makespan: sum.makespan / n,
-        aborts_per_commit: sum.aborts_per_commit / n,
-    }
+) -> Vec<SimOutcome> {
+    seeds
+        .iter()
+        .map(|&seed| {
+            let mut s = build_sim_scheduler(name, cfg, graph, seed)
+                .expect("the theory tables name registered schedulers");
+            let out = simulate(graph, cfg, s.as_mut());
+            assert!(out.all_committed, "{name} did not finish");
+            out
+        })
+        .collect()
+}
+
+/// The mean of `read` over `runs`, through [`aggregate`] as in every
+/// results cell.
+pub(crate) fn mean(runs: &[SimOutcome], read: fn(&SimOutcome) -> f64) -> f64 {
+    aggregate(&runs.iter().map(read).collect::<Vec<_>>()).mean
+}
+
+/// The mean makespan of [`sim_runs`].
+fn mean_makespan(graph: &ConflictGraph, cfg: &SimConfig, name: &str, seeds: &[u64]) -> f64 {
+    mean(&sim_runs(graph, cfg, name, seeds), |o| o.makespan as f64)
 }
 
 /// T1: makespan vs `N` on complete columns; plus the Theorem 2.1 reference
@@ -98,7 +97,7 @@ pub fn t1_makespan_scaling(preset: &Preset) -> Table {
         let cfg = SimConfig::new(m, n, TAU);
         let mut row: Vec<f64> = T1_SCHEDULERS
             .iter()
-            .map(|name| mean_makespan(&graph, &cfg, name, &SEEDS).makespan)
+            .map(|name| mean_makespan(&graph, &cfg, name, &SEEDS))
             .collect();
         let c = graph.contention() as f64;
         let bound = TAU as f64 * (c + n as f64 * cfg.ln_mn());
@@ -129,10 +128,10 @@ pub fn t2_window_vs_oneshot(preset: &Preset) -> Table {
     for m in m_sweep {
         let graph = ConflictGraph::clustered(m, n, 0.9, 0.05, 1234 + m as u64);
         let cfg = SimConfig::new(m, n, TAU);
-        let mean = |name| mean_makespan(&graph, &cfg, name, &SEEDS).makespan;
-        let one = mean("OneShot");
+        let makespan = |name| mean_makespan(&graph, &cfg, name, &SEEDS);
+        let one = makespan("OneShot");
         let mut row = vec![one];
-        row.extend(versus.iter().map(|name| mean(name) / one));
+        row.extend(versus.iter().map(|name| makespan(name) / one));
         t.push_row(m.to_string(), row);
     }
     t
@@ -159,7 +158,7 @@ pub fn t3_competitive_vs_s(preset: &Preset) -> Table {
         row.extend(
             versus
                 .iter()
-                .map(|name| mean_makespan(&graph, &cfg, name, &SEEDS).makespan / lb),
+                .map(|name| mean_makespan(&graph, &cfg, name, &SEEDS) / lb),
         );
         t.push_row(s_resources.to_string(), row);
     }

@@ -137,7 +137,7 @@ impl SimScheduler for OneShotScheduler {
 /// and kept across restarts.
 pub struct GreedyTimestampScheduler {
     ts: Vec<u64>,
-    next_ts: u64,
+    next_stamp: u64,
 }
 
 impl GreedyTimestampScheduler {
@@ -145,7 +145,7 @@ impl GreedyTimestampScheduler {
     pub fn new(cfg: &SimConfig) -> Self {
         GreedyTimestampScheduler {
             ts: vec![u64::MAX; cfg.m * cfg.n],
-            next_ts: 0,
+            next_stamp: 0,
         }
     }
 }
@@ -154,8 +154,8 @@ impl SimScheduler for GreedyTimestampScheduler {
     fn select(&mut self, _step: u64, issued: &mut Vec<TxnId>, _graph: &ConflictGraph) {
         for &t in issued.iter() {
             if self.ts[t as usize] == u64::MAX {
-                self.ts[t as usize] = self.next_ts;
-                self.next_ts += 1;
+                self.ts[t as usize] = self.next_stamp;
+                self.next_stamp += 1;
             }
         }
     }

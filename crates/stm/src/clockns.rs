@@ -1,8 +1,10 @@
 //! Cheap monotonic nanosecond timestamps for the hot loop.
 //!
 //! The retry loop stamps every attempt (wasted-work, committed-duration,
-//! and response-time metrics) and the window manager samples τ from those
-//! stamps. Calling `Instant::now()` for each of them costs a vDSO
+//! and response-time metrics, and the first attempt's stamp is the
+//! transaction's age, which Greedy and Priority order by) and the window
+//! manager samples τ from those stamps and counts its static frames by
+//! this clock. Calling `Instant::now()` for each of them costs a vDSO
 //! `clock_gettime` per call — several of which used to land on every
 //! attempt. [`now`] replaces them with one coarse-but-monotonic source:
 //!
@@ -15,10 +17,13 @@
 //!
 //! The result is *coarse* in the sense that it trades clock-domain
 //! guarantees for speed: cross-core TSC skew of a few tens of ns is
-//! acceptable because the values only feed statistics and τ calibration,
-//! never correctness decisions. Code that genuinely sleeps or enforces
-//! deadlines (the contention managers' back-off waits) keeps using
-//! `Instant`.
+//! acceptable because the values drive progress decisions (window frames,
+//! transaction age) and never safety: opacity and conflict detection read
+//! no clock. Skew can only reorder events that lie within it of each
+//! other; a stamp taken after a handoff from another thread is later than
+//! every stamp taken before it (`a_stamp_after_a_handoff_is_later`). Code
+//! that genuinely sleeps or enforces deadlines (the contention managers'
+//! back-off waits) keeps using `Instant`.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -26,7 +31,8 @@ use std::time::Instant;
 /// Nanoseconds elapsed since the first use of this module.
 ///
 /// Monotonic per thread; across threads it may disagree by the TSC skew of
-/// the machine (typically well under a microsecond). Statistics only.
+/// the machine (typically well under a microsecond), so it orders
+/// progress, never safety.
 #[inline]
 pub fn now() -> u64 {
     imp::now()
@@ -136,6 +142,38 @@ mod tests {
             assert!(t >= prev, "clock went backwards: {prev} -> {t}");
             prev = t;
         }
+    }
+
+    #[test]
+    fn a_stamp_after_a_handoff_is_later() {
+        // Two threads hand a baton back and forth. Each stamps on receipt,
+        // checks the stamp against the one handed over, waits at least
+        // 1 µs and hands its stamp on with a Release store: what the age
+        // order and the window frame clock assume of stamps across threads.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const HANDOFFS: u64 = 1_000;
+        let (turn, baton) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            for side in 0..2 {
+                let (turn, baton) = (&turn, &baton);
+                s.spawn(move || {
+                    for t in (side..HANDOFFS).step_by(2) {
+                        while turn.load(Ordering::Acquire) != t {
+                            std::thread::yield_now();
+                        }
+                        let handed = baton.load(Ordering::Relaxed);
+                        let stamp = now();
+                        assert!(stamp > handed, "handoff {t}: {stamp} ns after {handed} ns");
+                        while now() < stamp + 1_000 {
+                            std::hint::spin_loop();
+                        }
+                        baton.store(stamp, Ordering::Relaxed);
+                        turn.store(t + 1, Ordering::Release);
+                    }
+                });
+            }
+        });
+        assert_eq!(turn.into_inner(), HANDOFFS);
     }
 
     #[test]

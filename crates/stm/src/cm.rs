@@ -70,16 +70,6 @@ pub trait ContentionManager: Send + Sync {
     /// This attempt aborted (self- or enemy-initiated).
     fn on_abort(&self, _tx: &TxState) {}
 
-    /// Whether any hook reads [`TxState::ts`]. Read once when the engine
-    /// is built: where it is `false` the engine hands every attempt
-    /// `ts = 0` ("no timestamp") instead of a `fetch_add` on the shared
-    /// [`crate::LogicalClock`] line per transaction. The default is the
-    /// conservative `true`; a manager that answers `false` and still
-    /// compares timestamps sees all-zero ones.
-    fn uses_timestamps(&self) -> bool {
-        true
-    }
-
     /// Human-readable policy name (used in experiment reports).
     fn name(&self) -> &str;
 }
@@ -93,10 +83,6 @@ pub struct AbortSelfManager;
 impl ContentionManager for AbortSelfManager {
     fn resolve(&self, _me: &TxState, _enemy: &TxState, _kind: ConflictKind) -> Resolution {
         Resolution::AbortSelf
-    }
-
-    fn uses_timestamps(&self) -> bool {
-        false
     }
 
     fn name(&self) -> &str {
@@ -114,10 +100,6 @@ impl ContentionManager for AbortEnemyManager {
         Resolution::AbortEnemy
     }
 
-    fn uses_timestamps(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &str {
         "AbortEnemy"
     }
@@ -129,7 +111,7 @@ mod tests {
     use crate::clockns;
 
     fn state(id: u64) -> TxState {
-        TxState::new(id, id, 0, 0, id, clockns::now(), 0)
+        TxState::new(id, id, 0, 0, clockns::now(), 0)
     }
 
     #[test]

@@ -27,17 +27,13 @@
 //! two-way branch. They stay on the enum because the managers behind
 //! `Dyn` (the window managers, instrumentation wrappers) hook them.
 //!
-//! The two cold queries, `uses_timestamps` (read once when the engine is
-//! built) and `name`, are not dispatched arm by arm: both ask the manager
-//! behind the variant through `&dyn ContentionManager`, so whether a
-//! manager draws timestamps is decided in its own impl and nowhere else.
-//! Greedy and Priority keep the trait's default `true` (their `resolve`
-//! compares `ts`); every other built-in answers `false` and runs without
-//! the per-transaction `fetch_add` on the shared logical clock.
+//! The cold query `name` is not dispatched arm by arm: it asks the
+//! manager behind the variant through `&dyn ContentionManager`.
 //!
-//! Stateful managers sit behind an `Arc` inside their variant, so cloning
-//! a `CmDispatch` shares manager state exactly like cloning the old
-//! `Arc<dyn ContentionManager>` did.
+//! The built-in variants hold their managers by value: none keeps state
+//! across calls (Polka's three fields are configuration), so a `resolve`
+//! follows no pointer. A manager with shared state (a window manager)
+//! rides `Dyn` behind an `Arc`, so cloning a `CmDispatch` shares it.
 
 use std::sync::Arc;
 
@@ -47,9 +43,8 @@ use crate::txstate::TxState;
 
 /// A contention manager the engine can call without virtual dispatch.
 ///
-/// Built-in managers get their own variant (zero-sized policies are held
-/// by value, stateful ones behind an `Arc`); anything else rides in
-/// [`CmDispatch::Dyn`] at the cost of a virtual call per hook.
+/// Built-in managers get their own variant, held by value; anything else
+/// rides in [`CmDispatch::Dyn`] at the cost of a virtual call per hook.
 #[derive(Clone)]
 pub enum CmDispatch {
     /// Always sacrifice the caller ([`AbortSelfManager`], the classic
@@ -58,12 +53,12 @@ pub enum CmDispatch {
     /// Always kill the competitor ([`AbortEnemyManager`], the classic
     /// Aggressive policy).
     AbortEnemy,
-    /// Timestamp-ordered, never waits for a waiting enemy.
+    /// Age-ordered, never waits for a waiting enemy.
     Greedy,
     /// Static priority = start time; younger yields.
     Priority,
     /// Karma + exponential backoff (the paper's published-best baseline).
-    Polka(Arc<Polka>),
+    Polka(Polka),
     /// Any other [`ContentionManager`] (the window managers, wrappers),
     /// dispatched virtually.
     Dyn(Arc<dyn ContentionManager>),
@@ -118,22 +113,16 @@ impl CmDispatch {
         }
     }
 
-    /// The manager behind the arm, for the cold queries below.
+    /// The manager behind the arm, for the cold query below.
     fn manager(&self) -> &dyn ContentionManager {
         match self {
             CmDispatch::AbortSelf => &AbortSelfManager,
             CmDispatch::AbortEnemy => &AbortEnemyManager,
             CmDispatch::Greedy => &Greedy,
             CmDispatch::Priority => &Priority,
-            CmDispatch::Polka(m) => &**m,
+            CmDispatch::Polka(m) => m,
             CmDispatch::Dyn(m) => &**m,
         }
-    }
-
-    /// Whether the engine must draw logical timestamps for this manager:
-    /// the manager's own [`ContentionManager::uses_timestamps`].
-    pub fn uses_timestamps(&self) -> bool {
-        self.manager().uses_timestamps()
     }
 
     /// Human-readable policy name (used in experiment reports).
@@ -163,20 +152,24 @@ impl std::fmt::Debug for CmDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clockns;
 
-    fn state(id: u64, ts: u64) -> Arc<TxState> {
-        Arc::new(TxState::new(id, id, 0, 0, ts, clockns::now(), 0))
+    fn state(id: u64, start_ns: u64) -> Arc<TxState> {
+        Arc::new(TxState::new(id, id, 0, 0, start_ns, 0))
     }
 
     #[test]
     fn enum_verdicts_match_trait_verdicts() {
-        // The stateless managers must decide identically whether reached
+        // The built-in managers must decide identically whether reached
         // through their enum variant or through the Dyn fallback, on a
-        // clear-cut case: an old transaction (ts=1) vs a young one (ts=1000).
-        let pairs: [(CmDispatch, CmDispatch); 4] = [
+        // clear-cut case: an old transaction (started at 1 ns) vs a young
+        // one (1000 ns).
+        let pairs: [(CmDispatch, CmDispatch); 5] = [
             (CmDispatch::Greedy, Arc::new(Greedy).into()),
             (CmDispatch::Priority, Arc::new(Priority).into()),
+            (
+                CmDispatch::Polka(Polka::default()),
+                Arc::new(Polka::default()).into(),
+            ),
             (CmDispatch::AbortSelf, Arc::new(AbortSelfManager).into()),
             (CmDispatch::AbortEnemy, Arc::new(AbortEnemyManager).into()),
         ];

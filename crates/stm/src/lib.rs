@@ -52,12 +52,10 @@
 //! | [`txn`] | the transaction API: read/write/modify/commit |
 //! | [`stm`] | the engine handle, per-thread contexts, the retry loop |
 //! | [`stats`] | lock-free per-thread metrics and snapshots |
-//! | [`clock`] | the global logical clock used for timestamps |
-//! | [`clockns`] | cheap coarse nanosecond timestamps for metrics |
+//! | [`clockns`] | cheap coarse nanosecond timestamps: metrics, window frames, transaction age |
 //! | [`slots`] | reader-slot indices, the per-index reader rows and the attempt registry (a lock per record) |
 //! | [`sync`] | cancellable barrier and cooperative waiting helpers |
 
-pub mod clock;
 pub mod clockns;
 pub mod cm;
 pub mod dispatch;
@@ -76,7 +74,6 @@ pub mod txn;
 pub mod txstate;
 mod writeset;
 
-pub use clock::LogicalClock;
 pub use cm::{ConflictKind, ContentionManager, Resolution};
 pub use dispatch::CmDispatch;
 pub use engine::EngineKind;

@@ -1,18 +1,23 @@
 //! The Greedy contention manager (Guerraoui, Herlihy & Pochon, PODC 2005).
 //!
 //! The first manager with a provable competitive ratio (O(s²), later
-//! improved to O(s) by Attiya et al.). Rules, with `ts` the timestamp taken
-//! at the transaction's *first* attempt and kept across retries:
+//! improved to O(s) by Attiya et al.). Rules, with a transaction's age its
+//! [`TxState::age_key`]: the *first* attempt's start stamp, kept across
+//! retries, ties broken by `txn_id`:
 //!
-//! 1. If I am **older** than the enemy (`my ts < enemy ts`), abort the enemy.
+//! 1. If I am **older** than the enemy (smaller key), abort the enemy.
 //! 2. If I am younger and the enemy is **waiting** (blocked in its own
 //!    contention-manager wait), abort the enemy — a waiting transaction
 //!    cannot be making progress on this object.
 //! 3. Otherwise wait until the enemy commits, aborts, or starts waiting.
 //!
 //! The *pending-commit* property follows: at any time the transaction with
-//! the smallest timestamp among live ones runs unobstructed — so some
-//! useful work always completes.
+//! the smallest key among live ones runs unobstructed — so some useful
+//! work always completes. The argument needs only a total order fixed at
+//! the first attempt that every thread reads alike, which the key is: both
+//! parties' keys sit in their records. Cross-core clock skew can only swap
+//! transactions that started within the skew (tens of ns) of each other,
+//! and neither this argument nor starvation freedom depends on their order.
 //!
 //! Waiting cannot deadlock: only younger transactions wait, so any wait
 //! chain strictly decreases in age and the oldest never waits.
@@ -31,10 +36,7 @@ pub struct Greedy;
 
 impl ContentionManager for Greedy {
     fn resolve(&self, me: &TxState, enemy: &TxState, _kind: ConflictKind) -> Resolution {
-        super::debug_assert_stamped("Greedy", me, enemy);
-        // Tie-break equal timestamps by attempt id so the relation stays a
-        // total order (equal ts can only happen across engines in practice).
-        let i_am_older = (me.ts, me.txn_id) < (enemy.ts, enemy.txn_id);
+        let i_am_older = me.age_key() < enemy.age_key();
         if i_am_older || enemy.is_waiting() {
             return Resolution::AbortEnemy;
         }

@@ -22,7 +22,7 @@ use crate::sync::wait_until;
 use crate::{ConflictKind, ContentionManager, Resolution, TxState};
 
 /// Polka contention manager, built with [`Polka::default`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Polka {
     /// First backoff interval.
     base: Duration,
@@ -63,11 +63,6 @@ impl ContentionManager for Polka {
         } else {
             Resolution::AbortEnemy
         }
-    }
-
-    /// Priority is karma, not a timestamp.
-    fn uses_timestamps(&self) -> bool {
-        false
     }
 
     fn name(&self) -> &str {

@@ -2,12 +2,12 @@
 //!
 //! "Priority is a static priority-based manager, where the priority of a
 //! transaction is its start time, that aborts lower priority transactions
-//! during conflicts." Like Greedy the priority is the first-attempt
-//! timestamp, but there is no waiting rule at all: whichever side of the
-//! conflict is younger dies immediately. Starvation-free for the oldest
-//! transaction but wasteful — young transactions repeatedly sacrifice
-//! themselves, which is exactly the behaviour the paper's Fig. 4 shows as
-//! a high aborts-per-commit ratio.
+//! during conflicts." Like Greedy the priority is the first attempt's
+//! start stamp ([`TxState::age_key`]), but there is no waiting rule at
+//! all: whichever side of the conflict is younger dies immediately.
+//! Starvation-free for the oldest transaction but wasteful — young
+//! transactions repeatedly sacrifice themselves, which is exactly the
+//! behaviour the paper's Fig. 4 shows as a high aborts-per-commit ratio.
 
 use crate::{ConflictKind, ContentionManager, Resolution, TxState};
 
@@ -17,8 +17,7 @@ pub struct Priority;
 
 impl ContentionManager for Priority {
     fn resolve(&self, me: &TxState, enemy: &TxState, _kind: ConflictKind) -> Resolution {
-        super::debug_assert_stamped("Priority", me, enemy);
-        if (me.ts, me.txn_id) < (enemy.ts, enemy.txn_id) {
+        if me.age_key() < enemy.age_key() {
             Resolution::AbortEnemy
         } else {
             Resolution::AbortSelf
@@ -66,8 +65,8 @@ mod tests {
 
     #[test]
     fn priority_survives_retries() {
-        // A retry keeps the original timestamp, so an old transaction's
-        // retry still beats a younger first attempt.
+        // A retry keeps its first attempt's start stamp, so an old
+        // transaction's retry still beats a younger first attempt.
         let old_retry = crate::managers::testutil::state_on(0, 3, 5, 4);
         let young = state(2, 9);
         assert_eq!(

@@ -1,13 +1,12 @@
 //! Thread-local operation counters.
 //!
 //! The lazy clock ("a lazy commit performs one `VERSION_CLOCK` RMW if it
-//! writes, none if it only reads"), the fixed path's shared-line budget
-//! ("no logical-clock `fetch_add` unless the manager orders by timestamp") and
-//! both engines' read path ("a first open is one store to the reader's own
-//! slot word and no read-modify-write on a line other readers write; a
-//! re-open stores nothing") and the writer's scan ("it loads the words of
-//! held indices' rows only") are asserted by tests that count the actual
-//! operations, not by inspection. The counters are thread-local `Cell`s —
+//! writes, none if it only reads"), both engines' read path ("a first open
+//! is one store to the reader's own slot word and no read-modify-write on
+//! a line other readers write; a re-open stores nothing"), the fixed
+//! path's shared-line budget built on it, and the writer's scan ("it
+//! loads the words of held indices' rows only") are asserted by tests
+//! that count the actual operations, not by inspection. The counters are thread-local `Cell`s —
 //! tests in one binary run concurrently, and a process-global counter
 //! would make every assertion racy. These hot-path counters exist only
 //! under `debug_assertions`, so release hot paths carry zero probe cost.
@@ -28,7 +27,6 @@ use std::cell::Cell;
 #[cfg(debug_assertions)]
 thread_local! {
     static CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
-    static LOGICAL_CLOCK_RMWS: Cell<u64> = const { Cell::new(0) };
     static READ_SLOT_STORES: Cell<u64> = const { Cell::new(0) };
     static READ_SHARED_RMWS: Cell<u64> = const { Cell::new(0) };
     static SCAN_WORD_LOADS: Cell<u64> = const { Cell::new(0) };
@@ -39,13 +37,6 @@ thread_local! {
 #[inline]
 pub(crate) fn count_clock_rmw() {
     let _ = CLOCK_RMWS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// Record one `fetch_add` on an engine's [`crate::LogicalClock`].
-#[cfg(debug_assertions)]
-#[inline]
-pub(crate) fn count_logical_clock_rmw() {
-    let _ = LOGICAL_CLOCK_RMWS.try_with(|c| c.set(c.get() + 1));
 }
 
 /// Record one store of a reader's attempt id into its slot word of an
@@ -76,12 +67,6 @@ pub(crate) fn count_scan_word_loads(n: u64) {
 #[cfg(debug_assertions)]
 pub fn take_clock_rmws() -> u64 {
     CLOCK_RMWS.with(|c| c.replace(0))
-}
-
-/// Logical-clock RMW ops by this thread since the last call; resets to 0.
-#[cfg(debug_assertions)]
-pub fn take_logical_clock_rmws() -> u64 {
-    LOGICAL_CLOCK_RMWS.with(|c| c.replace(0))
 }
 
 /// Reader-slot registration stores by this thread since the last call;

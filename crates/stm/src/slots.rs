@@ -532,7 +532,6 @@ mod tests {
             attempt_id,
             0,
             0,
-            attempt_id,
             clockns::now(),
             0,
         ))

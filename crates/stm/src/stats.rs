@@ -18,11 +18,11 @@
 //! than an earlier sample of the same field.
 //!
 //! The process-global counters a transaction can touch are unsharded,
-//! each for a reason: the logical clock must stay one total order, and is
-//! drawn only for managers that read it ([`crate::stm`]); the lazy
-//! engine's `VERSION_CLOCK` is TL2's one `fetch_add` per writing commit
-//! (`crate::engine::write_version`); the attempt-id and `TVar`-id sources
-//! are handed out in thread-local blocks.
+//! each for a reason: the lazy engine's `VERSION_CLOCK` is TL2's one
+//! `fetch_add` per writing commit (`crate::engine::write_version`); the
+//! attempt-id and `TVar`-id sources are handed out in thread-local
+//! blocks. Age needs no counter: it is the first attempt's start stamp
+//! ([`crate::TxState::age_key`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -1,12 +1,12 @@
 //! Engine handle, per-thread contexts, and the greedy retry loop.
 //!
-//! [`Stm`] bundles the contention manager, the logical clock, and one
-//! [`ThreadStats`] per worker. Worker thread `i` obtains a [`ThreadCtx`]
-//! via [`Stm::thread`] and runs transactions with
-//! [`ThreadCtx::atomic`]: the closure is retried until it commits, a new
-//! [`TxState`] per attempt, *immediately* after every abort — the greedy
-//! contention-management model the paper assumes ("if a transaction aborts
-//! it then immediately restarts and attempts to commit again", §II-A).
+//! [`Stm`] bundles the contention manager and one [`ThreadStats`] per
+//! worker. Worker thread `i` obtains a [`ThreadCtx`] via [`Stm::thread`]
+//! and runs transactions with [`ThreadCtx::atomic`]: the closure is
+//! retried until it commits, a new [`TxState`] per attempt, *immediately*
+//! after every abort — the greedy contention-management model the paper
+//! assumes ("if a transaction aborts it then immediately restarts and
+//! attempts to commit again", §II-A).
 //!
 //! The retry loop is allocation-lean: each [`ThreadCtx`] keeps one spare
 //! `TxState`, the one the registry handed back when the previous attempt
@@ -21,23 +21,23 @@
 //! never reused, so recycled records are indistinguishable from fresh
 //! ones. Timestamps use the
 //! coarse [`crate::clockns`] clock: one call at transaction start and one
-//! per attempt end instead of several `Instant::now()` syscalls.
+//! per attempt end instead of several `Instant::now()` syscalls. The
+//! start stamp is also the transaction's age ([`TxState::age_key`]),
+//! which Greedy and Priority order by.
 //!
 //! ## Shared-line budget of a committed transaction
 //!
 //! A committed transaction performs no read-modify-write on a cache line
-//! another thread also RMWs unless its contention manager's ordering needs
-//! one: the logical clock's `fetch_add` is drawn only where
-//! [`CmDispatch::uses_timestamps`] says the manager reads it, the
+//! another thread also RMWs: its age is a read of this core's clock, the
 //! registry record the owner locks to republish is its own line (a writer
-//! locks it only to resolve one of this thread's reader words), and
-//! attempt ids come from thread-local blocks. The debug `probe` counter pins the first
-//! (`fixed_path_shared_rmw_budget` below).
+//! locks it only to resolve one of this thread's reader words), attempt
+//! ids come from thread-local blocks, and a first read stores one word of
+//! the reader's own row. The debug `probe` counters pin the read path
+//! under every classic manager (`fixed_path_shared_rmw_budget` below).
 
 use std::cell::Cell;
 use std::sync::Arc;
 
-use crate::clock::LogicalClock;
 use crate::clockns;
 use crate::dispatch::CmDispatch;
 use crate::engine::{EngineKind, LazyRead};
@@ -51,10 +51,6 @@ use crate::writeset::WriteEntry;
 pub struct Stm {
     cm: CmDispatch,
     engine: EngineKind,
-    clock: LogicalClock,
-    /// [`CmDispatch::uses_timestamps`] of `cm`, read once at construction:
-    /// when false no attempt touches `clock`.
-    timestamps: bool,
     threads: Box<[Arc<ThreadStats>]>,
 }
 
@@ -75,12 +71,9 @@ impl Stm {
     /// (the paper's substrate) or TL2/STO-style lazy commit-time locking.
     pub fn with_engine(cm: impl Into<CmDispatch>, num_threads: usize, engine: EngineKind) -> Self {
         assert!(num_threads >= 1, "need at least one thread");
-        let cm = cm.into();
         Stm {
-            timestamps: cm.uses_timestamps(),
-            cm,
+            cm: cm.into(),
             engine,
-            clock: LogicalClock::new(),
             threads: (0..num_threads)
                 .map(|_| Arc::new(ThreadStats::new()))
                 .collect(),
@@ -129,25 +122,6 @@ impl Stm {
             total.merge(&t.snapshot());
         }
         total
-    }
-
-    /// The engine's logical clock (timestamps for Greedy/Priority). Only
-    /// advanced when the installed manager
-    /// [uses timestamps](CmDispatch::uses_timestamps).
-    pub fn clock(&self) -> &LogicalClock {
-        &self.clock
-    }
-
-    /// A logical timestamp for a starting attempt, or 0 ("no timestamp")
-    /// when the manager never reads one — sparing the `fetch_add` on a
-    /// line every worker writes.
-    #[inline]
-    fn next_ts(&self) -> u64 {
-        if self.timestamps {
-            self.clock.next()
-        } else {
-            0
-        }
     }
 }
 
@@ -286,7 +260,6 @@ impl<'a> ThreadCtx<'a> {
         attempt_id: u64,
         txn_id: u64,
         attempt: u32,
-        ts: u64,
         first_start_ns: u64,
         karma: u64,
     ) -> Arc<TxState> {
@@ -297,7 +270,6 @@ impl<'a> ThreadCtx<'a> {
                     txn_id,
                     self.thread_id,
                     attempt,
-                    ts,
                     first_start_ns,
                     karma,
                 );
@@ -309,7 +281,6 @@ impl<'a> ThreadCtx<'a> {
             txn_id,
             self.thread_id,
             attempt,
-            ts,
             first_start_ns,
             karma,
         ))
@@ -372,7 +343,6 @@ impl<'a> ThreadCtx<'a> {
         mut trace: Option<&mut Vec<(u64, bool)>>,
     ) -> Option<R> {
         let _in_atomic = InAtomic::enter();
-        let ts = self.stm.next_ts();
         let first_start_ns = clockns::now();
         let slot_idx = slots::my_slot_index();
         // The logical-transaction id is simply the first attempt's id:
@@ -385,8 +355,7 @@ impl<'a> ThreadCtx<'a> {
             if attempt == 0 {
                 txn_id = attempt_id;
             }
-            let state =
-                self.state_for_attempt(attempt_id, txn_id, attempt, ts, first_start_ns, karma);
+            let state = self.state_for_attempt(attempt_id, txn_id, attempt, first_start_ns, karma);
             self.stm.cm.on_begin(&state, attempt > 0);
             // Make the attempt resolvable by writers scanning reader-slot
             // words; must precede the first object access in `body`. The
@@ -791,13 +760,15 @@ mod tests {
         });
     }
 
-    /// Commit `BUDGET_TXNS` single-thread transactions on `stm` and return
-    /// this thread's logical-clock RMWs over them.
+    /// Commit `BUDGET_TXNS` single-thread read-then-write transactions on
+    /// `stm` and return this thread's (slot-word stores, shared-line RMWs)
+    /// of reads over them.
     #[cfg(debug_assertions)]
-    fn fixed_path_clock_rmws(stm: &Stm) -> u64 {
+    fn fixed_path_read_writes(stm: &Stm) -> (u64, u64) {
         let tv: TVar<u64> = TVar::new(0);
         let ctx = stm.thread(0);
-        crate::probe::take_logical_clock_rmws();
+        crate::probe::take_read_slot_stores();
+        crate::probe::take_read_shared_rmws();
         for _ in 0..BUDGET_TXNS {
             ctx.atomic(|tx| {
                 let v = *tx.read(&tv)?;
@@ -805,7 +776,10 @@ mod tests {
             });
         }
         assert_eq!(stm.aggregate().aborts, 0, "one thread never retries");
-        crate::probe::take_logical_clock_rmws()
+        (
+            crate::probe::take_read_slot_stores(),
+            crate::probe::take_read_shared_rmws(),
+        )
     }
 
     #[cfg(debug_assertions)]
@@ -815,51 +789,56 @@ mod tests {
     #[test]
     fn fixed_path_shared_rmw_budget() {
         use crate::managers::Polka;
-        // The last row reaches Polka through `Dyn`: each manager's own
-        // `uses_timestamps` decides, whatever the arm.
-        for (cm, clock_rmws) in [
-            (CmDispatch::AbortSelf, 0),
-            (CmDispatch::Polka(Arc::new(Polka::default())), 0),
-            (CmDispatch::Greedy, BUDGET_TXNS),
-            (CmDispatch::Priority, BUDGET_TXNS),
-            (Arc::new(Polka::default()).into(), 0),
+        // Whatever the manager orders by, a committed transaction's read
+        // stores one word of its own row and RMWs no shared line. The last
+        // row reaches Polka through `Dyn`.
+        for cm in [
+            CmDispatch::AbortSelf,
+            CmDispatch::Polka(Polka::default()),
+            CmDispatch::Greedy,
+            CmDispatch::Priority,
+            Arc::new(Polka::default()).into(),
         ] {
             let stm = Stm::new(cm, 1);
             assert_eq!(
-                fixed_path_clock_rmws(&stm),
-                clock_rmws,
-                "{}: logical-clock RMWs over {BUDGET_TXNS} committed transactions",
+                fixed_path_read_writes(&stm),
+                (BUDGET_TXNS, 0),
+                "{}: (slot-word stores, shared-line RMWs) of reads over {BUDGET_TXNS} \
+                 committed transactions",
                 stm.cm().name()
             );
         }
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    fn a_retry_keeps_its_transactions_timestamp() {
-        for (cm, expected) in [(CmDispatch::Priority, 1), (CmDispatch::AbortSelf, 0)] {
-            let stm = Stm::new(cm, 1);
-            let ctx = stm.thread(0);
-            let mut runs = 0;
-            let mut stamps = Vec::new();
-            crate::probe::take_logical_clock_rmws();
-            ctx.atomic(|tx| {
-                runs += 1;
-                stamps.push(tx.state().ts);
-                if runs < 3 {
-                    return Err(tx.abort_self());
-                }
-                Ok(())
-            });
-            assert_eq!(
-                crate::probe::take_logical_clock_rmws(),
-                expected,
-                "{}: one draw per transaction, none per retry",
-                stm.cm().name()
+    fn a_retry_keeps_its_age_key() {
+        let stm = Stm::new(CmDispatch::Priority, 1);
+        let ctx = stm.thread(0);
+        let mut seen = Vec::new();
+        ctx.atomic(|tx| {
+            let st = tx.state();
+            seen.push((st.age_key(), st.attempt_id, st.attempt_start_ns));
+            if seen.len() < 3 {
+                return Err(tx.abort_self());
+            }
+            Ok(())
+        });
+        let (key, first_id, first_start) = seen[0];
+        assert_eq!(
+            key,
+            (first_start, first_id),
+            "the first attempt sets the key"
+        );
+        for (i, &(k, id, start)) in seen.iter().enumerate().skip(1) {
+            assert_eq!(k, key, "retry {i} carries the first attempt's key");
+            assert!(
+                id > first_id,
+                "retry {i} runs under an attempt id of its own"
             );
-            let ts = stamps[0];
-            assert_eq!(stamps, [ts; 3], "{}: ts survives retries", stm.cm().name());
-            assert_eq!(ts != 0, expected != 0, "no timestamp is the documented 0");
+            assert!(
+                start >= first_start,
+                "retry {i} has a start stamp of its own"
+            );
         }
     }
 
@@ -1037,13 +1016,14 @@ mod tests {
         }
     }
 
-    /// Forwards every hook to `inner` and records the timestamp each
-    /// attempt begins with. `uses_timestamps` is left at the trait's
-    /// default, as an out-of-tree manager would.
+    /// (thread, age key, attempt id, is_retry) of a beginning attempt.
+    type Begun = (usize, (u64, u64), u64, bool);
+
+    /// Forwards every hook to `inner` and records each attempt as it
+    /// begins.
     struct RecordingCm {
         inner: CmDispatch,
-        /// (ts, is_retry) per attempt.
-        begun: std::sync::Mutex<Vec<(u64, bool)>>,
+        begun: std::sync::Mutex<Vec<Begun>>,
     }
 
     impl ContentionManager for RecordingCm {
@@ -1056,7 +1036,10 @@ mod tests {
             self.inner.resolve(me, enemy, kind)
         }
         fn on_begin(&self, tx: &Arc<TxState>, is_retry: bool) {
-            self.begun.lock().unwrap().push((tx.ts, is_retry));
+            self.begun
+                .lock()
+                .unwrap()
+                .push((tx.thread_id, tx.age_key(), tx.attempt_id, is_retry));
             self.inner.on_begin(tx, is_retry);
         }
         fn on_open(&self, tx: &TxState) {
@@ -1074,35 +1057,42 @@ mod tests {
     }
 
     #[test]
-    fn timestamp_ordered_managers_run_on_distinct_nonzero_timestamps() {
-        // The hazard of eliding the clock is a timestamp manager silently
-        // ordering all-zero timestamps. Two threads fight over one counter
-        // under each manager that reads them (their `resolve` also
-        // debug-asserts both parties are stamped at every real conflict).
+    fn age_ordered_managers_keep_one_key_per_transaction() {
+        // Two threads fight over one counter under each manager that
+        // orders by age: a transaction's key is set by its first attempt,
+        // every retry carries it, and a thread's later transaction is
+        // younger than its earlier ones.
         const THREADS: usize = 2;
         const PER_THREAD: u64 = 1_000;
         for inner in [CmDispatch::Greedy, CmDispatch::Priority] {
             let name = inner.name().to_string();
-            assert!(inner.uses_timestamps(), "{name}");
             let cm = Arc::new(RecordingCm {
                 inner,
                 begun: std::sync::Mutex::new(Vec::new()),
             });
             concurrent_counter(cm.clone(), THREADS, PER_THREAD);
             let begun = cm.begun.lock().unwrap();
-            assert!(
-                begun.iter().all(|&(ts, _)| ts != 0),
-                "{name}: an attempt began without a timestamp"
-            );
-            let first_attempts: Vec<u64> = begun
-                .iter()
-                .filter(|&&(_, is_retry)| !is_retry)
-                .map(|&(ts, _)| ts)
-                .collect();
-            let n = first_attempts.len();
-            assert_eq!(n, (THREADS as u64 * PER_THREAD) as usize);
-            let distinct: std::collections::HashSet<u64> = first_attempts.into_iter().collect();
-            assert_eq!(distinct.len(), n, "{name}: two transactions share a ts");
+            let mut last: [Option<(u64, u64)>; THREADS] = [None; THREADS];
+            let mut first_attempts = 0;
+            for &(thread, key, attempt_id, is_retry) in begun.iter() {
+                if is_retry {
+                    assert_eq!(Some(key), last[thread], "{name}: a retry changed its key");
+                } else {
+                    assert_eq!(
+                        key.1, attempt_id,
+                        "{name}: txn_id is the first attempt's id"
+                    );
+                    assert!(
+                        last[thread] < Some(key),
+                        "{name}: thread {thread}'s transaction {key:?} is not younger \
+                         than its previous one {:?}",
+                        last[thread]
+                    );
+                    first_attempts += 1;
+                }
+                last[thread] = Some(key);
+            }
+            assert_eq!(first_attempts, THREADS as u64 * PER_THREAD, "{name}");
         }
     }
 

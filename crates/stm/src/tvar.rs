@@ -904,7 +904,7 @@ mod tests {
     use crate::slots::MAX_SLOTS;
 
     fn state(id: u64) -> Arc<TxState> {
-        Arc::new(TxState::new(id, id, 0, 0, id, clockns::now(), 0))
+        Arc::new(TxState::new(id, id, 0, 0, clockns::now(), 0))
     }
 
     /// A state with a fresh, globally unique attempt id, published on this

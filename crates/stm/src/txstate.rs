@@ -24,13 +24,14 @@
 //! stated in [`crate::tvar`]).
 //!
 //! Fields that must *survive* retries of the same logical transaction (the
-//! Greedy/Priority timestamp, Polka's accumulated karma) are seeded from
-//! the logical-transaction context in [`crate::stm`] when each attempt
-//! starts.
+//! age key `(first_start_ns, txn_id)`, Polka's accumulated karma) are
+//! seeded from the logical-transaction context in [`crate::stm`] when each
+//! attempt starts.
 //!
 //! Timestamps (`first_start_ns`, `attempt_start_ns`, `commit_ns`) are
-//! nanoseconds from the cheap coarse clock in [`crate::clockns`]; they
-//! feed metrics and τ calibration only.
+//! nanoseconds from the cheap coarse clock in [`crate::clockns`]. They
+//! feed metrics and τ calibration, and `first_start_ns` is a
+//! transaction's age ([`TxState::age_key`]).
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -71,11 +72,8 @@ pub struct TxState {
     pub thread_id: usize,
     /// Retry count: 0 for the first attempt.
     pub attempt: u32,
-    /// Logical timestamp of the *first* attempt, kept by every retry.
-    /// Greedy and Priority order transactions by this value: smaller =
-    /// older = higher priority.
-    pub ts: u64,
-    /// Coarse-clock start of the first attempt (response-time metric).
+    /// Coarse-clock start of the first attempt, kept by every retry: the
+    /// response-time metric and the transaction's age ([`Self::age_key`]).
     pub first_start_ns: u64,
     /// Coarse-clock start of this attempt (wasted-work metric, τ samples).
     pub attempt_start_ns: u64,
@@ -119,7 +117,6 @@ impl TxState {
         txn_id: u64,
         thread_id: usize,
         attempt: u32,
-        ts: u64,
         first_start_ns: u64,
         karma_carryover: u64,
     ) -> Self {
@@ -128,7 +125,6 @@ impl TxState {
             txn_id,
             thread_id,
             attempt,
-            ts,
             first_start_ns,
             // The first attempt starts when the transaction does; only
             // retries need a fresh clock read.
@@ -154,14 +150,12 @@ impl TxState {
     /// Requires exclusive access (`Arc::get_mut`): the caller proves no
     /// locator, registry entry, or contention manager still references the
     /// old attempt, so rewriting the identity fields cannot confuse anyone.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn reset_for_attempt(
         &mut self,
         attempt_id: u64,
         txn_id: u64,
         thread_id: usize,
         attempt: u32,
-        ts: u64,
         first_start_ns: u64,
         karma_carryover: u64,
     ) {
@@ -172,11 +166,18 @@ impl TxState {
             txn_id,
             thread_id,
             attempt,
-            ts,
             first_start_ns,
             karma_carryover,
         );
         self.lent.get_mut().versions = versions;
+    }
+
+    /// The transaction's age: its first attempt's start stamp, ties broken
+    /// by `txn_id` (never reused), so the order is total and every retry
+    /// keeps its place. Smaller = older. Greedy and Priority order by it.
+    #[inline]
+    pub fn age_key(&self) -> (u64, u64) {
+        (self.first_start_ns, self.txn_id)
     }
 
     /// Current status.
@@ -350,7 +351,7 @@ mod tests {
     use super::*;
 
     fn mk() -> TxState {
-        TxState::new(1, 1, 0, 0, 10, clockns::now(), 0)
+        TxState::new(1, 1, 0, 0, clockns::now(), 0)
     }
 
     #[test]
@@ -382,7 +383,7 @@ mod tests {
 
     #[test]
     fn karma_accumulates_with_carryover() {
-        let s = TxState::new(2, 1, 0, 1, 10, clockns::now(), 7);
+        let s = TxState::new(2, 1, 0, 1, clockns::now(), 7);
         assert_eq!(s.karma(), 7);
         s.add_karma();
         s.add_karma();
@@ -409,7 +410,7 @@ mod tests {
 
     #[test]
     fn reset_restores_a_terminal_recycled_state() {
-        let mut s = TxState::new(5, 5, 1, 2, 30, clockns::now(), 4);
+        let mut s = TxState::new(5, 5, 1, 2, clockns::now(), 4);
         s.add_karma();
         s.set_assigned_frame(9);
         s.set_rank(3);
@@ -420,7 +421,7 @@ mod tests {
         assert!(s.lend(&version));
         assert!(s.try_commit());
         assert_eq!((s.lent_len(), Arc::strong_count(&version)), (1, 2));
-        s.reset_for_attempt(77, 70, 2, 0, 40, clockns::now(), 1);
+        s.reset_for_attempt(77, 70, 2, 0, 40, 1);
         assert_eq!((s.lent_len(), Arc::strong_count(&version)), (0, 1));
         assert!(
             s.lent.lock().versions.capacity() >= 1,
@@ -431,7 +432,7 @@ mod tests {
         assert_eq!(s.txn_id, 70);
         assert_eq!(s.thread_id, 2);
         assert_eq!(s.attempt, 0);
-        assert_eq!(s.ts, 40);
+        assert_eq!(s.age_key(), (40, 70));
         assert!(s.is_active(), "reset must restore Active");
         assert_eq!(s.karma(), 1);
         assert_eq!(s.assigned_frame(), NOT_WINDOWED);

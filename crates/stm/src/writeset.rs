@@ -278,7 +278,7 @@ mod tests {
     use std::fmt::Debug;
 
     fn state(id: u64) -> Arc<TxState> {
-        Arc::new(TxState::new(id, id, 0, 0, id, clockns::now(), 0))
+        Arc::new(TxState::new(id, id, 0, 0, clockns::now(), 0))
     }
 
     #[test]

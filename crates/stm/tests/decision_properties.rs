@@ -6,12 +6,11 @@
 //! calls could kill both transactions (progress loss) or neither
 //! (livelock by construction).
 //!
-//! The engine draws logical timestamps only for managers that declare
-//! `uses_timestamps()`; everyone else runs on `ts = 0`. The
-//! last property checks the declaration against behaviour: a decider
-//! that says `false` must return the same verdict whatever the
-//! timestamps, and the ones that say `true` must change theirs when the
-//! timestamps swap (so the check can tell a reader from a non-reader).
+//! Greedy and Priority order by age, the key `(first_start_ns, txn_id)`.
+//! The last property checks which deciders read it: AbortSelf's and
+//! AbortEnemy's verdicts must not move with the start stamps, and
+//! Priority's must flip when the two stamps swap (so the check can tell a
+//! reader from a non-reader).
 
 use std::sync::Arc;
 
@@ -20,15 +19,9 @@ use proptest::prelude::*;
 use wtm_stm::managers::Priority;
 use wtm_stm::{CmDispatch, ConflictKind, ContentionManager, Resolution, TxState};
 
-fn state(attempt_id: u64, txn_id: u64, thread: usize, ts: u64, attempt: u32) -> Arc<TxState> {
+fn state(attempt_id: u64, txn_id: u64, thread: usize, start_ns: u64, attempt: u32) -> Arc<TxState> {
     Arc::new(TxState::new(
-        attempt_id,
-        txn_id,
-        thread,
-        attempt,
-        ts,
-        wtm_stm::clockns::now(),
-        0,
+        attempt_id, txn_id, thread, attempt, start_ns, 0,
     ))
 }
 
@@ -42,12 +35,12 @@ fn deciders() -> Vec<CmDispatch> {
     ]
 }
 
-/// Two conflicting parties that differ between calls only in their `ts`
-/// stamps: ids, threads, karma and status fixed.
+/// Two conflicting parties that differ between calls only in their
+/// `first_start_ns` stamps: ids, threads, karma and status fixed.
 fn stamped_pair(stamps: [u64; 2], karma: [u64; 2]) -> [Arc<TxState>; 2] {
     [0, 1].map(|i| {
         let id = i as u64 + 1;
-        Arc::new(TxState::new(id, id, i, 0, stamps[i], 0, karma[i]))
+        Arc::new(TxState::new(id, id, i, 0, stamps[i], karma[i]))
     })
 }
 
@@ -105,7 +98,7 @@ proptest! {
     }
 
     #[test]
-    fn verdicts_read_timestamps_exactly_where_the_manager_declares_it(
+    fn only_priority_verdicts_move_with_the_start_stamps(
         s in (1u64..1000, 1u64..1000),
         s2 in (1u64..1000, 1u64..1000),
         karma in (0u64..64, 0u64..64),
@@ -116,31 +109,30 @@ proptest! {
             let [me, enemy] = stamped_pair(stamps, karma);
             cm.resolve(&me, &enemy, kind)
         };
-        let mut readers = Vec::new();
         for cm in deciders() {
+            let orders_by_age = match cm {
+                CmDispatch::Priority => true,
+                CmDispatch::AbortSelf | CmDispatch::AbortEnemy => false,
+                _ => panic!("{}: say whether it orders by age", cm.name()),
+            };
             for kind in kinds() {
-                if !cm.uses_timestamps() {
-                    // Declared blind: any two stampings, same verdict.
+                if !orders_by_age {
+                    // Any two stampings, same verdict.
                     prop_assert_eq!(
                         verdict(&cm, [x, y], kind),
                         verdict(&cm, [x2, y2], kind),
-                        "{} answered uses_timestamps() == false but its verdict moved \
-                         with the timestamps", cm.name()
+                        "{}'s verdict moved with the start stamps", cm.name()
                     );
                 } else if x != y {
-                    // Negative control: a declared reader attacks from
-                    // exactly one side of a swap of the two stamps.
+                    // It attacks from exactly one side of a swap of the
+                    // two stamps.
                     prop_assert_ne!(
                         verdict(&cm, [x, y], kind) == Resolution::AbortEnemy,
                         verdict(&cm, [y, x], kind) == Resolution::AbortEnemy,
-                        "{} must order by timestamp", cm.name()
+                        "{} must order by age", cm.name()
                     );
                 }
             }
-            if cm.uses_timestamps() {
-                readers.push(cm.name().to_string());
-            }
         }
-        prop_assert_eq!(readers, ["Priority"]);
     }
 }

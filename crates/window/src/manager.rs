@@ -540,12 +540,6 @@ impl ContentionManager for WindowManager {
         }
     }
 
-    /// Window priorities are (frame, rank π₂, attempt id): no hook reads a
-    /// logical timestamp, so the engine need not draw one.
-    fn uses_timestamps(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &str {
         self.variant.name()
     }
@@ -567,7 +561,6 @@ mod tests {
             attempt_id,
             thread,
             0,
-            attempt_id,
             clockns::now(),
             0,
         ))
@@ -709,7 +702,7 @@ mod tests {
         // Auto-calibrated τ: the first sample is the committed attempt's
         // duration, start to the engine's stamp, with no clock read here.
         let wm = WindowManager::new(WindowVariant::Online, WindowConfig::new(1, 4));
-        let tx = Arc::new(TxState::new(1, 1, 0, 0, 1, 1_000, 0));
+        let tx = Arc::new(TxState::new(1, 1, 0, 0, 1_000, 0));
         wm.on_begin(&tx, false);
         tx.try_commit();
         tx.set_commit_ns(8_000);

@@ -83,7 +83,6 @@ fn golden_frame_and_rank_sequence_is_stable() {
                             (t as u64) * 1000 + i + 1,
                             t,
                             0,
-                            i,
                             clockns::now(),
                             0,
                         ));
@@ -139,7 +138,6 @@ fn golden_run_is_reproducible_within_the_same_build() {
                                 (t as u64) * 1000 + i + 1,
                                 t,
                                 0,
-                                i,
                                 clockns::now(),
                                 0,
                             ));
