@@ -33,18 +33,20 @@
 
 use std::sync::Arc;
 
-use super::Engine;
 use crate::cm::ConflictKind;
 use crate::tvar::TVar;
 use crate::txn::{ReadRef, TxError, TxResult, Txn};
 use crate::writeset::WriteEntry;
 use crate::TxObject;
 
-/// The original wtm-stm protocol as an [`Engine`] implementor.
+/// The original wtm-stm protocol: [`Txn`] calls these for an
+/// [`EngineKind::Eager`](super::EngineKind::Eager) run.
 pub(crate) struct EagerEngine;
 
-impl Engine for EagerEngine {
-    fn open_for_read<'a, T: TxObject>(
+impl EagerEngine {
+    /// Open `tvar` for reading; return a stable snapshot consistent with
+    /// every earlier read of this attempt.
+    pub(crate) fn open_for_read<'a, T: TxObject>(
         txn: &mut Txn<'a>,
         tvar: &TVar<T>,
     ) -> TxResult<ReadRef<'a, T>> {
@@ -112,7 +114,7 @@ impl Engine for EagerEngine {
 
     /// Acquire write ownership of `tvar`, resolving write-write and
     /// write-read conflicts through the contention manager.
-    fn open_for_modify<T: TxObject>(
+    pub(crate) fn open_for_modify<T: TxObject>(
         txn: &mut Txn<'_>,
         tvar: &TVar<T>,
         mut value: Option<T>,
@@ -217,7 +219,7 @@ impl Engine for EagerEngine {
     /// locator odd and no locator naming its `TxState`: the lock-free
     /// read path is re-armed at once and the state returns to the pool.
     /// A read-only set is the bare CAS.
-    fn commit(txn: &mut Txn<'_>) -> TxResult<()> {
+    pub(crate) fn commit(txn: &mut Txn<'_>) -> TxResult<()> {
         txn.check_alive()?;
         let committed = match txn.writes.split_last() {
             None => txn.state.try_commit(),
@@ -243,7 +245,7 @@ impl Engine for EagerEngine {
 
     /// Collapse every written locator after this attempt aborted. No-op
     /// per entry if a competitor collapsed the locator first.
-    fn rollback(txn: &Txn<'_>) {
+    pub(crate) fn rollback(txn: &Txn<'_>) {
         for w in txn.writes.iter() {
             w.release(&txn.state);
         }

@@ -72,14 +72,15 @@
 //! won its status CAS ignores the kill benignly (the abort CAS fails) and
 //! unlocks by finishing its write-back.
 
-use super::{Engine, LazyRead};
+use super::LazyRead;
 use crate::cm::ConflictKind;
 use crate::tvar::TVar;
 use crate::txn::{ReadRef, TxError, TxResult, Txn};
 use crate::writeset::WriteEntry;
 use crate::TxObject;
 
-/// The TL2/STO-style protocol as an [`Engine`] implementor.
+/// The TL2/STO-style protocol: [`Txn`] calls these for an
+/// [`EngineKind::Lazy`](super::EngineKind::Lazy) run.
 pub(crate) struct LazyEngine;
 
 /// Read the current committed version of `tvar`, appending it to the read
@@ -185,8 +186,10 @@ fn lock_and_validate(txn: &Txn<'_>, locked: &mut usize) -> TxResult<()> {
     Ok(())
 }
 
-impl Engine for LazyEngine {
-    fn open_for_read<'a, T: TxObject>(
+impl LazyEngine {
+    /// Open `tvar` for reading; return a stable snapshot consistent with
+    /// every earlier read of this attempt.
+    pub(crate) fn open_for_read<'a, T: TxObject>(
         txn: &mut Txn<'a>,
         tvar: &TVar<T>,
     ) -> TxResult<ReadRef<'a, T>> {
@@ -205,7 +208,10 @@ impl Engine for LazyEngine {
         Ok(unsafe { ReadRef::borrowed(val) })
     }
 
-    fn open_for_modify<T: TxObject>(
+    /// Open `tvar` for writing and return the write-set entry index.
+    /// `Some(value)` replaces the object wholesale; `None` bases the
+    /// shadow on the current version (open-for-modify).
+    pub(crate) fn open_for_modify<T: TxObject>(
         txn: &mut Txn<'_>,
         tvar: &TVar<T>,
         mut value: Option<T>,
@@ -242,7 +248,9 @@ impl Engine for LazyEngine {
         Ok(txn.writes.len() - 1)
     }
 
-    fn commit(txn: &mut Txn<'_>) -> TxResult<()> {
+    /// Make the write set visible atomically, or fail with the attempt
+    /// aborted.
+    pub(crate) fn commit(txn: &mut Txn<'_>) -> TxResult<()> {
         txn.check_alive()?;
         if txn.writes.is_empty() {
             // Read-only: every read was validated against the watermark
@@ -275,7 +283,8 @@ impl Engine for LazyEngine {
         Ok(())
     }
 
-    fn rollback(_txn: &Txn<'_>) {
+    /// Undo any globally visible traces of an aborted attempt.
+    pub(crate) fn rollback(_txn: &Txn<'_>) {
         // Nothing global to undo: reads left a registration that goes
         // stale with the attempt, writes stayed in the private write set,
         // and a failed commit already released its locks before

@@ -4,10 +4,10 @@
 //! The paper's evaluation ran on a single substrate — eager conflict
 //! detection, visible reads, obstruction-free locators (DSTM2). Whether
 //! the window-CM ranking *survives a change of substrate* is exactly the
-//! question this module makes askable: [`Engine`] carves the four
+//! question this module makes askable: two engines each carry the four
 //! protocol-defining operations (open-for-read, open-for-modify, commit,
-//! rollback) out of [`Txn`](crate::txn::Txn), and two implementors plug
-//! into the same CM hooks, workloads, and statistics:
+//! rollback) for [`Txn`](crate::txn::Txn), and plug into the same CM
+//! hooks, workloads, and statistics:
 //!
 //! * [`EagerEngine`](eager::EagerEngine) — the original protocol:
 //!   visible reads, eager CM consultation at open time, shadow copies
@@ -18,10 +18,8 @@
 //!   buffered privately, per-object commit locks taken only at commit time.
 //!
 //! Dispatch is monomorphic, mirroring [`CmDispatch`](crate::CmDispatch):
-//! `Txn` matches on the run's [`EngineKind`] and calls the chosen
-//! implementor's associated functions directly — no trait objects on the
-//! hot path. The trait itself exists so the two protocols are held to the
-//! same signature (and so a third engine has an obvious shape to fill in).
+//! `Txn` matches on the run's [`EngineKind`] and calls the chosen engine's
+//! associated functions directly — no trait objects on the hot path.
 //!
 //! One engine per run: an [`Stm`](crate::Stm) is built for a single
 //! `EngineKind`, and a `TVar` must never be driven by both engines
@@ -37,8 +35,7 @@ pub(crate) mod lazy;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::tvar::{TVar, TVarInner};
-use crate::txn::{ReadRef, TxResult, Txn};
+use crate::tvar::TVarInner;
 use crate::TxObject;
 
 /// Which concurrency-control protocol a run uses. An axis of experiment
@@ -93,38 +90,6 @@ impl std::str::FromStr for EngineKind {
             )
         })
     }
-}
-
-/// The four protocol-defining operations of a concurrency-control engine.
-///
-/// Everything else a transaction does — write-set bookkeeping, CM hook
-/// invocation, conflict accounting, tracing — is protocol-independent and
-/// stays in [`Txn`]; implementors reach it through `Txn`'s `pub(crate)`
-/// helpers. Associated functions (not methods) so dispatch from `Txn`
-/// monomorphizes completely.
-pub(crate) trait Engine {
-    /// Open `tvar` for reading; return a stable snapshot consistent with
-    /// every earlier read of this attempt.
-    fn open_for_read<'a, T: TxObject>(
-        txn: &mut Txn<'a>,
-        tvar: &TVar<T>,
-    ) -> TxResult<ReadRef<'a, T>>;
-
-    /// Open `tvar` for writing and return the write-set entry index.
-    /// `Some(value)` replaces the object wholesale; `None` bases the
-    /// shadow on the current version (open-for-modify).
-    fn open_for_modify<T: TxObject>(
-        txn: &mut Txn<'_>,
-        tvar: &TVar<T>,
-        value: Option<T>,
-    ) -> TxResult<usize>;
-
-    /// Make the write set visible atomically, or fail with the attempt
-    /// aborted.
-    fn commit(txn: &mut Txn<'_>) -> TxResult<()>;
-
-    /// Undo any globally visible traces of an aborted attempt.
-    fn rollback(txn: &Txn<'_>);
 }
 
 /// One validated read of the lazy engine: which object, the seqlock word

@@ -106,7 +106,6 @@ impl Stm {
             stm: self,
             thread_id,
             spare: Cell::new(None),
-            trace_buf: Cell::new(None),
             reads_buf: Cell::new(None),
             writes_buf: Cell::new(None),
             #[cfg(debug_assertions)]
@@ -164,9 +163,6 @@ pub struct ThreadCtx<'a> {
     /// The state the registry handed back at the last republish: the next
     /// attempt runs in its allocation if nothing else still holds it.
     spare: Cell<Option<Arc<TxState>>>,
-    /// Pooled footprint buffer for traced attempts: an aborted attempt's
-    /// buffer comes back here and the next attempt reuses its capacity.
-    trace_buf: Cell<Option<Vec<(u64, bool)>>>,
     /// Pooled read-set buffer for the lazy engine (stays `None`-cycling
     /// with zero capacity under the eager engine, which never reads it).
     reads_buf: Cell<Option<Vec<LazyRead>>>,
@@ -212,15 +208,6 @@ impl<'a> ThreadCtx<'a> {
 
     pub(crate) fn stats(&self) -> &ThreadStats {
         &self.stm.threads[self.thread_id]
-    }
-
-    /// The pooled footprint buffer of traced attempts.
-    pub(crate) fn take_trace_buf(&self) -> Vec<(u64, bool)> {
-        take_buf(&self.trace_buf)
-    }
-
-    pub(crate) fn put_trace_buf(&self, buf: Vec<(u64, bool)>) {
-        put_buf(&self.trace_buf, buf);
     }
 
     /// The pooled lazy read-set buffer.
@@ -1097,17 +1084,12 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_traced_attempts_reuse_the_footprint_buffer() {
-        // Seed the context's pool with a buffer of recognizable capacity,
-        // then run a traced transaction whose first attempt aborts: the
-        // aborted attempt's footprint returns to the pool and the retry
-        // must pick up the very same allocation — as must the committed
-        // footprint handed back to the caller.
+    fn a_traced_retry_hands_back_only_the_committed_footprint() {
+        // A traced transaction whose first attempt aborts after reading
+        // every object: the aborted attempt's footprint is dropped, and
+        // the caller gets the committed attempt's alone.
         let stm = Stm::new(CmDispatch::AbortSelf, 1);
         let ctx = stm.thread(0);
-        let seed: Vec<(u64, bool)> = Vec::with_capacity(64);
-        let seed_ptr = seed.as_ptr() as usize;
-        ctx.put_trace_buf(seed);
         let tvs: Vec<TVar<u64>> = (0..4).map(TVar::new).collect();
         let mut attempts = 0;
         let (_, fp) = ctx.atomic_traced(|tx| {
@@ -1122,12 +1104,6 @@ mod tests {
         });
         assert_eq!(attempts, 2);
         assert_eq!(fp.len(), tvs.len());
-        assert_eq!(fp.capacity(), 64, "pooled capacity must carry over");
-        assert_eq!(
-            fp.as_ptr() as usize,
-            seed_ptr,
-            "both attempts must reuse the pooled buffer allocation"
-        );
     }
 
     #[cfg(debug_assertions)]

@@ -3,7 +3,7 @@
 //! `Txn` owns everything protocol-independent about an attempt — the
 //! write set, CM hook invocation, conflict accounting, tracing, the
 //! debug-only opacity self-check — and delegates the four
-//! protocol-defining operations to the run's [`Engine`]: the eager
+//! protocol-defining operations to the run's engine: the eager
 //! DSTM2-style protocol ([`crate::engine::eager`], the configuration the
 //! paper evaluates) or the TL2/STO-style lazy protocol
 //! ([`crate::engine::lazy`]). Dispatch is a two-way `match` on
@@ -16,7 +16,7 @@ use crate::clockns;
 use crate::cm::{ConflictKind, Resolution};
 use crate::engine::eager::EagerEngine;
 use crate::engine::lazy::LazyEngine;
-use crate::engine::{Engine, EngineKind, LazyRead};
+use crate::engine::{EngineKind, LazyRead};
 use crate::stm::ThreadCtx;
 use crate::tvar::TVar;
 use crate::txstate::TxState;
@@ -188,9 +188,6 @@ impl<'a> Txn<'a> {
     /// next attempt reuses their capacity. Called by the engine right
     /// before the `Txn` is dropped.
     pub(crate) fn release_buffers(&mut self) {
-        if let Some(fp) = self.footprint.take() {
-            self.ctx.put_trace_buf(fp);
-        }
         self.ctx.put_reads_buf(std::mem::take(&mut self.reads));
         self.ctx.put_writes_buf(std::mem::take(&mut self.writes));
         #[cfg(debug_assertions)]
@@ -242,8 +239,10 @@ impl<'a> Txn<'a> {
         }
     }
 
+    /// Record this attempt's footprint. Cold (traced transactions only),
+    /// so an aborted attempt's buffer is simply dropped.
     pub(crate) fn enable_tracing(&mut self) {
-        self.footprint = Some(self.ctx.take_trace_buf());
+        self.footprint = Some(Vec::new());
     }
 
     pub(crate) fn take_footprint(&mut self) -> Vec<(u64, bool)> {

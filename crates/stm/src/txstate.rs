@@ -70,8 +70,6 @@ pub struct TxState {
     pub txn_id: u64,
     /// Index of the thread running the transaction.
     pub thread_id: usize,
-    /// Retry count: 0 for the first attempt.
-    pub attempt: u32,
     /// Coarse-clock start of the first attempt, kept by every retry: the
     /// response-time metric and the transaction's age ([`Self::age_key`]).
     pub first_start_ns: u64,
@@ -94,13 +92,6 @@ pub struct TxState {
     assigned_frame: AtomicU64,
     /// Window CM: the random rank π₂ ∈ [1, M], re-rolled after every abort.
     rank: AtomicU32,
-    /// Window CM: raw pointer (as bits, 0 = none) to the frame clock of
-    /// the window this attempt runs in, cached at `on_begin` so the
-    /// conflict resolver reads the current frame without locking the
-    /// per-thread window state or touching an `Arc` refcount. Only the
-    /// owning thread dereferences it; see the safety contract on the
-    /// window manager's `resolve`.
-    window_run: AtomicU64,
     /// Versions kept alive for this attempt's borrowed reads. Touched by
     /// whoever displaces a version the attempt is registered on while it
     /// may still run, and by the owner once on the abort arm
@@ -110,8 +101,14 @@ pub struct TxState {
     lent: Mutex<Lent>,
 }
 
+// 112 bytes, so a field added to the record fails the build: every attempt
+// initialises one, and what only the owning thread reads (a window
+// thread's frame clock, the retry count) lives with the owner instead.
+const _: () = assert!(std::mem::size_of::<TxState>() <= 112);
+
 impl TxState {
-    /// Create the record for a new attempt.
+    /// Create the record for a new attempt; `attempt` is the retry count
+    /// (0 for the first attempt), which decides whether to read the clock.
     pub fn new(
         attempt_id: u64,
         txn_id: u64,
@@ -124,7 +121,6 @@ impl TxState {
             attempt_id,
             txn_id,
             thread_id,
-            attempt,
             first_start_ns,
             // The first attempt starts when the transaction does; only
             // retries need a fresh clock read.
@@ -139,7 +135,6 @@ impl TxState {
             waiting: AtomicBool::new(false),
             assigned_frame: AtomicU64::new(NOT_WINDOWED),
             rank: AtomicU32::new(0),
-            window_run: AtomicU64::new(0),
             lent: Mutex::default(),
         }
     }
@@ -327,23 +322,6 @@ impl TxState {
     pub fn set_rank(&self, r: u32) {
         self.rank.store(r, Ordering::Release);
     }
-
-    /// Cached frame-clock pointer bits of the window this attempt runs in
-    /// (0 = not windowed / not yet begun). Owner-thread reads only are
-    /// meaningful; the pointer is valid for the duration of the attempt.
-    #[inline]
-    pub fn window_run_bits(&self) -> u64 {
-        // Owner-thread read of an owner-thread write: no synchronization
-        // needed, Relaxed suffices.
-        self.window_run.load(Ordering::Relaxed)
-    }
-
-    /// Cache the window frame-clock pointer for this attempt (window CM
-    /// bookkeeping, called from `on_begin`).
-    #[inline]
-    pub fn set_window_run(&self, ptr_bits: u64) {
-        self.window_run.store(ptr_bits, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -431,7 +409,6 @@ mod tests {
         assert_eq!(s.attempt_id, 77);
         assert_eq!(s.txn_id, 70);
         assert_eq!(s.thread_id, 2);
-        assert_eq!(s.attempt, 0);
         assert_eq!(s.age_key(), (40, 70));
         assert!(s.is_active(), "reset must restore Active");
         assert_eq!(s.karma(), 1);

@@ -31,19 +31,14 @@
 //! inflates exactly the quantity under study. The four steady-state hooks
 //! are therefore lock-free end to end:
 //!
-//! * **`resolve`** reads the current frame through a raw [`WindowRun`]
-//!   pointer cached in the transaction's [`TxState`] at `on_begin` — one
-//!   relaxed load of the pointer bits plus one atomic/coarse-clock read,
-//!   no lock, no `Arc` refcount traffic. Safety: `resolve` is only ever
-//!   invoked by the owning thread on its own `TxState` (the STM engine
-//!   calls `cm.resolve(&self.state, …)` from the conflicting attempt
-//!   itself), the owner's [`crate::thread::ThreadWindow::run`] `Arc` keeps
-//!   the pointee alive, and that `Arc` is only replaced inside the owner's
-//!   own `on_begin` — which can never run concurrently with the owner's
-//!   `resolve`.
-//! * **`on_begin` / `on_commit`** enter the owner-private
-//!   [`crate::thread::ThreadCell`] (an `UnsafeCell` with a debug-only
-//!   ownership tripwire — no lock in release builds) and talk to the
+//! * **`resolve`**, **`on_begin`** and **`on_commit`** enter the
+//!   owner-private [`crate::thread::ThreadCell`] of the transaction's own
+//!   thread (an `UnsafeCell` with a debug-only ownership tripwire — no
+//!   lock in release builds). The engine calls `resolve` from the
+//!   conflicting attempt itself, so `me`'s thread runs it, and it reads
+//!   the current frame through that thread's
+//!   [`crate::thread::ThreadWindow::run`]: no `Arc` refcount traffic, one
+//!   atomic/coarse-clock read. `on_begin` and `on_commit` talk to the
 //!   frame clock through its wait-free registration/contraction API.
 //! * **`on_abort`** is two atomic f64 operations on the
 //!   contention-intensity cell and touches neither the `ThreadWindow` nor
@@ -101,10 +96,6 @@ pub struct WindowManager {
     policy: Policy,
     barrier: CancellableBarrier,
     threads: Box<[ThreadCell]>,
-    /// Per-thread τ estimates (ns), written by owners, read when a new
-    /// window run is created. Atomics so run creation never touches
-    /// another thread's state.
-    taus: Box<[AtomicU64]>,
     runs: Mutex<RunSlot>,
     /// The shared free-mode frame clock: a static run with 1 ns frames,
     /// created once so free-mode entry allocates nothing and every thread
@@ -155,7 +146,6 @@ impl WindowManager {
         WindowManager {
             barrier: CancellableBarrier::new(cfg.m),
             threads,
-            taus: (0..cfg.m).map(|_| AtomicU64::new(0)).collect(),
             runs: Mutex::new(RunSlot {
                 generation: 0,
                 run: initial_run,
@@ -232,8 +222,8 @@ impl WindowManager {
     fn mean_tau_ns(&self) -> f64 {
         let mut sum = 0u64;
         let mut cnt = 0u64;
-        for t in self.taus.iter() {
-            let v = t.load(Ordering::Relaxed);
+        for cell in self.threads.iter() {
+            let v = cell.tau.load(Ordering::Relaxed);
             if v > 0 {
                 sum += v;
                 cnt += 1;
@@ -336,7 +326,8 @@ impl WindowManager {
         let ci = cell.ci.load(Ordering::Relaxed);
         let c = self.policy.start_c(self.cfg.c_init, ci);
         tw.sched = Schedule::start(&self.policy, c, &mut tw.rng);
-        let run = self.run_for_generation(tw.windows_done + 1);
+        let generation = cell.windows_done.load(Ordering::Relaxed) + 1;
+        let run = self.run_for_generation(generation);
         // Whole schedule segment in one wait-free batch (one high-water
         // publication instead of N).
         run.register_all((0..self.cfg.n).map(|j| tw.sched.frame(j)));
@@ -349,16 +340,15 @@ impl WindowManager {
         // Everyone registered: start the clock (static) or skip leading
         // empty frames (dynamic).
         run.seal_registration();
-        tw.windows_done += 1;
         tw.j = 0;
         tw.run = Some(run);
-        cell.publish_boundary(tw.run.clone(), tw.sched.c(), tw.windows_done - 1);
+        cell.publish_boundary(tw.run.clone(), tw.sched.c());
         if wtm_trace::enabled() {
             wtm_trace::emit(wtm_trace::Event::instant(
                 wtm_trace::EventKind::WindowStart,
                 wtm_stm::clockns::now(),
                 tw.id as u32,
-                tw.windows_done,
+                generation,
                 tw.sched.frame(0), // qᵢ: the window's first frame
             ));
         }
@@ -375,11 +365,7 @@ impl WindowManager {
         // index is already astronomically large, so every transaction is
         // high priority and the manager degenerates to RandomizedRounds.
         tw.run = Some(Arc::clone(&self.free_run));
-        cell.publish_boundary(
-            tw.run.clone(),
-            tw.sched.c(),
-            cell.windows_done.load(Ordering::Relaxed),
-        );
+        cell.publish_boundary(tw.run.clone(), tw.sched.c());
     }
 
     /// The (π₁, π₂, id) key of a transaction given the current frame.
@@ -395,31 +381,15 @@ impl WindowManager {
     pub fn current_run(&self, thread_id: usize) -> Option<Arc<WindowRun>> {
         self.threads[thread_id].run_snapshot()
     }
-
-    /// The current frame as seen by `tx`, via the raw run pointer cached
-    /// at `on_begin`. Zero if the transaction never entered a window.
-    ///
-    /// SAFETY (of the deref inside): see the module docs — callers must be
-    /// the thread that owns `tx`, which holds the `Arc` keeping the
-    /// pointee alive in its `ThreadWindow`.
-    #[inline]
-    fn cached_frame(tx: &TxState) -> u64 {
-        let bits = tx.window_run_bits();
-        if bits == 0 {
-            return 0;
-        }
-        // SAFETY: `bits` was produced by `Arc::as_ptr` on the owning
-        // thread's live run `Arc` in `on_begin`; the owner only replaces
-        // that `Arc` inside `on_begin`, which cannot run concurrently
-        // with this call on the same thread; the free run is immortal.
-        unsafe { &*(bits as *const WindowRun) }.current_frame()
-    }
 }
 
 impl ContentionManager for WindowManager {
     fn resolve(&self, me: &TxState, enemy: &TxState, _kind: ConflictKind) -> Resolution {
-        // One relaxed load + one frame-clock read; no lock, no Arc clone.
-        let cur = Self::cached_frame(me);
+        // `me`'s own thread runs this (module docs): the current frame
+        // comes from its cell, zero before its first window. No lock, no
+        // Arc clone.
+        let cur =
+            self.threads[me.thread_id].with(|tw| tw.run.as_ref().map_or(0, |r| r.current_frame()));
         if Self::key(me, cur) < Self::key(enemy, cur) {
             Resolution::AbortEnemy
         } else {
@@ -446,13 +416,6 @@ impl ContentionManager for WindowManager {
             // A retry keeps the frame: `j` and the schedule move on commit.
             let assigned = tw.sched.frame(tw.j);
             tx.set_assigned_frame(assigned);
-            // Cache the raw frame-clock pointer for lock-free `resolve`;
-            // the owner's `tw.run` Arc keeps it alive (module docs).
-            let run_bits = tw
-                .run
-                .as_ref()
-                .map_or(0, |r| Arc::as_ptr(r) as usize as u64);
-            tx.set_window_run(run_bits);
             // π₂ is re-rolled at every attempt ("on start of the frame F_ij,
             // and after every abort").
             let rank = self.policy.rank(&mut tw.rng);
@@ -479,14 +442,13 @@ impl ContentionManager for WindowManager {
                 .commit_ns()
                 .saturating_sub(tx.attempt_start_ns)
                 .min(TAU_SAMPLE_CAP_NS);
-            let slot = &self.taus[tx.thread_id];
-            let old = slot.load(Ordering::Relaxed);
+            let old = cell.tau.load(Ordering::Relaxed);
             let new = if old == 0 {
                 sample
             } else {
                 (TAU_EWMA_OLD * old as f64 + (1.0 - TAU_EWMA_OLD) * sample as f64) as u64
             };
-            slot.store(new.max(1), Ordering::Relaxed);
+            cell.tau.store(new.max(1), Ordering::Relaxed);
         }
         // Contention intensity decays on commit. Single writer (owner):
         // load-modify-store on the atomic cell is race-free.
@@ -515,9 +477,10 @@ impl ContentionManager for WindowManager {
             }
             tw.j += 1;
             if tw.j == self.cfg.n {
-                // Window completed: publish the counter mirror (one store
-                // per window, not per transaction).
-                cell.windows_done.store(tw.windows_done, Ordering::Release);
+                // Window completed: one store per window, not per
+                // transaction. Single writer (owner), so no RMW.
+                let done = cell.windows_done.load(Ordering::Relaxed) + 1;
+                cell.windows_done.store(done, Ordering::Release);
             }
         });
     }
@@ -573,7 +536,10 @@ mod tests {
         wm.on_begin(&tx, false);
         assert_ne!(tx.assigned_frame(), NOT_WINDOWED);
         assert!(tx.rank() >= 1);
-        assert_ne!(tx.window_run_bits(), 0, "run pointer must be cached");
+        assert!(
+            wm.current_run(0).is_some(),
+            "the first begin starts a window"
+        );
     }
 
     #[test]
@@ -588,11 +554,6 @@ mod tests {
         let retry = state_on(0, 2);
         wm.on_begin(&retry, true);
         assert_eq!(retry.assigned_frame(), f, "retries keep the assigned frame");
-        assert_eq!(
-            retry.window_run_bits(),
-            tx.window_run_bits(),
-            "retries cache the same frame clock"
-        );
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //!   single-owner contract is the windowed execution model itself — every
 //!   manager hook runs on the thread whose transaction it concerns — and
 //!   is enforced by a debug-only reentrancy flag;
-//! * the few fields other threads legitimately read (`Cᵢ` and the
-//!   contention-intensity EWMA for diagnostics, the windows-done counter
-//!   for the barrier generation, the live frame clock for tests) are
-//!   *mirrors*: atomics the owner publishes to at well-defined points,
-//!   never read on the owner's own hot path;
+//! * what the owner keeps in atomics beside it has one home there: the
+//!   τ estimate that run creation averages, the contention-intensity
+//!   EWMA, and the completed-window count, which the owner bumps at a
+//!   window's last commit and reads back (+1) as the next barrier
+//!   generation;
+//! * the fields other threads read only for diagnostics and tests (`Cᵢ`,
+//!   the live frame clock) are *mirrors*: the owner publishes them at
+//!   window boundaries and never reads them on its own hot path;
 //! * each cell is aligned to 128 bytes (two lines: adjacent-line
 //!   prefetcher) so neighbouring threads' cells never false-share.
 
@@ -39,13 +42,11 @@ pub(crate) struct ThreadWindow {
     pub sched: Schedule,
     /// Transactions committed so far in the current window (`0..=N`).
     pub j: usize,
-    /// Windows completed + 1 while inside one = the barrier generation.
-    pub windows_done: u64,
     /// Per-thread RNG (delays and π₂ ranks).
     pub rng: SmallRng,
-    /// The frame clock of the window currently executing. The owner's
-    /// `Arc` is what keeps the raw run pointer cached in each `TxState`
-    /// alive (see `manager.rs`); it is only replaced inside `on_begin`.
+    /// The frame clock of the window currently executing, which this
+    /// `Arc` keeps alive. Only the owner's `on_begin` replaces it, and the
+    /// owner's `resolve` reads the current frame through it.
     pub run: Option<Arc<WindowRun>>,
     /// Set once the window machinery is bypassed (experiment shutdown).
     pub free_mode: bool,
@@ -59,7 +60,6 @@ impl ThreadWindow {
             // Start "at the end of a window" so the first transaction
             // triggers window setup.
             j: n,
-            windows_done: 0,
             rng: SmallRng::seed_from_u64(
                 seed ^ (thread_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
@@ -79,9 +79,15 @@ pub(crate) struct ThreadCell {
     /// access at all. Single writer (the owner); racing readers are
     /// diagnostics and get a consistent f64 either way.
     pub ci: AtomicF64,
-    /// Mirror of `ThreadWindow::c`, published at window start.
+    /// τ estimate (ns, 0 = no sample yet), the EWMA of this thread's
+    /// committed attempt durations. Written by the owner's `on_commit`,
+    /// read when a window's frame clock is created: an atomic, so run
+    /// creation never enters another thread's cell.
+    pub tau: AtomicU64,
+    /// Mirror of `ThreadWindow::sched`'s `Cᵢ`, published at window start.
     pub c_mirror: AtomicF64,
-    /// Mirror of `ThreadWindow::windows_done`, published at window start.
+    /// Windows completed. The owner bumps it at a window's last commit;
+    /// one more is the generation of the barrier it meets next.
     pub windows_done: AtomicU64,
     /// Mirror of `ThreadWindow::run`, updated only at window boundaries
     /// (begin_window / free-mode entry). Lets tests and diagnostics hold
@@ -106,6 +112,7 @@ impl ThreadCell {
         ThreadCell {
             inner: UnsafeCell::new(ThreadWindow::new(thread_id, seed, c_init, n)),
             ci: AtomicF64::new(0.0),
+            tau: AtomicU64::new(0),
             c_mirror: AtomicF64::new(c_init),
             windows_done: AtomicU64::new(0),
             run_mirror: Mutex::new(None),
@@ -135,13 +142,12 @@ impl ThreadCell {
         r
     }
 
-    /// Publish the boundary mirrors (run + c + completed-window count).
-    /// Called by the owner at window start / free-mode entry only.
-    pub(crate) fn publish_boundary(&self, run: Option<Arc<WindowRun>>, c: f64, windows_done: u64) {
+    /// Publish the boundary mirrors (run + c). Called by the owner at
+    /// window start / free-mode entry only.
+    pub(crate) fn publish_boundary(&self, run: Option<Arc<WindowRun>>, c: f64) {
         wtm_stm::probe::count_lock();
         *self.run_mirror.lock() = run;
         self.c_mirror.store(c, Ordering::Release);
-        self.windows_done.store(windows_done, Ordering::Release);
     }
 
     /// The live frame clock, safely (diagnostics/tests; not the hot path).
@@ -176,15 +182,17 @@ mod tests {
     fn cell_roundtrips_owner_state_and_mirrors() {
         let cell = ThreadCell::new(3, 9, 2.5, 8);
         assert_eq!(cell.with(|tw| tw.id), 3);
-        cell.with(|tw| {
-            tw.sched = Schedule::undelayed(5.0);
-            tw.windows_done = 2;
-        });
+        cell.with(|tw| tw.sched = Schedule::undelayed(5.0));
+        cell.windows_done.store(2, Ordering::Relaxed);
         // Mirrors lag until published — that's the contract.
         assert_eq!(cell.c_mirror.load(Ordering::Acquire), 2.5);
-        cell.publish_boundary(None, 5.0, 2);
+        cell.publish_boundary(None, 5.0);
         assert_eq!(cell.c_mirror.load(Ordering::Acquire), 5.0);
-        assert_eq!(cell.windows_done.load(Ordering::Acquire), 2);
+        assert_eq!(
+            cell.windows_done.load(Ordering::Acquire),
+            2,
+            "a boundary publishes mirrors, not the completed-window count"
+        );
         assert!(cell.run_snapshot().is_none());
     }
 

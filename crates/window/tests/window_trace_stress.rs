@@ -2,7 +2,8 @@
 //! through the trace layer: every executed window must drain and contract
 //! to the end of its schedule, the window barrier must never time out
 //! when `m` matches the thread count and is waited at once per window per
-//! thread, and the who-killed-whom accounting
+//! thread, each thread's windows must start at generations 1, 2, … in
+//! order, and the who-killed-whom accounting
 //! must balance (every contention-manager kill recorded in the conflict
 //! stream corresponds to exactly one abort of the matching reason).
 
@@ -113,6 +114,13 @@ fn online_dynamic_contraction_and_kill_accounting_under_contention() {
     for t in 0..M as u32 {
         let of = |kind| events.iter().filter(move |e| e.kind == kind && e.tid == t);
         assert_eq!(of(EventKind::WindowStart).count() as u64, windows);
+        // The barrier generation is the completed-window count plus one.
+        let generations: Vec<u64> = of(EventKind::WindowStart).map(|e| e.a).collect();
+        assert_eq!(
+            generations,
+            (1..=windows).collect::<Vec<_>>(),
+            "thread {t}: window generations in order"
+        );
         assert_eq!(
             of(EventKind::BarrierWait).count() as u64,
             windows,

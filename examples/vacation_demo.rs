@@ -10,8 +10,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use windowtm::managers::Polka;
-use windowtm::stm::Stm;
+use windowtm::harness::managers::build_manager;
+use windowtm::stm::{CmDispatch, Stm};
 use windowtm::window::{WindowConfig, WindowManager, WindowVariant};
 use windowtm::workloads::{Vacation, VacationConfig, VacationOpGenerator};
 
@@ -59,8 +59,10 @@ fn main() {
         cfg.num_relations, cfg.num_queries, cfg.update_pct, THREADS
     );
 
-    // Run 1: Polka.
-    let stm = Stm::new(Arc::new(Polka::default()), THREADS);
+    // Run 1: Polka, built as the harness builds it for the figures.
+    let polka = build_manager("Polka", THREADS, 50, 1).expect("classic manager");
+    let stm = Stm::new(polka.cm, THREADS);
+    assert!(matches!(stm.cm(), CmDispatch::Polka(_)));
     let vacation = Arc::new(Vacation::new(cfg.clone()));
     drive(&vacation, &stm, "Polka", None);
 
