@@ -8,7 +8,7 @@
 //! > evaluation of window model evaluation on these aforementioned
 //! > performance measures for future work." — §IV
 //!
-//! This module is that evaluation. Because every [`CellResult`] already
+//! This module is that evaluation. Because every [`CellResult`](crate::experiment::CellResult) already
 //! carries all the metrics, this spec's cells coincide with the Fig. 3
 //! cells at the top thread count — when `fig34` ran first into the same
 //! `--out`, the executor serves these from the checkpoint for free.

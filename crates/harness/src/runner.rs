@@ -68,8 +68,8 @@ pub struct RunSpec {
     /// [`RunOutcome::truncated`]. Generous by default — a healthy budget
     /// run finishes orders of magnitude sooner.
     pub safety_deadline: Duration,
-    /// Record transaction events into the `wtm-trace` ring buffers for
-    /// the measured interval (construction runs no transaction to
+    /// Record transaction events into the trace rings (`wtm_stm::trace`)
+    /// for the measured interval (construction runs no transaction to
     /// trace).
     pub trace: bool,
 }
@@ -149,7 +149,7 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
     let start_barrier = Barrier::new(spec.threads + 1);
 
     if spec.trace {
-        wtm_trace::set_enabled(true);
+        wtm_stm::trace::set_enabled(true);
     }
 
     let coordinator = std::thread::current();
@@ -208,7 +208,7 @@ pub fn run_one(spec: &RunSpec) -> RunOutcome {
     });
 
     if spec.trace {
-        wtm_trace::set_enabled(false);
+        wtm_stm::trace::set_enabled(false);
     }
 
     if truncated {

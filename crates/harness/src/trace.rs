@@ -10,6 +10,8 @@
 //!   contention-manager waits, and barrier waits;
 //! * **TR3** — raw event counts per kind.
 //!
+//! The three are computed straight from the drained event slice.
+//!
 //! Each cell's full stream is also exported as Chrome-trace JSON
 //! (`trace_<benchmark>_<manager>.json`, rendered by `chrome_json`
 //! through [`Json`]), loadable in Perfetto or `chrome://tracing` for
@@ -17,11 +19,9 @@
 
 use std::path::Path;
 
-use wtm_trace::collect::{counts_by_kind, ConflictMatrix, Histograms};
-use wtm_trace::{
-    abort_reason_name, barrier_outcome_name, conflict_kind_name, unpack_conflict, verdict_name,
-    Event, EventKind,
-};
+use wtm_stm::sync::BarrierWait;
+use wtm_stm::trace::{self, abort_reason_name, unpack_conflict, Event, EventKind};
+use wtm_stm::Resolution;
 
 use crate::json::Json;
 use crate::preset::Preset;
@@ -103,15 +103,15 @@ fn chrome_event(ev: &Event) -> Json {
             let (kind, verdict, killed) = unpack_conflict(ev.b);
             vec![
                 ("enemy_tid", num(ev.a)),
-                ("kind", text(conflict_kind_name(kind))),
-                ("verdict", text(verdict_name(verdict))),
+                ("kind", text(kind.name())),
+                ("verdict", text(verdict.name())),
                 ("killed", Json::Bool(killed)),
             ]
         }
         EventKind::Wait => vec![("enemy_tid", num(ev.a))],
         EventKind::BarrierWait => vec![
             ("phase", num(ev.a)),
-            ("outcome", text(barrier_outcome_name(ev.b))),
+            ("outcome", text(BarrierWait::ALL[ev.b as usize].name())),
         ],
         EventKind::FrameAssign => vec![("frame", num(ev.a)), ("rank", num(ev.b))],
         EventKind::WindowStart => vec![("window", num(ev.a)), ("q", num(ev.b))],
@@ -150,14 +150,14 @@ pub fn trace_cell(preset: &Preset, workload: &str, manager: &str) -> TraceCell {
     // Enough threads for interesting conflict structure, few enough that
     // the matrix stays readable.
     let threads = preset.max_threads().min(8);
-    wtm_trace::reset();
+    trace::reset();
     let mut spec = RunSpec::new(workload, manager, threads, StopRule::Timed(preset.duration));
     spec.window_n = preset.window_n;
     spec.engine = preset.engine;
     spec.trace = true;
     let out = run_one(&spec);
-    let events = wtm_trace::drain();
-    let dropped = wtm_trace::dropped_total();
+    let events = trace::drain();
+    let dropped = trace::dropped_total();
     let barrier_timeouts = out.boundaries.map_or(0, |b| b.barrier_timeouts);
     let json = chrome_json(
         &events,
@@ -181,69 +181,115 @@ pub fn trace_cell(preset: &Preset, workload: &str, manager: &str) -> TraceCell {
     }
 }
 
-/// TR1: the who-killed-whom matrix of one cell.
+/// TR1: the who-killed-whom matrix of one cell. `kills[killer][victim]`
+/// counts the conflicts the contention manager settled by aborting
+/// `victim`'s transaction in favour of `killer`'s: under `AbortEnemy` the
+/// emitting thread is the killer, under `AbortSelf` the enemy is (the
+/// emitter stepped aside for it). Retries, failed kills and threads
+/// outside `0..threads` count nothing.
 pub fn matrix_table(cell: &TraceCell) -> Table {
-    let m = ConflictMatrix::from_events(&cell.events, cell.threads);
-    let cols: Vec<String> = (0..cell.threads).map(|t| format!("kills t{t}")).collect();
+    let n = cell.threads;
+    let mut kills = vec![vec![0.0; n]; n];
+    for ev in cell.events.iter().filter(|e| e.kind == EventKind::Conflict) {
+        let (killer, victim) = match unpack_conflict(ev.b) {
+            (_, Resolution::AbortEnemy, true) => (ev.tid as usize, ev.a as usize),
+            (_, Resolution::AbortSelf, true) => (ev.a as usize, ev.tid as usize),
+            _ => continue,
+        };
+        if killer < n && victim < n {
+            kills[killer][victim] += 1.0;
+        }
+    }
+    let cols: Vec<String> = (0..n).map(|t| format!("kills t{t}")).collect();
     let mut t = Table::new(
         format!(
             "TR1: who-killed-whom — {} / {} (M={})",
-            cell.workload, cell.manager, cell.threads
+            cell.workload, cell.manager, n
         ),
         "killer",
         cols,
     );
-    for killer in 0..cell.threads {
-        let row: Vec<f64> = (0..cell.threads)
-            .map(|victim| m.get(killer, victim) as f64)
-            .collect();
+    for (killer, row) in kills.into_iter().enumerate() {
         t.push_row(format!("t{killer}"), row);
     }
     t
 }
 
-/// TR2: latency histograms of one cell, rows = occupied log₂ buckets.
+/// The log₂ bucket of a duration: bucket `i` holds `[2^i, 2^(i+1))` ns,
+/// and 0 ns shares bucket 0 with 1 ns.
+fn log2_bucket(ns: u64) -> usize {
+    ns.max(1).ilog2() as usize
+}
+
+/// A bucket's row label, its upper bound: `"<2ns"`, `"<2.0µs"`, …
+fn bucket_label(i: usize) -> String {
+    let hi = 1u128 << (i + 1);
+    if hi < 1_000 {
+        format!("<{hi}ns")
+    } else if hi < 1_000_000 {
+        format!("<{:.1}µs", hi as f64 / 1e3)
+    } else if hi < 1_000_000_000 {
+        format!("<{:.1}ms", hi as f64 / 1e6)
+    } else {
+        format!("<{:.1}s", hi as f64 / 1e9)
+    }
+}
+
+/// TR2: latency histograms of one cell's span kinds, one row per occupied
+/// log₂ bucket, then the mean of each column.
 pub fn histogram_table(cell: &TraceCell) -> Table {
-    let h = Histograms::from_events(&cell.events);
-    let named = h.named();
-    let cols: Vec<String> = named.iter().map(|(n, _)| n.to_string()).collect();
+    const COLUMNS: [(EventKind, &str); 4] = [
+        (EventKind::Commit, "commit"),
+        (EventKind::Abort, "abort"),
+        (EventKind::Wait, "cm-wait"),
+        (EventKind::BarrierWait, "barrier"),
+    ];
+    let mut buckets = [[0u64; 4]; 64];
+    let mut count = [0u64; 4];
+    let mut sum_ns = [0u64; 4];
+    for ev in &cell.events {
+        if let Some(c) = COLUMNS.iter().position(|(k, _)| *k == ev.kind) {
+            buckets[log2_bucket(ev.dur_ns)][c] += 1;
+            count[c] += 1;
+            sum_ns[c] += ev.dur_ns;
+        }
+    }
     let mut t = Table::new(
         format!(
             "TR2: latency histograms (log2 buckets) — {} / {}",
             cell.workload, cell.manager
         ),
         "latency",
-        cols,
+        COLUMNS.iter().map(|(_, name)| name.to_string()).collect(),
     );
-    let hi = named
-        .iter()
-        .filter_map(|(_, h)| h.max_bucket())
-        .max()
-        .unwrap_or(0);
-    for b in 0..=hi {
-        let row: Vec<f64> = named.iter().map(|(_, h)| h.bucket(b) as f64).collect();
-        if row.iter().all(|v| *v == 0.0) {
-            continue;
+    for (b, row) in buckets.iter().enumerate() {
+        if row.iter().any(|&c| c > 0) {
+            t.push_row(bucket_label(b), row.iter().map(|&c| c as f64).collect());
         }
-        t.push_row(wtm_trace::collect::LogHistogram::bucket_label(b), row);
     }
-    let means: Vec<f64> = named.iter().map(|(_, h)| h.mean_ns() / 1e3).collect();
-    t.push_row("mean µs", means);
+    let means = (0..4).map(|c| match count[c] {
+        0 => 0.0,
+        k => sum_ns[c] as f64 / k as f64 / 1e3,
+    });
+    t.push_row("mean µs", means.collect());
     t
 }
 
 /// TR3: event counts per kind across all traced cells.
 pub fn summary_table(cells: &[TraceCell]) -> Table {
-    let cols: Vec<String> = wtm_trace::EventKind::ALL
+    let cols: Vec<String> = EventKind::ALL
         .iter()
         .map(|k| k.name().to_string())
         .collect();
     let mut t = Table::new("TR3: trace event counts per kind", "cell", cols);
     for cell in cells {
-        let counts = counts_by_kind(&cell.events);
+        let mut counts = [0.0; EventKind::ALL.len()];
+        for ev in &cell.events {
+            counts[ev.kind as usize] += 1.0;
+        }
         t.push_row(
             format!("{}/{}", cell.workload, cell.manager),
-            counts.iter().map(|(_, c)| *c as f64).collect(),
+            counts.to_vec(),
         );
     }
     t
@@ -301,7 +347,8 @@ pub fn trace_report(preset: &Preset, out_dir: &Path) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtm_trace::{pack_conflict, ABORT_KILLED, VERDICT_ABORT_ENEMY};
+    use wtm_stm::trace::{pack_conflict, ABORT_KILLED};
+    use wtm_stm::ConflictKind;
 
     fn str_of<'a>(e: &'a Json, key: &str) -> Option<&'a str> {
         e.get(key).and_then(Json::as_str)
@@ -359,7 +406,7 @@ mod tests {
                 1_500,
                 0,
                 1,
-                pack_conflict(0, VERDICT_ABORT_ENEMY, true),
+                pack_conflict(ConflictKind::WriteWrite, Resolution::AbortEnemy, true),
             ),
             Event::span(EventKind::Commit, 2_000, 900, 0, 41, 0),
             Event::span(EventKind::Abort, 2_500, 400, 1, 42, ABORT_KILLED),
@@ -397,6 +444,92 @@ mod tests {
         let empty = chrome_json(&[], &[]);
         assert!(empty.starts_with("{\"traceEvents\":[]"), "{empty}");
         assert!(Json::parse(&empty).is_ok());
+    }
+
+    fn cell_of(threads: usize, events: Vec<Event>) -> TraceCell {
+        TraceCell {
+            workload: "List".into(),
+            manager: "Polka".into(),
+            threads,
+            commits: 0,
+            events,
+            dropped: 0,
+            barrier_timeouts: 0,
+            json: String::new(),
+        }
+    }
+
+    fn conflict(tid: u32, enemy: u64, verdict: Resolution, killed: bool) -> Event {
+        let word = pack_conflict(ConflictKind::WriteWrite, verdict, killed);
+        Event::instant(EventKind::Conflict, 0, tid, enemy, word)
+    }
+
+    #[test]
+    fn matrix_attributes_kills_to_the_winner() {
+        let events = vec![
+            // Thread 0 kills thread 1 directly.
+            conflict(0, 1, Resolution::AbortEnemy, true),
+            // Thread 2 steps aside for thread 0: the kill is 0 → 2.
+            conflict(2, 0, Resolution::AbortSelf, true),
+            // A retry verdict and an unsuccessful kill count nothing.
+            conflict(1, 0, Resolution::Retry, false),
+            conflict(1, 0, Resolution::AbortEnemy, false),
+        ];
+        let m = matrix_table(&cell_of(3, events));
+        assert_eq!(m.get(0, "kills t1"), Some(1.0));
+        assert_eq!(m.get(0, "kills t2"), Some(1.0));
+        assert_eq!(m.get(1, "kills t0"), Some(0.0));
+        let total: f64 = m.cells.iter().flatten().sum();
+        assert_eq!(total, 2.0);
+    }
+
+    #[test]
+    fn histogram_buckets_by_log2() {
+        assert_eq!(log2_bucket(0), 0, "0 and 1 share bucket 0");
+        assert_eq!(log2_bucket(1), 0);
+        assert_eq!(log2_bucket(2), 1, "2 and 3 in bucket 1");
+        assert_eq!(log2_bucket(3), 1);
+        assert_eq!(log2_bucket(1024), 10);
+        let commits = [0, 1, 2, 3, 1024].map(|d| Event::span(EventKind::Commit, d, d, 0, 0, 0));
+        let h = histogram_table(&cell_of(1, commits.to_vec()));
+        let labels: Vec<String> = [0, 1, 10].map(bucket_label).to_vec();
+        assert_eq!(
+            h.rows[..3],
+            labels,
+            "occupied buckets only, the highest is 1024's"
+        );
+        assert_eq!(h.rows[3], "mean µs");
+        let commit_col: Vec<f64> = (0..3).map(|r| h.get(r, "commit").unwrap()).collect();
+        assert_eq!(commit_col, [2.0, 2.0, 1.0], "5 commits");
+        assert!(h.get(3, "commit").unwrap() > 0.0);
+    }
+
+    #[test]
+    fn bucket_labels_scale_units() {
+        assert_eq!(bucket_label(0), "<2ns");
+        assert!(bucket_label(10).ends_with("µs"));
+        assert!(bucket_label(20).ends_with("ms"));
+        assert!(bucket_label(30).ends_with('s'));
+    }
+
+    #[test]
+    fn histograms_route_kinds() {
+        let events = vec![
+            Event::span(EventKind::Commit, 10, 5, 0, 0, 0),
+            Event::span(EventKind::Abort, 10, 7, 0, 0, 0),
+            Event::span(EventKind::Wait, 10, 9, 0, 0, 0),
+            Event::span(EventKind::BarrierWait, 10, 11, 0, 0, 0),
+            Event::instant(EventKind::TxBegin, 10, 0, 0, 0),
+        ];
+        let cell = cell_of(1, events);
+        let h = histogram_table(&cell);
+        for col in ["commit", "abort", "cm-wait", "barrier"] {
+            let count: f64 = (0..h.rows.len() - 1).map(|r| h.get(r, col).unwrap()).sum();
+            assert_eq!(count, 1.0, "{col}");
+        }
+        let counts = summary_table(&[cell]);
+        assert_eq!(counts.get(0, "begin"), Some(1.0));
+        assert_eq!(counts.get(0, "commit"), Some(1.0));
     }
 
     #[test]

@@ -47,6 +47,44 @@ pub enum Resolution {
     Retry,
 }
 
+impl ConflictKind {
+    /// Every kind, in discriminant order: a trace word holds `kind as u64`.
+    pub const ALL: [ConflictKind; 3] = [
+        ConflictKind::WriteWrite,
+        ConflictKind::ReadWrite,
+        ConflictKind::WriteRead,
+    ];
+
+    /// Short name (`"WW"`, `"RW"`, `"WR"`), as the trace export prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ConflictKind::WriteWrite => "WW",
+            ConflictKind::ReadWrite => "RW",
+            ConflictKind::WriteRead => "WR",
+        }
+    }
+}
+
+impl Resolution {
+    /// Every verdict, in discriminant order: a trace word holds
+    /// `verdict as u64`.
+    pub const ALL: [Resolution; 3] = [
+        Resolution::AbortEnemy,
+        Resolution::AbortSelf,
+        Resolution::Retry,
+    ];
+
+    /// Short name (`"abort-enemy"`, `"abort-self"`, `"retry"`), as the
+    /// trace export prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Resolution::AbortEnemy => "abort-enemy",
+            Resolution::AbortSelf => "abort-self",
+            Resolution::Retry => "retry",
+        }
+    }
+}
+
 /// A pluggable conflict-resolution policy.
 ///
 /// One instance is shared by every thread of an [`crate::Stm`]; managers

@@ -74,6 +74,7 @@
 
 use super::LazyRead;
 use crate::cm::ConflictKind;
+use crate::trace;
 use crate::tvar::TVar;
 use crate::txn::{ReadRef, TxError, TxResult, Txn};
 use crate::writeset::WriteEntry;
@@ -127,7 +128,7 @@ fn read_committed<T: TxObject>(txn: &mut Txn<'_>, tvar: &TVar<T>) -> TxResult<*c
 /// Abort `txn` for a failed read validation.
 fn validation_abort(txn: &Txn<'_>) -> TxError {
     txn.state.abort();
-    txn.set_abort_reason(wtm_trace::ABORT_VALIDATION);
+    txn.set_abort_reason(trace::ABORT_VALIDATION);
     TxError::Aborted
 }
 

@@ -9,11 +9,11 @@
 //! rollback) for [`Txn`](crate::txn::Txn), and plug into the same CM
 //! hooks, workloads, and statistics:
 //!
-//! * [`EagerEngine`](eager::EagerEngine) — the original protocol:
+//! * `EagerEngine` — the original protocol:
 //!   visible reads, eager CM consultation at open time, shadow copies
 //!   published through the locator status CAS and folded back by the
 //!   committer itself.
-//! * [`LazyEngine`](lazy::LazyEngine) — a TL2/STO-style protocol:
+//! * `LazyEngine` — a TL2/STO-style protocol:
 //!   reads no committer sees, validated against a read timestamp, writes
 //!   buffered privately, per-object commit locks taken only at commit time.
 //!

@@ -54,7 +54,8 @@
 //! | [`stats`] | lock-free per-thread metrics and snapshots |
 //! | [`clockns`] | cheap coarse nanosecond timestamps: metrics, window frames, transaction age |
 //! | [`slots`] | reader-slot indices, the per-index reader rows and the attempt registry (a lock per record) |
-//! | [`sync`] | cancellable barrier and cooperative waiting helpers |
+//! | [`sync`] | the engine's lock, cancellable barrier and cooperative waiting helpers |
+//! | [`trace`] | per-thread event rings behind a runtime flag (`windowtm trace`) |
 
 pub mod clockns;
 pub mod cm;
@@ -69,6 +70,7 @@ pub mod stats;
 pub mod status;
 pub mod stm;
 pub mod sync;
+pub mod trace;
 pub mod tvar;
 pub mod txn;
 pub mod txstate;

@@ -29,7 +29,7 @@
 //! loans whose last handle drops an object, and the object's scan looks
 //! this record up again. A scanner checks `current` without
 //! the lock, then re-checks the id under it and works on the state there
-//! ([`with_live_reader`]), so nothing is deferred and no reference is
+//! (`with_live_reader`), so nothing is deferred and no reference is
 //! handed out unless the caller asks for one. Attempt ids are never
 //! reused, so a state that is no longer the one for the id asked is
 //! rejected, not mistaken.
@@ -88,7 +88,7 @@
 //! A thread past [`MAX_SLOTS`], or reading an object built with fewer
 //! rows ([`crate::TVar::new_with_slots_for_test`]), registers on the
 //! mutex-protected overflow list instead: slower, never wrong. A thread
-//! past [`MAX_SLOTS`] has no record either, so [`republish`] hands it no
+//! past [`MAX_SLOTS`] has no record either, so `republish` hands it no
 //! state back and each of its attempts allocates one: the declared slow
 //! path.
 

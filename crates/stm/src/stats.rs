@@ -30,9 +30,9 @@ use std::time::Duration;
 /// Per-thread metric counters, written by the owning worker only (see the
 /// module docs) and loaded `Relaxed` by whoever aggregates.
 ///
-/// Cache-line-aligned: the engine allocates one per worker, and the
-/// alignment keeps a worker's counter traffic off its neighbours' lines
-/// regardless of how the allocator packs them.
+/// Cache-line-aligned: the engine holds one per worker in one boxed
+/// slice, and the alignment keeps a worker's counter traffic off its
+/// neighbours' lines.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 pub struct ThreadStats {

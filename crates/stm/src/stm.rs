@@ -43,6 +43,7 @@ use crate::dispatch::CmDispatch;
 use crate::engine::{EngineKind, LazyRead};
 use crate::slots;
 use crate::stats::{StatsSnapshot, ThreadStats};
+use crate::trace::{self, Event, EventKind};
 use crate::txn::{TxError, TxResult, Txn, Unwound};
 use crate::txstate::TxState;
 use crate::writeset::WriteEntry;
@@ -51,7 +52,7 @@ use crate::writeset::WriteEntry;
 pub struct Stm {
     cm: CmDispatch,
     engine: EngineKind,
-    threads: Box<[Arc<ThreadStats>]>,
+    threads: Box<[ThreadStats]>,
 }
 
 impl Stm {
@@ -74,9 +75,7 @@ impl Stm {
         Stm {
             cm: cm.into(),
             engine,
-            threads: (0..num_threads)
-                .map(|_| Arc::new(ThreadStats::new()))
-                .collect(),
+            threads: (0..num_threads).map(|_| ThreadStats::new()).collect(),
         }
     }
 
@@ -354,8 +353,8 @@ impl<'a> ThreadCtx<'a> {
             // `is_active`) — and hands its reference back as the spare.
             self.spare.set(slots::republish(slot_idx, &state));
             let t0 = state.attempt_start_ns;
-            wtm_trace::emit(wtm_trace::Event::instant(
-                wtm_trace::EventKind::TxBegin,
+            trace::emit(Event::instant(
+                EventKind::TxBegin,
                 t0,
                 self.thread_id as u32,
                 txn_id,
@@ -385,8 +384,8 @@ impl<'a> ThreadCtx<'a> {
                     txn.release_buffers();
                     let state = txn.into_state();
                     let now = clockns::now();
-                    wtm_trace::emit(wtm_trace::Event::span(
-                        wtm_trace::EventKind::Commit,
+                    trace::emit(Event::span(
+                        EventKind::Commit,
                         now,
                         now.saturating_sub(t0),
                         self.thread_id as u32,
@@ -411,7 +410,7 @@ impl<'a> ThreadCtx<'a> {
                     // `engine_bail` = nobody else aborted us and the body
                     // returned a bare `Err`: a user bail-out by taxonomy.
                     let reason = if engine_bail {
-                        wtm_trace::ABORT_USER
+                        trace::ABORT_USER
                     } else {
                         txn.abort_reason()
                     };
@@ -430,8 +429,8 @@ impl<'a> ThreadCtx<'a> {
                     state.finish_body();
                     let now = clockns::now();
                     self.stats().record_abort(opens, now.saturating_sub(t0));
-                    wtm_trace::emit(wtm_trace::Event::span(
-                        wtm_trace::EventKind::Abort,
+                    trace::emit(Event::span(
+                        EventKind::Abort,
                         now,
                         now.saturating_sub(t0),
                         self.thread_id as u32,

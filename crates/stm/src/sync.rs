@@ -114,6 +114,26 @@ pub enum BarrierWait {
     TimedOut,
 }
 
+impl BarrierWait {
+    /// Every outcome, in discriminant order: a trace word holds
+    /// `outcome as u64`.
+    pub const ALL: [BarrierWait; 3] = [
+        BarrierWait::Released,
+        BarrierWait::Cancelled,
+        BarrierWait::TimedOut,
+    ];
+
+    /// Short name (`"released"`, `"cancelled"`, `"timed-out"`), as the
+    /// trace export prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            BarrierWait::Released => "released",
+            BarrierWait::Cancelled => "cancelled",
+            BarrierWait::TimedOut => "timed-out",
+        }
+    }
+}
+
 /// Polling budget before a waiter parks: a window boundary normally waits
 /// microseconds for the slowest thread; a futex sleep and wake cost tens.
 const SPIN_BUDGET: Duration = Duration::from_micros(200);
@@ -131,7 +151,7 @@ const POLLS_PER_YIELD: u32 = 16;
 /// the release), and a waiter polls until the word reaches that multiple
 /// of `parties`. A waiter that gives up decrements the word unless it has
 /// crossed the multiple, so withdrawal is exact and a racing release wins.
-/// Mutex and condvar serve only waiters that outlast [`SPIN_BUDGET`].
+/// Mutex and condvar serve only waiters that outlast `SPIN_BUDGET`.
 pub struct CancellableBarrier {
     parties: u64,
     count: AtomicU64,

@@ -1,46 +1,49 @@
-//! # wtm-trace — low-overhead transaction-event tracing
+//! Low-overhead transaction-event tracing: per-thread ring buffers.
 //!
-//! The engine's end-of-run counters (`wtm_stm::stats`) say *how much*
-//! work was wasted; they cannot say *who aborted whom*, how long
-//! transactions sat at window barriers, or where the wait time went. This
-//! crate records those per-event facts with a protocol cheap enough to
-//! leave woven through the STM hot path:
+//! The end-of-run counters ([`crate::stats`]) say *how much* work was
+//! wasted; they cannot say *who aborted whom*, how long transactions sat
+//! at window barriers, or where the wait time went. This module records
+//! those per-event facts with a protocol cheap enough to leave woven
+//! through the hot path:
 //!
-//! * **Fixed-size events** ([`Event`], 40 bytes): a coarse-clock timestamp
-//!   (the caller passes in `wtm_stm::clockns::now()` values — this crate
-//!   is timestamp-agnostic so it depends on nothing), an optional span
-//!   duration, a kind tag, the engine thread id, and two payload words
-//!   whose meaning is per-kind (see [`EventKind`]).
-//! * **Per-thread ring buffers** ([`TraceBuf`]): single-producer, wrapping
-//!   overwrite, one atomic store per event. No locks, no allocation after
-//!   the buffer exists. A global registry collects every thread's buffer
-//!   so a collector can drain them once producers are quiescent; [`reset`]
-//!   drops the buffers of threads that have exited.
-//! * **Runtime gating**: the call sites in `wtm-stm` and `wtm-window` are
-//!   always compiled, and every [`emit`] starts with one relaxed load of a
-//!   global flag ([`enabled`]) — tracing that is switched off costs a
-//!   predicted-not-taken branch per event site.
+//! * **Fixed-size events** ([`Event`], 40 bytes): a [`crate::clockns`]
+//!   timestamp, an optional span duration, a kind tag, the engine thread
+//!   id, and two payload words whose meaning is per-kind (see
+//!   [`EventKind`]). Payload words that name a verdict are packed from the
+//!   engine's own enums ([`pack_conflict`], `BarrierWait as u64`) and read
+//!   back through the same enums' `ALL` tables and `name()`s.
+//! * **Who stamps what**: a span's caller passes its end (it read the
+//!   clock for its own metrics anyway), as does `TxBegin` (the attempt's
+//!   start stamp); every other instant is stamped by [`emit_now`] inside
+//!   the out-of-line recording half, so a thread with tracing off reads no
+//!   clock for it.
+//! * **Per-thread ring buffers**: single-producer, wrapping overwrite, one
+//!   atomic store per event. No locks, no allocation after the ring
+//!   exists. A global registry (one [`crate::sync::Mutex`]) collects every
+//!   thread's ring so [`drain`] can read them once producers are
+//!   quiescent; [`reset`] drops the rings of threads that have exited.
+//! * **Runtime gating**: the call sites are always compiled, and every
+//!   [`emit`] starts with one relaxed load of a global flag ([`enabled`]):
+//!   tracing that is switched off costs a predicted-not-taken branch per
+//!   event site.
 //!
-//! The collector side lives in [`collect`] (who-killed-whom conflict
-//! matrices, log-bucketed latency histograms). The Chrome-trace JSON for
-//! `chrome://tracing` / Perfetto is rendered by `windowtm trace`
-//! (`wtm_harness::trace`) through the harness's one JSON layer; this crate
-//! names the payload words it writes ([`abort_reason_name`],
-//! [`conflict_kind_name`], [`verdict_name`], [`barrier_outcome_name`]).
+//! The Chrome-trace JSON and the TR1–TR3 tables are built from the
+//! drained slice by `windowtm trace` (`wtm_harness::trace`).
 //!
 //! ## Drain protocol
 //!
-//! Producers own their buffer; the collector may only call
-//! [`drain`]/[`reset`] while no thread is emitting (in practice: tracing
-//! disabled and worker threads joined). The harness enforces this by
-//! enabling tracing after the workload is built, disabling it after the
-//! worker scope ends, and only then draining.
-
-pub mod collect;
+//! Producers own their ring; [`drain`] and [`reset`] may only run while no
+//! thread is emitting (in practice: tracing disabled and worker threads
+//! joined). The harness enables tracing after the workload is built,
+//! disables it after the worker scope ends, and only then drains.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
+
+use crate::clockns;
+use crate::cm::{ConflictKind, Resolution};
+use crate::sync::Mutex;
 
 /// What an [`Event`] records. Payload word meaning per kind:
 ///
@@ -49,9 +52,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// | `TxBegin` | 0 | txn id | attempt number |
 /// | `Commit` | attempt duration | txn id | attempt number |
 /// | `Abort` | wasted attempt duration | txn id | abort reason (`ABORT_*`) |
-/// | `Conflict` | 0 | enemy thread id | packed kind/verdict/killed ([`pack_conflict`]) |
+/// | `Conflict` | 0 | enemy thread id | kind, verdict, killed ([`pack_conflict`]) |
 /// | `Wait` | time blocked in the CM | enemy thread id | 0 |
-/// | `BarrierWait` | time at the window barrier, polling and parked | always 0: a window has one barrier (the word was its phase when there were two) | outcome (`BARRIER_*`) |
+/// | `BarrierWait` | time at the window barrier, polling and parked | always 0: a window has one barrier (the word was its phase when there were two) | outcome (`BarrierWait as u64`) |
 /// | `FrameAssign` | 0 | assigned frame | rank π₂ |
 /// | `WindowStart` | 0 | window generation | random delay q |
 /// | `FrameAdvance` | 0 | new frame index | high-water mark |
@@ -124,69 +127,26 @@ pub fn abort_reason_name(reason: u64) -> &'static str {
     }
 }
 
-/// Human-readable conflict kind (the first word [`unpack_conflict`]
-/// returns).
-pub fn conflict_kind_name(kind: u64) -> &'static str {
-    match kind {
-        0 => "WW",
-        1 => "RW",
-        2 => "WR",
-        _ => "??",
-    }
-}
-
-/// Human-readable CM verdict (`VERDICT_*`).
-pub fn verdict_name(verdict: u64) -> &'static str {
-    match verdict {
-        VERDICT_ABORT_ENEMY => "abort-enemy",
-        VERDICT_ABORT_SELF => "abort-self",
-        VERDICT_RETRY => "retry",
-        _ => "??",
-    }
-}
-
-/// Human-readable barrier-wait outcome (`BARRIER_*`).
-pub fn barrier_outcome_name(outcome: u64) -> &'static str {
-    match outcome {
-        BARRIER_RELEASED => "released",
-        BARRIER_CANCELLED => "cancelled",
-        BARRIER_TIMED_OUT => "timed-out",
-        _ => "??",
-    }
-}
-
-// ---- conflict verdicts (packed into the `b` word of `Conflict`) ---------
-
-/// The manager ruled `AbortEnemy`.
-pub const VERDICT_ABORT_ENEMY: u64 = 0;
-/// The manager ruled `AbortSelf`.
-pub const VERDICT_ABORT_SELF: u64 = 1;
-/// The manager ruled `Retry` (wait and re-examine).
-pub const VERDICT_RETRY: u64 = 2;
-
-/// Barrier-wait outcomes (the `b` word of `BarrierWait` events).
-pub const BARRIER_RELEASED: u64 = 0;
-pub const BARRIER_CANCELLED: u64 = 1;
-pub const BARRIER_TIMED_OUT: u64 = 2;
-
 /// Pack a conflict's `(kind, verdict, killed)` triple into one payload
-/// word. `kind` is the engine's `ConflictKind` as 0/1/2 (WW/RW/WR).
+/// word: each enum's discriminant, one byte apiece.
 #[inline]
-pub fn pack_conflict(kind: u64, verdict: u64, killed: bool) -> u64 {
-    (kind & 0xFF) | ((verdict & 0xFF) << 8) | ((killed as u64) << 16)
+pub fn pack_conflict(kind: ConflictKind, verdict: Resolution, killed: bool) -> u64 {
+    kind as u64 | (verdict as u64) << 8 | (killed as u64) << 16
 }
 
-/// Inverse of [`pack_conflict`]: `(kind, verdict, killed)`.
-#[inline]
-pub fn unpack_conflict(b: u64) -> (u64, u64, bool) {
-    (b & 0xFF, (b >> 8) & 0xFF, (b >> 16) & 1 != 0)
+/// Inverse of [`pack_conflict`]. The word must come from it.
+pub fn unpack_conflict(b: u64) -> (ConflictKind, Resolution, bool) {
+    (
+        ConflictKind::ALL[(b & 0xFF) as usize],
+        Resolution::ALL[(b >> 8 & 0xFF) as usize],
+        b >> 16 & 1 != 0,
+    )
 }
 
 /// One fixed-size trace record. See [`EventKind`] for payload meaning.
 ///
-/// `ts_ns` is the coarse-clock time at which the event was *recorded* —
-/// for span events that is the span's **end**; the start is
-/// `ts_ns - dur_ns`.
+/// `ts_ns` is the time at which the event was *recorded*: for span events
+/// that is the span's **end**; the start is `ts_ns - dur_ns`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     pub ts_ns: u64,
@@ -198,17 +158,10 @@ pub struct Event {
 }
 
 impl Event {
-    /// A point event (no duration).
+    /// A point event (no duration) at `ts_ns`.
     #[inline]
     pub fn instant(kind: EventKind, ts_ns: u64, tid: u32, a: u64, b: u64) -> Self {
-        Event {
-            ts_ns,
-            dur_ns: 0,
-            kind,
-            tid,
-            a,
-            b,
-        }
+        Event::span(kind, ts_ns, 0, tid, a, b)
     }
 
     /// A span event ending at `end_ns` with length `dur_ns`.
@@ -223,15 +176,6 @@ impl Event {
             b,
         }
     }
-
-    const ZERO: Event = Event {
-        ts_ns: 0,
-        dur_ns: 0,
-        kind: EventKind::TxBegin,
-        tid: 0,
-        a: 0,
-        b: 0,
-    };
 }
 
 // ---- the per-thread ring buffer -----------------------------------------
@@ -239,11 +183,11 @@ impl Event {
 /// Lock-free single-producer ring buffer of [`Event`]s.
 ///
 /// The owning thread is the only writer; `head` counts events ever pushed
-/// (the buffer wraps, overwriting the oldest — `dropped()` reports how
-/// many were lost). Readers ([`TraceBuf::drain_into`]) require the
-/// producer to be quiescent: the `Release` store on `head` publishes the
-/// slot contents, but a concurrent wrap-around overwrite is not detected.
-pub struct TraceBuf {
+/// (the buffer wraps, overwriting the oldest; `dropped()` reports how
+/// many were lost). Readers require the producer to be quiescent: the
+/// `Release` store on `head` publishes the slot contents, but a
+/// concurrent wrap-around overwrite is not detected.
+struct TraceBuf {
     head: AtomicU64,
     events: Box<[UnsafeCell<Event>]>,
 }
@@ -255,19 +199,19 @@ unsafe impl Send for TraceBuf {}
 
 impl TraceBuf {
     /// Buffer holding the most recent `capacity` events (min 16).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(16);
+    fn new(capacity: usize) -> Self {
+        let zero = Event::instant(EventKind::TxBegin, 0, 0, 0, 0);
         TraceBuf {
             head: AtomicU64::new(0),
-            events: (0..capacity)
-                .map(|_| UnsafeCell::new(Event::ZERO))
+            events: (0..capacity.max(16))
+                .map(|_| UnsafeCell::new(zero))
                 .collect(),
         }
     }
 
     /// Append one event (producer thread only).
     #[inline]
-    pub fn push(&self, ev: Event) {
+    fn push(&self, ev: Event) {
         let h = self.head.load(Ordering::Relaxed);
         let idx = (h % self.events.len() as u64) as usize;
         // SAFETY: only the owning thread pushes, so no concurrent writer;
@@ -277,18 +221,18 @@ impl TraceBuf {
     }
 
     /// Events ever pushed.
-    pub fn pushed(&self) -> u64 {
+    fn pushed(&self) -> u64 {
         self.head.load(Ordering::Acquire)
     }
 
     /// Events lost to wrap-around overwrite.
-    pub fn dropped(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.pushed().saturating_sub(self.events.len() as u64)
     }
 
     /// Copy the retained events (oldest first) into `out`. Producer must
     /// be quiescent.
-    pub fn drain_into(&self, out: &mut Vec<Event>) {
+    fn drain_into(&self, out: &mut Vec<Event>) {
         let h = self.head.load(Ordering::Acquire);
         let cap = self.events.len() as u64;
         let n = h.min(cap);
@@ -302,7 +246,7 @@ impl TraceBuf {
     }
 
     /// Forget everything (producer must be quiescent).
-    pub fn clear(&self) {
+    fn clear(&self) {
         self.head.store(0, Ordering::Release);
     }
 }
@@ -317,19 +261,12 @@ const CAPACITY: usize = 1 << 16;
 /// Every ring a thread has registered and no [`reset`] has dropped yet.
 static REGISTRY: Mutex<Vec<Arc<TraceBuf>>> = Mutex::new(Vec::new());
 
-/// The registry, locked under `wtm_stm::sync::Mutex`'s poison rule: a
-/// panic while it was held leaves the list as it was, and the next caller
-/// takes it.
-fn registry() -> MutexGuard<'static, Vec<Arc<TraceBuf>>> {
-    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 thread_local! {
     static LOCAL: std::cell::RefCell<Option<Arc<TraceBuf>>> =
         const { std::cell::RefCell::new(None) };
 }
 
-/// Is tracing currently recording? One relaxed load — this is the whole
+/// Is tracing currently recording? One relaxed load: this is the whole
 /// hot-path cost of compiled-in-but-off tracing.
 #[inline]
 pub fn enabled() -> bool {
@@ -343,7 +280,7 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Record one event into this thread's ring buffer (creating and
-/// registering the buffer on first use). No-op while tracing is off.
+/// registering the ring on first use). No-op while tracing is off.
 #[inline]
 pub fn emit(ev: Event) {
     if enabled() {
@@ -351,16 +288,31 @@ pub fn emit(ev: Event) {
     }
 }
 
+/// Record a point event stamped at the moment it is recorded. No-op, and
+/// no clock read, while tracing is off.
+#[inline]
+pub fn emit_now(kind: EventKind, tid: u32, a: u64, b: u64) {
+    if enabled() {
+        record_now(kind, tid, a, b);
+    }
+}
+
+/// The recording half of [`emit_now`]: the clock read lives here.
+#[inline(never)]
+fn record_now(kind: EventKind, tid: u32, a: u64, b: u64) {
+    record(Event::instant(kind, clockns::now(), tid, a, b));
+}
+
 /// The recording half of [`emit`], out of line so that a call site
 /// carries only the flag check.
 #[inline(never)]
 fn record(ev: Event) {
-    // `try_with`: never panic during thread teardown — just drop the event.
+    // `try_with`: never panic during thread teardown; just drop the event.
     let _ = LOCAL.try_with(|cell| {
         let mut slot = cell.borrow_mut();
         let buf = slot.get_or_insert_with(|| {
             let buf = Arc::new(TraceBuf::new(CAPACITY));
-            registry().push(Arc::clone(&buf));
+            REGISTRY.lock().push(Arc::clone(&buf));
             buf
         });
         buf.push(ev);
@@ -372,7 +324,7 @@ fn record(ev: Event) {
 /// docs).
 pub fn drain() -> Vec<Event> {
     let mut out = Vec::new();
-    for b in registry().iter() {
+    for b in REGISTRY.lock().iter() {
         b.drain_into(&mut out);
     }
     out.sort_by_key(|e| e.ts_ns);
@@ -381,15 +333,15 @@ pub fn drain() -> Vec<Event> {
 
 /// Total events lost to ring wrap-around across all threads.
 pub fn dropped_total() -> u64 {
-    registry().iter().map(|b| b.dropped()).sum()
+    REGISTRY.lock().iter().map(|b| b.dropped()).sum()
 }
 
-/// Clear every registered buffer (between runs; producers quiescent) and
+/// Clear every registered ring (between runs; producers quiescent) and
 /// drop the rings of threads that have exited: the registry holds their
 /// only reference. A live thread keeps its ring, so the registry holds
 /// one ring per live thread that has emitted.
 pub fn reset() {
-    registry().retain(|b| {
+    REGISTRY.lock().retain(|b| {
         b.clear();
         Arc::strong_count(b) > 1
     });
@@ -398,12 +350,13 @@ pub fn reset() {
 /// Rings the registry holds (one per thread that emitted since the last
 /// [`reset`], plus one per live thread that emitted before it).
 pub fn registered_rings() -> usize {
-    registry().len()
+    REGISTRY.lock().len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::BarrierWait;
 
     #[test]
     fn ring_keeps_most_recent_events_on_wrap() {
@@ -426,8 +379,8 @@ mod tests {
 
     #[test]
     fn conflict_packing_roundtrips() {
-        for kind in 0..3u64 {
-            for verdict in 0..3u64 {
+        for kind in ConflictKind::ALL {
+            for verdict in Resolution::ALL {
                 for killed in [false, true] {
                     assert_eq!(
                         unpack_conflict(pack_conflict(kind, verdict, killed)),
@@ -436,41 +389,14 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn global_emit_respects_toggle_and_drains_across_threads() {
-        // This test owns the global flag; no other test in this crate
-        // enables it.
-        reset();
-        emit(Event::instant(EventKind::TxBegin, 1, 0, 0, 0));
-        assert!(
-            !drain().iter().any(|e| e.ts_ns == 1),
-            "emit while disabled must drop the event"
+        // The word layout the exports were written with: one byte each.
+        assert_eq!(
+            pack_conflict(ConflictKind::WriteRead, Resolution::Retry, true),
+            2 | 2 << 8 | 1 << 16
         );
-        set_enabled(true);
-        std::thread::scope(|s| {
-            for t in 0..3u32 {
-                s.spawn(move || {
-                    for i in 0..10u64 {
-                        emit(Event::span(EventKind::Commit, 100 + i, 5, t, i, 0));
-                    }
-                });
-            }
-        });
-        set_enabled(false);
-        let events = drain();
-        let commits = events
-            .iter()
-            .filter(|e| e.kind == EventKind::Commit)
-            .count();
-        assert!(commits >= 30, "all three threads' events collected");
-        assert!(
-            events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns),
-            "drain sorts by timestamp"
-        );
-        reset();
-        assert!(!drain().iter().any(|e| e.kind == EventKind::Commit));
+        for (code, outcome) in BarrierWait::ALL.into_iter().enumerate() {
+            assert_eq!(outcome as usize, code, "BarrierWait::ALL is in tag order");
+        }
     }
 
     #[test]
@@ -478,8 +404,20 @@ mod tests {
         assert_eq!(EventKind::Commit.name(), "commit");
         assert_eq!(abort_reason_name(ABORT_KILLED), "killed");
         assert_eq!(abort_reason_name(99), "unknown");
-        assert_eq!(conflict_kind_name(1), "RW");
-        assert_eq!(verdict_name(VERDICT_ABORT_ENEMY), "abort-enemy");
-        assert_eq!(barrier_outcome_name(BARRIER_TIMED_OUT), "timed-out");
+        assert_eq!(ConflictKind::ReadWrite.name(), "RW");
+        assert_eq!(Resolution::AbortEnemy.name(), "abort-enemy");
+        assert_eq!(BarrierWait::TimedOut.name(), "timed-out");
+        assert_eq!(
+            ConflictKind::ALL.map(ConflictKind::name),
+            ["WW", "RW", "WR"]
+        );
+        assert_eq!(
+            Resolution::ALL.map(Resolution::name),
+            ["abort-enemy", "abort-self", "retry"]
+        );
+        assert_eq!(
+            BarrierWait::ALL.map(BarrierWait::name),
+            ["released", "cancelled", "timed-out"]
+        );
     }
 }

@@ -13,8 +13,8 @@
 //! [`crate::status`]), this interpretation is race-free: whoever reads the
 //! locator after the CAS sees the right version. The writer itself folds
 //! every locator it holds once the CAS has decided — at commit
-//! ([`TVarInner::commit_fused`] on the last entry, then
-//! [`TVarInner::collapse_terminal`] on the others) or on the abort path's
+//! (`TVarInner::commit_fused` on the last entry, then
+//! `TVarInner::collapse_terminal` on the others) or on the abort path's
 //! rollback — so an attempt that is over leaves no locator behind; an
 //! accessor folds a terminal writer only when it gets there first.
 //!
@@ -51,7 +51,7 @@
 //!   store → `seq` load → `snapshot` load and takes the version *by
 //!   address*: it writes the one word its reader owns and nothing else.
 //!   A lazy read is the same registration followed by the seqlock
-//!   sandwich `seq` → `version`/`snapshot` → `seq` ([`TVarInner::lazy_sample`]):
+//!   sandwich `seq` → `version`/`snapshot` → `seq` (`TVarInner::lazy_sample`):
 //!   invisible to conflict detection — no committer waits for, aborts or
 //!   asks a contention manager about a registered lazy reader — and
 //!   visible to reclamation, below. [`TVar::sample`], which has no attempt
@@ -65,12 +65,12 @@
 //! other way. The invariant, kept entirely inside this crate:
 //!
 //! > Whoever displaces the current version of an object, or frees the
-//! > object's allocation, first gives a count of it ([`TxState::lend`]) to
+//! > object's allocation, first gives a count of it (`TxState::lend`) to
 //! > every registered attempt whose body or commit may still run.
 //!
 //! *Registered* is a slot word or an overflow entry naming the attempt the
 //! registry says its thread is running. *May still run* is `Active`, or
-//! `Aborted` before [`TxState::finish_body`] — called on the abort arm of
+//! `Aborted` before `TxState::finish_body` — called on the abort arm of
 //! the retry loop right after the `Txn` is dropped, so after the body *and*
 //! a failed commit's validation. `Committed` comes after both (the status
 //! CAS is the last thing a commit reads shared state for), and an attempt
@@ -79,7 +79,7 @@
 //! every displacement finds it and lends again.
 //!
 //! Who displaces: an eager writer's commit, which installs only after
-//! [`TVarInner::conflicting_reader`] — slot words *and* the overflow list —
+//! `TVarInner::conflicting_reader` — slot words *and* the overflow list —
 //! found no other `Active` reader and lent to the aborted-but-running ones
 //! on the way; a lazy write-back and the drop of the object's last
 //! handle, which no conflict scan precedes and which lend to `Active`

@@ -4,11 +4,11 @@
 //! write set, CM hook invocation, conflict accounting, tracing, the
 //! debug-only opacity self-check — and delegates the four
 //! protocol-defining operations to the run's engine: the eager
-//! DSTM2-style protocol ([`crate::engine::eager`], the configuration the
-//! paper evaluates) or the TL2/STO-style lazy protocol
-//! ([`crate::engine::lazy`]). Dispatch is a two-way `match` on
-//! [`EngineKind`], monomorphized per call site like [`CmDispatch`]
-//! (no trait objects on the hot path).
+//! DSTM2-style protocol (`engine::eager`, the configuration the paper
+//! evaluates) or the TL2/STO-style lazy protocol (`engine::lazy`).
+//! Dispatch is a two-way `match` on [`EngineKind`], monomorphized per
+//! call site like [`CmDispatch`](crate::CmDispatch) (no trait objects on
+//! the hot path).
 
 use std::sync::Arc;
 
@@ -18,6 +18,7 @@ use crate::engine::eager::EagerEngine;
 use crate::engine::lazy::LazyEngine;
 use crate::engine::{EngineKind, LazyRead};
 use crate::stm::ThreadCtx;
+use crate::trace::{self, Event, EventKind};
 use crate::tvar::TVar;
 use crate::txstate::TxState;
 use crate::writeset::WriteEntry;
@@ -180,7 +181,7 @@ impl<'a> Txn<'a> {
             footprint: None,
             #[cfg(debug_assertions)]
             read_versions: ctx.take_read_versions_buf(),
-            abort_reason: std::cell::Cell::new(wtm_trace::ABORT_KILLED),
+            abort_reason: std::cell::Cell::new(trace::ABORT_KILLED),
         }
     }
 
@@ -202,7 +203,7 @@ impl<'a> Txn<'a> {
         self.state
     }
 
-    /// How this attempt aborted (trace taxonomy; see `wtm_trace::ABORT_*`).
+    /// How this attempt aborted (trace taxonomy; see `trace::ABORT_*`).
     pub(crate) fn abort_reason(&self) -> u64 {
         self.abort_reason.get()
     }
@@ -312,7 +313,7 @@ impl<'a> Txn<'a> {
     /// benchmark). The engine will retry the atomic closure.
     pub fn abort_self(&self) -> TxError {
         self.state.abort();
-        self.abort_reason.set(wtm_trace::ABORT_USER);
+        self.abort_reason.set(trace::ABORT_USER);
         TxError::Aborted
     }
 
@@ -334,70 +335,42 @@ impl<'a> Txn<'a> {
         }
         let t0 = clockns::now();
         let res = self.ctx.cm().resolve(&self.state, enemy, kind);
-        let waited = clockns::now().saturating_sub(t0);
+        let t1 = clockns::now();
+        let waited = t1.saturating_sub(t0);
         if waited > 0 {
             stats.record_wait(waited);
         }
-        match res {
-            Resolution::AbortEnemy => {
-                let killed = enemy.abort();
-                self.trace_conflict(enemy, kind, wtm_trace::VERDICT_ABORT_ENEMY, killed, waited);
-                Ok(())
-            }
+        let killed = match res {
+            Resolution::AbortEnemy => enemy.abort(),
             Resolution::AbortSelf => {
                 self.state.abort();
-                self.abort_reason.set(wtm_trace::ABORT_CM_SELF);
-                self.trace_conflict(enemy, kind, wtm_trace::VERDICT_ABORT_SELF, true, waited);
-                Err(TxError::Aborted)
+                self.abort_reason.set(trace::ABORT_CM_SELF);
+                true
             }
+            Resolution::Retry => false,
+        };
+        let tid = self.state.thread_id as u32;
+        let enemy_tid = enemy.thread_id as u64;
+        trace::emit_now(
+            EventKind::Conflict,
+            tid,
+            enemy_tid,
+            trace::pack_conflict(kind, res, killed),
+        );
+        // Sub-µs "waits" are just the resolve call itself; only real
+        // contention-manager stalls (back-off, Polka spins) are spans.
+        if waited >= 1_000 {
+            trace::emit(Event::span(EventKind::Wait, t1, waited, tid, enemy_tid, 0));
+        }
+        match res {
+            Resolution::AbortEnemy => Ok(()),
+            Resolution::AbortSelf => Err(TxError::Aborted),
             Resolution::Retry => {
-                self.trace_conflict(enemy, kind, wtm_trace::VERDICT_RETRY, false, waited);
                 if enemy.is_active() {
                     std::thread::yield_now();
                 }
                 self.check_alive()
             }
-        }
-    }
-
-    /// Emit the conflict (and, for non-trivial waits, the wait span) of
-    /// one `handle_conflict` resolution.
-    fn trace_conflict(
-        &self,
-        enemy: &Arc<TxState>,
-        kind: ConflictKind,
-        verdict: u64,
-        killed: bool,
-        waited: u64,
-    ) {
-        if !wtm_trace::enabled() {
-            return;
-        }
-        let now = clockns::now();
-        let tid = self.state.thread_id as u32;
-        let kind_code = match kind {
-            ConflictKind::WriteWrite => 0,
-            ConflictKind::ReadWrite => 1,
-            ConflictKind::WriteRead => 2,
-        };
-        wtm_trace::emit(wtm_trace::Event::instant(
-            wtm_trace::EventKind::Conflict,
-            now,
-            tid,
-            enemy.thread_id as u64,
-            wtm_trace::pack_conflict(kind_code, verdict, killed),
-        ));
-        // Sub-µs "waits" are just the resolve call itself; only real
-        // contention-manager stalls (back-off, Polka spins) are spans.
-        if waited >= 1_000 {
-            wtm_trace::emit(wtm_trace::Event::span(
-                wtm_trace::EventKind::Wait,
-                now,
-                waited,
-                tid,
-                enemy.thread_id as u64,
-                0,
-            ));
         }
     }
 

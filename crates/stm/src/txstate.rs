@@ -9,7 +9,7 @@
 //! reused, so any stale reference (a locator pointing at an old writer, a
 //! reader-slot word from a finished attempt) is detectable by id mismatch.
 //! The *allocation* behind a `TxState` may be recycled by its thread
-//! context's spare in [`crate::stm`], but only via [`reset_for_attempt`]
+//! context's spare in [`crate::stm`], but only via `reset_for_attempt`
 //! (`Arc::get_mut`), i.e. only when no other reference exists — a
 //! competitor that still holds an old attempt therefore sees it
 //! permanently `Aborted`/`Committed`, exactly as if the record were
@@ -20,7 +20,7 @@
 //! The record is also where a competitor parks what an attempt may still
 //! be reading: reads are uncounted borrows, so whoever displaces a version
 //! or frees an object lends a count of it to every registered attempt
-//! whose body or commit may still run ([`TxState::lend`]; the invariant is
+//! whose body or commit may still run (`TxState::lend`; the invariant is
 //! stated in [`crate::tvar`]).
 //!
 //! Fields that must *survive* retries of the same logical transaction (the

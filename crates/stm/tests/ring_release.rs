@@ -5,11 +5,11 @@
 
 use std::sync::mpsc;
 
-use wtm_trace::{Event, EventKind};
+use wtm_stm::trace::{self, Event, EventKind};
 
 fn emit_commits(tid: u32, n: u64) {
     for i in 0..n {
-        wtm_trace::emit(Event::span(EventKind::Commit, 1 + i, 1, tid, i, 0));
+        trace::emit(Event::span(EventKind::Commit, 1 + i, 1, tid, i, 0));
     }
 }
 
@@ -17,7 +17,7 @@ fn emit_commits(tid: u32, n: u64) {
 fn reset_drops_the_rings_of_exited_threads() {
     const ROUNDS: u32 = 5;
     const WORKERS: u32 = 3;
-    wtm_trace::set_enabled(true);
+    trace::set_enabled(true);
     // One thread lives through every round: its ring must stay.
     let (stop, stopped) = mpsc::channel::<()>();
     let (ready, is_ready) = mpsc::channel::<()>();
@@ -35,23 +35,23 @@ fn reset_drops_the_rings_of_exited_threads() {
         for w in workers {
             w.join().unwrap();
         }
-        assert_eq!(wtm_trace::registered_rings(), 1 + WORKERS as usize);
-        let events = wtm_trace::drain();
+        assert_eq!(trace::registered_rings(), 1 + WORKERS as usize);
+        let events = trace::drain();
         let mine = |e: &&Event| e.tid != u32::MAX;
         assert_eq!(events.iter().filter(mine).count(), 10 * WORKERS as usize);
-        assert_eq!(wtm_trace::dropped_total(), 0);
-        wtm_trace::reset();
+        assert_eq!(trace::dropped_total(), 0);
+        trace::reset();
         assert_eq!(
-            wtm_trace::registered_rings(),
+            trace::registered_rings(),
             1,
             "round {round}: only the live thread's ring stays registered"
         );
-        assert!(wtm_trace::drain().is_empty(), "reset clears the live ring");
+        assert!(trace::drain().is_empty(), "reset clears the live ring");
     }
 
     stop.send(()).unwrap();
     survivor.join().unwrap();
-    wtm_trace::reset();
-    assert_eq!(wtm_trace::registered_rings(), 0);
-    wtm_trace::set_enabled(false);
+    trace::reset();
+    assert_eq!(trace::registered_rings(), 0);
+    trace::set_enabled(false);
 }

@@ -32,13 +32,12 @@
 //! are therefore lock-free end to end:
 //!
 //! * **`resolve`**, **`on_begin`** and **`on_commit`** enter the
-//!   owner-private [`crate::thread::ThreadCell`] of the transaction's own
-//!   thread (an `UnsafeCell` with a debug-only ownership tripwire — no
-//!   lock in release builds). The engine calls `resolve` from the
-//!   conflicting attempt itself, so `me`'s thread runs it, and it reads
-//!   the current frame through that thread's
-//!   [`crate::thread::ThreadWindow::run`]: no `Arc` refcount traffic, one
-//!   atomic/coarse-clock read. `on_begin` and `on_commit` talk to the
+//!   owner-private `ThreadCell` of the transaction's own thread (an
+//!   `UnsafeCell` with a debug-only ownership tripwire — no lock in
+//!   release builds). The engine calls `resolve` from the conflicting
+//!   attempt itself, so `me`'s thread runs it, and it reads the current
+//!   frame through that thread's `ThreadWindow::run`: no `Arc` refcount
+//!   traffic, one atomic/coarse-clock read. `on_begin` and `on_commit` talk to the
 //!   frame clock through its wait-free registration/contraction API.
 //! * **`on_abort`** is two atomic f64 operations on the
 //!   contention-intensity cell and touches neither the `ThreadWindow` nor
@@ -59,8 +58,9 @@ use std::sync::{Arc, OnceLock};
 
 use wtm_policy::{Policy, Schedule};
 use wtm_stm::sync::{BarrierWait, CancellableBarrier, Mutex};
+use wtm_stm::trace::{self, Event, EventKind};
 use wtm_stm::txstate::NOT_WINDOWED;
-use wtm_stm::{probe, ConflictKind, ContentionManager, Resolution, TxState};
+use wtm_stm::{clockns, probe, ConflictKind, ContentionManager, Resolution, TxState};
 
 use crate::config::WindowConfig;
 use crate::run::WindowRun;
@@ -131,7 +131,7 @@ impl WindowManager {
     pub fn new(variant: WindowVariant, cfg: WindowConfig) -> Self {
         // Pay the coarse clock's one-time calibration here, not inside the
         // first window's frame computation.
-        wtm_stm::clockns::warmup();
+        clockns::warmup();
         let (mode, dynamic) = (variant.adaptive_mode(), variant.dynamic_frames());
         let policy = Policy::new(cfg.m, cfg.n, mode, dynamic);
         let c_init = policy.start_c(cfg.c_init, 0.0);
@@ -259,24 +259,17 @@ impl WindowManager {
     /// and cancels the barrier so the remaining waiters fail fast too
     /// instead of hanging until their own deadlines.
     fn window_barrier(&self, thread_id: usize) -> BarrierWait {
-        let t0 = wtm_stm::clockns::now();
+        let t0 = clockns::now();
         let res = self.barrier.wait_timeout(self.cfg.barrier_timeout);
-        if wtm_trace::enabled() {
-            let now = wtm_stm::clockns::now();
-            let outcome = match res {
-                BarrierWait::Released => wtm_trace::BARRIER_RELEASED,
-                BarrierWait::Cancelled => wtm_trace::BARRIER_CANCELLED,
-                BarrierWait::TimedOut => wtm_trace::BARRIER_TIMED_OUT,
-            };
-            wtm_trace::emit(wtm_trace::Event::span(
-                wtm_trace::EventKind::BarrierWait,
-                now,
-                now.saturating_sub(t0),
-                thread_id as u32,
-                0, // phase word: a window has one barrier
-                outcome,
-            ));
-        }
+        let now = clockns::now();
+        trace::emit(Event::span(
+            EventKind::BarrierWait,
+            now,
+            now.saturating_sub(t0),
+            thread_id as u32,
+            0, // phase word: a window has one barrier
+            res as u64,
+        ));
         if res == BarrierWait::TimedOut {
             self.fail_window(thread_id);
         }
@@ -317,7 +310,7 @@ impl WindowManager {
     /// transaction reads until its thread is past that barrier, by which
     /// time every thread has registered, so the dynamic frame clock still
     /// sees the complete pending table before it first moves.
-    fn begin_window(&self, cell: &ThreadCell, tw: &mut ThreadWindow) {
+    fn begin_window(&self, thread_id: usize, cell: &ThreadCell, tw: &mut ThreadWindow) {
         if tw.free_mode {
             self.enter_free_mode(cell, tw);
             return;
@@ -331,7 +324,7 @@ impl WindowManager {
         // Whole schedule segment in one wait-free batch (one high-water
         // publication instead of N).
         run.register_all((0..self.cfg.n).map(|j| tw.sched.frame(j)));
-        if self.window_barrier(tw.id) != BarrierWait::Released {
+        if self.window_barrier(thread_id) != BarrierWait::Released {
             // Our registrations stay behind in a run nobody will execute:
             // a failed barrier is cancelled, so every thread ends up here.
             self.enter_free_mode(cell, tw);
@@ -343,15 +336,12 @@ impl WindowManager {
         tw.j = 0;
         tw.run = Some(run);
         cell.publish_boundary(tw.run.clone(), tw.sched.c());
-        if wtm_trace::enabled() {
-            wtm_trace::emit(wtm_trace::Event::instant(
-                wtm_trace::EventKind::WindowStart,
-                wtm_stm::clockns::now(),
-                tw.id as u32,
-                generation,
-                tw.sched.frame(0), // qᵢ: the window's first frame
-            ));
-        }
+        trace::emit_now(
+            EventKind::WindowStart,
+            thread_id as u32,
+            generation,
+            tw.sched.frame(0), // qᵢ: the window's first frame
+        );
     }
 
     fn enter_free_mode(&self, cell: &ThreadCell, tw: &mut ThreadWindow) {
@@ -411,7 +401,7 @@ impl ContentionManager for WindowManager {
         let cell = &self.threads[tx.thread_id];
         cell.with(|tw| {
             if !is_retry && (tw.j >= self.cfg.n || tw.run.is_none()) {
-                self.begin_window(cell, tw);
+                self.begin_window(tx.thread_id, cell, tw);
             }
             // A retry keeps the frame: `j` and the schedule move on commit.
             let assigned = tw.sched.frame(tw.j);
@@ -420,15 +410,13 @@ impl ContentionManager for WindowManager {
             // and after every abort").
             let rank = self.policy.rank(&mut tw.rng);
             tx.set_rank(rank);
-            // The flag first: an event that is off reads no clock.
-            if !is_retry && wtm_trace::enabled() {
-                wtm_trace::emit(wtm_trace::Event::instant(
-                    wtm_trace::EventKind::FrameAssign,
-                    wtm_stm::clockns::now(),
-                    tw.id as u32,
+            if !is_retry {
+                trace::emit_now(
+                    EventKind::FrameAssign,
+                    tx.thread_id as u32,
                     assigned,
                     u64::from(rank),
-                ));
+                );
             }
         });
     }
@@ -512,7 +500,6 @@ impl ContentionManager for WindowManager {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use wtm_stm::clockns;
 
     fn cfg_1xn(n: usize) -> WindowConfig {
         WindowConfig::new(1, n).with_fixed_tau(Duration::from_micros(10))

@@ -53,6 +53,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use wtm_stm::clockns;
+use wtm_stm::trace::{self, EventKind};
 
 /// One per-frame pending counter, padded to its own cache line so
 /// neighbouring frames (hot on different threads during hand-off) never
@@ -181,14 +182,14 @@ impl WindowRun {
                 .compare_exchange_weak(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => {
-                    if wtm_trace::enabled() {
-                        wtm_trace::emit(wtm_trace::Event::instant(
-                            wtm_trace::EventKind::FrameAdvance,
-                            clockns::now(),
+                    // The flag first: the high-water mark is a shared load.
+                    if trace::enabled() {
+                        trace::emit_now(
+                            EventKind::FrameAdvance,
                             u32::MAX, // engine-level event, no single owner thread
                             cur + 1,
                             self.high_water.load(Ordering::Relaxed),
-                        ));
+                        );
                     }
                     cur += 1;
                 }

@@ -1,13 +1,13 @@
 //! Per-thread window bookkeeping.
 //!
-//! Each worker owns a [`ThreadWindow`]: its [`Schedule`] (`Cᵢ` and the
+//! Each worker owns a `ThreadWindow`: its [`Schedule`] (`Cᵢ` and the
 //! random delay `qᵢ` for the current window), its progress `j` through the
 //! window, and the RNG for delays and π₂ ranks. It sits in a
-//! [`ThreadCell`], not behind a lock: even an uncontended mutex is an
+//! `ThreadCell`, not behind a lock: even an uncontended mutex is an
 //! atomic RMW per hook, a measured slice of Fig. 5's window overhead.
 //!
-//! * the [`ThreadWindow`] itself lives in an `UnsafeCell` and is accessed
-//!   **only by the owning thread** through [`ThreadCell::with`]. The
+//! * the `ThreadWindow` itself lives in an `UnsafeCell` and is accessed
+//!   **only by the owning thread** through `ThreadCell::with`. The
 //!   single-owner contract is the windowed execution model itself — every
 //!   manager hook runs on the thread whose transaction it concerns — and
 //!   is enforced by a debug-only reentrancy flag;
@@ -36,8 +36,6 @@ use crate::run::WindowRun;
 /// Mutable per-thread window state (see module docs). Owner-private:
 /// nothing outside [`ThreadCell::with`] may touch it.
 pub(crate) struct ThreadWindow {
-    /// Owning thread's id (diagnostics and trace events).
-    pub id: usize,
     /// Contention estimate `Cᵢ`, delay `qᵢ` and the frames they assign.
     pub sched: Schedule,
     /// Transactions committed so far in the current window (`0..=N`).
@@ -55,7 +53,6 @@ pub(crate) struct ThreadWindow {
 impl ThreadWindow {
     pub(crate) fn new(thread_id: usize, seed: u64, c_init: f64, n: usize) -> Self {
         ThreadWindow {
-            id: thread_id,
             sched: Schedule::undelayed(c_init),
             // Start "at the end of a window" so the first transaction
             // triggers window setup.
@@ -181,7 +178,6 @@ mod tests {
     #[test]
     fn cell_roundtrips_owner_state_and_mirrors() {
         let cell = ThreadCell::new(3, 9, 2.5, 8);
-        assert_eq!(cell.with(|tw| tw.id), 3);
         cell.with(|tw| tw.sched = Schedule::undelayed(5.0));
         cell.windows_done.store(2, Ordering::Relaxed);
         // Mirrors lag until published — that's the contract.

@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
-use wtm_stm::{Stm, TVar};
-use wtm_trace::collect::ConflictMatrix;
-use wtm_trace::{unpack_conflict, EventKind};
+use wtm_stm::sync::BarrierWait;
+use wtm_stm::trace::{self, unpack_conflict, EventKind};
+use wtm_stm::{Resolution, Stm, TVar};
 use wtm_window::{WindowConfig, WindowManager, WindowRun, WindowVariant};
 
 #[test]
@@ -20,8 +20,8 @@ fn online_dynamic_contraction_and_kill_accounting_under_contention() {
     const N: usize = 8;
     const TXNS_PER_THREAD: u64 = 64; // 8 windows per thread
 
-    wtm_trace::reset();
-    wtm_trace::set_enabled(true);
+    trace::reset();
+    trace::set_enabled(true);
 
     let cfg = WindowConfig::new(M, N).with_seed(1234);
     let wm = Arc::new(WindowManager::new(WindowVariant::OnlineDynamic, cfg));
@@ -70,7 +70,7 @@ fn online_dynamic_contraction_and_kill_accounting_under_contention() {
         all
     });
     wm.cancel();
-    wtm_trace::set_enabled(false);
+    trace::set_enabled(false);
 
     assert_eq!(
         *a.sample(),
@@ -97,15 +97,15 @@ fn online_dynamic_contraction_and_kill_accounting_under_contention() {
         );
     }
 
-    assert_eq!(wtm_trace::dropped_total(), 0, "ring buffers must not wrap");
-    let events = wtm_trace::drain();
+    assert_eq!(trace::dropped_total(), 0, "ring buffers must not wrap");
+    let events = trace::drain();
 
     // No window barrier timed out (outcome word of BarrierWait spans).
     let timed_out = events
         .iter()
-        .filter(|e| e.kind == EventKind::BarrierWait && e.b == wtm_trace::BARRIER_TIMED_OUT)
+        .filter(|e| e.kind == EventKind::BarrierWait && e.b == BarrierWait::TimedOut as u64)
         .count();
-    assert_eq!(timed_out, 0, "no BARRIER_TIMED_OUT events expected");
+    assert_eq!(timed_out, 0, "no timed-out BarrierWait events expected");
 
     // A window boundary is one barrier: each thread waited exactly once
     // per window it started, with the phase word at 0, and the manager's
@@ -126,7 +126,7 @@ fn online_dynamic_contraction_and_kill_accounting_under_contention() {
             windows,
             "thread {t}: one BarrierWait span per window"
         );
-        assert!(of(EventKind::BarrierWait).all(|e| e.a == 0 && e.b == wtm_trace::BARRIER_RELEASED));
+        assert!(of(EventKind::BarrierWait).all(|e| e.a == 0 && e.b == BarrierWait::Released as u64));
     }
     let counts = wm.boundary_counts();
     assert_eq!(counts.windows_started, windows);
@@ -145,18 +145,30 @@ fn online_dynamic_contraction_and_kill_accounting_under_contention() {
 
     // Who-killed-whom bookkeeping balances: each AbortSelf verdict in the
     // conflict stream produced exactly one ABORT_CM_SELF abort, no thread
-    // ever kills itself, and the matrix total equals the killed-verdict
-    // conflict count it is built from.
-    let matrix = ConflictMatrix::from_events(&events, M);
-    for t in 0..M {
-        assert_eq!(matrix.get(t, t), 0, "thread {t} cannot kill itself");
+    // ever kills itself, and every killed-verdict conflict names a
+    // (killer, victim) pair of running threads, as TR1's matrix counts it.
+    let kills: Vec<(u64, u64)> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Conflict)
+        .filter_map(|e| match unpack_conflict(e.b) {
+            (_, Resolution::AbortEnemy, true) => Some((e.tid.into(), e.a)),
+            (_, Resolution::AbortSelf, true) => Some((e.a, e.tid.into())),
+            _ => None,
+        })
+        .collect();
+    for &(killer, victim) in &kills {
+        assert_ne!(killer, victim, "thread {killer} cannot kill itself");
+        assert!(
+            killer < M as u64 && victim < M as u64,
+            "{killer} -> {victim}"
+        );
     }
     let killed_conflicts = events
         .iter()
         .filter(|e| e.kind == EventKind::Conflict && unpack_conflict(e.b).2)
-        .count() as u64;
+        .count();
     assert_eq!(
-        matrix.total(),
+        kills.len(),
         killed_conflicts,
         "every killed-verdict conflict must land in the matrix"
     );
@@ -165,13 +177,13 @@ fn online_dynamic_contraction_and_kill_accounting_under_contention() {
         .filter(|e| {
             e.kind == EventKind::Conflict && {
                 let (_, verdict, killed) = unpack_conflict(e.b);
-                killed && verdict == wtm_trace::VERDICT_ABORT_SELF
+                killed && verdict == Resolution::AbortSelf
             }
         })
         .count();
     let cm_self_aborts = events
         .iter()
-        .filter(|e| e.kind == EventKind::Abort && e.b == wtm_trace::ABORT_CM_SELF)
+        .filter(|e| e.kind == EventKind::Abort && e.b == trace::ABORT_CM_SELF)
         .count();
     assert_eq!(
         self_abort_verdicts, cm_self_aborts,
